@@ -7,13 +7,18 @@ equilibrium iff the flows respect the best-response structure and, for every
 report, the accepted side carries at least as much High mass as Low mass.
 Free (indifferent) stop probabilities therefore form polytopes, which are
 decided exactly with rational arithmetic rather than sampled.
+
+The report-all census groups subtree policies by best-response rule pattern,
+one flow system each, and solves each distinct LP once. This is exact: every
+LP keeps its own rows, so the simplex returns the same vertex. No closed form
+from :mod:`retesting.equilibria` is used to prune.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Container, Mapping, Optional, Sequence, Union
 
 from . import _simplex
 from .beliefs import Beliefs, OFF_PATH, OffPath, posterior_from_distribution
@@ -245,8 +250,9 @@ class _FlowSystem:
     """Linear feasibility system over free continue masses within a scope.
 
     Forced nodes (strict best responses) are substituted symbolically, so the
-    only variables are the continue masses at indifferent nodes. A policy has
-    an equilibrium iff the system admits a nonnegative solution.
+    only variables are the continue masses at indifferent nodes. A policy
+    enters only through the signs of the label rows, so it has an equilibrium
+    iff its :meth:`rows` admit a nonnegative solution.
     """
 
     def __init__(
@@ -256,14 +262,11 @@ class _FlowSystem:
         histories: Sequence[ScoreSeq],
         sequences: Sequence[ScoreSeq],
         reporting: Reporting,
-        policy: AdmissionPolicy,
     ):
         self.params = params
         self.rules = rules
         self.histories = list(histories)
         self.sequences = sorted(sequences, key=lambda s: (len(s), seq_str(s)))
-        self.reporting = reporting
-        self.policy = policy
         weights = {
             StudentType.HIGH: params.phi_bar * params.p,
             StudentType.LOW: params.phi_bar * params.p_bar,
@@ -291,6 +294,34 @@ class _FlowSystem:
                         self.c_expr[(t, s)] = (Fraction(0), {idx: Fraction(1)})
         self.n = len(self.var_index)
 
+        # c <= reach at every free node
+        self._br_rows = [
+            self._row(_add(self.c_expr[node], self.reach_expr[node], sign=-1))
+            for node in self.var_index
+        ]
+        # High - Low mass per label, as the row "High - Low <= 0"
+        groups: dict[ScoreSeq, list[ScoreSeq]] = {}
+        for s in self.sequences:
+            groups.setdefault(_label_of(s, reporting), []).append(s)
+        self._label_rows: list[tuple[ScoreSeq, tuple[list[Fraction], Fraction]]] = []
+        for lab in sorted(groups, key=lambda s: (len(s), seq_str(s))):
+            diff: _Expr = (Fraction(0), {})
+            for s in groups[lab]:
+                for t, sign in ((StudentType.HIGH, 1), (StudentType.LOW, -1)):
+                    member = _add(self.stop_mass(t, s), (self.cat1_mass(t, s), {}))
+                    diff = _add(diff, member, sign=sign)
+            self._label_rows.append((lab, self._row(diff)))
+        # labels whose row is not 0 <= 0, so that its sign changes the LP
+        self._signed_labels = [lab for lab, (row, b) in self._label_rows if b or any(row)]
+
+    def _row(self, expr: _Expr) -> tuple[list[Fraction], Fraction]:
+        """The row of ``expr <= 0`` as (coefficients, right-hand side)."""
+        const, coeffs = expr
+        row = [Fraction(0)] * self.n
+        for i, v in coeffs.items():
+            row[i] += v
+        return row, -const
+
     def stop_mass(self, t: StudentType, s: ScoreSeq) -> _Expr:
         r = self.reach_expr[(t, s)]
         if len(s) < self.params.k:
@@ -303,38 +334,24 @@ class _FlowSystem:
         cat = self.params.phi * (self.params.p if t is StudentType.HIGH else self.params.p_bar)
         return cat * self.params.emit(t, s[0])
 
-    def constraints(self) -> tuple[list, list]:
-        """Rows (A_ub, b_ub) of the equilibrium polytope over free variables."""
-        a_ub: list[list[Fraction]] = []
-        b_ub: list[Fraction] = []
+    def signs(self, accepted: Container[ScoreSeq]) -> tuple[bool, ...]:
+        """The accept bits that change :meth:`rows`: equal signs, equal rows."""
+        return tuple(lab in accepted for lab in self._signed_labels)
 
-        def push(expr: _Expr) -> None:
-            # expr <= 0
-            const, coeffs = expr
-            row = [Fraction(0)] * self.n
-            for i, v in coeffs.items():
-                row[i] += v
+    def rows(self, accepted: Container[ScoreSeq]) -> tuple[list, list]:
+        """Rows (A_ub, b_ub) of one policy's equilibrium polytope: accepted
+        labels need High - Low >= 0, rejected ones <= 0."""
+        a_ub = [row for row, _ in self._br_rows]
+        b_ub = [b for _, b in self._br_rows]
+        for lab, (row, b) in self._label_rows:
+            if lab in accepted:
+                row, b = [-v for v in row], -b
             a_ub.append(row)
-            b_ub.append(-const)
-
-        for (t, h), idx in self.var_index.items():
-            push(_add(self.c_expr[(t, h)], self.reach_expr[(t, h)], sign=-1))  # c <= reach
-
-        groups: dict[ScoreSeq, list[ScoreSeq]] = {}
-        for s in self.sequences:
-            groups.setdefault(_label_of(s, self.reporting), []).append(s)
-        for lab in sorted(groups, key=lambda s: (len(s), seq_str(s))):
-            diff: _Expr = (Fraction(0), {})
-            for s in groups[lab]:
-                for t, sign in ((StudentType.HIGH, 1), (StudentType.LOW, -1)):
-                    member = _add(self.stop_mass(t, s), (self.cat1_mass(t, s), {}))
-                    diff = _add(diff, member, sign=sign)
-            # accepted labels need High - Low >= 0, rejected ones <= 0
-            push(_scale(diff, Fraction(-1)) if self.policy.accepts(lab) else diff)
+            b_ub.append(b)
         return a_ub, b_ub
 
-    def feasible(self) -> Optional[list[Fraction]]:
-        a_ub, b_ub = self.constraints()
+    def feasible(self, accepted: Container[ScoreSeq]) -> Optional[list[Fraction]]:
+        a_ub, b_ub = self.rows(accepted)
         if self.n == 0:
             return [] if all(b >= 0 for b in b_ub) else None
         return _simplex.feasible_point(a_ub, b_ub, [], [], self.n)
@@ -352,18 +369,14 @@ class _FlowSystem:
                     stops[(t, h)] = Fraction(0) if rule == CONTINUE else Fraction(1)
         return stops
 
-    def free_nodes(self) -> list[tuple[StudentType, ScoreSeq]]:
-        return list(self.var_index)
-
     def stop_interval(
-        self, t: StudentType, h: ScoreSeq, grid: int = 200
+        self, t: StudentType, h: ScoreSeq, a_ub: list, b_ub: list, grid: int = 200
     ) -> Optional[tuple[Fraction, Fraction]]:
         """Range of stop probabilities at a free node across the polytope.
 
-        Exact via LP when the node's reach is a known constant; nodes fed by
-        other free nodes are bracketed by feasibility probes at 1/grid.
+        ``a_ub``, ``b_ub`` are the policy's :meth:`rows`. Exact via LP when the
+        node's reach is known; deeper nodes are bracketed by probes at 1/grid.
         """
-        a_ub, b_ub = self.constraints()
         idx = self.var_index[(t, h)]
         r_const, r_coeffs = self.reach_expr[(t, h)]
         if not r_coeffs:
@@ -377,6 +390,9 @@ class _FlowSystem:
                 return None
             return 1 - (-hi.value) / r_const, 1 - lo.value / r_const
 
+        # the policy's rows plus one probe row, replaced in place per probe
+        a_probe, b_probe = a_ub + [None], b_ub + [None]
+
         def probe(theta: Fraction, upper: bool) -> bool:
             # upper: exists a point with stop >= theta, i.e. c <= (1-theta)*reach
             row = [Fraction(0)] * self.n
@@ -387,7 +403,8 @@ class _FlowSystem:
             if not upper:
                 row = [-v for v in row]
                 rhs = -rhs
-            return _simplex.feasible_point(a_ub + [row], b_ub + [rhs], [], [], self.n) is not None
+            a_probe[-1], b_probe[-1] = row, rhs
+            return _simplex.feasible_point(a_probe, b_probe, [], [], self.n) is not None
 
         def search(upper: bool) -> Fraction:
             lo_i, hi_i = 0, grid
@@ -446,7 +463,11 @@ class OutcomeClass:
     verified: bool
 
     def key(self) -> tuple:
-        return tuple(sorted((str(c), v) for c, v in self.admit_prob.items()))
+        return _admit_key(self.admit_prob)
+
+
+def _admit_key(admit: Mapping[Cohort, Fraction]) -> tuple:
+    return tuple(sorted((str(c), v) for c, v in admit.items()))
 
 
 @dataclass
@@ -481,11 +502,36 @@ def _classify(
     return SEPARATING if reporting is Reporting.MAX else NON_FIRST_SCORE
 
 
-def _cat1_admit(params: ModelParams, policy: AdmissionPolicy, t: StudentType) -> Fraction:
-    return sum(
-        (params.emit(t, s) for s in Score if policy.accepts((s,))),
-        Fraction(0),
-    )
+def _admit(
+    params: ModelParams,
+    policy: AdmissionPolicy,
+    values: Mapping[tuple[StudentType, ScoreSeq], Fraction],
+) -> dict[Cohort, Fraction]:
+    """Admission probability per positive-mass cohort, from the Category 2
+    best-response ``values`` after each first score."""
+    admit: dict[Cohort, Fraction] = {}
+    for cohort in _positive_cohorts(params):
+        t = cohort.type_
+        if cohort.category is Category.CAT1:
+            admitted = [params.emit(t, s) for s in Score if policy.accepts((s,))]
+        else:
+            admitted = [params.emit(t, s) * values[(t, (s,))] for s in Score]
+        admit[cohort] = sum(admitted, Fraction(0))
+    return admit
+
+
+def _new_class(
+    params: ModelParams,
+    admit: dict[Cohort, Fraction],
+    policy: AdmissionPolicy,
+    stops: Mapping[tuple[StudentType, ScoreSeq], Fraction],
+    reporting: Reporting,
+) -> OutcomeClass:
+    """An outcome class with its witness built and verified; no policies yet."""
+    label = _classify(params, admit, reporting)
+    witness = _witness_profile(params, policy, stops, reporting, label)
+    verified = verify_equilibrium(params, witness, mode="exact").ok
+    return OutcomeClass(admit, label, witness, policies=[], verified=verified)
 
 
 def _witness_profile(
@@ -523,6 +569,18 @@ def _witness_profile(
     )
 
 
+def _enumeration(
+    params: ModelParams, scope: str, considered: int, classes: Mapping[tuple, OutcomeClass]
+) -> Enumeration:
+    return Enumeration(
+        params=params,
+        scope=scope,
+        boundary=is_boundary(params),
+        policies_considered=considered,
+        classes=sorted(classes.values(), key=lambda c: c.key()),
+    )
+
+
 def _subtree(first: Score, k: int) -> tuple[list[ScoreSeq], list[ScoreSeq]]:
     seqs = [s for s in all_sequences(k) if s[0] is first]
     hists = [s for s in seqs if len(s) < k]
@@ -532,8 +590,9 @@ def _subtree(first: Score, k: int) -> tuple[list[ScoreSeq], list[ScoreSeq]]:
 @dataclass
 class _SubtreeSolution:
     accepted: frozenset[ScoreSeq]
-    values: dict[StudentType, Fraction]  # admission prob conditional on first score
+    values: Mapping[tuple[StudentType, ScoreSeq], Fraction]  # best-response values
     stops: dict[tuple[StudentType, ScoreSeq], Fraction]
+    group: int  # shared by solutions with the same admission odds for both categories
 
 
 from functools import lru_cache
@@ -565,66 +624,56 @@ def _subtree_induction(alpha: Fraction, k: int, first: Score, bits: int):
 
 
 def _solve_subtrees(params: ModelParams, first: Score) -> list[_SubtreeSolution]:
-    """All consistent acceptance patterns on one first-score subtree."""
+    """All consistent acceptance patterns on one first-score subtree; one flow
+    system per best-response rule pattern, one solve per distinct LP."""
     hists, seqs = _subtree(first, params.k)
+    systems: dict[tuple[str, ...], tuple[_FlowSystem, int]] = {}  # rules -> system, row id
+    row_ids: dict[tuple, int] = {}  # a system's rows with no label accepted -> id
+    points: dict[tuple, Optional[list[Fraction]]] = {}  # (row id, signs) -> point
+    stops: dict[tuple, Optional[dict]] = {}  # (rules, signs) -> stops
+    groups: dict[tuple, int] = {}  # (accepts first score, values after it) -> group
     solutions = []
     for bits in range(1 << len(seqs)):
         accepted, rules, values = _subtree_induction(params.alpha, params.k, first, bits)
-        policy = AdmissionPolicy(k=params.k, accepted=accepted)
-        system = _FlowSystem(params, rules, hists, seqs, Reporting.ALL, policy)
-        x = system.feasible()
-        if x is None:
-            continue
-        solutions.append(
-            _SubtreeSolution(
-                accepted=accepted,
-                values={t: values[(t, (first,))] for t in StudentType},
-                stops=system.stops_from_point(x),
-            )
-        )
+        pattern = tuple(rules.values())
+        if pattern not in systems:
+            system = _FlowSystem(params, rules, hists, seqs, Reporting.ALL)
+            a_ub, b_ub = system.rows(())
+            rows = (tuple(map(tuple, a_ub)), tuple(b_ub))
+            systems[pattern] = system, row_ids.setdefault(rows, len(row_ids))
+        system, row_id = systems[pattern]
+        signs = system.signs(accepted)
+        if (pattern, signs) not in stops:
+            # equal row ids and signs mean equal rows, hence the same vertex
+            if (row_id, signs) not in points:
+                points[(row_id, signs)] = system.feasible(accepted)
+            x = points[(row_id, signs)]
+            stops[(pattern, signs)] = None if x is None else system.stops_from_point(x)
+        if stops[(pattern, signs)] is not None:
+            odds = ((first,) in accepted, *(values[(t, (first,))] for t in StudentType))
+            group = groups.setdefault(odds, len(groups))
+            solutions.append(_SubtreeSolution(accepted, values, stops[(pattern, signs)], group))
     return solutions
 
 
 def _enumerate_report_all(params: ModelParams) -> Enumeration:
     by_first = {first: _solve_subtrees(params, first) for first in Score}
     classes: dict[tuple, OutcomeClass] = {}
-    positive = _positive_cohorts(params)
+    by_groups: dict[tuple[int, int], OutcomeClass] = {}
     considered = (1 << (2**params.k - 1)) ** 2
     for sol_a in by_first[Score.A]:
         for sol_b in by_first[Score.B]:
             policy = AdmissionPolicy(k=params.k, accepted=sol_a.accepted | sol_b.accepted)
-            admit: dict[Cohort, Fraction] = {}
-            for cohort in positive:
-                t = cohort.type_
-                if cohort.category is Category.CAT1:
-                    admit[cohort] = _cat1_admit(params, policy, t)
-                else:
-                    admit[cohort] = (
-                        params.emit(t, Score.A) * sol_a.values[t]
-                        + params.emit(t, Score.B) * sol_b.values[t]
-                    )
-            key = tuple(sorted((str(c), v) for c, v in admit.items()))
-            if key in classes:
-                classes[key].policies.append(policy)
-                continue
-            stops = {**sol_a.stops, **sol_b.stops}
-            label = _classify(params, admit, Reporting.ALL)
-            witness = _witness_profile(params, policy, stops, Reporting.ALL, label)
-            verdict = verify_equilibrium(params, witness, mode="exact")
-            classes[key] = OutcomeClass(
-                admit_prob=admit,
-                label=label,
-                witness=witness,
-                policies=[policy],
-                verified=verdict.ok,
-            )
-    return Enumeration(
-        params=params,
-        scope=SCOPE_REPORT_ALL,
-        boundary=is_boundary(params),
-        policies_considered=considered,
-        classes=sorted(classes.values(), key=lambda c: c.key()),
-    )
+            cls = by_groups.get((sol_a.group, sol_b.group))
+            if cls is None:
+                admit = _admit(params, policy, {**sol_a.values, **sol_b.values})
+                key = _admit_key(admit)
+                if key not in classes:
+                    stops = {**sol_a.stops, **sol_b.stops}
+                    classes[key] = _new_class(params, admit, policy, stops, Reporting.ALL)
+                cls = by_groups[(sol_a.group, sol_b.group)] = classes[key]
+            cls.policies.append(policy)
+    return _enumeration(params, SCOPE_REPORT_ALL, considered, classes)
 
 
 def _enumerate_policy_list(
@@ -633,44 +682,18 @@ def _enumerate_policy_list(
     hists = list(all_sequences(params.k - 1)) if params.k > 1 else []
     seqs = list(all_sequences(params.k))
     classes: dict[tuple, OutcomeClass] = {}
-    positive = _positive_cohorts(params)
     for policy in policies:
         br = best_response(params, policy)
-        system = _FlowSystem(params, br.rules, hists, seqs, reporting, policy)
-        x = system.feasible()
+        system = _FlowSystem(params, br.rules, hists, seqs, reporting)
+        x = system.feasible(policy.accepted)
         if x is None:
             continue
-        admit: dict[Cohort, Fraction] = {}
-        for cohort in positive:
-            t = cohort.type_
-            if cohort.category is Category.CAT1:
-                admit[cohort] = _cat1_admit(params, policy, t)
-            else:
-                admit[cohort] = sum(
-                    (params.emit(t, s) * br.values[(t, (s,))] for s in Score), Fraction(0)
-                )
-        key = tuple(sorted((str(c), v) for c, v in admit.items()))
-        if key in classes:
-            classes[key].policies.append(policy)
-            continue
-        stops = system.stops_from_point(x)
-        label = _classify(params, admit, reporting)
-        witness = _witness_profile(params, policy, stops, reporting, label)
-        verdict = verify_equilibrium(params, witness, mode="exact")
-        classes[key] = OutcomeClass(
-            admit_prob=admit,
-            label=label,
-            witness=witness,
-            policies=[policy],
-            verified=verdict.ok,
-        )
-    return Enumeration(
-        params=params,
-        scope=scope,
-        boundary=is_boundary(params),
-        policies_considered=len(policies),
-        classes=sorted(classes.values(), key=lambda c: c.key()),
-    )
+        admit = _admit(params, policy, br.values)
+        key = _admit_key(admit)
+        if key not in classes:
+            classes[key] = _new_class(params, admit, policy, system.stops_from_point(x), reporting)
+        classes[key].policies.append(policy)
+    return _enumeration(params, scope, len(policies), classes)
 
 
 def _family_policies(params: ModelParams, scope: str) -> list[AdmissionPolicy]:
@@ -695,6 +718,10 @@ def enumerate_outcomes(params: ModelParams, scope: str = SCOPE_REPORT_ALL) -> En
     "report-all" is exhaustive over all deterministic sequence policies
     (64 at k=2, 16384 at k=3) and refuses k >= 4; named families remain
     available there. "report-max" covers the four best-score policies.
+
+    The report-all census solves each distinct LP of a best-response rule
+    pattern once, with unchanged rows, so it finds what one solve per policy
+    finds. It never prunes with the closed forms it is tested against.
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; expected one of {SCOPES}")
@@ -728,12 +755,13 @@ def free_stop_intervals(
     br = best_response(params, policy)
     hists = list(all_sequences(params.k - 1)) if params.k > 1 else []
     seqs = list(all_sequences(params.k))
-    system = _FlowSystem(params, br.rules, hists, seqs, reporting, policy)
-    if system.feasible() is None:
+    system = _FlowSystem(params, br.rules, hists, seqs, reporting)
+    if system.feasible(policy.accepted) is None:
         return {}
+    a_ub, b_ub = system.rows(policy.accepted)
     out = {}
-    for t, h in system.free_nodes():
-        interval = system.stop_interval(t, h)
+    for t, h in system.var_index:
+        interval = system.stop_interval(t, h, a_ub, b_ub)
         if interval is not None:
             out[(t, h)] = interval
     return out

@@ -18,9 +18,11 @@ from retesting import (
     REJECT_ALL,
     Reporting,
     SEPARATING,
+    Score,
     ScopeTooLarge,
     StudentStrategy,
     StudentType,
+    all_sequences,
     best_response,
     construct_first_score_equilibrium,
     enumerate_outcomes,
@@ -30,8 +32,10 @@ from retesting import (
     seq,
     verify_equilibrium,
 )
+from retesting import _simplex
 from retesting.equilibria import EquilibriumProfile
 from retesting.beliefs import Beliefs
+from retesting.search import _FlowSystem, _enumerate_policy_list, _subtree
 
 PARAMS = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=2)
 
@@ -292,3 +296,62 @@ class TestFreeIntervals:
     def test_infeasible_policy_has_no_intervals(self):
         params = ModelParams(p=0.1, alpha=0.8, phi=0.5, k=2)
         assert free_stop_intervals(params, AdmissionPolicy.first_score(2)) == {}
+
+
+class TestGroupedCensus:
+    """The report-all census shares flow systems and solves between subtree
+    policies; it must give what one solve per whole policy gives."""
+
+    @pytest.mark.parametrize("alpha", [Fraction(3, 5), Fraction(4, 5)])
+    @pytest.mark.parametrize("p", [Fraction(1, 5), Fraction(1, 2), Fraction(17, 20)])
+    @pytest.mark.parametrize("phi", [Fraction(0), Fraction(1, 2), Fraction(1)])
+    def test_matches_one_solve_per_policy_k2(self, alpha, p, phi):
+        params = ModelParams(p=p, alpha=alpha, phi=phi, k=2)
+        seqs = list(all_sequences(2))
+        policies = [
+            AdmissionPolicy(k=2, accepted=frozenset(s for i, s in enumerate(seqs) if bits >> i & 1))
+            for bits in range(1 << len(seqs))
+        ]
+        grouped = enumerate_outcomes(params, "report-all")
+        single = _enumerate_policy_list(params, policies, Reporting.ALL, "report-all")
+        assert grouped.policies_considered == single.policies_considered == 64
+
+        def summary(enumeration):
+            return {
+                c.key(): (c.label, c.verified, frozenset(c.policies))
+                for c in enumeration.classes
+            }
+
+        assert summary(grouped) == summary(single)
+        assert [c.key() for c in grouped.classes] == [c.key() for c in single.classes]
+
+    @pytest.mark.parametrize(
+        "alpha, p", [(Fraction(4, 5), Fraction(9, 20)), (Fraction(3, 5), Fraction(3, 4))]
+    )
+    def test_witness_stops_from_its_own_rows_k3(self, alpha, p):
+        params = ModelParams(p=p, alpha=alpha, phi=Fraction(1, 2), k=3)
+        for cls in enumerate_outcomes(params, "report-all").classes:
+            witness = cls.witness
+            rules = best_response(params, witness.policy).rules
+            for first in Score:
+                hists, seqs = _subtree(first, 3)
+                system = _FlowSystem(params, rules, hists, seqs, Reporting.ALL)
+                x = system.feasible(witness.policy.accepted)
+                assert x is not None
+                for node, stop in system.stops_from_point(x).items():
+                    assert witness.strategy.stop[node] == stop
+
+    def test_k3_census_solves_each_distinct_lp_once(self, monkeypatch):
+        calls = []
+        solve = _simplex.solve
+
+        def counting(c, a_ub, b_ub, a_eq, b_eq, n):
+            calls.append(n)
+            return solve(c, a_ub, b_ub, a_eq, b_eq, n)
+
+        monkeypatch.setattr(_simplex, "solve", counting)
+        params = ModelParams(p=Fraction(9, 20), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
+        enumeration = enumerate_outcomes(params, "report-all")
+        assert enumeration.classes
+        # 36 distinct LPs per first score; one solve per policy would be 144
+        assert 0 < len(calls) <= 72
