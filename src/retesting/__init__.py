@@ -9,7 +9,6 @@ resulting fairness and accuracy statistics.
 
 from .beliefs import (
     OFF_PATH,
-    Beliefs,
     OffPath,
     PrefixBelief,
     posterior,

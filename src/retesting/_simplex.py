@@ -149,9 +149,3 @@ def feasible_point(
 ) -> Optional[list[Fraction]]:
     res = solve([Fraction(0)] * n, a_ub, b_ub, a_eq, b_eq, n)
     return res.x if res.status == OPTIMAL else None
-
-
-def minimize(
-    c: Row, a_ub: list[Row], b_ub: Row, a_eq: list[Row], b_eq: Row, n: int
-) -> LPResult:
-    return solve(c, a_ub, b_ub, a_eq, b_eq, n)

@@ -1,11 +1,15 @@
 """Bayesian beliefs for the College: per-sequence posteriors, prefix
-aggregates, and best-score posteriors under retake-until-A behavior."""
+aggregates, and best-score posteriors under retake-until-A behavior.
+
+Profiles carry no belief map: on-path posteriors are functions of the
+parameters and the strategy, and beliefs at zero-mass reports are free.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from .model import (
     ModelParams,
@@ -16,7 +20,6 @@ from .model import (
     StudentType,
     max_score_distribution,
     outcome_distribution,
-    seq_str,
 )
 
 
@@ -50,30 +53,6 @@ class PrefixBelief:
     prefix: ScoreSeq
     value: Fraction
     empty: bool = False
-
-
-@dataclass(frozen=True)
-class Beliefs:
-    """The College's posterior map, with off-path sequences marked.
-
-    ``off_path_assignment`` optionally supplies the beliefs used to support
-    an admission policy at zero-mass sequences.
-    """
-
-    per_seq: Mapping[ScoreSeq, Belief]
-    off_path_assignment: Optional[Mapping[ScoreSeq, Fraction]] = None
-
-    def at(self, s: ScoreSeq) -> Belief:
-        return self.per_seq[s]
-
-    def supported(self, s: ScoreSeq) -> Fraction:
-        """The belief actually in force at ``s`` (posterior or assignment)."""
-        b = self.per_seq[s]
-        if isinstance(b, OffPath):
-            if self.off_path_assignment is None or s not in self.off_path_assignment:
-                raise KeyError(f"no off-path belief assigned at {seq_str(s)}")
-            return self.off_path_assignment[s]
-        return b
 
 
 def posterior_from_distribution(dist: OutcomeDistribution, s: ScoreSeq) -> Belief:
@@ -116,15 +95,3 @@ def posterior_max(params: ModelParams, best: Score) -> Fraction:
     high = dist.type_mass(StudentType.HIGH, (best,))
     low = dist.type_mass(StudentType.LOW, (best,))
     return high / (high + low)
-
-
-def compute_beliefs(
-    params: ModelParams,
-    strategy: StudentStrategy,
-    sequences: list[ScoreSeq],
-    off_path_assignment: Optional[Mapping[ScoreSeq, Fraction]] = None,
-) -> Beliefs:
-    """Posteriors for every sequence in ``sequences`` under the strategy."""
-    dist = outcome_distribution(params, strategy)
-    per_seq = {s: posterior_from_distribution(dist, s) for s in sequences}
-    return Beliefs(per_seq=per_seq, off_path_assignment=off_path_assignment)

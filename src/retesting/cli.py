@@ -37,6 +37,9 @@ from .simulate import SimConfig, simulate
 
 SCHEMA_VERSION = 1
 
+# Most values one start:stop:step range may expand to.
+MAX_RANGE_VALUES = 10_000
+
 SWEEP_COLUMNS = [
     "alpha",
     "p",
@@ -72,7 +75,11 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_list(text: str) -> list[Fraction]:
-    """Comma list ("0.6,0.7") or range ("0.05:0.95:0.05"), ascending."""
+    """Comma list ("0.6,0.7") or range ("0.05:0.95:0.05"), ascending.
+
+    A range is counted before it is expanded: an empty one, or one of more
+    than MAX_RANGE_VALUES values, is a usage error.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -80,12 +87,14 @@ def _parse_list(text: str) -> list[Fraction]:
         start, stop, step = (_parse_fraction(t) for t in parts)
         if step <= 0:
             raise argparse.ArgumentTypeError("range step must be positive")
-        values = []
-        v = start
-        while v <= stop:
-            values.append(v)
-            v += step
-        return values
+        if stop < start:
+            raise argparse.ArgumentTypeError(f"empty range {text!r}: stop is below start")
+        count = math.floor((stop - start) / step) + 1
+        if count > MAX_RANGE_VALUES:
+            raise argparse.ArgumentTypeError(
+                f"range {text!r} has {count} values; at most {MAX_RANGE_VALUES} are allowed"
+            )
+        return [start + i * step for i in range(count)]
     values = [_parse_fraction(t) for t in text.split(",") if t]
     if not values:
         raise argparse.ArgumentTypeError("empty value list")
@@ -245,10 +254,7 @@ def _sweep_rows(alphas, ps, phis, ks) -> list[list[str]]:
         for p in ps:
             for phi in phis:
                 for k in ks:
-                    try:
-                        params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
-                    except ValueError as exc:
-                        raise SystemExit(f"invalid grid point: {exc}")
+                    params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
                     flag = "1" if is_boundary(params) else "0"
                     reports: list[FairnessReport] = []
                     sep = report_max_separating(params)

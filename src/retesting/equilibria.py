@@ -1,9 +1,9 @@
 """Closed-form thresholds, existence regions, and equilibrium constructors.
 
-Every constructor returns a fully specified profile (policy, strategy,
-beliefs) that the independent verifier in :mod:`retesting.search` accepts on
-the stated parameter region. Regions use exact rational endpoints, and
-boundary membership follows each result's closed/open endpoints as stated.
+Every constructor returns a fully specified profile (policy, strategy) that
+the independent verifier in :mod:`retesting.search` accepts on the stated
+parameter region. Regions use exact rational endpoints, and boundary
+membership follows each result's closed/open endpoints as stated.
 """
 
 from __future__ import annotations
@@ -13,12 +13,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .beliefs import Beliefs, OffPath, compute_beliefs, posterior_from_distribution, posterior_max
 from .errors import BadIndex, NoEquilibrium, UnsupportedK
 from .model import (
     ModelParams,
-    best_score_projection,
-    outcome_distribution,
     Numeric,
     Score,
     ScoreSeq,
@@ -106,16 +103,17 @@ NON_FIRST_SCORE = "non_first_score"
 
 @dataclass(frozen=True)
 class EquilibriumProfile:
-    """A (policy, strategy, beliefs) triple with its classification label.
+    """A (policy, strategy) pair with its classification label.
 
-    ``n`` is the trailing-A run index for non-first-score profiles. The
-    supporting ranges of free stop probabilities are computed on demand by
-    :func:`retesting.search.free_stop_intervals`.
+    The College's beliefs are not stored: on reports that carry mass they are
+    the posteriors the strategy induces, and off path any belief supporting
+    the policy will do. ``n`` is the trailing-A run index for non-first-score
+    profiles. The supporting ranges of free stop probabilities are computed
+    on demand by :func:`retesting.search.free_stop_intervals`.
     """
 
     policy: AdmissionPolicy
     strategy: StudentStrategy
-    beliefs: Beliefs
     label: str
     reporting: Reporting
     n: Optional[int] = None
@@ -186,15 +184,9 @@ def report_max_separating(params: ModelParams) -> Optional[EquilibriumProfile]:
         return None
     policy = AdmissionPolicy.best_score_a(params.k)
     strategy = StudentStrategy.stop_after_a(params.k)
-    labels = [(Score.A,), (Score.B,)]
-    beliefs = Beliefs(
-        per_seq={lab: posterior_max(params, lab[0]) for lab in labels},
-        off_path_assignment={},
-    )
     return EquilibriumProfile(
         policy=policy,
         strategy=strategy,
-        beliefs=beliefs,
         label=SEPARATING,
         reporting=Reporting.MAX,
     )
@@ -242,16 +234,9 @@ class RejectAllFamily:
             self.params.k, f_h_a=1, f_h_b=1, f_l_a=1, f_l_b=1 - fl_bar
         )
         policy = AdmissionPolicy.reject_all(self.params.k)
-        dist = best_score_projection(outcome_distribution(self.params, strategy))
-        labels = [(Score.A,), (Score.B,)]
-        beliefs = Beliefs(
-            per_seq={lab: posterior_from_distribution(dist, lab) for lab in labels},
-            off_path_assignment={},
-        )
         return EquilibriumProfile(
             policy=policy,
             strategy=strategy,
-            beliefs=beliefs,
             label=REJECT_ALL,
             reporting=Reporting.MAX,
         )
@@ -330,15 +315,6 @@ def report_all_regions(params: ModelParams) -> tuple[bool, Region]:
 # Report All: constructors
 # ---------------------------------------------------------------------------
 
-def _off_path_assignment(policy: AdmissionPolicy, beliefs: Beliefs) -> dict[ScoreSeq, Fraction]:
-    """Extreme supporting beliefs: 1 at accepted off-path nodes, 0 at rejected."""
-    out = {}
-    for s, b in beliefs.per_seq.items():
-        if isinstance(b, OffPath):
-            out[s] = Fraction(1) if policy.accepts(s) else Fraction(0)
-    return out
-
-
 def construct_first_score_equilibrium(params: ModelParams) -> EquilibriumProfile:
     """Admission by first (or only) score, everyone tests once.
 
@@ -352,15 +328,9 @@ def construct_first_score_equilibrium(params: ModelParams) -> EquilibriumProfile
         )
     policy = AdmissionPolicy.first_score(params.k)
     strategy = StudentStrategy.always_stop(params.k)
-    beliefs = compute_beliefs(params, strategy, list(all_sequences(params.k)))
-    beliefs = Beliefs(
-        per_seq=beliefs.per_seq,
-        off_path_assignment=_off_path_assignment(policy, beliefs),
-    )
     return EquilibriumProfile(
         policy=policy,
         strategy=strategy,
-        beliefs=beliefs,
         label=FIRST_SCORE,
         reporting=Reporting.ALL,
     )
@@ -404,15 +374,9 @@ def construct_non_first_score_equilibrium(
             else:
                 stop[(t, h)] = Fraction(1)  # run complete or derailed
     strategy = StudentStrategy(stop)
-    beliefs = compute_beliefs(params, strategy, list(all_sequences(params.k)))
-    beliefs = Beliefs(
-        per_seq=beliefs.per_seq,
-        off_path_assignment=_off_path_assignment(policy, beliefs),
-    )
     return EquilibriumProfile(
         policy=policy,
         strategy=strategy,
-        beliefs=beliefs,
         label=NON_FIRST_SCORE,
         reporting=Reporting.ALL,
         n=n,

@@ -29,6 +29,7 @@ from .model import (
     Cohort,
     ModelParams,
     StudentType,
+    admission_key,
     outcome_distribution,
 )
 
@@ -190,7 +191,7 @@ def compare_policies(params: ModelParams, search: bool = True) -> PolicyComparis
 
     def add(profile: EquilibriumProfile) -> None:
         admit = admission_probabilities(params, profile)
-        key = tuple(sorted((str(c), v) for c, v in admit.items() if c.mass(params) > 0))
+        key = admission_key({c: v for c, v in admit.items() if c.mass(params) > 0})
         if key in seen:
             return
         seen.add(key)

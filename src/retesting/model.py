@@ -102,6 +102,12 @@ COHORTS: tuple[Cohort, ...] = (
 )
 
 
+def admission_key(admit: Mapping[Cohort, Fraction]) -> tuple:
+    """An admission outcome as a hashable, ordered key: (cohort, probability)
+    per cohort in ``admit``, which holds only the cohorts that carry mass."""
+    return tuple(sorted((str(c), v) for c, v in admit.items()))
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Primitives of the testing game.
@@ -188,13 +194,13 @@ class StudentStrategy:
     @classmethod
     def always_stop(cls, k: int) -> "StudentStrategy":
         """Everyone reports their first score."""
-        return cls({(t, h): 1 for t in StudentType for h in _histories(k)})
+        return cls({(t, h): 1 for t in StudentType for h in all_sequences(k - 1)})
 
     @classmethod
     def stop_after_a(cls, k: int) -> "StudentStrategy":
         """Retake until the first A (or the k-th test); stop once an A is seen."""
         return cls(
-            {(t, h): (1 if Score.A in h else 0) for t in StudentType for h in _histories(k)}
+            {(t, h): (1 if Score.A in h else 0) for t in StudentType for h in all_sequences(k - 1)}
         )
 
     @classmethod
@@ -206,7 +212,7 @@ class StudentStrategy:
         f_l_a: Numeric,
         f_l_b: Numeric,
     ) -> "StudentStrategy":
-        """Stop probabilities that depend only on the most recent first score.
+        """Stop probabilities that depend only on the type and the first score.
 
         Deeper histories (k > 2) reuse the entry of their first score, which
         reproduces first-score-indexed strategies exactly at k = 2.
@@ -217,13 +223,7 @@ class StudentStrategy:
             (StudentType.LOW, Score.A): as_fraction(f_l_a),
             (StudentType.LOW, Score.B): as_fraction(f_l_b),
         }
-        return cls({(t, h): table[(t, h[0])] for t in StudentType for h in _histories(k)})
-
-
-def _histories(k: int) -> Iterator[ScoreSeq]:
-    """All decision histories: sequences of length 1..k-1."""
-    for s in all_sequences(k - 1) if k > 1 else ():
-        yield s
+        return cls({(t, h): table[(t, h[0])] for t in StudentType for h in all_sequences(k - 1)})
 
 
 @dataclass(frozen=True)

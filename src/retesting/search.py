@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Container, Mapping, Optional, Sequence, Union
+from functools import lru_cache
+from typing import Container, Iterable, Mapping, Optional, Sequence, Union
 
 from . import _simplex
-from .beliefs import Beliefs, OFF_PATH, OffPath, posterior_from_distribution
 from .equilibria import (
     ACCEPT_ALL,
     FIRST_SCORE,
@@ -43,6 +43,7 @@ from .model import (
     ScoreSeq,
     StudentStrategy,
     StudentType,
+    admission_key,
     all_sequences,
     best_score,
     outcome_distribution,
@@ -83,39 +84,55 @@ class BestResponseSet:
 def best_response(params: ModelParams, policy: AdmissionPolicy) -> BestResponseSet:
     """Optimal stopping sets for Category 2 students facing a policy.
 
-    At each history, stopping yields the accept indicator of the current
-    sequence; continuing yields the expected optimal value over the next
-    score. Strict comparisons force the decision, ties leave it free.
+    Decisions after a first score never look at the other first score, so
+    this merges the :func:`_subtree_induction` of the two subtrees.
     """
-    k = params.k
     rules: dict[tuple[StudentType, ScoreSeq], str] = {}
     values: dict[tuple[StudentType, ScoreSeq], Fraction] = {}
-    for type_ in StudentType:
-        for length in range(k, 0, -1):
-            for h in _sequences_of_length(length):
-                u = Fraction(1) if policy.accepts(h) else Fraction(0)
-                if length == k:
-                    values[(type_, h)] = u
-                    continue
-                cont = sum(
-                    (params.emit(type_, s) * values[(type_, h + (s,))] for s in Score),
-                    Fraction(0),
-                )
-                values[(type_, h)] = max(u, cont)
-                if u > cont:
-                    rules[(type_, h)] = STOP
-                elif u < cont:
-                    rules[(type_, h)] = CONTINUE
-                else:
-                    rules[(type_, h)] = ANY
+    for first in Score:
+        seqs = _subtree(first, params.k)
+        bits = sum(1 << i for i, s in enumerate(seqs) if s in policy.accepted)
+        _, sub_rules, sub_values = _subtree_induction(params.alpha, params.k, first, bits)
+        rules.update(sub_rules)
+        values.update(sub_values)
     return BestResponseSet(rules=rules, values=values)
 
 
-def _sequences_of_length(length: int) -> list[ScoreSeq]:
-    seqs: list[ScoreSeq] = [()]
-    for _ in range(length):
-        seqs = [s + (x,) for s in seqs for x in Score]
-    return seqs
+def _subtree(first: Score, k: int) -> list[ScoreSeq]:
+    """The sequences of length 1..k that start with ``first``, shortest first."""
+    return [s for s in all_sequences(k) if s[0] is first]
+
+
+@lru_cache(maxsize=4096)
+def _subtree_induction(alpha: Fraction, k: int, first: Score, bits: int):
+    """Backward induction on one first-score subtree, whose policy accepts
+    the sequences ``_subtree(first, k)[i]`` with bit i of ``bits`` set.
+
+    At each history, stopping yields the accept indicator of the current
+    sequence; continuing yields the expected optimal value over the next
+    score. Strict comparisons force the decision, ties leave it free. The
+    result depends on the parameters only through alpha.
+    """
+    seqs = _subtree(first, k)
+    accepted = frozenset(s for i, s in enumerate(seqs) if bits >> i & 1)
+    emit = {
+        (StudentType.HIGH, Score.A): alpha,
+        (StudentType.HIGH, Score.B): 1 - alpha,
+        (StudentType.LOW, Score.A): 1 - alpha,
+        (StudentType.LOW, Score.B): alpha,
+    }
+    rules: dict[tuple[StudentType, ScoreSeq], str] = {}
+    values: dict[tuple[StudentType, ScoreSeq], Fraction] = {}
+    for t in StudentType:
+        for h in sorted(seqs, key=len, reverse=True):
+            u = Fraction(1) if h in accepted else Fraction(0)
+            if len(h) == k:
+                values[(t, h)] = u
+                continue
+            cont = sum((emit[(t, s)] * values[(t, h + (s,))] for s in Score), Fraction(0))
+            values[(t, h)] = max(u, cont)
+            rules[(t, h)] = STOP if u > cont else CONTINUE if u < cont else ANY
+    return accepted, rules, values
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +188,7 @@ def verify_equilibrium(
         br = best_response(params, profile.policy)
         violations: list[Violation] = []
         for type_ in StudentType:
-            for h in all_sequences(params.k - 1) if params.k > 1 else ():
+            for h in all_sequences(params.k - 1):
                 f = profile.strategy.stop_prob(type_, h, params.k)
                 if not br.allows(type_, h, f):
                     lo, hi = br.admissible(type_, h)
@@ -259,14 +276,13 @@ class _FlowSystem:
         self,
         params: ModelParams,
         rules: Mapping[tuple[StudentType, ScoreSeq], str],
-        histories: Sequence[ScoreSeq],
-        sequences: Sequence[ScoreSeq],
+        sequences: Iterable[ScoreSeq],
         reporting: Reporting,
     ):
         self.params = params
         self.rules = rules
-        self.histories = list(histories)
         self.sequences = sorted(sequences, key=lambda s: (len(s), seq_str(s)))
+        self.histories = [s for s in self.sequences if len(s) < params.k]
         weights = {
             StudentType.HIGH: params.phi_bar * params.p,
             StudentType.LOW: params.phi_bar * params.p_bar,
@@ -274,7 +290,6 @@ class _FlowSystem:
         self.var_index: dict[tuple[StudentType, ScoreSeq], int] = {}
         self.reach_expr: dict[tuple[StudentType, ScoreSeq], _Expr] = {}
         self.c_expr: dict[tuple[StudentType, ScoreSeq], _Expr] = {}
-        hist_set = set(self.histories)
         for s in self.sequences:
             for t in StudentType:
                 if len(s) == 1:
@@ -282,7 +297,7 @@ class _FlowSystem:
                 else:
                     r = _scale(self.c_expr[(t, s[:-1])], params.emit(t, s[-1]))
                 self.reach_expr[(t, s)] = r
-                if s in hist_set:
+                if len(s) < params.k:
                     rule = rules[(t, s)]
                     if rule == STOP:
                         self.c_expr[(t, s)] = (Fraction(0), {})
@@ -370,61 +385,27 @@ class _FlowSystem:
         return stops
 
     def stop_interval(
-        self, t: StudentType, h: ScoreSeq, a_ub: list, b_ub: list, grid: int = 200
+        self, t: StudentType, h: ScoreSeq, a_ub: list, b_ub: list
     ) -> Optional[tuple[Fraction, Fraction]]:
-        """Range of stop probabilities at a free node across the polytope.
+        """Exact range of the stop probability 1 - c/reach at a free node
+        over the policy's polytope ``a_ub x <= b_ub`` (its :meth:`rows`).
 
-        ``a_ub``, ``b_ub`` are the policy's :meth:`rows`. Exact via LP when the
-        node's reach is known; deeper nodes are bracketed by probes at 1/grid.
+        The Charnes-Cooper variables y = x/reach and s = 1/reach make c/reach
+        the linear objective y[c] over the rows ``a_ub y <= b_ub s`` and
+        reach(y, s) = 1, so one LP finds each end. None when no point of the
+        polytope reaches the node.
         """
-        idx = self.var_index[(t, h)]
         r_const, r_coeffs = self.reach_expr[(t, h)]
-        if not r_coeffs:
-            if r_const == 0:
-                return None
-            obj = [Fraction(0)] * self.n
-            obj[idx] = Fraction(1)
-            lo = _simplex.minimize(obj, a_ub, b_ub, [], [], self.n)
-            hi = _simplex.minimize([-v for v in obj], a_ub, b_ub, [], [], self.n)
-            if lo.status != _simplex.OPTIMAL or hi.status != _simplex.OPTIMAL:
-                return None
-            return 1 - (-hi.value) / r_const, 1 - lo.value / r_const
-
-        # the policy's rows plus one probe row, replaced in place per probe
-        a_probe, b_probe = a_ub + [None], b_ub + [None]
-
-        def probe(theta: Fraction, upper: bool) -> bool:
-            # upper: exists a point with stop >= theta, i.e. c <= (1-theta)*reach
-            row = [Fraction(0)] * self.n
-            row[idx] = Fraction(1)
-            for i, v in r_coeffs.items():
-                row[i] -= (1 - theta) * v
-            rhs = (1 - theta) * r_const
-            if not upper:
-                row = [-v for v in row]
-                rhs = -rhs
-            a_probe[-1], b_probe[-1] = row, rhs
-            return _simplex.feasible_point(a_probe, b_probe, [], [], self.n) is not None
-
-        def search(upper: bool) -> Fraction:
-            lo_i, hi_i = 0, grid
-            if upper:
-                while lo_i < hi_i:
-                    mid = (lo_i + hi_i + 1) // 2
-                    if probe(Fraction(mid, grid), True):
-                        lo_i = mid
-                    else:
-                        hi_i = mid - 1
-                return Fraction(lo_i, grid)
-            while lo_i < hi_i:
-                mid = (lo_i + hi_i) // 2
-                if probe(Fraction(mid, grid), False):
-                    hi_i = mid
-                else:
-                    lo_i = mid + 1
-            return Fraction(lo_i, grid)
-
-        return search(False), search(True)
+        a_cc = [list(row) + [-b] for row, b in zip(a_ub, b_ub)]
+        b_cc = [Fraction(0)] * len(a_cc)
+        reach = [r_coeffs.get(i, Fraction(0)) for i in range(self.n)] + [r_const]
+        obj = [Fraction(0)] * (self.n + 1)
+        obj[self.var_index[(t, h)]] = Fraction(1)
+        lo = _simplex.solve(obj, a_cc, b_cc, [reach], [Fraction(1)], self.n + 1)
+        if lo.status != _simplex.OPTIMAL:
+            return None
+        hi = _simplex.solve([-v for v in obj], a_cc, b_cc, [reach], [Fraction(1)], self.n + 1)
+        return 1 - (-hi.value), 1 - lo.value
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +444,7 @@ class OutcomeClass:
     verified: bool
 
     def key(self) -> tuple:
-        return _admit_key(self.admit_prob)
-
-
-def _admit_key(admit: Mapping[Cohort, Fraction]) -> tuple:
-    return tuple(sorted((str(c), v) for c, v in admit.items()))
+        return admission_key(self.admit_prob)
 
 
 @dataclass
@@ -529,44 +506,10 @@ def _new_class(
 ) -> OutcomeClass:
     """An outcome class with its witness built and verified; no policies yet."""
     label = _classify(params, admit, reporting)
-    witness = _witness_profile(params, policy, stops, reporting, label)
+    strategy = StudentStrategy(stops)
+    witness = EquilibriumProfile(policy=policy, strategy=strategy, label=label, reporting=reporting)
     verified = verify_equilibrium(params, witness, mode="exact").ok
     return OutcomeClass(admit, label, witness, policies=[], verified=verified)
-
-
-def _witness_profile(
-    params: ModelParams,
-    policy: AdmissionPolicy,
-    stops: Mapping[tuple[StudentType, ScoreSeq], Fraction],
-    reporting: Reporting,
-    label: str,
-) -> EquilibriumProfile:
-    strategy = StudentStrategy(dict(stops))
-    dist = outcome_distribution(params, strategy)
-    per_seq = {}
-    assignment = {}
-    for lab in _labels(params.k, reporting):
-        if reporting is Reporting.MAX:
-            h = sum(
-                (dist.type_mass(StudentType.HIGH, s) for s in dist.sequences()
-                 if best_score(s) == lab[0]),
-                Fraction(0),
-            )
-            l = sum(
-                (dist.type_mass(StudentType.LOW, s) for s in dist.sequences()
-                 if best_score(s) == lab[0]),
-                Fraction(0),
-            )
-            b = OFF_PATH if h + l == 0 else h / (h + l)
-        else:
-            b = posterior_from_distribution(dist, lab)
-        per_seq[lab] = b
-        if isinstance(b, OffPath):
-            assignment[lab] = Fraction(1) if policy.accepts(lab) else Fraction(0)
-    beliefs = Beliefs(per_seq=per_seq, off_path_assignment=assignment)
-    return EquilibriumProfile(
-        policy=policy, strategy=strategy, beliefs=beliefs, label=label, reporting=reporting
-    )
 
 
 def _enumeration(
@@ -581,12 +524,6 @@ def _enumeration(
     )
 
 
-def _subtree(first: Score, k: int) -> tuple[list[ScoreSeq], list[ScoreSeq]]:
-    seqs = [s for s in all_sequences(k) if s[0] is first]
-    hists = [s for s in seqs if len(s) < k]
-    return hists, seqs
-
-
 @dataclass
 class _SubtreeSolution:
     accepted: frozenset[ScoreSeq]
@@ -595,38 +532,10 @@ class _SubtreeSolution:
     group: int  # shared by solutions with the same admission odds for both categories
 
 
-from functools import lru_cache
-
-
-@lru_cache(maxsize=4096)
-def _subtree_induction(alpha: Fraction, k: int, first: Score, bits: int):
-    """Backward induction on one subtree policy; depends only on alpha."""
-    _, seqs = _subtree(first, k)
-    accepted = frozenset(s for i, s in enumerate(seqs) if bits >> i & 1)
-    emit = {
-        (StudentType.HIGH, Score.A): alpha,
-        (StudentType.HIGH, Score.B): 1 - alpha,
-        (StudentType.LOW, Score.A): 1 - alpha,
-        (StudentType.LOW, Score.B): alpha,
-    }
-    rules: dict[tuple[StudentType, ScoreSeq], str] = {}
-    values: dict[tuple[StudentType, ScoreSeq], Fraction] = {}
-    for t in StudentType:
-        for h in sorted(seqs, key=len, reverse=True):
-            u = Fraction(1) if h in accepted else Fraction(0)
-            if len(h) == k:
-                values[(t, h)] = u
-                continue
-            cont = sum((emit[(t, s)] * values[(t, h + (s,))] for s in Score), Fraction(0))
-            values[(t, h)] = max(u, cont)
-            rules[(t, h)] = STOP if u > cont else CONTINUE if u < cont else ANY
-    return accepted, rules, values
-
-
 def _solve_subtrees(params: ModelParams, first: Score) -> list[_SubtreeSolution]:
     """All consistent acceptance patterns on one first-score subtree; one flow
     system per best-response rule pattern, one solve per distinct LP."""
-    hists, seqs = _subtree(first, params.k)
+    seqs = _subtree(first, params.k)
     systems: dict[tuple[str, ...], tuple[_FlowSystem, int]] = {}  # rules -> system, row id
     row_ids: dict[tuple, int] = {}  # a system's rows with no label accepted -> id
     points: dict[tuple, Optional[list[Fraction]]] = {}  # (row id, signs) -> point
@@ -637,7 +546,7 @@ def _solve_subtrees(params: ModelParams, first: Score) -> list[_SubtreeSolution]
         accepted, rules, values = _subtree_induction(params.alpha, params.k, first, bits)
         pattern = tuple(rules.values())
         if pattern not in systems:
-            system = _FlowSystem(params, rules, hists, seqs, Reporting.ALL)
+            system = _FlowSystem(params, rules, seqs, Reporting.ALL)
             a_ub, b_ub = system.rows(())
             rows = (tuple(map(tuple, a_ub)), tuple(b_ub))
             systems[pattern] = system, row_ids.setdefault(rows, len(row_ids))
@@ -667,7 +576,7 @@ def _enumerate_report_all(params: ModelParams) -> Enumeration:
             cls = by_groups.get((sol_a.group, sol_b.group))
             if cls is None:
                 admit = _admit(params, policy, {**sol_a.values, **sol_b.values})
-                key = _admit_key(admit)
+                key = admission_key(admit)
                 if key not in classes:
                     stops = {**sol_a.stops, **sol_b.stops}
                     classes[key] = _new_class(params, admit, policy, stops, Reporting.ALL)
@@ -676,20 +585,25 @@ def _enumerate_report_all(params: ModelParams) -> Enumeration:
     return _enumeration(params, SCOPE_REPORT_ALL, considered, classes)
 
 
+def _policy_system(
+    params: ModelParams, policy: AdmissionPolicy, reporting: Reporting
+) -> tuple[BestResponseSet, _FlowSystem]:
+    """A policy's best response and the flow system of the whole game tree."""
+    br = best_response(params, policy)
+    return br, _FlowSystem(params, br.rules, all_sequences(params.k), reporting)
+
+
 def _enumerate_policy_list(
     params: ModelParams, policies: list[AdmissionPolicy], reporting: Reporting, scope: str
 ) -> Enumeration:
-    hists = list(all_sequences(params.k - 1)) if params.k > 1 else []
-    seqs = list(all_sequences(params.k))
     classes: dict[tuple, OutcomeClass] = {}
     for policy in policies:
-        br = best_response(params, policy)
-        system = _FlowSystem(params, br.rules, hists, seqs, reporting)
+        br, system = _policy_system(params, policy, reporting)
         x = system.feasible(policy.accepted)
         if x is None:
             continue
         admit = _admit(params, policy, br.values)
-        key = _admit_key(admit)
+        key = admission_key(admit)
         if key not in classes:
             classes[key] = _new_class(params, admit, policy, system.stops_from_point(x), reporting)
         classes[key].policies.append(policy)
@@ -747,17 +661,12 @@ def enumerate_outcomes(params: ModelParams, scope: str = SCOPE_REPORT_ALL) -> En
 def free_stop_intervals(
     params: ModelParams, policy: AdmissionPolicy, reporting: Reporting = Reporting.ALL
 ) -> dict[tuple[StudentType, ScoreSeq], tuple[Fraction, Fraction]]:
-    """Per free node, the stop-probability range supporting the policy.
+    """Per free node, the exact stop-probability range supporting the policy.
 
-    Depth-one entries are exact; deeper entries are resolved to 1/200.
-    Returns an empty dict when the policy has no equilibrium.
+    Nodes that no supporting flow reaches are left out, so the result is
+    empty when the policy has no equilibrium.
     """
-    br = best_response(params, policy)
-    hists = list(all_sequences(params.k - 1)) if params.k > 1 else []
-    seqs = list(all_sequences(params.k))
-    system = _FlowSystem(params, br.rules, hists, seqs, reporting)
-    if system.feasible(policy.accepted) is None:
-        return {}
+    _, system = _policy_system(params, policy, reporting)
     a_ub, b_ub = system.rows(policy.accepted)
     out = {}
     for t, h in system.var_index:

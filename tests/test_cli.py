@@ -128,6 +128,28 @@ class TestSweep:
         with pytest.raises(SystemExit):
             main(["sweep", "--alpha", "0.8,0.6", "--p", "0.3", "--phi", "0.5", "--k", "2"])
 
+    @pytest.mark.parametrize("p_range, count", [("0:1:0.0001", 10001), ("0:1:1e-9", 10**9 + 1)])
+    def test_oversized_range_refused_before_expansion(self, capsys, p_range, count):
+        # 10^9 values would not fit in memory: the range is counted, not built
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--alpha", "0.8", "--p", p_range, "--phi", "0.5", "--k", "2"])
+        assert exc.value.code == 2
+        assert f"has {count} values" in capsys.readouterr().err
+
+    def test_empty_range_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--alpha", "0.8", "--p", "0.9:0.1:0.1", "--phi", "0.5", "--k", "2"])
+        assert exc.value.code == 2
+        assert "empty range" in capsys.readouterr().err
+
+    def test_invalid_grid_point_is_usage_error(self, capsys):
+        # p = 0 and p = 1 lie outside (0, 1)
+        code, out, err = run(capsys, "sweep", "--alpha", "0.8", "--p", "0:1:0.5",
+                             "--phi", "0.5", "--k", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: p must lie in (0,1)")
+
     def test_unwritable_path_fails(self, capsys):
         code, _, err = run(capsys, "sweep", "--alpha", "0.8", "--p", "0.3",
                            "--phi", "0.5", "--k", "2",

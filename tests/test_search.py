@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,8 +35,13 @@ from retesting import (
 )
 from retesting import _simplex
 from retesting.equilibria import EquilibriumProfile
-from retesting.beliefs import Beliefs
-from retesting.search import _FlowSystem, _enumerate_policy_list, _subtree
+from retesting.search import (
+    SCOPES,
+    _FlowSystem,
+    _enumerate_policy_list,
+    _family_policies,
+    _subtree,
+)
 
 PARAMS = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=2)
 
@@ -49,10 +55,35 @@ def profile_from(policy, stops, reporting=Reporting.ALL, label="test") -> Equili
     return EquilibriumProfile(
         policy=policy,
         strategy=StudentStrategy(stops),
-        beliefs=Beliefs(per_seq={}),
         label=label,
         reporting=reporting,
     )
+
+
+def policy_from_bits(k: int, bits: int) -> AdmissionPolicy:
+    """The policy accepting the i-th sequence of ``all_sequences(k)`` iff bit i is set."""
+    seqs = list(all_sequences(k))
+    return AdmissionPolicy(k=k, accepted=frozenset(s for i, s in enumerate(seqs) if bits >> i & 1))
+
+
+def reference_induction(params, policy):
+    """Backward induction written from scratch, by recursion over histories."""
+    rules, values = {}, {}
+
+    def value(t, h):
+        stop = Fraction(int(policy.accepts(h)))
+        if len(h) == params.k:
+            values[(t, h)] = stop
+            return stop
+        cont = sum(params.emit(t, s) * value(t, h + (s,)) for s in Score)
+        values[(t, h)] = max(stop, cont)
+        rules[(t, h)] = "stop" if stop > cont else "continue" if stop < cont else "any"
+        return values[(t, h)]
+
+    for t in StudentType:
+        for s in Score:
+            value(t, (s,))
+    return rules, values
 
 
 class TestBestResponse:
@@ -80,6 +111,37 @@ class TestBestResponse:
         br = best_response(PARAMS, AdmissionPolicy.first_score(2))
         assert br.values[(StudentType.HIGH, seq("A"))] == 1
         assert br.values[(StudentType.HIGH, seq("B"))] == 0
+
+
+class TestReferenceInduction:
+    """best_response against an induction that shares no code with it."""
+
+    @staticmethod
+    def check(params, policies):
+        for policy in policies:
+            br = best_response(params, policy)
+            rules, values = reference_induction(params, policy)
+            assert dict(br.rules) == rules, sorted(policy.accepted)
+            assert dict(br.values) == values, sorted(policy.accepted)
+
+    @pytest.mark.parametrize("alpha", [Fraction(3, 5), Fraction(4, 5), Fraction(1)])
+    def test_all_k2_policies(self, alpha):
+        params = ModelParams(p=Fraction(2, 5), alpha=alpha, phi=Fraction(1, 2), k=2)
+        self.check(params, [policy_from_bits(2, bits) for bits in range(1 << 6)])
+
+    @pytest.mark.parametrize("alpha", [Fraction(3, 5), Fraction(7, 10), Fraction(9, 10)])
+    def test_k3_family_policies(self, alpha):
+        params = ModelParams(p=Fraction(2, 5), alpha=alpha, phi=Fraction(1, 2), k=3)
+        families = [s for s in SCOPES if s.startswith("report-all:")]
+        policies = [p for scope in families for p in _family_policies(params, scope)]
+        policies.append(AdmissionPolicy.best_score_a(3))
+        self.check(params, policies)
+
+    @pytest.mark.parametrize("alpha", [Fraction(3, 5), Fraction(4, 5)])
+    def test_k3_seeded_sample(self, alpha):
+        params = ModelParams(p=Fraction(2, 5), alpha=alpha, phi=Fraction(1, 2), k=3)
+        sample = random.Random(20210216).sample(range(1 << 14), 200)
+        self.check(params, [policy_from_bits(3, bits) for bits in sample])
 
 
 class TestVerify:
@@ -293,6 +355,28 @@ class TestFreeIntervals:
         assert intervals[(StudentType.LOW, seq("B"))] == (Fraction(0), Fraction(1, 6))
         assert intervals[(StudentType.HIGH, seq("A"))] == (Fraction(0), Fraction(1))
 
+    def test_deep_interval_exact(self):
+        # the witness vertex stops at 1781/4851 after BB, so the supremum is
+        # at least that; a 1/200 bisection reported 73/200 here
+        params = ModelParams(p="0.45", alpha="0.7", phi="0.1", k=3)
+        intervals = free_stop_intervals(params, AdmissionPolicy.reject_all(3), Reporting.MAX)
+        assert intervals[(StudentType.LOW, seq("BB"))] == (Fraction(0), Fraction(1781, 4851))
+
+    @pytest.mark.parametrize(
+        "alpha, p, phi",
+        [("0.7", "0.45", "0.1"), ("0.7", "0.65", "0.5"), ("0.8", "0.35", "0.1"),
+         ("0.8", "0.75", "0.1"), ("0.9", "0.15", "0.5")],
+    )
+    def test_witness_stops_inside_intervals_k3(self, alpha, p, phi):
+        params = ModelParams(p=p, alpha=alpha, phi=phi, k=3)
+        for scope in ("report-all", "report-max"):
+            for cls in enumerate_outcomes(params, scope).classes:
+                witness = cls.witness
+                intervals = free_stop_intervals(params, witness.policy, witness.reporting)
+                assert intervals
+                for node, (lo, hi) in intervals.items():
+                    assert lo <= witness.strategy.stop[node] <= hi, (scope, cls.label, node)
+
     def test_infeasible_policy_has_no_intervals(self):
         params = ModelParams(p=0.1, alpha=0.8, phi=0.5, k=2)
         assert free_stop_intervals(params, AdmissionPolicy.first_score(2)) == {}
@@ -307,11 +391,7 @@ class TestGroupedCensus:
     @pytest.mark.parametrize("phi", [Fraction(0), Fraction(1, 2), Fraction(1)])
     def test_matches_one_solve_per_policy_k2(self, alpha, p, phi):
         params = ModelParams(p=p, alpha=alpha, phi=phi, k=2)
-        seqs = list(all_sequences(2))
-        policies = [
-            AdmissionPolicy(k=2, accepted=frozenset(s for i, s in enumerate(seqs) if bits >> i & 1))
-            for bits in range(1 << len(seqs))
-        ]
+        policies = [policy_from_bits(2, bits) for bits in range(1 << 6)]
         grouped = enumerate_outcomes(params, "report-all")
         single = _enumerate_policy_list(params, policies, Reporting.ALL, "report-all")
         assert grouped.policies_considered == single.policies_considered == 64
@@ -334,8 +414,7 @@ class TestGroupedCensus:
             witness = cls.witness
             rules = best_response(params, witness.policy).rules
             for first in Score:
-                hists, seqs = _subtree(first, 3)
-                system = _FlowSystem(params, rules, hists, seqs, Reporting.ALL)
+                system = _FlowSystem(params, rules, _subtree(first, 3), Reporting.ALL)
                 x = system.feasible(witness.policy.accepted)
                 assert x is not None
                 for node, stop in system.stops_from_point(x).items():
