@@ -27,6 +27,7 @@ from .equilibria import (
     RejectAllFamily,
     Reporting,
     boundary_thresholds,
+    closed_form_profiles,
     construct_first_score_equilibrium,
     construct_non_first_score_equilibrium,
     is_boundary,

@@ -9,6 +9,7 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -16,8 +17,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .equilibria import (
+    FIRST_SCORE,
+    SEPARATING,
+    AdmissionPolicy,
     EquilibriumProfile,
     Region,
+    Reporting,
+    closed_form_profiles,
     construct_first_score_equilibrium,
     construct_non_first_score_equilibrium,
     is_boundary,
@@ -31,7 +37,7 @@ from .equilibria import (
 )
 from .errors import NoEquilibrium, RetestingError, ScopeTooLarge, UnsupportedK
 from .metrics import FairnessReport, compare_policies, fairness_report, payoff_gap
-from .model import Category, ModelParams, seq_str
+from .model import Category, ModelParams, StudentStrategy, seq_str
 from .search import SCOPES, SCOPE_REPORT_ALL, enumerate_outcomes, free_stop_intervals, verify_equilibrium
 from .simulate import SimConfig, simulate
 
@@ -39,6 +45,8 @@ SCHEMA_VERSION = 1
 
 # Most values one start:stop:step range may expand to.
 MAX_RANGE_VALUES = 10_000
+# Largest k accepted: the constructors and tables enumerate all 2^k histories.
+MAX_K = 10
 
 SWEEP_COLUMNS = [
     "alpha",
@@ -103,30 +111,41 @@ def _parse_list(text: str) -> list[Fraction]:
     return values
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_k(text: str) -> int:
     try:
-        values = [int(t) for t in text.split(",") if t]
+        k = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer list: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if k > MAX_K:
+        raise argparse.ArgumentTypeError(f"k={k} is above the limit of {MAX_K}")
+    return k
+
+
+def _parse_int_list(text: str) -> list[int]:
+    values = [_parse_k(t) for t in text.split(",") if t]
     if not values or values != sorted(values):
         raise argparse.ArgumentTypeError("k values must be nonempty ascending")
     return values
 
 
-def _report_dict(report: FairnessReport) -> dict:
+def _report_values(report: FairnessReport) -> dict[str, Optional[Fraction]]:
+    """The numeric sweep columns of one report, in column order."""
     return {
-        "policy": report.policy,
-        "equilibrium_class": report.equilibrium_class,
-        "fnr_cat1": float(report.fnr[Category.CAT1]),
-        "fnr_cat2": float(report.fnr[Category.CAT2]),
-        "fpr_cat1": float(report.fpr[Category.CAT1]),
-        "fpr_cat2": float(report.fpr[Category.CAT2]),
-        "fnr_gap": float(report.fnr_gap),
-        "fpr_gap": float(report.fpr_gap),
-        "ppv": None if report.ppv is None else float(report.ppv),
-        "npv": None if report.npv is None else float(report.npv),
-        "college_payoff": float(report.college_payoff),
+        "fnr_cat1": report.fnr[Category.CAT1],
+        "fnr_cat2": report.fnr[Category.CAT2],
+        "fpr_cat1": report.fpr[Category.CAT1],
+        "fpr_cat2": report.fpr[Category.CAT2],
+        "fnr_gap": report.fnr_gap,
+        "fpr_gap": report.fpr_gap,
+        "ppv": report.ppv,
+        "npv": report.npv,
+        "college_payoff": report.college_payoff,
     }
+
+
+def _report_dict(report: FairnessReport) -> dict:
+    values = {name: None if v is None else float(v) for name, v in _report_values(report).items()}
+    return {"policy": report.policy, "equilibrium_class": report.equilibrium_class, **values}
 
 
 # ---------------------------------------------------------------------------
@@ -250,52 +269,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _sweep_rows(alphas, ps, phis, ks) -> list[list[str]]:
     rows = []
-    for alpha in alphas:
-        for p in ps:
-            for phi in phis:
-                for k in ks:
-                    params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
-                    flag = "1" if is_boundary(params) else "0"
-                    reports: list[FairnessReport] = []
-                    sep = report_max_separating(params)
-                    if sep is not None:
-                        reports.append(fairness_report(params, sep))
-                    if k == 2:
-                        family = report_max_reject_all(params)
-                        if family is not None:
-                            reports.append(fairness_report(params, family.witness()))
-                    try:
-                        reports.append(
-                            fairness_report(params, construct_first_score_equilibrium(params))
-                        )
-                    except NoEquilibrium:
-                        pass
-                    if k >= 2:
-                        for n in range(2, k + 1):
-                            profile = construct_non_first_score_equilibrium(params, n)
-                            if profile is not None:
-                                reports.append(fairness_report(params, profile))
-                    for r in sorted(reports, key=lambda r: (r.policy, r.equilibrium_class)):
-                        rows.append(
-                            [
-                                fmt(params.alpha),
-                                fmt(params.p),
-                                fmt(params.phi),
-                                str(k),
-                                r.policy,
-                                r.equilibrium_class,
-                                fmt(r.fnr[Category.CAT1]),
-                                fmt(r.fnr[Category.CAT2]),
-                                fmt(r.fpr[Category.CAT1]),
-                                fmt(r.fpr[Category.CAT2]),
-                                fmt(r.fnr_gap),
-                                fmt(r.fpr_gap),
-                                fmt(r.ppv),
-                                fmt(r.npv),
-                                fmt(r.college_payoff),
-                                flag,
-                            ]
-                        )
+    for alpha, p, phi, k in itertools.product(alphas, ps, phis, ks):
+        params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+        point = [fmt(params.alpha), fmt(params.p), fmt(params.phi), str(k)]
+        flag = "1" if is_boundary(params) else "0"
+        reports = [fairness_report(params, pr) for pr in closed_form_profiles(params)]
+        for r in sorted(reports, key=lambda r: (r.policy, r.equilibrium_class)):
+            values = [fmt(v) for v in _report_values(r).values()]
+            rows.append(point + [r.policy, r.equilibrium_class, *values, flag])
     return rows
 
 
@@ -472,27 +453,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_tables(args: argparse.Namespace) -> int:
+    # Rates conditional on a cohort do not depend on the prior p.
     params = ModelParams(p=Fraction(1, 4), alpha=args.alpha, phi=args.phi, k=args.k)
-    a, ab, k = params.alpha, params.alpha_bar, params.k
-    fn = {
-        "max": {"cat1": ab, "cat2": ab**k},
-        "all": {"cat1": ab, "cat2": ab},
+    k = params.k
+    profiles = {
+        "max": EquilibriumProfile(AdmissionPolicy.best_score_a(k), StudentStrategy.stop_after_a(k),
+                                  SEPARATING, Reporting.MAX),
+        "all": EquilibriumProfile(AdmissionPolicy.first_score(k), StudentStrategy.always_stop(k),
+                                  FIRST_SCORE, Reporting.ALL),
     }
-    fp = {
-        "max": {"cat1": ab, "cat2": 1 - a**k},
-        "all": {"cat1": ab, "cat2": ab},
-    }
+    fn, fp = {}, {}
+    for name, profile in profiles.items():
+        report = fairness_report(params, profile)
+        fn[name] = {f"cat{c.value}": float(v) for c, v in report.fnr.items()}
+        fp[name] = {f"cat{c.value}": float(v) for c, v in report.fpr.items()}
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "alpha": float(a),
+            "alpha": float(params.alpha),
             "k": k,
-            "false_negative": {p: {c: float(v) for c, v in row.items()} for p, row in fn.items()},
-            "false_positive": {p: {c: float(v) for c, v in row.items()} for p, row in fp.items()},
+            "false_negative": fn,
+            "false_positive": fp,
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        lines = [f"error rates at alpha={fmt(a)}, k={k} (separating vs first-score)"]
+        lines = [f"error rates at alpha={fmt(params.alpha)}, k={k} (separating vs first-score)"]
         lines.append(f"{'':10s} {'(1,H)':>12s} {'(2,H)':>12s}    {'(1,L)':>12s} {'(2,L)':>12s}")
         for name in ("max", "all"):
             lines.append(
@@ -530,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="share of High types, in (0, 1)")
         sp.add_argument("--phi", type=_parse_fraction, required=True,
                         help="share of single-test students, in [0, 1]")
-        sp.add_argument("--k", type=int, required=True, help="maximum tests, >= 1")
+        sp.add_argument("--k", type=_parse_k, required=True, help=f"maximum tests, 1 to {MAX_K}")
 
     sp = sub.add_parser("analyze", help="thresholds, regions, equilibria, metrics at one point")
     add_params(sp)
@@ -542,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list or start:stop:step")
     sp.add_argument("--p", type=_parse_list, required=True)
     sp.add_argument("--phi", type=_parse_list, required=True)
-    sp.add_argument("--k", type=_parse_int_list, required=True)
+    sp.add_argument("--k", type=_parse_int_list, required=True,
+                    help=f"comma list, each at most {MAX_K}")
     sp.add_argument("--out", default=None, help="output path (stdout if omitted)")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.set_defaults(func=cmd_sweep)

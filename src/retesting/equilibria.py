@@ -45,9 +45,6 @@ class AdmissionPolicy:
     def accepts(self, s: ScoreSeq) -> bool:
         return s in self.accepted
 
-    def sequences(self) -> list[ScoreSeq]:
-        return list(all_sequences(self.k))
-
     def is_max_measurable(self) -> bool:
         """True when acceptance depends only on the best score."""
         by_best = {}
@@ -381,6 +378,23 @@ def construct_non_first_score_equilibrium(
         reporting=Reporting.ALL,
         n=n,
     )
+
+
+def closed_form_profiles(params: ModelParams) -> list[EquilibriumProfile]:
+    """Every constructed equilibrium that exists at these parameters, in the
+    order: best-score separating, best-score reject-all (k = 2 only),
+    first-score, trailing-run n = 2..k. Existence is left to the constructors.
+    """
+    candidates = [report_max_separating(params)]
+    if params.k == 2:
+        family = report_max_reject_all(params)
+        candidates.append(family.witness() if family else None)
+    try:
+        candidates.append(construct_first_score_equilibrium(params))
+    except NoEquilibrium:
+        pass
+    candidates += [construct_non_first_score_equilibrium(params, n) for n in range(2, params.k + 1)]
+    return [profile for profile in candidates if profile is not None]
 
 
 def boundary_thresholds(params: ModelParams) -> dict[str, Fraction]:

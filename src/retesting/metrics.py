@@ -13,16 +13,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .equilibria import (
-    FIRST_SCORE,
     NON_FIRST_SCORE,
+    SEPARATING,
     EquilibriumProfile,
     Reporting,
-    construct_first_score_equilibrium,
-    construct_non_first_score_equilibrium,
-    report_max_reject_all,
-    report_max_separating,
+    closed_form_profiles,
 )
-from .errors import NoEquilibrium
 from .model import (
     COHORTS,
     Category,
@@ -67,56 +63,60 @@ def admission_probabilities(
     return out
 
 
+def fairness_report(params: ModelParams, profile: EquilibriumProfile) -> FairnessReport:
+    """Every statistic of one profile, from one pass over its outcome
+    distribution.
+
+    FNR is the share of High types rejected and FPR the share of Low types
+    admitted, per category. PPV is the share of High among the admitted, NPV
+    the share of Low among the rejected; either is None when its conditioning
+    event has zero mass. The College payoff is admitted High mass minus
+    admitted Low mass.
+    """
+    admit = admission_probabilities(params, profile)
+    fnr = {cat: 1 - admit[Cohort(cat, StudentType.HIGH)] for cat in Category}
+    fpr = {cat: admit[Cohort(cat, StudentType.LOW)] for cat in Category}
+    admitted_high, admitted_low = (
+        sum((admit[c] * c.mass(params) for c in COHORTS if c.type_ is t), Fraction(0))
+        for t in (StudentType.HIGH, StudentType.LOW)
+    )
+    admitted = admitted_high + admitted_low
+    rejected = 1 - admitted
+    label = profile.label
+    if profile.label == NON_FIRST_SCORE and profile.n is not None:
+        label = f"{NON_FIRST_SCORE}_{profile.n}"
+    return FairnessReport(
+        policy="report_max" if profile.reporting is Reporting.MAX else "report_all",
+        equilibrium_class=label,
+        fnr=fnr,
+        fpr=fpr,
+        fnr_gap=fnr[Category.CAT1] - fnr[Category.CAT2],
+        fpr_gap=fpr[Category.CAT1] - fpr[Category.CAT2],
+        ppv=None if admitted == 0 else admitted_high / admitted,
+        npv=None if rejected == 0 else (params.p_bar - admitted_low) / rejected,
+        college_payoff=admitted_high - admitted_low,
+    )
+
+
 def confusion_rates(
     params: ModelParams, profile: EquilibriumProfile
 ) -> tuple[dict[Category, Fraction], dict[Category, Fraction]]:
-    """False negative and false positive rates per category.
-
-    FNR is the share of High types rejected; FPR the share of Low types
-    admitted.
-    """
-    admit = admission_probabilities(params, profile)
-    fnr = {
-        cat: 1 - admit[Cohort(cat, StudentType.HIGH)]
-        for cat in Category
-    }
-    fpr = {cat: admit[Cohort(cat, StudentType.LOW)] for cat in Category}
-    return fnr, fpr
+    """(FNR, FPR) per category, as in :func:`fairness_report`."""
+    report = fairness_report(params, profile)
+    return report.fnr, report.fpr
 
 
 def predictive_values(
     params: ModelParams, profile: EquilibriumProfile
 ) -> tuple[Optional[Fraction], Optional[Fraction]]:
-    """(PPV, NPV): share of High among admitted, share of Low among rejected.
-
-    Either value is None when its conditioning event has zero mass.
-    """
-    admit = admission_probabilities(params, profile)
-    admitted_high = sum(
-        (admit[c] * c.mass(params) for c in COHORTS if c.type_ is StudentType.HIGH),
-        Fraction(0),
-    )
-    admitted_low = sum(
-        (admit[c] * c.mass(params) for c in COHORTS if c.type_ is StudentType.LOW),
-        Fraction(0),
-    )
-    admitted = admitted_high + admitted_low
-    rejected = 1 - admitted
-    ppv = None if admitted == 0 else admitted_high / admitted
-    npv = None if rejected == 0 else (params.p_bar - admitted_low) / rejected
-    return ppv, npv
+    """(PPV, NPV), as in :func:`fairness_report`."""
+    report = fairness_report(params, profile)
+    return report.ppv, report.npv
 
 
 def college_payoff(params: ModelParams, profile: EquilibriumProfile) -> Fraction:
-    """Expected payoff per student: admitted High mass minus admitted Low mass."""
-    admit = admission_probabilities(params, profile)
-    return sum(
-        (
-            admit[c] * c.mass(params) * (1 if c.type_ is StudentType.HIGH else -1)
-            for c in COHORTS
-        ),
-        Fraction(0),
-    )
+    """Expected payoff per student, as in :func:`fairness_report`."""
+    return fairness_report(params, profile).college_payoff
 
 
 def payoff_gap(params: ModelParams) -> Fraction:
@@ -128,29 +128,6 @@ def payoff_gap(params: ModelParams) -> Fraction:
     """
     a, ab, k = params.alpha, params.alpha_bar, params.k
     return params.phi_bar * ((a - a**k) * params.p_bar - (ab - ab**k) * params.p)
-
-
-def fairness_report(
-    params: ModelParams, profile: EquilibriumProfile, policy_name: Optional[str] = None
-) -> FairnessReport:
-    if policy_name is None:
-        policy_name = "report_max" if profile.reporting is Reporting.MAX else "report_all"
-    fnr, fpr = confusion_rates(params, profile)
-    ppv, npv = predictive_values(params, profile)
-    label = profile.label
-    if profile.label == NON_FIRST_SCORE and profile.n is not None:
-        label = f"{NON_FIRST_SCORE}_{profile.n}"
-    return FairnessReport(
-        policy=policy_name,
-        equilibrium_class=label,
-        fnr=fnr,
-        fpr=fpr,
-        fnr_gap=fnr[Category.CAT1] - fnr[Category.CAT2],
-        fpr_gap=fpr[Category.CAT1] - fpr[Category.CAT2],
-        ppv=ppv,
-        npv=npv,
-        college_payoff=college_payoff(params, profile),
-    )
 
 
 @dataclass(frozen=True)
@@ -171,21 +148,16 @@ class PolicyComparison:
 
 
 def compare_policies(params: ModelParams, search: bool = True) -> PolicyComparison:
-    """Reports for the separating benchmark and every full-reporting class.
+    """Reports for the closed-form equilibria and every full-reporting class.
 
-    Analytic constructors supply the canonical classes; when ``search`` is
-    true and k <= 3, exhaustive enumeration contributes any class the
-    constructors do not cover (deduplicated by admission outcome).
+    :func:`retesting.equilibria.closed_form_profiles` supplies the
+    best-score separating and reject-all benchmarks and the canonical
+    full-reporting classes; when ``search`` is true and k <= 3, exhaustive
+    enumeration contributes any class the constructors do not cover.
+    Full-reporting classes are deduplicated by admission outcome, so a
+    constructed profile with the same outcome as an earlier one is left out.
     """
-    max_sep = report_max_separating(params)
-    max_sep_report = fairness_report(params, max_sep) if max_sep else None
-
-    reject_report = None
-    if params.k == 2:
-        family = report_max_reject_all(params)
-        if family is not None:
-            reject_report = fairness_report(params, family.witness())
-
+    max_sep_report = reject_report = None
     all_reports: list[FairnessReport] = []
     seen: set[tuple] = set()
 
@@ -197,15 +169,13 @@ def compare_policies(params: ModelParams, search: bool = True) -> PolicyComparis
         seen.add(key)
         all_reports.append(fairness_report(params, profile))
 
-    try:
-        add(construct_first_score_equilibrium(params))
-    except NoEquilibrium:
-        pass
-    if params.k >= 2:
-        for n in range(2, params.k + 1):
-            profile = construct_non_first_score_equilibrium(params, n)
-            if profile is not None:
-                add(profile)
+    for profile in closed_form_profiles(params):
+        if profile.reporting is Reporting.ALL:
+            add(profile)
+        elif profile.label == SEPARATING:
+            max_sep_report = fairness_report(params, profile)
+        else:
+            reject_report = fairness_report(params, profile)
     if search and params.k <= 3:
         from .search import SCOPE_REPORT_ALL, enumerate_outcomes
 

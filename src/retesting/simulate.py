@@ -77,30 +77,19 @@ def _seq_code(s: ScoreSeq) -> int:
 
 def _stop_tables(params: ModelParams, profile: EquilibriumProfile) -> list[np.ndarray]:
     """tables[j][t, code]: stop probability after test j+1 (0-based type)."""
-    tables = []
-    for length in range(1, params.k):
-        table = np.zeros((2, 2**length))
+    tables = [np.zeros((2, 2**length)) for length in range(1, params.k)]
+    for h in all_sequences(params.k - 1):
         for ti, t in enumerate(StudentType):
-            for h in all_sequences(length):
-                if len(h) != length:
-                    continue
-                table[ti, _seq_code(h)] = float(
-                    profile.strategy.stop_prob(t, h, params.k)
-                )
-        tables.append(table)
+            tables[len(h) - 1][ti, _seq_code(h)] = float(profile.strategy.stop_prob(t, h, params.k))
     return tables
 
 
 def _accept_table(params: ModelParams, profile: EquilibriumProfile) -> list[np.ndarray]:
     """accept[length-1][code] for every reportable sequence."""
-    out = []
-    for length in range(1, params.k + 1):
-        table = np.zeros(2**length, dtype=bool)
-        for s in all_sequences(length):
-            if len(s) == length:
-                table[_seq_code(s)] = profile.policy.accepts(s)
-        out.append(table)
-    return out
+    tables = [np.zeros(2**length, dtype=bool) for length in range(1, params.k + 1)]
+    for s in all_sequences(params.k):
+        tables[len(s) - 1][_seq_code(s)] = profile.policy.accepts(s)
+    return tables
 
 
 def simulate(config: SimConfig, chunks: int = 1) -> EmpiricalReport:

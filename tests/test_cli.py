@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 
 import pytest
 
-from retesting.cli import SWEEP_COLUMNS, main
+import retesting.cli
+from retesting.cli import MAX_K, SWEEP_COLUMNS, main
 
 
 def run(capsys, *argv):
@@ -86,6 +88,15 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert len(rows) >= 760
         assert not any("nan" in (v or "").lower() for r in rows for v in r.values())
+
+    def test_readme_sweep_bytes_pinned(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--alpha", "0.6:0.9:0.1", "--p", "0.05:0.95:0.05",
+                           "--phi", "0,0.5,1", "--k", "2,3")
+        assert code == 0
+        assert out.count("\n") == 807
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e0692ec5512ebe66bc9c8affffa2ae0250d2cc1c746a5791fae1d07d61a9cf8a"
+        )
 
     def test_rerun_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -256,9 +267,46 @@ class TestTables:
         assert set(payload["false_negative"]["max"].values()) == {0}
         assert set(payload["false_positive"]["all"].values()) == {0}
 
+    def test_k3_text_pinned(self, capsys):
+        code, out, _ = run(capsys, "tables", "--alpha", "0.8", "--phi", "0.5", "--k", "3")
+        assert code == 0
+        assert out == (
+            "error rates at alpha=0.8, k=3 (separating vs first-score)\n"
+            "                  (1,H)        (2,H)           (1,L)        (2,L)\n"
+            "max                 0.2        0.008             0.2        0.488\n"
+            "all                 0.2          0.2             0.2          0.2\n"
+            "(left block: false negatives, right block: false positives)\n"
+        )
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "tables.txt"
         code, out, _ = run(capsys, "tables", "--alpha", "0.8", "--phi", "0.5",
                            "--k", "2", "--out", str(path))
         assert code == 0
         assert "0.04" in path.read_text()
+
+
+class TestKLimit:
+    @pytest.fixture
+    def no_compute(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command ran with k above the limit")
+
+        monkeypatch.setattr(retesting.cli, "ModelParams", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--alpha", "0.8", "--p", "0.5", "--phi", "0.5", "--k", "11"],
+        ["sweep", "--alpha", "0.8", "--p", "0.5", "--phi", "0.5", "--k", "2,11"],
+    ])
+    def test_above_limit_is_usage_error(self, capsys, no_compute, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"limit of {MAX_K}" in capsys.readouterr().err
+
+    def test_tables_at_limit(self, capsys):
+        assert MAX_K == 10
+        code, out, _ = run(capsys, "tables", "--alpha", "0.8", "--phi", "0.5",
+                           "--k", str(MAX_K), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["k"] == MAX_K

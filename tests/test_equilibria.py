@@ -11,11 +11,13 @@ from retesting import (
     FIRST_SCORE,
     NON_FIRST_SCORE,
     NoEquilibrium,
+    REJECT_ALL,
     Category,
     ModelParams,
     Score,
     SEPARATING,
     UnsupportedK,
+    closed_form_profiles,
     college_payoff,
     confusion_rates,
     construct_first_score_equilibrium,
@@ -286,3 +288,32 @@ class TestNonFirstScoreConstructor:
         run = construct_non_first_score_equilibrium(params, 2)
         first = construct_first_score_equilibrium(params)
         assert college_payoff(params, run) >= college_payoff(params, first)
+
+
+class TestClosedFormProfiles:
+    """The one list of constructed equilibria, against the existence
+    predicates of each result and the independent verifier."""
+
+    @pytest.mark.parametrize("alpha", [Fraction(3, 5), Fraction(4, 5), Fraction(1)])
+    @pytest.mark.parametrize("phi", [Fraction(0), Fraction(1, 2), Fraction(1)])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_labels_match_predicates_and_verify(self, alpha, phi, k):
+        for p in [Fraction(n, 100) for n in range(5, 100, 10)]:
+            params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+            lower, upper = report_max_thresholds(params)
+            expected = []
+            if lower <= p <= upper:
+                expected.append((SEPARATING, None))
+            if k == 2 and p <= reject_all_threshold(params):
+                expected.append((REJECT_ALL, None))
+            if 1 - alpha <= p <= alpha:
+                expected.append((FIRST_SCORE, None))
+            expected += [
+                (NON_FIRST_SCORE, n)
+                for n in range(2, k + 1)
+                if non_first_score_region(params, n).contains(p)
+            ]
+            profiles = closed_form_profiles(params)
+            assert [(pr.label, pr.n) for pr in profiles] == expected, p
+            for profile in profiles:
+                assert verify_equilibrium(params, profile, mode="exact").ok, (p, profile.label)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import retesting.metrics
 from retesting import (
     Category,
     ModelParams,
@@ -23,6 +24,28 @@ from retesting import (
 )
 
 PARAMS = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=2)
+
+
+class TestFairnessReport:
+    def test_one_outcome_distribution_per_report(self, monkeypatch):
+        calls = []
+        original = retesting.metrics.outcome_distribution
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(retesting.metrics, "outcome_distribution", counted)
+        report = fairness_report(PARAMS, report_max_separating(PARAMS))
+        assert len(calls) == 1
+        assert report.fnr[Category.CAT2] == Fraction(1, 25)
+
+    def test_views_agree_with_report(self):
+        profile = construct_first_score_equilibrium(PARAMS)
+        report = fairness_report(PARAMS, profile)
+        assert confusion_rates(PARAMS, profile) == (report.fnr, report.fpr)
+        assert predictive_values(PARAMS, profile) == (report.ppv, report.npv)
+        assert college_payoff(PARAMS, profile) == report.college_payoff
 
 
 class TestConfusionRates:
