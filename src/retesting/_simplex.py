@@ -1,12 +1,19 @@
-"""Small exact-rational LP solver (two-phase simplex, Bland's rule).
+"""Small exact LP solver (two-phase simplex, Bland's rule) on integer rows.
 
-Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0  over
-Fractions. Problem sizes in this package are tiny (tens of rows/columns), so
-clarity beats sparsity. Bland's rule guarantees termination.
+Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0  for
+rational (``int`` or ``Fraction``) data. Each tableau row, the objective
+included, is held as a list of Python ints that is a positive multiple of the
+row the textbook rational tableau would hold: input rows are scaled by the
+lcm of their denominators, a pivot updates ``row*piv - coef*prow`` and
+divides by the row's gcd. Signs and ratios are those of the rational
+tableau, so every pivot is the one it makes, and the vertex is the same.
+Problem sizes in this package are tiny (tens of rows/columns), so clarity
+beats sparsity. Bland's rule guarantees termination.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -23,6 +30,22 @@ class LPResult:
     status: str
     x: Optional[list[Fraction]] = None
     value: Optional[Fraction] = None
+    pivots: int = 0  # phase 1, drive-out and phase 2 together
+
+
+def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``values`` times the lcm ``d`` of their denominators, and ``d``."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _eliminate(row: list[int], prow: list[int], col: int) -> list[int]:
+    """``row`` with column ``col`` cleared by the pivot row ``prow``, whose
+    entry there is positive; a positive multiple of the rational result."""
+    piv, coef = prow[col], row[col]
+    out = [v * piv - coef * w for v, w in zip(row, prow)]
+    g = math.gcd(*out)
+    return [v // g for v in out] if g > 1 else out
 
 
 def solve(
@@ -37,93 +60,71 @@ def solve(
         ok = all(b >= 0 for b in b_ub) and all(b == 0 for b in b_eq)
         return LPResult(OPTIMAL, [], Fraction(0)) if ok else LPResult(INFEASIBLE)
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    # Rows [coeffs | slacks | artificials | rhs], flipped where the rhs is
+    # negative. A slack or artificial gets the row's scale d as coefficient,
+    # so that it is the rational tableau's variable. A <= row's slack is its
+    # initial basic variable unless the row was flipped; other rows get an
+    # artificial.
+    scaled = [_integer_row([*row, b]) for row, b in [*zip(a_ub, b_ub), *zip(a_eq, b_eq)]]
+    m, m_ub = len(scaled), len(a_ub)
+    total = n + m_ub  # structural + slack columns
+    art_rows = [i for i, (row, _) in enumerate(scaled) if i >= m_ub or row[-1] < 0]
+    width = total + len(art_rows)
+    basis = [n + i for i in range(m)]
+    for j, i in enumerate(art_rows):
+        basis[i] = total + j
+    rows: list[list[int]] = []
+    for i, (row, d) in enumerate(scaled):
+        sign = -1 if row[-1] < 0 else 1
+        rows.append([sign * v for v in row[:-1]] + [0] * (width - n) + [sign * row[-1]])
+        if i < m_ub:
+            rows[i][n + i] = sign * d
+        rows[i][basis[i]] = d
 
-    # Assemble rows as [coeffs | rhs]; slacks for <= rows, then flip rows with
-    # negative rhs and add artificials so the initial basis is explicit.
-    rows: list[list[Fraction]] = []
-    slack_cols = len(a_ub)
-    total = n + slack_cols  # structural + slack columns, artificials appended later
-    for i, (arow, b) in enumerate(zip(a_ub, b_ub)):
-        row = [Fraction(v) for v in arow] + [zero] * slack_cols + [Fraction(b)]
-        row[n + i] = one
-        rows.append(row)
-    for arow, b in zip(a_eq, b_eq):
-        row = [Fraction(v) for v in arow] + [zero] * slack_cols + [Fraction(b)]
-        rows.append(row)
-
-    basis: list[int] = []
-    art_cols: list[int] = []
-    m = len(rows)
-    for i, row in enumerate(rows):
-        if row[-1] < 0:
-            for j in range(len(row)):
-                row[j] = -row[j]
-        # slack usable as the basic variable only if its coefficient stayed +1
-        slack_j = n + i if i < slack_cols else None
-        if slack_j is not None and row[slack_j] == one:
-            basis.append(slack_j)
-        else:
-            art = total + len(art_cols)
-            art_cols.append(art)
-            basis.append(art)
-    width = total + len(art_cols)
-    for i, row in enumerate(rows):
-        rhs = row.pop()
-        row.extend([zero] * (width - len(row)))
-        row.append(rhs)
-        if basis[i] >= total:
-            row[basis[i]] = one
-
-    # objective rows hold reduced costs; price out the initial basis
-    def priced(cost: list[Fraction]) -> list[Fraction]:
-        obj = cost + [zero]
+    # objective rows hold positive multiples of the reduced costs; price out
+    # the initial basis
+    def priced(cost: list[Fraction]) -> list[int]:
+        obj, _ = _integer_row([*cost, 0])
         for i, bi in enumerate(basis):
             if obj[bi] != 0:
-                coef = obj[bi]
-                for j in range(width + 1):
-                    obj[j] -= coef * rows[i][j]
+                obj = _eliminate(obj, rows[i], bi)
         return obj
 
+    pivots = 0
+
     def pivot(r: int, col: int) -> None:
-        piv = rows[r][col]
-        if piv != 1:
-            rows[r] = [v / piv for v in rows[r]]
+        nonlocal pivots
+        pivots += 1
+        if rows[r][col] < 0:
+            rows[r] = [-v for v in rows[r]]
+        prow = rows[r]
         for i in range(m):
             if i != r and rows[i][col] != 0:
-                coef = rows[i][col]
-                rows[i] = [v if w == 0 else v - coef * w for v, w in zip(rows[i], rows[r])]
+                rows[i] = _eliminate(rows[i], prow, col)
         basis[r] = col
 
-    def run(obj: list[Fraction], allowed: set[int]) -> tuple[str, list[Fraction]]:
+    def run(obj: list[int], allowed: int) -> tuple[str, list[int]]:
         while True:
-            enter = -1
-            for j in sorted(allowed):
-                if obj[j] < 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(allowed) if obj[j] < 0), -1)
             if enter < 0:
                 return OPTIMAL, obj
-            leave = -1
-            best: Optional[Fraction] = None
-            for i in range(m):
-                if rows[i][enter] > 0:
-                    ratio = rows[i][-1] / rows[i][enter]
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                        best, leave = ratio, i
+            leave = -1  # min ratio rhs/row[enter], compared by cross-multiplying
+            for i, row in enumerate(rows):
+                if row[enter] > 0:
+                    best = rows[leave]
+                    diff = -1 if leave < 0 else row[-1] * best[enter] - best[-1] * row[enter]
+                    if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                        leave = i
             if leave < 0:
                 return UNBOUNDED, obj
-            coef = obj[enter]
             pivot(leave, enter)
-            obj[:] = [v if w == 0 else v - coef * w for v, w in zip(obj, rows[leave])]
+            obj = _eliminate(obj, rows[leave], enter)
 
     # Phase 1: minimize the artificial total.
-    if art_cols:
-        phase1 = priced([zero] * total + [one] * len(art_cols))
-        status, phase1 = run(phase1, set(range(width)))
-        if status != OPTIMAL or -phase1[-1] > 0:
-            return LPResult(INFEASIBLE)
+    if art_rows:
+        status, phase1 = run(priced([0] * total + [1] * len(art_rows)), width)
+        if status != OPTIMAL or phase1[-1] < 0:
+            return LPResult(INFEASIBLE, pivots=pivots)
         # drive leftover artificials out of the basis where possible
         for i in range(m):
             if basis[i] >= total:
@@ -133,15 +134,15 @@ def solve(
                         break
 
     # Phase 2 on the real objective, artificial columns barred.
-    obj = priced(list(c) + [zero] * (width - n))
-    status, obj = run(obj, set(range(total)))
+    status, _ = run(priced(list(c) + [0] * (width - n)), total)
     if status != OPTIMAL:
-        return LPResult(UNBOUNDED)
-    x = [zero] * n
+        return LPResult(UNBOUNDED, pivots=pivots)
+    x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = rows[i][-1]
-    return LPResult(OPTIMAL, x, -obj[-1])
+            x[bi] = Fraction(rows[i][-1], rows[i][bi])
+    value = sum((cj * xj for cj, xj in zip(c, x) if cj), Fraction(0))
+    return LPResult(OPTIMAL, x, value, pivots)
 
 
 def feasible_point(

@@ -47,6 +47,9 @@ SCHEMA_VERSION = 1
 MAX_RANGE_VALUES = 10_000
 # Largest k accepted: the constructors and tables enumerate all 2^k histories.
 MAX_K = 10
+# Largest k of enumerate with free-stop intervals: two LPs per free node, over
+# all 2^k histories, took 15 s at k=6 on a family scope.
+MAX_INTERVAL_K = 6
 
 SWEEP_COLUMNS = [
     "alpha",
@@ -306,6 +309,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.intervals and args.k > MAX_INTERVAL_K:
+        raise ScopeTooLarge(
+            f"free-stop intervals at k={args.k} are above the limit of {MAX_INTERVAL_K}; "
+            f"rerun with --no-intervals"
+        )
     params = ModelParams(p=args.p, alpha=args.alpha, phi=args.phi, k=args.k)
     enumeration = enumerate_outcomes(params, args.scope)
     classes_payload = []

@@ -40,6 +40,9 @@ class Score(Enum):
     A = "A"  # above the bar
     B = "B"  # below the bar
 
+    # Members are singletons compared by identity; Enum hashes the name in Python.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:
         return self.value
 
@@ -76,6 +79,8 @@ class Category(Enum):
 class StudentType(Enum):
     HIGH = "H"
     LOW = "L"
+
+    __hash__ = object.__hash__  # as for Score
 
 
 @dataclass(frozen=True, order=True)

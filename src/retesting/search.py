@@ -5,8 +5,9 @@ Enumeration reduces each candidate admission policy to an exact linear
 feasibility problem over stop/continue mass flows: a stopping strategy is an
 equilibrium iff the flows respect the best-response structure and, for every
 report, the accepted side carries at least as much High mass as Low mass.
-Free (indifferent) stop probabilities therefore form polytopes, which are
-decided exactly with rational arithmetic rather than sampled.
+Free (indifferent) stop probabilities therefore form polytopes. Every mass is
+a single term, a constant or a multiple of one free continue mass, so each
+row is read off directly; the integer-row simplex decides it exactly.
 
 The report-all census groups subtree policies by best-response rule pattern,
 one flow system each, and solves each distinct LP once. This is exact: every
@@ -241,35 +242,20 @@ def verify_equilibrium(
 # Flow feasibility
 # ---------------------------------------------------------------------------
 
-# A linear expression in the free continue-mass variables: const + sum coeff*x.
-_Expr = tuple[Fraction, dict[int, Fraction]]
-
-
-def _scale(expr: _Expr, factor: Fraction) -> _Expr:
-    const, coeffs = expr
-    return const * factor, {i: v * factor for i, v in coeffs.items()}
-
-
-def _add(a: _Expr, b: _Expr, sign: int = 1) -> _Expr:
-    const = a[0] + sign * b[0]
-    coeffs = dict(a[1])
-    for i, v in b[1].items():
-        coeffs[i] = coeffs.get(i, Fraction(0)) + sign * v
-    return const, coeffs
-
-
-def _evaluate(expr: _Expr, x: Sequence[Fraction]) -> Fraction:
-    const, coeffs = expr
-    return const + sum(v * x[i] for i, v in coeffs.items())
+# A mass that is one term: the constant value (var None) or value * x[var].
+_Term = tuple[Optional[int], Fraction]
 
 
 class _FlowSystem:
     """Linear feasibility system over free continue masses within a scope.
 
     Forced nodes (strict best responses) are substituted symbolically, so the
-    only variables are the continue masses at indifferent nodes. A policy
-    enters only through the signs of the label rows, so it has an equilibrium
-    iff its :meth:`rows` admit a nonnegative solution.
+    only variables are the continue masses at indifferent nodes. Every reach
+    and continue mass is then one term ``(var, value)``: the constant
+    ``value`` when ``var`` is None, else ``value * x[var]`` (a free node
+    continues ``x[var]``, a forced one 0 or its whole reach). A policy enters
+    only through the signs of the label rows, so it has an equilibrium iff
+    its :meth:`rows` admit a nonnegative solution.
     """
 
     def __init__(
@@ -279,7 +265,6 @@ class _FlowSystem:
         sequences: Iterable[ScoreSeq],
         reporting: Reporting,
     ):
-        self.params = params
         self.rules = rules
         self.sequences = sorted(sequences, key=lambda s: (len(s), seq_str(s)))
         self.histories = [s for s in self.sequences if len(s) < params.k]
@@ -287,67 +272,63 @@ class _FlowSystem:
             StudentType.HIGH: params.phi_bar * params.p,
             StudentType.LOW: params.phi_bar * params.p_bar,
         }
+        emit = {(t, a): params.emit(t, a) for t in StudentType for a in Score}
         self.var_index: dict[tuple[StudentType, ScoreSeq], int] = {}
-        self.reach_expr: dict[tuple[StudentType, ScoreSeq], _Expr] = {}
-        self.c_expr: dict[tuple[StudentType, ScoreSeq], _Expr] = {}
+        self.reach: dict[tuple[StudentType, ScoreSeq], _Term] = {}
+        self.cont: dict[tuple[StudentType, ScoreSeq], _Term] = {}
         for s in self.sequences:
             for t in StudentType:
                 if len(s) == 1:
-                    r: _Expr = (weights[t] * params.emit(t, s[0]), {})
+                    r: _Term = (None, weights[t] * emit[(t, s[0])])
                 else:
-                    r = _scale(self.c_expr[(t, s[:-1])], params.emit(t, s[-1]))
-                self.reach_expr[(t, s)] = r
+                    var, value = self.cont[(t, s[:-1])]
+                    r = (var, emit[(t, s[-1])] * value)
+                self.reach[(t, s)] = r
                 if len(s) < params.k:
                     rule = rules[(t, s)]
                     if rule == STOP:
-                        self.c_expr[(t, s)] = (Fraction(0), {})
+                        self.cont[(t, s)] = (None, 0)
                     elif rule == CONTINUE:
-                        self.c_expr[(t, s)] = r
+                        self.cont[(t, s)] = r
                     else:
                         idx = len(self.var_index)
                         self.var_index[(t, s)] = idx
-                        self.c_expr[(t, s)] = (Fraction(0), {idx: Fraction(1)})
-        self.n = len(self.var_index)
+                        self.cont[(t, s)] = (idx, 1)
+        self.n = n = len(self.var_index)
+
+        def as_row(terms: Iterable[tuple[int, _Term]]) -> tuple[list, Fraction]:
+            """The row of ``sum(sign * term) <= 0`` as (coefficients, rhs)."""
+            coeffs: list = [0] * (n + 1)  # the constant last
+            for sign, (var, value) in terms:
+                if value:  # Fraction + int is fast; int + Fraction and 0 + x are not
+                    j = n if var is None else var
+                    value = value if sign > 0 else -value
+                    coeffs[j] = value + coeffs[j] if coeffs[j] else value
+            return coeffs[:n], -coeffs[n]
 
         # c <= reach at every free node
         self._br_rows = [
-            self._row(_add(self.c_expr[node], self.reach_expr[node], sign=-1))
-            for node in self.var_index
+            as_row(((1, self.cont[node]), (-1, self.reach[node]))) for node in self.var_index
         ]
-        # High - Low mass per label, as the row "High - Low <= 0"
+        # High - Low mass per label, as the row "High - Low <= 0": the stop
+        # mass reach - c of each member, plus Category 1 mass at depth one
         groups: dict[ScoreSeq, list[ScoreSeq]] = {}
         for s in self.sequences:
             groups.setdefault(_label_of(s, reporting), []).append(s)
-        self._label_rows: list[tuple[ScoreSeq, tuple[list[Fraction], Fraction]]] = []
+        cat1 = {StudentType.HIGH: params.phi * params.p, StudentType.LOW: params.phi * params.p_bar}
+        self._label_rows: list[tuple[ScoreSeq, tuple[list, Fraction]]] = []
         for lab in sorted(groups, key=lambda s: (len(s), seq_str(s))):
-            diff: _Expr = (Fraction(0), {})
+            terms = []
             for s in groups[lab]:
                 for t, sign in ((StudentType.HIGH, 1), (StudentType.LOW, -1)):
-                    member = _add(self.stop_mass(t, s), (self.cat1_mass(t, s), {}))
-                    diff = _add(diff, member, sign=sign)
-            self._label_rows.append((lab, self._row(diff)))
+                    terms.append((sign, self.reach[(t, s)]))
+                    if len(s) < params.k:
+                        terms.append((-sign, self.cont[(t, s)]))
+                    if len(s) == 1:
+                        terms.append((sign, (None, cat1[t] * emit[(t, s[0])])))
+            self._label_rows.append((lab, as_row(terms)))
         # labels whose row is not 0 <= 0, so that its sign changes the LP
         self._signed_labels = [lab for lab, (row, b) in self._label_rows if b or any(row)]
-
-    def _row(self, expr: _Expr) -> tuple[list[Fraction], Fraction]:
-        """The row of ``expr <= 0`` as (coefficients, right-hand side)."""
-        const, coeffs = expr
-        row = [Fraction(0)] * self.n
-        for i, v in coeffs.items():
-            row[i] += v
-        return row, -const
-
-    def stop_mass(self, t: StudentType, s: ScoreSeq) -> _Expr:
-        r = self.reach_expr[(t, s)]
-        if len(s) < self.params.k:
-            return _add(r, self.c_expr[(t, s)], sign=-1)
-        return r
-
-    def cat1_mass(self, t: StudentType, s: ScoreSeq) -> Fraction:
-        if len(s) != 1:
-            return Fraction(0)
-        cat = self.params.phi * (self.params.p if t is StudentType.HIGH else self.params.p_bar)
-        return cat * self.params.emit(t, s[0])
 
     def signs(self, accepted: Container[ScoreSeq]) -> tuple[bool, ...]:
         """The accept bits that change :meth:`rows`: equal signs, equal rows."""
@@ -373,13 +354,16 @@ class _FlowSystem:
 
     def stops_from_point(self, x: Sequence[Fraction]) -> dict[tuple[StudentType, ScoreSeq], Fraction]:
         """Stop probabilities at reachable nodes; canonical values elsewhere."""
+        def mass(term: _Term) -> Fraction:
+            return term[1] if term[0] is None else term[1] * x[term[0]]
+
         stops: dict[tuple[StudentType, ScoreSeq], Fraction] = {}
         for t in StudentType:
             for h in self.histories:
-                r = _evaluate(self.reach_expr[(t, h)], x)
+                r = mass(self.reach[(t, h)])
                 rule = self.rules[(t, h)]
                 if r > 0:
-                    stops[(t, h)] = 1 - _evaluate(self.c_expr[(t, h)], x) / r
+                    stops[(t, h)] = 1 - mass(self.cont[(t, h)]) / r
                 else:
                     stops[(t, h)] = Fraction(0) if rule == CONTINUE else Fraction(1)
         return stops
@@ -395,10 +379,11 @@ class _FlowSystem:
         reach(y, s) = 1, so one LP finds each end. None when no point of the
         polytope reaches the node.
         """
-        r_const, r_coeffs = self.reach_expr[(t, h)]
         a_cc = [list(row) + [-b] for row, b in zip(a_ub, b_ub)]
         b_cc = [Fraction(0)] * len(a_cc)
-        reach = [r_coeffs.get(i, Fraction(0)) for i in range(self.n)] + [r_const]
+        var, value = self.reach[(t, h)]
+        reach = [Fraction(0)] * (self.n + 1)
+        reach[self.n if var is None else var] = value
         obj = [Fraction(0)] * (self.n + 1)
         obj[self.var_index[(t, h)]] = Fraction(1)
         lo = _simplex.solve(obj, a_cc, b_cc, [reach], [Fraction(1)], self.n + 1)

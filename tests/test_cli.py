@@ -9,7 +9,7 @@ import json
 import pytest
 
 import retesting.cli
-from retesting.cli import MAX_K, SWEEP_COLUMNS, main
+from retesting.cli import MAX_INTERVAL_K, MAX_K, SWEEP_COLUMNS, main
 
 
 def run(capsys, *argv):
@@ -310,3 +310,24 @@ class TestKLimit:
                            "--k", str(MAX_K), "--format", "json")
         assert code == 0
         assert json.loads(out)["k"] == MAX_K
+
+
+class TestIntervalLimit:
+    FAMILY = ["enumerate", "--alpha", "0.8", "--p", "0.5", "--phi", "0.5",
+              "--scope", "report-all:b-then-a-run"]
+
+    def test_intervals_above_limit_refused_before_any_lp(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an LP ran for k above the interval limit")
+
+        monkeypatch.setattr(retesting.cli, "free_stop_intervals", refuse)
+        monkeypatch.setattr(retesting.cli, "enumerate_outcomes", refuse)
+        assert MAX_INTERVAL_K == 6
+        code, _, err = run(capsys, *self.FAMILY, "--k", str(MAX_INTERVAL_K + 1))
+        assert code == 3
+        assert "--no-intervals" in err and f"limit of {MAX_INTERVAL_K}" in err
+
+    def test_no_intervals_above_limit(self, capsys):
+        code, out, _ = run(capsys, *self.FAMILY, "--k", "7", "--no-intervals", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["policies_considered"] == 6

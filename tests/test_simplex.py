@@ -1,0 +1,229 @@
+"""The integer-row simplex against a rational-tableau reference.
+
+``reference_solve`` is the textbook two-phase simplex over Fractions with
+Bland's rule, kept here only as the oracle. The kernel must make the same
+pivots, so status, point, value and pivot count all have to agree.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+import pytest
+
+from retesting import AdmissionPolicy, ModelParams, Reporting, all_sequences, best_response
+from retesting import _simplex
+from retesting.search import _FlowSystem, _subtree_induction, enumerate_outcomes, free_stop_intervals
+
+
+def reference_solve(c, a_ub, b_ub, a_eq, b_eq, n) -> _simplex.LPResult:
+    if n == 0:
+        ok = all(b >= 0 for b in b_ub) and all(b == 0 for b in b_eq)
+        return _simplex.LPResult("optimal" if ok else "infeasible", [] if ok else None,
+                                 Fraction(0) if ok else None)
+    zero, one = Fraction(0), Fraction(1)
+    rows = []
+    slack_cols = len(a_ub)
+    total = n + slack_cols
+    for i, (arow, b) in enumerate(zip(a_ub, b_ub)):
+        row = [Fraction(v) for v in arow] + [zero] * slack_cols + [Fraction(b)]
+        row[n + i] = one
+        rows.append(row)
+    for arow, b in zip(a_eq, b_eq):
+        rows.append([Fraction(v) for v in arow] + [zero] * slack_cols + [Fraction(b)])
+    basis, art_cols = [], []
+    m = len(rows)
+    for i, row in enumerate(rows):
+        if row[-1] < 0:
+            row[:] = [-v for v in row]
+        if i < slack_cols and row[n + i] == one:
+            basis.append(n + i)
+        else:
+            art_cols.append(total + len(art_cols))
+            basis.append(art_cols[-1])
+    width = total + len(art_cols)
+    for i, row in enumerate(rows):
+        rhs = row.pop()
+        row.extend([zero] * (width - len(row)))
+        row.append(rhs)
+        if basis[i] >= total:
+            row[basis[i]] = one
+    pivots = 0
+
+    def priced(cost):
+        obj = cost + [zero]
+        for i, bi in enumerate(basis):
+            if obj[bi] != 0:
+                coef = obj[bi]
+                obj = [v - coef * w for v, w in zip(obj, rows[i])]
+        return obj
+
+    def pivot(r, col):
+        nonlocal pivots
+        pivots += 1
+        piv = rows[r][col]
+        rows[r] = [v / piv for v in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][col] != 0:
+                coef = rows[i][col]
+                rows[i] = [v - coef * w for v, w in zip(rows[i], rows[r])]
+        basis[r] = col
+
+    def run(obj, allowed):
+        while True:
+            enter = next((j for j in range(allowed) if obj[j] < 0), -1)
+            if enter < 0:
+                return "optimal", obj
+            leave, best = -1, None
+            for i in range(m):
+                if rows[i][enter] > 0:
+                    ratio = rows[i][-1] / rows[i][enter]
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                        best, leave = ratio, i
+            if leave < 0:
+                return "unbounded", obj
+            coef = obj[enter]
+            pivot(leave, enter)
+            obj = [v - coef * w for v, w in zip(obj, rows[leave])]
+
+    if art_cols:
+        status, phase1 = run(priced([zero] * total + [one] * len(art_cols)), width)
+        if status != "optimal" or -phase1[-1] > 0:
+            return _simplex.LPResult("infeasible", pivots=pivots)
+        for i in range(m):
+            if basis[i] >= total:
+                for j in range(total):
+                    if rows[i][j] != 0:
+                        pivot(i, j)
+                        break
+    status, obj = run(priced(list(c) + [zero] * (width - n)), total)
+    if status != "optimal":
+        return _simplex.LPResult("unbounded", pivots=pivots)
+    x = [zero] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = rows[i][-1]
+    return _simplex.LPResult("optimal", x, -obj[-1], pivots)
+
+
+def assert_same(args) -> _simplex.LPResult:
+    got = _simplex.solve(*args)
+    want = reference_solve(*args)
+    assert (got.status, got.x, got.value, got.pivots) == (want.status, want.x, want.value, want.pivots)
+    return got
+
+
+def _value(rng: random.Random, zero_share: float) -> Fraction:
+    if rng.random() < zero_share:
+        return 0 if rng.random() < 0.5 else Fraction(0)
+    v = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 5, 7, 12)))
+    return v if rng.random() < 0.5 or v.denominator > 1 else int(v)
+
+
+def random_lp(rng: random.Random) -> tuple:
+    n = rng.choice((0, 1, 2, 2, 3, 3, 4, 5))
+    zero_share = rng.choice((0.0, 0.3, 0.6))
+    m_ub, m_eq = rng.randint(0, 4), rng.randint(0, 3)
+    a_ub = [[_value(rng, zero_share) for _ in range(n)] for _ in range(m_ub)]
+    a_eq = [[_value(rng, zero_share) for _ in range(n)] for _ in range(m_eq)]
+    # zero rhs makes degenerate ties; repeated rows, all-zero rows and
+    # negative rhs force artificials of different scales
+    b_ub = [_value(rng, 0.3) for _ in range(m_ub)]
+    b_eq = [_value(rng, 0.3) for _ in range(m_eq)]
+    if a_ub and rng.random() < 0.2:
+        a_ub.append(list(a_ub[0]))
+        b_ub.append(b_ub[0])
+    if a_eq and rng.random() < 0.1:
+        a_eq.append([0] * n)
+        b_eq.append(rng.choice((0, Fraction(1, 3))))
+    c = [_value(rng, 0.3) for _ in range(n)] if rng.random() < 0.8 else [0] * n
+    return c, a_ub, b_ub, a_eq, b_eq, n
+
+
+def test_random_lps_match_reference():
+    rng = random.Random(20211)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    mixed = 0  # LPs whose artificial rows are scaled by different factors
+    pivots = 0
+    for _ in range(2000):
+        c, a_ub, b_ub, a_eq, b_eq, n = lp = random_lp(rng)
+        res = assert_same(lp)
+        seen[res.status] += 1
+        pivots += res.pivots
+        art = [(row, b) for row, b in zip(a_ub, b_ub) if b < 0] + list(zip(a_eq, b_eq))
+        mixed += len({_simplex._integer_row([*row, b])[1] for row, b in art}) > 1
+    assert min(seen.values()) >= 200, seen
+    assert mixed >= 1000 and pivots >= 2000
+
+
+def test_phase1_objective_uses_rational_rows():
+    # -x + y = 1 and x + y/3 = 1/3, scales 1 and 3: the rational phase-1
+    # costs (0, -4/3) enter y alone, where the scaled rows' sum (-2, -2)
+    # would enter x first and take three pivots.
+    lp = ([1, 1], [], [], [[-1, 1], [1, Fraction(1, 3)]], [1, Fraction(1, 3)], 2)
+    res = assert_same(lp)
+    assert (res.x, res.pivots) == ([0, 1], 2)
+
+
+@pytest.mark.parametrize("lp, status", [
+    (([1], [[1]], [-1], [], [], 1), "infeasible"),
+    (([-1], [[-1]], [0], [], [], 1), "unbounded"),
+    (([], [[]], [1], [[]], [0], 0), "optimal"),
+    (([], [[]], [-1], [], [], 0), "infeasible"),
+])
+def test_small_cases(lp, status):
+    assert assert_same(lp).status == status
+
+
+def _census_lps(monkeypatch, params: ModelParams) -> list[tuple]:
+    lps = []
+    solve = _simplex.solve
+
+    def recording(*args):
+        lps.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(_simplex, "solve", recording)
+    for scope, reporting in (("report-all", Reporting.ALL), ("report-max", Reporting.MAX)):
+        for cls in enumerate_outcomes(params, scope).classes:
+            free_stop_intervals(params, cls.witness.policy, reporting)
+    monkeypatch.undo()
+    return lps
+
+
+@pytest.mark.parametrize("alpha, p", [(Fraction(4, 5), Fraction(9, 20)), (Fraction(3, 5), Fraction(3, 4))])
+def test_census_lps_match_reference(monkeypatch, alpha, p):
+    _subtree_induction.cache_clear()
+    lps = _census_lps(monkeypatch, ModelParams(p=p, alpha=alpha, phi=Fraction(1, 2), k=3))
+    assert len(lps) > 40
+    assert any(any(c) for c, *_ in lps)  # the interval LPs optimise
+    for lp in lps:
+        assert_same(lp)
+
+
+def test_flow_rows_by_hand():
+    """First-score policy at k=3, alpha 4/5, p 1/2, phi 1/2: every node is
+    free (stopping and continuing tie), so x[i] is the continue mass of the
+    i-th (type, history) in (length, string, High first) order."""
+    params = ModelParams(p=Fraction(1, 2), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
+    policy = AdmissionPolicy.first_score(3)
+    system = _FlowSystem(params, best_response(params, policy).rules, all_sequences(3), Reporting.ALL)
+    assert system.n == 12
+    a_ub, b_ub = system.rows(policy.accepted)
+    assert len(a_ub) == 12 + 14
+
+    def row(**coeffs: Fraction) -> list:
+        out = [0] * 12
+        for name, v in coeffs.items():
+            out[int(name[1:])] = v
+        return out
+
+    # x6 (High continues after AB) is at most High's reach of AB, x0 / 5
+    assert (a_ub[6], b_ub[6]) == (row(x0=Fraction(-1, 5), x6=1), 0)
+    # label A, accepted: High - Low >= 0, where High is 1/5 from Category 1
+    # plus the 1/5 - x0 that stop in Category 2, and Low 1/20 + 1/20 - x1
+    assert (a_ub[12], b_ub[12]) == (row(x0=1, x1=-1), Fraction(3, 10))
+    # label AB, accepted: High stops x0/5 - x6, Low stops 4*x1/5 - x7
+    assert (a_ub[15], b_ub[15]) == (row(x0=Fraction(-1, 5), x1=Fraction(4, 5), x6=1, x7=-1), 0)
+    # label ABA, accepted: every High and Low that reaches it stops
+    assert (a_ub[20], b_ub[20]) == (row(x6=Fraction(-4, 5), x7=Fraction(1, 5)), 0)
