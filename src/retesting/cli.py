@@ -38,7 +38,14 @@ from .equilibria import (
 from .errors import NoEquilibrium, RetestingError, ScopeTooLarge, UnsupportedK
 from .metrics import FairnessReport, compare_policies, fairness_report, payoff_gap
 from .model import Category, ModelParams, StudentStrategy, seq_str
-from .search import SCOPES, SCOPE_REPORT_ALL, enumerate_outcomes, free_stop_intervals, verify_equilibrium
+from .search import (
+    EXHAUSTIVE_MAX_K,
+    SCOPES,
+    SCOPE_REPORT_ALL,
+    enumerate_outcomes,
+    free_stop_intervals,
+    verify_equilibrium,
+)
 from .simulate import SimConfig, simulate
 
 SCHEMA_VERSION = 1
@@ -178,7 +185,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         regions["non_first_score_contains_p"] = non_first.contains(params.p)
     regions["max_separating_exists"] = lower <= params.p <= upper
 
-    comparison = compare_policies(params, search=params.k <= 3)
+    comparison = compare_policies(params, search=params.k <= EXHAUSTIVE_MAX_K)
     boundary = is_boundary(params)
 
     if args.format == "json":

@@ -152,8 +152,9 @@ def compare_policies(params: ModelParams, search: bool = True) -> PolicyComparis
 
     :func:`retesting.equilibria.closed_form_profiles` supplies the
     best-score separating and reject-all benchmarks and the canonical
-    full-reporting classes; when ``search`` is true and k <= 3, exhaustive
-    enumeration contributes any class the constructors do not cover.
+    full-reporting classes; when ``search`` is true and k is at most
+    :data:`retesting.search.EXHAUSTIVE_MAX_K`, exhaustive enumeration
+    contributes any class the constructors do not cover.
     Full-reporting classes are deduplicated by admission outcome, so a
     constructed profile with the same outcome as an earlier one is left out.
     """
@@ -176,9 +177,9 @@ def compare_policies(params: ModelParams, search: bool = True) -> PolicyComparis
             max_sep_report = fairness_report(params, profile)
         else:
             reject_report = fairness_report(params, profile)
-    if search and params.k <= 3:
-        from .search import SCOPE_REPORT_ALL, enumerate_outcomes
+    from .search import EXHAUSTIVE_MAX_K, SCOPE_REPORT_ALL, enumerate_outcomes
 
+    if search and params.k <= EXHAUSTIVE_MAX_K:
         for cls in enumerate_outcomes(params, SCOPE_REPORT_ALL).classes:
             if cls.verified:
                 add(cls.witness)

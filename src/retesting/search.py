@@ -9,6 +9,11 @@ Free (indifferent) stop probabilities therefore form polytopes. Every mass is
 a single term, a constant or a multiple of one free continue mass, so each
 row is read off directly; the integer-row simplex decides it exactly.
 
+Best responses come from one bottom-up induction per first-score subtree:
+each history combines the results of its two children with its own accept
+bit, for every accept pattern of the subtree at once (the census) or for one
+policy's pattern (:func:`best_response`).
+
 The report-all census groups subtree policies by best-response rule pattern,
 one flow system each, and solves each distinct LP once. This is exact: every
 LP keeps its own rows, so the simplex returns the same vertex. No closed form
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Container, Iterable, Mapping, Optional, Sequence, Union
+from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import _simplex
 from .equilibria import (
@@ -57,6 +62,9 @@ ANY = "any"
 
 ExactOrTol = Union[str, float]
 
+# The largest k whose report-all census enumerates every accept pattern.
+EXHAUSTIVE_MAX_K = 3
+
 
 @dataclass(frozen=True)
 class BestResponseSet:
@@ -86,54 +94,127 @@ def best_response(params: ModelParams, policy: AdmissionPolicy) -> BestResponseS
     """Optimal stopping sets for Category 2 students facing a policy.
 
     Decisions after a first score never look at the other first score, so
-    this merges the :func:`_subtree_induction` of the two subtrees.
+    each first-score subtree runs :func:`_induction` for the policy's one
+    accept pattern, and the two results are merged.
     """
     rules: dict[tuple[StudentType, ScoreSeq], str] = {}
     values: dict[tuple[StudentType, ScoreSeq], Fraction] = {}
     for first in Score:
         seqs = _subtree(first, params.k)
-        bits = sum(1 << i for i, s in enumerate(seqs) if s in policy.accepted)
-        _, sub_rules, sub_values = _subtree_induction(params.alpha, params.k, first, bits)
-        rules.update(sub_rules)
-        values.update(sub_values)
+        tables = _induction(params.alpha, params.k, first, policy.accepted)
+        ((_, _, _, code),) = tables[(first,)]
+        rules.update(_rules_of(code, seqs, params.k))
+        for h, ((_, high, low, _),) in tables.items():
+            scale = params.alpha.denominator ** (params.k - len(h))
+            values[(StudentType.HIGH, h)] = Fraction(high, scale)
+            values[(StudentType.LOW, h)] = Fraction(low, scale)
     return BestResponseSet(rules=rules, values=values)
 
 
-def _subtree(first: Score, k: int) -> list[ScoreSeq]:
+@lru_cache(maxsize=32)
+def _subtree(first: Score, k: int) -> tuple[ScoreSeq, ...]:
     """The sequences of length 1..k that start with ``first``, shortest first."""
-    return [s for s in all_sequences(k) if s[0] is first]
+    return tuple(s for s in all_sequences(k) if s[0] is first)
 
 
-@lru_cache(maxsize=4096)
-def _subtree_induction(alpha: Fraction, k: int, first: Score, bits: int):
-    """Backward induction on one first-score subtree, whose policy accepts
-    the sequences ``_subtree(first, k)[i]`` with bit i of ``bits`` set.
+# A rule code holds the rule of the i-th history of ``_subtree`` in bits
+# 4i..4i+1 for High and 4i+2..4i+3 for Low: CONTINUE 0, STOP 1, ANY 2.
+_RULES = (CONTINUE, STOP, ANY)
 
-    At each history, stopping yields the accept indicator of the current
-    sequence; continuing yields the expected optimal value over the next
-    score. Strict comparisons force the decision, ties leave it free. The
-    result depends on the parameters only through alpha.
+
+def _rule(stop: int, cont: int) -> int:
+    """Strict comparisons force the decision, ties leave it free."""
+    return 1 if stop > cont else 0 if stop < cont else 2
+
+
+# One entry of an induction table: the accept bits of a subtree (bit i for
+# the i-th sequence of ``_subtree``), the High and Low optimal values at its
+# root as numerators over alpha's denominator to the power of the root's
+# distance from depth k, and the code of its rules.
+_Entry = tuple[int, int, int, int]
+
+
+def _induction(
+    alpha: Fraction, k: int, first: Score, accepted: Optional[Container[ScoreSeq]] = None
+) -> dict[ScoreSeq, list[_Entry]]:
+    """Bottom-up backward induction on one first-score subtree, for every
+    accept pattern at once (``accepted`` None) or for the one pattern of
+    ``accepted``; the table of each history holds one entry per accept
+    pattern of the subtree rooted there.
+
+    Stopping yields the accept bit of the current history; continuing yields
+    the emission-weighted values of the A-child and B-child entries, so every
+    pair of child entries and own bit costs O(1) integer work. The result
+    depends on the parameters only through alpha.
     """
     seqs = _subtree(first, k)
-    accepted = frozenset(s for i, s in enumerate(seqs) if bits >> i & 1)
-    emit = {
-        (StudentType.HIGH, Score.A): alpha,
-        (StudentType.HIGH, Score.B): 1 - alpha,
-        (StudentType.LOW, Score.A): 1 - alpha,
-        (StudentType.LOW, Score.B): alpha,
+    n, d = alpha.numerator, alpha.denominator
+    tables: dict[ScoreSeq, list[_Entry]] = {}
+    for i in reversed(range(len(seqs))):  # children before parents
+        h = seqs[i]
+        own = (0, 1 << i) if accepted is None else ((1 << i) * (h in accepted),)
+        if len(h) == k:
+            tables[h] = [(bit, int(bit > 0), int(bit > 0), 0) for bit in own]
+            continue
+        scale = d ** (k - len(h))
+        table = tables[h] = []
+        for a_bits, a_high, a_low, a_code in tables[h + (Score.A,)]:
+            for b_bits, b_high, b_low, b_code in tables[h + (Score.B,)]:
+                high = n * a_high + (d - n) * b_high
+                low = (d - n) * a_low + n * b_low
+                for bit in own:
+                    u = scale if bit else 0
+                    code = a_code | b_code | (_rule(u, high) | _rule(u, low) << 2) << 4 * i
+                    table.append((a_bits | b_bits | bit, max(u, high), max(u, low), code))
+    return tables
+
+
+def _rules_of(code: int, seqs: Sequence[ScoreSeq], k: int) -> dict[tuple[StudentType, ScoreSeq], str]:
+    """The best-response rule of every (type, history) a rule code holds."""
+    return {
+        (t, s): _RULES[code >> (4 * i + 2 * j) & 3]
+        for j, t in enumerate((StudentType.HIGH, StudentType.LOW))
+        for i, s in enumerate(seqs)
+        if len(s) < k
     }
-    rules: dict[tuple[StudentType, ScoreSeq], str] = {}
-    values: dict[tuple[StudentType, ScoreSeq], Fraction] = {}
-    for t in StudentType:
-        for h in sorted(seqs, key=len, reverse=True):
-            u = Fraction(1) if h in accepted else Fraction(0)
-            if len(h) == k:
-                values[(t, h)] = u
-                continue
-            cont = sum((emit[(t, s)] * values[(t, h + (s,))] for s in Score), Fraction(0))
-            values[(t, h)] = max(u, cont)
-            rules[(t, h)] = STOP if u > cont else CONTINUE if u < cont else ANY
-    return accepted, rules, values
+
+
+class _Pattern(NamedTuple):
+    """One accept pattern of a first-score subtree and its best response;
+    patterns with equal values or rules share one mapping."""
+
+    accepted: frozenset[ScoreSeq]
+    values: Mapping[tuple[StudentType, ScoreSeq], Fraction]  # at the first score only
+    key: int  # rule code: equal keys, equal rules
+    rules: Mapping[tuple[StudentType, ScoreSeq], str]
+
+
+@lru_cache(maxsize=32)  # two tables per (alpha, k): 16 alphas of one k
+def _subtree_induction(alpha: Fraction, k: int, first: Score) -> tuple[_Pattern, ...]:
+    """Every accept pattern of one first-score subtree with its best
+    response, in ascending bit order, from one :func:`_induction`.
+
+    The table has 2^(2^k - 1) patterns, so k above ``EXHAUSTIVE_MAX_K`` is
+    refused before any work.
+    """
+    if k > EXHAUSTIVE_MAX_K:
+        raise ScopeTooLarge(f"every accept pattern at k={k} means 2^{2**k - 1} patterns per subtree")
+    seqs = _subtree(first, k)
+    scale = alpha.denominator ** (k - 1)
+    values: dict[tuple[int, int], dict] = {}
+    rules: dict[int, dict] = {}
+    patterns = []
+    for bits, high, low, code in sorted(_induction(alpha, k, first)[(first,)]):
+        if (high, low) not in values:
+            values[(high, low)] = {
+                (StudentType.HIGH, (first,)): Fraction(high, scale),
+                (StudentType.LOW, (first,)): Fraction(low, scale),
+            }
+        if code not in rules:
+            rules[code] = _rules_of(code, seqs, k)
+        accepted = frozenset(s for i, s in enumerate(seqs) if bits >> i & 1)
+        patterns.append(_Pattern(accepted, values[(high, low)], code, rules[code]))
+    return tuple(patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +478,6 @@ class _FlowSystem:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-EXHAUSTIVE_MAX_K = 3
-
 SCOPE_REPORT_MAX = "report-max"
 SCOPE_REPORT_ALL = "report-all"
 SCOPE_FIRST_SCORE = "report-all:first-score"
@@ -470,7 +549,7 @@ def _admit(
     values: Mapping[tuple[StudentType, ScoreSeq], Fraction],
 ) -> dict[Cohort, Fraction]:
     """Admission probability per positive-mass cohort, from the Category 2
-    best-response ``values`` after each first score."""
+    best-response ``values`` after each first score (the only ones read)."""
     admit: dict[Cohort, Fraction] = {}
     for cohort in _positive_cohorts(params):
         t = cohort.type_
@@ -512,7 +591,7 @@ def _enumeration(
 @dataclass
 class _SubtreeSolution:
     accepted: frozenset[ScoreSeq]
-    values: Mapping[tuple[StudentType, ScoreSeq], Fraction]  # best-response values
+    values: Mapping[tuple[StudentType, ScoreSeq], Fraction]  # at the first score only
     stops: dict[tuple[StudentType, ScoreSeq], Fraction]
     group: int  # shared by solutions with the same admission odds for both categories
 
@@ -521,32 +600,32 @@ def _solve_subtrees(params: ModelParams, first: Score) -> list[_SubtreeSolution]
     """All consistent acceptance patterns on one first-score subtree; one flow
     system per best-response rule pattern, one solve per distinct LP."""
     seqs = _subtree(first, params.k)
-    systems: dict[tuple[str, ...], tuple[_FlowSystem, int]] = {}  # rules -> system, row id
+    systems: dict[int, tuple[_FlowSystem, int]] = {}  # rule code -> system, row id
     row_ids: dict[tuple, int] = {}  # a system's rows with no label accepted -> id
     points: dict[tuple, Optional[list[Fraction]]] = {}  # (row id, signs) -> point
-    stops: dict[tuple, Optional[dict]] = {}  # (rules, signs) -> stops
+    stops: dict[tuple, Optional[dict]] = {}  # (rule code, signs) -> stops
     groups: dict[tuple, int] = {}  # (accepts first score, values after it) -> group
     solutions = []
-    for bits in range(1 << len(seqs)):
-        accepted, rules, values = _subtree_induction(params.alpha, params.k, first, bits)
-        pattern = tuple(rules.values())
-        if pattern not in systems:
-            system = _FlowSystem(params, rules, seqs, Reporting.ALL)
+    for pattern in _subtree_induction(params.alpha, params.k, first):
+        key, accepted = pattern.key, pattern.accepted
+        if key not in systems:
+            system = _FlowSystem(params, pattern.rules, seqs, Reporting.ALL)
             a_ub, b_ub = system.rows(())
             rows = (tuple(map(tuple, a_ub)), tuple(b_ub))
-            systems[pattern] = system, row_ids.setdefault(rows, len(row_ids))
-        system, row_id = systems[pattern]
+            systems[key] = system, row_ids.setdefault(rows, len(row_ids))
+        system, row_id = systems[key]
         signs = system.signs(accepted)
-        if (pattern, signs) not in stops:
+        if (key, signs) not in stops:
             # equal row ids and signs mean equal rows, hence the same vertex
             if (row_id, signs) not in points:
                 points[(row_id, signs)] = system.feasible(accepted)
             x = points[(row_id, signs)]
-            stops[(pattern, signs)] = None if x is None else system.stops_from_point(x)
-        if stops[(pattern, signs)] is not None:
+            stops[(key, signs)] = None if x is None else system.stops_from_point(x)
+        if stops[(key, signs)] is not None:
+            values = pattern.values
             odds = ((first,) in accepted, *(values[(t, (first,))] for t in StudentType))
             group = groups.setdefault(odds, len(groups))
-            solutions.append(_SubtreeSolution(accepted, values, stops[(pattern, signs)], group))
+            solutions.append(_SubtreeSolution(accepted, values, stops[(key, signs)], group))
     return solutions
 
 
@@ -615,8 +694,8 @@ def enumerate_outcomes(params: ModelParams, scope: str = SCOPE_REPORT_ALL) -> En
     """Search a policy scope for equilibria, quotiented by admission outcome.
 
     "report-all" is exhaustive over all deterministic sequence policies
-    (64 at k=2, 16384 at k=3) and refuses k >= 4; named families remain
-    available there. "report-max" covers the four best-score policies.
+    (64 at k=2, 16384 at k=3) and refuses k above ``EXHAUSTIVE_MAX_K``;
+    named families remain available there. "report-max" covers the four best-score policies.
 
     The report-all census solves each distinct LP of a best-response rule
     pattern once, with unchanged rows, so it finds what one solve per policy

@@ -10,6 +10,7 @@ import pytest
 
 import retesting.cli
 from retesting.cli import MAX_INTERVAL_K, MAX_K, SWEEP_COLUMNS, main
+from retesting.search import _subtree_induction
 
 
 def run(capsys, *argv):
@@ -36,6 +37,17 @@ class TestAnalyze:
         assert payload["thresholds"]["p_hat_k"] == pytest.approx(7 / 29)
         assert payload["reports"]["report_max_separating"]["fnr_cat2"] == pytest.approx(0.04)
         assert payload["boundary_flag"] == 0
+
+    def test_k3_json_bytes_pinned(self, capsys):
+        # five report-all classes at an alpha no other test uses, so the
+        # census runs from a cold induction cache
+        _subtree_induction.cache_clear()
+        code, out, _ = run(capsys, "analyze", "--alpha", "0.777", "--p", "0.55",
+                           "--phi", "0", "--k", "3", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f70d3c1ce2e1f2e0bc1218bcc32a803a39648cd18b1c54b51d1b66173b696297"
+        )
 
     def test_invalid_alpha_fails_usage(self, capsys):
         code, _, err = run(capsys, "analyze", "--alpha", "0.4", "--p", "0.3",
@@ -195,6 +207,22 @@ class TestEnumerate:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["classes"]) >= 2
+
+    @pytest.mark.parametrize("alpha, p, phi, digest", [
+        # p >= alpha: accept-all and two non-first-score classes
+        ("0.613", "0.65", "0", "5279ae8356df91795ca98c9f86c195484581951aad0703cf313d489f02debb10"),
+        ("0.777", "0.45", "0", "beb0275e2479173335e6836e539ed36f44db2c2674489e343402ca0b8fe84f6a"),
+        ("0.9", "0.05", "0.5", "af0991281a5a58e8652015dc3a7ca17777f8770ac736a6b13d08d19f010fcf15"),
+    ])
+    def test_report_all_k3_bytes_pinned(self, capsys, alpha, p, phi, digest):
+        # witnesses and supporting policies depend on the census order, so
+        # the bytes pin it; the cache is cleared to run the census cold
+        _subtree_induction.cache_clear()
+        code, out, _ = run(capsys, "enumerate", "--alpha", alpha, "--p", p, "--phi", phi,
+                           "--k", "3", "--scope", "report-all", "--intervals",
+                           "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_scope_too_large_guidance(self, capsys):
         code, _, err = run(capsys, "enumerate", "--alpha", "0.8", "--p", "0.3",

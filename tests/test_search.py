@@ -35,12 +35,15 @@ from retesting import (
 )
 from retesting import _simplex
 from retesting.equilibria import EquilibriumProfile
+from retesting import search
 from retesting.search import (
+    EXHAUSTIVE_MAX_K,
     SCOPES,
     _FlowSystem,
     _enumerate_policy_list,
     _family_policies,
     _subtree,
+    _subtree_induction,
 )
 
 PARAMS = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=2)
@@ -142,6 +145,56 @@ class TestReferenceInduction:
         params = ModelParams(p=Fraction(2, 5), alpha=alpha, phi=Fraction(1, 2), k=3)
         sample = random.Random(20210216).sample(range(1 << 14), 200)
         self.check(params, [policy_from_bits(3, bits) for bits in sample])
+
+
+class TestEveryPatternInduction:
+    """The census table of every accept pattern of a first-score subtree."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("alpha", [Fraction(3, 5), Fraction(4, 5), Fraction(1)])
+    def test_every_pattern_against_reference(self, k, alpha):
+        params = ModelParams(p=Fraction(2, 5), alpha=alpha, phi=Fraction(1, 2), k=k)
+        for first in Score:
+            seqs = _subtree(first, k)
+            table = _subtree_induction(alpha, k, first)
+            bits = [sum(1 << i for i, s in enumerate(seqs) if s in p.accepted) for p in table]
+            assert bits == list(range(1 << len(seqs)))  # ascending, every pattern once
+            rules_by_key = {}
+            for pattern in table:
+                policy = AdmissionPolicy(k=k, accepted=pattern.accepted)
+                rules, values = reference_induction(params, policy)
+                own = {node: rule for node, rule in rules.items() if node[1][0] is first}
+                assert dict(pattern.rules) == own, sorted(pattern.accepted)
+                assert dict(pattern.values) == {
+                    (t, (first,)): values[(t, (first,))] for t in StudentType
+                }
+                assert rules_by_key.setdefault(pattern.key, own) == own
+
+    def test_cold_census_builds_one_table_per_first_score(self):
+        params = ModelParams(p=Fraction(9, 20), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
+        _subtree_induction.cache_clear()
+        enumerate_outcomes(params, "report-all")
+        info = _subtree_induction.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        enumerate_outcomes(params, "report-all")
+        assert _subtree_induction.cache_info().misses == 2
+
+    def test_table_above_limit_refused_before_any_work(self, monkeypatch):
+        def no_induction(*args, **kwargs):
+            raise AssertionError("induction ran")
+
+        monkeypatch.setattr(search, "_induction", no_induction)
+        with pytest.raises(ScopeTooLarge):
+            _subtree_induction(Fraction(4, 5), EXHAUSTIVE_MAX_K + 1, Score.A)
+
+    def test_family_best_response_at_k10(self):
+        params = ModelParams(p=Fraction(2, 5), alpha=Fraction(7, 10), phi=Fraction(1, 2), k=10)
+        policy = AdmissionPolicy.b_then_a_run(10, 2)
+        br = best_response(params, policy)
+        rules, values = reference_induction(params, policy)
+        assert len(br.rules) == 2 * (2**10 - 2)
+        assert dict(br.rules) == rules
+        assert dict(br.values) == values
 
 
 class TestVerify:
