@@ -9,6 +9,12 @@ divides by the row's gcd. Signs and ratios are those of the rational
 tableau, so every pivot is the one it makes, and the vertex is the same.
 Problem sizes in this package are tiny (tens of rows/columns), so clarity
 beats sparsity. Bland's rule guarantees termination.
+
+Callers whose rows are already integers over one common denominator pass it
+as ``scale``: every constraint value is then an ``int`` whose rational value
+is itself over ``scale``. Such a row is divided by its gcd with ``scale``,
+which gives exactly the integer row its rational values would give, so the
+tableau, the pivots and the result are those of the rational call.
 """
 
 from __future__ import annotations
@@ -33,8 +39,12 @@ class LPResult:
     pivots: int = 0  # phase 1, drive-out and phase 2 together
 
 
-def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """``values`` times the lcm ``d`` of their denominators, and ``d``."""
+def _integer_row(values: Sequence[Fraction], scale: Optional[int] = None) -> tuple[list[int], int]:
+    """``values`` times the lcm ``d`` of their denominators, and ``d``; with
+    ``scale``, of the rational values ``values / scale``."""
+    if scale is not None:
+        g = math.gcd(scale, *values)
+        return [v // g for v in values], scale // g
     d = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (d // v.denominator) for v in values], d
 
@@ -55,6 +65,7 @@ def solve(
     a_eq: list[Row],
     b_eq: Row,
     n: int,
+    scale: Optional[int] = None,
 ) -> LPResult:
     if n == 0:
         ok = all(b >= 0 for b in b_ub) and all(b == 0 for b in b_eq)
@@ -65,7 +76,7 @@ def solve(
     # so that it is the rational tableau's variable. A <= row's slack is its
     # initial basic variable unless the row was flipped; other rows get an
     # artificial.
-    scaled = [_integer_row([*row, b]) for row, b in [*zip(a_ub, b_ub), *zip(a_eq, b_eq)]]
+    scaled = [_integer_row([*row, b], scale) for row, b in [*zip(a_ub, b_ub), *zip(a_eq, b_eq)]]
     m, m_ub = len(scaled), len(a_ub)
     total = n + m_ub  # structural + slack columns
     art_rows = [i for i, (row, _) in enumerate(scaled) if i >= m_ub or row[-1] < 0]
@@ -146,7 +157,7 @@ def solve(
 
 
 def feasible_point(
-    a_ub: list[Row], b_ub: Row, a_eq: list[Row], b_eq: Row, n: int
+    a_ub: list[Row], b_ub: Row, a_eq: list[Row], b_eq: Row, n: int, scale: Optional[int] = None
 ) -> Optional[list[Fraction]]:
-    res = solve([Fraction(0)] * n, a_ub, b_ub, a_eq, b_eq, n)
+    res = solve([0] * n, a_ub, b_ub, a_eq, b_eq, n, scale=scale)
     return res.x if res.status == OPTIMAL else None

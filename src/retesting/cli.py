@@ -57,6 +57,9 @@ MAX_K = 10
 # Largest k of enumerate with free-stop intervals: two LPs per free node, over
 # all 2^k histories, took 15 s at k=6 on a family scope.
 MAX_INTERVAL_K = 6
+# Most students simulate draws: the draw matrix is n x (2k+1) float64, 0.56 GB
+# at this n and k=3.
+MAX_SIM_N = 10**7
 
 SWEEP_COLUMNS = [
     "alpha",
@@ -403,6 +406,8 @@ def _select_profile(params: ModelParams, policy: str, cls: str) -> EquilibriumPr
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.n > MAX_SIM_N:
+        raise ValueError(f"n={args.n} is above the limit of {MAX_SIM_N}")
     params = ModelParams(p=args.p, alpha=args.alpha, phi=args.phi, k=args.k)
     profile = _select_profile(params, args.policy, args.eq_class)
     verdict = verify_equilibrium(params, profile)
@@ -561,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--policy", choices=["max", "all"], required=True)
     sp.add_argument("--class", dest="eq_class", required=True,
                     help="separating | reject-all | first-score | non-first-score:N")
-    sp.add_argument("--n", type=int, default=1_000_000)
+    sp.add_argument("--n", type=int, default=1_000_000, help=f"students, at most {MAX_SIM_N}")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--format", choices=["text", "json"], default="text")
     sp.set_defaults(func=cmd_simulate)

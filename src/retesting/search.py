@@ -7,7 +7,11 @@ equilibrium iff the flows respect the best-response structure and, for every
 report, the accepted side carries at least as much High mass as Low mass.
 Free (indifferent) stop probabilities therefore form polytopes. Every mass is
 a single term, a constant or a multiple of one free continue mass, so each
-row is read off directly; the integer-row simplex decides it exactly.
+row is read off directly. Systems over one game tree share one cached layout
+of their path masses, all integers over one denominator, so their rows are
+integers that the integer-row simplex decides exactly. A label row with no
+free continue mass fixes that label's accept bit: a pattern with the other
+bit is infeasible, which is decided from the rows without a solve.
 
 Best responses come from one bottom-up induction per first-score subtree:
 each history combines the results of its two children with its own accept
@@ -17,7 +21,8 @@ policy's pattern (:func:`best_response`).
 The report-all census groups subtree policies by best-response rule pattern,
 one flow system each, and solves each distinct LP once. This is exact: every
 LP keeps its own rows, so the simplex returns the same vertex. No closed form
-from :mod:`retesting.equilibria` is used to prune.
+from :mod:`retesting.equilibria` is used to prune; the forced-label screen
+reads only the LP rows.
 """
 
 from __future__ import annotations
@@ -323,8 +328,52 @@ def verify_equilibrium(
 # Flow feasibility
 # ---------------------------------------------------------------------------
 
-# A mass that is one term: the constant value (var None) or value * x[var].
-_Term = tuple[Optional[int], Fraction]
+# A mass that is one term: the constant value (var None) or value * x[var],
+# as an integer over the system's scale.
+_Term = tuple[Optional[int], int]
+
+_TYPES = tuple(StudentType)  # High first, as in every row
+
+
+class _Layout(NamedTuple):
+    """What every flow system over one game tree shares, whatever its
+    best-response rules; masses are integers over ``scale`` =
+    den(p) den(phi) den(alpha)^k."""
+
+    scale: int
+    sequences: tuple[ScoreSeq, ...]  # in (length, string) order
+    parents: tuple[int, ...]  # index of each sequence's parent, -1 at depth one
+    # reach[t][i][d]: mass of type t reaching sequence i per unit continuing
+    # at its depth-d ancestor; d = 0 is the constant mass of an unbroken path
+    reach: tuple[tuple[tuple[int, ...], ...], ...]
+    # sorted labels, each with its member indices and Category 1 High - Low mass
+    labels: tuple[tuple[ScoreSeq, tuple[int, ...], int], ...]
+
+
+@lru_cache(maxsize=8)  # a census point uses up to four trees
+def _layout(params: ModelParams, sequences: tuple[ScoreSeq, ...], reporting: Reporting) -> _Layout:
+    seqs = tuple(sorted(sequences, key=lambda s: (len(s), seq_str(s))))
+    index = {s: i for i, s in enumerate(seqs)}
+    parents = tuple(index[s[:-1]] if len(s) > 1 else -1 for s in seqs)
+    den, den_pphi = params.alpha.denominator ** params.k, params.p.denominator * params.phi.denominator
+    reach: tuple[list, list] = ([], [])
+    cat1 = [0] * len(seqs)
+    for masses, t, sign in zip(reach, _TYPES, (1, -1)):
+        share = params.p if t is StudentType.HIGH else params.p_bar
+        emit = {a: int(params.emit(t, a) * den) for a in Score}  # over den
+        for i, (s, j) in enumerate(zip(seqs, parents)):
+            e = emit[s[-1]]
+            if j < 0:
+                masses.append((int(params.phi_bar * share * den_pphi) * e,))
+                cat1[i] += sign * int(params.phi * share * den_pphi) * e
+            else:  # one more emission on the path from every ancestor, and the parent's unit
+                masses.append((*(m * e // den for m in masses[j]), den_pphi * e))
+    groups: dict[ScoreSeq, list[int]] = {}
+    for i, s in enumerate(seqs):
+        groups.setdefault(_label_of(s, reporting), []).append(i)
+    labels = tuple((lab, tuple(groups[lab]), sum(cat1[i] for i in groups[lab]))
+                   for lab in sorted(groups, key=lambda s: (len(s), seq_str(s))))
+    return _Layout(den_pphi * den, seqs, parents, tuple(map(tuple, reach)), labels)
 
 
 class _FlowSystem:
@@ -334,9 +383,12 @@ class _FlowSystem:
     only variables are the continue masses at indifferent nodes. Every reach
     and continue mass is then one term ``(var, value)``: the constant
     ``value`` when ``var`` is None, else ``value * x[var]`` (a free node
-    continues ``x[var]``, a forced one 0 or its whole reach). A policy enters
-    only through the signs of the label rows, so it has an equilibrium iff
-    its :meth:`rows` admit a nonnegative solution.
+    continues ``x[var]``, a forced one 0 or its whole reach). Values and rows
+    are integers, ``scale`` times the rational ones, read off the tree's
+    cached :class:`_Layout`: a system only assigns variables, with no
+    ``Fraction`` arithmetic. A policy enters only through the signs of the
+    label rows, so it has an equilibrium iff its :meth:`rows` admit a
+    nonnegative solution.
     """
 
     def __init__(
@@ -346,78 +398,66 @@ class _FlowSystem:
         sequences: Iterable[ScoreSeq],
         reporting: Reporting,
     ):
+        layout = _layout(params, tuple(sequences), reporting)
         self.rules = rules
-        self.sequences = sorted(sequences, key=lambda s: (len(s), seq_str(s)))
-        self.histories = [s for s in self.sequences if len(s) < params.k]
-        weights = {
-            StudentType.HIGH: params.phi_bar * params.p,
-            StudentType.LOW: params.phi_bar * params.p_bar,
-        }
-        emit = {(t, a): params.emit(t, a) for t in StudentType for a in Score}
+        self.scale = scale = layout.scale
+        self.histories = [s for s in layout.sequences if len(s) < params.k]
         self.var_index: dict[tuple[StudentType, ScoreSeq], int] = {}
         self.reach: dict[tuple[StudentType, ScoreSeq], _Term] = {}
-        self.cont: dict[tuple[StudentType, ScoreSeq], _Term] = {}
-        for s in self.sequences:
-            for t in StudentType:
-                if len(s) == 1:
-                    r: _Term = (None, weights[t] * emit[(t, s[0])])
-                else:
-                    var, value = self.cont[(t, s[:-1])]
-                    r = (var, emit[(t, s[-1])] * value)
+        br: list[tuple[_Term, ...]] = []  # c - reach <= 0 at every free node
+        # per type and sequence: the (var, depth) its children's mass
+        # continues from (None when none does), and its stop mass as terms
+        below: tuple[list, list] = ([], [])
+        stop: tuple[list, list] = ([], [])
+        for i, (s, j) in enumerate(zip(layout.sequences, layout.parents)):
+            for ti, t in enumerate(_TYPES):
+                anchor = (None, 0) if j < 0 else below[ti][j]
+                r = (None, 0) if anchor is None else (anchor[0], layout.reach[ti][i][anchor[1]])
                 self.reach[(t, s)] = r
-                if len(s) < params.k:
-                    rule = rules[(t, s)]
-                    if rule == STOP:
-                        self.cont[(t, s)] = (None, 0)
-                    elif rule == CONTINUE:
-                        self.cont[(t, s)] = r
-                    else:
-                        idx = len(self.var_index)
-                        self.var_index[(t, s)] = idx
-                        self.cont[(t, s)] = (idx, 1)
+                rule = rules[(t, s)] if len(s) < params.k else STOP
+                if rule == ANY:
+                    var = self.var_index[(t, s)] = len(self.var_index)
+                    br.append(((var, scale), (r[0], -r[1])))
+                    anchor = (var, len(s))
+                below[ti].append(None if rule == STOP else anchor)
+                stop[ti].append(() if rule == CONTINUE else (r, (var, -scale)) if rule == ANY else (r,))
         self.n = n = len(self.var_index)
 
-        def as_row(terms: Iterable[tuple[int, _Term]]) -> tuple[list, Fraction]:
-            """The row of ``sum(sign * term) <= 0`` as (coefficients, rhs)."""
-            coeffs: list = [0] * (n + 1)  # the constant last
-            for sign, (var, value) in terms:
-                if value:  # Fraction + int is fast; int + Fraction and 0 + x are not
-                    j = n if var is None else var
-                    value = value if sign > 0 else -value
-                    coeffs[j] = value + coeffs[j] if coeffs[j] else value
+        def as_row(terms: Iterable[_Term]) -> tuple[list[int], int]:
+            """The row of ``sum(terms) <= 0`` as (coefficients, rhs)."""
+            coeffs = [0] * (n + 1)  # the constant last
+            for var, value in terms:
+                coeffs[n if var is None else var] += value
             return coeffs[:n], -coeffs[n]
 
-        # c <= reach at every free node
-        self._br_rows = [
-            as_row(((1, self.cont[node]), (-1, self.reach[node]))) for node in self.var_index
-        ]
+        self._br_rows = [as_row(terms) for terms in br]
         # High - Low mass per label, as the row "High - Low <= 0": the stop
-        # mass reach - c of each member, plus Category 1 mass at depth one
-        groups: dict[ScoreSeq, list[ScoreSeq]] = {}
-        for s in self.sequences:
-            groups.setdefault(_label_of(s, reporting), []).append(s)
-        cat1 = {StudentType.HIGH: params.phi * params.p, StudentType.LOW: params.phi * params.p_bar}
-        self._label_rows: list[tuple[ScoreSeq, tuple[list, Fraction]]] = []
-        for lab in sorted(groups, key=lambda s: (len(s), seq_str(s))):
-            terms = []
-            for s in groups[lab]:
-                for t, sign in ((StudentType.HIGH, 1), (StudentType.LOW, -1)):
-                    terms.append((sign, self.reach[(t, s)]))
-                    if len(s) < params.k:
-                        terms.append((-sign, self.cont[(t, s)]))
-                    if len(s) == 1:
-                        terms.append((sign, (None, cat1[t] * emit[(t, s[0])])))
+        # mass of each member, plus Category 1 mass at depth one
+        self._label_rows: list[tuple[ScoreSeq, tuple[list[int], int]]] = []
+        for lab, members, cat1 in layout.labels:
+            terms = [(None, cat1)]
+            for i in members:
+                for ti, sign in ((0, 1), (1, -1)):
+                    terms += [(var, sign * value) for var, value in stop[ti][i]]
             self._label_rows.append((lab, as_row(terms)))
         # labels whose row is not 0 <= 0, so that its sign changes the LP
         self._signed_labels = [lab for lab, (row, b) in self._label_rows if b or any(row)]
+        # a row with no variable holds for one accept bit only: 0 <= b when
+        # rejected, 0 <= -b when accepted; the label's forced bit is b < 0
+        self._forced = [(lab, b < 0) for lab, (row, b) in self._label_rows if b and not any(row)]
 
     def signs(self, accepted: Container[ScoreSeq]) -> tuple[bool, ...]:
         """The accept bits that change :meth:`rows`: equal signs, equal rows."""
         return tuple(lab in accepted for lab in self._signed_labels)
 
+    def refuses(self, accepted: Container[ScoreSeq]) -> bool:
+        """Whether a label's forced accept bit differs from the policy's, so
+        that one of its rows reads ``0 <= b`` with b negative."""
+        return any((lab in accepted) != bit for lab, bit in self._forced)
+
     def rows(self, accepted: Container[ScoreSeq]) -> tuple[list, list]:
-        """Rows (A_ub, b_ub) of one policy's equilibrium polytope: accepted
-        labels need High - Low >= 0, rejected ones <= 0."""
+        """Rows (A_ub, b_ub) of one policy's equilibrium polytope, times
+        ``scale``: accepted labels need High - Low >= 0, rejected ones <= 0."""
         a_ub = [row for row, _ in self._br_rows]
         b_ub = [b for _, b in self._br_rows]
         for lab, (row, b) in self._label_rows:
@@ -428,24 +468,26 @@ class _FlowSystem:
         return a_ub, b_ub
 
     def feasible(self, accepted: Container[ScoreSeq]) -> Optional[list[Fraction]]:
+        """A point of the policy's polytope, or None; a policy that
+        :meth:`refuses` is rejected without a solve."""
+        if self.refuses(accepted):
+            return None
+        if self.n == 0:  # every row is a label row with no variable
+            return []
         a_ub, b_ub = self.rows(accepted)
-        if self.n == 0:
-            return [] if all(b >= 0 for b in b_ub) else None
-        return _simplex.feasible_point(a_ub, b_ub, [], [], self.n)
+        return _simplex.feasible_point(a_ub, b_ub, [], [], self.n, scale=self.scale)
 
     def stops_from_point(self, x: Sequence[Fraction]) -> dict[tuple[StudentType, ScoreSeq], Fraction]:
         """Stop probabilities at reachable nodes; canonical values elsewhere."""
-        def mass(term: _Term) -> Fraction:
-            return term[1] if term[0] is None else term[1] * x[term[0]]
-
         stops: dict[tuple[StudentType, ScoreSeq], Fraction] = {}
-        for t in StudentType:
+        for t in _TYPES:
             for h in self.histories:
-                r = mass(self.reach[(t, h)])
+                var, value = self.reach[(t, h)]
+                r = value if var is None else value * x[var]
                 rule = self.rules[(t, h)]
-                if r > 0:
-                    stops[(t, h)] = 1 - mass(self.cont[(t, h)]) / r
-                else:
+                if rule == ANY and r > 0:
+                    stops[(t, h)] = 1 - Fraction(self.scale * x[self.var_index[(t, h)]]) / r
+                else:  # forced, or a free node that no mass reaches
                     stops[(t, h)] = Fraction(0) if rule == CONTINUE else Fraction(1)
         return stops
 
@@ -460,17 +502,18 @@ class _FlowSystem:
         reach(y, s) = 1, so one LP finds each end. None when no point of the
         polytope reaches the node.
         """
-        a_cc = [list(row) + [-b] for row, b in zip(a_ub, b_ub)]
-        b_cc = [Fraction(0)] * len(a_cc)
+        a_cc = [[*row, -b] for row, b in zip(a_ub, b_ub)]
+        b_cc = [0] * len(a_cc)
         var, value = self.reach[(t, h)]
-        reach = [Fraction(0)] * (self.n + 1)
+        reach = [0] * (self.n + 1)
         reach[self.n if var is None else var] = value
-        obj = [Fraction(0)] * (self.n + 1)
-        obj[self.var_index[(t, h)]] = Fraction(1)
-        lo = _simplex.solve(obj, a_cc, b_cc, [reach], [Fraction(1)], self.n + 1)
+        obj = [0] * (self.n + 1)
+        obj[self.var_index[(t, h)]] = 1
+        eq = ([reach], [self.scale])  # scale * reach = scale
+        lo = _simplex.solve(obj, a_cc, b_cc, *eq, self.n + 1, scale=self.scale)
         if lo.status != _simplex.OPTIMAL:
             return None
-        hi = _simplex.solve([-v for v in obj], a_cc, b_cc, [reach], [Fraction(1)], self.n + 1)
+        hi = _simplex.solve([-v for v in obj], a_cc, b_cc, *eq, self.n + 1, scale=self.scale)
         return 1 - (-hi.value), 1 - lo.value
 
 

@@ -9,7 +9,7 @@ import json
 import pytest
 
 import retesting.cli
-from retesting.cli import MAX_INTERVAL_K, MAX_K, SWEEP_COLUMNS, main
+from retesting.cli import MAX_INTERVAL_K, MAX_K, MAX_SIM_N, SWEEP_COLUMNS, main
 from retesting.search import _subtree_induction
 
 
@@ -224,6 +224,20 @@ class TestEnumerate:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv, digest", [
+        # family intervals: the scaled Charnes-Cooper LPs at k=4
+        (["--scope", "report-all:b-then-a-run", "--k", "4", "--intervals"],
+         "0692b2289d4596cb2a2d0c9b983226dadcb2a9aa8a1af9ce1c4008657cf1d658"),
+        # best-score reporting over the whole k=8 tree
+        (["--scope", "report-max", "--k", "8", "--no-intervals"],
+         "7eacca14583434e2fd9467641c851e4cbc992a0ba15cbef69e98fa9bc0a8ef39"),
+    ])
+    def test_deep_paths_bytes_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "enumerate", "--alpha", "0.613", "--p", "0.5", "--phi", "0.5",
+                           *argv, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_scope_too_large_guidance(self, capsys):
         code, _, err = run(capsys, "enumerate", "--alpha", "0.8", "--p", "0.3",
                            "--phi", "0.5", "--k", "4")
@@ -270,6 +284,33 @@ class TestSimulate:
                            "--class", "non-first-score:3", "--n", "20000", "--seed", "3")
         assert code == 0
         assert "FAIL" not in out
+
+
+class TestSimulateLimit:
+    ARGV = ["simulate", "--alpha", "0.8", "--p", "0.3", "--phi", "0.5", "--k", "3",
+            "--policy", "all", "--class", "first-score", "--seed", "1", "--n"]
+
+    def test_above_limit_refused_before_any_draw(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate ran with n above the limit")
+
+        monkeypatch.setattr(retesting.cli, "simulate", refuse)
+        assert MAX_SIM_N == 10**7
+        code, _, err = run(capsys, *self.ARGV, str(MAX_SIM_N + 1))
+        assert code == 2
+        assert f"limit of {MAX_SIM_N}" in err
+
+    def test_at_limit_reaches_simulate(self, capsys, monkeypatch):
+        seen = []
+
+        def record(config):
+            seen.append(config.n)
+            raise RuntimeError("stop before drawing")
+
+        monkeypatch.setattr(retesting.cli, "simulate", record)
+        with pytest.raises(RuntimeError):
+            main([*self.ARGV, str(MAX_SIM_N)])
+        assert seen == [MAX_SIM_N]
 
 
 class TestTables:

@@ -477,13 +477,65 @@ class TestGroupedCensus:
         calls = []
         solve = _simplex.solve
 
-        def counting(c, a_ub, b_ub, a_eq, b_eq, n):
+        def counting(c, a_ub, b_ub, a_eq, b_eq, n, scale=None):
             calls.append(n)
-            return solve(c, a_ub, b_ub, a_eq, b_eq, n)
+            return solve(c, a_ub, b_ub, a_eq, b_eq, n, scale=scale)
 
         monkeypatch.setattr(_simplex, "solve", counting)
         params = ModelParams(p=Fraction(9, 20), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
         enumeration = enumerate_outcomes(params, "report-all")
         assert enumeration.classes
-        # 36 distinct LPs per first score; one solve per policy would be 144
-        assert 0 < len(calls) <= 72
+        # 36 distinct LPs per first score, 40 of the 72 refused by the
+        # forced-label screen; one solve per policy would be 144
+        assert 0 < len(calls) <= 32
+
+
+class TestForcedLabelScreen:
+    """A label row with no variable and a nonzero constant holds for one
+    accept bit only, so :meth:`_FlowSystem.refuses` rules out a pattern with
+    the other bit before any solve. The screen reads only the LP rows; every
+    pattern it refuses must be one the simplex finds infeasible."""
+
+    @staticmethod
+    def check(system, accepted, counts):
+        a_ub, b_ub = system.rows(accepted)
+        solved = _simplex.solve([0] * system.n, a_ub, b_ub, [], [], system.n, scale=system.scale)
+        if system.refuses(accepted):
+            assert solved.status == _simplex.INFEASIBLE
+            counts["refused"] += 1
+        assert (system.feasible(accepted) is None) == (solved.status == _simplex.INFEASIBLE)
+        counts["patterns"] += 1
+
+    def census(self, params, counts):
+        """Every accept pattern of both first-score subtrees, as the census
+        builds them."""
+        for first in Score:
+            for pattern in _subtree_induction(params.alpha, params.k, first):
+                system = _FlowSystem(params, pattern.rules, _subtree(first, params.k), Reporting.ALL)
+                self.check(system, pattern.accepted, counts)
+
+    @pytest.mark.parametrize("alpha", [Fraction(3, 5), Fraction(4, 5)])
+    @pytest.mark.parametrize("p", [Fraction(1, 5), Fraction(1, 2), Fraction(17, 20)])
+    @pytest.mark.parametrize("phi", [Fraction(0), Fraction(1, 2), Fraction(1)])
+    def test_every_k2_pattern(self, alpha, p, phi):
+        params = ModelParams(p=p, alpha=alpha, phi=phi, k=2)
+        counts = {"refused": 0, "patterns": 0}
+        self.census(params, counts)
+        for bits in range(1 << 6):
+            policy = policy_from_bits(2, bits)
+            rules = best_response(params, policy).rules
+            for reporting in Reporting:
+                system = _FlowSystem(params, rules, all_sequences(2), reporting)
+                self.check(system, policy.accepted, counts)
+        assert counts["patterns"] == 2 * 8 + 2 * 64
+        assert counts["refused"] > 0
+
+    @pytest.mark.parametrize(
+        "alpha, p", [(Fraction(4, 5), Fraction(9, 20)), (Fraction(3, 5), Fraction(3, 4))]
+    )
+    def test_every_k3_subtree_pattern(self, alpha, p):
+        params = ModelParams(p=p, alpha=alpha, phi=Fraction(1, 2), k=3)
+        counts = {"refused": 0, "patterns": 0}
+        self.census(params, counts)
+        assert counts["patterns"] == 2 * 128
+        assert counts["refused"] > 0

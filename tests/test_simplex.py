@@ -7,6 +7,7 @@ pivots, so status, point, value and pivot count all have to agree.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 import pytest
@@ -106,11 +107,28 @@ def reference_solve(c, a_ub, b_ub, a_eq, b_eq, n) -> _simplex.LPResult:
     return _simplex.LPResult("optimal", x, -obj[-1], pivots)
 
 
-def assert_same(args) -> _simplex.LPResult:
-    got = _simplex.solve(*args)
-    want = reference_solve(*args)
-    assert (got.status, got.x, got.value, got.pivots) == (want.status, want.x, want.value, want.pivots)
+def outcome(res: _simplex.LPResult) -> tuple:
+    return res.status, res.x, res.value, res.pivots
+
+
+def assert_same(args, scale=None) -> _simplex.LPResult:
+    """The kernel on ``args`` against the reference on the rational LP, which
+    is ``args`` divided by ``scale`` when that is given."""
+    got = _simplex.solve(*args, scale=scale)
+    assert outcome(got) == outcome(reference_solve(*unscaled(args, scale)))
     return got
+
+
+def unscaled(lp: tuple, scale=None) -> tuple:
+    """The rational LP of integer rows over ``scale`` (the cost stays)."""
+    if scale is None:
+        return lp
+    c, a_ub, b_ub, a_eq, b_eq, n = lp
+
+    def div(values):
+        return [Fraction(v, scale) for v in values]
+
+    return c, [div(row) for row in a_ub], div(b_ub), [div(row) for row in a_eq], div(b_eq), n
 
 
 def _value(rng: random.Random, zero_share: float) -> Fraction:
@@ -156,6 +174,23 @@ def test_random_lps_match_reference():
     assert mixed >= 1000 and pivots >= 2000
 
 
+def test_scaled_integer_rows_solve_as_rational_rows():
+    """``solve(D * lp, scale=D)`` is ``solve(lp)``: same status, point, value
+    and pivots, for the least common D and for a multiple of it."""
+    rng = random.Random(20212)
+    for i in range(2000):
+        c, a_ub, b_ub, a_eq, b_eq, n = lp = random_lp(rng)
+        rows = [*a_ub, *a_eq, b_ub, b_eq]
+        d = math.lcm(1, *(Fraction(v).denominator for row in rows for v in row))
+        d *= rng.choice((1, 1, 2, 6, 35))
+
+        def times(values):
+            return [int(v * d) for v in values]
+
+        scaled = (c, [times(r) for r in a_ub], times(b_ub), [times(r) for r in a_eq], times(b_eq), n)
+        assert outcome(_simplex.solve(*scaled, scale=d)) == outcome(_simplex.solve(*lp)), i
+
+
 def test_phase1_objective_uses_rational_rows():
     # -x + y = 1 and x + y/3 = 1/3, scales 1 and 3: the rational phase-1
     # costs (0, -4/3) enter y alone, where the scaled rows' sum (-2, -2)
@@ -179,9 +214,9 @@ def _census_lps(monkeypatch, params: ModelParams) -> list[tuple]:
     lps = []
     solve = _simplex.solve
 
-    def recording(*args):
-        lps.append(args)
-        return solve(*args)
+    def recording(*args, scale=None):
+        lps.append((args, scale))
+        return solve(*args, scale=scale)
 
     monkeypatch.setattr(_simplex, "solve", recording)
     for scope, reporting in (("report-all", Reporting.ALL), ("report-max", Reporting.MAX)):
@@ -196,9 +231,10 @@ def test_census_lps_match_reference(monkeypatch, alpha, p):
     _subtree_induction.cache_clear()
     lps = _census_lps(monkeypatch, ModelParams(p=p, alpha=alpha, phi=Fraction(1, 2), k=3))
     assert len(lps) > 40
-    assert any(any(c) for c, *_ in lps)  # the interval LPs optimise
-    for lp in lps:
-        assert_same(lp)
+    assert any(any(c) for (c, *_), _ in lps)  # the interval LPs optimise
+    assert all(scale for _, scale in lps)  # every flow LP has integer rows
+    for lp, scale in lps:
+        assert_same(lp, scale)
 
 
 def test_flow_rows_by_hand():
@@ -211,6 +247,9 @@ def test_flow_rows_by_hand():
     assert system.n == 12
     a_ub, b_ub = system.rows(policy.accepted)
     assert len(a_ub) == 12 + 14
+    assert system.scale == 2 * 2 * 5**3  # den(p) den(phi) den(alpha)^k
+    a_ub = [[Fraction(v, system.scale) for v in r] for r in a_ub]
+    b_ub = [Fraction(b, system.scale) for b in b_ub]
 
     def row(**coeffs: Fraction) -> list:
         out = [0] * 12
