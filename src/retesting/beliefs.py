@@ -91,7 +91,5 @@ def prefix_belief(params: ModelParams, strategy: StudentStrategy, prefix: ScoreS
 
 def posterior_max(params: ModelParams, best: Score) -> Fraction:
     """Pr(High | best score) when Category 2 retakes until an A (up to k)."""
-    dist = max_score_distribution(params)
-    high = dist.type_mass(StudentType.HIGH, (best,))
-    low = dist.type_mass(StudentType.LOW, (best,))
-    return high / (high + low)
+    # both best scores always carry mass, so this is never OFF_PATH
+    return posterior_from_distribution(max_score_distribution(params), (best,))

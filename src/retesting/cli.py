@@ -432,8 +432,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               report.cohort_totals["(1,L)"])
     add_check("fpr_cat2", report.fpr["cat2"], analytic.fpr[Category.CAT2],
               report.cohort_totals["(2,L)"])
-    add_check("ppv", report.ppv, analytic.ppv, report.n)
-    add_check("npv", report.npv, analytic.npv, report.n)
+    # ppv is a rate over the admitted students, npv over the rejected ones
+    admitted = sum(report.admitted.values())
+    add_check("ppv", report.ppv, analytic.ppv, admitted)
+    add_check("npv", report.npv, analytic.npv, report.n - admitted)
 
     if args.format == "json":
         payload = {

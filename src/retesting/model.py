@@ -5,6 +5,10 @@ All probabilities are kept as exact ``fractions.Fraction`` values so that
 downstream equilibrium checks can detect posterior ties (probability exactly
 one half) without tolerances. Floats passed to constructors are interpreted
 through their decimal representation, so ``alpha=0.8`` means exactly 4/5.
+
+:func:`all_sequences` numbers the game tree once for every module: node i is
+the i-th history in (length, string) order, with children 2i+2 (A) and 2i+3
+(B). ``ScoreSeq`` stays the type at every public edge.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from functools import lru_cache
+from typing import Mapping, Union
 
 from .errors import MissingStrategyEntry
 
@@ -59,12 +64,20 @@ def seq_str(s: ScoreSeq) -> str:
     return "".join(x.value for x in s)
 
 
-def all_sequences(k: int) -> Iterator[ScoreSeq]:
-    """Every reportable score sequence of length 1..k, shortest first."""
+@lru_cache(maxsize=32)
+def all_sequences(k: int) -> tuple[ScoreSeq, ...]:
+    """Every reportable score sequence of length 1..k: the nodes of the game
+    tree, numbered in (length, string) order.
+
+    Node i's children are nodes 2i+2 (A) and 2i+3 (B), so the node of a
+    length-L history with A = 0, B = 1 bits ``code`` is 2^L - 2 + code.
+    """
     frontier: list[ScoreSeq] = [()]
+    nodes: list[ScoreSeq] = []
     for _ in range(k):
         frontier = [h + (s,) for h in frontier for s in Score]
-        yield from frontier
+        nodes += frontier
+    return tuple(nodes)
 
 
 def best_score(s: ScoreSeq) -> Score:
@@ -251,16 +264,15 @@ class OutcomeDistribution:
         return self.mass(cohort, s) * cohort.mass(self.params)
 
     def sequences(self) -> list[ScoreSeq]:
-        seen: set[ScoreSeq] = set()
-        for row in self.conditional.values():
-            seen.update(row)
-        return sorted(seen, key=lambda s: (len(s), seq_str(s)))
+        """The reported sequences, in node order."""
+        rows = self.conditional.values()
+        return [s for s in all_sequences(self.params.k) if any(s in row for row in rows)]
 
     def type_mass(self, type_: StudentType, s: ScoreSeq) -> Fraction:
         """Unconditional mass of the given type reporting ``s`` (both categories)."""
         total = Fraction(0)
         for cohort in COHORTS:
-            if cohort.type_ is type_:
+            if cohort.type_ is type_ and s in self.conditional[cohort]:  # unreported: no mass
                 total += self.weighted(cohort, s)
         return total
 
@@ -284,22 +296,20 @@ def outcome_distribution(params: ModelParams, strategy: StudentStrategy) -> Outc
 def _cat2_conditional(
     params: ModelParams, strategy: StudentStrategy, type_: StudentType
 ) -> dict[ScoreSeq, Fraction]:
+    """One pass over the game tree's nodes, parents before children."""
     masses: dict[ScoreSeq, Fraction] = {}
-    # reach[h]: probability of arriving at history h without having stopped
-    reach: dict[ScoreSeq, Fraction] = {
-        (s,): params.emit(type_, s) for s in Score
-    }
-    for length in range(1, params.k + 1):
-        next_reach: dict[ScoreSeq, Fraction] = {}
-        for h, r in reach.items():
-            if r == 0:
-                continue
-            f = strategy.stop_prob(type_, h, params.k)
-            masses[h] = masses.get(h, Fraction(0)) + r * f
-            if length < params.k and f < 1:
-                for s in Score:
-                    next_reach[h + (s,)] = r * (1 - f) * params.emit(type_, s)
-        reach = next_reach
+    emit = (params.emit(type_, Score.A), params.emit(type_, Score.B))
+    nodes = all_sequences(params.k)
+    # reach[i]: probability of arriving at node i without having stopped
+    reach = [*emit] + [0] * (len(nodes) - 2)
+    for i, h in enumerate(nodes):
+        r = reach[i]
+        if r == 0:
+            continue
+        f = strategy.stop_prob(type_, h, params.k)
+        masses[h] = r * f
+        if f < 1 and len(h) < params.k:
+            reach[2 * i + 2], reach[2 * i + 3] = (r * (1 - f) * e for e in emit)
     return masses
 
 

@@ -16,7 +16,9 @@ bit is infeasible, which is decided from the rows without a solve.
 Best responses come from one bottom-up induction per first-score subtree:
 each history combines the results of its two children with its own accept
 bit, for every accept pattern of the subtree at once (the census) or for one
-policy's pattern (:func:`best_response`).
+policy's pattern (:func:`best_response`). Tables and layouts are lists in the
+node order of :func:`retesting.model.all_sequences`. The verifier reads each
+report's posterior through :func:`retesting.beliefs.posterior_from_distribution`.
 
 The report-all census groups subtree policies by best-response rule pattern,
 one flow system each, and solves each distinct LP once. This is exact: every
@@ -30,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import _simplex
+from .beliefs import OFF_PATH, posterior_from_distribution
 from .equilibria import (
     ACCEPT_ALL,
     FIRST_SCORE,
@@ -57,6 +60,7 @@ from .model import (
     admission_key,
     all_sequences,
     best_score,
+    best_score_projection,
     outcome_distribution,
     seq_str,
 )
@@ -64,8 +68,6 @@ from .model import (
 STOP = "stop"
 CONTINUE = "continue"
 ANY = "any"
-
-ExactOrTol = Union[str, float]
 
 # The largest k whose report-all census enumerates every accept pattern.
 EXHAUSTIVE_MAX_K = 3
@@ -107,9 +109,9 @@ def best_response(params: ModelParams, policy: AdmissionPolicy) -> BestResponseS
     for first in Score:
         seqs = _subtree(first, params.k)
         tables = _induction(params.alpha, params.k, first, policy.accepted)
-        ((_, _, _, code),) = tables[(first,)]
+        ((_, _, _, code),) = tables[0]
         rules.update(_rules_of(code, seqs, params.k))
-        for h, ((_, high, low, _),) in tables.items():
+        for h, ((_, high, low, _),) in zip(seqs, tables):
             scale = params.alpha.denominator ** (params.k - len(h))
             values[(StudentType.HIGH, h)] = Fraction(high, scale)
             values[(StudentType.LOW, h)] = Fraction(low, scale)
@@ -118,7 +120,8 @@ def best_response(params: ModelParams, policy: AdmissionPolicy) -> BestResponseS
 
 @lru_cache(maxsize=32)
 def _subtree(first: Score, k: int) -> tuple[ScoreSeq, ...]:
-    """The sequences of length 1..k that start with ``first``, shortest first."""
+    """The sequences of length 1..k that start with ``first``, in node order:
+    the j-th has children 2j+1 (A) and 2j+2 (B)."""
     return tuple(s for s in all_sequences(k) if s[0] is first)
 
 
@@ -141,11 +144,11 @@ _Entry = tuple[int, int, int, int]
 
 def _induction(
     alpha: Fraction, k: int, first: Score, accepted: Optional[Container[ScoreSeq]] = None
-) -> dict[ScoreSeq, list[_Entry]]:
+) -> list[list[_Entry]]:
     """Bottom-up backward induction on one first-score subtree, for every
     accept pattern at once (``accepted`` None) or for the one pattern of
-    ``accepted``; the table of each history holds one entry per accept
-    pattern of the subtree rooted there.
+    ``accepted``; the table of the i-th history of :func:`_subtree` holds one
+    entry per accept pattern of the subtree rooted there.
 
     Stopping yields the accept bit of the current history; continuing yields
     the emission-weighted values of the A-child and B-child entries, so every
@@ -154,17 +157,17 @@ def _induction(
     """
     seqs = _subtree(first, k)
     n, d = alpha.numerator, alpha.denominator
-    tables: dict[ScoreSeq, list[_Entry]] = {}
+    tables: list[list[_Entry]] = [[] for _ in seqs]
     for i in reversed(range(len(seqs))):  # children before parents
         h = seqs[i]
         own = (0, 1 << i) if accepted is None else ((1 << i) * (h in accepted),)
         if len(h) == k:
-            tables[h] = [(bit, int(bit > 0), int(bit > 0), 0) for bit in own]
+            tables[i] = [(bit, int(bit > 0), int(bit > 0), 0) for bit in own]
             continue
         scale = d ** (k - len(h))
-        table = tables[h] = []
-        for a_bits, a_high, a_low, a_code in tables[h + (Score.A,)]:
-            for b_bits, b_high, b_low, b_code in tables[h + (Score.B,)]:
+        table = tables[i]
+        for a_bits, a_high, a_low, a_code in tables[2 * i + 1]:
+            for b_bits, b_high, b_low, b_code in tables[2 * i + 2]:
                 high = n * a_high + (d - n) * b_high
                 low = (d - n) * a_low + n * b_low
                 for bit in own:
@@ -209,7 +212,7 @@ def _subtree_induction(alpha: Fraction, k: int, first: Score) -> tuple[_Pattern,
     values: dict[tuple[int, int], dict] = {}
     rules: dict[int, dict] = {}
     patterns = []
-    for bits, high, low, code in sorted(_induction(alpha, k, first)[(first,)]):
+    for bits, high, low, code in sorted(_induction(alpha, k, first)[0]):
         if (high, low) not in values:
             values[(high, low)] = {
                 (StudentType.HIGH, (first,)): Fraction(high, scale),
@@ -243,32 +246,15 @@ class Verdict:
         return self.ok
 
 
-def _labels(policy_k: int, reporting: Reporting) -> list[ScoreSeq]:
-    if reporting is Reporting.MAX:
-        return [(Score.A,), (Score.B,)]
-    return list(all_sequences(policy_k))
-
-
-def _label_of(s: ScoreSeq, reporting: Reporting) -> ScoreSeq:
-    return (best_score(s),) if reporting is Reporting.MAX else s
-
-
-def verify_equilibrium(
-    params: ModelParams, profile: EquilibriumProfile, mode: ExactOrTol = "exact"
-) -> Verdict:
+def verify_equilibrium(params: ModelParams, profile: EquilibriumProfile) -> Verdict:
     """Check a profile against the best-response and posterior conditions.
 
     Passing requires (a) every stop probability to lie in the admissible
     best-response set, and (b) every positive-mass report to satisfy the
-    acceptance rule: accepted reports carry posterior >= 1/2, rejected ones
-    <= 1/2 (ties may go either way). Zero-mass reports are recorded, never
-    failed: any supporting belief is allowed there.
-
-    ``mode`` is "exact" for rational comparison or a float tolerance on the
-    posterior distance from 1/2.
+    acceptance rule, compared exactly: accepted reports carry posterior
+    >= 1/2, rejected ones <= 1/2 (ties may go either way). Zero-mass reports
+    are recorded, never failed: any supporting belief is allowed there.
     """
-    if mode != "exact" and not isinstance(mode, float):
-        raise ValueError("mode must be 'exact' or a float tolerance")
     if profile.reporting is Reporting.MAX and not profile.policy.is_max_measurable():
         raise MalformedProfile("best-score reporting requires a max-measurable policy")
     try:
@@ -290,35 +276,23 @@ def verify_equilibrium(
     except MissingStrategyEntry as exc:
         raise MalformedProfile(str(exc)) from exc
 
-    high: dict[ScoreSeq, Fraction] = {}
-    low: dict[ScoreSeq, Fraction] = {}
-    for s in dist.sequences():
-        lab = _label_of(s, profile.reporting)
-        high[lab] = high.get(lab, Fraction(0)) + dist.type_mass(StudentType.HIGH, s)
-        low[lab] = low.get(lab, Fraction(0)) + dist.type_mass(StudentType.LOW, s)
-
+    labels = all_sequences(params.k)
+    if profile.reporting is Reporting.MAX:  # best-score reports are the depth-one nodes
+        dist, labels = best_score_projection(dist), all_sequences(1)
     off_path: list[ScoreSeq] = []
-    for lab in _labels(params.k, profile.reporting):
-        h_mass = high.get(lab, Fraction(0))
-        l_mass = low.get(lab, Fraction(0))
-        total = h_mass + l_mass
-        if total == 0:
+    for lab in labels:
+        post = posterior_from_distribution(dist, lab)
+        if post is OFF_PATH:
             off_path.append(lab)
             continue
         accepts = profile.policy.accepts(lab)
-        if mode == "exact":
-            bad = (accepts and h_mass < l_mass) or (not accepts and h_mass > l_mass)
-        else:
-            post = float(h_mass) / float(total)
-            bad = (accepts and post < 0.5 - mode) or (not accepts and post > 0.5 + mode)
-        if bad:
-            post_f = h_mass / total
+        if (post < Fraction(1, 2)) if accepts else (post > Fraction(1, 2)):
             want = ">= 1/2" if accepts else "<= 1/2"
             violations.append(
                 Violation(
                     kind="posterior_rule",
                     where=seq_str(lab),
-                    detail=f"posterior {post_f} ({float(post_f):.6f}) must be {want}",
+                    detail=f"posterior {post} ({float(post):.6f}) must be {want}",
                 )
             )
     return Verdict(ok=not violations, violations=tuple(violations), off_path=tuple(off_path))
@@ -341,18 +315,19 @@ class _Layout(NamedTuple):
     den(p) den(phi) den(alpha)^k."""
 
     scale: int
-    sequences: tuple[ScoreSeq, ...]  # in (length, string) order
+    sequences: tuple[ScoreSeq, ...]  # in node order
     parents: tuple[int, ...]  # index of each sequence's parent, -1 at depth one
     # reach[t][i][d]: mass of type t reaching sequence i per unit continuing
     # at its depth-d ancestor; d = 0 is the constant mass of an unbroken path
     reach: tuple[tuple[tuple[int, ...], ...], ...]
-    # sorted labels, each with its member indices and Category 1 High - Low mass
+    # labels in node order, each with its member indices and Category 1 High - Low mass
     labels: tuple[tuple[ScoreSeq, tuple[int, ...], int], ...]
 
 
 @lru_cache(maxsize=8)  # a census point uses up to four trees
-def _layout(params: ModelParams, sequences: tuple[ScoreSeq, ...], reporting: Reporting) -> _Layout:
-    seqs = tuple(sorted(sequences, key=lambda s: (len(s), seq_str(s))))
+def _layout(params: ModelParams, seqs: tuple[ScoreSeq, ...], reporting: Reporting) -> _Layout:
+    """The layout of the tree ``seqs``, given in node order (all of
+    :func:`all_sequences` or one :func:`_subtree`)."""
     index = {s: i for i, s in enumerate(seqs)}
     parents = tuple(index[s[:-1]] if len(s) > 1 else -1 for s in seqs)
     den, den_pphi = params.alpha.denominator ** params.k, params.p.denominator * params.phi.denominator
@@ -368,11 +343,10 @@ def _layout(params: ModelParams, sequences: tuple[ScoreSeq, ...], reporting: Rep
                 cat1[i] += sign * int(params.phi * share * den_pphi) * e
             else:  # one more emission on the path from every ancestor, and the parent's unit
                 masses.append((*(m * e // den for m in masses[j]), den_pphi * e))
-    groups: dict[ScoreSeq, list[int]] = {}
+    groups: dict[ScoreSeq, list[int]] = {}  # labels come first in node order: sorted
     for i, s in enumerate(seqs):
-        groups.setdefault(_label_of(s, reporting), []).append(i)
-    labels = tuple((lab, tuple(groups[lab]), sum(cat1[i] for i in groups[lab]))
-                   for lab in sorted(groups, key=lambda s: (len(s), seq_str(s))))
+        groups.setdefault((best_score(s),) if reporting is Reporting.MAX else s, []).append(i)
+    labels = tuple((lab, tuple(members), sum(cat1[i] for i in members)) for lab, members in groups.items())
     return _Layout(den_pphi * den, seqs, parents, tuple(map(tuple, reach)), labels)
 
 
@@ -615,7 +589,7 @@ def _new_class(
     label = _classify(params, admit, reporting)
     strategy = StudentStrategy(stops)
     witness = EquilibriumProfile(policy=policy, strategy=strategy, label=label, reporting=reporting)
-    verified = verify_equilibrium(params, witness, mode="exact").ok
+    verified = verify_equilibrium(params, witness).ok
     return OutcomeClass(admit, label, witness, policies=[], verified=verified)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -270,6 +271,22 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["profile_verified"] is True
         assert all(c["pass"] for c in payload["checks"] if c["pass"] is not None)
+
+    def test_ppv_and_npv_tolerances_over_admitted_and_rejected(self, capsys):
+        # ppv is a rate over the admitted students, npv over the rejected; a
+        # tolerance over all n failed ppv here on a verified profile
+        code, out, _ = run(capsys, "simulate", "--alpha", "0.8", "--p", "0.3",
+                           "--phi", "0.5", "--k", "2", "--policy", "all",
+                           "--class", "first-score", "--n", "100000", "--seed", "106",
+                           "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert all(c["pass"] is True for c in payload["checks"])
+        checks = {c["metric"]: c for c in payload["checks"]}
+        admitted = sum(payload["empirical"]["admitted"].values())
+        for metric, count in (("ppv", admitted), ("npv", payload["empirical"]["n"] - admitted)):
+            c = checks[metric]["closed_form"]
+            assert checks[metric]["tolerance"] == 4 * math.sqrt(c * (1 - c) / count)
 
     def test_unconstructible_profile_explained(self, capsys):
         code, _, err = run(capsys, "simulate", "--alpha", "0.8", "--p", "0.1",

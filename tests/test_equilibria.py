@@ -316,4 +316,4 @@ class TestClosedFormProfiles:
             profiles = closed_form_profiles(params)
             assert [(pr.label, pr.n) for pr in profiles] == expected, p
             for profile in profiles:
-                assert verify_equilibrium(params, profile, mode="exact").ok, (p, profile.label)
+                assert verify_equilibrium(params, profile).ok, (p, profile.label)

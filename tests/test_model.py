@@ -24,6 +24,7 @@ from retesting import (
     seq,
     seq_str,
 )
+from retesting.cli import MAX_K
 from retesting.model import all_sequences
 
 
@@ -88,6 +89,19 @@ class TestModelParams:
 
     def test_as_fraction_string(self):
         assert as_fraction("0.55") == Fraction(11, 20)
+
+
+class TestNodeOrder:
+    @pytest.mark.parametrize("k", range(1, MAX_K + 1))
+    def test_all_sequences_numbers_the_tree(self, k):
+        nodes = all_sequences(k)
+        assert list(nodes) == sorted(nodes, key=lambda s: (len(s), seq_str(s)))
+        assert len(nodes) == 2 ** (k + 1) - 2
+        for i, h in enumerate(nodes):
+            if len(h) < k:
+                assert (nodes[2 * i + 2], nodes[2 * i + 3]) == (h + (Score.A,), h + (Score.B,))
+            else:
+                assert 2 * i + 2 >= len(nodes)
 
 
 class TestOutcomeDistribution:

@@ -34,6 +34,7 @@ from retesting import (
     verify_equilibrium,
 )
 from retesting import _simplex
+from retesting.cli import MAX_K
 from retesting.equilibria import EquilibriumProfile
 from retesting import search
 from retesting.search import (
@@ -179,6 +180,17 @@ class TestEveryPatternInduction:
         enumerate_outcomes(params, "report-all")
         assert _subtree_induction.cache_info().misses == 2
 
+    @pytest.mark.parametrize("k", range(1, MAX_K + 1))
+    def test_subtree_node_order(self, k):
+        for first in Score:
+            seqs = _subtree(first, k)
+            assert seqs[0] == (first,) and len(seqs) == 2**k - 1
+            for j, h in enumerate(seqs):
+                if len(h) < k:
+                    assert (seqs[2 * j + 1], seqs[2 * j + 2]) == (h + (Score.A,), h + (Score.B,))
+                else:
+                    assert 2 * j + 1 >= len(seqs)
+
     def test_table_above_limit_refused_before_any_work(self, monkeypatch):
         def no_induction(*args, **kwargs):
             raise AssertionError("induction ran")
@@ -200,12 +212,8 @@ class TestEveryPatternInduction:
 class TestVerify:
     def test_constructor_output_passes(self):
         profile = construct_first_score_equilibrium(PARAMS)
-        verdict = verify_equilibrium(PARAMS, profile, mode="exact")
+        verdict = verify_equilibrium(PARAMS, profile)
         assert verdict.ok and not verdict.violations
-
-    def test_tolerance_mode(self):
-        profile = construct_first_score_equilibrium(PARAMS)
-        assert verify_equilibrium(PARAMS, profile, mode=1e-9).ok
 
     def test_doctored_on_path_rule_violation(self):
         # accept {A, AB} while both types always retake after an A: AB gets

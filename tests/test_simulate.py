@@ -1,7 +1,8 @@
-"""Monte Carlo simulation: determinism, substream partitioning, convergence."""
+"""Monte Carlo simulation: determinism, pinned reports, convergence."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -13,8 +14,10 @@ from retesting import (
     ModelParams,
     SimConfig,
     construct_first_score_equilibrium,
+    construct_non_first_score_equilibrium,
     fairness_report,
     outcome_distribution,
+    report_max_reject_all,
     report_max_separating,
     seq_str,
     simulate,
@@ -22,6 +25,36 @@ from retesting import (
 from retesting.model import COHORTS
 
 PARAMS = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=2)
+
+
+# sha256 of the report bytes per (profile, k, seed) at n=20000, alpha 0.8,
+# phi 0.5 and p 0.5; the reject-all witness exists at k=2 only, at p 0.25
+PINNED_REPORTS = {
+    ('separating', 1, 1): "546ba8e6acd8efd453f0300934200dd82818ad79bf18434d0fce791edfabd609",
+    ('separating', 1, 2): "2c07782db4480e1809c2fe2d00eb8ae7d2774d0b3b6636bd719d4aba3a4ce095",
+    ('first-score', 1, 1): "546ba8e6acd8efd453f0300934200dd82818ad79bf18434d0fce791edfabd609",
+    ('first-score', 1, 2): "2c07782db4480e1809c2fe2d00eb8ae7d2774d0b3b6636bd719d4aba3a4ce095",
+    ('separating', 2, 1): "8fb5f0b900a92c459540683c2be7ee2344bc80d33267f559b59729bc8c969f30",
+    ('separating', 2, 2): "9eb549ec8e4e103eaed1a6dd46b031e1ede6afe4f55ac9511d962400f70c8913",
+    ('first-score', 2, 1): "4eb937832683405341b7f72d493c1dd251298f6391225498102fab189bef4a6b",
+    ('first-score', 2, 2): "da5a0586090c9e0e273cddc067aa5fe9b25a4df23dea382f25ef1a256a9aaebd",
+    ('reject-all', 2, 1): "32141dc70bd77ae7add5a1f02158395189552dd67abf53c879d4179cf7869831",
+    ('reject-all', 2, 2): "76b630f99b7a23db8cbab6f3519284b958fa2aed158b4fb03d4104209752380e",
+    ('non-first-score', 2, 1): "8fb5f0b900a92c459540683c2be7ee2344bc80d33267f559b59729bc8c969f30",
+    ('non-first-score', 2, 2): "9eb549ec8e4e103eaed1a6dd46b031e1ede6afe4f55ac9511d962400f70c8913",
+    ('separating', 3, 1): "33838ff1b63b08df42df7fb868bd430adc3fd8f855bc00591145dd08d4ab76d1",
+    ('separating', 3, 2): "cdf4b60b38197427c29d19f65b75a3837c22625b2f5a2fb73eb735307a2aec2f",
+    ('first-score', 3, 1): "8a3bc1bbf2ed86d4bc85f933c14c9be6928b82cf3f3f43ec6c7ee891d73fb568",
+    ('first-score', 3, 2): "647ff66e75e15fbf97bbc0e2dbfce0c131a85e3b5d2609dcbb07d4e891df897a",
+    ('non-first-score', 3, 1): "f6ee5ebdeac14bfd12e110e9cbdeebf74c7d560ce762b0b4c53fd210f4c5cbdf",
+    ('non-first-score', 3, 2): "f91855f72b40a7640b6cd2e9051e046c448f752c43e0110517461f599f074700",
+    ('separating', 4, 1): "eeac31b441193c0a706f9c4184f816111213d55b6f70a6526805b98dddcebb44",
+    ('separating', 4, 2): "30f77bdb35e7597ae422c9ea2b1b27dcdd54394187a6f1e6462de896b01327dd",
+    ('first-score', 4, 1): "a432132eeec4709641c1395b2fdc20dbdeaafa6ad50cef42293b1a6f79208e83",
+    ('first-score', 4, 2): "0d899f4745bfe09962ee02d033169090f0230434901e65b3a024c62ea613ce81",
+    ('non-first-score', 4, 1): "ed958755ab5ecf7c4097e99ad2684c8361dd843daf8808dd0e289214dc1d62f5",
+    ('non-first-score', 4, 2): "8edbe133e5125c57385c3b90d766c12fb0989cd57fdb9ac6492c3c1ad97223d3",
+}
 
 
 def first_score_config(n=200_000, seed=7) -> SimConfig:
@@ -41,10 +74,19 @@ class TestDeterminism:
         b = simulate(first_score_config(seed=2)).to_json()
         assert a != b
 
-    def test_partition_independent_aggregation(self):
-        whole = simulate(first_score_config(n=50_000), chunks=1).to_json()
-        split = simulate(first_score_config(n=50_000), chunks=7).to_json()
-        assert whole == split
+    @pytest.mark.parametrize("name,k,seed", sorted(PINNED_REPORTS))
+    def test_report_bytes_pinned(self, name, k, seed):
+        params = ModelParams(p="0.25" if name == "reject-all" else "0.5", alpha=0.8, phi=0.5, k=k)
+        if name == "separating":
+            profile = report_max_separating(params)
+        elif name == "first-score":
+            profile = construct_first_score_equilibrium(params)
+        elif name == "reject-all":
+            profile = report_max_reject_all(params).witness()
+        else:
+            profile = construct_non_first_score_equilibrium(params, 2)
+        text = simulate(SimConfig(n=20_000, seed=seed, params=params, profile=profile)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[(name, k, seed)]
 
     def test_empty_population_rejected(self):
         with pytest.raises(EmptyPopulation):
@@ -135,7 +177,7 @@ class TestSeedBattery:
 
 class TestK3Paths:
     def test_three_test_histories_exercised(self):
-        from retesting import construct_non_first_score_equilibrium, seq
+        from retesting import seq
 
         params = ModelParams(p=0.45, alpha=0.8, phi=0.5, k=3)
         profile = construct_non_first_score_equilibrium(params, 3)
