@@ -57,8 +57,8 @@ MAX_K = 10
 # Largest k of enumerate with free-stop intervals: two LPs per free node, over
 # all 2^k histories, took 15 s at k=6 on a family scope.
 MAX_INTERVAL_K = 6
-# Most students simulate draws: the draw matrix is n x (2k+1) float64, 0.56 GB
-# at this n and k=3.
+# Most students simulate draws. Memory does not grow with n (students are drawn
+# in fixed-size blocks), so this bounds run time: about 1 s at k=3.
 MAX_SIM_N = 10**7
 
 SWEEP_COLUMNS = [

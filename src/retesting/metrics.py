@@ -77,7 +77,7 @@ def fairness_report(params: ModelParams, profile: EquilibriumProfile) -> Fairnes
     fnr = {cat: 1 - admit[Cohort(cat, StudentType.HIGH)] for cat in Category}
     fpr = {cat: admit[Cohort(cat, StudentType.LOW)] for cat in Category}
     admitted_high, admitted_low = (
-        sum((admit[c] * c.mass(params) for c in COHORTS if c.type_ is t), Fraction(0))
+        sum((admit[c] * params.cohort_mass[c] for c in COHORTS if c.type_ is t), Fraction(0))
         for t in (StudentType.HIGH, StudentType.LOW)
     )
     admitted = admitted_high + admitted_low
@@ -164,7 +164,7 @@ def compare_policies(params: ModelParams, search: bool = True) -> PolicyComparis
 
     def add(profile: EquilibriumProfile) -> None:
         admit = admission_probabilities(params, profile)
-        key = admission_key({c: v for c, v in admit.items() if c.mass(params) > 0})
+        key = admission_key({c: v for c, v in admit.items() if params.cohort_mass[c] > 0})
         if key in seen:
             return
         seen.add(key)

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from .errors import MissingStrategyEntry
@@ -103,11 +104,6 @@ class Cohort:
     category: Category
     type_: StudentType
 
-    def mass(self, params: "ModelParams") -> Fraction:
-        cat = params.phi if self.category is Category.CAT1 else params.phi_bar
-        typ = params.p if self.type_ is StudentType.HIGH else params.p_bar
-        return cat * typ
-
     def __str__(self) -> str:
         return f"({self.category.value},{self.type_.value})"
 
@@ -168,6 +164,15 @@ class ModelParams:
     @property
     def phi_bar(self) -> Fraction:
         return 1 - self.phi
+
+    @cached_property
+    def cohort_mass(self) -> Mapping[Cohort, Fraction]:
+        """Population share of every cohort, computed once per parameters."""
+        return MappingProxyType({
+            c: (self.phi if c.category is Category.CAT1 else self.phi_bar)
+            * (self.p if c.type_ is StudentType.HIGH else self.p_bar)
+            for c in COHORTS
+        })
 
     def emit(self, type_: StudentType, score: Score) -> Fraction:
         """Probability a student of this type produces the given score."""
@@ -261,7 +266,7 @@ class OutcomeDistribution:
 
     def weighted(self, cohort: Cohort, s: ScoreSeq) -> Fraction:
         """Unconditional mass: within-cohort probability times cohort mass."""
-        return self.mass(cohort, s) * cohort.mass(self.params)
+        return self.mass(cohort, s) * self.params.cohort_mass[cohort]
 
     def sequences(self) -> list[ScoreSeq]:
         """The reported sequences, in node order."""

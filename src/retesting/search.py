@@ -538,7 +538,7 @@ class Enumeration:
 
 
 def _positive_cohorts(params: ModelParams) -> list[Cohort]:
-    return [c for c in COHORTS if c.mass(params) > 0]
+    return [c for c in COHORTS if params.cohort_mass[c] > 0]
 
 
 def _classify(

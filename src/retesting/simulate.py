@@ -1,8 +1,10 @@
 """Seeded Monte Carlo validation of equilibrium profiles.
 
-Each simulated student owns one row of a pre-drawn uniform matrix, so the
-random substream of student i is a pure function of (seed, i), and results
-are bit-reproducible for a fixed seed. Students walk the game tree by node
+Student i owns row i of one uniform stream ``default_rng(seed)``, so their
+random numbers are a pure function of (seed, i), and results are
+bit-reproducible for a fixed seed. The stream is drawn in fixed-size blocks
+of students, and successive blocks are successive rows of that stream, so
+memory stays O(block) whatever n is. Students walk the game tree by node
 number (see :func:`retesting.model.all_sequences`) over one stop table and
 one accept table, and are counted per (cohort, node).
 """
@@ -69,6 +71,11 @@ def _accept_table(params: ModelParams, profile: EquilibriumProfile) -> np.ndarra
     return np.array([profile.policy.accepts(s) for s in all_sequences(params.k)], dtype=bool)
 
 
+# Students drawn per block. At n=10^6 and k=3 or 8, blocks of 2^13 to 2^15
+# rows ran fastest; larger ones were slower and only add memory.
+_BLOCK = 1 << 14
+
+
 def simulate(config: SimConfig) -> EmpiricalReport:
     """Simulate ``n`` students playing the profile and tabulate outcomes.
 
@@ -78,31 +85,34 @@ def simulate(config: SimConfig) -> EmpiricalReport:
     """
     params, profile, n = config.params, config.profile, config.n
     k = params.k
-    rng = np.random.default_rng(config.seed)
-    u = rng.random((n, 2 + k + max(k - 1, 0)))
-
+    width = 2 + k + max(k - 1, 0)
     stop = _stop_tables(params, profile)
     accept = _accept_table(params, profile)
-
-    phi, p, alpha = float(params.phi), float(params.p), float(params.alpha)
-    cat2 = u[:, 0] >= phi
-    high = u[:, 1] < p
-    p_a = np.where(high, alpha, 1.0 - alpha)
-    b = u[:, 2 : 2 + k] >= p_a[:, None]  # True where the test came up B
-
-    node = b[:, 0].astype(np.int64)
-    type_index = (~high).astype(np.int64)
-    active = cat2
-    for j in range(1, k):
-        if not active.any():
-            break
-        go = active & (u[:, 2 + k + j - 1] >= stop[type_index, node])
-        node = np.where(go, 2 * node + 2 + b[:, j], node)
-        active = go
-
     nodes = all_sequences(k)
-    cohort = 2 * cat2 + high  # 0 (1,L), 1 (1,H), 2 (2,L), 3 (2,H)
-    counts = np.bincount(cohort * len(nodes) + node, minlength=4 * len(nodes)).reshape(4, -1)
+    phi, p, alpha = float(params.phi), float(params.p), float(params.alpha)
+
+    rng = np.random.default_rng(config.seed)
+    counts = np.zeros(4 * len(nodes), dtype=np.int64)
+    for start in range(0, n, _BLOCK):
+        # one row per student: category, type, k scores, k-1 stop draws
+        u = rng.random((min(_BLOCK, n - start), width))
+        cat2 = u[:, 0] >= phi
+        high = u[:, 1] < p
+        p_a = np.where(high, alpha, 1.0 - alpha)
+        b = u[:, 2 : 2 + k] >= p_a[:, None]  # True where the test came up B
+
+        node = b[:, 0].astype(np.int64)
+        type_index = (~high).astype(np.int64)
+        active = cat2
+        for j in range(1, k):
+            if not active.any():
+                break
+            go = active & (u[:, 2 + k + j - 1] >= stop[type_index, node])
+            node = np.where(go, 2 * node + 2 + b[:, j], node)
+            active = go
+        cohort = 2 * cat2 + high  # 0 (1,L), 1 (1,H), 2 (2,L), 3 (2,H)
+        counts += np.bincount(cohort * len(nodes) + node, minlength=len(counts))
+    counts = counts.reshape(4, -1)
     rows = {"(1,H)": counts[1], "(1,L)": counts[0], "(2,H)": counts[3], "(2,L)": counts[2]}
     cohort_totals = {name: int(row.sum()) for name, row in rows.items()}
     admitted = {name: int(row[accept].sum()) for name, row in rows.items()}

@@ -291,7 +291,7 @@ def test_criterion_7_payoff_dominance():
         def payoff(cls) -> Fraction:
             return sum(
                 (
-                    prob * c.mass(params) * (1 if c.type_ is StudentType.HIGH else -1)
+                    prob * params.cohort_mass[c] * (1 if c.type_ is StudentType.HIGH else -1)
                     for c, prob in cls.admit_prob.items()
                 ),
                 Fraction(0),

@@ -231,5 +231,5 @@ class TestMaxScoreDistribution:
         params = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=2)
         dist = max_score_distribution(params)
         cohort = Cohort(Category.CAT2, StudentType.HIGH)
-        assert cohort.mass(params) == Fraction(1, 2) * Fraction(3, 10)
+        assert params.cohort_mass[cohort] == Fraction(1, 2) * Fraction(3, 10)
         assert dist.weighted(cohort, seq("A")) == Fraction(24, 25) * Fraction(3, 20)

@@ -1,11 +1,21 @@
-"""Monte Carlo simulation: determinism, pinned reports, convergence."""
+"""Monte Carlo simulation: determinism, pinned reports, convergence, and
+the block-wise draw against a whole-matrix reference.
+
+``reference_simulate`` draws every student's row in one n x (2k+1) matrix
+before counting anything, kept here only as the oracle: the block-wise
+``simulate`` must give byte-identical reports.
+"""
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import math
+import tracemalloc
 from fractions import Fraction
+from typing import Optional
 
+import numpy as np
 import pytest
 
 from retesting import (
@@ -22,7 +32,9 @@ from retesting import (
     seq_str,
     simulate,
 )
-from retesting.model import COHORTS
+from retesting.model import COHORTS, all_sequences
+
+sim = importlib.import_module("retesting.simulate")
 
 PARAMS = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=2)
 
@@ -55,6 +67,69 @@ PINNED_REPORTS = {
     ('non-first-score', 4, 1): "ed958755ab5ecf7c4097e99ad2684c8361dd843daf8808dd0e289214dc1d62f5",
     ('non-first-score', 4, 2): "8edbe133e5125c57385c3b90d766c12fb0989cd57fdb9ac6492c3c1ad97223d3",
 }
+
+
+def reference_simulate(config: SimConfig) -> sim.EmpiricalReport:
+    params, profile, n = config.params, config.profile, config.n
+    k = params.k
+    rng = np.random.default_rng(config.seed)
+    u = rng.random((n, 2 + k + max(k - 1, 0)))
+
+    stop = sim._stop_tables(params, profile)
+    accept = sim._accept_table(params, profile)
+
+    phi, p, alpha = float(params.phi), float(params.p), float(params.alpha)
+    cat2 = u[:, 0] >= phi
+    high = u[:, 1] < p
+    p_a = np.where(high, alpha, 1.0 - alpha)
+    b = u[:, 2 : 2 + k] >= p_a[:, None]
+
+    node = b[:, 0].astype(np.int64)
+    type_index = (~high).astype(np.int64)
+    active = cat2
+    for j in range(1, k):
+        if not active.any():
+            break
+        go = active & (u[:, 2 + k + j - 1] >= stop[type_index, node])
+        node = np.where(go, 2 * node + 2 + b[:, j], node)
+        active = go
+
+    nodes = all_sequences(k)
+    cohort = 2 * cat2 + high
+    counts = np.bincount(cohort * len(nodes) + node, minlength=4 * len(nodes)).reshape(4, -1)
+    rows = {"(1,H)": counts[1], "(1,L)": counts[0], "(2,H)": counts[3], "(2,L)": counts[2]}
+    cohort_totals = {name: int(row.sum()) for name, row in rows.items()}
+    admitted = {name: int(row[accept].sum()) for name, row in rows.items()}
+    seq_counts = {name: {seq_str(nodes[i]): int(row[i]) for i in np.flatnonzero(row)}
+                  for name, row in rows.items()}
+
+    def rate(num: int, den: int) -> Optional[float]:
+        return None if den == 0 else num / den
+
+    fnr = {
+        "cat1": rate(cohort_totals["(1,H)"] - admitted["(1,H)"], cohort_totals["(1,H)"]),
+        "cat2": rate(cohort_totals["(2,H)"] - admitted["(2,H)"], cohort_totals["(2,H)"]),
+    }
+    fpr = {
+        "cat1": rate(admitted["(1,L)"], cohort_totals["(1,L)"]),
+        "cat2": rate(admitted["(2,L)"], cohort_totals["(2,L)"]),
+    }
+    admitted_high = admitted["(1,H)"] + admitted["(2,H)"]
+    admitted_low = admitted["(1,L)"] + admitted["(2,L)"]
+    total_admitted = admitted_high + admitted_low
+    total_low = cohort_totals["(1,L)"] + cohort_totals["(2,L)"]
+    return sim.EmpiricalReport(
+        n=n,
+        seed=config.seed,
+        cohort_totals=cohort_totals,
+        seq_counts=seq_counts,
+        admitted=admitted,
+        fnr=fnr,
+        fpr=fpr,
+        ppv=rate(admitted_high, total_admitted),
+        npv=rate(total_low - admitted_low, n - total_admitted),
+        college_payoff=(admitted_high - admitted_low) / n,
+    )
 
 
 def first_score_config(n=200_000, seed=7) -> SimConfig:
@@ -92,6 +167,43 @@ class TestDeterminism:
         with pytest.raises(EmptyPopulation):
             SimConfig(n=0, seed=1, params=PARAMS,
                       profile=construct_first_score_equilibrium(PARAMS))
+
+
+class TestBlocks:
+    BLOCK = sim._BLOCK
+
+    # the trailing-run profile needs a second test, so it starts at k=2
+    @pytest.mark.parametrize("name,k", [(name, k) for k in range(1, 5)
+                                        for name in ("first-score", "separating", "trailing-run")
+                                        if (name, k) != ("trailing-run", 1)])
+    def test_blocks_match_whole_matrix(self, name, k):
+        params = ModelParams(p="0.5", alpha=0.8, phi=0.5, k=k)
+        if name == "first-score":
+            profile = construct_first_score_equilibrium(params)
+        elif name == "separating":
+            profile = report_max_separating(params)
+        else:
+            profile = construct_non_first_score_equilibrium(params, 2)
+        for n in (1, self.BLOCK - 1, self.BLOCK, 2 * self.BLOCK + 7, 5 * self.BLOCK):
+            config = SimConfig(n=n, seed=3, params=params, profile=profile)
+            assert simulate(config).to_json() == reference_simulate(config).to_json(), n
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        params = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=3)
+        profile = construct_first_score_equilibrium(params)
+
+        def peak(n: int) -> int:
+            tracemalloc.start()
+            try:
+                simulate(SimConfig(n=n, seed=1, params=params, profile=profile))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(200_000), peak(1_000_000)
+        # the whole n x 7 float64 matrix at n=10^6 is 56 MB
+        assert large < 16 * 2**20
+        assert large <= 1.25 * small
 
 
 class TestConvergence:
