@@ -22,9 +22,11 @@ report's posterior through :func:`retesting.beliefs.posterior_from_distribution`
 
 The report-all census groups subtree policies by best-response rule pattern,
 one flow system each, and solves each distinct LP once. This is exact: every
-LP keeps its own rows, so the simplex returns the same vertex. No closed form
-from :mod:`retesting.equilibria` is used to prune; the forced-label screen
-reads only the LP rows.
+LP keeps its own rows, so the simplex returns the same vertex. Subtree
+policies with equal admission odds form a group, whose witness stops come
+from its first policy; one class builder takes blocks of one-outcome
+policies from every scope. No closed form from :mod:`retesting.equilibria`
+is used to prune; the forced-label screen reads only the LP rows.
 """
 
 from __future__ import annotations
@@ -246,6 +248,11 @@ class Verdict:
         return self.ok
 
 
+def _require_measurable(policy: AdmissionPolicy, reporting: Reporting) -> None:
+    if reporting is Reporting.MAX and not policy.is_max_measurable():
+        raise MalformedProfile("best-score reporting requires a max-measurable policy")
+
+
 def verify_equilibrium(params: ModelParams, profile: EquilibriumProfile) -> Verdict:
     """Check a profile against the best-response and posterior conditions.
 
@@ -255,8 +262,7 @@ def verify_equilibrium(params: ModelParams, profile: EquilibriumProfile) -> Verd
     >= 1/2, rejected ones <= 1/2 (ties may go either way). Zero-mass reports
     are recorded, never failed: any supporting belief is allowed there.
     """
-    if profile.reporting is Reporting.MAX and not profile.policy.is_max_measurable():
-        raise MalformedProfile("best-score reporting requires a max-measurable policy")
+    _require_measurable(profile.policy, profile.reporting)
     try:
         br = best_response(params, profile.policy)
         violations: list[Violation] = []
@@ -515,7 +521,8 @@ class OutcomeClass:
 
     Cohorts with zero mass are omitted (their conditional behavior is not an
     observable outcome). ``policies`` lists every deterministic policy in
-    scope that supports the class; ``witness`` is one fully specified profile.
+    scope that supports the class once, grouped by census block;
+    ``witness`` is one fully specified profile, from the first block.
     """
 
     admit_prob: dict[Cohort, Fraction]
@@ -578,51 +585,43 @@ def _admit(
     return admit
 
 
-def _new_class(
+def _census(
     params: ModelParams,
-    admit: dict[Cohort, Fraction],
-    policy: AdmissionPolicy,
-    stops: Mapping[tuple[StudentType, ScoreSeq], Fraction],
+    scope: str,
+    considered: int,
     reporting: Reporting,
-) -> OutcomeClass:
-    """An outcome class with its witness built and verified; no policies yet."""
-    label = _classify(params, admit, reporting)
-    strategy = StudentStrategy(stops)
-    witness = EquilibriumProfile(policy=policy, strategy=strategy, label=label, reporting=reporting)
-    verified = verify_equilibrium(params, witness).ok
-    return OutcomeClass(admit, label, witness, policies=[], verified=verified)
-
-
-def _enumeration(
-    params: ModelParams, scope: str, considered: int, classes: Mapping[tuple, OutcomeClass]
+    blocks: Iterable[tuple[list[AdmissionPolicy], Mapping, Mapping]],
 ) -> Enumeration:
-    return Enumeration(
-        params=params,
-        scope=scope,
-        boundary=is_boundary(params),
-        policies_considered=considered,
-        classes=sorted(classes.values(), key=lambda c: c.key()),
-    )
+    """The one place outcome classes are built. Each block (policies, values,
+    stops) holds feasible policies with one first-score acceptance and one set
+    of Category 2 ``values`` after each first score, hence one outcome; a new
+    outcome gets the verified witness of its block's first policy and stops.
+    """
+    classes: dict[tuple, OutcomeClass] = {}
+    for policies, values, stops in blocks:
+        policy = policies[0]
+        admit = _admit(params, policy, values)
+        key = admission_key(admit)
+        if key not in classes:
+            label = _classify(params, admit, reporting)
+            witness = EquilibriumProfile(policy, StudentStrategy(stops), label, reporting)
+            classes[key] = OutcomeClass(admit, label, witness, [], verify_equilibrium(params, witness).ok)
+        classes[key].policies.extend(policies)
+    classes_in_order = sorted(classes.values(), key=OutcomeClass.key)
+    return Enumeration(params, scope, is_boundary(params), considered, classes_in_order)
 
 
-@dataclass
-class _SubtreeSolution:
-    accepted: frozenset[ScoreSeq]
-    values: Mapping[tuple[StudentType, ScoreSeq], Fraction]  # at the first score only
-    stops: dict[tuple[StudentType, ScoreSeq], Fraction]
-    group: int  # shared by solutions with the same admission odds for both categories
-
-
-def _solve_subtrees(params: ModelParams, first: Score) -> list[_SubtreeSolution]:
-    """All consistent acceptance patterns on one first-score subtree; one flow
-    system per best-response rule pattern, one solve per distinct LP."""
+def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list, Mapping, dict]]:
+    """The consistent accept patterns of one first-score subtree, grouped by
+    admission odds (accepts the first score, values after it) in order of
+    first occurrence: (accept patterns, values, stops of the first pattern).
+    One flow system per best-response rule pattern, one solve per distinct LP.
+    """
     seqs = _subtree(first, params.k)
     systems: dict[int, tuple[_FlowSystem, int]] = {}  # rule code -> system, row id
     row_ids: dict[tuple, int] = {}  # a system's rows with no label accepted -> id
     points: dict[tuple, Optional[list[Fraction]]] = {}  # (row id, signs) -> point
-    stops: dict[tuple, Optional[dict]] = {}  # (rule code, signs) -> stops
-    groups: dict[tuple, int] = {}  # (accepts first score, values after it) -> group
-    solutions = []
+    groups: dict[tuple, tuple[list, Mapping, dict]] = {}
     for pattern in _subtree_induction(params.alpha, params.k, first):
         key, accepted = pattern.key, pattern.accepted
         if key not in systems:
@@ -632,44 +631,38 @@ def _solve_subtrees(params: ModelParams, first: Score) -> list[_SubtreeSolution]
             systems[key] = system, row_ids.setdefault(rows, len(row_ids))
         system, row_id = systems[key]
         signs = system.signs(accepted)
-        if (key, signs) not in stops:
-            # equal row ids and signs mean equal rows, hence the same vertex
-            if (row_id, signs) not in points:
-                points[(row_id, signs)] = system.feasible(accepted)
-            x = points[(row_id, signs)]
-            stops[(key, signs)] = None if x is None else system.stops_from_point(x)
-        if stops[(key, signs)] is not None:
-            values = pattern.values
-            odds = ((first,) in accepted, *(values[(t, (first,))] for t in StudentType))
-            group = groups.setdefault(odds, len(groups))
-            solutions.append(_SubtreeSolution(accepted, values, stops[(key, signs)], group))
-    return solutions
+        # equal row ids and signs mean equal rows, hence the same vertex
+        if (row_id, signs) not in points:
+            points[(row_id, signs)] = system.feasible(accepted)
+        x = points[(row_id, signs)]
+        if x is None:
+            continue
+        values = pattern.values
+        odds = ((first,) in accepted, *(values[(t, (first,))] for t in StudentType))
+        if odds not in groups:
+            groups[odds] = ([], values, system.stops_from_point(x))
+        groups[odds][0].append(accepted)
+    return groups
 
 
 def _enumerate_report_all(params: ModelParams) -> Enumeration:
-    by_first = {first: _solve_subtrees(params, first) for first in Score}
-    classes: dict[tuple, OutcomeClass] = {}
-    by_groups: dict[tuple[int, int], OutcomeClass] = {}
+    """One block per (A-group, B-group) pair: the products of their patterns."""
+    a_groups, b_groups = (_solve_subtrees(params, first).values() for first in Score)
+    blocks = (
+        ([AdmissionPolicy(params.k, a | b) for a in a_accepted for b in b_accepted],
+         {**a_values, **b_values}, {**a_stops, **b_stops})
+        for a_accepted, a_values, a_stops in a_groups
+        for b_accepted, b_values, b_stops in b_groups
+    )
     considered = (1 << (2**params.k - 1)) ** 2
-    for sol_a in by_first[Score.A]:
-        for sol_b in by_first[Score.B]:
-            policy = AdmissionPolicy(k=params.k, accepted=sol_a.accepted | sol_b.accepted)
-            cls = by_groups.get((sol_a.group, sol_b.group))
-            if cls is None:
-                admit = _admit(params, policy, {**sol_a.values, **sol_b.values})
-                key = admission_key(admit)
-                if key not in classes:
-                    stops = {**sol_a.stops, **sol_b.stops}
-                    classes[key] = _new_class(params, admit, policy, stops, Reporting.ALL)
-                cls = by_groups[(sol_a.group, sol_b.group)] = classes[key]
-            cls.policies.append(policy)
-    return _enumeration(params, SCOPE_REPORT_ALL, considered, classes)
+    return _census(params, SCOPE_REPORT_ALL, considered, Reporting.ALL, blocks)
 
 
 def _policy_system(
     params: ModelParams, policy: AdmissionPolicy, reporting: Reporting
 ) -> tuple[BestResponseSet, _FlowSystem]:
     """A policy's best response and the flow system of the whole game tree."""
+    _require_measurable(policy, reporting)
     br = best_response(params, policy)
     return br, _FlowSystem(params, br.rules, all_sequences(params.k), reporting)
 
@@ -677,26 +670,25 @@ def _policy_system(
 def _enumerate_policy_list(
     params: ModelParams, policies: list[AdmissionPolicy], reporting: Reporting, scope: str
 ) -> Enumeration:
-    classes: dict[tuple, OutcomeClass] = {}
-    for policy in policies:
-        br, system = _policy_system(params, policy, reporting)
-        x = system.feasible(policy.accepted)
-        if x is None:
-            continue
-        admit = _admit(params, policy, br.values)
-        key = admission_key(admit)
-        if key not in classes:
-            classes[key] = _new_class(params, admit, policy, system.stops_from_point(x), reporting)
-        classes[key].policies.append(policy)
-    return _enumeration(params, scope, len(policies), classes)
+    """One block per feasible policy, one flow system and solve each."""
+
+    def blocks():
+        for policy in policies:
+            br, system = _policy_system(params, policy, reporting)
+            x = system.feasible(policy.accepted)
+            if x is not None:
+                yield [policy], br.values, system.stops_from_point(x)
+
+    return _census(params, scope, len(policies), reporting, blocks())
 
 
 def _family_policies(params: ModelParams, scope: str) -> list[AdmissionPolicy]:
     k = params.k
-    if scope == SCOPE_FIRST_SCORE:
+    if scope in (SCOPE_REPORT_MAX, SCOPE_FIRST_SCORE):
+        # accept on a first score (best score under report-max) of A, of B; all; none
+        score = best_score if scope == SCOPE_REPORT_MAX else (lambda s: s[0])
         return [
-            AdmissionPolicy.first_score(k),
-            AdmissionPolicy.from_predicate(k, lambda s: s[0] is Score.B),
+            *(AdmissionPolicy.from_predicate(k, lambda s, a=a: score(s) is a) for a in Score),
             AdmissionPolicy.accept_all(k),
             AdmissionPolicy.reject_all(k),
         ]
@@ -728,15 +720,8 @@ def enumerate_outcomes(params: ModelParams, scope: str = SCOPE_REPORT_ALL) -> En
                 f"{SCOPE_FIRST_SCORE}, {SCOPE_B_THEN_A}, {SCOPE_ALL_B_REJECT}"
             )
         return _enumerate_report_all(params)
-    if scope == SCOPE_REPORT_MAX:
-        policies = [
-            AdmissionPolicy.best_score_a(params.k),
-            AdmissionPolicy.from_predicate(params.k, lambda s: best_score(s) is Score.B),
-            AdmissionPolicy.accept_all(params.k),
-            AdmissionPolicy.reject_all(params.k),
-        ]
-        return _enumerate_policy_list(params, policies, Reporting.MAX, scope)
-    return _enumerate_policy_list(params, _family_policies(params, scope), Reporting.ALL, scope)
+    reporting = Reporting.MAX if scope == SCOPE_REPORT_MAX else Reporting.ALL
+    return _enumerate_policy_list(params, _family_policies(params, scope), reporting, scope)
 
 
 def free_stop_intervals(

@@ -1,0 +1,67 @@
+"""Property tests over random rational parameters: the closed forms, the
+exhaustive census and the exact free-stop intervals agree with each other.
+
+Parameters have small denominators and k <= 3, so every census is the
+exhaustive one; the examples are derandomized (see ``conftest.py``).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
+
+from retesting import (
+    ModelParams,
+    Reporting,
+    closed_form_profiles,
+    enumerate_outcomes,
+    free_stop_intervals,
+    verify_equilibrium,
+)
+from retesting.metrics import admission_probabilities
+from retesting.model import admission_key
+from retesting.search import SCOPE_REPORT_ALL, SCOPE_REPORT_MAX
+
+SCOPE_OF = {Reporting.ALL: SCOPE_REPORT_ALL, Reporting.MAX: SCOPE_REPORT_MAX}
+
+
+@st.composite
+def points(draw) -> ModelParams:
+    """alpha in (1/2, 1], p in (0, 1) and phi in [0, 1], each a fraction
+    with a small denominator, and k in 1..3."""
+    k = draw(st.sampled_from((1, 2, 3)))
+    d = draw(st.integers(2, 10))
+    alpha = Fraction(draw(st.integers(d // 2 + 1, d)), d)
+    d = draw(st.integers(2, 20))
+    p = Fraction(draw(st.integers(1, d - 1)), d)
+    d = draw(st.integers(1, 4))
+    phi = Fraction(draw(st.integers(0, d)), d)
+    return ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+
+
+@given(points())
+def test_closed_form_profiles_verify(params):
+    for profile in closed_form_profiles(params):
+        verdict = verify_equilibrium(params, profile)
+        assert verdict.ok, (profile.label, verdict.violations)
+
+
+@given(points())
+def test_census_contains_every_closed_form_outcome(params):
+    for profile in closed_form_profiles(params):
+        admit = admission_probabilities(params, profile)
+        key = admission_key({c: v for c, v in admit.items() if params.cohort_mass[c] > 0})
+        census = enumerate_outcomes(params, SCOPE_OF[profile.reporting])
+        assert key in {c.key() for c in census.classes}, profile.label
+
+
+@given(points())
+def test_census_witness_stops_inside_free_intervals(params):
+    for scope in SCOPE_OF.values():
+        for cls in enumerate_outcomes(params, scope).classes:
+            witness = cls.witness
+            assert cls.verified, (scope, cls.label)
+            intervals = free_stop_intervals(params, witness.policy, witness.reporting)
+            for node, (lo, hi) in intervals.items():
+                assert lo <= witness.strategy.stop[node] <= hi, (scope, cls.label, node)

@@ -442,6 +442,12 @@ class TestFreeIntervals:
         params = ModelParams(p=0.1, alpha=0.8, phi=0.5, k=2)
         assert free_stop_intervals(params, AdmissionPolicy.first_score(2)) == {}
 
+    def test_report_max_requires_measurable_policy(self):
+        # the verifier refuses this profile, so its intervals are refused too
+        params = ModelParams(p=0.5, alpha=0.8, phi=0.5, k=2)
+        with pytest.raises(MalformedProfile):
+            free_stop_intervals(params, AdmissionPolicy.first_score(2), Reporting.MAX)
+
 
 class TestGroupedCensus:
     """The report-all census shares flow systems and solves between subtree
@@ -459,7 +465,7 @@ class TestGroupedCensus:
 
         def summary(enumeration):
             return {
-                c.key(): (c.label, c.verified, frozenset(c.policies))
+                c.key(): (c.label, c.verified, len(c.policies), frozenset(c.policies))
                 for c in enumeration.classes
             }
 
@@ -496,6 +502,22 @@ class TestGroupedCensus:
         # 36 distinct LPs per first score, 40 of the 72 refused by the
         # forced-label screen; one solve per policy would be 144
         assert 0 < len(calls) <= 32
+
+    def test_k3_census_computes_stops_once_per_subtree_group(self, monkeypatch):
+        calls = []
+        stops_from_point = _FlowSystem.stops_from_point
+
+        def counting(system, x):
+            calls.append(x)
+            return stops_from_point(system, x)
+
+        monkeypatch.setattr(_FlowSystem, "stops_from_point", counting)
+        params = ModelParams(p=Fraction(9, 20), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
+        groups = sum(len(search._solve_subtrees(params, first)) for first in Score)
+        assert len(calls) == groups == 3
+        calls.clear()
+        assert enumerate_outcomes(params, "report-all").classes
+        assert len(calls) == groups
 
 
 class TestForcedLabelScreen:
