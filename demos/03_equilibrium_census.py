@@ -8,7 +8,7 @@ one half (and, at k=3, how they coexist everywhere).
 
 from fractions import Fraction
 
-from retesting import ModelParams, enumerate_outcomes, seq_str
+from retesting import ModelParams, all_sequences, enumerate_outcomes, seq_str
 
 for k in (2, 3):
     print(f"\n=== k = {k} (alpha=0.8, phi=0.5) ===")
@@ -18,7 +18,7 @@ for k in (2, 3):
         enumeration = enumerate_outcomes(params, "report-all")
         tags = []
         for cls in enumeration.classes:
-            accepted = sorted(seq_str(s) for s in cls.witness.policy.accepted)
+            accepted = sorted(seq_str(s) for s in all_sequences(k) if cls.witness.policy.accepts(s))
             b_side = [s for s in accepted if s.startswith("B")]
             tag = cls.label + (f"(+{','.join(b_side)})" if b_side else "")
             tags.append(tag)

@@ -76,6 +76,7 @@ from .model import (
     best_score,
     best_score_projection,
     max_score_distribution,
+    node,
     outcome_distribution,
     seq,
     seq_str,

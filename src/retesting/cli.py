@@ -37,7 +37,7 @@ from .equilibria import (
 )
 from .errors import NoEquilibrium, RetestingError, ScopeTooLarge, UnsupportedK
 from .metrics import FairnessReport, compare_policies, fairness_report, payoff_gap
-from .model import Category, ModelParams, StudentStrategy, seq_str
+from .model import Category, ModelParams, StudentStrategy, all_sequences, seq_str
 from .search import (
     EXHAUSTIVE_MAX_K,
     SCOPES,
@@ -332,9 +332,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         entry = {
             "label": cls.label,
             "admit_prob": {str(c): float(v) for c, v in cls.admit_prob.items()},
-            "witness_accepts": sorted(
-                seq_str(s) for s in witness.policy.accepted
-            ),
+            "witness_accepts": sorted(seq_str(s) for s in all_sequences(args.k) if witness.policy.accepts(s)),
             "supporting_policies": len(cls.policies),
             "verified": cls.verified,
         }

@@ -24,6 +24,7 @@ from .model import (
     all_sequences,
     as_fraction,
     best_score,
+    node,
     seq_str,
 )
 
@@ -37,34 +38,35 @@ class Reporting(Enum):
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
-    """Accept/reject indicator for every reportable sequence of length <= k."""
+    """Accept/reject bit for every reportable sequence of length <= k: s is
+    accepted iff bit ``node(s)`` of ``bits`` is set (:func:`retesting.model.node`)."""
 
     k: int
-    accepted: frozenset[ScoreSeq]
+    bits: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.bits < 1 << (2 ** (self.k + 1) - 2):
+            raise ValueError(f"accept bits {self.bits:#x} are not a set of nodes of the k={self.k} tree")
 
     def accepts(self, s: ScoreSeq) -> bool:
-        return s in self.accepted
+        return 1 <= len(s) <= self.k and bool(self.bits >> node(s) & 1)
 
     def is_max_measurable(self) -> bool:
         """True when acceptance depends only on the best score."""
-        by_best = {}
-        for s in all_sequences(self.k):
-            b = best_score(s)
-            if by_best.setdefault(b, self.accepts(s)) != self.accepts(s):
-                return False
-        return True
+        return len({(best_score(s), self.accepts(s)) for s in all_sequences(self.k)}) == 2
 
     @classmethod
     def from_accepted(cls, k: int, accepted: Iterable[ScoreSeq]) -> "AdmissionPolicy":
-        acc = frozenset(accepted)
-        for s in acc:
+        bits = 0
+        for s in accepted:
             if not (1 <= len(s) <= k):
                 raise ValueError(f"sequence {seq_str(s)} has invalid length for k={k}")
-        return cls(k=k, accepted=acc)
+            bits |= 1 << node(s)
+        return cls(k, bits)
 
     @classmethod
     def from_predicate(cls, k: int, pred: Callable[[ScoreSeq], bool]) -> "AdmissionPolicy":
-        return cls(k=k, accepted=frozenset(s for s in all_sequences(k) if pred(s)))
+        return cls(k, sum(1 << i for i, s in enumerate(all_sequences(k)) if pred(s)))
 
     @classmethod
     def first_score(cls, k: int) -> "AdmissionPolicy":
@@ -141,10 +143,6 @@ class Region:
     def contains(self, p: Numeric) -> bool:
         p = as_fraction(p)
         return any(lo <= p <= hi for lo, hi in self.intervals)
-
-    def on_boundary(self, p: Numeric) -> bool:
-        p = as_fraction(p)
-        return any(p == lo or p == hi for lo, hi in self.intervals)
 
     def __str__(self) -> str:
         return " U ".join(f"[{lo}, {hi}]" for lo, hi in self.intervals) or "{}"

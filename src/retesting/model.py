@@ -71,7 +71,8 @@ def all_sequences(k: int) -> tuple[ScoreSeq, ...]:
     tree, numbered in (length, string) order.
 
     Node i's children are nodes 2i+2 (A) and 2i+3 (B), so the node of a
-    length-L history with A = 0, B = 1 bits ``code`` is 2^L - 2 + code.
+    length-L history with A = 0, B = 1 bits ``code`` is 2^L - 2 + code
+    (:func:`node`).
     """
     frontier: list[ScoreSeq] = [()]
     nodes: list[ScoreSeq] = []
@@ -79,6 +80,14 @@ def all_sequences(k: int) -> tuple[ScoreSeq, ...]:
         frontier = [h + (s,) for h in frontier for s in Score]
         nodes += frontier
     return tuple(nodes)
+
+
+def node(s: ScoreSeq) -> int:
+    """The number of ``s`` in :func:`all_sequences`: 2^L - 2 + code."""
+    code = 0
+    for x in s:
+        code = 2 * code + (x is Score.B)
+    return (1 << len(s)) - 2 + code
 
 
 def best_score(s: ScoreSeq) -> Score:

@@ -17,8 +17,10 @@ Best responses come from one bottom-up induction per first-score subtree:
 each history combines the results of its two children with its own accept
 bit, for every accept pattern of the subtree at once (the census) or for one
 policy's pattern (:func:`best_response`). Tables and layouts are lists in the
-node order of :func:`retesting.model.all_sequences`. The verifier reads each
-report's posterior through :func:`retesting.beliefs.posterior_from_distribution`.
+node order of :func:`retesting.model.all_sequences`, and an accept pattern is
+an int with bit ``node(s)`` for each accepted s, as in :class:`AdmissionPolicy`.
+The verifier reads each report's posterior through
+:func:`retesting.beliefs.posterior_from_distribution`.
 
 The report-all census groups subtree policies by best-response rule pattern,
 one flow system each, and solves each distinct LP once. This is exact: every
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import _simplex
 from .beliefs import OFF_PATH, posterior_from_distribution
@@ -63,6 +65,7 @@ from .model import (
     all_sequences,
     best_score,
     best_score_projection,
+    node,
     outcome_distribution,
     seq_str,
 )
@@ -70,6 +73,7 @@ from .model import (
 STOP = "stop"
 CONTINUE = "continue"
 ANY = "any"
+_ADMISSIBLE = {STOP: (Fraction(1),) * 2, CONTINUE: (Fraction(0),) * 2, ANY: (Fraction(0), Fraction(1))}
 
 # The largest k whose report-all census enumerates every accept pattern.
 EXHAUSTIVE_MAX_K = 3
@@ -80,23 +84,14 @@ class BestResponseSet:
     """Admissible stop sets per (type, history), from backward induction.
 
     ``rules`` maps to "stop" ({1}), "continue" ({0}) or "any" ([0,1]);
-    ``values`` holds the optimal admission probability from each history on.
+    ``values`` holds the optimal admission probability after each first score.
     """
 
     rules: Mapping[tuple[StudentType, ScoreSeq], str]
     values: Mapping[tuple[StudentType, ScoreSeq], Fraction]
 
     def admissible(self, type_: StudentType, history: ScoreSeq) -> tuple[Fraction, Fraction]:
-        rule = self.rules[(type_, history)]
-        if rule == STOP:
-            return Fraction(1), Fraction(1)
-        if rule == CONTINUE:
-            return Fraction(0), Fraction(0)
-        return Fraction(0), Fraction(1)
-
-    def allows(self, type_: StudentType, history: ScoreSeq, f: Fraction) -> bool:
-        lo, hi = self.admissible(type_, history)
-        return lo <= f <= hi
+        return _ADMISSIBLE[self.rules[(type_, history)]]
 
 
 def best_response(params: ModelParams, policy: AdmissionPolicy) -> BestResponseSet:
@@ -108,15 +103,12 @@ def best_response(params: ModelParams, policy: AdmissionPolicy) -> BestResponseS
     """
     rules: dict[tuple[StudentType, ScoreSeq], str] = {}
     values: dict[tuple[StudentType, ScoreSeq], Fraction] = {}
+    scale = params.alpha.denominator ** (params.k - 1)
     for first in Score:
-        seqs = _subtree(first, params.k)
-        tables = _induction(params.alpha, params.k, first, policy.accepted)
-        ((_, _, _, code),) = tables[0]
-        rules.update(_rules_of(code, seqs, params.k))
-        for h, ((_, high, low, _),) in zip(seqs, tables):
-            scale = params.alpha.denominator ** (params.k - len(h))
-            values[(StudentType.HIGH, h)] = Fraction(high, scale)
-            values[(StudentType.LOW, h)] = Fraction(low, scale)
+        ((_, high, low, code),) = _induction(params.alpha, params.k, first, policy.bits)[0]
+        rules.update(_rules_of(code, _subtree(first, params.k), params.k))
+        values[(StudentType.HIGH, (first,))] = Fraction(high, scale)
+        values[(StudentType.LOW, (first,))] = Fraction(low, scale)
     return BestResponseSet(rules=rules, values=values)
 
 
@@ -137,20 +129,19 @@ def _rule(stop: int, cont: int) -> int:
     return 1 if stop > cont else 0 if stop < cont else 2
 
 
-# One entry of an induction table: the accept bits of a subtree (bit i for
-# the i-th sequence of ``_subtree``), the High and Low optimal values at its
-# root as numerators over alpha's denominator to the power of the root's
-# distance from depth k, and the code of its rules.
+# One entry of an induction table: the accept bits of a subtree (bit node(s)
+# for its sequence s, as in ``AdmissionPolicy``), the High and Low optimal
+# values at its root as numerators over alpha's denominator to the power of
+# the root's distance from depth k, and the code of its rules.
 _Entry = tuple[int, int, int, int]
 
 
-def _induction(
-    alpha: Fraction, k: int, first: Score, accepted: Optional[Container[ScoreSeq]] = None
-) -> list[list[_Entry]]:
+def _induction(alpha: Fraction, k: int, first: Score, bits: Optional[int] = None) -> list[list[_Entry]]:
     """Bottom-up backward induction on one first-score subtree, for every
-    accept pattern at once (``accepted`` None) or for the one pattern of
-    ``accepted``; the table of the i-th history of :func:`_subtree` holds one
-    entry per accept pattern of the subtree rooted there.
+    accept pattern at once (``bits`` None) or for the one pattern that the
+    accept ``bits`` of a policy hold; the table of the i-th history of
+    :func:`_subtree` holds one entry per accept pattern of the subtree rooted
+    there.
 
     Stopping yields the accept bit of the current history; continuing yields
     the emission-weighted values of the A-child and B-child entries, so every
@@ -162,7 +153,8 @@ def _induction(
     tables: list[list[_Entry]] = [[] for _ in seqs]
     for i in reversed(range(len(seqs))):  # children before parents
         h = seqs[i]
-        own = (0, 1 << i) if accepted is None else ((1 << i) * (h in accepted),)
+        mine = 1 << node(h)
+        own = (0, mine) if bits is None else (bits & mine,)
         if len(h) == k:
             tables[i] = [(bit, int(bit > 0), int(bit > 0), 0) for bit in own]
             continue
@@ -193,7 +185,7 @@ class _Pattern(NamedTuple):
     """One accept pattern of a first-score subtree and its best response;
     patterns with equal values or rules share one mapping."""
 
-    accepted: frozenset[ScoreSeq]
+    bits: int  # accept bits, as in ``AdmissionPolicy``
     values: Mapping[tuple[StudentType, ScoreSeq], Fraction]  # at the first score only
     key: int  # rule code: equal keys, equal rules
     rules: Mapping[tuple[StudentType, ScoreSeq], str]
@@ -222,8 +214,7 @@ def _subtree_induction(alpha: Fraction, k: int, first: Score) -> tuple[_Pattern,
             }
         if code not in rules:
             rules[code] = _rules_of(code, seqs, k)
-        accepted = frozenset(s for i, s in enumerate(seqs) if bits >> i & 1)
-        patterns.append(_Pattern(accepted, values[(high, low)], code, rules[code]))
+        patterns.append(_Pattern(bits, values[(high, low)], code, rules[code]))
     return tuple(patterns)
 
 
@@ -269,8 +260,8 @@ def verify_equilibrium(params: ModelParams, profile: EquilibriumProfile) -> Verd
         for type_ in StudentType:
             for h in all_sequences(params.k - 1):
                 f = profile.strategy.stop_prob(type_, h, params.k)
-                if not br.allows(type_, h, f):
-                    lo, hi = br.admissible(type_, h)
+                lo, hi = br.admissible(type_, h)
+                if not lo <= f <= hi:
                     violations.append(
                         Violation(
                             kind="best_response",
@@ -326,8 +317,9 @@ class _Layout(NamedTuple):
     # reach[t][i][d]: mass of type t reaching sequence i per unit continuing
     # at its depth-d ancestor; d = 0 is the constant mass of an unbroken path
     reach: tuple[tuple[tuple[int, ...], ...], ...]
-    # labels in node order, each with its member indices and Category 1 High - Low mass
-    labels: tuple[tuple[ScoreSeq, tuple[int, ...], int], ...]
+    # labels in node order, each as its tree node, member indices and
+    # Category 1 High - Low mass
+    labels: tuple[tuple[int, tuple[int, ...], int], ...]
 
 
 @lru_cache(maxsize=8)  # a census point uses up to four trees
@@ -352,7 +344,7 @@ def _layout(params: ModelParams, seqs: tuple[ScoreSeq, ...], reporting: Reportin
     groups: dict[ScoreSeq, list[int]] = {}  # labels come first in node order: sorted
     for i, s in enumerate(seqs):
         groups.setdefault((best_score(s),) if reporting is Reporting.MAX else s, []).append(i)
-    labels = tuple((lab, tuple(members), sum(cat1[i] for i in members)) for lab, members in groups.items())
+    labels = tuple((node(lab), tuple(members), sum(cat1[i] for i in members)) for lab, members in groups.items())
     return _Layout(den_pphi * den, seqs, parents, tuple(map(tuple, reach)), labels)
 
 
@@ -367,8 +359,9 @@ class _FlowSystem:
     are integers, ``scale`` times the rational ones, read off the tree's
     cached :class:`_Layout`: a system only assigns variables, with no
     ``Fraction`` arithmetic. A policy enters only through the signs of the
-    label rows, so it has an equilibrium iff its :meth:`rows` admit a
-    nonnegative solution.
+    label rows, read from its accept bits (as in :class:`AdmissionPolicy`),
+    so it has an equilibrium iff its :meth:`rows` admit a nonnegative
+    solution.
     """
 
     def __init__(
@@ -412,49 +405,50 @@ class _FlowSystem:
 
         self._br_rows = [as_row(terms) for terms in br]
         # High - Low mass per label, as the row "High - Low <= 0": the stop
-        # mass of each member, plus Category 1 mass at depth one
-        self._label_rows: list[tuple[ScoreSeq, tuple[list[int], int]]] = []
+        # mass of each member, plus Category 1 mass at depth one; each row
+        # goes with the mask of its label's accept bit
+        self._label_rows: list[tuple[int, tuple[list[int], int]]] = []
         for lab, members, cat1 in layout.labels:
             terms = [(None, cat1)]
             for i in members:
                 for ti, sign in ((0, 1), (1, -1)):
                     terms += [(var, sign * value) for var, value in stop[ti][i]]
-            self._label_rows.append((lab, as_row(terms)))
+            self._label_rows.append((1 << lab, as_row(terms)))
         # labels whose row is not 0 <= 0, so that its sign changes the LP
-        self._signed_labels = [lab for lab, (row, b) in self._label_rows if b or any(row)]
+        self._signed_labels = [mask for mask, (row, b) in self._label_rows if b or any(row)]
         # a row with no variable holds for one accept bit only: 0 <= b when
         # rejected, 0 <= -b when accepted; the label's forced bit is b < 0
-        self._forced = [(lab, b < 0) for lab, (row, b) in self._label_rows if b and not any(row)]
+        self._forced = [(mask, b < 0) for mask, (row, b) in self._label_rows if b and not any(row)]
 
-    def signs(self, accepted: Container[ScoreSeq]) -> tuple[bool, ...]:
+    def signs(self, bits: int) -> tuple[bool, ...]:
         """The accept bits that change :meth:`rows`: equal signs, equal rows."""
-        return tuple(lab in accepted for lab in self._signed_labels)
+        return tuple(bool(bits & mask) for mask in self._signed_labels)
 
-    def refuses(self, accepted: Container[ScoreSeq]) -> bool:
+    def refuses(self, bits: int) -> bool:
         """Whether a label's forced accept bit differs from the policy's, so
         that one of its rows reads ``0 <= b`` with b negative."""
-        return any((lab in accepted) != bit for lab, bit in self._forced)
+        return any(bool(bits & mask) != bit for mask, bit in self._forced)
 
-    def rows(self, accepted: Container[ScoreSeq]) -> tuple[list, list]:
+    def rows(self, bits: int) -> tuple[list, list]:
         """Rows (A_ub, b_ub) of one policy's equilibrium polytope, times
         ``scale``: accepted labels need High - Low >= 0, rejected ones <= 0."""
         a_ub = [row for row, _ in self._br_rows]
         b_ub = [b for _, b in self._br_rows]
-        for lab, (row, b) in self._label_rows:
-            if lab in accepted:
+        for mask, (row, b) in self._label_rows:
+            if bits & mask:
                 row, b = [-v for v in row], -b
             a_ub.append(row)
             b_ub.append(b)
         return a_ub, b_ub
 
-    def feasible(self, accepted: Container[ScoreSeq]) -> Optional[list[Fraction]]:
+    def feasible(self, bits: int) -> Optional[list[Fraction]]:
         """A point of the policy's polytope, or None; a policy that
         :meth:`refuses` is rejected without a solve."""
-        if self.refuses(accepted):
+        if self.refuses(bits):
             return None
         if self.n == 0:  # every row is a label row with no variable
             return []
-        a_ub, b_ub = self.rows(accepted)
+        a_ub, b_ub = self.rows(bits)
         return _simplex.feasible_point(a_ub, b_ub, [], [], self.n, scale=self.scale)
 
     def stops_from_point(self, x: Sequence[Fraction]) -> dict[tuple[StudentType, ScoreSeq], Fraction]:
@@ -544,10 +538,6 @@ class Enumeration:
     classes: list[OutcomeClass]
 
 
-def _positive_cohorts(params: ModelParams) -> list[Cohort]:
-    return [c for c in COHORTS if params.cohort_mass[c] > 0]
-
-
 def _classify(
     params: ModelParams,
     admit: dict[Cohort, Fraction],
@@ -575,7 +565,7 @@ def _admit(
     """Admission probability per positive-mass cohort, from the Category 2
     best-response ``values`` after each first score (the only ones read)."""
     admit: dict[Cohort, Fraction] = {}
-    for cohort in _positive_cohorts(params):
+    for cohort in (c for c in COHORTS if params.cohort_mass[c] > 0):
         t = cohort.type_
         if cohort.category is Category.CAT1:
             admitted = [params.emit(t, s) for s in Score if policy.accepts((s,))]
@@ -623,36 +613,37 @@ def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list
     points: dict[tuple, Optional[list[Fraction]]] = {}  # (row id, signs) -> point
     groups: dict[tuple, tuple[list, Mapping, dict]] = {}
     for pattern in _subtree_induction(params.alpha, params.k, first):
-        key, accepted = pattern.key, pattern.accepted
+        key, bits = pattern.key, pattern.bits
         if key not in systems:
             system = _FlowSystem(params, pattern.rules, seqs, Reporting.ALL)
-            a_ub, b_ub = system.rows(())
+            a_ub, b_ub = system.rows(0)
             rows = (tuple(map(tuple, a_ub)), tuple(b_ub))
             systems[key] = system, row_ids.setdefault(rows, len(row_ids))
         system, row_id = systems[key]
-        signs = system.signs(accepted)
+        signs = system.signs(bits)
         # equal row ids and signs mean equal rows, hence the same vertex
         if (row_id, signs) not in points:
-            points[(row_id, signs)] = system.feasible(accepted)
+            points[(row_id, signs)] = system.feasible(bits)
         x = points[(row_id, signs)]
         if x is None:
             continue
         values = pattern.values
-        odds = ((first,) in accepted, *(values[(t, (first,))] for t in StudentType))
+        odds = (bits >> node((first,)) & 1, *(values[(t, (first,))] for t in StudentType))
         if odds not in groups:
             groups[odds] = ([], values, system.stops_from_point(x))
-        groups[odds][0].append(accepted)
+        groups[odds][0].append(bits)
     return groups
 
 
 def _enumerate_report_all(params: ModelParams) -> Enumeration:
-    """One block per (A-group, B-group) pair: the products of their patterns."""
+    """One block per (A-group, B-group) pair: the products of their patterns,
+    whose accept bits never share a node."""
     a_groups, b_groups = (_solve_subtrees(params, first).values() for first in Score)
     blocks = (
-        ([AdmissionPolicy(params.k, a | b) for a in a_accepted for b in b_accepted],
+        ([AdmissionPolicy(params.k, a | b) for a in a_bits for b in b_bits],
          {**a_values, **b_values}, {**a_stops, **b_stops})
-        for a_accepted, a_values, a_stops in a_groups
-        for b_accepted, b_values, b_stops in b_groups
+        for a_bits, a_values, a_stops in a_groups
+        for b_bits, b_values, b_stops in b_groups
     )
     considered = (1 << (2**params.k - 1)) ** 2
     return _census(params, SCOPE_REPORT_ALL, considered, Reporting.ALL, blocks)
@@ -675,7 +666,7 @@ def _enumerate_policy_list(
     def blocks():
         for policy in policies:
             br, system = _policy_system(params, policy, reporting)
-            x = system.feasible(policy.accepted)
+            x = system.feasible(policy.bits)
             if x is not None:
                 yield [policy], br.values, system.stops_from_point(x)
 
@@ -733,7 +724,7 @@ def free_stop_intervals(
     empty when the policy has no equilibrium.
     """
     _, system = _policy_system(params, policy, reporting)
-    a_ub, b_ub = system.rows(policy.accepted)
+    a_ub, b_ub = system.rows(policy.bits)
     out = {}
     for t, h in system.var_index:
         interval = system.stop_interval(t, h, a_ub, b_ub)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from retesting import (
+    AdmissionPolicy,
     BadIndex,
     FIRST_SCORE,
     NON_FIRST_SCORE,
@@ -17,6 +19,7 @@ from retesting import (
     Score,
     SEPARATING,
     UnsupportedK,
+    all_sequences,
     closed_form_profiles,
     college_payoff,
     confusion_rates,
@@ -43,6 +46,36 @@ PHIS = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)
 
 def params_at(p, alpha=Fraction(4, 5), phi=Fraction(1, 2), k=2) -> ModelParams:
     return ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+
+
+class TestAdmissionPolicy:
+    """A policy is its accept bits by tree node; every constructor gives the
+    same (k, bits), so equal policies compare and hash equal."""
+
+    def test_from_accepted_matches_from_predicate(self):
+        rng = random.Random(20211118)
+        nodes = all_sequences(3)
+        for _ in range(50):
+            accepted = set(rng.sample(nodes, rng.randint(0, len(nodes))))
+            by_set = AdmissionPolicy.from_accepted(3, accepted)
+            by_pred = AdmissionPolicy.from_predicate(3, accepted.__contains__)
+            assert by_set == by_pred and hash(by_set) == hash(by_pred)
+            assert [s for s in nodes if by_set.accepts(s)] == [s for s in nodes if s in accepted]
+
+    def test_longer_sequence_is_not_accepted(self):
+        policy = AdmissionPolicy.accept_all(2)
+        assert policy.accepts(seq("AB"))
+        assert not policy.accepts(seq("ABA")) and not policy.accepts(())
+
+    @pytest.mark.parametrize("text", ["ABA", ""])
+    def test_from_accepted_refuses_wrong_length(self, text):
+        with pytest.raises(ValueError):
+            AdmissionPolicy.from_accepted(2, [seq("A"), seq(text)])
+
+    @pytest.mark.parametrize("bits", [-1, 1 << 6])
+    def test_bits_outside_the_tree_refused(self, bits):
+        with pytest.raises(ValueError):
+            AdmissionPolicy(2, bits)
 
 
 class TestThresholds:
@@ -252,7 +285,7 @@ class TestNonFirstScoreConstructor:
         profile = construct_non_first_score_equilibrium(params, 3)
         assert profile is not None and profile.label == NON_FIRST_SCORE and profile.n == 3
         accepted_b_first = sorted(
-            seq_str(s) for s in profile.policy.accepted if s[0] is Score.B
+            seq_str(s) for s in all_sequences(3) if s[0] is Score.B and profile.policy.accepts(s)
         )
         assert accepted_b_first == ["BAA"]
         assert verify_equilibrium(params, profile).ok

@@ -25,7 +25,7 @@ from retesting import (
     seq_str,
 )
 from retesting.cli import MAX_K
-from retesting.model import all_sequences
+from retesting.model import all_sequences, node
 
 
 def brute_force_cat2(alpha: Fraction, k: int, stops: dict) -> dict:
@@ -102,6 +102,10 @@ class TestNodeOrder:
                 assert (nodes[2 * i + 2], nodes[2 * i + 3]) == (h + (Score.A,), h + (Score.B,))
             else:
                 assert 2 * i + 2 >= len(nodes)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_node_is_the_index_in_all_sequences(self, k):
+        assert [node(s) for s in all_sequences(k)] == list(range(2 ** (k + 1) - 2))
 
 
 class TestOutcomeDistribution:

@@ -29,8 +29,10 @@ SCOPE_OF = {Reporting.ALL: SCOPE_REPORT_ALL, Reporting.MAX: SCOPE_REPORT_MAX}
 @st.composite
 def points(draw) -> ModelParams:
     """alpha in (1/2, 1], p in (0, 1) and phi in [0, 1], each a fraction
-    with a small denominator, and k in 1..3."""
-    k = draw(st.sampled_from((1, 2, 3)))
+    with a small denominator, and k in 1..3. k=3, where the census does most
+    of its work, is listed twice: it gets 15 to 18 of each test's 30
+    derandomized examples, and every test still sees k=1 and k=2."""
+    k = draw(st.sampled_from((1, 3, 3, 2)))
     d = draw(st.integers(2, 10))
     alpha = Fraction(draw(st.integers(d // 2 + 1, d)), d)
     d = draw(st.integers(2, 20))

@@ -28,6 +28,7 @@ from retesting import (
     construct_first_score_equilibrium,
     enumerate_outcomes,
     free_stop_intervals,
+    node,
     report_all_regions,
     report_max_thresholds,
     seq,
@@ -64,10 +65,17 @@ def profile_from(policy, stops, reporting=Reporting.ALL, label="test") -> Equili
     )
 
 
-def policy_from_bits(k: int, bits: int) -> AdmissionPolicy:
-    """The policy accepting the i-th sequence of ``all_sequences(k)`` iff bit i is set."""
-    seqs = list(all_sequences(k))
-    return AdmissionPolicy(k=k, accepted=frozenset(s for i, s in enumerate(seqs) if bits >> i & 1))
+def induction_values(params, policy):
+    """The value of every (type, history) in the tables of
+    ``search._induction`` for the policy's one accept pattern."""
+    values = {}
+    for first in Score:
+        tables = search._induction(params.alpha, params.k, first, policy.bits)
+        for h, ((_, high, low, _),) in zip(_subtree(first, params.k), tables):
+            scale = params.alpha.denominator ** (params.k - len(h))
+            values[(StudentType.HIGH, h)] = Fraction(high, scale)
+            values[(StudentType.LOW, h)] = Fraction(low, scale)
+    return values
 
 
 def reference_induction(params, policy):
@@ -118,20 +126,23 @@ class TestBestResponse:
 
 
 class TestReferenceInduction:
-    """best_response against an induction that shares no code with it."""
+    """best_response against an induction that shares no code with it:
+    its rules and depth-one values, and the value of every history in the
+    integer tables of the one-pattern induction it runs."""
 
     @staticmethod
     def check(params, policies):
         for policy in policies:
             br = best_response(params, policy)
             rules, values = reference_induction(params, policy)
-            assert dict(br.rules) == rules, sorted(policy.accepted)
-            assert dict(br.values) == values, sorted(policy.accepted)
+            assert dict(br.rules) == rules, policy
+            assert dict(br.values) == {key: v for key, v in values.items() if len(key[1]) == 1}, policy
+            assert induction_values(params, policy) == values, policy
 
     @pytest.mark.parametrize("alpha", [Fraction(3, 5), Fraction(4, 5), Fraction(1)])
     def test_all_k2_policies(self, alpha):
         params = ModelParams(p=Fraction(2, 5), alpha=alpha, phi=Fraction(1, 2), k=2)
-        self.check(params, [policy_from_bits(2, bits) for bits in range(1 << 6)])
+        self.check(params, [AdmissionPolicy(2, bits) for bits in range(1 << 6)])
 
     @pytest.mark.parametrize("alpha", [Fraction(3, 5), Fraction(7, 10), Fraction(9, 10)])
     def test_k3_family_policies(self, alpha):
@@ -145,7 +156,7 @@ class TestReferenceInduction:
     def test_k3_seeded_sample(self, alpha):
         params = ModelParams(p=Fraction(2, 5), alpha=alpha, phi=Fraction(1, 2), k=3)
         sample = random.Random(20210216).sample(range(1 << 14), 200)
-        self.check(params, [policy_from_bits(3, bits) for bits in sample])
+        self.check(params, [AdmissionPolicy(3, bits) for bits in sample])
 
 
 class TestEveryPatternInduction:
@@ -158,14 +169,17 @@ class TestEveryPatternInduction:
         for first in Score:
             seqs = _subtree(first, k)
             table = _subtree_induction(alpha, k, first)
-            bits = [sum(1 << i for i, s in enumerate(seqs) if s in p.accepted) for p in table]
-            assert bits == list(range(1 << len(seqs)))  # ascending, every pattern once
+            # the j-th pattern accepts the i-th subtree sequence iff bit i of
+            # j is set; node is increasing on the subtree, so bits ascend
+            nodes = [node(s) for s in seqs]
+            every = [sum(1 << n for i, n in enumerate(nodes) if j >> i & 1) for j in range(1 << len(seqs))]
+            assert [p.bits for p in table] == every == sorted(every)
             rules_by_key = {}
             for pattern in table:
-                policy = AdmissionPolicy(k=k, accepted=pattern.accepted)
+                policy = AdmissionPolicy(k, pattern.bits)
                 rules, values = reference_induction(params, policy)
-                own = {node: rule for node, rule in rules.items() if node[1][0] is first}
-                assert dict(pattern.rules) == own, sorted(pattern.accepted)
+                own = {key: rule for key, rule in rules.items() if key[1][0] is first}
+                assert dict(pattern.rules) == own, policy
                 assert dict(pattern.values) == {
                     (t, (first,)): values[(t, (first,))] for t in StudentType
                 }
@@ -206,7 +220,8 @@ class TestEveryPatternInduction:
         rules, values = reference_induction(params, policy)
         assert len(br.rules) == 2 * (2**10 - 2)
         assert dict(br.rules) == rules
-        assert dict(br.values) == values
+        assert dict(br.values) == {key: v for key, v in values.items() if len(key[1]) == 1}
+        assert induction_values(params, policy) == values
 
 
 class TestVerify:
@@ -458,7 +473,7 @@ class TestGroupedCensus:
     @pytest.mark.parametrize("phi", [Fraction(0), Fraction(1, 2), Fraction(1)])
     def test_matches_one_solve_per_policy_k2(self, alpha, p, phi):
         params = ModelParams(p=p, alpha=alpha, phi=phi, k=2)
-        policies = [policy_from_bits(2, bits) for bits in range(1 << 6)]
+        policies = [AdmissionPolicy(2, bits) for bits in range(1 << 6)]
         grouped = enumerate_outcomes(params, "report-all")
         single = _enumerate_policy_list(params, policies, Reporting.ALL, "report-all")
         assert grouped.policies_considered == single.policies_considered == 64
@@ -482,7 +497,7 @@ class TestGroupedCensus:
             rules = best_response(params, witness.policy).rules
             for first in Score:
                 system = _FlowSystem(params, rules, _subtree(first, 3), Reporting.ALL)
-                x = system.feasible(witness.policy.accepted)
+                x = system.feasible(witness.policy.bits)
                 assert x is not None
                 for node, stop in system.stops_from_point(x).items():
                     assert witness.strategy.stop[node] == stop
@@ -527,13 +542,13 @@ class TestForcedLabelScreen:
     pattern it refuses must be one the simplex finds infeasible."""
 
     @staticmethod
-    def check(system, accepted, counts):
-        a_ub, b_ub = system.rows(accepted)
+    def check(system, bits, counts):
+        a_ub, b_ub = system.rows(bits)
         solved = _simplex.solve([0] * system.n, a_ub, b_ub, [], [], system.n, scale=system.scale)
-        if system.refuses(accepted):
+        if system.refuses(bits):
             assert solved.status == _simplex.INFEASIBLE
             counts["refused"] += 1
-        assert (system.feasible(accepted) is None) == (solved.status == _simplex.INFEASIBLE)
+        assert (system.feasible(bits) is None) == (solved.status == _simplex.INFEASIBLE)
         counts["patterns"] += 1
 
     def census(self, params, counts):
@@ -542,7 +557,7 @@ class TestForcedLabelScreen:
         for first in Score:
             for pattern in _subtree_induction(params.alpha, params.k, first):
                 system = _FlowSystem(params, pattern.rules, _subtree(first, params.k), Reporting.ALL)
-                self.check(system, pattern.accepted, counts)
+                self.check(system, pattern.bits, counts)
 
     @pytest.mark.parametrize("alpha", [Fraction(3, 5), Fraction(4, 5)])
     @pytest.mark.parametrize("p", [Fraction(1, 5), Fraction(1, 2), Fraction(17, 20)])
@@ -552,11 +567,11 @@ class TestForcedLabelScreen:
         counts = {"refused": 0, "patterns": 0}
         self.census(params, counts)
         for bits in range(1 << 6):
-            policy = policy_from_bits(2, bits)
+            policy = AdmissionPolicy(2, bits)
             rules = best_response(params, policy).rules
             for reporting in Reporting:
                 system = _FlowSystem(params, rules, all_sequences(2), reporting)
-                self.check(system, policy.accepted, counts)
+                self.check(system, policy.bits, counts)
         assert counts["patterns"] == 2 * 8 + 2 * 64
         assert counts["refused"] > 0
 

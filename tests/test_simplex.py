@@ -245,7 +245,7 @@ def test_flow_rows_by_hand():
     policy = AdmissionPolicy.first_score(3)
     system = _FlowSystem(params, best_response(params, policy).rules, all_sequences(3), Reporting.ALL)
     assert system.n == 12
-    a_ub, b_ub = system.rows(policy.accepted)
+    a_ub, b_ub = system.rows(policy.bits)
     assert len(a_ub) == 12 + 14
     assert system.scale == 2 * 2 * 5**3  # den(p) den(phi) den(alpha)^k
     a_ub = [[Fraction(v, system.scale) for v in r] for r in a_ub]
