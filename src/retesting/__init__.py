@@ -91,6 +91,7 @@ from .search import (
     BestResponseSet,
     Enumeration,
     OutcomeClass,
+    PolicySet,
     Verdict,
     best_response,
     enumerate_outcomes,

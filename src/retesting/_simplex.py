@@ -45,7 +45,7 @@ def _integer_row(values: Sequence[Fraction], scale: Optional[int] = None) -> tup
     if scale is not None:
         g = math.gcd(scale, *values)
         return [v // g for v in values], scale // g
-    d = math.lcm(*(v.denominator for v in values))
+    d = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (d // v.denominator) for v in values], d
 
 

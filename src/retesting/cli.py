@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .equilibria import (
@@ -580,9 +581,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of :func:`main` and reused, so
+    that in-process callers pay for it once."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, UnsupportedK, NoEquilibrium) as exc:

@@ -174,6 +174,15 @@ class ModelParams:
     def phi_bar(self) -> Fraction:
         return 1 - self.phi
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash, computed once: a census looks up the flow
+        layout of its parameters once per flow system."""
+        return hash((self.p, self.alpha, self.phi, self.k))
+
     @cached_property
     def cohort_mass(self) -> Mapping[Cohort, Fraction]:
         """Population share of every cohort, computed once per parameters."""

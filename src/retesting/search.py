@@ -9,9 +9,13 @@ Free (indifferent) stop probabilities therefore form polytopes. Every mass is
 a single term, a constant or a multiple of one free continue mass, so each
 row is read off directly. Systems over one game tree share one cached layout
 of their path masses, all integers over one denominator, so their rows are
-integers that the integer-row simplex decides exactly. A label row with no
-free continue mass fixes that label's accept bit: a pattern with the other
-bit is infeasible, which is decided from the rows without a solve.
+integers that the integer-row simplex decides exactly. Which mass goes where
+in the rows depends only on the tree, the reporting policy and the
+best-response rules, so a cached template per rule pattern holds every row
+as signed indices into the layout, and building a system at a point only
+reads them. A label row with no free continue mass fixes that label's accept
+bit: a pattern with the other bit is infeasible, which is decided from the
+rows without a solve.
 
 Best responses come from one bottom-up induction per first-score subtree:
 each history combines the results of its two children with its own accept
@@ -25,18 +29,22 @@ The verifier reads each report's posterior through
 The report-all census groups subtree policies by best-response rule pattern,
 one flow system each, and solves each distinct LP once. This is exact: every
 LP keeps its own rows, so the simplex returns the same vertex. Subtree
-policies with equal admission odds form a group, whose witness stops come
-from its first policy; one class builder takes blocks of one-outcome
-policies from every scope. No closed form from :mod:`retesting.equilibria`
-is used to prune; the forced-label screen reads only the LP rows.
+policies with equal integer admission odds form a group, whose witness stops
+come from its first policy; one class builder takes blocks of one-outcome
+policies from every scope. A class keeps its policies as those blocks, a
+:class:`PolicySet`: a report-all block is the product of an A-group and a
+B-group of accept bits, and no policy is built until one is iterated. No
+closed form from :mod:`retesting.equilibria` is used to prune; the
+forced-label screen reads only the LP rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import _simplex
 from .beliefs import OFF_PATH, posterior_from_distribution
@@ -183,10 +191,11 @@ def _rules_of(code: int, seqs: Sequence[ScoreSeq], k: int) -> dict[tuple[Student
 
 class _Pattern(NamedTuple):
     """One accept pattern of a first-score subtree and its best response;
-    patterns with equal values or rules share one mapping."""
+    patterns with equal odds or rules share one tuple and mapping."""
 
     bits: int  # accept bits, as in ``AdmissionPolicy``
-    values: Mapping[tuple[StudentType, ScoreSeq], Fraction]  # at the first score only
+    odds: tuple[int, int]  # High and Low values at the first score, as in ``_Entry``
+    values: Mapping[tuple[StudentType, ScoreSeq], Fraction]  # the odds as Fractions
     key: int  # rule code: equal keys, equal rules
     rules: Mapping[tuple[StudentType, ScoreSeq], str]
 
@@ -203,18 +212,18 @@ def _subtree_induction(alpha: Fraction, k: int, first: Score) -> tuple[_Pattern,
         raise ScopeTooLarge(f"every accept pattern at k={k} means 2^{2**k - 1} patterns per subtree")
     seqs = _subtree(first, k)
     scale = alpha.denominator ** (k - 1)
-    values: dict[tuple[int, int], dict] = {}
+    odds: dict[tuple[int, int], tuple[tuple[int, int], dict]] = {}  # -> (odds, values)
     rules: dict[int, dict] = {}
     patterns = []
     for bits, high, low, code in sorted(_induction(alpha, k, first)[0]):
-        if (high, low) not in values:
-            values[(high, low)] = {
+        if (high, low) not in odds:
+            odds[(high, low)] = (high, low), {
                 (StudentType.HIGH, (first,)): Fraction(high, scale),
                 (StudentType.LOW, (first,)): Fraction(low, scale),
             }
         if code not in rules:
             rules[code] = _rules_of(code, seqs, k)
-        patterns.append(_Pattern(bits, values[(high, low)], code, rules[code]))
+        patterns.append(_Pattern(bits, *odds[(high, low)], code, rules[code]))
     return tuple(patterns)
 
 
@@ -306,46 +315,119 @@ _Term = tuple[Optional[int], int]
 _TYPES = tuple(StudentType)  # High first, as in every row
 
 
-class _Layout(NamedTuple):
-    """What every flow system over one game tree shares, whatever its
-    best-response rules; masses are integers over ``scale`` =
-    den(p) den(phi) den(alpha)^k."""
+class _Shape(NamedTuple):
+    """The structure of one game tree under one reporting policy, and the
+    index of each of its masses in the ``values`` of its layouts."""
 
-    scale: int
-    sequences: tuple[ScoreSeq, ...]  # in node order
     parents: tuple[int, ...]  # index of each sequence's parent, -1 at depth one
-    # reach[t][i][d]: mass of type t reaching sequence i per unit continuing
-    # at its depth-d ancestor; d = 0 is the constant mass of an unbroken path
-    reach: tuple[tuple[tuple[int, ...], ...], ...]
-    # labels in node order, each as its tree node, member indices and
-    # Category 1 High - Low mass
-    labels: tuple[tuple[int, tuple[int, ...], int], ...]
+    # labels in node order, each as its tree node and member indices
+    labels: tuple[tuple[int, tuple[int, ...]], ...]
+    # reach[t][i] + d indexes the mass of type t reaching sequence i per unit
+    # continuing at its depth-d ancestor; d = 0 is the constant mass of an
+    # unbroken path
+    reach: tuple[tuple[int, ...], ...]
+    cat1: int  # cat1 + l indexes the Category 1 High - Low mass of label l
 
 
 @lru_cache(maxsize=8)  # a census point uses up to four trees
-def _layout(params: ModelParams, seqs: tuple[ScoreSeq, ...], reporting: Reporting) -> _Layout:
-    """The layout of the tree ``seqs``, given in node order (all of
-    :func:`all_sequences` or one :func:`_subtree`)."""
+def _shape(seqs: tuple[ScoreSeq, ...], reporting: Reporting) -> _Shape:
+    """The shape of the tree ``seqs``, given in node order (all of
+    :func:`all_sequences` or one :func:`_subtree`). Index 1 holds the scale."""
     index = {s: i for i, s in enumerate(seqs)}
     parents = tuple(index[s[:-1]] if len(s) > 1 else -1 for s in seqs)
+    groups: dict[ScoreSeq, list[int]] = {}  # labels come first in node order: sorted
+    for i, s in enumerate(seqs):
+        groups.setdefault((best_score(s),) if reporting is Reporting.MAX else s, []).append(i)
+    labels = tuple((node(lab), tuple(members)) for lab, members in groups.items())
+    starts = list(accumulate((len(s) for s in seqs * 2), initial=2))
+    return _Shape(parents, labels, (tuple(starts[: len(seqs)]), tuple(starts[len(seqs) : -1])), starts[-1])
+
+
+@lru_cache(maxsize=8)  # a census point uses up to four trees
+def _layout(params: ModelParams, seqs: tuple[ScoreSeq, ...], reporting: Reporting) -> tuple[int, ...]:
+    """What every flow system over the tree ``seqs`` shares at one point,
+    whatever its best-response rules: its masses, integers over the scale
+    den(p) den(phi) den(alpha)^k, at the indices of its :func:`_shape`.
+    Index 0 holds 0 and index -j the negation of index j, so a signed index
+    reads a mass or its negation."""
+    shape = _shape(seqs, reporting)
     den, den_pphi = params.alpha.denominator ** params.k, params.p.denominator * params.phi.denominator
-    reach: tuple[list, list] = ([], [])
+    values = [den_pphi * den]
     cat1 = [0] * len(seqs)
-    for masses, t, sign in zip(reach, _TYPES, (1, -1)):
+    for t, sign in zip(_TYPES, (1, -1)):
         share = params.p if t is StudentType.HIGH else params.p_bar
         emit = {a: int(params.emit(t, a) * den) for a in Score}  # over den
-        for i, (s, j) in enumerate(zip(seqs, parents)):
+        masses: list[tuple[int, ...]] = []
+        for i, (s, j) in enumerate(zip(seqs, shape.parents)):
             e = emit[s[-1]]
             if j < 0:
                 masses.append((int(params.phi_bar * share * den_pphi) * e,))
                 cat1[i] += sign * int(params.phi * share * den_pphi) * e
             else:  # one more emission on the path from every ancestor, and the parent's unit
                 masses.append((*(m * e // den for m in masses[j]), den_pphi * e))
-    groups: dict[ScoreSeq, list[int]] = {}  # labels come first in node order: sorted
-    for i, s in enumerate(seqs):
-        groups.setdefault((best_score(s),) if reporting is Reporting.MAX else s, []).append(i)
-    labels = tuple((node(lab), tuple(members), sum(cat1[i] for i in members)) for lab, members in groups.items())
-    return _Layout(den_pphi * den, seqs, parents, tuple(map(tuple, reach)), labels)
+            values += masses[-1]
+    values += [sum(cat1[i] for i in members) for _, members in shape.labels]
+    return (0, *values, *(-v for v in reversed(values)))
+
+
+# A template row: (column, signed index into a layout's values) terms of
+# ``sum <= 0``, with the constant in column n.
+_Row = tuple[tuple[int, int], ...]
+
+
+class _Template(NamedTuple):
+    """What a flow system takes from its tree, reporting policy, k and
+    best-response rules, whatever the point: its free nodes, the anchor of
+    every reach and every row as signed indices into a layout's values."""
+
+    histories: tuple[ScoreSeq, ...]
+    var_index: dict[tuple[StudentType, ScoreSeq], int]
+    reach: dict[tuple[StudentType, ScoreSeq], _Term]  # (var, signed index)
+    br_rows: tuple[_Row, ...]  # c - reach <= 0 at every free node
+    label_rows: tuple[tuple[int, _Row], ...]  # (mask of the label's accept bit, row)
+
+
+@lru_cache(maxsize=128)  # a k=3 census sweep over 4 alphas builds 55
+def _template(seqs: tuple[ScoreSeq, ...], reporting: Reporting, k: int, rules: tuple[str, ...]) -> _Template:
+    """The template of the tree ``seqs`` under the ``rules`` of its
+    histories, in node order and High first."""
+    shape = _shape(seqs, reporting)
+    histories = tuple(s for s in seqs if len(s) < k)
+    rule_of = dict(zip(((t, s) for s in histories for t in _TYPES), rules))
+    var_index: dict[tuple[StudentType, ScoreSeq], int] = {}
+    reach: dict[tuple[StudentType, ScoreSeq], _Term] = {}
+    br: list[tuple[_Term, ...]] = []
+    # per type and sequence: the (var, depth) its children's mass continues
+    # from (None when none does), and its stop mass as terms
+    below: tuple[list, list] = ([], [])
+    stop: tuple[list, list] = ([], [])
+    for i, (s, j) in enumerate(zip(seqs, shape.parents)):
+        for ti, t in enumerate(_TYPES):
+            anchor = (None, 0) if j < 0 else below[ti][j]
+            r = (None, 0) if anchor is None else (anchor[0], shape.reach[ti][i] + anchor[1])
+            reach[(t, s)] = r
+            rule = rule_of[(t, s)] if len(s) < k else STOP
+            if rule == ANY:
+                var = var_index[(t, s)] = len(var_index)
+                br.append(((var, 1), (r[0], -r[1])))  # index 1 holds the scale
+                anchor = (var, len(s))
+            below[ti].append(None if rule == STOP else anchor)
+            stop[ti].append(() if rule == CONTINUE else (r, (var, -1)) if rule == ANY else (r,))
+    n = len(var_index)
+
+    def as_row(terms: Iterable[_Term]) -> _Row:
+        return tuple((n if var is None else var, j) for var, j in terms if j)
+
+    # High - Low mass per label, as the row "High - Low <= 0": the stop mass
+    # of each member, plus Category 1 mass at depth one
+    label_rows = []
+    for l, (lab, members) in enumerate(shape.labels):
+        terms = [(None, shape.cat1 + l)]
+        for i in members:
+            for ti, sign in ((0, 1), (1, -1)):
+                terms += [(var, sign * j) for var, j in stop[ti][i]]
+        label_rows.append((1 << lab, as_row(terms)))
+    return _Template(histories, var_index, reach, tuple(map(as_row, br)), tuple(label_rows))
 
 
 class _FlowSystem:
@@ -356,12 +438,14 @@ class _FlowSystem:
     and continue mass is then one term ``(var, value)``: the constant
     ``value`` when ``var`` is None, else ``value * x[var]`` (a free node
     continues ``x[var]``, a forced one 0 or its whole reach). Values and rows
-    are integers, ``scale`` times the rational ones, read off the tree's
-    cached :class:`_Layout`: a system only assigns variables, with no
-    ``Fraction`` arithmetic. A policy enters only through the signs of the
-    label rows, read from its accept bits (as in :class:`AdmissionPolicy`),
-    so it has an equilibrium iff its :meth:`rows` admit a nonnegative
-    solution.
+    are integers, ``scale`` times the rational ones. Which term goes where
+    depends only on the tree, the reporting policy and the rules, so it is
+    built once per rule pattern as a cached :class:`_Template`; a system
+    reads the template's signed indices from the tree's cached
+    :func:`_layout` at its point, with no ``Fraction`` arithmetic. A policy
+    enters only through the signs of the label rows, read from its accept
+    bits (as in :class:`AdmissionPolicy`), so it has an equilibrium iff its
+    :meth:`rows` admit a nonnegative solution.
     """
 
     def __init__(
@@ -371,58 +455,43 @@ class _FlowSystem:
         sequences: Iterable[ScoreSeq],
         reporting: Reporting,
     ):
-        layout = _layout(params, tuple(sequences), reporting)
+        seqs, k = tuple(sequences), params.k
+        template = _template(seqs, reporting, k, tuple([rules[(t, s)] for s in seqs if len(s) < k for t in _TYPES]))
+        self._values = values = _layout(params, seqs, reporting)
         self.rules = rules
-        self.scale = scale = layout.scale
-        self.histories = [s for s in layout.sequences if len(s) < params.k]
-        self.var_index: dict[tuple[StudentType, ScoreSeq], int] = {}
-        self.reach: dict[tuple[StudentType, ScoreSeq], _Term] = {}
-        br: list[tuple[_Term, ...]] = []  # c - reach <= 0 at every free node
-        # per type and sequence: the (var, depth) its children's mass
-        # continues from (None when none does), and its stop mass as terms
-        below: tuple[list, list] = ([], [])
-        stop: tuple[list, list] = ([], [])
-        for i, (s, j) in enumerate(zip(layout.sequences, layout.parents)):
-            for ti, t in enumerate(_TYPES):
-                anchor = (None, 0) if j < 0 else below[ti][j]
-                r = (None, 0) if anchor is None else (anchor[0], layout.reach[ti][i][anchor[1]])
-                self.reach[(t, s)] = r
-                rule = rules[(t, s)] if len(s) < params.k else STOP
-                if rule == ANY:
-                    var = self.var_index[(t, s)] = len(self.var_index)
-                    br.append(((var, scale), (r[0], -r[1])))
-                    anchor = (var, len(s))
-                below[ti].append(None if rule == STOP else anchor)
-                stop[ti].append(() if rule == CONTINUE else (r, (var, -scale)) if rule == ANY else (r,))
-        self.n = n = len(self.var_index)
+        self.scale = values[1]
+        self.histories = template.histories
+        self.var_index = template.var_index
+        self.n = n = len(template.var_index)
+        self._reach = template.reach
 
-        def as_row(terms: Iterable[_Term]) -> tuple[list[int], int]:
-            """The row of ``sum(terms) <= 0`` as (coefficients, rhs)."""
-            coeffs = [0] * (n + 1)  # the constant last
-            for var, value in terms:
-                coeffs[n if var is None else var] += value
+        def instantiate(row: _Row) -> tuple[list[int], int]:
+            """The row of the template row at this point, as (coefficients, rhs)."""
+            coeffs = [0] * (n + 1)
+            for col, j in row:
+                coeffs[col] += values[j]
             return coeffs[:n], -coeffs[n]
 
-        self._br_rows = [as_row(terms) for terms in br]
-        # High - Low mass per label, as the row "High - Low <= 0": the stop
-        # mass of each member, plus Category 1 mass at depth one; each row
-        # goes with the mask of its label's accept bit
-        self._label_rows: list[tuple[int, tuple[list[int], int]]] = []
-        for lab, members, cat1 in layout.labels:
-            terms = [(None, cat1)]
-            for i in members:
-                for ti, sign in ((0, 1), (1, -1)):
-                    terms += [(var, sign * value) for var, value in stop[ti][i]]
-            self._label_rows.append((1 << lab, as_row(terms)))
+        self._br_rows = [instantiate(row) for row in template.br_rows]
+        # each label row goes with the mask of its label's accept bit
+        self._label_rows = [(mask, instantiate(row)) for mask, row in template.label_rows]
         # labels whose row is not 0 <= 0, so that its sign changes the LP
         self._signed_labels = [mask for mask, (row, b) in self._label_rows if b or any(row)]
         # a row with no variable holds for one accept bit only: 0 <= b when
         # rejected, 0 <= -b when accepted; the label's forced bit is b < 0
         self._forced = [(mask, b < 0) for mask, (row, b) in self._label_rows if b and not any(row)]
 
+    @cached_property
+    def reach(self) -> dict[tuple[StudentType, ScoreSeq], _Term]:
+        """The reach mass of every (type, sequence) as one term."""
+        return {key: (var, self._values[j]) for key, (var, j) in self._reach.items()}
+
     def signs(self, bits: int) -> tuple[bool, ...]:
         """The accept bits that change :meth:`rows`: equal signs, equal rows."""
-        return tuple(bool(bits & mask) for mask in self._signed_labels)
+        # from a list, as in every per-point tuple: a tuple built from a
+        # generator is resized, which moves it between CPython's per-size
+        # tuple free lists, so they fill up between full collections
+        return tuple([bool(bits & mask) for mask in self._signed_labels])
 
     def refuses(self, bits: int) -> bool:
         """Whether a label's forced accept bit differs from the policy's, so
@@ -509,20 +578,53 @@ SCOPES = (
 )
 
 
+class PolicySet:
+    """The policies that support one outcome class, stored as the census
+    blocks that found them, none built until iterated.
+
+    A block (left, right) holds ``AdmissionPolicy(k, a | b)`` for every a in
+    left and b in right, where a has node bits inside ``mask`` only and b
+    outside it; a report-all block is the product of an A-subtree group and
+    a B-subtree group. ``len`` is a sum of products, ``in`` splits a policy's
+    bits at ``mask``, and iteration goes block by block, left-major.
+    """
+
+    def __init__(self, k: int, mask: int):
+        self.k = k
+        self.mask = mask
+        self.blocks: list[tuple[Sequence[int], Sequence[int]]] = []
+
+    def __len__(self) -> int:
+        return sum(len(left) * len(right) for left, right in self.blocks)
+
+    def __iter__(self) -> Iterator[AdmissionPolicy]:
+        for left, right in self.blocks:
+            for a in left:
+                for b in right:
+                    yield AdmissionPolicy(self.k, a | b)
+
+    def __contains__(self, policy: object) -> bool:
+        if not isinstance(policy, AdmissionPolicy) or policy.k != self.k:
+            return False
+        a, b = policy.bits & self.mask, policy.bits & ~self.mask
+        return any(a in left and b in right for left, right in self.blocks)
+
+
 @dataclass
 class OutcomeClass:
     """An equilibrium outcome: per-cohort admission probabilities.
 
     Cohorts with zero mass are omitted (their conditional behavior is not an
-    observable outcome). ``policies`` lists every deterministic policy in
-    scope that supports the class once, grouped by census block;
+    observable outcome). ``policies`` is the :class:`PolicySet` of every
+    deterministic policy in scope that supports the class, each once, in
+    census block order; it supports ``len``, ``in`` and iteration.
     ``witness`` is one fully specified profile, from the first block.
     """
 
     admit_prob: dict[Cohort, Fraction]
     label: str
     witness: EquilibriumProfile
-    policies: list[AdmissionPolicy]
+    policies: PolicySet
     verified: bool
 
     def key(self) -> tuple:
@@ -559,16 +661,17 @@ def _classify(
 
 def _admit(
     params: ModelParams,
-    policy: AdmissionPolicy,
+    bits: int,
     values: Mapping[tuple[StudentType, ScoreSeq], Fraction],
 ) -> dict[Cohort, Fraction]:
-    """Admission probability per positive-mass cohort, from the Category 2
-    best-response ``values`` after each first score (the only ones read)."""
+    """Admission probability per positive-mass cohort, from a policy's accept
+    ``bits`` at the first score and the Category 2 best-response ``values``
+    after each first score (the only ones read)."""
     admit: dict[Cohort, Fraction] = {}
     for cohort in (c for c in COHORTS if params.cohort_mass[c] > 0):
         t = cohort.type_
         if cohort.category is Category.CAT1:
-            admitted = [params.emit(t, s) for s in Score if policy.accepts((s,))]
+            admitted = [params.emit(t, s) for s in Score if bits >> node((s,)) & 1]
         else:
             admitted = [params.emit(t, s) * values[(t, (s,))] for s in Score]
         admit[cohort] = sum(admitted, Fraction(0))
@@ -580,34 +683,39 @@ def _census(
     scope: str,
     considered: int,
     reporting: Reporting,
-    blocks: Iterable[tuple[list[AdmissionPolicy], Mapping, Mapping]],
+    mask: int,
+    blocks: Iterable[tuple[Sequence[int], Sequence[int], Mapping, Mapping]],
 ) -> Enumeration:
-    """The one place outcome classes are built. Each block (policies, values,
-    stops) holds feasible policies with one first-score acceptance and one set
-    of Category 2 ``values`` after each first score, hence one outcome; a new
+    """The one place outcome classes are built. Each block (left, right,
+    values, stops) holds feasible policies, split at ``mask`` as in
+    :class:`PolicySet`, with one first-score acceptance and one set of
+    Category 2 ``values`` after each first score, hence one outcome; a new
     outcome gets the verified witness of its block's first policy and stops.
     """
     classes: dict[tuple, OutcomeClass] = {}
-    for policies, values, stops in blocks:
-        policy = policies[0]
-        admit = _admit(params, policy, values)
+    for left, right, values, stops in blocks:
+        bits = left[0] | right[0]
+        admit = _admit(params, bits, values)
         key = admission_key(admit)
         if key not in classes:
             label = _classify(params, admit, reporting)
-            witness = EquilibriumProfile(policy, StudentStrategy(stops), label, reporting)
-            classes[key] = OutcomeClass(admit, label, witness, [], verify_equilibrium(params, witness).ok)
-        classes[key].policies.extend(policies)
+            witness = EquilibriumProfile(AdmissionPolicy(params.k, bits), StudentStrategy(stops), label, reporting)
+            policies = PolicySet(params.k, mask)
+            classes[key] = OutcomeClass(admit, label, witness, policies, verify_equilibrium(params, witness).ok)
+        classes[key].policies.blocks.append((left, right))
     classes_in_order = sorted(classes.values(), key=OutcomeClass.key)
     return Enumeration(params, scope, is_boundary(params), considered, classes_in_order)
 
 
 def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list, Mapping, dict]]:
     """The consistent accept patterns of one first-score subtree, grouped by
-    admission odds (accepts the first score, values after it) in order of
-    first occurrence: (accept patterns, values, stops of the first pattern).
-    One flow system per best-response rule pattern, one solve per distinct LP.
+    integer admission odds (accepts the first score, values after it) in
+    order of first occurrence: (accept patterns, values, stops of the first
+    pattern). One flow system per best-response rule pattern, one solve per
+    distinct LP.
     """
     seqs = _subtree(first, params.k)
+    root = node((first,))
     systems: dict[int, tuple[_FlowSystem, int]] = {}  # rule code -> system, row id
     row_ids: dict[tuple, int] = {}  # a system's rows with no label accepted -> id
     points: dict[tuple, Optional[list[Fraction]]] = {}  # (row id, signs) -> point
@@ -617,7 +725,7 @@ def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list
         if key not in systems:
             system = _FlowSystem(params, pattern.rules, seqs, Reporting.ALL)
             a_ub, b_ub = system.rows(0)
-            rows = (tuple(map(tuple, a_ub)), tuple(b_ub))
+            rows = (tuple([tuple(row) for row in a_ub]), tuple(b_ub))
             systems[key] = system, row_ids.setdefault(rows, len(row_ids))
         system, row_id = systems[key]
         signs = system.signs(bits)
@@ -627,10 +735,9 @@ def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list
         x = points[(row_id, signs)]
         if x is None:
             continue
-        values = pattern.values
-        odds = (bits >> node((first,)) & 1, *(values[(t, (first,))] for t in StudentType))
+        odds = (bits >> root & 1, *pattern.odds)
         if odds not in groups:
-            groups[odds] = ([], values, system.stops_from_point(x))
+            groups[odds] = ([], pattern.values, system.stops_from_point(x))
         groups[odds][0].append(bits)
     return groups
 
@@ -640,13 +747,13 @@ def _enumerate_report_all(params: ModelParams) -> Enumeration:
     whose accept bits never share a node."""
     a_groups, b_groups = (_solve_subtrees(params, first).values() for first in Score)
     blocks = (
-        ([AdmissionPolicy(params.k, a | b) for a in a_bits for b in b_bits],
-         {**a_values, **b_values}, {**a_stops, **b_stops})
+        (a_bits, b_bits, {**a_values, **b_values}, {**a_stops, **b_stops})
         for a_bits, a_values, a_stops in a_groups
         for b_bits, b_values, b_stops in b_groups
     )
     considered = (1 << (2**params.k - 1)) ** 2
-    return _census(params, SCOPE_REPORT_ALL, considered, Reporting.ALL, blocks)
+    mask = sum(1 << node(s) for s in _subtree(Score.A, params.k))
+    return _census(params, SCOPE_REPORT_ALL, considered, Reporting.ALL, mask, blocks)
 
 
 def _policy_system(
@@ -668,9 +775,10 @@ def _enumerate_policy_list(
             br, system = _policy_system(params, policy, reporting)
             x = system.feasible(policy.bits)
             if x is not None:
-                yield [policy], br.values, system.stops_from_point(x)
+                yield (policy.bits,), (0,), br.values, system.stops_from_point(x)
 
-    return _census(params, scope, len(policies), reporting, blocks())
+    mask = (1 << len(all_sequences(params.k))) - 1  # every node: a block holds one policy
+    return _census(params, scope, len(policies), reporting, mask, blocks())
 
 
 def _family_policies(params: ModelParams, scope: str) -> list[AdmissionPolicy]:

@@ -6,6 +6,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -417,3 +420,40 @@ class TestIntervalLimit:
         code, out, _ = run(capsys, *self.FAMILY, "--k", "7", "--no-intervals", "--format", "json")
         assert code == 0
         assert json.loads(out)["policies_considered"] == 6
+
+
+class TestParserReuse:
+    """``main`` builds its parser on the first call and reuses it; a reused
+    parser must print the bytes a freshly built one prints."""
+
+    OK = ("tables", "--alpha", "0.8", "--phi", "0.5", "--k", "2")
+    USAGE = ("enumerate", "--alpha", "0.8", "--p", "0.3", "--phi", "0.5", "--k", "2", "--scope", "none")
+
+    @staticmethod
+    def outcome(capsys, *argv):
+        """(exit code, stdout, stderr) of one call, usage errors included."""
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def fresh(self, capsys, *argv):
+        retesting.cli._parser.cache_clear()
+        return self.outcome(capsys, *argv)
+
+    def test_reused_parser_prints_fresh_bytes(self, capsys):
+        first = self.fresh(capsys, *self.OK)
+        assert first[0] == 0 and first[1]
+        assert self.outcome(capsys, *self.OK) == first
+        usage = self.outcome(capsys, *self.USAGE)  # after a successful call
+        assert usage[0] == 2 and usage[2].startswith("usage: retesting enumerate")
+        assert retesting.cli._parser.cache_info().misses == 1  # built once for all three
+        assert self.fresh(capsys, *self.USAGE) == usage
+
+    def test_parser_not_built_at_import(self):
+        code = "import retesting.cli as cli; print(cli._parser.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(retesting.cli.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+        assert out == "0\n"

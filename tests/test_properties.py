@@ -2,14 +2,16 @@
 exhaustive census and the exact free-stop intervals agree with each other.
 
 Parameters have small denominators and k <= 3, so every census is the
-exhaustive one; the examples are derandomized (see ``conftest.py``).
+exhaustive one. Each property runs once per k with its own example budget;
+the examples are derandomized (see ``conftest.py``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from retesting import (
     ModelParams,
@@ -26,13 +28,14 @@ from retesting.search import SCOPE_REPORT_ALL, SCOPE_REPORT_MAX
 SCOPE_OF = {Reporting.ALL: SCOPE_REPORT_ALL, Reporting.MAX: SCOPE_REPORT_MAX}
 
 
+# examples per k: k=3, where the census does most of its work, gets the most
+EXAMPLES = {1: 6, 2: 8, 3: 12}
+
+
 @st.composite
-def points(draw) -> ModelParams:
-    """alpha in (1/2, 1], p in (0, 1) and phi in [0, 1], each a fraction
-    with a small denominator, and k in 1..3. k=3, where the census does most
-    of its work, is listed twice: it gets 15 to 18 of each test's 30
-    derandomized examples, and every test still sees k=1 and k=2."""
-    k = draw(st.sampled_from((1, 3, 3, 2)))
+def points(draw, k: int) -> ModelParams:
+    """alpha in (1/2, 1], p in (0, 1) and phi in [0, 1] at the given k, each
+    a fraction with a small denominator."""
     d = draw(st.integers(2, 10))
     alpha = Fraction(draw(st.integers(d // 2 + 1, d)), d)
     d = draw(st.integers(2, 20))
@@ -42,14 +45,27 @@ def points(draw) -> ModelParams:
     return ModelParams(p=p, alpha=alpha, phi=phi, k=k)
 
 
-@given(points())
+def for_each_k(prop):
+    """The property ``prop(params)`` as one test per k of ``EXAMPLES``, each
+    over that many examples of ``points(k)``, so every k gets its share by
+    construction."""
+
+    @pytest.mark.parametrize("k", EXAMPLES)
+    def test(k):
+        settings(max_examples=EXAMPLES[k])(given(points(k))(prop))()
+
+    test.__doc__ = prop.__doc__
+    return test
+
+
+@for_each_k
 def test_closed_form_profiles_verify(params):
     for profile in closed_form_profiles(params):
         verdict = verify_equilibrium(params, profile)
         assert verdict.ok, (profile.label, verdict.violations)
 
 
-@given(points())
+@for_each_k
 def test_census_contains_every_closed_form_outcome(params):
     for profile in closed_form_profiles(params):
         admit = admission_probabilities(params, profile)
@@ -58,7 +74,7 @@ def test_census_contains_every_closed_form_outcome(params):
         assert key in {c.key() for c in census.classes}, profile.label
 
 
-@given(points())
+@for_each_k
 def test_census_witness_stops_inside_free_intervals(params):
     for scope in SCOPE_OF.values():
         for cls in enumerate_outcomes(params, scope).classes:

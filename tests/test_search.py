@@ -25,6 +25,7 @@ from retesting import (
     StudentType,
     all_sequences,
     best_response,
+    best_score,
     construct_first_score_equilibrium,
     enumerate_outcomes,
     free_stop_intervals,
@@ -36,6 +37,7 @@ from retesting import (
 )
 from retesting import _simplex
 from retesting.cli import MAX_K
+from retesting.model import admission_key
 from retesting.equilibria import EquilibriumProfile
 from retesting import search
 from retesting.search import (
@@ -96,6 +98,78 @@ def reference_induction(params, policy):
         for s in Score:
             value(t, (s,))
     return rules, values
+
+
+def reference_layout(params, seqs, reporting):
+    """Path masses of the tree ``seqs`` as integers over den(p) den(phi)
+    den(alpha)^k: (scale, parents, reach[t][i][d], labels as (node,
+    members, Category 1 High - Low mass))."""
+    index = {s: i for i, s in enumerate(seqs)}
+    parents = tuple(index[s[:-1]] if len(s) > 1 else -1 for s in seqs)
+    den, den_pphi = params.alpha.denominator ** params.k, params.p.denominator * params.phi.denominator
+    reach = ([], [])
+    cat1 = [0] * len(seqs)
+    for masses, t, sign in zip(reach, StudentType, (1, -1)):
+        share = params.p if t is StudentType.HIGH else params.p_bar
+        emit = {a: int(params.emit(t, a) * den) for a in Score}
+        for i, (s, j) in enumerate(zip(seqs, parents)):
+            e = emit[s[-1]]
+            if j < 0:
+                masses.append((int(params.phi_bar * share * den_pphi) * e,))
+                cat1[i] += sign * int(params.phi * share * den_pphi) * e
+            else:
+                masses.append((*(m * e // den for m in masses[j]), den_pphi * e))
+    groups = {}
+    for i, s in enumerate(seqs):
+        groups.setdefault((best_score(s),) if reporting is Reporting.MAX else s, []).append(i)
+    labels = [(node(lab), members, sum(cat1[i] for i in members)) for lab, members in groups.items()]
+    return den_pphi * den, parents, reach, labels
+
+
+class ReferenceFlowSystem(_FlowSystem):
+    """A flow system built directly from the layout, one term at a time,
+    with no template: the rows every templated system must reproduce."""
+
+    def __init__(self, params, rules, sequences, reporting):
+        seqs = tuple(sequences)
+        self.scale, parents, layout_reach, labels = reference_layout(params, seqs, reporting)
+        scale = self.scale
+        self.rules = rules
+        self.histories = [s for s in seqs if len(s) < params.k]
+        self.var_index = {}
+        self.reach = {}
+        br = []  # c - reach <= 0 at every free node
+        below, stop = ([], []), ([], [])
+        for i, (s, j) in enumerate(zip(seqs, parents)):
+            for ti, t in enumerate(StudentType):
+                anchor = (None, 0) if j < 0 else below[ti][j]
+                r = (None, 0) if anchor is None else (anchor[0], layout_reach[ti][i][anchor[1]])
+                self.reach[(t, s)] = r
+                rule = rules[(t, s)] if len(s) < params.k else "stop"
+                if rule == "any":
+                    var = self.var_index[(t, s)] = len(self.var_index)
+                    br.append(((var, scale), (r[0], -r[1])))
+                    anchor = (var, len(s))
+                below[ti].append(None if rule == "stop" else anchor)
+                stop[ti].append(() if rule == "continue" else (r, (var, -scale)) if rule == "any" else (r,))
+        self.n = n = len(self.var_index)
+
+        def as_row(terms):
+            coeffs = [0] * (n + 1)  # the constant last
+            for var, value in terms:
+                coeffs[n if var is None else var] += value
+            return coeffs[:n], -coeffs[n]
+
+        self._br_rows = [as_row(terms) for terms in br]
+        self._label_rows = []
+        for lab, members, cat1 in labels:
+            terms = [(None, cat1)]
+            for i in members:
+                for ti, sign in ((0, 1), (1, -1)):
+                    terms += [(var, sign * value) for var, value in stop[ti][i]]
+            self._label_rows.append((1 << lab, as_row(terms)))
+        self._signed_labels = [mask for mask, (row, b) in self._label_rows if b or any(row)]
+        self._forced = [(mask, b < 0) for mask, (row, b) in self._label_rows if b and not any(row)]
 
 
 class TestBestResponse:
@@ -584,3 +658,122 @@ class TestForcedLabelScreen:
         self.census(params, counts)
         assert counts["patterns"] == 2 * 128
         assert counts["refused"] > 0
+
+
+class TestFlowTemplates:
+    """Flow systems read from cached templates equal the reference builder's:
+    the same rows in the same order, signs, forced-label screen, reach
+    masses and witness stops."""
+
+    POINTS = [
+        *((2, alpha, p, phi) for alpha in (Fraction(3, 5), Fraction(4, 5))
+          for p in (Fraction(1, 5), Fraction(1, 2), Fraction(17, 20))
+          for phi in (Fraction(0), Fraction(1, 2), Fraction(1))),
+        *((3, alpha, p, phi) for alpha, p in ((Fraction(4, 5), Fraction(9, 20)), (Fraction(3, 5), Fraction(3, 4)))
+          for phi in (Fraction(0), Fraction(1, 2), Fraction(1))),
+    ]
+
+    @staticmethod
+    def check(params, rules, seqs, reporting, patterns):
+        system = _FlowSystem(params, rules, seqs, reporting)
+        ref = ReferenceFlowSystem(params, rules, seqs, reporting)
+        assert (system.n, system.scale, list(system.histories), system.var_index, system.reach) == (
+            ref.n, ref.scale, ref.histories, ref.var_index, ref.reach
+        )
+        for bits in patterns:
+            assert system.rows(bits) == ref.rows(bits)
+            assert (system.signs(bits), system.refuses(bits)) == (ref.signs(bits), ref.refuses(bits))
+            x = ref.feasible(bits)
+            assert system.feasible(bits) == x
+            if x is not None:
+                assert system.stops_from_point(x) == ref.stops_from_point(x)
+
+    @pytest.mark.parametrize("k, alpha, p, phi", POINTS)
+    def test_every_subtree_pattern(self, k, alpha, p, phi):
+        params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+        for first in Score:
+            by_rules = {}
+            for pattern in _subtree_induction(alpha, k, first):
+                by_rules.setdefault(pattern.key, (pattern.rules, []))[1].append(pattern.bits)
+            for rules, patterns in by_rules.values():
+                self.check(params, rules, _subtree(first, k), Reporting.ALL, patterns)
+
+    @pytest.mark.parametrize("k, alpha, p, phi", POINTS)
+    def test_every_whole_tree_family_system(self, k, alpha, p, phi):
+        params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+        for scope in SCOPES[:1] + SCOPES[2:]:  # report-max and every named family
+            reporting = Reporting.MAX if scope == "report-max" else Reporting.ALL
+            for policy in _family_policies(params, scope):
+                rules = best_response(params, policy).rules
+                self.check(params, rules, all_sequences(k), reporting, [policy.bits])
+
+    def test_template_cache_bounded_over_k3_sweep(self):
+        search._template.cache_clear()
+        for alpha in ("0.6", "0.7", "0.8", "0.9"):
+            for p in ("0.1", "0.3", "0.5", "0.7", "0.9"):
+                for phi in ("0", "0.5", "1"):
+                    params = ModelParams(p=p, alpha=alpha, phi=phi, k=3)
+                    for scope in ("report-all", "report-max"):
+                        enumerate_outcomes(params, scope)
+        info = search._template.cache_info()
+        assert info.hits > 0
+        assert info.misses == info.currsize < info.maxsize  # nothing was evicted
+
+
+def reference_policy_lists(params):
+    """Each report-all class's policies as one list, keyed by outcome: every
+    product of an A-group and a B-group pattern, block after block, with
+    one AdmissionPolicy per product."""
+    a_groups, b_groups = (search._solve_subtrees(params, first).values() for first in Score)
+    lists = {}
+    for a_bits, a_values, _ in a_groups:
+        for b_bits, b_values, _ in b_groups:
+            policies = [AdmissionPolicy(params.k, a | b) for a in a_bits for b in b_bits]
+            admit = search._admit(params, policies[0].bits, {**a_values, **b_values})
+            lists.setdefault(admission_key(admit), []).extend(policies)
+    return lists
+
+
+class TestPolicySet:
+    """``OutcomeClass.policies`` stores census blocks, not policies; it must
+    count, test and list what the list of every product held."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("alpha", [Fraction(3, 5), Fraction(4, 5)])
+    @pytest.mark.parametrize("p", [Fraction(1, 5), Fraction(1, 2), Fraction(17, 20)])
+    @pytest.mark.parametrize("phi", [Fraction(0), Fraction(1, 2), Fraction(1)])
+    def test_lists_every_product_in_block_order(self, k, alpha, p, phi):
+        params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+        classes = enumerate_outcomes(params, "report-all").classes
+        lists = reference_policy_lists(params)
+        assert sorted(lists) == [c.key() for c in classes]
+        for c in classes:
+            policies = list(c.policies)
+            assert policies == lists[c.key()]
+            assert len(c.policies) == len(policies) == len(frozenset(c.policies))
+            assert c.witness.policy == policies[0]
+            assert all(policy in c.policies for policy in policies)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_contains_splits_at_the_subtrees(self, k):
+        params = ModelParams(p=Fraction(9, 20), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=k)
+        classes = enumerate_outcomes(params, "report-all").classes
+        feasible_b = {b for bits, _, _ in search._solve_subtrees(params, Score.B).values() for b in bits}
+        infeasible_b = [q.bits for q in _subtree_induction(params.alpha, k, Score.B) if q.bits not in feasible_b]
+        assert infeasible_b
+        for c in classes:
+            policy = next(iter(c.policies))
+            a_half = policy.bits & c.policies.mask
+            assert a_half in {a for a_bits, _, _ in search._solve_subtrees(params, Score.A).values() for a in a_bits}
+            for b_half in infeasible_b:
+                assert AdmissionPolicy(k, a_half | b_half) not in c.policies
+            assert AdmissionPolicy(k + 1, policy.bits) not in c.policies  # another k
+            assert policy.bits not in c.policies  # not a policy
+            assert sum(policy in other.policies for other in classes) == 1
+
+    def test_family_scope_blocks_hold_one_policy(self):
+        params = ModelParams(p=Fraction(1, 4), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
+        considered = _family_policies(params, "report-max")
+        for c in enumerate_outcomes(params, "report-max").classes:
+            assert len(c.policies) == len(c.policies.blocks)
+            assert list(c.policies) == [policy for policy in considered if policy in c.policies]
