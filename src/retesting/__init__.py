@@ -10,10 +10,8 @@ resulting fairness and accuracy statistics.
 from .beliefs import (
     OFF_PATH,
     OffPath,
-    PrefixBelief,
     posterior,
     posterior_max,
-    prefix_belief,
 )
 from .equilibria import (
     ACCEPT_ALL,
@@ -56,7 +54,6 @@ from .metrics import (
     admission_probabilities,
     college_payoff,
     compare_policies,
-    confusion_rates,
     fairness_report,
     payoff_gap,
     predictive_values,

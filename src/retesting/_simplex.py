@@ -157,7 +157,7 @@ def solve(
 
 
 def feasible_point(
-    a_ub: list[Row], b_ub: Row, a_eq: list[Row], b_eq: Row, n: int, scale: Optional[int] = None
+    a_ub: list[Row], b_ub: Row, n: int, scale: Optional[int] = None
 ) -> Optional[list[Fraction]]:
-    res = solve([0] * n, a_ub, b_ub, a_eq, b_eq, n, scale=scale)
+    res = solve([0] * n, a_ub, b_ub, [], [], n, scale=scale)
     return res.x if res.status == OPTIMAL else None

@@ -1,5 +1,5 @@
-"""Bayesian beliefs for the College: per-sequence posteriors, prefix
-aggregates, and best-score posteriors under retake-until-A behavior.
+"""Bayesian beliefs for the College: per-sequence posteriors and best-score
+posteriors under retake-until-A behavior.
 
 Profiles carry no belief map: on-path posteriors are functions of the
 parameters and the strategy, and beliefs at zero-mass reports are free.
@@ -7,7 +7,6 @@ parameters and the strategy, and beliefs at zero-mass reports are free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -42,19 +41,6 @@ OFF_PATH = OffPath()
 Belief = Union[Fraction, OffPath]
 
 
-@dataclass(frozen=True)
-class PrefixBelief:
-    """Share of High types among students whose report starts with ``prefix``.
-
-    ``value`` is 0 by convention when nothing starts with the prefix; the
-    ``empty`` flag records that case explicitly.
-    """
-
-    prefix: ScoreSeq
-    value: Fraction
-    empty: bool = False
-
-
 def posterior_from_distribution(dist: OutcomeDistribution, s: ScoreSeq) -> Belief:
     high = dist.type_mass(StudentType.HIGH, s)
     low = dist.type_mass(StudentType.LOW, s)
@@ -67,26 +53,6 @@ def posterior_from_distribution(dist: OutcomeDistribution, s: ScoreSeq) -> Belie
 def posterior(params: ModelParams, strategy: StudentStrategy, s: ScoreSeq) -> Belief:
     """Pr(High | reported sequence s), or OFF_PATH when s has zero mass."""
     return posterior_from_distribution(outcome_distribution(params, strategy), s)
-
-
-def prefix_belief(params: ModelParams, strategy: StudentStrategy, prefix: ScoreSeq) -> PrefixBelief:
-    """Mass-weighted share of High among reports extending ``prefix``.
-
-    The prefix itself counts as one of its extensions. Because every report
-    starts with its first test score, a length-1 prefix always aggregates to
-    pure first-emission odds regardless of stopping behavior.
-    """
-    dist = outcome_distribution(params, strategy)
-    high = Fraction(0)
-    low = Fraction(0)
-    for s in dist.sequences():
-        if len(s) >= len(prefix) and s[: len(prefix)] == prefix:
-            high += dist.type_mass(StudentType.HIGH, s)
-            low += dist.type_mass(StudentType.LOW, s)
-    total = high + low
-    if total == 0:
-        return PrefixBelief(prefix=prefix, value=Fraction(0), empty=True)
-    return PrefixBelief(prefix=prefix, value=high / total, empty=False)
 
 
 def posterior_max(params: ModelParams, best: Score) -> Fraction:

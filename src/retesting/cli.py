@@ -24,23 +24,19 @@ from .equilibria import (
     EquilibriumProfile,
     Region,
     Reporting,
+    boundary_thresholds,
     closed_form_profiles,
     construct_first_score_equilibrium,
     construct_non_first_score_equilibrium,
     is_boundary,
-    p_double_star,
-    p_star,
-    reject_all_threshold,
     report_all_regions,
     report_max_reject_all,
     report_max_separating,
-    report_max_thresholds,
 )
 from .errors import NoEquilibrium, RetestingError, ScopeTooLarge, UnsupportedK
 from .metrics import FairnessReport, compare_policies, fairness_report, payoff_gap
 from .model import Category, ModelParams, StudentStrategy, all_sequences, seq_str
 from .search import (
-    EXHAUSTIVE_MAX_K,
     SCOPES,
     SCOPE_REPORT_ALL,
     enumerate_outcomes,
@@ -168,18 +164,17 @@ def _report_dict(report: FairnessReport) -> dict:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     params = ModelParams(p=args.p, alpha=args.alpha, phi=args.phi, k=args.k)
-    lower, upper = report_max_thresholds(params)
+    bounds = boundary_thresholds(params)
+    lower, upper = bounds["p_hat"], bounds["p_hat_prime"]
     thresholds: dict[str, Optional[Fraction]] = {
         "p_hat_k": lower,
         "p_hat_prime_k": upper,
     }
     if params.k == 2:
-        thresholds["p_hat_hat"] = reject_all_threshold(params)
+        thresholds["p_hat_hat"] = bounds["p_hat_hat"]
     if params.k >= 2:
-        thresholds["p_star_k"] = p_star(params.k, params.alpha)
-        thresholds["p_double_star_k"] = (
-            None if params.alpha == 1 else p_double_star(params.k, params.alpha)
-        )
+        thresholds["p_star_k"] = bounds[f"p_star_{params.k}"]
+        thresholds["p_double_star_k"] = bounds.get("p_double_star")  # None at alpha 1
 
     regions: dict[str, object] = {}
     if params.k >= 2:
@@ -189,8 +184,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         regions["non_first_score_contains_p"] = non_first.contains(params.p)
     regions["max_separating_exists"] = lower <= params.p <= upper
 
-    comparison = compare_policies(params, search=params.k <= EXHAUSTIVE_MAX_K)
-    boundary = is_boundary(params)
+    comparison = compare_policies(params)
+    boundary = params.p in set(bounds.values())  # is_boundary, from the thresholds above
 
     if args.format == "json":
         payload = {

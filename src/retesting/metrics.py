@@ -28,6 +28,7 @@ from .model import (
     admission_key,
     outcome_distribution,
 )
+from .search import EXHAUSTIVE_MAX_K, SCOPE_REPORT_ALL, enumerate_outcomes
 
 
 @dataclass(frozen=True)
@@ -98,14 +99,6 @@ def fairness_report(params: ModelParams, profile: EquilibriumProfile) -> Fairnes
     )
 
 
-def confusion_rates(
-    params: ModelParams, profile: EquilibriumProfile
-) -> tuple[dict[Category, Fraction], dict[Category, Fraction]]:
-    """(FNR, FPR) per category, as in :func:`fairness_report`."""
-    report = fairness_report(params, profile)
-    return report.fnr, report.fpr
-
-
 def predictive_values(
     params: ModelParams, profile: EquilibriumProfile
 ) -> tuple[Optional[Fraction], Optional[Fraction]]:
@@ -147,28 +140,31 @@ class PolicyComparison:
         return report.college_payoff - self.max_separating.college_payoff
 
 
-def compare_policies(params: ModelParams, search: bool = True) -> PolicyComparison:
+def compare_policies(params: ModelParams) -> PolicyComparison:
     """Reports for the closed-form equilibria and every full-reporting class.
 
     :func:`retesting.equilibria.closed_form_profiles` supplies the
     best-score separating and reject-all benchmarks and the canonical
-    full-reporting classes; when ``search`` is true and k is at most
-    :data:`retesting.search.EXHAUSTIVE_MAX_K`, exhaustive enumeration
-    contributes any class the constructors do not cover.
-    Full-reporting classes are deduplicated by admission outcome, so a
-    constructed profile with the same outcome as an earlier one is left out.
+    full-reporting classes; when k is at most :data:`EXHAUSTIVE_MAX_K`,
+    exhaustive enumeration contributes any class the constructors do not
+    cover. Full-reporting classes are deduplicated by admission outcome, read
+    back from each report, so a constructed profile with the same outcome as
+    an earlier one is left out.
     """
     max_sep_report = reject_report = None
     all_reports: list[FairnessReport] = []
     seen: set[tuple] = set()
 
     def add(profile: EquilibriumProfile) -> None:
-        admit = admission_probabilities(params, profile)
-        key = admission_key({c: v for c, v in admit.items() if params.cohort_mass[c] > 0})
-        if key in seen:
-            return
-        seen.add(key)
-        all_reports.append(fairness_report(params, profile))
+        report = fairness_report(params, profile)
+        key = admission_key({
+            c: 1 - report.fnr[c.category] if c.type_ is StudentType.HIGH else report.fpr[c.category]
+            for c in COHORTS
+            if params.cohort_mass[c] > 0
+        })
+        if key not in seen:
+            seen.add(key)
+            all_reports.append(report)
 
     for profile in closed_form_profiles(params):
         if profile.reporting is Reporting.ALL:
@@ -177,9 +173,7 @@ def compare_policies(params: ModelParams, search: bool = True) -> PolicyComparis
             max_sep_report = fairness_report(params, profile)
         else:
             reject_report = fairness_report(params, profile)
-    from .search import EXHAUSTIVE_MAX_K, SCOPE_REPORT_ALL, enumerate_outcomes
-
-    if search and params.k <= EXHAUSTIVE_MAX_K:
+    if params.k <= EXHAUSTIVE_MAX_K:
         for cls in enumerate_outcomes(params, SCOPE_REPORT_ALL).classes:
             if cls.verified:
                 add(cls.witness)

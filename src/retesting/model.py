@@ -286,11 +286,6 @@ class OutcomeDistribution:
         """Unconditional mass: within-cohort probability times cohort mass."""
         return self.mass(cohort, s) * self.params.cohort_mass[cohort]
 
-    def sequences(self) -> list[ScoreSeq]:
-        """The reported sequences, in node order."""
-        rows = self.conditional.values()
-        return [s for s in all_sequences(self.params.k) if any(s in row for row in rows)]
-
     def type_mass(self, type_: StudentType, s: ScoreSeq) -> Fraction:
         """Unconditional mass of the given type reporting ``s`` (both categories)."""
         total = Fraction(0)

@@ -261,8 +261,14 @@ def verify_equilibrium(params: ModelParams, profile: EquilibriumProfile) -> Verd
     acceptance rule, compared exactly: accepted reports carry posterior
     >= 1/2, rejected ones <= 1/2 (ties may go either way). Zero-mass reports
     are recorded, never failed: any supporting belief is allowed there.
+    A profile of another k is refused, since its deeper nodes would go unread.
     """
     _require_measurable(profile.policy, profile.reporting)
+    if profile.policy.k != params.k:
+        raise MalformedProfile(f"a policy of k={profile.policy.k} does not fit k={params.k}")
+    deep = [h for _, h in profile.strategy.stop if len(h) >= params.k]
+    if deep:
+        raise MalformedProfile(f"a stop probability after {seq_str(deep[0])} is beyond k={params.k}")
     try:
         br = best_response(params, profile.policy)
         violations: list[Violation] = []
@@ -518,7 +524,7 @@ class _FlowSystem:
         if self.n == 0:  # every row is a label row with no variable
             return []
         a_ub, b_ub = self.rows(bits)
-        return _simplex.feasible_point(a_ub, b_ub, [], [], self.n, scale=self.scale)
+        return _simplex.feasible_point(a_ub, b_ub, self.n, scale=self.scale)
 
     def stops_from_point(self, x: Sequence[Fraction]) -> dict[tuple[StudentType, ScoreSeq], Fraction]:
         """Stop probabilities at reachable nodes; canonical values elsewhere."""
@@ -533,31 +539,6 @@ class _FlowSystem:
                 else:  # forced, or a free node that no mass reaches
                     stops[(t, h)] = Fraction(0) if rule == CONTINUE else Fraction(1)
         return stops
-
-    def stop_interval(
-        self, t: StudentType, h: ScoreSeq, a_ub: list, b_ub: list
-    ) -> Optional[tuple[Fraction, Fraction]]:
-        """Exact range of the stop probability 1 - c/reach at a free node
-        over the policy's polytope ``a_ub x <= b_ub`` (its :meth:`rows`).
-
-        The Charnes-Cooper variables y = x/reach and s = 1/reach make c/reach
-        the linear objective y[c] over the rows ``a_ub y <= b_ub s`` and
-        reach(y, s) = 1, so one LP finds each end. None when no point of the
-        polytope reaches the node.
-        """
-        a_cc = [[*row, -b] for row, b in zip(a_ub, b_ub)]
-        b_cc = [0] * len(a_cc)
-        var, value = self.reach[(t, h)]
-        reach = [0] * (self.n + 1)
-        reach[self.n if var is None else var] = value
-        obj = [0] * (self.n + 1)
-        obj[self.var_index[(t, h)]] = 1
-        eq = ([reach], [self.scale])  # scale * reach = scale
-        lo = _simplex.solve(obj, a_cc, b_cc, *eq, self.n + 1, scale=self.scale)
-        if lo.status != _simplex.OPTIMAL:
-            return None
-        hi = _simplex.solve([-v for v in obj], a_cc, b_cc, *eq, self.n + 1, scale=self.scale)
-        return 1 - (-hi.value), 1 - lo.value
 
 
 # ---------------------------------------------------------------------------
@@ -828,14 +809,28 @@ def free_stop_intervals(
 ) -> dict[tuple[StudentType, ScoreSeq], tuple[Fraction, Fraction]]:
     """Per free node, the exact stop-probability range supporting the policy.
 
-    Nodes that no supporting flow reaches are left out, so the result is
-    empty when the policy has no equilibrium.
+    At a free node with continue mass x[c], the stop probability is
+    1 - x[c]/reach. The Charnes-Cooper variables y = x/reach and s = 1/reach
+    make x[c]/reach the linear objective y[c] over the policy's
+    :meth:`_FlowSystem.rows` as ``a_ub y <= b_ub s``, plus reach(y, s) = 1, so
+    one LP finds each end. Nodes that no supporting flow reaches are left
+    out, so the result is empty when the policy has no equilibrium.
     """
     _, system = _policy_system(params, policy, reporting)
     a_ub, b_ub = system.rows(policy.bits)
+    n, scale = system.n, system.scale
+    a_cc = [[*row, -b] for row, b in zip(a_ub, b_ub)]
+    b_cc = [0] * len(a_cc)
     out = {}
-    for t, h in system.var_index:
-        interval = system.stop_interval(t, h, a_ub, b_ub)
-        if interval is not None:
-            out[(t, h)] = interval
+    for key, c in system.var_index.items():
+        var, value = system.reach[key]
+        reach = [0] * (n + 1)
+        reach[n if var is None else var] = value
+        obj = [0] * (n + 1)
+        obj[c] = 1
+        eq = ([reach], [scale])  # scale * reach = scale
+        lo = _simplex.solve(obj, a_cc, b_cc, *eq, n + 1, scale=scale)
+        if lo.status == _simplex.OPTIMAL:
+            hi = _simplex.solve([-v for v in obj], a_cc, b_cc, *eq, n + 1, scale=scale)
+            out[key] = (1 + hi.value, 1 - lo.value)
     return out

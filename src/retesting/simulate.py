@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .equilibria import EquilibriumProfile
-from .errors import EmptyPopulation
+from .errors import EmptyPopulation, MalformedProfile
 from .model import (
     ModelParams,
     StudentType,
@@ -37,6 +37,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise EmptyPopulation(f"population size must be >= 1, got {self.n}")
+        if self.profile.policy.k != self.params.k:
+            raise MalformedProfile(f"a policy of k={self.profile.policy.k} does not fit k={self.params.k}")
 
 
 @dataclass

@@ -1,11 +1,9 @@
-"""Posterior beliefs, prefix aggregates, and best-score posteriors."""
+"""Posterior beliefs and best-score posteriors."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-
-import pytest
 
 from retesting import (
     OFF_PATH,
@@ -17,7 +15,6 @@ from retesting import (
     outcome_distribution,
     posterior,
     posterior_max,
-    prefix_belief,
     report_max_thresholds,
     seq,
 )
@@ -72,7 +69,7 @@ class TestPosterior:
         # posterior is a mass ratio: scaling every cohort mass cancels
         strategy = StudentStrategy.from_first_score(2, 1, 0, 1, Fraction(1, 3))
         dist = outcome_distribution(PARAMS, strategy)
-        for s in dist.sequences():
+        for s in all_sequences(2):
             h = dist.type_mass(StudentType.HIGH, s)
             l = dist.type_mass(StudentType.LOW, s)
             if h + l == 0:
@@ -82,75 +79,18 @@ class TestPosterior:
 
 
 class TestLawOfTotalProbability:
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_prefix_aggregation(self, k):
-        params = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=k)
-        rng = random.Random(k)
-        for _ in range(6):
-            strategy = random_strategy(rng, k)
-            dist = outcome_distribution(params, strategy)
-            for prefix in all_sequences(k):
-                ext = [
-                    s
-                    for s in dist.sequences()
-                    if len(s) >= len(prefix) and s[: len(prefix)] == prefix
-                ]
-                total = sum(
-                    (
-                        dist.type_mass(t, s)
-                        for s in ext
-                        for t in StudentType
-                    ),
-                    Fraction(0),
-                )
-                weighted = sum(
-                    (dist.type_mass(StudentType.HIGH, s) for s in ext), Fraction(0)
-                )
-                pb = prefix_belief(params, strategy, prefix)
-                if total == 0:
-                    assert pb.empty and pb.value == 0
-                else:
-                    assert not pb.empty
-                    assert pb.value * total == weighted
-
     def test_posterior_mass_average_is_prior(self):
         rng = random.Random(5)
         for _ in range(8):
             strategy = random_strategy(rng, 2)
             dist = outcome_distribution(PARAMS, strategy)
             acc = Fraction(0)
-            for s in dist.sequences():
+            for s in all_sequences(2):
                 h = dist.type_mass(StudentType.HIGH, s)
                 l = dist.type_mass(StudentType.LOW, s)
                 if h + l > 0:
                     acc += (h + l) * (h / (h + l))
             assert acc == PARAMS.p
-
-
-class TestPrefixBelief:
-    def test_first_score_prefix_is_strategy_independent(self):
-        rng = random.Random(11)
-        for _ in range(6):
-            strategy = random_strategy(rng, 2)
-            a = prefix_belief(PARAMS, strategy, seq("A"))
-            b = prefix_belief(PARAMS, strategy, seq("B"))
-            assert a.value == Fraction(12, 19)
-            assert b.value == Fraction(3, 31)
-            assert abs(float(b.value) - 0.096774) < 1e-6
-            assert a.value > b.value
-
-    def test_full_length_prefix_equals_posterior(self):
-        strategy = StudentStrategy.from_first_score(2, 1, 0, 1, 0)
-        for text in ("BA", "BB"):
-            pb = prefix_belief(PARAMS, strategy, seq(text))
-            assert not pb.empty
-            assert pb.value == posterior(PARAMS, strategy, seq(text))
-
-    def test_empty_prefix_flagged_with_zero_convention(self):
-        strategy = StudentStrategy.always_stop(2)
-        pb = prefix_belief(PARAMS, strategy, seq("AA"))
-        assert pb.empty
-        assert pb.value == 0
 
 
 class TestPosteriorMax:

@@ -9,10 +9,12 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import retesting.cli
+from retesting import ModelParams, p_double_star, p_star, reject_all_threshold, report_max_thresholds
 from retesting.cli import MAX_INTERVAL_K, MAX_K, MAX_SIM_N, SWEEP_COLUMNS, main
 from retesting.search import _subtree_induction
 
@@ -67,6 +69,23 @@ class TestAnalyze:
         assert payload["payoff_gap_closed_form"] == 0
         sep = payload["reports"]["report_max_separating"]
         assert sep["fnr_gap"] == 0 and sep["fpr_gap"] == 0
+
+    @pytest.mark.parametrize("alpha,k", [("0.8", 1), ("0.8", 2), ("0.8", 3), ("1", 2), ("1", 3)])
+    def test_thresholds_match_closed_forms(self, capsys, alpha, k):
+        params = ModelParams(p=Fraction("0.3"), alpha=Fraction(alpha), phi=Fraction(1, 2), k=k)
+        lower, upper = report_max_thresholds(params)
+        want = {"p_hat_k": lower, "p_hat_prime_k": upper}
+        if k == 2:
+            want["p_hat_hat"] = reject_all_threshold(params)
+        if k >= 2:
+            want["p_star_k"] = p_star(k, params.alpha)
+            want["p_double_star_k"] = None if params.alpha == 1 else p_double_star(k, params.alpha)
+        code, out, _ = run(capsys, "analyze", "--alpha", alpha, "--p", "0.3",
+                           "--phi", "0.5", "--k", str(k), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["thresholds"] == {
+            name: None if v is None else float(v) for name, v in want.items()
+        }
 
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

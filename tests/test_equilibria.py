@@ -22,9 +22,9 @@ from retesting import (
     all_sequences,
     closed_form_profiles,
     college_payoff,
-    confusion_rates,
     construct_first_score_equilibrium,
     construct_non_first_score_equilibrium,
+    fairness_report,
     is_boundary,
     non_first_score_region,
     p_double_star,
@@ -264,7 +264,8 @@ class TestFirstScoreConstructor:
         profile = construct_first_score_equilibrium(params)
         assert profile.label == FIRST_SCORE
         assert verify_equilibrium(params, profile).ok
-        fnr, fpr = confusion_rates(params, profile)
+        report = fairness_report(params, profile)
+        fnr, fpr = report.fnr, report.fpr
         assert fnr == {Category.CAT1: Fraction(1, 5), Category.CAT2: Fraction(1, 5)}
         assert fpr == {Category.CAT1: Fraction(1, 5), Category.CAT2: Fraction(1, 5)}
 

@@ -10,9 +10,10 @@ import retesting.metrics
 from retesting import (
     Category,
     ModelParams,
+    Reporting,
+    closed_form_profiles,
     college_payoff,
     compare_policies,
-    confusion_rates,
     construct_first_score_equilibrium,
     construct_non_first_score_equilibrium,
     fairness_report,
@@ -43,15 +44,14 @@ class TestFairnessReport:
     def test_views_agree_with_report(self):
         profile = construct_first_score_equilibrium(PARAMS)
         report = fairness_report(PARAMS, profile)
-        assert confusion_rates(PARAMS, profile) == (report.fnr, report.fpr)
         assert predictive_values(PARAMS, profile) == (report.ppv, report.npv)
         assert college_payoff(PARAMS, profile) == report.college_payoff
 
 
 class TestConfusionRates:
     def test_separating_rates(self):
-        profile = report_max_separating(PARAMS)
-        fnr, fpr = confusion_rates(PARAMS, profile)
+        report = fairness_report(PARAMS, report_max_separating(PARAMS))
+        fnr, fpr = report.fnr, report.fpr
         assert fnr == {Category.CAT1: Fraction(1, 5), Category.CAT2: Fraction(1, 25)}
         assert fpr == {Category.CAT1: Fraction(1, 5), Category.CAT2: Fraction(9, 25)}
 
@@ -64,8 +64,8 @@ class TestConfusionRates:
 
     def test_noiseless_perfect_screening(self):
         params = ModelParams(p=0.3, alpha=1, phi=0.5, k=2)
-        profile = report_max_separating(params)
-        fnr, fpr = confusion_rates(params, profile)
+        report = fairness_report(params, report_max_separating(params))
+        fnr, fpr = report.fnr, report.fpr
         assert set(fnr.values()) == {0}
         assert set(fpr.values()) == {0}
 
@@ -164,9 +164,29 @@ class TestComparePolicies:
 
     def test_search_contributes_run_classes(self):
         params = ModelParams(p=0.6, alpha=0.8, phi=0.5, k=3)
-        with_search = compare_policies(params, search=True)
-        without = compare_policies(params, search=False)
-        assert len(with_search.all_classes) >= len(without.all_classes) >= 2
+        labels = [r.equilibrium_class for r in compare_policies(params).all_classes]
+        assert labels == ["first_score", "non_first_score_2", "non_first_score"]
+        # the last class comes from the census alone, not the constructors
+        constructed = [
+            fairness_report(params, profile).equilibrium_class
+            for profile in closed_form_profiles(params)
+            if profile.reporting is Reporting.ALL
+        ]
+        assert constructed == labels[:2]
+
+    def test_one_outcome_distribution_per_candidate(self, monkeypatch):
+        # two constructed report-all profiles, one separating benchmark and
+        # three census witnesses: one distribution each
+        calls = []
+        original = retesting.metrics.outcome_distribution
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(retesting.metrics, "outcome_distribution", counted)
+        compare_policies(ModelParams(p=0.6, alpha=0.8, phi=0.5, k=3))
+        assert len(calls) == 6
 
     def test_noiseless_all_deltas_zero(self):
         params = ModelParams(p=0.3, alpha=1, phi=0.5, k=2)

@@ -348,6 +348,18 @@ class TestVerify:
                 profile_from(AdmissionPolicy.first_score(2), stops, reporting=Reporting.MAX),
             )
 
+    def test_profile_of_another_k_is_malformed(self):
+        # a k=3 first-score profile: at k=2 its depth-3 accept bits and its
+        # stop entries after two tests would go unread
+        deeper = construct_first_score_equilibrium(ModelParams(p=0.3, alpha=0.8, phi=0.5, k=3))
+        with pytest.raises(MalformedProfile, match="policy of k=3"):
+            verify_equilibrium(PARAMS, deeper)
+
+    def test_stop_entry_beyond_k_is_malformed(self):
+        strategy = construct_first_score_equilibrium(ModelParams(p=0.3, alpha=0.8, phi=0.5, k=3)).strategy
+        with pytest.raises(MalformedProfile, match="beyond k=2"):
+            verify_equilibrium(PARAMS, profile_from(AdmissionPolicy.first_score(2), strategy.stop))
+
 
 class TestEnumerateReportAll:
     def test_unique_first_score_class_at_low_interior_prior(self):

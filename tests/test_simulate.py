@@ -21,6 +21,7 @@ import pytest
 from retesting import (
     Category,
     EmptyPopulation,
+    MalformedProfile,
     ModelParams,
     SimConfig,
     construct_first_score_equilibrium,
@@ -167,6 +168,11 @@ class TestDeterminism:
         with pytest.raises(EmptyPopulation):
             SimConfig(n=0, seed=1, params=PARAMS,
                       profile=construct_first_score_equilibrium(PARAMS))
+
+    def test_profile_of_another_k_rejected(self):
+        deeper = construct_first_score_equilibrium(ModelParams(p=0.3, alpha=0.8, phi=0.5, k=3))
+        with pytest.raises(MalformedProfile, match="policy of k=3"):
+            SimConfig(n=10, seed=1, params=PARAMS, profile=deeper)
 
 
 class TestBlocks:
