@@ -55,7 +55,8 @@ MAX_K = 10
 # all 2^k histories, took 15 s at k=6 on a family scope.
 MAX_INTERVAL_K = 6
 # Most students simulate draws. Memory does not grow with n (students are drawn
-# in fixed-size blocks), so this bounds run time: about 1 s at k=3.
+# in fixed-size blocks), so this bounds run time: about 0.5 s at k=3 on a
+# 2-vCPU Xeon host, with one CPU or both.
 MAX_SIM_N = 10**7
 
 SWEEP_COLUMNS = [

@@ -339,6 +339,13 @@ class TestSimulateLimit:
         assert code == 2
         assert f"limit of {MAX_SIM_N}" in err
 
+    def test_negative_seed_refused(self, capsys):
+        code, _, err = run(capsys, "simulate", "--alpha", "0.8", "--p", "0.3", "--phi", "0.5",
+                           "--k", "3", "--policy", "all", "--class", "first-score",
+                           "--n", "100", "--seed", "-1")
+        assert code == 2
+        assert "seed must be >= 0, got -1" in err
+
     def test_at_limit_reaches_simulate(self, capsys, monkeypatch):
         seen = []
 

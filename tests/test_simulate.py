@@ -1,9 +1,10 @@
 """Monte Carlo simulation: determinism, pinned reports, convergence, and
-the block-wise draw against a whole-matrix reference.
+the block-wise, multi-threaded draw against a whole-matrix reference.
 
 ``reference_simulate`` draws every student's row in one n x (2k+1) matrix
-before counting anything, kept here only as the oracle: the block-wise
-``simulate`` must give byte-identical reports.
+from one stream before counting anything, kept here only as the oracle: the
+block-wise ``simulate`` must give byte-identical reports for any number of
+worker threads.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import importlib
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from typing import Optional
@@ -169,6 +172,11 @@ class TestDeterminism:
             SimConfig(n=0, seed=1, params=PARAMS,
                       profile=construct_first_score_equilibrium(PARAMS))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SimConfig(n=10, seed=-1, params=PARAMS,
+                      profile=construct_first_score_equilibrium(PARAMS))
+
     def test_profile_of_another_k_rejected(self):
         deeper = construct_first_score_equilibrium(ModelParams(p=0.3, alpha=0.8, phi=0.5, k=3))
         with pytest.raises(MalformedProfile, match="policy of k=3"):
@@ -210,6 +218,53 @@ class TestBlocks:
         # the whole n x 7 float64 matrix at n=10^6 is 56 MB
         assert large < 16 * 2**20
         assert large <= 1.25 * small
+
+    def test_peak_memory_with_four_workers_does_not_grow_with_n(self, monkeypatch):
+        monkeypatch.setattr(sim, "_workers", lambda: 4)
+        self.test_peak_memory_does_not_grow_with_n()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_worker_count_does_not_change_report(self, monkeypatch, workers, k):
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(sim, "_workers", lambda: workers)
+        monkeypatch.setattr(sim.threading, "Thread", Recorded)
+        params = ModelParams(p="0.5", alpha=0.8, phi=0.5, k=k)
+        profile = report_max_separating(params)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a shared write would race
+        try:
+            for n in (1, self.BLOCK - 1, self.BLOCK, 2 * self.BLOCK + 7, 5 * self.BLOCK):
+                config = SimConfig(n=n, seed=3, params=params, profile=profile)
+                assert simulate(config).to_json() == reference_simulate(config).to_json(), n
+                # the caller runs the first span itself
+                assert len(started) == min(workers, -(-n // self.BLOCK)) - 1, n
+                started.clear()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_error_raised_in_caller(self, monkeypatch):
+        generator = np.random.Generator
+
+        def fail_off_main_thread(bit_generator):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("no room for the block")
+            return generator(bit_generator)
+
+        monkeypatch.setattr(sim, "_workers", lambda: 2)
+        monkeypatch.setattr(np.random, "Generator", fail_off_main_thread)
+        before = threading.active_count()
+        config = SimConfig(n=2 * self.BLOCK, seed=1, params=PARAMS,
+                           profile=construct_first_score_equilibrium(PARAMS))
+        with pytest.raises(MemoryError, match="no room"):
+            simulate(config)
+        assert threading.active_count() == before
 
 
 class TestConvergence:
