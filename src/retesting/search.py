@@ -11,7 +11,7 @@ row is read off directly. Systems over one game tree share one cached layout
 of their path masses, all integers over one denominator, so their rows are
 integers that the integer-row simplex decides exactly. Which mass goes where
 in the rows depends only on the tree, the reporting policy and the
-best-response rules, so a cached template per rule pattern holds every row
+best-response rules, so a cached template per rule code holds every row
 as signed indices into the layout, and building a system at a point only
 reads them. A label row with no free continue mass fixes that label's accept
 bit: a pattern with the other bit is infeasible, which is decided from the
@@ -23,10 +23,14 @@ bit, for every accept pattern of the subtree at once (the census) or for one
 policy's pattern (:func:`best_response`). Tables and layouts are lists in the
 node order of :func:`retesting.model.all_sequences`, and an accept pattern is
 an int with bit ``node(s)`` for each accepted s, as in :class:`AdmissionPolicy`.
+A best response is one int over node bits too, its rule code: the rule
+(continue, stop or indifferent) of each history h sits at bit ``4 node(h)``
+for High and ``4 node(h) + 2`` for Low, so the codes of the two first-score
+subtrees never share a bit and a whole-tree code is their bitwise or.
 The verifier reads each report's posterior through
 :func:`retesting.beliefs.posterior_from_distribution`.
 
-The report-all census groups subtree policies by best-response rule pattern,
+The report-all census groups subtree policies by best-response rule code,
 one flow system each, and solves each distinct LP once. This is exact: every
 LP keeps its own rows, so the simplex returns the same vertex. Subtree
 policies with equal integer admission odds form a group, whose witness stops
@@ -78,10 +82,10 @@ from .model import (
     seq_str,
 )
 
-STOP = "stop"
-CONTINUE = "continue"
-ANY = "any"
-_ADMISSIBLE = {STOP: (Fraction(1),) * 2, CONTINUE: (Fraction(0),) * 2, ANY: (Fraction(0), Fraction(1))}
+# Best-response rules: a forced retake, a forced stop, or indifference.
+CONTINUE, STOP, ANY = 0, 1, 2
+_ADMISSIBLE = ((Fraction(0),) * 2, (Fraction(1),) * 2, (Fraction(0), Fraction(1)))  # stop sets by rule
+_TYPES = tuple(StudentType)  # High first, as in every rule code and row
 
 # The largest k whose report-all census enumerates every accept pattern.
 EXHAUSTIVE_MAX_K = 3
@@ -89,17 +93,15 @@ EXHAUSTIVE_MAX_K = 3
 
 @dataclass(frozen=True)
 class BestResponseSet:
-    """Admissible stop sets per (type, history), from backward induction.
+    """Admissible stop sets per (type, history), from backward induction:
+    ``code`` holds the rule of every history shorter than k, ``values`` the
+    optimal admission probability after each first score."""
 
-    ``rules`` maps to "stop" ({1}), "continue" ({0}) or "any" ([0,1]);
-    ``values`` holds the optimal admission probability after each first score.
-    """
-
-    rules: Mapping[tuple[StudentType, ScoreSeq], str]
+    code: int
     values: Mapping[tuple[StudentType, ScoreSeq], Fraction]
 
     def admissible(self, type_: StudentType, history: ScoreSeq) -> tuple[Fraction, Fraction]:
-        return _ADMISSIBLE[self.rules[(type_, history)]]
+        return _ADMISSIBLE[_rule_of(self.code, type_, history)]
 
 
 def best_response(params: ModelParams, policy: AdmissionPolicy) -> BestResponseSet:
@@ -107,17 +109,23 @@ def best_response(params: ModelParams, policy: AdmissionPolicy) -> BestResponseS
 
     Decisions after a first score never look at the other first score, so
     each first-score subtree runs :func:`_induction` for the policy's one
-    accept pattern, and the two results are merged.
+    accept pattern; the two rule codes hold disjoint node bits, so the whole
+    tree's is their bitwise or. A policy of another k is refused.
     """
-    rules: dict[tuple[StudentType, ScoreSeq], str] = {}
-    values: dict[tuple[StudentType, ScoreSeq], Fraction] = {}
-    scale = params.alpha.denominator ** (params.k - 1)
+    if policy.k != params.k:
+        raise MalformedProfile(f"a policy of k={policy.k} does not fit k={params.k}")
+    code, values = 0, {}
     for first in Score:
-        ((_, high, low, code),) = _induction(params.alpha, params.k, first, policy.bits)[0]
-        rules.update(_rules_of(code, _subtree(first, params.k), params.k))
-        values[(StudentType.HIGH, (first,))] = Fraction(high, scale)
-        values[(StudentType.LOW, (first,))] = Fraction(low, scale)
-    return BestResponseSet(rules=rules, values=values)
+        ((_, high, low, sub),) = _induction(params.alpha, params.k, first, policy.bits)[0]
+        code |= sub
+        values.update(_first_values(params, first, high, low))
+    return BestResponseSet(code, values)
+
+
+def _first_values(params: ModelParams, first: Score, high: int, low: int) -> dict:
+    """The values after ``first``, from the numerators of an induction entry at ``(first,)``."""
+    scale = params.alpha.denominator ** (params.k - 1)
+    return {(t, (first,)): Fraction(v, scale) for t, v in zip(_TYPES, (high, low))}
 
 
 @lru_cache(maxsize=32)
@@ -127,20 +135,21 @@ def _subtree(first: Score, k: int) -> tuple[ScoreSeq, ...]:
     return tuple(s for s in all_sequences(k) if s[0] is first)
 
 
-# A rule code holds the rule of the i-th history of ``_subtree`` in bits
-# 4i..4i+1 for High and 4i+2..4i+3 for Low: CONTINUE 0, STOP 1, ANY 2.
-_RULES = (CONTINUE, STOP, ANY)
+def _rule_of(code: int, type_: StudentType, history: ScoreSeq) -> int:
+    """The rule of one (type, history) in a rule code: High's two bits at
+    ``4 node(history)``, Low's two above them."""
+    return code >> (4 * node(history) + 2 * (type_ is StudentType.LOW)) & 3
 
 
 def _rule(stop: int, cont: int) -> int:
     """Strict comparisons force the decision, ties leave it free."""
-    return 1 if stop > cont else 0 if stop < cont else 2
+    return STOP if stop > cont else CONTINUE if stop < cont else ANY
 
 
 # One entry of an induction table: the accept bits of a subtree (bit node(s)
 # for its sequence s, as in ``AdmissionPolicy``), the High and Low optimal
 # values at its root as numerators over alpha's denominator to the power of
-# the root's distance from depth k, and the code of its rules.
+# the root's distance from depth k, and the rule code of its histories.
 _Entry = tuple[int, int, int, int]
 
 
@@ -161,8 +170,8 @@ def _induction(alpha: Fraction, k: int, first: Score, bits: Optional[int] = None
     tables: list[list[_Entry]] = [[] for _ in seqs]
     for i in reversed(range(len(seqs))):  # children before parents
         h = seqs[i]
-        mine = 1 << node(h)
-        own = (0, mine) if bits is None else (bits & mine,)
+        at = node(h)
+        own = (0, 1 << at) if bits is None else (bits & 1 << at,)
         if len(h) == k:
             tables[i] = [(bit, int(bit > 0), int(bit > 0), 0) for bit in own]
             continue
@@ -174,57 +183,23 @@ def _induction(alpha: Fraction, k: int, first: Score, bits: Optional[int] = None
                 low = (d - n) * a_low + n * b_low
                 for bit in own:
                     u = scale if bit else 0
-                    code = a_code | b_code | (_rule(u, high) | _rule(u, low) << 2) << 4 * i
+                    code = a_code | b_code | (_rule(u, high) | _rule(u, low) << 2) << 4 * at
                     table.append((a_bits | b_bits | bit, max(u, high), max(u, low), code))
     return tables
 
 
-def _rules_of(code: int, seqs: Sequence[ScoreSeq], k: int) -> dict[tuple[StudentType, ScoreSeq], str]:
-    """The best-response rule of every (type, history) a rule code holds."""
-    return {
-        (t, s): _RULES[code >> (4 * i + 2 * j) & 3]
-        for j, t in enumerate((StudentType.HIGH, StudentType.LOW))
-        for i, s in enumerate(seqs)
-        if len(s) < k
-    }
-
-
-class _Pattern(NamedTuple):
-    """One accept pattern of a first-score subtree and its best response;
-    patterns with equal odds or rules share one tuple and mapping."""
-
-    bits: int  # accept bits, as in ``AdmissionPolicy``
-    odds: tuple[int, int]  # High and Low values at the first score, as in ``_Entry``
-    values: Mapping[tuple[StudentType, ScoreSeq], Fraction]  # the odds as Fractions
-    key: int  # rule code: equal keys, equal rules
-    rules: Mapping[tuple[StudentType, ScoreSeq], str]
-
-
 @lru_cache(maxsize=32)  # two tables per (alpha, k): 16 alphas of one k
-def _subtree_induction(alpha: Fraction, k: int, first: Score) -> tuple[_Pattern, ...]:
+def _subtree_induction(alpha: Fraction, k: int, first: Score) -> tuple[_Entry, ...]:
     """Every accept pattern of one first-score subtree with its best
-    response, in ascending bit order, from one :func:`_induction`.
+    response, as the entries of one :func:`_induction` in ascending bit
+    order.
 
     The table has 2^(2^k - 1) patterns, so k above ``EXHAUSTIVE_MAX_K`` is
     refused before any work.
     """
     if k > EXHAUSTIVE_MAX_K:
         raise ScopeTooLarge(f"every accept pattern at k={k} means 2^{2**k - 1} patterns per subtree")
-    seqs = _subtree(first, k)
-    scale = alpha.denominator ** (k - 1)
-    odds: dict[tuple[int, int], tuple[tuple[int, int], dict]] = {}  # -> (odds, values)
-    rules: dict[int, dict] = {}
-    patterns = []
-    for bits, high, low, code in sorted(_induction(alpha, k, first)[0]):
-        if (high, low) not in odds:
-            odds[(high, low)] = (high, low), {
-                (StudentType.HIGH, (first,)): Fraction(high, scale),
-                (StudentType.LOW, (first,)): Fraction(low, scale),
-            }
-        if code not in rules:
-            rules[code] = _rules_of(code, seqs, k)
-        patterns.append(_Pattern(bits, *odds[(high, low)], code, rules[code]))
-    return tuple(patterns)
+    return tuple(sorted(_induction(alpha, k, first)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +239,11 @@ def verify_equilibrium(params: ModelParams, profile: EquilibriumProfile) -> Verd
     A profile of another k is refused, since its deeper nodes would go unread.
     """
     _require_measurable(profile.policy, profile.reporting)
-    if profile.policy.k != params.k:
-        raise MalformedProfile(f"a policy of k={profile.policy.k} does not fit k={params.k}")
+    br = best_response(params, profile.policy)
     deep = [h for _, h in profile.strategy.stop if len(h) >= params.k]
     if deep:
         raise MalformedProfile(f"a stop probability after {seq_str(deep[0])} is beyond k={params.k}")
     try:
-        br = best_response(params, profile.policy)
         violations: list[Violation] = []
         for type_ in StudentType:
             for h in all_sequences(params.k - 1):
@@ -317,8 +290,6 @@ def verify_equilibrium(params: ModelParams, profile: EquilibriumProfile) -> Verd
 # A mass that is one term: the constant value (var None) or value * x[var],
 # as an integer over the system's scale.
 _Term = tuple[Optional[int], int]
-
-_TYPES = tuple(StudentType)  # High first, as in every row
 
 
 class _Shape(NamedTuple):
@@ -394,12 +365,11 @@ class _Template(NamedTuple):
 
 
 @lru_cache(maxsize=128)  # a k=3 census sweep over 4 alphas builds 55
-def _template(seqs: tuple[ScoreSeq, ...], reporting: Reporting, k: int, rules: tuple[str, ...]) -> _Template:
-    """The template of the tree ``seqs`` under the ``rules`` of its
-    histories, in node order and High first."""
+def _template(seqs: tuple[ScoreSeq, ...], reporting: Reporting, k: int, code: int) -> _Template:
+    """The template of the tree ``seqs`` under the rules that the rule
+    ``code`` holds for its histories."""
     shape = _shape(seqs, reporting)
     histories = tuple(s for s in seqs if len(s) < k)
-    rule_of = dict(zip(((t, s) for s in histories for t in _TYPES), rules))
     var_index: dict[tuple[StudentType, ScoreSeq], int] = {}
     reach: dict[tuple[StudentType, ScoreSeq], _Term] = {}
     br: list[tuple[_Term, ...]] = []
@@ -412,7 +382,7 @@ def _template(seqs: tuple[ScoreSeq, ...], reporting: Reporting, k: int, rules: t
             anchor = (None, 0) if j < 0 else below[ti][j]
             r = (None, 0) if anchor is None else (anchor[0], shape.reach[ti][i] + anchor[1])
             reach[(t, s)] = r
-            rule = rule_of[(t, s)] if len(s) < k else STOP
+            rule = _rule_of(code, t, s) if len(s) < k else STOP
             if rule == ANY:
                 var = var_index[(t, s)] = len(var_index)
                 br.append(((var, 1), (r[0], -r[1])))  # index 1 holds the scale
@@ -445,8 +415,8 @@ class _FlowSystem:
     ``value`` when ``var`` is None, else ``value * x[var]`` (a free node
     continues ``x[var]``, a forced one 0 or its whole reach). Values and rows
     are integers, ``scale`` times the rational ones. Which term goes where
-    depends only on the tree, the reporting policy and the rules, so it is
-    built once per rule pattern as a cached :class:`_Template`; a system
+    depends only on the tree, the reporting policy and the rule code, so it
+    is built once per code as a cached :class:`_Template`; a system
     reads the template's signed indices from the tree's cached
     :func:`_layout` at its point, with no ``Fraction`` arithmetic. A policy
     enters only through the signs of the label rows, read from its accept
@@ -457,14 +427,14 @@ class _FlowSystem:
     def __init__(
         self,
         params: ModelParams,
-        rules: Mapping[tuple[StudentType, ScoreSeq], str],
+        code: int,
         sequences: Iterable[ScoreSeq],
         reporting: Reporting,
     ):
-        seqs, k = tuple(sequences), params.k
-        template = _template(seqs, reporting, k, tuple([rules[(t, s)] for s in seqs if len(s) < k for t in _TYPES]))
+        seqs = tuple(sequences)
+        template = _template(seqs, reporting, params.k, code)
         self._values = values = _layout(params, seqs, reporting)
-        self.rules = rules
+        self.code = code
         self.scale = values[1]
         self.histories = template.histories
         self.var_index = template.var_index
@@ -533,7 +503,7 @@ class _FlowSystem:
             for h in self.histories:
                 var, value = self.reach[(t, h)]
                 r = value if var is None else value * x[var]
-                rule = self.rules[(t, h)]
+                rule = _rule_of(self.code, t, h)
                 if rule == ANY and r > 0:
                     stops[(t, h)] = 1 - Fraction(self.scale * x[self.var_index[(t, h)]]) / r
                 else:  # forced, or a free node that no mass reaches
@@ -692,7 +662,7 @@ def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list
     """The consistent accept patterns of one first-score subtree, grouped by
     integer admission odds (accepts the first score, values after it) in
     order of first occurrence: (accept patterns, values, stops of the first
-    pattern). One flow system per best-response rule pattern, one solve per
+    pattern). One flow system per best-response rule code, one solve per
     distinct LP.
     """
     seqs = _subtree(first, params.k)
@@ -701,14 +671,13 @@ def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list
     row_ids: dict[tuple, int] = {}  # a system's rows with no label accepted -> id
     points: dict[tuple, Optional[list[Fraction]]] = {}  # (row id, signs) -> point
     groups: dict[tuple, tuple[list, Mapping, dict]] = {}
-    for pattern in _subtree_induction(params.alpha, params.k, first):
-        key, bits = pattern.key, pattern.bits
-        if key not in systems:
-            system = _FlowSystem(params, pattern.rules, seqs, Reporting.ALL)
+    for bits, high, low, code in _subtree_induction(params.alpha, params.k, first):
+        if code not in systems:
+            system = _FlowSystem(params, code, seqs, Reporting.ALL)
             a_ub, b_ub = system.rows(0)
             rows = (tuple([tuple(row) for row in a_ub]), tuple(b_ub))
-            systems[key] = system, row_ids.setdefault(rows, len(row_ids))
-        system, row_id = systems[key]
+            systems[code] = system, row_ids.setdefault(rows, len(row_ids))
+        system, row_id = systems[code]
         signs = system.signs(bits)
         # equal row ids and signs mean equal rows, hence the same vertex
         if (row_id, signs) not in points:
@@ -716,9 +685,9 @@ def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list
         x = points[(row_id, signs)]
         if x is None:
             continue
-        odds = (bits >> root & 1, *pattern.odds)
+        odds = (bits >> root & 1, high, low)
         if odds not in groups:
-            groups[odds] = ([], pattern.values, system.stops_from_point(x))
+            groups[odds] = ([], _first_values(params, first, high, low), system.stops_from_point(x))
         groups[odds][0].append(bits)
     return groups
 
@@ -743,7 +712,7 @@ def _policy_system(
     """A policy's best response and the flow system of the whole game tree."""
     _require_measurable(policy, reporting)
     br = best_response(params, policy)
-    return br, _FlowSystem(params, br.rules, all_sequences(params.k), reporting)
+    return br, _FlowSystem(params, br.code, all_sequences(params.k), reporting)
 
 
 def _enumerate_policy_list(
@@ -787,7 +756,7 @@ def enumerate_outcomes(params: ModelParams, scope: str = SCOPE_REPORT_ALL) -> En
     named families remain available there. "report-max" covers the four best-score policies.
 
     The report-all census solves each distinct LP of a best-response rule
-    pattern once, with unchanged rows, so it finds what one solve per policy
+    code once, with unchanged rows, so it finds what one solve per policy
     finds. It never prunes with the closed forms it is tested against.
     """
     if scope not in SCOPES:

@@ -80,6 +80,18 @@ def induction_values(params, policy):
     return values
 
 
+def decoded_rules(code, seqs, k):
+    """The rules a rule code holds for the histories among ``seqs``, read
+    from the bits that the code's layout gives them: two per type at
+    4 node(h), High first, as 0 continue, 1 stop and 2 any."""
+    return {
+        (t, s): ("continue", "stop", "any")[code >> (4 * node(s) + 2 * j) & 3]
+        for j, t in enumerate((StudentType.HIGH, StudentType.LOW))
+        for s in seqs
+        if len(s) < k
+    }
+
+
 def reference_induction(params, policy):
     """Backward induction written from scratch, by recursion over histories."""
     rules, values = {}, {}
@@ -171,6 +183,18 @@ class ReferenceFlowSystem(_FlowSystem):
         self._signed_labels = [mask for mask, (row, b) in self._label_rows if b or any(row)]
         self._forced = [(mask, b < 0) for mask, (row, b) in self._label_rows if b and not any(row)]
 
+    def stops_from_point(self, x):
+        stops = {}
+        for t in StudentType:
+            for h in self.histories:
+                var, value = self.reach[(t, h)]
+                r = value if var is None else value * x[var]
+                if self.rules[(t, h)] == "any" and r > 0:
+                    stops[(t, h)] = 1 - Fraction(self.scale * x[self.var_index[(t, h)]]) / r
+                else:
+                    stops[(t, h)] = Fraction(self.rules[(t, h)] != "continue")
+        return stops
+
 
 class TestBestResponse:
     def test_first_score_policy_makes_second_test_irrelevant(self):
@@ -198,6 +222,11 @@ class TestBestResponse:
         assert br.values[(StudentType.HIGH, seq("A"))] == 1
         assert br.values[(StudentType.HIGH, seq("B"))] == 0
 
+    def test_policy_of_another_k_is_malformed(self):
+        # its depth-3 accept bits would go unread at k=2
+        with pytest.raises(MalformedProfile, match="a policy of k=3 does not fit k=2"):
+            best_response(PARAMS, AdmissionPolicy.b_then_a_run(3, 3))
+
 
 class TestReferenceInduction:
     """best_response against an induction that shares no code with it:
@@ -209,7 +238,9 @@ class TestReferenceInduction:
         for policy in policies:
             br = best_response(params, policy)
             rules, values = reference_induction(params, policy)
-            assert dict(br.rules) == rules, policy
+            assert decoded_rules(br.code, all_sequences(params.k), params.k) == rules, policy
+            for (t, h), rule in rules.items():
+                assert br.admissible(t, h) == {"continue": (0, 0), "stop": (1, 1), "any": (0, 1)}[rule]
             assert dict(br.values) == {key: v for key, v in values.items() if len(key[1]) == 1}, policy
             assert induction_values(params, policy) == values, policy
 
@@ -233,6 +264,38 @@ class TestReferenceInduction:
         self.check(params, [AdmissionPolicy(3, bits) for bits in sample])
 
 
+class TestOneRuleCode:
+    """The census tables and the verifier's best response hold one rule code
+    per policy: the whole tree's is the bitwise or of the codes of the two
+    subtree entries whose bits are the policy's A-half and B-half, and no
+    entry's code has a bit outside its own subtree's nodes."""
+
+    @staticmethod
+    def check(params, policies):
+        k = params.k
+        tables = {
+            first: {bits: code for bits, *_, code in _subtree_induction(params.alpha, k, first)} for first in Score
+        }
+        for first, table in tables.items():
+            own = sum(15 << 4 * node(s) for s in _subtree(first, k) if len(s) < k)
+            assert all(code & ~own == 0 for code in table.values())
+        a_half = sum(1 << node(s) for s in _subtree(Score.A, k))
+        for policy in policies:
+            codes = tables[Score.A][policy.bits & a_half], tables[Score.B][policy.bits & ~a_half]
+            assert best_response(params, policy).code == codes[0] | codes[1], policy
+
+    @pytest.mark.parametrize("alpha", [Fraction(3, 5), Fraction(4, 5)])
+    def test_every_k2_policy(self, alpha):
+        params = ModelParams(p=Fraction(2, 5), alpha=alpha, phi=Fraction(1, 2), k=2)
+        self.check(params, [AdmissionPolicy(2, bits) for bits in range(1 << 6)])
+
+    @pytest.mark.parametrize("alpha", [Fraction(3, 5), Fraction(4, 5)])
+    def test_k3_seeded_sample(self, alpha):
+        params = ModelParams(p=Fraction(2, 5), alpha=alpha, phi=Fraction(1, 2), k=3)
+        sample = random.Random(20210217).sample(range(1 << 14), 200)
+        self.check(params, [AdmissionPolicy(3, bits) for bits in sample])
+
+
 class TestEveryPatternInduction:
     """The census table of every accept pattern of a first-score subtree."""
 
@@ -247,17 +310,16 @@ class TestEveryPatternInduction:
             # j is set; node is increasing on the subtree, so bits ascend
             nodes = [node(s) for s in seqs]
             every = [sum(1 << n for i, n in enumerate(nodes) if j >> i & 1) for j in range(1 << len(seqs))]
-            assert [p.bits for p in table] == every == sorted(every)
-            rules_by_key = {}
-            for pattern in table:
-                policy = AdmissionPolicy(k, pattern.bits)
+            assert [bits for bits, *_ in table] == every == sorted(every)
+            scale = alpha.denominator ** (k - 1)
+            for bits, high, low, code in table:
+                policy = AdmissionPolicy(k, bits)
                 rules, values = reference_induction(params, policy)
                 own = {key: rule for key, rule in rules.items() if key[1][0] is first}
-                assert dict(pattern.rules) == own, policy
-                assert dict(pattern.values) == {
-                    (t, (first,)): values[(t, (first,))] for t in StudentType
-                }
-                assert rules_by_key.setdefault(pattern.key, own) == own
+                assert decoded_rules(code, seqs, k) == own, policy
+                assert (Fraction(high, scale), Fraction(low, scale)) == tuple(
+                    values[(t, (first,))] for t in StudentType
+                )
 
     def test_cold_census_builds_one_table_per_first_score(self):
         params = ModelParams(p=Fraction(9, 20), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
@@ -292,8 +354,8 @@ class TestEveryPatternInduction:
         policy = AdmissionPolicy.b_then_a_run(10, 2)
         br = best_response(params, policy)
         rules, values = reference_induction(params, policy)
-        assert len(br.rules) == 2 * (2**10 - 2)
-        assert dict(br.rules) == rules
+        assert len(rules) == 2 * (2**10 - 2)
+        assert decoded_rules(br.code, all_sequences(10), 10) == rules
         assert dict(br.values) == {key: v for key, v in values.items() if len(key[1]) == 1}
         assert induction_values(params, policy) == values
 
@@ -549,6 +611,11 @@ class TestFreeIntervals:
         with pytest.raises(MalformedProfile):
             free_stop_intervals(params, AdmissionPolicy.first_score(2), Reporting.MAX)
 
+    def test_policy_of_another_k_is_malformed(self):
+        params = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=3)
+        with pytest.raises(MalformedProfile, match="a policy of k=2 does not fit k=3"):
+            free_stop_intervals(params, AdmissionPolicy.first_score(2))
+
 
 class TestGroupedCensus:
     """The report-all census shares flow systems and solves between subtree
@@ -580,9 +647,9 @@ class TestGroupedCensus:
         params = ModelParams(p=p, alpha=alpha, phi=Fraction(1, 2), k=3)
         for cls in enumerate_outcomes(params, "report-all").classes:
             witness = cls.witness
-            rules = best_response(params, witness.policy).rules
+            code = best_response(params, witness.policy).code
             for first in Score:
-                system = _FlowSystem(params, rules, _subtree(first, 3), Reporting.ALL)
+                system = _FlowSystem(params, code, _subtree(first, 3), Reporting.ALL)
                 x = system.feasible(witness.policy.bits)
                 assert x is not None
                 for node, stop in system.stops_from_point(x).items():
@@ -641,9 +708,9 @@ class TestForcedLabelScreen:
         """Every accept pattern of both first-score subtrees, as the census
         builds them."""
         for first in Score:
-            for pattern in _subtree_induction(params.alpha, params.k, first):
-                system = _FlowSystem(params, pattern.rules, _subtree(first, params.k), Reporting.ALL)
-                self.check(system, pattern.bits, counts)
+            for bits, _, _, code in _subtree_induction(params.alpha, params.k, first):
+                system = _FlowSystem(params, code, _subtree(first, params.k), Reporting.ALL)
+                self.check(system, bits, counts)
 
     @pytest.mark.parametrize("alpha", [Fraction(3, 5), Fraction(4, 5)])
     @pytest.mark.parametrize("p", [Fraction(1, 5), Fraction(1, 2), Fraction(17, 20)])
@@ -654,9 +721,9 @@ class TestForcedLabelScreen:
         self.census(params, counts)
         for bits in range(1 << 6):
             policy = AdmissionPolicy(2, bits)
-            rules = best_response(params, policy).rules
+            code = best_response(params, policy).code
             for reporting in Reporting:
-                system = _FlowSystem(params, rules, all_sequences(2), reporting)
+                system = _FlowSystem(params, code, all_sequences(2), reporting)
                 self.check(system, policy.bits, counts)
         assert counts["patterns"] == 2 * 8 + 2 * 64
         assert counts["refused"] > 0
@@ -686,9 +753,9 @@ class TestFlowTemplates:
     ]
 
     @staticmethod
-    def check(params, rules, seqs, reporting, patterns):
-        system = _FlowSystem(params, rules, seqs, reporting)
-        ref = ReferenceFlowSystem(params, rules, seqs, reporting)
+    def check(params, code, seqs, reporting, patterns):
+        system = _FlowSystem(params, code, seqs, reporting)
+        ref = ReferenceFlowSystem(params, decoded_rules(code, seqs, params.k), seqs, reporting)
         assert (system.n, system.scale, list(system.histories), system.var_index, system.reach) == (
             ref.n, ref.scale, ref.histories, ref.var_index, ref.reach
         )
@@ -704,11 +771,11 @@ class TestFlowTemplates:
     def test_every_subtree_pattern(self, k, alpha, p, phi):
         params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
         for first in Score:
-            by_rules = {}
-            for pattern in _subtree_induction(alpha, k, first):
-                by_rules.setdefault(pattern.key, (pattern.rules, []))[1].append(pattern.bits)
-            for rules, patterns in by_rules.values():
-                self.check(params, rules, _subtree(first, k), Reporting.ALL, patterns)
+            by_code = {}
+            for bits, _, _, code in _subtree_induction(alpha, k, first):
+                by_code.setdefault(code, []).append(bits)
+            for code, patterns in by_code.items():
+                self.check(params, code, _subtree(first, k), Reporting.ALL, patterns)
 
     @pytest.mark.parametrize("k, alpha, p, phi", POINTS)
     def test_every_whole_tree_family_system(self, k, alpha, p, phi):
@@ -716,8 +783,8 @@ class TestFlowTemplates:
         for scope in SCOPES[:1] + SCOPES[2:]:  # report-max and every named family
             reporting = Reporting.MAX if scope == "report-max" else Reporting.ALL
             for policy in _family_policies(params, scope):
-                rules = best_response(params, policy).rules
-                self.check(params, rules, all_sequences(k), reporting, [policy.bits])
+                code = best_response(params, policy).code
+                self.check(params, code, all_sequences(k), reporting, [policy.bits])
 
     def test_template_cache_bounded_over_k3_sweep(self):
         search._template.cache_clear()
@@ -771,7 +838,7 @@ class TestPolicySet:
         params = ModelParams(p=Fraction(9, 20), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=k)
         classes = enumerate_outcomes(params, "report-all").classes
         feasible_b = {b for bits, _, _ in search._solve_subtrees(params, Score.B).values() for b in bits}
-        infeasible_b = [q.bits for q in _subtree_induction(params.alpha, k, Score.B) if q.bits not in feasible_b]
+        infeasible_b = [bits for bits, *_ in _subtree_induction(params.alpha, k, Score.B) if bits not in feasible_b]
         assert infeasible_b
         for c in classes:
             policy = next(iter(c.policies))

@@ -243,7 +243,7 @@ def test_flow_rows_by_hand():
     i-th (type, history) in (length, string, High first) order."""
     params = ModelParams(p=Fraction(1, 2), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
     policy = AdmissionPolicy.first_score(3)
-    system = _FlowSystem(params, best_response(params, policy).rules, all_sequences(3), Reporting.ALL)
+    system = _FlowSystem(params, best_response(params, policy).code, all_sequences(3), Reporting.ALL)
     assert system.n == 12
     a_ub, b_ub = system.rows(policy.bits)
     assert len(a_ub) == 12 + 14
