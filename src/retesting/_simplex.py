@@ -7,8 +7,14 @@ row the textbook rational tableau would hold: input rows are scaled by the
 lcm of their denominators, a pivot updates ``row*piv - coef*prow`` and
 divides by the row's gcd. Signs and ratios are those of the rational
 tableau, so every pivot is the one it makes, and the vertex is the same.
-Problem sizes in this package are tiny (tens of rows/columns), so clarity
-beats sparsity. Bland's rule guarantees termination.
+Rows are dense lists, for clarity: the flow LPs of this package range from
+a few rows to about 2000 rows over 1000 columns (family scopes at k=9).
+Bland's rule guarantees termination.
+
+:func:`optimize` minimises several objectives over the same constraints with
+one phase 1; :func:`solve` is its one-objective call. With no equality rows,
+no negative ``b_ub`` and no negative cost, the answer is the origin, which
+both return without building a tableau.
 
 Callers whose rows are already integers over one common denominator pass it
 as ``scale``: every constraint value is then an ``int`` whose rational value
@@ -36,7 +42,9 @@ class LPResult:
     status: str
     x: Optional[list[Fraction]] = None
     value: Optional[Fraction] = None
-    pivots: int = 0  # phase 1, drive-out and phase 2 together
+    # phase 1, drive-out and phase 2 together; phase 2 alone in a later
+    # result of optimize
+    pivots: int = 0
 
 
 def _integer_row(values: Sequence[Fraction], scale: Optional[int] = None) -> tuple[list[int], int]:
@@ -67,9 +75,32 @@ def solve(
     n: int,
     scale: Optional[int] = None,
 ) -> LPResult:
+    return optimize([c], a_ub, b_ub, a_eq, b_eq, n, scale=scale)[0]
+
+
+def optimize(
+    objectives: Sequence[Row],
+    a_ub: list[Row],
+    b_ub: Row,
+    a_eq: list[Row],
+    b_eq: Row,
+    n: int,
+    scale: Optional[int] = None,
+) -> list[LPResult]:
+    """One result per cost row of ``objectives``, over the same constraints.
+
+    Phase 1 and the drive-out run once; phase 2 then runs for each objective
+    in turn, from the optimal basis of the one before. The first result is
+    that of a cold :func:`solve`. A later one may end at another optimal
+    vertex, with the same optimal value, and counts only its own pivots.
+    """
     if n == 0:
         ok = all(b >= 0 for b in b_ub) and all(b == 0 for b in b_eq)
-        return LPResult(OPTIMAL, [], Fraction(0)) if ok else LPResult(INFEASIBLE)
+        return [LPResult(OPTIMAL, [], Fraction(0)) if ok else LPResult(INFEASIBLE) for _ in objectives]
+    if not a_eq and all(b >= 0 for b in b_ub) and all(v >= 0 for c in objectives for v in c):
+        # the slack basis is feasible and no cost can enter: Bland's rule
+        # stops there after 0 pivots
+        return [LPResult(OPTIMAL, [Fraction(0)] * n, Fraction(0)) for _ in objectives]
 
     # Rows [coeffs | slacks | artificials | rhs], flipped where the rhs is
     # negative. A slack or artificial gets the row's scale d as coefficient,
@@ -135,7 +166,7 @@ def solve(
     if art_rows:
         status, phase1 = run(priced([0] * total + [1] * len(art_rows)), width)
         if status != OPTIMAL or phase1[-1] < 0:
-            return LPResult(INFEASIBLE, pivots=pivots)
+            return [LPResult(INFEASIBLE, pivots=pivots)] + [LPResult(INFEASIBLE) for _ in objectives[1:]]
         # drive leftover artificials out of the basis where possible
         for i in range(m):
             if basis[i] >= total:
@@ -144,16 +175,22 @@ def solve(
                         pivot(i, j)
                         break
 
-    # Phase 2 on the real objective, artificial columns barred.
-    status, _ = run(priced(list(c) + [0] * (width - n)), total)
-    if status != OPTIMAL:
-        return LPResult(UNBOUNDED, pivots=pivots)
-    x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = Fraction(rows[i][-1], rows[i][bi])
-    value = sum((cj * xj for cj, xj in zip(c, x) if cj), Fraction(0))
-    return LPResult(OPTIMAL, x, value, pivots)
+    # Phase 2 on each real objective, artificial columns barred; the first
+    # result counts the pivots of phase 1 and the drive-out as well.
+    results = []
+    for c in objectives:
+        status, _ = run(priced(list(c) + [0] * (width - n)), total)
+        if status != OPTIMAL:
+            results.append(LPResult(UNBOUNDED, pivots=pivots))
+        else:
+            x = [Fraction(0)] * n
+            for i, bi in enumerate(basis):
+                if bi < n:
+                    x[bi] = Fraction(rows[i][-1], rows[i][bi])
+            value = sum((cj * xj for cj, xj in zip(c, x) if cj), Fraction(0))
+            results.append(LPResult(OPTIMAL, x, value, pivots))
+        pivots = 0
+    return results
 
 
 def feasible_point(

@@ -51,8 +51,9 @@ SCHEMA_VERSION = 1
 MAX_RANGE_VALUES = 10_000
 # Largest k accepted: the constructors and tables enumerate all 2^k histories.
 MAX_K = 10
-# Largest k of enumerate with free-stop intervals: two LPs per free node, over
-# all 2^k histories, took 15 s at k=6 on a family scope.
+# Largest k of enumerate with free-stop intervals: one LP per reach column of
+# the free nodes, over all 2^k histories, took 4 s at k=6 on a family scope
+# (report-all:b-then-a-run, 2-vCPU host).
 MAX_INTERVAL_K = 6
 # Most students simulate draws. Memory does not grow with n (students are drawn
 # in fixed-size blocks), so this bounds run time: about 0.5 s at k=3 on a

@@ -778,28 +778,40 @@ def free_stop_intervals(
 ) -> dict[tuple[StudentType, ScoreSeq], tuple[Fraction, Fraction]]:
     """Per free node, the exact stop-probability range supporting the policy.
 
-    At a free node with continue mass x[c], the stop probability is
-    1 - x[c]/reach. The Charnes-Cooper variables y = x/reach and s = 1/reach
-    make x[c]/reach the linear objective y[c] over the policy's
-    :meth:`_FlowSystem.rows` as ``a_ub y <= b_ub s``, plus reach(y, s) = 1, so
-    one LP finds each end. Nodes that no supporting flow reaches are left
-    out, so the result is empty when the policy has no equilibrium.
+    At a free node c with reach term (var, value), the stop probability is
+    1 - scale x[c] / (value x[col]), where col is var, or the constant
+    column s = 1 when var is None. The policy's :meth:`_FlowSystem.rows`,
+    homogenised as ``a_ub y <= b_ub s``, are a cone, so fixing y[col] = 1
+    makes that ratio linear in y (Charnes-Cooper). The nodes that share a
+    col share that LP: phase 1 runs once, and each node adds the objectives
+    y[c] and -y[c], which its best-response row bounds. Nodes that no
+    supporting flow reaches are left out. A policy with no equilibrium
+    gives an empty result after one feasibility solve: with s = 0 the
+    best-response rows force y = 0, so no col's LP would be feasible.
+    Keys are in the order of ``var_index``.
     """
     _, system = _policy_system(params, policy, reporting)
+    if system.feasible(policy.bits) is None:
+        return {}
     a_ub, b_ub = system.rows(policy.bits)
     n, scale = system.n, system.scale
     a_cc = [[*row, -b] for row, b in zip(a_ub, b_ub)]
     b_cc = [0] * len(a_cc)
-    out = {}
+    groups: dict[int, list[tuple[int, int]]] = {}  # col -> (c, value) of its nodes
     for key, c in system.var_index.items():
         var, value = system.reach[key]
-        reach = [0] * (n + 1)
-        reach[n if var is None else var] = value
-        obj = [0] * (n + 1)
-        obj[c] = 1
-        eq = ([reach], [scale])  # scale * reach = scale
-        lo = _simplex.solve(obj, a_cc, b_cc, *eq, n + 1, scale=scale)
-        if lo.status == _simplex.OPTIMAL:
-            hi = _simplex.solve([-v for v in obj], a_cc, b_cc, *eq, n + 1, scale=scale)
-            out[key] = (1 + hi.value, 1 - lo.value)
-    return out
+        if value:  # else no flow reaches the node, whatever y
+            groups.setdefault(n if var is None else var, []).append((c, value))
+    ends: dict[int, tuple[Fraction, Fraction]] = {}
+    for col, members in groups.items():
+        norm = [0] * (n + 1)
+        norm[col] = scale  # scale * y[col] = scale
+        # every min y[c], then every max: at k=6 this order takes fewer
+        # pivots than pairs per node or the maxima first
+        objectives = [[int(j == c) for j in range(n + 1)] for c, _ in members]
+        objectives += [[-v for v in obj] for obj in objectives]
+        results = _simplex.optimize(objectives, a_cc, b_cc, [norm], [scale], n + 1, scale=scale)
+        for (c, value), lo, hi in zip(members, results, results[len(members) :]):
+            if lo.status == _simplex.OPTIMAL:
+                ends[c] = (1 + scale * hi.value / value, 1 - scale * lo.value / value)
+    return {key: ends[c] for key, c in system.var_index.items() if c in ends}

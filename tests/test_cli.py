@@ -254,6 +254,9 @@ class TestEnumerate:
         # best-score reporting over the whole k=8 tree
         (["--scope", "report-max", "--k", "8", "--no-intervals"],
          "7eacca14583434e2fd9467641c851e4cbc992a0ba15cbef69e98fa9bc0a8ef39"),
+        # family intervals at k=5, where many nodes share one reach column
+        (["--scope", "report-all:b-then-a-run", "--k", "5", "--intervals"],
+         "c4857707f9729d604750654e01feb7bb546e73da24147327ff360b4cb3646c52"),
     ])
     def test_deep_paths_bytes_pinned(self, capsys, argv, digest):
         code, out, _ = run(capsys, "enumerate", "--alpha", "0.613", "--p", "0.5", "--phi", "0.5",

@@ -567,7 +567,95 @@ class TestOracleAgainstFormulas:
             assert (NON_FIRST_SCORE in labels) == non_first_region.contains(p)
 
 
+def reference_free_stop_intervals(params, policy, reporting=Reporting.ALL) -> dict:
+    """Two cold solves per free node: y[c] at both ends over the policy's
+    homogenised rows, with y normalised so that the node's reach is 1."""
+    _, system = search._policy_system(params, policy, reporting)
+    a_ub, b_ub = system.rows(policy.bits)
+    n, scale = system.n, system.scale
+    a_cc = [[*row, -b] for row, b in zip(a_ub, b_ub)]
+    b_cc = [0] * len(a_cc)
+    out = {}
+    for key, c in system.var_index.items():
+        var, value = system.reach[key]
+        reach = [0] * (n + 1)
+        reach[n if var is None else var] = value
+        obj = [0] * (n + 1)
+        obj[c] = 1
+        eq = ([reach], [scale])  # scale * reach = scale
+        lo = _simplex.solve(obj, a_cc, b_cc, *eq, n + 1, scale=scale)
+        if lo.status == _simplex.OPTIMAL:
+            hi = _simplex.solve([-v for v in obj], a_cc, b_cc, *eq, n + 1, scale=scale)
+            out[key] = (1 + hi.value, 1 - lo.value)
+    return out
+
+
 class TestFreeIntervals:
+    @staticmethod
+    def assert_reference(params, scope, policies=()) -> int:
+        """The intervals of every class witness of ``scope``, and of
+        ``policies``, equal the reference, in order; the number of intervals
+        compared."""
+        reporting = Reporting.MAX if scope == "report-max" else Reporting.ALL
+        witnesses = [cls.witness.policy for cls in enumerate_outcomes(params, scope).classes]
+        compared = 0
+        for policy in [*witnesses, *policies]:
+            got = free_stop_intervals(params, policy, reporting)
+            assert list(got.items()) == list(reference_free_stop_intervals(params, policy, reporting).items())
+            compared += len(got)
+        return compared
+
+    def test_grouped_lps_match_reference(self):
+        # every scope at k 1-3, with the named scopes' policies that have no
+        # equilibrium as well, whose intervals are empty
+        compared = 0
+        for k in (1, 2, 3):
+            for alpha, p, phi in [("0.8", "0.5", "0"), ("0.8", "0.3", "0.5"), ("0.6", "0.75", "1"),
+                                  ("0.7", "0.45", "0.25")]:
+                params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+                for scope in SCOPES:
+                    policies = _family_policies(params, scope) if scope != "report-all" else ()
+                    compared += self.assert_reference(params, scope, policies)
+        assert compared > 200
+
+    @pytest.mark.parametrize("k, alpha, p, phi, scopes", [
+        (4, "0.75", "0.6", "0.75", SCOPES[2:]),
+        (4, "0.9", "0.7", "0.25", SCOPES[2:]),
+        (4, "0.8", "0.5", "0.5", SCOPES[2:]),
+        # one family at k=5, where one check takes about a second
+        (5, "0.8", "0.5", "0.5", ("report-all:first-score",)),
+    ])
+    def test_grouped_lps_match_reference_deep(self, k, alpha, p, phi, scopes):
+        params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+        assert sum(self.assert_reference(params, scope) for scope in scopes) > 0
+
+    def test_no_equilibrium_needs_no_column_lp(self, monkeypatch):
+        # first-score at (0.8, 0.5, 0.5) has one family policy in equilibrium
+        # and three that are not, which one solve rejects; all-b-reject's
+        # policy refuses a forced label, with no solve at all
+        params = ModelParams(p="0.5", alpha="0.8", phi="0.5", k=3)
+        policies = [*_family_policies(params, "report-all:first-score"),
+                    *_family_policies(params, "report-all:all-b-reject")]
+        optimize, sizes = _simplex.optimize, []
+
+        def counted(objectives, *args, **kwargs):
+            sizes.append(len(objectives))
+            return optimize(objectives, *args, **kwargs)
+
+        monkeypatch.setattr(_simplex, "optimize", counted)
+        empty = 0
+        for policy in policies:
+            want = reference_free_stop_intervals(params, policy)
+            sizes.clear()
+            got = free_stop_intervals(params, policy)
+            assert got == want
+            if not got:
+                empty += 1
+                assert sizes in ([], [1])  # the feasibility solve, if any
+            else:
+                assert len(sizes) > 1
+        assert empty == 4
+
     def test_reject_all_bounds_exact(self):
         params = ModelParams(p=0.25, alpha=0.8, phi=0.5, k=2)
         intervals = free_stop_intervals(

@@ -119,6 +119,27 @@ def assert_same(args, scale=None) -> _simplex.LPResult:
     return got
 
 
+def assert_optimized(objectives, args, scale, results) -> None:
+    """``optimize`` results against cold reference solves of each objective:
+    the first exactly, the later ones in status and value, since a warm
+    start may end at another optimal vertex after other pivots. Such a
+    vertex must still be a feasible x >= 0 at which c.x is the value."""
+    assert len(results) == len(objectives)
+    for i, (c, got) in enumerate(zip(objectives, results)):
+        want = reference_solve(*unscaled((c, *args), scale))
+        if i == 0:
+            assert outcome(got) == outcome(want)
+            continue
+        assert (got.status, got.value) == (want.status, want.value)
+        if got.status == "optimal":
+            _, a_ub, b_ub, a_eq, b_eq, _ = unscaled((c, *args), scale)
+            x = got.x
+            assert all(v >= 0 for v in x)
+            assert all(sum(a * v for a, v in zip(row, x)) <= b for row, b in zip(a_ub, b_ub))
+            assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(a_eq, b_eq))
+            assert sum(cj * v for cj, v in zip(c, x)) == got.value
+
+
 def unscaled(lp: tuple, scale=None) -> tuple:
     """The rational LP of integer rows over ``scale`` (the cost stays)."""
     if scale is None:
@@ -138,6 +159,10 @@ def _value(rng: random.Random, zero_share: float) -> Fraction:
     return v if rng.random() < 0.5 or v.denominator > 1 else int(v)
 
 
+def random_lp_cost(rng: random.Random, n: int) -> list:
+    return [_value(rng, 0.3) for _ in range(n)]
+
+
 def random_lp(rng: random.Random) -> tuple:
     n = rng.choice((0, 1, 2, 2, 3, 3, 4, 5))
     zero_share = rng.choice((0.0, 0.3, 0.6))
@@ -154,7 +179,7 @@ def random_lp(rng: random.Random) -> tuple:
     if a_eq and rng.random() < 0.1:
         a_eq.append([0] * n)
         b_eq.append(rng.choice((0, Fraction(1, 3))))
-    c = [_value(rng, 0.3) for _ in range(n)] if rng.random() < 0.8 else [0] * n
+    c = random_lp_cost(rng, n) if rng.random() < 0.8 else [0] * n
     return c, a_ub, b_ub, a_eq, b_eq, n
 
 
@@ -200,6 +225,38 @@ def test_phase1_objective_uses_rational_rows():
     assert (res.x, res.pivots) == ([0, 1], 2)
 
 
+def test_optimize_matches_cold_solves():
+    """Several objectives over one LP: each has the status and value of a
+    cold solve, and the first is exactly :func:`_simplex.solve`'s result."""
+    rng = random.Random(20213)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    warm = 0  # later objectives whose optimum is off the origin
+    for i in range(2000):
+        c, a_ub, b_ub, a_eq, b_eq, n = random_lp(rng)
+        objectives = [c] + [random_lp_cost(rng, n) for _ in range(rng.randint(0, 3))]
+        results = _simplex.optimize(objectives, a_ub, b_ub, a_eq, b_eq, n)
+        assert_optimized(objectives, (a_ub, b_ub, a_eq, b_eq, n), None, results)
+        assert outcome(results[0]) == outcome(_simplex.solve(c, a_ub, b_ub, a_eq, b_eq, n)), i
+        for res in results:
+            seen[res.status] += 1
+        warm += sum(res.status == "optimal" and any(res.x) for res in results[1:])
+    assert min(seen.values()) >= 200 and warm >= 200, (seen, warm)
+
+
+def test_origin_needs_no_tableau(monkeypatch):
+    # no equality row, no negative rhs and no negative cost: the slack basis
+    # is optimal, as Bland's rule finds it after 0 pivots
+    lp = ([0, Fraction(1, 2)], [[1, -1], [-3, 2]], [0, Fraction(5, 7)], [], [], 2)
+    assert outcome(reference_solve(*lp)) == ("optimal", [0, 0], 0, 0)
+
+    def no_tableau(*args):
+        raise AssertionError("a tableau row was built")
+
+    monkeypatch.setattr(_simplex, "_integer_row", no_tableau)
+    assert outcome(_simplex.solve(*lp)) == ("optimal", [0, 0], 0, 0)
+    assert [outcome(r) for r in _simplex.optimize([[0, 0], [1, 0]], *lp[1:])] == [("optimal", [0, 0], 0, 0)] * 2
+
+
 @pytest.mark.parametrize("lp, status", [
     (([1], [[1]], [-1], [], [], 1), "infeasible"),
     (([-1], [[-1]], [0], [], [], 1), "unbounded"),
@@ -211,14 +268,18 @@ def test_small_cases(lp, status):
 
 
 def _census_lps(monkeypatch, params: ModelParams) -> list[tuple]:
+    """Every LP that the census and its classes' intervals give the kernel,
+    as (objectives, other arguments, scale, results); :func:`_simplex.solve`
+    is an ``optimize`` call of one objective, so it is recorded too."""
     lps = []
-    solve = _simplex.solve
+    optimize = _simplex.optimize
 
-    def recording(*args, scale=None):
-        lps.append((args, scale))
-        return solve(*args, scale=scale)
+    def recording(objectives, *args, scale=None):
+        results = optimize(objectives, *args, scale=scale)
+        lps.append((objectives, args, scale, results))
+        return results
 
-    monkeypatch.setattr(_simplex, "solve", recording)
+    monkeypatch.setattr(_simplex, "optimize", recording)
     for scope, reporting in (("report-all", Reporting.ALL), ("report-max", Reporting.MAX)):
         for cls in enumerate_outcomes(params, scope).classes:
             free_stop_intervals(params, cls.witness.policy, reporting)
@@ -231,10 +292,10 @@ def test_census_lps_match_reference(monkeypatch, alpha, p):
     _subtree_induction.cache_clear()
     lps = _census_lps(monkeypatch, ModelParams(p=p, alpha=alpha, phi=Fraction(1, 2), k=3))
     assert len(lps) > 40
-    assert any(any(c) for (c, *_), _ in lps)  # the interval LPs optimise
-    assert all(scale for _, scale in lps)  # every flow LP has integer rows
-    for lp, scale in lps:
-        assert_same(lp, scale)
+    assert any(any(c) for objectives, *_ in lps for c in objectives)  # the interval LPs optimise
+    assert all(scale for _, _, scale, _ in lps)  # every flow LP has integer rows
+    for objectives, args, scale, results in lps:
+        assert_optimized(objectives, args, scale, results)
 
 
 def test_flow_rows_by_hand():
