@@ -17,6 +17,17 @@ reads them. A label row with no free continue mass fixes that label's accept
 bit: a pattern with the other bit is infeasible, which is decided from the
 rows without a solve.
 
+Under report-all every sequence is its own label, so the rows follow the
+game tree, and an LP with a negative rhs is decided on the tree first
+(:func:`_tree_refutes`). The parent states under which a subtree below depth
+one admits a flow are a convex cone in the (High, Low) quadrant that depends
+on the point only through alpha; each is built from its children's cones by
+Fourier-Motzkin over the node's own two continue masses, from at most nine
+rows whatever k, and cached per (alpha, k). At each depth-one node the same
+elimination leaves constant rows, and the system is infeasible iff one is
+negative. A refuted LP never reaches the simplex; every point still comes
+from it.
+
 Best responses come from one bottom-up induction per first-score subtree:
 each history combines the results of its two children with its own accept
 bit, for every accept pattern of the subtree at once (the census) or for one
@@ -38,12 +49,14 @@ come from its first policy; one class builder takes blocks of one-outcome
 policies from every scope. A class keeps its policies as those blocks, a
 :class:`PolicySet`: a report-all block is the product of an A-group and a
 B-group of accept bits, and no policy is built until one is iterated. No
-closed form from :mod:`retesting.equilibria` is used to prune; the
-forced-label screen reads only the LP rows.
+closed form from :mod:`retesting.equilibria` is used to prune: the
+forced-label screen reads only the LP rows, and the tree decision only the
+system's rule code, accept bits, alpha and depth-one masses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -456,6 +469,17 @@ class _FlowSystem:
         # a row with no variable holds for one accept bit only: 0 <= b when
         # rejected, 0 <= -b when accepted; the label's forced bit is b < 0
         self._forced = [(mask, b < 0) for mask, (row, b) in self._label_rows if b and not any(row)]
+        # report-all only: each depth-one label as (node, High and Low
+        # reach, Category 1 High - Low mass), for the tree decision
+        self._alpha, self._k = params.alpha, params.k
+        self._roots: tuple[tuple[int, int, int, int], ...] = ()
+        if reporting is Reporting.ALL:
+            shape = _shape(seqs, reporting)
+            self._roots = tuple(
+                (lab, values[shape.reach[0][i]], values[shape.reach[1][i]], values[shape.cat1 + l])
+                for l, (lab, (i,)) in enumerate(shape.labels)
+                if shape.parents[i] < 0
+            )
 
     @cached_property
     def reach(self) -> dict[tuple[StudentType, ScoreSeq], _Term]:
@@ -487,12 +511,23 @@ class _FlowSystem:
         return a_ub, b_ub
 
     def feasible(self, bits: int) -> Optional[list[Fraction]]:
-        """A point of the policy's polytope, or None; a policy that
-        :meth:`refuses` is rejected without a solve."""
+        """A point of the policy's polytope, or None.
+
+        A policy that :meth:`refuses` is rejected without a solve. With no
+        negative rhs the origin is a point, so only a report-all system with
+        a negative rhs runs the exact tree decision of :func:`_tree_refutes`
+        first, and is rejected if the tree says infeasible. Every other
+        system, and every point returned, comes from the simplex.
+        """
         if self.refuses(bits):
             return None
         if self.n == 0:  # every row is a label row with no variable
             return []
+        # a best-response row's rhs is a reach mass, so only a label row's can
+        # be negative: b when the label is rejected, -b when accepted
+        if (self._roots and any(b > 0 if bits & mask else b < 0 for mask, (_, b) in self._label_rows)
+                and _tree_refutes(self._alpha, self._k, self.code, bits, self._roots)):
+            return None
         a_ub, b_ub = self.rows(bits)
         return _simplex.feasible_point(a_ub, b_ub, self.n, scale=self.scale)
 
@@ -509,6 +544,128 @@ class _FlowSystem:
                 else:  # forced, or a free node that no mass reaches
                     stops[(t, h)] = Fraction(0) if rule == CONTINUE else Fraction(1)
         return stops
+
+
+# ---------------------------------------------------------------------------
+# Tree decision of report-all flow systems
+# ---------------------------------------------------------------------------
+#
+# Under report-all every sequence is its own label, so a row couples a node
+# only with its parent: its reach is an emission times the parent's continue
+# mass, and its label row reads its own reach and continue mass. The parent
+# states (High, Low continue masses) under which a child's subtree admits a
+# flow are the projection of the subtree's rows. Below depth one every row
+# is homogeneous and reads the point only through alpha, so that projection
+# is a convex cone in the quadrant.
+
+# A cone of parent states as its two integer rays, the clockwise one first
+# (equal for a ray), or None for the origin alone.
+_Cone = Optional[tuple[tuple[int, int], tuple[int, int]]]
+
+# A row r over (p0, p1, wH, wL), read as r . (p, w) >= 0: p is the parent
+# state below depth one, or the constant 1 in p0 at a root; w holds the
+# node's own free continue masses.
+_Vec = tuple[int, int, int, int]
+_ZERO: _Vec = (0, 0, 0, 0)
+_FREE: tuple[_Vec, _Vec] = ((0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _lin(a: int, r: _Vec, b: int, s: _Vec) -> _Vec:
+    """a r + b s, divided by its gcd."""
+    out = (a * r[0] + b * s[0], a * r[1] + b * s[1], a * r[2] + b * s[2], a * r[3] + b * s[3])
+    g = math.gcd(*out)
+    return out if g < 2 else (out[0] // g, out[1] // g, out[2] // g, out[3] // g)
+
+
+def _project(reach: tuple[_Vec, _Vec], cat1: _Vec, rules: tuple[int, int], accepted: int,
+             kids: Sequence[_Cone]) -> set[_Vec]:
+    """The rows over p alone that one node's subtree admits: its High and
+    Low ``reach`` and Category 1 High - Low mass as rows over (p, w), its
+    ``rules``, its label's accept bit and its children's cones. Fourier-
+    Motzkin eliminates w exactly, so every row left has zeros there."""
+    rows = []
+    cont = []  # the continue mass of each type
+    for r, rule, w in zip(reach, rules, _FREE):
+        if rule == ANY:
+            rows += [w, _lin(1, r, -1, w)]  # 0 <= w <= reach
+        cont.append(w if rule == ANY else r if rule == CONTINUE else _ZERO)
+    z_high, z_low = cont
+    # High - Low stop mass, each type's reach less its continue mass
+    label = tuple(c + rh - zh - rl + zl for c, rh, zh, rl, zl in zip(cat1, reach[0], z_high, reach[1], z_low))
+    rows.append(label if accepted else tuple(-v for v in label))
+    for cone in kids:
+        if cone is None:  # no continue mass at all
+            rows += [tuple(-v for v in z_high), tuple(-v for v in z_low)]
+        else:  # counterclockwise of u and clockwise of v; w >= 0 keeps a ray's half-line
+            (u_high, u_low), (v_high, v_low) = cone
+            rows += [_lin(u_high, z_low, -u_low, z_high), _lin(v_low, z_high, -v_high, z_low)]
+    for col in (2, 3):
+        kept = {r for r in rows if not r[col]}
+        upper = [r for r in rows if r[col] < 0]
+        kept.update(_lin(-q[col], r, r[col], q) for r in rows if r[col] > 0 for q in upper)
+        kept.discard(_ZERO)
+        rows = kept
+    return rows
+
+
+def _clip(rows: Iterable[_Vec]) -> _Cone:
+    """The quadrant cut by every row a . p >= 0 in turn."""
+    (uh, ul), (vh, vl) = (1, 0), (0, 1)
+    for a, b, _, _ in rows:
+        fu, fv = a * uh + b * ul, a * vh + b * vl
+        if fu < 0 and fv < 0:
+            return None
+        if fu < 0:  # the new u is where the row's boundary meets the cone
+            uh, ul = fv * uh - fu * vh, fv * ul - fu * vl
+            g = math.gcd(uh, ul)
+            uh, ul = uh // g, ul // g
+        elif fv < 0:
+            vh, vl = fu * vh - fv * uh, fu * vl - fv * ul
+            g = math.gcd(vh, vl)
+            vh, vl = vh // g, vl // g
+    return (uh, ul), (vh, vl)
+
+
+@lru_cache(maxsize=16)  # one dict per (alpha, k): 16 alphas of one k
+def _cone_cache(alpha: Fraction, k: int) -> dict[tuple[int, ...], _Cone]:
+    """The cones built so far at one (alpha, k), each keyed by its subtree's
+    root node and the subtree's accept and rule-code bits, level by level."""
+    return {}
+
+
+def _tree_refutes(alpha: Fraction, k: int, code: int, bits: int, roots: Iterable[tuple[int, int, int, int]]) -> bool:
+    """Whether a report-all flow system has no nonnegative solution, decided
+    exactly on its tree from the rule ``code``, the accept ``bits``, alpha
+    and each depth-one ``root`` (node, High and Low reach, Category 1 mass).
+
+    The cone of a node below depth one comes from its children's cones, and
+    is cached. The roots share no variable. At each, the box of its constant
+    reach, its affine label row and its children's cones over its continue
+    masses leave, once Fourier-Motzkin has eliminated them, constant rows:
+    the system is infeasible iff one reads 0 <= negative.
+    """
+    cones = _cone_cache(alpha, k)
+    n, d = alpha.numerator, alpha.denominator
+
+    def project(j: int, reach: tuple[_Vec, _Vec], cat1: _Vec) -> set[_Vec]:
+        if (j + 2).bit_length() - 1 == k:  # a leaf: everyone stops
+            return _project(reach, cat1, (STOP, STOP), bits >> j & 1, ())
+        kids = [cone(c) for c in (2 * j + 2, 2 * j + 3)]
+        return _project(reach, cat1, (code >> 4 * j & 3, code >> 4 * j + 2 & 3), bits >> j & 1, kids)
+
+    def cone(j: int) -> _Cone:
+        key, lo, width = [j], j, 1
+        for _ in range((j + 2).bit_length() - 1, k + 1):  # the levels of j's subtree
+            key += [bits >> lo & (1 << width) - 1, code >> 4 * lo & (1 << 4 * width) - 1]
+            lo, width = 2 * lo + 2, 2 * width
+        key = tuple(key)
+        if key not in cones:
+            e_high, e_low = (n, d - n) if j % 2 == 0 else (d - n, n)  # even nodes end in A
+            cones[key] = _clip(project(j, ((e_high, 0, 0, 0), (0, e_low, 0, 0)), _ZERO))
+        return cones[key]
+
+    return any(any(r[0] < 0 for r in project(j, ((high, 0, 0, 0), (low, 0, 0, 0)), (cat1, 0, 0, 0)))
+               for j, high, low, cat1 in roots)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,7 @@ class ReferenceFlowSystem(_FlowSystem):
             self._label_rows.append((1 << lab, as_row(terms)))
         self._signed_labels = [mask for mask, (row, b) in self._label_rows if b or any(row)]
         self._forced = [(mask, b < 0) for mask, (row, b) in self._label_rows if b and not any(row)]
+        self._roots = ()  # no tree decision: the simplex decides every LP
 
     def stops_from_point(self, x):
         stops = {}
@@ -825,6 +826,101 @@ class TestForcedLabelScreen:
         self.census(params, counts)
         assert counts["patterns"] == 2 * 128
         assert counts["refused"] > 0
+
+
+class TestTreeDecision:
+    """:func:`search._tree_refutes` decides a report-all flow system on its
+    game tree, from per-alpha cones below depth one. Its verdict must be the
+    simplex's on every LP, whatever the rhs signs, so it is called here on
+    LPs that :meth:`_FlowSystem.feasible` would send to the simplex too."""
+
+    POINTS = [(alpha, p, phi) for alpha, p in ((Fraction(4, 5), Fraction(9, 20)), (Fraction(3, 5), Fraction(3, 4)),
+                                               (Fraction(9, 10), Fraction(1, 10)))
+              for phi in (Fraction(0), Fraction(1, 2), Fraction(1))]
+
+    @staticmethod
+    def check(system, bits, counts):
+        a_ub, b_ub = system.rows(bits)
+        solved = _simplex.solve([0] * system.n, a_ub, b_ub, [], [], system.n, scale=system.scale)
+        refuted = search._tree_refutes(system._alpha, system._k, system.code, bits, system._roots)
+        assert refuted == (solved.status == _simplex.INFEASIBLE), (system.code, bits)
+        counts[refuted, min(b_ub, default=0) < 0] += 1
+
+    @staticmethod
+    def cone_kinds(alpha, k):
+        cones = search._cone_cache(alpha, k).values()
+        return {"origin": sum(c is None for c in cones), "ray": sum(c is not None and c[0] == c[1] for c in cones),
+                "sector": sum(c is not None and c[0] != c[1] for c in cones)}
+
+    @pytest.mark.parametrize("alpha, p, phi", POINTS)
+    def test_every_census_lp(self, alpha, p, phi):
+        counts = {(r, neg): 0 for r in (False, True) for neg in (False, True)}
+        for k in (1, 2, 3):
+            params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+            for first in Score:
+                for bits, _, _, code in _subtree_induction(alpha, k, first):
+                    self.check(_FlowSystem(params, code, _subtree(first, k), Reporting.ALL), bits, counts)
+        assert counts[False, False] > 0  # b >= 0: the origin, which the tree must accept
+        assert counts[True, True] > 0
+        assert counts[True, False] == 0  # an infeasible LP has a negative rhs
+
+    FAMILY_POINTS = [(Fraction(4, 5), Fraction(1, 2), Fraction(1, 2)),
+                     (Fraction(3, 5), Fraction(3, 10), Fraction(1, 2)),
+                     (Fraction(9, 10), Fraction(7, 10), Fraction(0))]
+
+    # k=6 at one point only: the simplex it is checked against takes 1-3 s there
+    @pytest.mark.parametrize("k, alpha, p, phi", [(k, *point) for point in FAMILY_POINTS for k in (2, 3, 4, 5)]
+                             + [(6, *FAMILY_POINTS[0])])
+    def test_every_family_lp(self, k, alpha, p, phi):
+        params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+        counts = {(r, neg): 0 for r in (False, True) for neg in (False, True)}
+        for scope in SCOPES[2:]:
+            for policy in _family_policies(params, scope):
+                code = best_response(params, policy).code
+                self.check(_FlowSystem(params, code, all_sequences(k), Reporting.ALL), policy.bits, counts)
+        assert sum(counts.values()) == 2 + 2 + k - 1 + 1
+
+    @pytest.mark.parametrize("k, codes", [(2, None), (3, 24)])
+    def test_arbitrary_rule_codes(self, k, codes):
+        """Rule codes that no induction makes, each with every accept
+        pattern of its subtree: every cone kind and chains of forced
+        retakes occur."""
+        rng = random.Random(20217 + k)
+        params = ModelParams(p=Fraction(2, 5), alpha=Fraction(7, 10), phi=Fraction(1, 2), k=k)
+        search._cone_cache.cache_clear()
+        counts = {(r, neg): 0 for r in (False, True) for neg in (False, True)}
+        chains = 0  # codes where a forced retake follows a forced retake
+        for first in Score:
+            seqs = _subtree(first, k)
+            every = [0]
+            for h in (s for s in seqs if len(s) < k):
+                every = [c | (high | low << 2) << 4 * node(h) for c in every for high in range(3) for low in range(3)]
+            for code in every if codes is None else rng.sample(every, codes):
+                rules = decoded_rules(code, seqs, k)
+                chains += any(rules[t, h] == rules[t, h[:-1]] == "continue" for t, h in rules if len(h) > 1)
+                system = _FlowSystem(params, code, seqs, Reporting.ALL)
+                for pattern in range(1 << len(seqs)):
+                    bits = sum(1 << node(s) for i, s in enumerate(seqs) if pattern >> i & 1)
+                    self.check(system, bits, counts)
+        assert min(counts[True, True], counts[False, True], counts[False, False]) > 0
+        if k == 3:  # at k=2 every cone is a leaf's half-plane, a sector
+            assert min(self.cone_kinds(params.alpha, k).values()) > 0
+            assert chains > 0
+
+    def test_cone_cache_bounded_and_hit(self):
+        search._cone_cache.cache_clear()
+        for i in range(40):
+            params = ModelParams(p=Fraction(1, 2), alpha=Fraction(51 + i, 100), phi=Fraction(1, 2), k=3)
+            enumerate_outcomes(params, "report-all")
+        info = search._cone_cache.cache_info()
+        assert info.misses == 40 and info.currsize == info.maxsize < 40
+        cones = search._cone_cache(params.alpha, 3)
+        built = len(cones)
+        assert built > 0
+        hits = search._cone_cache.cache_info().hits
+        enumerate_outcomes(params, "report-all")
+        assert search._cone_cache.cache_info().hits > hits
+        assert len(cones) == built  # every cone of the repeated census was cached
 
 
 class TestFlowTemplates:

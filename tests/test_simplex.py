@@ -267,33 +267,53 @@ def test_small_cases(lp, status):
     assert assert_same(lp).status == status
 
 
-def _census_lps(monkeypatch, params: ModelParams) -> list[tuple]:
-    """Every LP that the census and its classes' intervals give the kernel,
-    as (objectives, other arguments, scale, results); :func:`_simplex.solve`
-    is an ``optimize`` call of one objective, so it is recorded too."""
-    lps = []
-    optimize = _simplex.optimize
+def _census_lps(monkeypatch, params: ModelParams) -> tuple[list[tuple], list[tuple]]:
+    """Every LP that the census and its classes' intervals decide. Each
+    feasibility LP is recorded as :meth:`_FlowSystem.feasible` receives it,
+    before its screens, as (a_ub, b_ub, n, scale, point or None); every
+    kernel call as (objectives, other arguments, scale, results), where
+    :func:`_simplex.solve` is an ``optimize`` call of one objective."""
+    feasibility, lps = [], []
+    optimize, feasible = _simplex.optimize, _FlowSystem.feasible
 
     def recording(objectives, *args, scale=None):
         results = optimize(objectives, *args, scale=scale)
         lps.append((objectives, args, scale, results))
         return results
 
+    def deciding(system, bits):
+        x = feasible(system, bits)
+        feasibility.append((*system.rows(bits), system.n, system.scale, x))
+        return x
+
     monkeypatch.setattr(_simplex, "optimize", recording)
+    monkeypatch.setattr(_FlowSystem, "feasible", deciding)
     for scope, reporting in (("report-all", Reporting.ALL), ("report-max", Reporting.MAX)):
         for cls in enumerate_outcomes(params, scope).classes:
             free_stop_intervals(params, cls.witness.policy, reporting)
     monkeypatch.undo()
-    return lps
+    return feasibility, lps
 
 
 @pytest.mark.parametrize("alpha, p", [(Fraction(4, 5), Fraction(9, 20)), (Fraction(3, 5), Fraction(3, 4))])
 def test_census_lps_match_reference(monkeypatch, alpha, p):
+    """Every census LP against the reference: a refused one (by the
+    forced-label screen or the tree decision) must be infeasible, and a
+    point must be the reference's vertex; every kernel call matches too."""
     _subtree_induction.cache_clear()
-    lps = _census_lps(monkeypatch, ModelParams(p=p, alpha=alpha, phi=Fraction(1, 2), k=3))
-    assert len(lps) > 40
+    feasibility, lps = _census_lps(monkeypatch, ModelParams(p=p, alpha=alpha, phi=Fraction(1, 2), k=3))
+    assert len(feasibility) > 40
     assert any(any(c) for objectives, *_ in lps for c in objectives)  # the interval LPs optimise
-    assert all(scale for _, _, scale, _ in lps)  # every flow LP has integer rows
+    assert all(scale for *_, scale, _ in feasibility) and all(scale for _, _, scale, _ in lps)  # integer rows
+    refused = 0
+    for a_ub, b_ub, n, scale, x in feasibility:
+        want = reference_solve(*unscaled(([0] * n, a_ub, b_ub, [], [], n), scale))
+        if x is None:
+            assert want.status == _simplex.INFEASIBLE
+            refused += 1
+        else:
+            assert (want.status, want.x) == (_simplex.OPTIMAL, x)
+    assert refused > 0
     for objectives, args, scale, results in lps:
         assert_optimized(objectives, args, scale, results)
 
