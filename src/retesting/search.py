@@ -11,22 +11,22 @@ row is read off directly. Systems over one game tree share one cached layout
 of their path masses, all integers over one denominator, so their rows are
 integers that the integer-row simplex decides exactly. Which mass goes where
 in the rows depends only on the tree, the reporting policy and the
-best-response rules, so a cached template per rule code holds every row
-as signed indices into the layout, and building a system at a point only
-reads them. A label row with no free continue mass fixes that label's accept
-bit: a pattern with the other bit is infeasible, which is decided from the
-rows without a solve.
+best-response rules, so a cached template per rule code holds them as
+signed indices into the layout. A system at a point reads only each label
+row's constant and whether a free continue mass enters it, and builds dense
+rows only for the simplex: a label row with no free continue mass fixes that
+label's accept bit, and with no negative rhs the origin is feasible.
 
 Under report-all every sequence is its own label, so the rows follow the
-game tree, and an LP with a negative rhs is decided on the tree first
+game tree, and an LP with a negative rhs is decided on the tree
 (:func:`_tree_refutes`). The parent states under which a subtree below depth
 one admits a flow are a convex cone in the (High, Low) quadrant that depends
 on the point only through alpha; each is built from its children's cones by
 Fourier-Motzkin over the node's own two continue masses, from at most nine
 rows whatever k, and cached per (alpha, k). At each depth-one node the same
 elimination leaves constant rows, and the system is infeasible iff one is
-negative. A refuted LP never reaches the simplex; every point still comes
-from it.
+negative. A refuted LP never reaches the simplex; every point other than
+the origin still comes from it.
 
 Best responses come from one bottom-up induction per first-score subtree:
 each history combines the results of its two children with its own accept
@@ -42,15 +42,15 @@ The verifier reads each report's posterior through
 :func:`retesting.beliefs.posterior_from_distribution`.
 
 The report-all census groups subtree policies by best-response rule code,
-one flow system each, and solves each distinct LP once. This is exact: every
-LP keeps its own rows, so the simplex returns the same vertex. Subtree
+one flow system each, and decides each rule code and label signs, which fix
+the rows, once: the simplex returns the same vertex for equal rows. Subtree
 policies with equal integer admission odds form a group, whose witness stops
-come from its first policy; one class builder takes blocks of one-outcome
-policies from every scope. A class keeps its policies as those blocks, a
+come from its first policy; one class builder takes blocks of one-outcome policies from every scope.
+A class keeps its policies as those blocks, a
 :class:`PolicySet`: a report-all block is the product of an A-group and a
 B-group of accept bits, and no policy is built until one is iterated. No
 closed form from :mod:`retesting.equilibria` is used to prune: the
-forced-label screen reads only the LP rows, and the tree decision only the
+forced-label screen reads only the label rows, and the tree decision only the
 system's rule code, accept bits, alpha and depth-one masses.
 """
 
@@ -360,21 +360,23 @@ def _layout(params: ModelParams, seqs: tuple[ScoreSeq, ...], reporting: Reportin
     return (0, *values, *(-v for v in reversed(values)))
 
 
-# A template row: (column, signed index into a layout's values) terms of
-# ``sum <= 0``, with the constant in column n.
-_Row = tuple[tuple[int, int], ...]
+# A template's label row "High - Low <= 0" as signed indices into a layout's
+# values: its constant's, then (column, indices) per variable that enters it.
+_Row = tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]
 
 
 class _Template(NamedTuple):
     """What a flow system takes from its tree, reporting policy, k and
-    best-response rules, whatever the point: its free nodes, the anchor of
-    every reach and every row as signed indices into a layout's values."""
+    best-response rules, whatever the point: its free nodes, and the anchor
+    of every reach and every label row as signed indices into a layout."""
 
     histories: tuple[ScoreSeq, ...]
     var_index: dict[tuple[StudentType, ScoreSeq], int]
     reach: dict[tuple[StudentType, ScoreSeq], _Term]  # (var, signed index)
-    br_rows: tuple[_Row, ...]  # c - reach <= 0 at every free node
     label_rows: tuple[tuple[int, _Row], ...]  # (mask of the label's accept bit, row)
+    # report-all only: each depth-one label as the indices of (node, High and
+    # Low reach, Category 1 High - Low mass), for the tree decision
+    roots: tuple[tuple[int, int, int, int], ...]
 
 
 @lru_cache(maxsize=128)  # a k=3 census sweep over 4 alphas builds 55
@@ -385,7 +387,6 @@ def _template(seqs: tuple[ScoreSeq, ...], reporting: Reporting, k: int, code: in
     histories = tuple(s for s in seqs if len(s) < k)
     var_index: dict[tuple[StudentType, ScoreSeq], int] = {}
     reach: dict[tuple[StudentType, ScoreSeq], _Term] = {}
-    br: list[tuple[_Term, ...]] = []
     # per type and sequence: the (var, depth) its children's mass continues
     # from (None when none does), and its stop mass as terms
     below: tuple[list, list] = ([], [])
@@ -398,25 +399,25 @@ def _template(seqs: tuple[ScoreSeq, ...], reporting: Reporting, k: int, code: in
             rule = _rule_of(code, t, s) if len(s) < k else STOP
             if rule == ANY:
                 var = var_index[(t, s)] = len(var_index)
-                br.append(((var, 1), (r[0], -r[1])))  # index 1 holds the scale
                 anchor = (var, len(s))
             below[ti].append(None if rule == STOP else anchor)
             stop[ti].append(() if rule == CONTINUE else (r, (var, -1)) if rule == ANY else (r,))
-    n = len(var_index)
-
-    def as_row(terms: Iterable[_Term]) -> _Row:
-        return tuple((n if var is None else var, j) for var, j in terms if j)
-
-    # High - Low mass per label, as the row "High - Low <= 0": the stop mass
-    # of each member, plus Category 1 mass at depth one
+    # High - Low mass per label: the stop mass of each member, plus Category 1
+    # mass at depth one; the constant's terms under None
     label_rows = []
     for l, (lab, members) in enumerate(shape.labels):
-        terms = [(None, shape.cat1 + l)]
+        cols: dict[Optional[int], list[int]] = {None: [shape.cat1 + l]}
         for i in members:
             for ti, sign in ((0, 1), (1, -1)):
-                terms += [(var, sign * j) for var, j in stop[ti][i]]
-        label_rows.append((1 << lab, as_row(terms)))
-    return _Template(histories, var_index, reach, tuple(map(as_row, br)), tuple(label_rows))
+                for var, j in stop[ti][i]:
+                    cols.setdefault(var, []).append(sign * j)
+        const = tuple(cols.pop(None))
+        label_rows.append((1 << lab, (const, tuple([(var, tuple(js)) for var, js in cols.items()]))))
+    roots = ()
+    if reporting is Reporting.ALL:
+        roots = tuple((lab, shape.reach[0][i], shape.reach[1][i], shape.cat1 + l)
+                      for l, (lab, (i,)) in enumerate(shape.labels) if shape.parents[i] < 0)
+    return _Template(histories, var_index, reach, tuple(label_rows), roots)
 
 
 class _FlowSystem:
@@ -429,69 +430,70 @@ class _FlowSystem:
     continues ``x[var]``, a forced one 0 or its whole reach). Values and rows
     are integers, ``scale`` times the rational ones. Which term goes where
     depends only on the tree, the reporting policy and the rule code, so it
-    is built once per code as a cached :class:`_Template`; a system
-    reads the template's signed indices from the tree's cached
-    :func:`_layout` at its point, with no ``Fraction`` arithmetic. A policy
-    enters only through the signs of the label rows, read from its accept
-    bits (as in :class:`AdmissionPolicy`), so it has an equilibrium iff its
-    :meth:`rows` admit a nonnegative solution.
+    is built once per code as a cached :class:`_Template`. A system reads
+    from the tree's cached :func:`_layout` only each label row's constant,
+    whether a variable enters it and the tree decision's depth-one masses,
+    with no ``Fraction`` arithmetic; dense rows wait until asked for. A
+    policy enters only through the signs of the label rows, read from its
+    accept bits (as in :class:`AdmissionPolicy`), so it has an equilibrium
+    iff its :meth:`rows` admit a nonnegative solution.
     """
 
-    def __init__(
-        self,
-        params: ModelParams,
-        code: int,
-        sequences: Iterable[ScoreSeq],
-        reporting: Reporting,
-    ):
+    def __init__(self, params: ModelParams, code: int, sequences: Iterable[ScoreSeq], reporting: Reporting):
         seqs = tuple(sequences)
-        template = _template(seqs, reporting, params.k, code)
+        self._template = template = _template(seqs, reporting, params.k, code)
         self._values = values = _layout(params, seqs, reporting)
         self.code = code
         self.scale = values[1]
         self.histories = template.histories
         self.var_index = template.var_index
-        self.n = n = len(template.var_index)
-        self._reach = template.reach
-
-        def instantiate(row: _Row) -> tuple[list[int], int]:
-            """The row of the template row at this point, as (coefficients, rhs)."""
-            coeffs = [0] * (n + 1)
-            for col, j in row:
-                coeffs[col] += values[j]
-            return coeffs[:n], -coeffs[n]
-
-        self._br_rows = [instantiate(row) for row in template.br_rows]
-        # each label row goes with the mask of its label's accept bit
-        self._label_rows = [(mask, instantiate(row)) for mask, row in template.label_rows]
-        # labels whose row is not 0 <= 0, so that its sign changes the LP
-        self._signed_labels = [mask for mask, (row, b) in self._label_rows if b or any(row)]
+        self.n = len(template.var_index)
+        # each label row as (mask, its constant b, whether a variable enters
+        # it); a column's indices sum to its entry
+        get = values.__getitem__
+        labels = [(mask, -sum(map(get, const)), any([sum(map(get, js)) for _, js in cols]))
+                  for mask, (const, cols) in template.label_rows]
+        # the labels whose row is not 0 <= 0, so that its sign changes the LP
+        self._signed = sum(mask for mask, b, varies in labels if b or varies)
+        self._rhs = [(mask, b) for mask, b, _ in labels if b]
         # a row with no variable holds for one accept bit only: 0 <= b when
         # rejected, 0 <= -b when accepted; the label's forced bit is b < 0
-        self._forced = [(mask, b < 0) for mask, (row, b) in self._label_rows if b and not any(row)]
-        # report-all only: each depth-one label as (node, High and Low
-        # reach, Category 1 High - Low mass), for the tree decision
+        self._forced = [(mask, b < 0) for mask, b, varies in labels if b and not varies]
         self._alpha, self._k = params.alpha, params.k
-        self._roots: tuple[tuple[int, int, int, int], ...] = ()
-        if reporting is Reporting.ALL:
-            shape = _shape(seqs, reporting)
-            self._roots = tuple(
-                (lab, values[shape.reach[0][i]], values[shape.reach[1][i]], values[shape.cat1 + l])
-                for l, (lab, (i,)) in enumerate(shape.labels)
-                if shape.parents[i] < 0
-            )
+        self._roots = tuple((lab, get(high), get(low), get(cat1)) for lab, high, low, cat1 in template.roots)
 
     @cached_property
     def reach(self) -> dict[tuple[StudentType, ScoreSeq], _Term]:
         """The reach mass of every (type, sequence) as one term."""
-        return {key: (var, self._values[j]) for key, (var, j) in self._reach.items()}
+        return {key: (var, self._values[j]) for key, (var, j) in self._template.reach.items()}
 
-    def signs(self, bits: int) -> tuple[bool, ...]:
+    @cached_property
+    def _br_rows(self) -> list[tuple[list[int], int]]:
+        """``c - reach <= 0`` at every free node c, in ``var_index`` order."""
+        rows = []
+        for key, c in self.var_index.items():
+            var, value = self.reach[key]
+            coeffs = [0] * self.n
+            coeffs[c] = self.scale
+            if var is not None:
+                coeffs[var] = -value
+            rows.append((coeffs, value if var is None else 0))
+        return rows
+
+    @cached_property
+    def _label_rows(self) -> list[tuple[int, tuple[list[int], int]]]:
+        """Each label row as (mask of its label's accept bit, (coefficients, rhs))."""
+        get, rows = self._values.__getitem__, []
+        for mask, (const, cols) in self._template.label_rows:
+            coeffs = [0] * self.n
+            for col, js in cols:
+                coeffs[col] = sum(map(get, js))
+            rows.append((mask, (coeffs, -sum(map(get, const)))))
+        return rows
+
+    def signs(self, bits: int) -> int:
         """The accept bits that change :meth:`rows`: equal signs, equal rows."""
-        # from a list, as in every per-point tuple: a tuple built from a
-        # generator is resized, which moves it between CPython's per-size
-        # tuple free lists, so they fill up between full collections
-        return tuple([bool(bits & mask) for mask in self._signed_labels])
+        return bits & self._signed
 
     def refuses(self, bits: int) -> bool:
         """Whether a label's forced accept bit differs from the policy's, so
@@ -501,32 +503,26 @@ class _FlowSystem:
     def rows(self, bits: int) -> tuple[list, list]:
         """Rows (A_ub, b_ub) of one policy's equilibrium polytope, times
         ``scale``: accepted labels need High - Low >= 0, rejected ones <= 0."""
-        a_ub = [row for row, _ in self._br_rows]
-        b_ub = [b for _, b in self._br_rows]
-        for mask, (row, b) in self._label_rows:
-            if bits & mask:
-                row, b = [-v for v in row], -b
-            a_ub.append(row)
-            b_ub.append(b)
-        return a_ub, b_ub
+        rows = self._br_rows + [(([-v for v in row], -b) if bits & mask else (row, b))
+                                for mask, (row, b) in self._label_rows]
+        return [row for row, _ in rows], [b for _, b in rows]
 
     def feasible(self, bits: int) -> Optional[list[Fraction]]:
         """A point of the policy's polytope, or None.
 
         A policy that :meth:`refuses` is rejected without a solve. With no
-        negative rhs the origin is a point, so only a report-all system with
-        a negative rhs runs the exact tree decision of :func:`_tree_refutes`
-        first, and is rejected if the tree says infeasible. Every other
-        system, and every point returned, comes from the simplex.
+        negative rhs the origin is a point, the one the simplex would return,
+        and no row is built. A report-all system with a negative rhs is
+        rejected if the exact tree decision of :func:`_tree_refutes` says
+        infeasible. Every other point comes from the simplex on :meth:`rows`.
         """
         if self.refuses(bits):
             return None
-        if self.n == 0:  # every row is a label row with no variable
-            return []
         # a best-response row's rhs is a reach mass, so only a label row's can
         # be negative: b when the label is rejected, -b when accepted
-        if (self._roots and any(b > 0 if bits & mask else b < 0 for mask, (_, b) in self._label_rows)
-                and _tree_refutes(self._alpha, self._k, self.code, bits, self._roots)):
+        if not any(b > 0 if bits & mask else b < 0 for mask, b in self._rhs):
+            return [Fraction(0)] * self.n
+        if self._roots and _tree_refutes(self._alpha, self._k, self.code, bits, self._roots):
             return None
         a_ub, b_ub = self.rows(bits)
         return _simplex.feasible_point(a_ub, b_ub, self.n, scale=self.scale)
@@ -819,27 +815,23 @@ def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list
     """The consistent accept patterns of one first-score subtree, grouped by
     integer admission odds (accepts the first score, values after it) in
     order of first occurrence: (accept patterns, values, stops of the first
-    pattern). One flow system per best-response rule code, one solve per
-    distinct LP.
+    pattern). One flow system per best-response rule code, and one
+    :meth:`_FlowSystem.feasible` per (code, signs), which fix the rows.
     """
     seqs = _subtree(first, params.k)
     root = node((first,))
-    systems: dict[int, tuple[_FlowSystem, int]] = {}  # rule code -> system, row id
-    row_ids: dict[tuple, int] = {}  # a system's rows with no label accepted -> id
-    points: dict[tuple, Optional[list[Fraction]]] = {}  # (row id, signs) -> point
+    systems: dict[int, _FlowSystem] = {}
+    points: dict[tuple[int, int], Optional[list[Fraction]]] = {}  # (rule code, signs) -> point
     groups: dict[tuple, tuple[list, Mapping, dict]] = {}
     for bits, high, low, code in _subtree_induction(params.alpha, params.k, first):
-        if code not in systems:
-            system = _FlowSystem(params, code, seqs, Reporting.ALL)
-            a_ub, b_ub = system.rows(0)
-            rows = (tuple([tuple(row) for row in a_ub]), tuple(b_ub))
-            systems[code] = system, row_ids.setdefault(rows, len(row_ids))
-        system, row_id = systems[code]
-        signs = system.signs(bits)
-        # equal row ids and signs mean equal rows, hence the same vertex
-        if (row_id, signs) not in points:
-            points[(row_id, signs)] = system.feasible(bits)
-        x = points[(row_id, signs)]
+        system = systems.get(code)
+        if system is None:
+            system = systems[code] = _FlowSystem(params, code, seqs, Reporting.ALL)
+        # equal code and signs mean equal rows, hence the same vertex
+        key = (code, system.signs(bits))
+        if key not in points:
+            points[key] = system.feasible(bits)
+        x = points[key]
         if x is None:
             continue
         odds = (bits >> root & 1, high, low)
@@ -912,9 +904,9 @@ def enumerate_outcomes(params: ModelParams, scope: str = SCOPE_REPORT_ALL) -> En
     (64 at k=2, 16384 at k=3) and refuses k above ``EXHAUSTIVE_MAX_K``;
     named families remain available there. "report-max" covers the four best-score policies.
 
-    The report-all census solves each distinct LP of a best-response rule
-    code once, with unchanged rows, so it finds what one solve per policy
-    finds. It never prunes with the closed forms it is tested against.
+    The report-all census decides each distinct LP of a best-response rule
+    code once, exactly, so it finds what one solve per policy finds. It
+    never prunes with the closed forms it is tested against.
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; expected one of {SCOPES}")
@@ -943,8 +935,8 @@ def free_stop_intervals(
     col share that LP: phase 1 runs once, and each node adds the objectives
     y[c] and -y[c], which its best-response row bounds. Nodes that no
     supporting flow reaches are left out. A policy with no equilibrium
-    gives an empty result after one feasibility solve: with s = 0 the
-    best-response rows force y = 0, so no col's LP would be feasible.
+    gives an empty result after :meth:`_FlowSystem.feasible` refuses it: with
+    s = 0 the best-response rows force y = 0, so no col's LP would be feasible.
     Keys are in the order of ``var_index``.
     """
     _, system = _policy_system(params, policy, reporting)

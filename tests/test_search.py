@@ -180,9 +180,11 @@ class ReferenceFlowSystem(_FlowSystem):
                 for ti, sign in ((0, 1), (1, -1)):
                     terms += [(var, sign * value) for var, value in stop[ti][i]]
             self._label_rows.append((1 << lab, as_row(terms)))
-        self._signed_labels = [mask for mask, (row, b) in self._label_rows if b or any(row)]
+        # what the templated system reads lazily, here from the dense rows
+        self._signed = sum(mask for mask, (row, b) in self._label_rows if b or any(row))
+        self._rhs = [(mask, b) for mask, (_, b) in self._label_rows if b]
         self._forced = [(mask, b < 0) for mask, (row, b) in self._label_rows if b and not any(row)]
-        self._roots = ()  # no tree decision: the simplex decides every LP
+        self._roots = ()  # no tree decision: the simplex decides every LP with a negative rhs
 
     def stops_from_point(self, x):
         stops = {}
@@ -744,21 +746,42 @@ class TestGroupedCensus:
                 for node, stop in system.stops_from_point(x).items():
                     assert witness.strategy.stop[node] == stop
 
-    def test_k3_census_solves_each_distinct_lp_once(self, monkeypatch):
-        calls = []
-        solve = _simplex.solve
+    def test_k3_census_decides_each_distinct_lp_once_with_a_kernel_call_per_group_at_most(self, monkeypatch):
+        """One :meth:`_FlowSystem.feasible` per (rule code, signs), which fix
+        the rows, decided by the screen, the origin and the tree with at most
+        one kernel call per outcome group."""
+        kernel, verdicts, refuted = [], [], []
+        optimize, feasible, tree_refutes = _simplex.optimize, _FlowSystem.feasible, search._tree_refutes
 
-        def counting(c, a_ub, b_ub, a_eq, b_eq, n, scale=None):
-            calls.append(n)
-            return solve(c, a_ub, b_ub, a_eq, b_eq, n, scale=scale)
+        def counting(objectives, *args, **kwargs):
+            kernel.append(len(objectives))
+            return optimize(objectives, *args, **kwargs)
 
-        monkeypatch.setattr(_simplex, "solve", counting)
+        def deciding(system, bits):
+            verdicts.append((system.code, system.signs(bits)))
+            return feasible(system, bits)
+
+        def refuting(*args):
+            refuted.append(tree_refutes(*args))
+            return refuted[-1]
+
+        monkeypatch.setattr(_simplex, "optimize", counting)
+        monkeypatch.setattr(_FlowSystem, "feasible", deciding)
+        monkeypatch.setattr(search, "_tree_refutes", refuting)
         params = ModelParams(p=Fraction(9, 20), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
-        enumeration = enumerate_outcomes(params, "report-all")
-        assert enumeration.classes
-        # 36 distinct LPs per first score, 40 of the 72 refused by the
-        # forced-label screen; one solve per policy would be 144
-        assert 0 < len(calls) <= 32
+        for first in Score:
+            kernel.clear()
+            verdicts.clear()
+            groups = search._solve_subtrees(params, first)
+            patterns = _subtree_induction(params.alpha, 3, first)
+            systems = {code: _FlowSystem(params, code, _subtree(first, 3), Reporting.ALL) for *_, code in patterns}
+            distinct = {(code, systems[code].signs(bits)) for bits, _, _, code in patterns}
+            assert len(verdicts) == len(set(verdicts)) == len(distinct)
+            assert set(verdicts) == distinct
+            # at least one LP per rule code, and fewer than one per two of the 128 patterns
+            assert len(systems) <= len(distinct) < 64
+            assert len(kernel) <= len(groups)
+        assert any(refuted)  # a negative rhs refuted on the tree, with no kernel call
 
     def test_k3_census_computes_stops_once_per_subtree_group(self, monkeypatch):
         calls = []
@@ -981,6 +1004,87 @@ class TestFlowTemplates:
         info = search._template.cache_info()
         assert info.hits > 0
         assert info.misses == info.currsize < info.maxsize  # nothing was evicted
+
+
+class TestLazyRows:
+    """A system reads each label row's constant, and whether a variable
+    enters it, without building a row. What it reads must be what its dense
+    rows say, also at phi 0 and 1 and at alpha 1, where masses vanish."""
+
+    POINTS = [(alpha, p, phi) for alpha, p in (("0.8", "0.45"), ("0.6", "0.75"), ("1", "0.3"))
+              for phi in ("0", "0.5", "1")]
+
+    @staticmethod
+    def check(system, counts):
+        assert not {"_br_rows", "_label_rows"} & set(vars(system))  # nothing dense yet
+        labels = system._label_rows
+        assert system._signed == sum(mask for mask, (row, b) in labels if b or any(row))
+        assert system._rhs == [(mask, b) for mask, (_, b) in labels if b]
+        assert system._forced == [(mask, b < 0) for mask, (row, b) in labels if b and not any(row)]
+        counts["forced"] += len(system._forced)
+        counts["unsigned"] += sum(not system._signed & mask for mask, _ in labels)
+        counts["varying"] += sum(any(row) for _, (row, _) in labels)
+
+    @pytest.mark.parametrize("alpha, p, phi", POINTS)
+    def test_every_subtree_code(self, alpha, p, phi):
+        counts = {"forced": 0, "unsigned": 0, "varying": 0}
+        for k in (1, 2, 3):
+            params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+            for first in Score:
+                for code in {code for *_, code in _subtree_induction(params.alpha, k, first)}:
+                    self.check(_FlowSystem(params, code, _subtree(first, k), Reporting.ALL), counts)
+        assert min(counts.values()) > 0
+
+    @pytest.mark.parametrize("alpha, p, phi", POINTS)
+    def test_every_whole_tree_family_system(self, alpha, p, phi):
+        counts = {"forced": 0, "unsigned": 0, "varying": 0}
+        for k in (1, 2, 3):
+            params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+            for scope in SCOPES[:1] + SCOPES[2:]:  # report-max and every named family
+                reporting = Reporting.MAX if scope == "report-max" else Reporting.ALL
+                for policy in _family_policies(params, scope):
+                    code = best_response(params, policy).code
+                    self.check(_FlowSystem(params, code, all_sequences(k), reporting), counts)
+        assert min(counts.values()) > 0
+
+    @pytest.mark.parametrize("k, codes", [(2, None), (3, 24)])
+    def test_verdicts_match_the_simplex_on_arbitrary_rule_codes(self, k, codes):
+        """:meth:`_FlowSystem.feasible` against the simplex on every accept pattern of rule codes that no induction
+        makes, where LPs with a negative rhs are feasible too."""
+        rng = random.Random(20218 + k)
+        params = ModelParams(p=Fraction(2, 5), alpha=Fraction(7, 10), phi=Fraction(1, 2), k=k)
+        counts = {(ok, neg): 0 for ok in (False, True) for neg in (False, True)}
+        for first in Score:
+            seqs = _subtree(first, k)
+            every = [0]
+            for h in (s for s in seqs if len(s) < k):
+                every = [c | rule << 4 * node(h) for c in every for rule in range(16) if rule & 3 < 3 and rule >> 2 < 3]
+            for code in every if codes is None else rng.sample(every, codes):
+                system = _FlowSystem(params, code, seqs, Reporting.ALL)
+                for pattern in range(1 << len(seqs)):
+                    bits = sum(1 << node(s) for i, s in enumerate(seqs) if pattern >> i & 1)
+                    a_ub, b_ub = system.rows(bits)
+                    solved = _simplex.solve([0] * system.n, a_ub, b_ub, [], [], system.n, scale=system.scale)
+                    ok = solved.status == _simplex.OPTIMAL
+                    assert system.feasible(bits) == (solved.x if ok else None)
+                    counts[ok, min(b_ub, default=0) < 0] += 1
+        assert counts.pop((False, False)) == 0  # an infeasible LP has a negative rhs
+        assert min(counts.values()) > 0
+
+    def test_k10_family_scopes_build_no_row_and_call_no_kernel(self, monkeypatch):
+        """The tree decides every report-all family LP at k=10, and each
+        feasible one has the origin as its point."""
+        built, kernel = [], []
+        for name in ("_br_rows", "_label_rows"):
+            func = getattr(_FlowSystem, name).func
+            monkeypatch.setattr(_FlowSystem, name, property(lambda system, f=func: built.append(f) or f(system)))
+        optimize = _simplex.optimize
+        monkeypatch.setattr(_simplex, "optimize", lambda *args, **kwargs: kernel.append(1) or optimize(*args, **kwargs))
+        params = ModelParams(p="0.5", alpha="0.8", phi="0.5", k=10)
+        for scope in ("report-all:first-score", "report-all:b-then-a-run"):
+            enumeration = enumerate_outcomes(params, scope)
+            assert enumeration.classes and all(c.verified for c in enumeration.classes)
+        assert built == [] and kernel == []
 
 
 def reference_policy_lists(params):

@@ -295,13 +295,15 @@ def _census_lps(monkeypatch, params: ModelParams) -> tuple[list[tuple], list[tup
     return feasibility, lps
 
 
+@pytest.mark.parametrize("phi", [Fraction(0), Fraction(1, 2), Fraction(1)])
 @pytest.mark.parametrize("alpha, p", [(Fraction(4, 5), Fraction(9, 20)), (Fraction(3, 5), Fraction(3, 4))])
-def test_census_lps_match_reference(monkeypatch, alpha, p):
-    """Every census LP against the reference: a refused one (by the
-    forced-label screen or the tree decision) must be infeasible, and a
-    point must be the reference's vertex; every kernel call matches too."""
+def test_census_lps_match_reference(monkeypatch, alpha, p, phi):
+    """Every census LP against the reference, in both directions: a refused
+    one (by the forced-label screen or the tree decision) must be
+    infeasible, and a point (the origin, or one from the simplex) must be
+    the reference's vertex; every kernel call matches too."""
     _subtree_induction.cache_clear()
-    feasibility, lps = _census_lps(monkeypatch, ModelParams(p=p, alpha=alpha, phi=Fraction(1, 2), k=3))
+    feasibility, lps = _census_lps(monkeypatch, ModelParams(p=p, alpha=alpha, phi=phi, k=3))
     assert len(feasibility) > 40
     assert any(any(c) for objectives, *_ in lps for c in objectives)  # the interval LPs optimise
     assert all(scale for *_, scale, _ in feasibility) and all(scale for _, _, scale, _ in lps)  # integer rows
