@@ -4,6 +4,12 @@ Every constructor returns a fully specified profile (policy, strategy) that
 the independent verifier in :mod:`retesting.search` accepts on the stated
 parameter region. Regions use exact rational endpoints, and boundary
 membership follows each result's closed/open endpoints as stated.
+
+Thresholds and regions do not depend on the prior p, and the policies and
+strategies of the canonical profiles depend on k alone. Both are computed
+once and shared: the thresholds in one bounded cache per (alpha, phi, k)
+(:func:`_threshold_record`), the policies and strategies per k (and run
+index n), so a sweep over p pays for them once per triple.
 """
 
 from __future__ import annotations
@@ -11,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import BadIndex, NoEquilibrium, UnsupportedK
 from .model import (
@@ -68,26 +76,38 @@ class AdmissionPolicy:
     def from_predicate(cls, k: int, pred: Callable[[ScoreSeq], bool]) -> "AdmissionPolicy":
         return cls(k, sum(1 << i for i, s in enumerate(all_sequences(k)) if pred(s)))
 
+    # The canonical policies below are built once per k (and n) and shared;
+    # a policy is immutable, so sharing is safe.
+
     @classmethod
+    @lru_cache(maxsize=16)
     def first_score(cls, k: int) -> "AdmissionPolicy":
+        """Accept every sequence that starts with an A. Cached per k."""
         return cls.from_predicate(k, lambda s: s[0] is Score.A)
 
     @classmethod
+    @lru_cache(maxsize=16)
     def best_score_a(cls, k: int) -> "AdmissionPolicy":
+        """Accept every sequence that holds an A. Cached per k."""
         return cls.from_predicate(k, lambda s: best_score(s) is Score.A)
 
     @classmethod
+    @lru_cache(maxsize=16)
     def accept_all(cls, k: int) -> "AdmissionPolicy":
+        """Accept every sequence. Cached per k."""
         return cls.from_predicate(k, lambda s: True)
 
     @classmethod
+    @lru_cache(maxsize=16)
     def reject_all(cls, k: int) -> "AdmissionPolicy":
+        """Accept no sequence. Cached per k."""
         return cls.from_predicate(k, lambda s: False)
 
     @classmethod
+    @lru_cache(maxsize=64)
     def b_then_a_run(cls, k: int, n: int) -> "AdmissionPolicy":
         """Accept first-score-A sequences plus the single sequence B A...A
-        with n-1 trailing A's."""
+        with n-1 trailing A's. Cached per (k, n)."""
         run = (Score.B,) + (Score.A,) * (n - 1)
         return cls.from_predicate(k, lambda s: s[0] is Score.A or s == run)
 
@@ -148,23 +168,77 @@ class Region:
         return " U ".join(f"[{lo}, {hi}]" for lo, hi in self.intervals) or "{}"
 
 
+@dataclass(frozen=True)
+class _Thresholds:
+    """Every prior threshold and region at one (alpha, phi, k)."""
+
+    p_hat: Fraction  # report-max separating band, lower end
+    p_hat_prime: Fraction  # and upper end
+    reject_c: Fraction  # alpha (1 - alpha) (1 - phi), of the reject-all family
+    p_hat_hat: Fraction  # reject-all threshold
+    bounds: Mapping[str, Fraction]  # boundary_thresholds, read-only
+    values: frozenset[Fraction]  # the values of bounds
+    runs: tuple[Region, ...]  # non_first_score_region for n = 2..k
+    report_all: Optional[Region]  # the non-first-score region, k >= 2
+
+
+@lru_cache(maxsize=256)
+def _threshold_record(alpha: Fraction, phi: Fraction, k: int) -> _Thresholds:
+    """The thresholds and regions of (alpha, phi, k), which do not depend on
+    p: computed once per triple and shared, immutable."""
+    ab, phib = 1 - alpha, 1 - phi
+    ak, abk = alpha**k, ab**k
+    lower = (phi * ab + phib * (1 - ak)) / (phi + phib * (2 - ak - abk))
+    upper = (phi * alpha + phib * ak) / (phi + phib * (ak + abk))
+    c = alpha * ab * phib
+    bounds = {"alpha_bar": ab, "alpha": alpha, "p_hat": lower, "p_hat_prime": upper}
+    hat_hat = min(Fraction(1, 2), (c + ab) / (c + 1))
+    if k == 2:
+        bounds["p_hat_hat"] = hat_hat
+    runs: tuple[Region, ...] = ()
+    report_all = None
+    if k >= 2:
+        stars = {n: p_star(n, alpha) if n >= 2 else alpha for n in range(1, k + 3)}
+        bounds.update((f"p_star_{n}", v) for n, v in stars.items())
+        if alpha != 1:
+            bounds["p_double_star"] = p_double_star(k, alpha)
+        # a single A must itself be accepted, which pins each run's band
+        # inside [1-alpha, alpha]
+        runs = tuple(
+            Region([(max(stars[n], ab), min(alpha if n == 2 else stars[n - 1], alpha))])
+            for n in range(2, k + 1)
+        )
+        report_all = Region([(stars[k + 2], ab), (stars[k], alpha)])
+    return _Thresholds(
+        p_hat=lower,
+        p_hat_prime=upper,
+        reject_c=c,
+        p_hat_hat=hat_hat,
+        bounds=MappingProxyType(bounds),
+        values=frozenset(bounds.values()),
+        runs=runs,
+        report_all=report_all,
+    )
+
+
+def _thresholds(params: ModelParams) -> _Thresholds:
+    return _threshold_record(params.alpha, params.phi, params.k)
+
+
 # ---------------------------------------------------------------------------
 # Report Max: separating equilibrium
 # ---------------------------------------------------------------------------
 
 def report_max_thresholds(params: ModelParams) -> tuple[Fraction, Fraction]:
     """Priors between which best-score screening separates: accept-A is
-    College-optimal above the first threshold, reject-B below the second."""
-    a, ab, phi, phib, k = (
-        params.alpha,
-        params.alpha_bar,
-        params.phi,
-        params.phi_bar,
-        params.k,
-    )
-    lower = (phi * ab + phib * (1 - a**k)) / (phi + phib * (2 - a**k - ab**k))
-    upper = (phi * a + phib * a**k) / (phi + phib * (a**k + ab**k))
-    return lower, upper
+    College-optimal above the first threshold, reject-B below the second.
+
+    With a = alpha, lower = (phi (1-a) + (1-phi) (1 - a^k)) /
+    (phi + (1-phi) (2 - a^k - (1-a)^k)) and upper = (phi a + (1-phi) a^k) /
+    (phi + (1-phi) (a^k + (1-a)^k)).
+    """
+    t = _thresholds(params)
+    return t.p_hat, t.p_hat_prime
 
 
 def report_max_separating(params: ModelParams) -> Optional[EquilibriumProfile]:
@@ -174,8 +248,8 @@ def report_max_separating(params: ModelParams) -> Optional[EquilibriumProfile]:
     retake after every B (up to k tests) and stop at the first A. Exists iff
     the prior lies in the closed threshold interval.
     """
-    lower, upper = report_max_thresholds(params)
-    if not (lower <= params.p <= upper):
+    t = _thresholds(params)
+    if not (t.p_hat <= params.p <= t.p_hat_prime):
         return None
     policy = AdmissionPolicy.best_score_a(params.k)
     strategy = StudentStrategy.stop_after_a(params.k)
@@ -192,9 +266,9 @@ def report_max_separating(params: ModelParams) -> Optional[EquilibriumProfile]:
 # ---------------------------------------------------------------------------
 
 def reject_all_threshold(params: ModelParams) -> Fraction:
-    """Largest prior at which rejecting every student can be sustained."""
-    c = params.alpha * params.alpha_bar * params.phi_bar
-    return min(Fraction(1, 2), (c + params.alpha_bar) / (c + 1))
+    """Largest prior at which rejecting every student can be sustained:
+    min(1/2, (c + 1 - alpha) / (c + 1)) with c = alpha (1-alpha) (1-phi)."""
+    return _thresholds(params).p_hat_hat
 
 
 @dataclass(frozen=True)
@@ -213,7 +287,7 @@ class RejectAllFamily:
     def fl_bar_bounds(self, fh_bar: Numeric) -> tuple[Fraction, Fraction]:
         fh_bar = as_fraction(fh_bar)
         p, pb = self.params.p, self.params.p_bar
-        c = self.params.alpha * self.params.alpha_bar * self.params.phi_bar
+        c = _thresholds(self.params).reject_c
         if c == 0:
             return Fraction(0), Fraction(1)
         lo = (p - self.params.alpha_bar + c * p * fh_bar) / (c * pb)
@@ -246,10 +320,11 @@ def report_max_reject_all(params: ModelParams) -> Optional[RejectAllFamily]:
     """
     if params.k != 2:
         raise UnsupportedK("the reject-all family is characterized for k = 2 only")
-    threshold = reject_all_threshold(params)
+    t = _thresholds(params)
+    threshold = t.p_hat_hat
     if params.p > threshold:
         return None
-    c = params.alpha * params.alpha_bar * params.phi_bar
+    c = t.reject_c
     if c == 0 or params.p == 0:
         fh_bar_max = Fraction(1)
     else:
@@ -297,13 +372,7 @@ def report_all_regions(params: ModelParams) -> tuple[bool, Region]:
     if params.k < 2:
         raise UnsupportedK("regions are characterized for k >= 2")
     first = params.alpha_bar <= params.p <= params.alpha
-    region = Region(
-        [
-            (p_star(params.k + 2, params.alpha), params.alpha_bar),
-            (p_star(params.k, params.alpha), params.alpha),
-        ]
-    )
-    return first, region
+    return first, _thresholds(params).report_all
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +409,7 @@ def non_first_score_region(params: ModelParams, n: int) -> Region:
     """
     if not (2 <= n <= params.k):
         raise BadIndex(f"run index n must lie in [2, k], got n={n}, k={params.k}")
-    lo = p_star(n, params.alpha)
-    hi = params.alpha if n == 2 else p_star(n - 1, params.alpha)
-    return Region([(max(lo, params.alpha_bar), min(hi, params.alpha))])
+    return _thresholds(params).runs[n - 2]
 
 
 def construct_non_first_score_equilibrium(
@@ -357,25 +424,26 @@ def construct_non_first_score_equilibrium(
     region = non_first_score_region(params, n)
     if not region.contains(params.p):
         return None
-    policy = AdmissionPolicy.b_then_a_run(params.k, n)
-    run = (Score.B,) + (Score.A,) * (n - 1)
-    stop: dict = {}
-    for t in StudentType:
-        for h in all_sequences(params.k - 1):
-            if h[0] is Score.A:
-                stop[(t, h)] = Fraction(1)
-            elif h == run[: len(h)] and len(h) < n:
-                stop[(t, h)] = Fraction(0)  # still chasing the accepted run
-            else:
-                stop[(t, h)] = Fraction(1)  # run complete or derailed
-    strategy = StudentStrategy(stop)
     return EquilibriumProfile(
-        policy=policy,
-        strategy=strategy,
+        policy=AdmissionPolicy.b_then_a_run(params.k, n),
+        strategy=_chase_run(params.k, n),
         label=NON_FIRST_SCORE,
         reporting=Reporting.ALL,
         n=n,
     )
+
+
+@lru_cache(maxsize=64)
+def _chase_run(k: int, n: int) -> StudentStrategy:
+    """Students with a first B keep testing while their history is a proper
+    prefix of B A...A (n-1 A's); everyone else stops. Built once per (k, n)
+    and shared."""
+    run = (Score.B,) + (Score.A,) * (n - 1)
+    return StudentStrategy({
+        (t, h): 0 if h[0] is Score.B and len(h) < n and h == run[: len(h)] else 1
+        for t in StudentType
+        for h in all_sequences(k - 1)
+    })
 
 
 def closed_form_profiles(params: ModelParams) -> list[EquilibriumProfile]:
@@ -396,24 +464,18 @@ def closed_form_profiles(params: ModelParams) -> list[EquilibriumProfile]:
 
 
 def boundary_thresholds(params: ModelParams) -> dict[str, Fraction]:
-    """Every prior threshold relevant at these (alpha, phi, k)."""
-    lower, upper = report_max_thresholds(params)
-    out = {
-        "alpha_bar": params.alpha_bar,
-        "alpha": params.alpha,
-        "p_hat": lower,
-        "p_hat_prime": upper,
-    }
-    if params.k == 2:
-        out["p_hat_hat"] = reject_all_threshold(params)
-    if params.k >= 2:
-        for n in range(1, params.k + 3):
-            out[f"p_star_{n}"] = p_star(max(n, 2), params.alpha) if n >= 2 else params.alpha
-        if params.alpha != 1:
-            out["p_double_star"] = p_double_star(params.k, params.alpha)
-    return out
+    """Every prior threshold relevant at these (alpha, phi, k): 1-alpha and
+    alpha, the report-max band ``p_hat``/``p_hat_prime``, ``p_hat_hat`` at
+    k = 2, and at k >= 2 ``p_star_n`` for n = 1..k+2 (``p_star_1`` is alpha)
+    and ``p_double_star`` (absent at alpha 1).
+
+    The values come from the cache of :func:`_threshold_record`, computed once
+    per (alpha, phi, k); the returned dict is a fresh copy, which the caller
+    may change.
+    """
+    return dict(_thresholds(params).bounds)
 
 
 def is_boundary(params: ModelParams) -> bool:
     """True when the prior exactly equals one of the regime thresholds."""
-    return params.p in set(boundary_thresholds(params).values())
+    return params.p in _thresholds(params).values

@@ -26,6 +26,7 @@ from .model import (
     ModelParams,
     StudentType,
     admission_key,
+    node_index,
     outcome_distribution,
 )
 from .search import EXHAUSTIVE_MAX_K, SCOPE_REPORT_ALL, enumerate_outcomes
@@ -53,12 +54,14 @@ class FairnessReport:
 def admission_probabilities(
     params: ModelParams, profile: EquilibriumProfile
 ) -> dict[Cohort, Fraction]:
-    """Per-cohort probability of admission under the profile."""
+    """Per-cohort probability of admission under the profile: the mass of
+    the reports whose accept bit, at their node number, is set."""
     dist = outcome_distribution(params, profile.strategy)
+    bits, index = profile.policy.bits, node_index(params.k)
     out: dict[Cohort, Fraction] = {}
     for cohort in COHORTS:
         out[cohort] = sum(
-            (m for s, m in dist.conditional[cohort].items() if profile.policy.accepts(s)),
+            (m for s, m in dist.conditional[cohort].items() if m and bits >> index[s] & 1),
             Fraction(0),
         )
     return out
@@ -75,12 +78,12 @@ def fairness_report(params: ModelParams, profile: EquilibriumProfile) -> Fairnes
     admitted Low mass.
     """
     admit = admission_probabilities(params, profile)
-    fnr = {cat: 1 - admit[Cohort(cat, StudentType.HIGH)] for cat in Category}
-    fpr = {cat: admit[Cohort(cat, StudentType.LOW)] for cat in Category}
-    admitted_high, admitted_low = (
-        sum((admit[c] * params.cohort_mass[c] for c in COHORTS if c.type_ is t), Fraction(0))
-        for t in (StudentType.HIGH, StudentType.LOW)
-    )
+    high1, low1, high2, low2 = COHORTS
+    fnr = {Category.CAT1: 1 - admit[high1], Category.CAT2: 1 - admit[high2]}
+    fpr = {Category.CAT1: admit[low1], Category.CAT2: admit[low2]}
+    mass = params.cohort_mass
+    admitted_high = admit[high1] * mass[high1] + admit[high2] * mass[high2]
+    admitted_low = admit[low1] * mass[low1] + admit[low2] * mass[low2]
     admitted = admitted_high + admitted_low
     rejected = 1 - admitted
     label = profile.label

@@ -90,6 +90,13 @@ def node(s: ScoreSeq) -> int:
     return (1 << len(s)) - 2 + code
 
 
+@lru_cache(maxsize=32)
+def node_index(k: int) -> Mapping[ScoreSeq, int]:
+    """:func:`node` of every sequence in :func:`all_sequences`, as a read-only
+    map built once per k."""
+    return MappingProxyType({s: i for i, s in enumerate(all_sequences(k))})
+
+
 def best_score(s: ScoreSeq) -> Score:
     return Score.A if Score.A in s else Score.B
 
@@ -97,6 +104,8 @@ def best_score(s: ScoreSeq) -> Score:
 class Category(Enum):
     CAT1 = 1  # may test once
     CAT2 = 2  # may test up to k times, adaptively
+
+    __hash__ = object.__hash__  # as for Score
 
 
 class StudentType(Enum):
@@ -112,6 +121,14 @@ class Cohort:
 
     category: Category
     type_: StudentType
+
+    def __post_init__(self) -> None:
+        # hashed once: cohorts key every per-cohort map, so each lookup would
+        # otherwise run the generated hash of the field tuple
+        object.__setattr__(self, "_hash", hash((self.category, self.type_)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"({self.category.value},{self.type_.value})"
@@ -161,16 +178,16 @@ class ModelParams:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
-    # convenience complements, x_bar == 1 - x
-    @property
+    # convenience complements, x_bar == 1 - x, each computed once
+    @cached_property
     def p_bar(self) -> Fraction:
         return 1 - self.p
 
-    @property
+    @cached_property
     def alpha_bar(self) -> Fraction:
         return 1 - self.alpha
 
-    @property
+    @cached_property
     def phi_bar(self) -> Fraction:
         return 1 - self.phi
 
@@ -208,7 +225,9 @@ class StudentStrategy:
 
     ``stop[(type_, history)]`` is the probability of stopping (and reporting
     the history) after observing it; histories of length k stop implicitly
-    and carry no entry. Category 1 students have no choices.
+    and carry no entry. Category 1 students have no choices. ``stop`` is a
+    read-only mapping, so a strategy that several profiles share (see
+    :meth:`always_stop`) cannot be changed through one of them.
     """
 
     stop: Mapping[StopKey, Fraction]
@@ -220,7 +239,7 @@ class StudentStrategy:
             if not (0 <= f <= 1):
                 raise ValueError(f"stop probability {f} for {key} not in [0,1]")
             frozen[key] = f
-        object.__setattr__(self, "stop", frozen)
+        object.__setattr__(self, "stop", MappingProxyType(frozen))
 
     def stop_prob(self, type_: StudentType, history: ScoreSeq, k: int) -> Fraction:
         if len(history) >= k:
@@ -233,13 +252,16 @@ class StudentStrategy:
             ) from None
 
     @classmethod
+    @lru_cache(maxsize=16)
     def always_stop(cls, k: int) -> "StudentStrategy":
-        """Everyone reports their first score."""
+        """Everyone reports their first score. Built once per k and shared."""
         return cls({(t, h): 1 for t in StudentType for h in all_sequences(k - 1)})
 
     @classmethod
+    @lru_cache(maxsize=16)
     def stop_after_a(cls, k: int) -> "StudentStrategy":
-        """Retake until the first A (or the k-th test); stop once an A is seen."""
+        """Retake until the first A (or the k-th test); stop once an A is seen.
+        Built once per k and shared."""
         return cls(
             {(t, h): (1 if Score.A in h else 0) for t in StudentType for h in all_sequences(k - 1)}
         )
@@ -302,12 +324,18 @@ def outcome_distribution(params: ModelParams, strategy: StudentStrategy) -> Outc
     per-test emissions with the strategy's stop probabilities; a sequence's
     mass is the product of emissions and continue factors along its prefixes
     times the stop probability at the sequence itself (length k stops).
+
+    Every reached node has an entry, zero when its stop probability is 0;
+    nodes that no Category 2 student of the type reaches have none, and their
+    stop probabilities are never read, so only a missing entry at a reached
+    node raises :class:`MissingStrategyEntry`. Stop probabilities of 0 and 1,
+    the only ones in the closed-form profiles apart from the Low-after-B stop
+    of the k = 2 reject-all witness, cost no multiplication.
     """
     out: dict[Cohort, dict[ScoreSeq, Fraction]] = {}
-    for type_ in StudentType:
-        single = {(s,): params.emit(type_, s) for s in Score}
-        out[Cohort(Category.CAT1, type_)] = single
-        out[Cohort(Category.CAT2, type_)] = _cat2_conditional(params, strategy, type_)
+    for cat1, cat2 in zip(COHORTS[:2], COHORTS[2:]):  # High, then Low
+        out[cat1] = {(s,): params.emit(cat1.type_, s) for s in Score}
+        out[cat2] = _cat2_conditional(params, strategy, cat2.type_)
     return OutcomeDistribution(params=params, conditional=out)
 
 
@@ -316,18 +344,25 @@ def _cat2_conditional(
 ) -> dict[ScoreSeq, Fraction]:
     """One pass over the game tree's nodes, parents before children."""
     masses: dict[ScoreSeq, Fraction] = {}
-    emit = (params.emit(type_, Score.A), params.emit(type_, Score.B))
+    emit_a, emit_b = params.emit(type_, Score.A), params.emit(type_, Score.B)
     nodes = all_sequences(params.k)
+    inner = len(nodes) - (1 << params.k)  # nodes 0..inner-1 are shorter than k
     # reach[i]: probability of arriving at node i without having stopped
-    reach = [*emit] + [0] * (len(nodes) - 2)
+    reach = [emit_a, emit_b] + [0] * (len(nodes) - 2)
     for i, h in enumerate(nodes):
         r = reach[i]
-        if r == 0:
+        if not r:
             continue
-        f = strategy.stop_prob(type_, h, params.k)
-        masses[h] = r * f
-        if f < 1 and len(h) < params.k:
-            reach[2 * i + 2], reach[2 * i + 3] = (r * (1 - f) * e for e in emit)
+        f = 1 if i >= inner else strategy.stop_prob(type_, h, params.k)
+        if f == 1:
+            masses[h] = r
+            continue
+        if f:
+            masses[h] = stopped = r * f
+            r -= stopped  # r * (1 - f), exactly
+        else:
+            masses[h] = f  # a zero that marks the node as reached
+        reach[2 * i + 2], reach[2 * i + 3] = r * emit_a, r * emit_b
     return masses
 
 

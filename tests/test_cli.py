@@ -486,3 +486,35 @@ class TestParserReuse:
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(retesting.cli.__file__)))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
         assert out == "0\n"
+
+
+class TestSweepGridLimit:
+    """The product of the sweep lists is capped, since every row is kept in
+    memory until the output is written."""
+
+    GRID = ["sweep", "--alpha", "0.6,0.7", "--p", "0.1:0.3:0.1", "--phi", "0,1", "--k", "2"]  # 12 points
+
+    def test_the_cap_is_documented(self):
+        assert retesting.cli.MAX_SWEEP_POINTS == 20_000
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+        assert "at most 20000 grid points" in " ".join(readme.split())
+
+    def test_grid_at_the_cap_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(retesting.cli, "MAX_SWEEP_POINTS", 12)
+        code, out, _ = run(capsys, *self.GRID)
+        assert code == 0
+        assert {tuple(line.split(",")[:4]) for line in out.splitlines()[1:]} == {
+            (a, p, phi, "2") for a in ("0.6", "0.7") for p in ("0.1", "0.2", "0.3") for phi in ("0", "1")
+        }
+
+    def test_grid_above_the_cap_refused_before_any_point(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point was computed for a grid above the cap")
+
+        monkeypatch.setattr(retesting.cli, "MAX_SWEEP_POINTS", 11)
+        monkeypatch.setattr(retesting.cli, "ModelParams", refuse)
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, *self.GRID, "--out", str(out_path))
+        assert code == 3
+        assert out == "" and not out_path.exists()
+        assert "12 points" in err and "at most 11" in err

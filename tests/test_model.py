@@ -10,10 +10,14 @@ import pytest
 
 from retesting import (
     COHORTS,
+    AdmissionPolicy,
     Category,
     Cohort,
+    EquilibriumProfile,
+    MalformedProfile,
     MissingStrategyEntry,
     ModelParams,
+    Reporting,
     Score,
     StudentStrategy,
     StudentType,
@@ -21,11 +25,13 @@ from retesting import (
     best_score_projection,
     max_score_distribution,
     outcome_distribution,
+    report_max_reject_all,
     seq,
     seq_str,
 )
 from retesting.cli import MAX_K
 from retesting.model import all_sequences, node
+from retesting.search import verify_equilibrium
 
 
 def brute_force_cat2(alpha: Fraction, k: int, stops: dict) -> dict:
@@ -237,3 +243,127 @@ class TestMaxScoreDistribution:
         cohort = Cohort(Category.CAT2, StudentType.HIGH)
         assert params.cohort_mass[cohort] == Fraction(1, 2) * Fraction(3, 10)
         assert dist.weighted(cohort, seq("A")) == Fraction(24, 25) * Fraction(3, 20)
+
+
+def reference_masses(params: ModelParams, strategy: StudentStrategy, type_: StudentType) -> dict:
+    """Term by term: every history whose path a Category 2 student of the type
+    reaches with positive probability, with the product of the emissions and
+    the continue factors along its path times its own stop probability (1 at
+    length k). Reads no stop probability of an unreached history."""
+    out = {}
+    for length in range(1, params.k + 1):
+        for h in product(Score, repeat=length):
+            reach = Fraction(1)
+            for j, score in enumerate(h):
+                if j:
+                    reach *= 1 - strategy.stop[(type_, h[:j])]
+                reach *= params.emit(type_, score)
+                if not reach:
+                    break
+            if reach:
+                out[h] = reach * (strategy.stop[(type_, h)] if length < params.k else 1)
+    return out
+
+
+class TestOutcomeDistributionAgainstReference:
+    """`outcome_distribution` skips the multiplications at stop probabilities
+    of 0 and 1; every entry must still equal the term-by-term product."""
+
+    ALPHAS = (Fraction(51, 100), Fraction(2, 3), Fraction(4, 5), Fraction(1))
+
+    @staticmethod
+    def random_strategy(rng: random.Random, k: int) -> StudentStrategy:
+        values = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(3, 4))
+        return StudentStrategy(
+            {(t, h): rng.choice(values) for t in StudentType for h in all_sequences(k - 1)}
+        )
+
+    def assert_matches(self, params: ModelParams, strategy: StudentStrategy) -> None:
+        dist = outcome_distribution(params, strategy)
+        assert list(dist.conditional) == [
+            Cohort(c, t) for t in StudentType for c in Category
+        ]
+        for t in StudentType:
+            single = {(s,): params.emit(t, s) for s in Score}
+            assert dist.conditional[Cohort(Category.CAT1, t)] == single
+            assert dict(dist.conditional[Cohort(Category.CAT2, t)]) == reference_masses(params, strategy, t)
+        for cohort in COHORTS:
+            for s, m in dist.conditional[cohort].items():
+                assert dist.weighted(cohort, s) == m * params.cohort_mass[cohort]
+
+    @pytest.mark.parametrize("phi", [Fraction(0), Fraction(1, 2), Fraction(1)])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_random_strategies_match_the_reference(self, k, phi):
+        rng = random.Random(f"reference:{k}:{phi}")
+        for alpha in self.ALPHAS:
+            params = ModelParams(p=Fraction(3, 10), alpha=alpha, phi=phi, k=k)
+            for _ in range(6):
+                self.assert_matches(params, self.random_strategy(rng, k))
+
+    @pytest.mark.parametrize("phi", [Fraction(0), Fraction(1, 2), Fraction(1)])
+    def test_reject_all_witness_matches_the_reference(self, phi):
+        for p in (Fraction(1, 10), Fraction(3, 20)):
+            params = ModelParams(p=p, alpha=Fraction(4, 5), phi=phi, k=2)
+            witness = report_max_reject_all(params).witness()
+            # the Low-after-B stop is the one fractional stop of a closed form
+            assert 0 < witness.strategy.stop[(StudentType.LOW, seq("B"))] < 1
+            self.assert_matches(params, witness.strategy)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_a_missing_entry_raises_only_where_it_is_reached(self, k):
+        rng = random.Random(f"missing:{k}")
+        params = ModelParams(p=Fraction(3, 10), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=k)
+        seen = {True: 0, False: 0}
+        for _ in range(3):
+            full = self.random_strategy(rng, k)
+            for key in full.stop:
+                t, h = key
+                reached = h in reference_masses(params, full, t)
+                partial = StudentStrategy({kv: f for kv, f in full.stop.items() if kv != key})
+                seen[reached] += 1
+                if reached:
+                    with pytest.raises(MissingStrategyEntry):
+                        outcome_distribution(params, partial)
+                else:
+                    assert outcome_distribution(params, partial) == outcome_distribution(params, full)
+                profile = EquilibriumProfile(
+                    AdmissionPolicy.first_score(k), partial, "first_score", Reporting.ALL
+                )
+                with pytest.raises(MalformedProfile):
+                    verify_equilibrium(params, profile)
+        # at k = 2 every history in a strategy is a first score, always reached
+        assert seen[True] and (seen[False] or k == 2)
+
+
+class TestReadOnlyStrategy:
+    def test_item_assignment_raises(self):
+        strategy = StudentStrategy({(StudentType.HIGH, seq("A")): 1})
+        with pytest.raises(TypeError):
+            strategy.stop[(StudentType.HIGH, seq("A"))] = Fraction(0)
+        with pytest.raises(TypeError):
+            del strategy.stop[(StudentType.HIGH, seq("A"))]
+        assert strategy.stop[(StudentType.HIGH, seq("A"))] == 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_shared_canonical_strategies_cannot_be_changed(self, k):
+        for build in (StudentStrategy.always_stop, StudentStrategy.stop_after_a):
+            shared = build(k)
+            assert build(k) is shared
+            for key in shared.stop:
+                with pytest.raises(TypeError):
+                    shared.stop[key] = Fraction(1, 2)
+
+    def test_equal_to_dict_built_strategies(self):
+        stops = {(t, h): (1 if Score.A in h else 0) for t in StudentType for h in all_sequences(2)}
+        assert StudentStrategy.stop_after_a(3) == StudentStrategy(stops)
+        assert StudentStrategy.stop_after_a(3).stop == {kv: Fraction(f) for kv, f in stops.items()}
+        assert StudentStrategy.always_stop(3) != StudentStrategy(stops)
+
+
+class TestCohortHash:
+    def test_hash_is_consistent_with_equality(self):
+        for cohort in COHORTS:
+            twin = Cohort(cohort.category, cohort.type_)
+            assert twin == cohort and hash(twin) == hash(cohort)
+            assert {cohort: 1}[twin] == 1
+        assert len({hash(c) for c in COHORTS}) == len(COHORTS)
