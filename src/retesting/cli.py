@@ -15,7 +15,8 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii as quote
+from typing import Iterator, Optional, Sequence
 
 from .equilibria import (
     FIRST_SCORE,
@@ -50,8 +51,8 @@ SCHEMA_VERSION = 1
 # Most values one start:stop:step range may expand to.
 MAX_RANGE_VALUES = 10_000
 # Most grid points one sweep may visit, since the rows are kept until the output
-# is written. At the cap, k = 2, 3 took 6 s and 63 MB peak RSS as CSV (169 MB as
-# JSON), and k = 10 took 16 s and 65 MB as CSV (2-vCPU host).
+# is written. At the cap, k = 2, 3 took about 4.5 s and 53 MB peak RSS as CSV or
+# JSON, and k = 10 took 3 s and 52 MB (2-vCPU host).
 MAX_SWEEP_POINTS = 20_000
 # Largest k accepted: the constructors and tables enumerate all 2^k histories.
 MAX_K = 10
@@ -300,24 +301,36 @@ def _sweep_rows(alphas, ps, phis, ks) -> list[list[str]]:
     return rows
 
 
+def _sweep_text(rows: list[list[str]], format_: str) -> Iterator[str]:
+    """The sweep output, row by row, so that only the row lists are held.
+
+    The JSON bytes equal ``json.dumps(payload, sort_keys=True, indent=2)``
+    of ``{"schema_version", "columns", "rows"}`` with one dict per row, plus
+    a newline.
+    """
+    if format_ == "csv":
+        yield ",".join(SWEEP_COLUMNS) + "\n"
+        for row in rows:
+            yield ",".join(row) + "\n"
+        return
+    columns = json.dumps(SWEEP_COLUMNS, indent=2).replace("\n", "\n  ")
+    yield f'{{\n  "columns": {columns},\n  "rows": ['
+    order = sorted(range(len(SWEEP_COLUMNS)), key=SWEEP_COLUMNS.__getitem__)
+    names = [f"      {quote(SWEEP_COLUMNS[i])}: " for i in order]
+    for n, row in enumerate(rows):
+        cells = ",\n".join(name + quote(row[i]) for name, i in zip(names, order))
+        yield f"{',' if n else ''}\n    {{\n{cells}\n    }}"
+    yield ("\n  ]" if rows else "]") + f',\n  "schema_version": {SCHEMA_VERSION}\n}}\n'
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     rows = _sweep_rows(args.alpha, args.p, args.phi, args.k)
-    if args.format == "csv":
-        text = ",".join(SWEEP_COLUMNS) + "\n"
-        text += "".join(",".join(row) + "\n" for row in rows)
-    else:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "columns": SWEEP_COLUMNS,
-            "rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows],
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(_sweep_text(rows, args.format))
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_sweep_text(rows, args.format))
     return 0
 
 

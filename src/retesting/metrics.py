@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .equilibria import (
     NON_FIRST_SCORE,
@@ -24,7 +26,7 @@ from .model import (
     Category,
     Cohort,
     ModelParams,
-    StudentType,
+    StudentStrategy,
     admission_key,
     node_index,
     outcome_distribution,
@@ -37,50 +39,91 @@ class FairnessReport:
     """Error rates, predictive values, and College payoff of one profile.
 
     ppv/npv are None when no student is admitted/rejected (they would be
-    0/0); reject-all equilibria are the standard case.
+    0/0); reject-all equilibria are the standard case. ``admit_prob`` is the
+    per-cohort admission probability of every cohort, the map the rates are
+    read from. ``fnr``, ``fpr`` and ``admit_prob`` are read-only: reports of
+    one profile at other priors share them.
     """
 
     policy: str  # "report_max" | "report_all"
     equilibrium_class: str
-    fnr: dict[Category, Fraction]
-    fpr: dict[Category, Fraction]
+    fnr: Mapping[Category, Fraction]
+    fpr: Mapping[Category, Fraction]
     fnr_gap: Fraction
     fpr_gap: Fraction
     ppv: Optional[Fraction]
     npv: Optional[Fraction]
     college_payoff: Fraction
+    admit_prob: Mapping[Cohort, Fraction]
+
+
+@dataclass(frozen=True)
+class _ErrorRates:
+    """What a profile's report holds that does not depend on p or phi."""
+
+    admit: Mapping[Cohort, Fraction]
+    fnr: Mapping[Category, Fraction]
+    fpr: Mapping[Category, Fraction]
+    fnr_gap: Fraction
+    fpr_gap: Fraction
+
+
+@lru_cache(maxsize=256)
+def _error_rates(alpha: Fraction, k: int, bits: int, strategy: StudentStrategy) -> _ErrorRates:
+    """Admission map and error rates of the profile (accept ``bits``,
+    ``strategy``) at (alpha, k), computed once and shared, read-only.
+
+    The within-cohort outcome distribution reads only alpha and k, so the
+    prior and the Category 1 share given to it are placeholders; the key holds
+    neither. A strategy hashes by its stop values, so a profile rebuilt with
+    equal stops hits.
+    """
+    params = ModelParams(p=Fraction(1, 2), alpha=alpha, phi=Fraction(1, 2), k=k)
+    dist = outcome_distribution(params, strategy)
+    index = node_index(k)
+    admit = {
+        cohort: sum((m for s, m in dist.conditional[cohort].items() if m and bits >> index[s] & 1), Fraction(0))
+        for cohort in COHORTS
+    }
+    high1, low1, high2, low2 = COHORTS
+    fnr = {Category.CAT1: 1 - admit[high1], Category.CAT2: 1 - admit[high2]}
+    fpr = {Category.CAT1: admit[low1], Category.CAT2: admit[low2]}
+    return _ErrorRates(
+        admit=MappingProxyType(admit),
+        fnr=MappingProxyType(fnr),
+        fpr=MappingProxyType(fpr),
+        fnr_gap=fnr[Category.CAT1] - fnr[Category.CAT2],
+        fpr_gap=fpr[Category.CAT1] - fpr[Category.CAT2],
+    )
 
 
 def admission_probabilities(
     params: ModelParams, profile: EquilibriumProfile
 ) -> dict[Cohort, Fraction]:
     """Per-cohort probability of admission under the profile: the mass of
-    the reports whose accept bit, at their node number, is set."""
-    dist = outcome_distribution(params, profile.strategy)
-    bits, index = profile.policy.bits, node_index(params.k)
-    out: dict[Cohort, Fraction] = {}
-    for cohort in COHORTS:
-        out[cohort] = sum(
-            (m for s, m in dist.conditional[cohort].items() if m and bits >> index[s] & 1),
-            Fraction(0),
-        )
-    return out
+    the reports whose accept bit, at their node number, is set. A fresh
+    dict, which the caller may change."""
+    return dict(_error_rates(params.alpha, params.k, profile.policy.bits, profile.strategy).admit)
 
 
 def fairness_report(params: ModelParams, profile: EquilibriumProfile) -> FairnessReport:
-    """Every statistic of one profile, from one pass over its outcome
-    distribution.
+    """Every statistic of one profile.
 
     FNR is the share of High types rejected and FPR the share of Low types
     admitted, per category. PPV is the share of High among the admitted, NPV
     the share of Low among the rejected; either is None when its conditioning
     event has zero mass. The College payoff is admitted High mass minus
     admitted Low mass.
+
+    The admission map, FNR, FPR and both gaps do not depend on p or phi. They
+    come from one bounded cache per (alpha, k, accept bits, stop values),
+    filled from one pass over the profile's outcome distribution on first
+    use; only PPV, NPV and the payoff are computed here, from the cohort
+    masses.
     """
-    admit = admission_probabilities(params, profile)
+    rates = _error_rates(params.alpha, params.k, profile.policy.bits, profile.strategy)
+    admit = rates.admit
     high1, low1, high2, low2 = COHORTS
-    fnr = {Category.CAT1: 1 - admit[high1], Category.CAT2: 1 - admit[high2]}
-    fpr = {Category.CAT1: admit[low1], Category.CAT2: admit[low2]}
     mass = params.cohort_mass
     admitted_high = admit[high1] * mass[high1] + admit[high2] * mass[high2]
     admitted_low = admit[low1] * mass[low1] + admit[low2] * mass[low2]
@@ -92,13 +135,14 @@ def fairness_report(params: ModelParams, profile: EquilibriumProfile) -> Fairnes
     return FairnessReport(
         policy="report_max" if profile.reporting is Reporting.MAX else "report_all",
         equilibrium_class=label,
-        fnr=fnr,
-        fpr=fpr,
-        fnr_gap=fnr[Category.CAT1] - fnr[Category.CAT2],
-        fpr_gap=fpr[Category.CAT1] - fpr[Category.CAT2],
+        fnr=rates.fnr,
+        fpr=rates.fpr,
+        fnr_gap=rates.fnr_gap,
+        fpr_gap=rates.fpr_gap,
         ppv=None if admitted == 0 else admitted_high / admitted,
         npv=None if rejected == 0 else (params.p_bar - admitted_low) / rejected,
         college_payoff=admitted_high - admitted_low,
+        admit_prob=admit,
     )
 
 
@@ -150,9 +194,9 @@ def compare_policies(params: ModelParams) -> PolicyComparison:
     best-score separating and reject-all benchmarks and the canonical
     full-reporting classes; when k is at most :data:`EXHAUSTIVE_MAX_K`,
     exhaustive enumeration contributes any class the constructors do not
-    cover. Full-reporting classes are deduplicated by admission outcome, read
-    back from each report, so a constructed profile with the same outcome as
-    an earlier one is left out.
+    cover. Full-reporting classes are deduplicated by admission outcome: each
+    report's admission map over the cohorts with mass. A constructed profile
+    with the same outcome as an earlier one is left out.
     """
     max_sep_report = reject_report = None
     all_reports: list[FairnessReport] = []
@@ -160,11 +204,7 @@ def compare_policies(params: ModelParams) -> PolicyComparison:
 
     def add(profile: EquilibriumProfile) -> None:
         report = fairness_report(params, profile)
-        key = admission_key({
-            c: 1 - report.fnr[c.category] if c.type_ is StudentType.HIGH else report.fpr[c.category]
-            for c in COHORTS
-            if params.cohort_mass[c] > 0
-        })
+        key = admission_key({c: v for c, v in report.admit_prob.items() if params.cohort_mass[c] > 0})
         if key not in seen:
             seen.add(key)
             all_reports.append(report)

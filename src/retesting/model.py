@@ -227,7 +227,9 @@ class StudentStrategy:
     the history) after observing it; histories of length k stop implicitly
     and carry no entry. Category 1 students have no choices. ``stop`` is a
     read-only mapping, so a strategy that several profiles share (see
-    :meth:`always_stop`) cannot be changed through one of them.
+    :meth:`always_stop`) cannot be changed through one of them. Strategies
+    hash by their stop values, so equal strategies built apart share a
+    cache entry.
     """
 
     stop: Mapping[StopKey, Fraction]
@@ -240,6 +242,15 @@ class StudentStrategy:
                 raise ValueError(f"stop probability {f} for {key} not in [0,1]")
             frozen[key] = f
         object.__setattr__(self, "stop", MappingProxyType(frozen))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the stop entries, computed once: equal maps hash
+        equally, whatever order they were built in."""
+        return hash(frozenset(self.stop.items()))
 
     def stop_prob(self, type_: StudentType, history: ScoreSeq, k: int) -> Fraction:
         if len(history) >= k:

@@ -1,5 +1,6 @@
 """Caches of values that do not depend on the prior p: thresholds once per
-(alpha, phi, k), canonical policies and strategies once per k."""
+(alpha, phi, k), canonical policies and strategies once per k, and error
+rates once per (alpha, k, profile)."""
 
 from __future__ import annotations
 
@@ -13,9 +14,10 @@ from itertools import product
 import pytest
 
 import retesting.cli
-from retesting import AdmissionPolicy, ModelParams, StudentStrategy, boundary_thresholds
-from retesting import equilibria, model
+from retesting import AdmissionPolicy, Category, ModelParams, StudentStrategy, boundary_thresholds, fairness_report
+from retesting import equilibria, metrics, model
 from retesting.equilibria import _chase_run, _threshold_record, construct_non_first_score_equilibrium
+from retesting.metrics import _error_rates
 
 README_GRID = ["--alpha", "0.6:0.9:0.1", "--p", "0.05:0.95:0.05", "--phi", "0,0.5,1", "--k", "2,3"]
 
@@ -31,6 +33,7 @@ CACHES = {
     "model.StudentStrategy.always_stop": StudentStrategy.always_stop,
     "model.StudentStrategy.stop_after_a": StudentStrategy.stop_after_a,
     "model.node_index": model.node_index,
+    "metrics._error_rates": _error_rates,
 }
 
 
@@ -123,10 +126,10 @@ def test_import_leaves_every_cache_empty():
     not pay for them."""
     script = f"""
 import json, retesting.cli
-from retesting import equilibria, model
+from retesting import equilibria, metrics, model
 out = {{}}
 for name in {sorted(CACHES)!r}:
-    obj = {{"equilibria": equilibria, "model": model}}[name.split(".")[0]]
+    obj = {{"equilibria": equilibria, "metrics": metrics, "model": model}}[name.split(".")[0]]
     for part in name.split(".")[1:]:
         obj = getattr(obj, part)
     out[name] = obj.cache_info().currsize
@@ -135,3 +138,95 @@ print(json.dumps(out))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(retesting.cli.__file__)))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env).stdout
     assert json.loads(out) == {name: 0 for name in CACHES}
+
+
+def _profile_keys(argv):
+    """(key, label) of every report a sweep over ``argv`` makes, in order."""
+    args = retesting.cli._parser().parse_args(["sweep", *argv])
+    out = []
+    for alpha, p, phi, k in product(args.alpha, args.p, args.phi, args.k):
+        params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+        for profile in equilibria.closed_form_profiles(params):
+            key = (params.alpha, k, profile.policy.bits, profile.strategy)
+            out.append((key, profile.label))
+    return out
+
+
+def test_readme_sweep_fills_one_error_record_per_profile(capsys):
+    _error_rates.cache_clear()
+    assert retesting.cli.main(["sweep", *README_GRID]) == 0
+    capsys.readouterr()
+    reports = _profile_keys(README_GRID)
+    info = _error_rates.cache_info()
+    assert info.hits + info.misses == len(reports) == 806
+    # one record per (alpha, k, profile): those whose stops do not depend on
+    # p are read back at every other p and phi of the grid; the reject-all
+    # witness of k = 2 retakes after a Low B at a rate set by p and phi, so
+    # it adds one record per distinct rate
+    assert info.currsize == info.misses == len({key for key, _ in reports})
+    p_free = {key for key, label in reports if label != equilibria.REJECT_ALL}
+    assert 0 < len(p_free) <= 4 * (3 + 4)  # separating, first-score and a run per n, per alpha and k
+    assert info.misses < len(p_free) + sum(label == equilibria.REJECT_ALL for _, label in reports)
+
+
+def test_reject_all_rows_match_a_cold_cache():
+    """At k = 2 the reject-all witness's stops depend on p, so a warm cache
+    must hand each p the record of its own stops."""
+    ps = [Fraction(j, 20) for j in range(1, 20)]
+    warm_grid = ([Fraction(7, 10)], ps, [Fraction(0), Fraction(1, 2), Fraction(1)], [2])
+    retesting.cli._sweep_rows(*warm_grid)
+    warm = retesting.cli._sweep_rows(*warm_grid)
+    assert sum(row[5] == equilibria.REJECT_ALL for row in warm) >= 19
+    cold = []
+    for phi, p in product(warm_grid[2], ps):
+        _error_rates.cache_clear()
+        cold += retesting.cli._sweep_rows(warm_grid[0], [p], [phi], [2])
+    assert sorted(warm) == sorted(cold)
+
+
+def test_error_record_is_keyed_without_p_or_phi():
+    _error_rates.cache_clear()
+    profile = equilibria.construct_first_score_equilibrium(
+        ModelParams(p=Fraction(1, 2), alpha=Fraction(7, 10), phi=Fraction(1, 2), k=3)
+    )
+    for p, phi in product(range(7, 14), range(0, 5)):
+        fairness_report(ModelParams(p=Fraction(p, 20), alpha=Fraction(7, 10), phi=Fraction(phi, 4), k=3), profile)
+    assert _error_rates.cache_info().currsize == 1
+
+
+def test_strategies_with_equal_stops_share_a_record():
+    k = 3
+    shared = StudentStrategy.stop_after_a(k)
+    rebuilt = StudentStrategy(dict(reversed(list(shared.stop.items()))))
+    assert rebuilt is not shared and rebuilt == shared and hash(rebuilt) == hash(shared)
+    changed = dict(shared.stop)
+    changed[(model.StudentType.HIGH, model.seq("B"))] = Fraction(1, 2)  # some stop after a B
+    assert StudentStrategy(changed) != shared
+    _error_rates.cache_clear()
+    alpha, bits = Fraction(4, 5), AdmissionPolicy.best_score_a(k).bits
+    assert _error_rates(alpha, k, bits, shared) is _error_rates(alpha, k, bits, rebuilt)
+    assert _error_rates(alpha, k, bits, StudentStrategy(changed)) != _error_rates(alpha, k, bits, shared)
+    assert _error_rates.cache_info().currsize == 2
+
+
+def test_reports_hand_out_read_only_rates():
+    """Reports of one profile at other priors share the cached maps, so no
+    report may let its caller change them."""
+    first = ModelParams(p=Fraction(3, 10), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=2)
+    other = ModelParams(p=Fraction(2, 5), alpha=Fraction(4, 5), phi=Fraction(1, 4), k=2)
+    profile = equilibria.report_max_separating(first)
+    report = fairness_report(first, profile)
+    with pytest.raises(TypeError):
+        report.fnr[Category.CAT1] = Fraction(0)
+    with pytest.raises(TypeError):
+        report.fpr[Category.CAT2] = Fraction(0)
+    with pytest.raises(TypeError):
+        report.admit_prob[model.COHORTS[0]] = Fraction(0)
+    with pytest.raises(TypeError):
+        del report.fnr[Category.CAT2]
+    assert metrics.admission_probabilities(first, profile) is not report.admit_prob
+    metrics.admission_probabilities(first, profile)[model.COHORTS[0]] = Fraction(0)
+    again = fairness_report(other, profile)
+    assert again.fnr == {Category.CAT1: Fraction(1, 5), Category.CAT2: Fraction(1, 25)}
+    assert again.fpr == {Category.CAT1: Fraction(1, 5), Category.CAT2: Fraction(9, 25)}
+    assert again.admit_prob == dict(zip(model.COHORTS, (Fraction(4, 5), Fraction(1, 5), Fraction(24, 25), Fraction(9, 25))))

@@ -518,3 +518,32 @@ class TestSweepGridLimit:
         assert code == 3
         assert out == "" and not out_path.exists()
         assert "12 points" in err and "at most 11" in err
+
+
+class TestSweepJsonStreamed:
+    """A JSON sweep is written row by row from the row lists, with the bytes
+    of the payload that one ``json.dumps`` of every row as a dict gave."""
+
+    @pytest.mark.parametrize("grid, classes", [
+        # k = 2 reject-all rows at every phi, beside the separating ones
+        (["--alpha", "0.8", "--p", "0.1:0.5:0.1", "--phi", "0,0.5,1", "--k", "2"], {"reject_all", "separating"}),
+        (["--alpha", "0.6,0.9", "--p", "0.05,0.3,0.95", "--phi", "0.5", "--k", "2,3"], {"first_score", "separating"}),
+        # a point where no closed-form equilibrium exists: no rows at all
+        (["--alpha", "0.6", "--p", "0.99", "--phi", "0", "--k", "3"], set()),
+    ])
+    def test_bytes_equal_one_dumps_of_the_payload(self, capsys, tmp_path, grid, classes):
+        args = retesting.cli._parser().parse_args(["sweep", *grid])
+        rows = retesting.cli._sweep_rows(args.alpha, args.p, args.phi, args.k)
+        payload = {
+            "schema_version": 1,
+            "columns": SWEEP_COLUMNS,
+            "rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows],
+        }
+        want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        code, out, _ = run(capsys, "sweep", *grid, "--format", "json")
+        assert code == 0 and out == want
+        path = tmp_path / "sweep.json"
+        code, out, _ = run(capsys, "sweep", *grid, "--format", "json", "--out", str(path))
+        assert code == 0 and out == f"wrote {len(rows)} rows to {path}\n"
+        assert path.read_bytes() == want.encode()
+        assert classes <= {row[5] for row in rows} and bool(rows) == bool(classes)

@@ -23,6 +23,7 @@ from retesting import (
     report_max_reject_all,
     report_max_separating,
 )
+from retesting.search import SCOPE_REPORT_ALL, SCOPE_REPORT_MAX, enumerate_outcomes
 
 PARAMS = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=2)
 
@@ -246,3 +247,32 @@ class TestComparePolicies:
             >= college_payoff(params, first)
             > college_payoff(params, sep)
         )
+
+
+class TestOneAdmissionMap:
+    """The census builds admission maps from first-score bits and
+    best-response values (`search._admit`); a report reads its map off the
+    witness's outcome distribution. Both must agree on every class."""
+
+    POINTS = [  # (alpha, p, phi)
+        ("0.8", "0.3", "0"),
+        ("0.8", "0.6", "1"),
+        ("0.6", "0.5", "0.5"),
+        ("0.9", "0.2", "0.5"),
+        ("0.7", "0.8", "0.25"),
+    ]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("scope", [SCOPE_REPORT_ALL, SCOPE_REPORT_MAX])
+    def test_census_maps_equal_report_maps(self, k, scope):
+        checked = 0
+        for alpha, p, phi in self.POINTS:
+            params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+            for cls in enumerate_outcomes(params, scope).classes:
+                if not cls.verified:
+                    continue
+                report = fairness_report(params, cls.witness)
+                with_mass = {c: v for c, v in report.admit_prob.items() if params.cohort_mass[c] > 0}
+                assert cls.admit_prob == with_mass, (alpha, p, phi, cls.label)
+                checked += 1
+        assert checked >= len(self.POINTS)
