@@ -7,12 +7,7 @@ policies (best score only vs. the full score sequence) and reports the
 resulting fairness and accuracy statistics.
 """
 
-from .beliefs import (
-    OFF_PATH,
-    OffPath,
-    posterior,
-    posterior_max,
-)
+from .beliefs import posterior_from_distribution
 from .equilibria import (
     ACCEPT_ALL,
     FIRST_SCORE,
@@ -51,7 +46,6 @@ from .errors import (
 from .metrics import (
     FairnessReport,
     PolicyComparison,
-    admission_probabilities,
     college_payoff,
     compare_policies,
     fairness_report,
@@ -72,7 +66,6 @@ from .model import (
     as_fraction,
     best_score,
     best_score_projection,
-    max_score_distribution,
     node,
     outcome_distribution,
     seq,

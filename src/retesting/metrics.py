@@ -97,15 +97,6 @@ def _error_rates(alpha: Fraction, k: int, bits: int, strategy: StudentStrategy) 
     )
 
 
-def admission_probabilities(
-    params: ModelParams, profile: EquilibriumProfile
-) -> dict[Cohort, Fraction]:
-    """Per-cohort probability of admission under the profile: the mass of
-    the reports whose accept bit, at their node number, is set. A fresh
-    dict, which the caller may change."""
-    return dict(_error_rates(params.alpha, params.k, profile.policy.bits, profile.strategy).admit)
-
-
 def fairness_report(params: ModelParams, profile: EquilibriumProfile) -> FairnessReport:
     """Every statistic of one profile.
 

@@ -377,28 +377,6 @@ def _cat2_conditional(
     return masses
 
 
-def max_score_distribution(params: ModelParams) -> OutcomeDistribution:
-    """Two-outcome (best score) distribution under retake-until-A behavior.
-
-    Category 2 High reports a best score of A with probability 1 - (1-alpha)^k
-    and Low reports B with probability alpha^k; Category 1 reports its single
-    test. Keys are the length-1 sequences (A,) and (B,).
-    """
-    a, ab, k = params.alpha, params.alpha_bar, params.k
-    out: dict[Cohort, dict[ScoreSeq, Fraction]] = {}
-    for type_ in StudentType:
-        out[Cohort(Category.CAT1, type_)] = {(s,): params.emit(type_, s) for s in Score}
-    out[Cohort(Category.CAT2, StudentType.HIGH)] = {
-        (Score.A,): 1 - ab**k,
-        (Score.B,): ab**k,
-    }
-    out[Cohort(Category.CAT2, StudentType.LOW)] = {
-        (Score.A,): 1 - a**k,
-        (Score.B,): a**k,
-    }
-    return OutcomeDistribution(params=params, conditional=out)
-
-
 def best_score_projection(dist: OutcomeDistribution) -> OutcomeDistribution:
     """Collapse a sequence distribution onto best scores (A beats B)."""
     out: dict[Cohort, dict[ScoreSeq, Fraction]] = {}

@@ -64,7 +64,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import _simplex
-from .beliefs import OFF_PATH, posterior_from_distribution
+from .beliefs import posterior_from_distribution
 from .equilibria import (
     ACCEPT_ALL,
     FIRST_SCORE,
@@ -280,7 +280,7 @@ def verify_equilibrium(params: ModelParams, profile: EquilibriumProfile) -> Verd
     off_path: list[ScoreSeq] = []
     for lab in labels:
         post = posterior_from_distribution(dist, lab)
-        if post is OFF_PATH:
+        if post is None:
             off_path.append(lab)
             continue
         accepts = profile.policy.accepts(lab)

@@ -27,15 +27,18 @@ from retesting import (
     REJECT_ALL,
     Score,
     SimConfig,
+    StudentStrategy,
     StudentType,
+    best_score_projection,
     college_payoff,
     construct_first_score_equilibrium,
     enumerate_outcomes,
     fairness_report,
     is_boundary,
+    outcome_distribution,
     p_double_star,
     payoff_gap,
-    posterior_max,
+    posterior_from_distribution,
     predictive_values,
     reject_all_threshold,
     report_all_regions,
@@ -73,6 +76,12 @@ def criterion3_grid() -> list[ModelParams]:
                     ModelParams(p=lo + Fraction(j, 14) * (hi - lo), alpha=alpha, phi=phi, k=3)
                 )
     return points
+
+
+def posterior_max(params: ModelParams, best: Score) -> Fraction:
+    """Pr(High | best score) when Category 2 retakes until an A (up to k)."""
+    chained = outcome_distribution(params, StudentStrategy.stop_after_a(params.k))
+    return posterior_from_distribution(best_score_projection(chained), (best,))
 
 
 def test_criterion_1_threshold_fidelity():

@@ -1,4 +1,5 @@
-"""Posterior beliefs and best-score posteriors."""
+"""Posterior beliefs and best-score posteriors, each read through
+posterior_from_distribution on a chained outcome distribution."""
 
 from __future__ import annotations
 
@@ -6,21 +7,30 @@ import random
 from fractions import Fraction
 
 from retesting import (
-    OFF_PATH,
     ModelParams,
-    OffPath,
     Score,
     StudentStrategy,
     StudentType,
+    best_score_projection,
     outcome_distribution,
-    posterior,
-    posterior_max,
+    posterior_from_distribution,
     report_max_thresholds,
     seq,
 )
 from retesting.model import all_sequences
 
 PARAMS = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=2)
+
+
+def posterior(params: ModelParams, strategy: StudentStrategy, s):
+    """Pr(High | reported sequence s), or None when s has zero mass."""
+    return posterior_from_distribution(outcome_distribution(params, strategy), s)
+
+
+def posterior_max(params: ModelParams, best: Score) -> Fraction:
+    """Pr(High | best score) when Category 2 retakes until an A (up to k)."""
+    chained = outcome_distribution(params, StudentStrategy.stop_after_a(params.k))
+    return posterior_from_distribution(best_score_projection(chained), (best,))
 
 
 def random_strategy(rng: random.Random, k: int) -> StudentStrategy:
@@ -46,8 +56,7 @@ class TestPosterior:
 
     def test_length_two_off_path_when_everyone_stops(self):
         got = posterior(PARAMS, StudentStrategy.always_stop(2), seq("AA"))
-        assert isinstance(got, OffPath)
-        assert got is OFF_PATH
+        assert got is None
 
     def test_ordering_after_shared_first_score(self):
         # with partial retaking, a trailing B depresses the posterior
@@ -62,7 +71,7 @@ class TestPosterior:
             for first in "AB":
                 hi = posterior(PARAMS, strategy, seq(first + "A"))
                 lo = posterior(PARAMS, strategy, seq(first + "B"))
-                assert not isinstance(hi, OffPath) and not isinstance(lo, OffPath)
+                assert hi is not None and lo is not None
                 assert lo <= hi
 
     def test_scale_invariance_of_posterior(self):

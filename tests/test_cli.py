@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import json
@@ -547,3 +548,37 @@ class TestSweepJsonStreamed:
         assert code == 0 and out == f"wrote {len(rows)} rows to {path}\n"
         assert path.read_bytes() == want.encode()
         assert classes <= {row[5] for row in rows} and bool(rows) == bool(classes)
+
+
+class TestNumericInput:
+    """Numbers are parsed exactly, so the work a flag may ask for is bounded
+    before parsing: Fraction would expand an exponent of any size."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--alpha", "0.8", "--p", "1e100000000", "--phi", "0.5", "--k", "2"],
+        ["sweep", "--alpha", "0.8", "--p", "0.1:0.5:1e-100000000", "--phi", "0.5", "--k", "2"],
+    ])
+    def test_huge_exponent_refused_at_once(self, argv):
+        code = "import sys; from retesting.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(retesting.cli.__file__)))
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                              env=env, timeout=20)
+        assert done.returncode == 2
+        assert "not a number" in done.stderr
+
+    def test_exponent_limit_is_inclusive(self):
+        limit = retesting.cli.MAX_EXPONENT
+        assert limit <= 4300
+        assert retesting.cli._parse_fraction(f"1e-{limit}") == Fraction(1, 10**limit)
+        assert retesting.cli._parse_fraction(f"2E+{limit}") == 2 * 10**limit
+        for text in (f"1e-{limit + 1}", f"1E{limit + 1}", "1e"):
+            with pytest.raises(argparse.ArgumentTypeError, match="not a number"):
+                retesting.cli._parse_fraction(text)
+
+    @pytest.mark.parametrize("flag, values", [("--p", "0.3,0.3"), ("--alpha", "0.6,0.8,0.8"), ("--k", "2,2")])
+    def test_repeated_grid_value_refused(self, capsys, flag, values):
+        grid = {"--alpha": "0.8", "--p": "0.3", "--phi": "0.5", "--k": "2", flag: values}
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *(part for item in grid.items() for part in item)])
+        assert exc.value.code == 2
+        assert "ascending" in capsys.readouterr().err

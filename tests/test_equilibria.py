@@ -18,8 +18,10 @@ from retesting import (
     ModelParams,
     Score,
     SEPARATING,
+    StudentStrategy,
     UnsupportedK,
     all_sequences,
+    best_score_projection,
     closed_form_profiles,
     college_payoff,
     construct_first_score_equilibrium,
@@ -27,9 +29,10 @@ from retesting import (
     fairness_report,
     is_boundary,
     non_first_score_region,
+    outcome_distribution,
     p_double_star,
     p_star,
-    posterior_max,
+    posterior_from_distribution,
     reject_all_threshold,
     report_all_regions,
     report_max_reject_all,
@@ -125,10 +128,11 @@ class TestThresholds:
     @pytest.mark.parametrize("k", [2, 3])
     def test_posterior_max_crosses_half_at_thresholds(self, alpha, phi, k):
         lower, upper = report_max_thresholds(ModelParams(p=0.3, alpha=alpha, phi=phi, k=k))
-        at_lower = ModelParams(p=lower, alpha=alpha, phi=phi, k=k)
-        at_upper = ModelParams(p=upper, alpha=alpha, phi=phi, k=k)
-        assert posterior_max(at_lower, Score.A) == Fraction(1, 2)
-        assert posterior_max(at_upper, Score.B) == Fraction(1, 2)
+        for threshold, score in ((lower, Score.A), (upper, Score.B)):
+            at = ModelParams(p=threshold, alpha=alpha, phi=phi, k=k)
+            chained = outcome_distribution(at, StudentStrategy.stop_after_a(k))
+            best = best_score_projection(chained)
+            assert posterior_from_distribution(best, (score,)) == Fraction(1, 2)
 
 
 class TestSeparating:

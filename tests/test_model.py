@@ -23,7 +23,6 @@ from retesting import (
     StudentType,
     as_fraction,
     best_score_projection,
-    max_score_distribution,
     outcome_distribution,
     report_max_reject_all,
     seq,
@@ -203,16 +202,22 @@ class TestOutcomeDistribution:
             StudentStrategy({(StudentType.HIGH, seq("A")): Fraction(3, 2)})
 
 
+def best_score_distribution(params: ModelParams):
+    """The best-score distribution under retake-until-A behaviour: the
+    chained outcome distribution, projected to best scores."""
+    return best_score_projection(outcome_distribution(params, StudentStrategy.stop_after_a(params.k)))
+
+
 class TestMaxScoreDistribution:
     def test_retake_until_a_probabilities(self):
         params = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=2)
-        dist = max_score_distribution(params)
+        dist = best_score_distribution(params)
         assert dist.mass(Cohort(Category.CAT2, StudentType.HIGH), seq("A")) == Fraction(24, 25)
         assert dist.mass(Cohort(Category.CAT2, StudentType.LOW), seq("B")) == Fraction(16, 25)
 
     def test_k_one_equals_single_test(self):
         params = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=1)
-        dist = max_score_distribution(params)
+        dist = best_score_distribution(params)
         for t in StudentType:
             assert dist.conditional[Cohort(Category.CAT2, t)] == dict(
                 dist.conditional[Cohort(Category.CAT1, t)]
@@ -220,26 +225,32 @@ class TestMaxScoreDistribution:
 
     def test_noiseless_test(self):
         params = ModelParams(p=0.3, alpha=1, phi=0.5, k=3)
-        dist = max_score_distribution(params)
+        dist = best_score_distribution(params)
         assert dist.mass(Cohort(Category.CAT2, StudentType.HIGH), seq("A")) == 1
         assert dist.mass(Cohort(Category.CAT2, StudentType.LOW), seq("B")) == 1
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_equals_projected_outcome_distribution(self, k):
         # retake-after-B chaining projected to best scores must reproduce the
-        # closed-form best-score table
+        # closed-form best-score table: Category 2 High reports a best A with
+        # probability 1 - (1-alpha)^k, Low a best B with probability alpha^k,
+        # and Category 1 reports its single test
         params = ModelParams(p=0.35, alpha=0.75, phi=0.6, k=k)
-        chained = best_score_projection(
-            outcome_distribution(params, StudentStrategy.stop_after_a(k))
-        )
-        closed = max_score_distribution(params)
+        a, ab = params.alpha, 1 - params.alpha
+        closed = {
+            Cohort(Category.CAT1, StudentType.HIGH): {seq("A"): a, seq("B"): ab},
+            Cohort(Category.CAT1, StudentType.LOW): {seq("A"): ab, seq("B"): a},
+            Cohort(Category.CAT2, StudentType.HIGH): {seq("A"): 1 - ab**k, seq("B"): ab**k},
+            Cohort(Category.CAT2, StudentType.LOW): {seq("A"): 1 - a**k, seq("B"): a**k},
+        }
+        chained = best_score_distribution(params)
         for cohort in COHORTS:
             for s in (seq("A"), seq("B")):
-                assert chained.mass(cohort, s) == closed.mass(cohort, s)
+                assert chained.mass(cohort, s) == closed[cohort][s]
 
     def test_weighted_view(self):
         params = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=2)
-        dist = max_score_distribution(params)
+        dist = best_score_distribution(params)
         cohort = Cohort(Category.CAT2, StudentType.HIGH)
         assert params.cohort_mass[cohort] == Fraction(1, 2) * Fraction(3, 10)
         assert dist.weighted(cohort, seq("A")) == Fraction(24, 25) * Fraction(3, 20)

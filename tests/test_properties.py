@@ -18,10 +18,10 @@ from retesting import (
     Reporting,
     closed_form_profiles,
     enumerate_outcomes,
+    fairness_report,
     free_stop_intervals,
     verify_equilibrium,
 )
-from retesting.metrics import admission_probabilities
 from retesting.model import admission_key
 from retesting.search import SCOPE_REPORT_ALL, SCOPE_REPORT_MAX
 
@@ -68,7 +68,7 @@ def test_closed_form_profiles_verify(params):
 @for_each_k
 def test_census_contains_every_closed_form_outcome(params):
     for profile in closed_form_profiles(params):
-        admit = admission_probabilities(params, profile)
+        admit = fairness_report(params, profile).admit_prob
         key = admission_key({c: v for c, v in admit.items() if params.cohort_mass[c] > 0})
         census = enumerate_outcomes(params, SCOPE_OF[profile.reporting])
         assert key in {c.key() for c in census.classes}, profile.label
