@@ -300,6 +300,9 @@ class StudentStrategy:
         return cls({(t, h): table[(t, h[0])] for t in StudentType for h in all_sequences(k - 1)})
 
 
+_NO_MASS = Fraction(0)  # of a sequence a cohort never reports; one object, as Fractions are immutable
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Per-cohort probabilities of every reported score sequence.
@@ -313,7 +316,7 @@ class OutcomeDistribution:
     conditional: Mapping[Cohort, Mapping[ScoreSeq, Fraction]]
 
     def mass(self, cohort: Cohort, s: ScoreSeq) -> Fraction:
-        return self.conditional[cohort].get(s, Fraction(0))
+        return self.conditional[cohort].get(s, _NO_MASS)
 
     def weighted(self, cohort: Cohort, s: ScoreSeq) -> Fraction:
         """Unconditional mass: within-cohort probability times cohort mass."""
@@ -321,11 +324,9 @@ class OutcomeDistribution:
 
     def type_mass(self, type_: StudentType, s: ScoreSeq) -> Fraction:
         """Unconditional mass of the given type reporting ``s`` (both categories)."""
-        total = Fraction(0)
-        for cohort in COHORTS:
-            if cohort.type_ is type_ and s in self.conditional[cohort]:  # unreported: no mass
-                total += self.weighted(cohort, s)
-        return total
+        weights = self.params.cohort_mass
+        masses = [row[s] * weights[c] for c, row in self.conditional.items() if c.type_ is type_ and s in row]
+        return sum(masses[1:], masses[0]) if masses else _NO_MASS
 
 
 def outcome_distribution(params: ModelParams, strategy: StudentStrategy) -> OutcomeDistribution:

@@ -12,10 +12,12 @@ of their path masses, all integers over one denominator, so their rows are
 integers that the integer-row simplex decides exactly. Which mass goes where
 in the rows depends only on the tree, the reporting policy and the
 best-response rules, so a cached template per rule code holds them as
-signed indices into the layout. A system at a point reads only each label
-row's constant and whether a free continue mass enters it, and builds dense
-rows only for the simplex: a label row with no free continue mass fixes that
-label's accept bit, and with no negative rhs the origin is feasible.
+signed indices into the layout. A system at a point reads only the sign of
+each label row's constant and whether a free continue mass enters it, each
+row summed once per layout, as four bit masks over its labels, and builds
+dense rows only for the simplex: a label row with no free continue mass
+fixes that label's accept bit, and with no negative rhs the origin is
+feasible, each one mask test on a policy's accept bits.
 
 Under report-all every sequence is its own label, so the rows follow the
 game tree, and an LP with a negative rhs is decided on the tree
@@ -24,9 +26,11 @@ one admits a flow are a convex cone in the (High, Low) quadrant that depends
 on the point only through alpha; each is built from its children's cones by
 Fourier-Motzkin over the node's own two continue masses, from at most nine
 rows whatever k, and cached per (alpha, k). At each depth-one node the same
-elimination leaves constant rows, and the system is infeasible iff one is
-negative. A refuted LP never reaches the simplex; every point other than
-the origin still comes from it.
+elimination, with the node's High reach, Low reach and Category 1 mass kept
+symbolic, leaves rows over those three, cached per (alpha, k) as well; the
+system is infeasible iff one is negative at the point's masses. A refuted
+LP never reaches the simplex; every point other than the origin still comes
+from it.
 
 Best responses come from one bottom-up induction per first-score subtree:
 each history combines the results of its two children with its own accept
@@ -38,8 +42,8 @@ A best response is one int over node bits too, its rule code: the rule
 (continue, stop or indifferent) of each history h sits at bit ``4 node(h)``
 for High and ``4 node(h) + 2`` for Low, so the codes of the two first-score
 subtrees never share a bit and a whole-tree code is their bitwise or.
-The verifier reads each report's posterior through
-:func:`retesting.beliefs.posterior_from_distribution`.
+The verifier orders each positive-mass report's posterior against 1/2 by
+its High and Low masses, and builds the posterior only to name a violation.
 
 The report-all census groups subtree policies by best-response rule code,
 one flow system each, and decides each rule code and label signs, which fix
@@ -279,12 +283,15 @@ def verify_equilibrium(params: ModelParams, profile: EquilibriumProfile) -> Verd
         dist, labels = best_score_projection(dist), all_sequences(1)
     off_path: list[ScoreSeq] = []
     for lab in labels:
-        post = posterior_from_distribution(dist, lab)
-        if post is None:
+        high, low = dist.type_mass(StudentType.HIGH, lab), dist.type_mass(StudentType.LOW, lab)
+        if not high and not low:
             off_path.append(lab)
             continue
+        # with positive mass, the posterior high / (high + low) is below 1/2
+        # iff high < low; it is built only to name a violation
         accepts = profile.policy.accepts(lab)
-        if (post < Fraction(1, 2)) if accepts else (post > Fraction(1, 2)):
+        if (high < low) if accepts else (high > low):
+            post = posterior_from_distribution(dist, lab)
             want = ">= 1/2" if accepts else "<= 1/2"
             violations.append(
                 Violation(
@@ -333,13 +340,22 @@ def _shape(seqs: tuple[ScoreSeq, ...], reporting: Reporting) -> _Shape:
     return _Shape(parents, labels, (tuple(starts[: len(seqs)]), tuple(starts[len(seqs) : -1])), starts[-1])
 
 
+class _Layout(NamedTuple):
+    """What every flow system over one tree shares at one point, whatever
+    its best-response rules."""
+
+    # the masses, integers over the scale den(p) den(phi) den(alpha)^k, at
+    # the indices of the tree's :func:`_shape`; index 0 holds 0 and index -j
+    # the negation of index j, so a signed index reads a mass or its negation
+    values: tuple[int, ...]
+    # each template label row read so far: (its constant b, whether a
+    # variable enters it), so systems that share a row sum it once
+    signs: dict[_Row, tuple[int, bool]]
+
+
 @lru_cache(maxsize=8)  # a census point uses up to four trees
-def _layout(params: ModelParams, seqs: tuple[ScoreSeq, ...], reporting: Reporting) -> tuple[int, ...]:
-    """What every flow system over the tree ``seqs`` shares at one point,
-    whatever its best-response rules: its masses, integers over the scale
-    den(p) den(phi) den(alpha)^k, at the indices of its :func:`_shape`.
-    Index 0 holds 0 and index -j the negation of index j, so a signed index
-    reads a mass or its negation."""
+def _layout(params: ModelParams, seqs: tuple[ScoreSeq, ...], reporting: Reporting) -> _Layout:
+    """The :class:`_Layout` of the tree ``seqs`` at one point."""
     shape = _shape(seqs, reporting)
     den, den_pphi = params.alpha.denominator ** params.k, params.p.denominator * params.phi.denominator
     values = [den_pphi * den]
@@ -357,7 +373,7 @@ def _layout(params: ModelParams, seqs: tuple[ScoreSeq, ...], reporting: Reportin
                 masses.append((*(m * e // den for m in masses[j]), den_pphi * e))
             values += masses[-1]
     values += [sum(cat1[i] for i in members) for _, members in shape.labels]
-    return (0, *values, *(-v for v in reversed(values)))
+    return _Layout((0, *values, *(-v for v in reversed(values))), {})
 
 
 # A template's label row "High - Low <= 0" as signed indices into a layout's
@@ -430,35 +446,47 @@ class _FlowSystem:
     continues ``x[var]``, a forced one 0 or its whole reach). Values and rows
     are integers, ``scale`` times the rational ones. Which term goes where
     depends only on the tree, the reporting policy and the rule code, so it
-    is built once per code as a cached :class:`_Template`. A system reads
-    from the tree's cached :func:`_layout` only each label row's constant,
-    whether a variable enters it and the tree decision's depth-one masses,
-    with no ``Fraction`` arithmetic; dense rows wait until asked for. A
-    policy enters only through the signs of the label rows, read from its
+    is built once per code as a cached :class:`_Template`.
+
+    A policy enters only through the signs of the label rows, read from its
     accept bits (as in :class:`AdmissionPolicy`), so it has an equilibrium
-    iff its :meth:`rows` admit a nonnegative solution.
+    iff its :meth:`rows` admit a nonnegative solution. A system reads from
+    the tree's :class:`_Layout` only each label row's constant b and whether
+    a variable enters it, each summed once per layout, and keeps them as
+    four masks of label accept bits: b > 0, b < 0, a row other than
+    0 <= 0 (signed), and b nonzero with no variable (forced). It also reads
+    the tree decision's depth-one masses, with no ``Fraction`` arithmetic;
+    dense rows wait until asked for.
     """
 
-    def __init__(self, params: ModelParams, code: int, sequences: Iterable[ScoreSeq], reporting: Reporting):
+    def __init__(self, params: ModelParams, code: int, sequences: Iterable[ScoreSeq], reporting: Reporting,
+                 layout: Optional[_Layout] = None):
         seqs = tuple(sequences)
         self._template = template = _template(seqs, reporting, params.k, code)
-        self._values = values = _layout(params, seqs, reporting)
+        values, signs = layout or _layout(params, seqs, reporting)
+        self._values = values
         self.code = code
         self.scale = values[1]
         self.histories = template.histories
         self.var_index = template.var_index
         self.n = len(template.var_index)
-        # each label row as (mask, its constant b, whether a variable enters
-        # it); a column's indices sum to its entry
         get = values.__getitem__
-        labels = [(mask, -sum(map(get, const)), any([sum(map(get, js)) for _, js in cols]))
-                  for mask, (const, cols) in template.label_rows]
-        # the labels whose row is not 0 <= 0, so that its sign changes the LP
-        self._signed = sum(mask for mask, b, varies in labels if b or varies)
-        self._rhs = [(mask, b) for mask, b, _ in labels if b]
-        # a row with no variable holds for one accept bit only: 0 <= b when
-        # rejected, 0 <= -b when accepted; the label's forced bit is b < 0
-        self._forced = [(mask, b < 0) for mask, b, varies in labels if b and not varies]
+        pos = neg = signed = forced = 0
+        for mask, row in template.label_rows:
+            sign = signs.get(row)
+            if sign is None:  # a column's indices sum to its entry
+                const, cols = row
+                sign = signs[row] = (-sum(map(get, const)), any([sum(map(get, js)) for _, js in cols]))
+            b, varies = sign
+            if b > 0:
+                pos |= mask
+            elif b < 0:
+                neg |= mask
+            if b or varies:  # a row other than 0 <= 0: its sign changes the LP
+                signed |= mask
+            if b and not varies:
+                forced |= mask
+        self._pos, self._neg, self._signed, self._forced = pos, neg, signed, forced
         self._alpha, self._k = params.alpha, params.k
         self._roots = tuple((lab, get(high), get(low), get(cat1)) for lab, high, low, cat1 in template.roots)
 
@@ -497,8 +525,11 @@ class _FlowSystem:
 
     def refuses(self, bits: int) -> bool:
         """Whether a label's forced accept bit differs from the policy's, so
-        that one of its rows reads ``0 <= b`` with b negative."""
-        return any(bool(bits & mask) != bit for mask, bit in self._forced)
+        that its row reads ``0 <= b`` with b negative: a row with no variable
+        holds for one accept bit only, 0 <= b when rejected and 0 <= -b when
+        accepted, so the forced labels with b < 0 must be accepted and the
+        others rejected."""
+        return bool((bits ^ (self._forced & self._neg)) & self._forced)
 
     def rows(self, bits: int) -> tuple[list, list]:
         """Rows (A_ub, b_ub) of one policy's equilibrium polytope, times
@@ -520,7 +551,7 @@ class _FlowSystem:
             return None
         # a best-response row's rhs is a reach mass, so only a label row's can
         # be negative: b when the label is rejected, -b when accepted
-        if not any(b > 0 if bits & mask else b < 0 for mask, b in self._rhs):
+        if not (bits & self._pos or ~bits & self._neg):
             return [Fraction(0)] * self.n
         if self._roots and _tree_refutes(self._alpha, self._k, self.code, bits, self._roots):
             return None
@@ -552,25 +583,29 @@ class _FlowSystem:
 # states (High, Low continue masses) under which a child's subtree admits a
 # flow are the projection of the subtree's rows. Below depth one every row
 # is homogeneous and reads the point only through alpha, so that projection
-# is a convex cone in the quadrant.
+# is a convex cone in the quadrant. At a depth-one node the point enters
+# only through the node's High and Low reach and Category 1 mass, and never
+# through a coefficient of the node's own continue masses, so its projection
+# is taken once with those three constants symbolic.
 
 # A cone of parent states as its two integer rays, the clockwise one first
 # (equal for a ray), or None for the origin alone.
 _Cone = Optional[tuple[tuple[int, int], tuple[int, int]]]
 
-# A row r over (p0, p1, wH, wL), read as r . (p, w) >= 0: p is the parent
-# state below depth one, or the constant 1 in p0 at a root; w holds the
-# node's own free continue masses.
-_Vec = tuple[int, int, int, int]
-_ZERO: _Vec = (0, 0, 0, 0)
-_FREE: tuple[_Vec, _Vec] = ((0, 0, 1, 0), (0, 0, 0, 1))
+# A row r over (p0, p1, p2, wH, wL), read as r . (p, w) >= 0: p is the
+# parent state (High, Low, 0) below depth one, or a root's (High reach, Low
+# reach, Category 1 mass); w holds the node's own free continue masses.
+_Vec = tuple[int, int, int, int, int]
+_ZERO: _Vec = (0, 0, 0, 0, 0)
+_FREE: tuple[_Vec, _Vec] = ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
+_ROOT: tuple[tuple[_Vec, _Vec], _Vec] = (((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)), (0, 0, 1, 0, 0))  # reach, Category 1
 
 
 def _lin(a: int, r: _Vec, b: int, s: _Vec) -> _Vec:
     """a r + b s, divided by its gcd."""
-    out = (a * r[0] + b * s[0], a * r[1] + b * s[1], a * r[2] + b * s[2], a * r[3] + b * s[3])
+    out = (a * r[0] + b * s[0], a * r[1] + b * s[1], a * r[2] + b * s[2], a * r[3] + b * s[3], a * r[4] + b * s[4])
     g = math.gcd(*out)
-    return out if g < 2 else (out[0] // g, out[1] // g, out[2] // g, out[3] // g)
+    return out if g < 2 else (out[0] // g, out[1] // g, out[2] // g, out[3] // g, out[4] // g)
 
 
 def _project(reach: tuple[_Vec, _Vec], cat1: _Vec, rules: tuple[int, int], accepted: int,
@@ -595,7 +630,7 @@ def _project(reach: tuple[_Vec, _Vec], cat1: _Vec, rules: tuple[int, int], accep
         else:  # counterclockwise of u and clockwise of v; w >= 0 keeps a ray's half-line
             (u_high, u_low), (v_high, v_low) = cone
             rows += [_lin(u_high, z_low, -u_low, z_high), _lin(v_low, z_high, -v_high, z_low)]
-    for col in (2, 3):
+    for col in (3, 4):
         kept = {r for r in rows if not r[col]}
         upper = [r for r in rows if r[col] < 0]
         kept.update(_lin(-q[col], r, r[col], q) for r in rows if r[col] > 0 for q in upper)
@@ -607,7 +642,7 @@ def _project(reach: tuple[_Vec, _Vec], cat1: _Vec, rules: tuple[int, int], accep
 def _clip(rows: Iterable[_Vec]) -> _Cone:
     """The quadrant cut by every row a . p >= 0 in turn."""
     (uh, ul), (vh, vl) = (1, 0), (0, 1)
-    for a, b, _, _ in rows:
+    for a, b, _, _, _ in rows:
         fu, fv = a * uh + b * ul, a * vh + b * vl
         if fu < 0 and fv < 0:
             return None
@@ -624,9 +659,26 @@ def _clip(rows: Iterable[_Vec]) -> _Cone:
 
 @lru_cache(maxsize=16)  # one dict per (alpha, k): 16 alphas of one k
 def _cone_cache(alpha: Fraction, k: int) -> dict[tuple[int, ...], _Cone]:
-    """The cones built so far at one (alpha, k), each keyed by its subtree's
-    root node and the subtree's accept and rule-code bits, level by level."""
+    """The cones built so far at one (alpha, k), each keyed by
+    :func:`_subtree_key`."""
     return {}
+
+
+@lru_cache(maxsize=16)  # one dict per (alpha, k), as for the cones
+def _root_cache(alpha: Fraction, k: int) -> dict[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """The rows built so far at one (alpha, k) over a depth-one node's High
+    reach, Low reach and Category 1 mass, each keyed by :func:`_subtree_key`."""
+    return {}
+
+
+def _subtree_key(k: int, code: int, bits: int, j: int) -> tuple[int, ...]:
+    """Node ``j`` with the accept and rule-code bits of its subtree, level by
+    level: the key of its cone or its root rows."""
+    out, lo, width = [j], j, 1
+    for _ in range((j + 2).bit_length() - 1, k + 1):  # the levels of j's subtree
+        out += [bits >> lo & (1 << width) - 1, code >> 4 * lo & (1 << 4 * width) - 1]
+        lo, width = 2 * lo + 2, 2 * width
+    return tuple(out)
 
 
 def _tree_refutes(alpha: Fraction, k: int, code: int, bits: int, roots: Iterable[tuple[int, int, int, int]]) -> bool:
@@ -635,12 +687,16 @@ def _tree_refutes(alpha: Fraction, k: int, code: int, bits: int, roots: Iterable
     and each depth-one ``root`` (node, High and Low reach, Category 1 mass).
 
     The cone of a node below depth one comes from its children's cones, and
-    is cached. The roots share no variable. At each, the box of its constant
-    reach, its affine label row and its children's cones over its continue
-    masses leave, once Fourier-Motzkin has eliminated them, constant rows:
-    the system is infeasible iff one reads 0 <= negative.
+    is cached. The roots share no variable. At each, the box of its reach,
+    its affine label row and its children's cones over its continue masses
+    leave, once Fourier-Motzkin has eliminated them, rows (a_h, a_l, a_c)
+    over its three masses, cached with them symbolic: the system is
+    infeasible iff a_h high + a_l low + a_c cat1 < 0 for one of them. The
+    masses never enter a coefficient of w, so putting them in before the
+    elimination would change its rows only by positive scaling, merged
+    duplicates and dropped zero rows, none of which changes that verdict.
     """
-    cones = _cone_cache(alpha, k)
+    cones, rows = _cone_cache(alpha, k), _root_cache(alpha, k)
     n, d = alpha.numerator, alpha.denominator
 
     def project(j: int, reach: tuple[_Vec, _Vec], cat1: _Vec) -> set[_Vec]:
@@ -650,18 +706,20 @@ def _tree_refutes(alpha: Fraction, k: int, code: int, bits: int, roots: Iterable
         return _project(reach, cat1, (code >> 4 * j & 3, code >> 4 * j + 2 & 3), bits >> j & 1, kids)
 
     def cone(j: int) -> _Cone:
-        key, lo, width = [j], j, 1
-        for _ in range((j + 2).bit_length() - 1, k + 1):  # the levels of j's subtree
-            key += [bits >> lo & (1 << width) - 1, code >> 4 * lo & (1 << 4 * width) - 1]
-            lo, width = 2 * lo + 2, 2 * width
-        key = tuple(key)
-        if key not in cones:
+        at = _subtree_key(k, code, bits, j)
+        if at not in cones:
             e_high, e_low = (n, d - n) if j % 2 == 0 else (d - n, n)  # even nodes end in A
-            cones[key] = _clip(project(j, ((e_high, 0, 0, 0), (0, e_low, 0, 0)), _ZERO))
-        return cones[key]
+            cones[at] = _clip(project(j, ((e_high, 0, 0, 0, 0), (0, e_low, 0, 0, 0)), _ZERO))
+        return cones[at]
 
-    return any(any(r[0] < 0 for r in project(j, ((high, 0, 0, 0), (low, 0, 0, 0)), (cat1, 0, 0, 0)))
-               for j, high, low, cat1 in roots)
+    def root(j: int) -> tuple[tuple[int, int, int], ...]:
+        at = _subtree_key(k, code, bits, j)
+        if at not in rows:
+            rows[at] = tuple(r[:3] for r in project(j, *_ROOT))
+        return rows[at]
+
+    return any(a_h * high + a_l * low + a_c * cat1 < 0
+               for j, high, low, cat1 in roots for a_h, a_l, a_c in root(j))
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +877,7 @@ def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list
     :meth:`_FlowSystem.feasible` per (code, signs), which fix the rows.
     """
     seqs = _subtree(first, params.k)
+    layout = _layout(params, seqs, Reporting.ALL)
     root = node((first,))
     systems: dict[int, _FlowSystem] = {}
     points: dict[tuple[int, int], Optional[list[Fraction]]] = {}  # (rule code, signs) -> point
@@ -826,7 +885,7 @@ def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list
     for bits, high, low, code in _subtree_induction(params.alpha, params.k, first):
         system = systems.get(code)
         if system is None:
-            system = systems[code] = _FlowSystem(params, code, seqs, Reporting.ALL)
+            system = systems[code] = _FlowSystem(params, code, seqs, Reporting.ALL, layout)
         # equal code and signs mean equal rows, hence the same vertex
         key = (code, system.signs(bits))
         if key not in points:

@@ -1,6 +1,7 @@
 """Caches of values that do not depend on the prior p: thresholds once per
 (alpha, phi, k), canonical policies and strategies once per k, and error
-rates once per (alpha, k, profile)."""
+rates once per (alpha, k, profile); and the caches of the exact search,
+whose layouts hold one point's masses."""
 
 from __future__ import annotations
 
@@ -15,13 +16,14 @@ import pytest
 
 import retesting.cli
 from retesting import AdmissionPolicy, Category, ModelParams, StudentStrategy, boundary_thresholds, fairness_report
-from retesting import equilibria, model
+from retesting import equilibria, model, search
 from retesting.equilibria import _chase_run, _threshold_record, construct_non_first_score_equilibrium
 from retesting.metrics import _error_rates
 
 README_GRID = ["--alpha", "0.6:0.9:0.1", "--p", "0.05:0.95:0.05", "--phi", "0,0.5,1", "--k", "2,3"]
 
-# every cache filled by the closed forms, by its dotted path from the package
+# every cache filled by the closed forms or the search, by its dotted path
+# from the package
 CACHES = {
     "equilibria._threshold_record": _threshold_record,
     "equilibria._chase_run": _chase_run,
@@ -34,6 +36,13 @@ CACHES = {
     "model.StudentStrategy.stop_after_a": StudentStrategy.stop_after_a,
     "model.node_index": model.node_index,
     "metrics._error_rates": _error_rates,
+    "search._subtree": search._subtree,
+    "search._subtree_induction": search._subtree_induction,
+    "search._shape": search._shape,
+    "search._layout": search._layout,
+    "search._template": search._template,
+    "search._cone_cache": search._cone_cache,
+    "search._root_cache": search._root_cache,
 }
 
 
@@ -126,10 +135,10 @@ def test_import_leaves_every_cache_empty():
     not pay for them."""
     script = f"""
 import json, retesting.cli
-from retesting import equilibria, metrics, model
+from retesting import equilibria, metrics, model, search
 out = {{}}
 for name in {sorted(CACHES)!r}:
-    obj = {{"equilibria": equilibria, "metrics": metrics, "model": model}}[name.split(".")[0]]
+    obj = {{"equilibria": equilibria, "metrics": metrics, "model": model, "search": search}}[name.split(".")[0]]
     for part in name.split(".")[1:]:
         obj = getattr(obj, part)
     out[name] = obj.cache_info().currsize

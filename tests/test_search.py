@@ -138,6 +138,15 @@ def reference_layout(params, seqs, reporting):
     return den_pphi * den, parents, reach, labels
 
 
+def label_masks(label_rows):
+    """The label masks of dense label rows (mask, (coefficients, b)): b > 0,
+    b < 0, a row other than 0 <= 0, and b nonzero with no variable."""
+    return (sum(mask for mask, (_, b) in label_rows if b > 0),
+            sum(mask for mask, (_, b) in label_rows if b < 0),
+            sum(mask for mask, (row, b) in label_rows if b or any(row)),
+            sum(mask for mask, (row, b) in label_rows if b and not any(row)))
+
+
 class ReferenceFlowSystem(_FlowSystem):
     """A flow system built directly from the layout, one term at a time,
     with no template: the rows every templated system must reproduce."""
@@ -181,9 +190,7 @@ class ReferenceFlowSystem(_FlowSystem):
                     terms += [(var, sign * value) for var, value in stop[ti][i]]
             self._label_rows.append((1 << lab, as_row(terms)))
         # what the templated system reads lazily, here from the dense rows
-        self._signed = sum(mask for mask, (row, b) in self._label_rows if b or any(row))
-        self._rhs = [(mask, b) for mask, (_, b) in self._label_rows if b]
-        self._forced = [(mask, b < 0) for mask, (row, b) in self._label_rows if b and not any(row)]
+        self._pos, self._neg, self._signed, self._forced = label_masks(self._label_rows)
         self._roots = ()  # no tree decision: the simplex decides every LP with a negative rhs
 
     def stops_from_point(self, x):
@@ -399,6 +406,43 @@ class TestVerify:
         profile = construct_first_score_equilibrium(PARAMS)
         verdict = verify_equilibrium(PARAMS, profile)
         assert set(verdict.off_path) == {seq("AA"), seq("AB"), seq("BA"), seq("BB")}
+
+    # one test, so no strategy entry: Pr(High | A) = 3p / (1 + 2p)
+    K1 = {"alpha": Fraction(3, 4), "phi": Fraction(1, 2), "k": 1}
+
+    @pytest.mark.parametrize("reporting", list(Reporting))
+    def test_violation_details_pinned(self, reporting):
+        accept_a, reject = AdmissionPolicy.first_score(1), AdmissionPolicy.reject_all(1)
+        low = verify_equilibrium(ModelParams(p=Fraction(1, 7), **self.K1), profile_from(accept_a, {}, reporting))
+        high = verify_equilibrium(ModelParams(p=Fraction(1, 3), **self.K1), profile_from(reject, {}, reporting))
+        assert low.violations == (search.Violation("posterior_rule", "A", "posterior 1/3 (0.333333) must be >= 1/2"),)
+        assert high.violations == (search.Violation("posterior_rule", "A", "posterior 3/5 (0.600000) must be <= 1/2"),)
+        # past the violation the other side passes: B is rejected at a posterior below 1/2
+        assert verify_equilibrium(ModelParams(p=Fraction(1, 3), **self.K1), profile_from(accept_a, {}, reporting))
+
+    @pytest.mark.parametrize("reporting", list(Reporting))
+    def test_posterior_of_exactly_half_passes_either_way(self, reporting):
+        params = ModelParams(p=Fraction(1, 4), **self.K1)  # the posterior of A is 1/2
+        for policy in (AdmissionPolicy.first_score(1), AdmissionPolicy.reject_all(1)):
+            verdict = verify_equilibrium(params, profile_from(policy, {}, reporting))
+            assert verdict.ok and not verdict.violations and not verdict.off_path
+
+    def test_zero_mass_labels_are_off_path_under_either_reporting(self):
+        """Everyone stops after an A, so AA and AB carry no mass; under
+        best-score reporting every label has mass, since a Low student
+        reports all B's with positive probability whatever the strategy."""
+        profile = {
+            reporting: profile_from(AdmissionPolicy.best_score_a(2), StudentStrategy.stop_after_a(2).stop, reporting)
+            for reporting in Reporting
+        }
+        for p, ok in ((Fraction(1, 10), False), (Fraction(1, 2), True), (Fraction(9, 10), False)):
+            params = ModelParams(p=p, alpha=Fraction(3, 4), phi=Fraction(1, 2), k=2)
+            every = verify_equilibrium(params, profile[Reporting.ALL])
+            best = verify_equilibrium(params, profile[Reporting.MAX])
+            assert every.off_path == (seq("AA"), seq("AB"))
+            assert best.off_path == ()
+            assert every.ok == best.ok == ok
+            assert not {v.where for v in every.violations} & {"AA", "AB"}
 
     def test_incomplete_strategy_is_malformed(self):
         policy = AdmissionPolicy.first_score(2)
@@ -861,13 +905,49 @@ class TestTreeDecision:
                                                (Fraction(9, 10), Fraction(1, 10)))
               for phi in (Fraction(0), Fraction(1, 2), Fraction(1))]
 
-    @staticmethod
-    def check(system, bits, counts):
+    @classmethod
+    def check(cls, system, bits, counts):
         a_ub, b_ub = system.rows(bits)
         solved = _simplex.solve([0] * system.n, a_ub, b_ub, [], [], system.n, scale=system.scale)
         refuted = search._tree_refutes(system._alpha, system._k, system.code, bits, system._roots)
         assert refuted == (solved.status == _simplex.INFEASIBLE), (system.code, bits)
+        assert refuted == any(cls.root_verdicts(system, bits)), (system.code, bits)
         counts[refuted, min(b_ub, default=0) < 0] += 1
+
+    @staticmethod
+    def root_verdicts(system, bits):
+        """Whether each depth-one node refutes the system, read from its
+        cached rows, which must agree with the numeric projection of the
+        node's own masses through the same children's cones. The tree
+        decision stops at the first refuting node, so this does too."""
+        k, code = system._k, system.code
+        cones, cached = search._cone_cache(system._alpha, k), search._root_cache(system._alpha, k)
+        verdicts = []
+        for j, high, low, cat1 in system._roots:
+            rows = cached[search._subtree_key(k, code, bits, j)]
+            assert all(len(row) == 3 for row in rows)
+            verdict = any(a_h * high + a_l * low + a_c * cat1 < 0 for a_h, a_l, a_c in rows)
+            if k == 1:  # the root is a leaf: no child cones
+                rules, kids = (search.STOP, search.STOP), ()
+            else:
+                rules = (code >> 4 * j & 3, code >> 4 * j + 2 & 3)
+                kids = [cones[search._subtree_key(k, code, bits, c)] for c in (2 * j + 2, 2 * j + 3)]
+            numeric = search._project(((high, 0, 0, 0, 0), (low, 0, 0, 0, 0)), (cat1, 0, 0, 0, 0),
+                                      rules, bits >> j & 1, kids)
+            assert all(r[1:] == (0, 0, 0, 0) for r in numeric)
+            assert verdict == any(r[0] < 0 for r in numeric), (code, bits, j)
+            verdicts.append(verdict)
+            if verdict:
+                break
+        return verdicts
+
+    @staticmethod
+    def clear_caches():
+        """Empty the cone and root-row caches together: a cached root row
+        skips the cones below it, so a cone test with only its own cache
+        cleared would find the cones of an earlier test missing."""
+        search._cone_cache.cache_clear()
+        search._root_cache.cache_clear()
 
     @staticmethod
     def cone_kinds(alpha, k):
@@ -877,6 +957,7 @@ class TestTreeDecision:
 
     @pytest.mark.parametrize("alpha, p, phi", POINTS)
     def test_every_census_lp(self, alpha, p, phi):
+        self.clear_caches()
         counts = {(r, neg): 0 for r in (False, True) for neg in (False, True)}
         for k in (1, 2, 3):
             params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
@@ -910,7 +991,7 @@ class TestTreeDecision:
         retakes occur."""
         rng = random.Random(20217 + k)
         params = ModelParams(p=Fraction(2, 5), alpha=Fraction(7, 10), phi=Fraction(1, 2), k=k)
-        search._cone_cache.cache_clear()
+        self.clear_caches()
         counts = {(r, neg): 0 for r in (False, True) for neg in (False, True)}
         chains = 0  # codes where a forced retake follows a forced retake
         for first in Score:
@@ -930,8 +1011,41 @@ class TestTreeDecision:
             assert min(self.cone_kinds(params.alpha, k).values()) > 0
             assert chains > 0
 
+    @pytest.mark.parametrize("p", [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)])
+    @pytest.mark.parametrize("phi", [Fraction(0), Fraction(1, 2), Fraction(1)])
+    def test_every_census_lp_at_alpha_one(self, p, phi):
+        """With a noiseless test every B reach and emission is 0, and with
+        phi 0 or 1 one category's masses are too."""
+        self.clear_caches()
+        counts = {(r, neg): 0 for r in (False, True) for neg in (False, True)}
+        for k in (1, 2, 3):
+            params = ModelParams(p=p, alpha=Fraction(1), phi=phi, k=k)
+            for first in Score:
+                for bits, _, _, code in _subtree_induction(params.alpha, k, first):
+                    self.check(_FlowSystem(params, code, _subtree(first, k), Reporting.ALL), bits, counts)
+        assert counts[False, False] > 0 and counts[True, True] > 0
+        assert counts[True, False] == 0
+
+    def test_root_cache_bounded_hit_and_apart_from_the_cones(self):
+        self.clear_caches()
+        for i in range(40):
+            params = ModelParams(p=Fraction(1, 2), alpha=Fraction(51 + i, 100), phi=Fraction(1, 2), k=3)
+            enumerate_outcomes(params, "report-all")
+        info = search._root_cache.cache_info()
+        assert info.misses == 40 and info.currsize == info.maxsize < 40
+        rows = search._root_cache(params.alpha, 3)
+        built = len(rows)
+        assert built > 0
+        # keys start with the node: depth-one nodes here, deeper ones for cones
+        assert {key[0] for key in rows} <= {0, 1}
+        assert min(key[0] for key in search._cone_cache(params.alpha, 3)) >= 2
+        hits = info.hits
+        enumerate_outcomes(params, "report-all")
+        assert search._root_cache.cache_info().hits > hits
+        assert len(rows) == built  # every root of the repeated census was cached
+
     def test_cone_cache_bounded_and_hit(self):
-        search._cone_cache.cache_clear()
+        self.clear_caches()
         for i in range(40):
             params = ModelParams(p=Fraction(1, 2), alpha=Fraction(51 + i, 100), phi=Fraction(1, 2), k=3)
             enumerate_outcomes(params, "report-all")
@@ -948,8 +1062,8 @@ class TestTreeDecision:
 
 class TestFlowTemplates:
     """Flow systems read from cached templates equal the reference builder's:
-    the same rows in the same order, signs, forced-label screen, reach
-    masses and witness stops."""
+    the same rows in the same order, label masks, signs, forced-label
+    screen, reach masses and witness stops."""
 
     POINTS = [
         *((2, alpha, p, phi) for alpha in (Fraction(3, 5), Fraction(4, 5))
@@ -966,6 +1080,8 @@ class TestFlowTemplates:
         assert (system.n, system.scale, list(system.histories), system.var_index, system.reach) == (
             ref.n, ref.scale, ref.histories, ref.var_index, ref.reach
         )
+        masks = ("_pos", "_neg", "_signed", "_forced")
+        assert [getattr(system, m) for m in masks] == [getattr(ref, m) for m in masks]
         for bits in patterns:
             assert system.rows(bits) == ref.rows(bits)
             assert (system.signs(bits), system.refuses(bits)) == (ref.signs(bits), ref.refuses(bits))
@@ -1008,20 +1124,24 @@ class TestFlowTemplates:
 
 class TestLazyRows:
     """A system reads each label row's constant, and whether a variable
-    enters it, without building a row. What it reads must be what its dense
-    rows say, also at phi 0 and 1 and at alpha 1, where masses vanish."""
+    enters it, without building a row, and keeps them as label masks. What
+    it reads must be what its dense rows say, also at phi 0 and 1 and at
+    alpha 1, where masses vanish."""
 
     POINTS = [(alpha, p, phi) for alpha, p in (("0.8", "0.45"), ("0.6", "0.75"), ("1", "0.3"))
               for phi in ("0", "0.5", "1")]
 
     @staticmethod
-    def check(system, counts):
+    def check(params, code, seqs, reporting, counts):
+        system = _FlowSystem(params, code, seqs, reporting)
         assert not {"_br_rows", "_label_rows"} & set(vars(system))  # nothing dense yet
         labels = system._label_rows
-        assert system._signed == sum(mask for mask, (row, b) in labels if b or any(row))
-        assert system._rhs == [(mask, b) for mask, (_, b) in labels if b]
-        assert system._forced == [(mask, b < 0) for mask, (row, b) in labels if b and not any(row)]
-        counts["forced"] += len(system._forced)
+        assert (system._pos, system._neg, system._signed, system._forced) == label_masks(labels)
+        # each label row's constant and whether a variable enters it, as the
+        # layout keeps them for every system that shares the row
+        signs = search._layout(params, tuple(seqs), reporting).signs
+        assert [signs[row] for _, row in system._template.label_rows] == [(b, any(row)) for _, (row, b) in labels]
+        counts["forced"] += system._forced.bit_count()
         counts["unsigned"] += sum(not system._signed & mask for mask, _ in labels)
         counts["varying"] += sum(any(row) for _, (row, _) in labels)
 
@@ -1032,7 +1152,7 @@ class TestLazyRows:
             params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
             for first in Score:
                 for code in {code for *_, code in _subtree_induction(params.alpha, k, first)}:
-                    self.check(_FlowSystem(params, code, _subtree(first, k), Reporting.ALL), counts)
+                    self.check(params, code, _subtree(first, k), Reporting.ALL, counts)
         assert min(counts.values()) > 0
 
     @pytest.mark.parametrize("alpha, p, phi", POINTS)
@@ -1044,7 +1164,7 @@ class TestLazyRows:
                 reporting = Reporting.MAX if scope == "report-max" else Reporting.ALL
                 for policy in _family_policies(params, scope):
                     code = best_response(params, policy).code
-                    self.check(_FlowSystem(params, code, all_sequences(k), reporting), counts)
+                    self.check(params, code, all_sequences(k), reporting, counts)
         assert min(counts.values()) > 0
 
     @pytest.mark.parametrize("k, codes", [(2, None), (3, 24)])
