@@ -60,8 +60,9 @@ class AdmissionPolicy:
         return 1 <= len(s) <= self.k and bool(self.bits >> node(s) & 1)
 
     def is_max_measurable(self) -> bool:
-        """True when acceptance depends only on the best score."""
-        return len({(best_score(s), self.accepts(s)) for s in all_sequences(self.k)}) == 2
+        """True when acceptance depends only on the best score: each of
+        :func:`_best_score_masks` is accepted whole or not at all."""
+        return all(self.bits & mask in (0, mask) for mask in _best_score_masks(self.k))
 
     @classmethod
     def from_accepted(cls, k: int, accepted: Iterable[ScoreSeq]) -> "AdmissionPolicy":
@@ -110,6 +111,14 @@ class AdmissionPolicy:
         with n-1 trailing A's. Cached per (k, n)."""
         run = (Score.B,) + (Score.A,) * (n - 1)
         return cls.from_predicate(k, lambda s: s[0] is Score.A or s == run)
+
+
+@lru_cache(maxsize=16)
+def _best_score_masks(k: int) -> tuple[int, int]:
+    """The node bits of the sequences of length 1..k whose best score is A,
+    and of the rest, the all-B sequences."""
+    a_mask = sum(1 << node(s) for s in all_sequences(k) if best_score(s) is Score.A)
+    return a_mask, (1 << len(all_sequences(k))) - 1 - a_mask
 
 
 # Canonical equilibrium class labels.

@@ -318,10 +318,6 @@ class OutcomeDistribution:
     def mass(self, cohort: Cohort, s: ScoreSeq) -> Fraction:
         return self.conditional[cohort].get(s, _NO_MASS)
 
-    def weighted(self, cohort: Cohort, s: ScoreSeq) -> Fraction:
-        """Unconditional mass: within-cohort probability times cohort mass."""
-        return self.mass(cohort, s) * self.params.cohort_mass[cohort]
-
     def type_mass(self, type_: StudentType, s: ScoreSeq) -> Fraction:
         """Unconditional mass of the given type reporting ``s`` (both categories)."""
         weights = self.params.cohort_mass

@@ -28,9 +28,21 @@ Fourier-Motzkin over the node's own two continue masses, from at most nine
 rows whatever k, and cached per (alpha, k). At each depth-one node the same
 elimination, with the node's High reach, Low reach and Category 1 mass kept
 symbolic, leaves rows over those three, cached per (alpha, k) as well; the
-system is infeasible iff one is negative at the point's masses. A refuted
-LP never reaches the simplex; every point other than the origin still comes
-from it.
+system is infeasible iff one is negative at the point's masses.
+
+Under report-max there are two labels, and a history that holds an A
+reports into label A whatever follows it, so all mass that enters it stops
+under label A: the free continue masses off the all-B spine B, BB, ... net
+to 0 in both label rows. An LP with a negative rhs is decided on the spine
+alone, at most 2(k-1) columns and 2k rows (:meth:`_FlowSystem.refutes`). A
+refuted LP never reaches the simplex on dense rows of the whole tree; every
+point other than the origin still comes from it.
+
+Free-stop intervals come from the same reduced systems: one Charnes-Cooper
+program per reach column over one first-score subtree at a time under
+report-all, whose rows are block-diagonal by first score, and over the
+spine columns under report-max, where every reached node off the spine can
+stop with any probability (:func:`free_stop_intervals`).
 
 Best responses come from one bottom-up induction per first-score subtree:
 each history combines the results of its two children with its own accept
@@ -49,13 +61,15 @@ The report-all census groups subtree policies by best-response rule code,
 one flow system each, and decides each rule code and label signs, which fix
 the rows, once: the simplex returns the same vertex for equal rows. Subtree
 policies with equal integer admission odds form a group, whose witness stops
-come from its first policy; one class builder takes blocks of one-outcome policies from every scope.
-A class keeps its policies as those blocks, a
+come from its first policy; one class builder takes blocks of one-outcome
+policies from every scope, keyed by integer admission numerators that sum
+one term per group. A class keeps its policies as those blocks, a
 :class:`PolicySet`: a report-all block is the product of an A-group and a
 B-group of accept bits, and no policy is built until one is iterated. No
 closed form from :mod:`retesting.equilibria` is used to prune: the
-forced-label screen reads only the label rows, and the tree decision only the
-system's rule code, accept bits, alpha and depth-one masses.
+forced-label screen reads only the label rows, the tree decision only the
+system's rule code, accept bits, alpha and depth-one masses, and the spine
+decision only the system's own rows over the spine columns.
 """
 
 from __future__ import annotations
@@ -63,8 +77,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
+from operator import add, or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import _simplex
@@ -129,14 +144,24 @@ def best_response(params: ModelParams, policy: AdmissionPolicy) -> BestResponseS
     accept pattern; the two rule codes hold disjoint node bits, so the whole
     tree's is their bitwise or. A policy of another k is refused.
     """
-    if policy.k != params.k:
-        raise MalformedProfile(f"a policy of k={policy.k} does not fit k={params.k}")
     code, values = 0, {}
-    for first in Score:
-        ((_, high, low, sub),) = _induction(params.alpha, params.k, first, policy.bits)[0]
+    for first, high, low, sub in _subtree_responses(params, policy):
         code |= sub
         values.update(_first_values(params, first, high, low))
     return BestResponseSet(code, values)
+
+
+def _subtree_responses(params: ModelParams, policy: AdmissionPolicy) -> list[tuple[Score, int, int, int]]:
+    """(first score, High and Low value numerators, rule code) of each
+    first-score subtree under the policy's accept pattern, from the
+    :func:`_induction` entry at its root. A policy of another k is refused."""
+    if policy.k != params.k:
+        raise MalformedProfile(f"a policy of k={policy.k} does not fit k={params.k}")
+    responses = []
+    for first in Score:
+        ((_, high, low, code),) = _induction(params.alpha, params.k, first, policy.bits)[0]
+        responses.append((first, high, low, code))
+    return responses
 
 
 def _first_values(params: ModelParams, first: Score, high: int, low: int) -> dict:
@@ -393,6 +418,9 @@ class _Template(NamedTuple):
     # report-all only: each depth-one label as the indices of (node, High and
     # Low reach, Category 1 High - Low mass), for the tree decision
     roots: tuple[tuple[int, int, int, int], ...]
+    # report-max only (None under report-all): the free columns on the all-B
+    # spine B, BB, ..., in column order, for the spine decision
+    spine: Optional[tuple[int, ...]]
 
 
 @lru_cache(maxsize=128)  # a k=3 census sweep over 4 alphas builds 55
@@ -429,11 +457,13 @@ def _template(seqs: tuple[ScoreSeq, ...], reporting: Reporting, k: int, code: in
                     cols.setdefault(var, []).append(sign * j)
         const = tuple(cols.pop(None))
         label_rows.append((1 << lab, (const, tuple([(var, tuple(js)) for var, js in cols.items()]))))
-    roots = ()
+    roots, spine = (), None
     if reporting is Reporting.ALL:
         roots = tuple((lab, shape.reach[0][i], shape.reach[1][i], shape.cat1 + l)
                       for l, (lab, (i,)) in enumerate(shape.labels) if shape.parents[i] < 0)
-    return _Template(histories, var_index, reach, tuple(label_rows), roots)
+    else:
+        spine = tuple(c for (_, s), c in var_index.items() if Score.A not in s)
+    return _Template(histories, var_index, reach, tuple(label_rows), roots, spine)
 
 
 class _FlowSystem:
@@ -457,6 +487,15 @@ class _FlowSystem:
     0 <= 0 (signed), and b nonzero with no variable (forced). It also reads
     the tree decision's depth-one masses, with no ``Fraction`` arithmetic;
     dense rows wait until asked for.
+
+    Under report-max only the free columns on the all-B spine enter a label
+    row: a history that holds an A reports into label A whatever follows, so
+    every unit of mass that enters it stops under label A, and the columns
+    of its subtree net to 0 in both label rows. Setting them to 0 keeps
+    every best-response row, so the spine's own best-response rows and the
+    two label rows over the spine columns (:meth:`_spine_rows`) are feasible
+    iff :meth:`rows` are, and their Charnes-Cooper programs have the same
+    optima on the spine.
     """
 
     def __init__(self, params: ModelParams, code: int, sequences: Iterable[ScoreSeq], reporting: Reporting,
@@ -489,35 +528,63 @@ class _FlowSystem:
         self._pos, self._neg, self._signed, self._forced = pos, neg, signed, forced
         self._alpha, self._k = params.alpha, params.k
         self._roots = tuple((lab, get(high), get(low), get(cat1)) for lab, high, low, cat1 in template.roots)
+        self._spine = template.spine
 
     @cached_property
     def reach(self) -> dict[tuple[StudentType, ScoreSeq], _Term]:
         """The reach mass of every (type, sequence) as one term."""
         return {key: (var, self._values[j]) for key, (var, j) in self._template.reach.items()}
 
+    def _br_over(self, cols: Sequence[int]) -> list[tuple[list[int], int]]:
+        """``c - reach <= 0`` at each free node c of ``cols``, over those
+        columns only: the reach of each is the constant or a multiple of one
+        of them."""
+        at = {c: i for i, c in enumerate(cols)}
+        keys, rows = tuple(self.var_index), []
+        for c in cols:
+            var, j = self._template.reach[keys[c]]
+            value = self._values[j]
+            coeffs = [0] * len(cols)
+            coeffs[at[c]] = self.scale
+            if var is not None:
+                coeffs[at[var]] = -value
+            rows.append((coeffs, value if var is None else 0))
+        return rows
+
+    def _labels_over(self, cols: Sequence[int]) -> list[tuple[int, tuple[list[int], int]]]:
+        """Each label row over the columns ``cols`` only, as (mask of its
+        label's accept bit, (coefficients, rhs))."""
+        at = {c: i for i, c in enumerate(cols)}
+        get, rows = self._values.__getitem__, []
+        for mask, (const, terms) in self._template.label_rows:
+            coeffs = [0] * len(cols)
+            for col, js in terms:
+                if col in at:
+                    coeffs[at[col]] = sum(map(get, js))
+            rows.append((mask, (coeffs, -sum(map(get, const)))))
+        return rows
+
     @cached_property
     def _br_rows(self) -> list[tuple[list[int], int]]:
         """``c - reach <= 0`` at every free node c, in ``var_index`` order."""
-        rows = []
-        for key, c in self.var_index.items():
-            var, value = self.reach[key]
-            coeffs = [0] * self.n
-            coeffs[c] = self.scale
-            if var is not None:
-                coeffs[var] = -value
-            rows.append((coeffs, value if var is None else 0))
-        return rows
+        return self._br_over(range(self.n))
 
     @cached_property
     def _label_rows(self) -> list[tuple[int, tuple[list[int], int]]]:
         """Each label row as (mask of its label's accept bit, (coefficients, rhs))."""
-        get, rows = self._values.__getitem__, []
-        for mask, (const, cols) in self._template.label_rows:
-            coeffs = [0] * self.n
-            for col, js in cols:
-                coeffs[col] = sum(map(get, js))
-            rows.append((mask, (coeffs, -sum(map(get, const)))))
-        return rows
+        return self._labels_over(range(self.n))
+
+    @cached_property
+    def _spine_rows(self) -> tuple[list, list]:
+        """The best-response rows of the spine columns and the label rows,
+        over the spine columns only: at most 2(k-1) columns and 2k rows."""
+        return self._br_over(self._spine), self._labels_over(self._spine)
+
+    @staticmethod
+    def _sign_rows(br_rows: list, label_rows: list, bits: int) -> tuple[list, list]:
+        """Rows (A_ub, b_ub): accepted labels need High - Low >= 0, rejected ones <= 0."""
+        rows = br_rows + [(([-v for v in row], -b) if bits & mask else (row, b)) for mask, (row, b) in label_rows]
+        return [row for row, _ in rows], [b for _, b in rows]
 
     def signs(self, bits: int) -> int:
         """The accept bits that change :meth:`rows`: equal signs, equal rows."""
@@ -532,31 +599,111 @@ class _FlowSystem:
         return bool((bits ^ (self._forced & self._neg)) & self._forced)
 
     def rows(self, bits: int) -> tuple[list, list]:
-        """Rows (A_ub, b_ub) of one policy's equilibrium polytope, times
-        ``scale``: accepted labels need High - Low >= 0, rejected ones <= 0."""
-        rows = self._br_rows + [(([-v for v in row], -b) if bits & mask else (row, b))
-                                for mask, (row, b) in self._label_rows]
-        return [row for row, _ in rows], [b for _, b in rows]
+        """Dense rows (A_ub, b_ub) of one policy's equilibrium polytope over
+        every column, times ``scale``."""
+        return self._sign_rows(self._br_rows, self._label_rows, bits)
+
+    def _at_origin(self, bits: int) -> bool:
+        """Whether no rhs is negative, so that the origin is a point: a
+        best-response row's rhs is a reach mass, so only a label row's can
+        be, b when the label is rejected and -b when accepted."""
+        return not (bits & self._pos or ~bits & self._neg)
+
+    def refutes(self, bits: int) -> bool:
+        """Whether the policy's polytope is empty, decided with no dense row
+        over every column: the forced-label screen, then the origin, then
+        :func:`_tree_refutes` under report-all or the simplex on the
+        :meth:`_spine_rows` under report-max. Each step is exact, so for
+        every system built from a template the answer is exact both ways."""
+        if self.refuses(bits):
+            return True
+        if self._at_origin(bits):
+            return False
+        if self._roots:
+            return _tree_refutes(self._alpha, self._k, self.code, bits, self._roots)
+        if self._spine is not None:
+            a_ub, b_ub = self._sign_rows(*self._spine_rows, bits)
+            return _simplex.feasible_point(a_ub, b_ub, len(self._spine), scale=self.scale) is None
+        return False
 
     def feasible(self, bits: int) -> Optional[list[Fraction]]:
         """A point of the policy's polytope, or None.
 
-        A policy that :meth:`refuses` is rejected without a solve. With no
-        negative rhs the origin is a point, the one the simplex would return,
-        and no row is built. A report-all system with a negative rhs is
-        rejected if the exact tree decision of :func:`_tree_refutes` says
-        infeasible. Every other point comes from the simplex on :meth:`rows`.
+        The one decision path: a policy that :meth:`refutes` is rejected
+        before any dense row over every column is built, whether the
+        forced-label screen, the tree (report-all) or the spine LP
+        (report-max) refutes it. With no negative rhs the origin is a point,
+        the one the simplex would return, and no row is built. Every other
+        point comes from the simplex on :meth:`rows`, since witness stops
+        come from that vertex.
         """
-        if self.refuses(bits):
+        if self.refutes(bits):
             return None
-        # a best-response row's rhs is a reach mass, so only a label row's can
-        # be negative: b when the label is rejected, -b when accepted
-        if not (bits & self._pos or ~bits & self._neg):
+        if self._at_origin(bits):
             return [Fraction(0)] * self.n
-        if self._roots and _tree_refutes(self._alpha, self._k, self.code, bits, self._roots):
-            return None
         a_ub, b_ub = self.rows(bits)
         return _simplex.feasible_point(a_ub, b_ub, self.n, scale=self.scale)
+
+    def stop_ranges(self, bits: int) -> dict[tuple[StudentType, ScoreSeq], tuple[Fraction, Fraction]]:
+        """The stop-probability range of each free node that a supporting flow
+        reaches, for a system whose polytope is not empty.
+
+        The LP columns are every free column, or the spine's under report-max.
+        At a free node c of them with reach term (var, value), the stop
+        probability is 1 - scale x[c] / (value x[col]), where col is var, or the
+        constant column s = 1 when var is None. The rows, homogenised as
+        ``a_ub y <= b_ub s``, are a cone, so fixing y[col] = 1 makes that ratio
+        linear in y (Charnes-Cooper). The nodes that share a col share that LP:
+        phase 1 runs once, and each node adds the objectives y[c] and -y[c],
+        which its best-response row bounds.
+
+        Under report-max a free node off the spine has zero coefficients in
+        both label rows and bounds only itself and its children, so it can
+        stop with any probability: its range is exactly (0, 1) when a flow
+        reaches it, that is, when every link of its chain of free ancestors
+        carries a positive reach and the chain ends at the constant column or
+        at a spine column whose LP is feasible. Nodes that no supporting flow
+        reaches are left out.
+        """
+        cols = range(self.n) if self._spine is None else self._spine
+        rows = (self._br_rows, self._label_rows) if self._spine is None else self._spine_rows
+        a_ub, b_ub = self._sign_rows(*rows, bits)
+        m, scale = len(cols), self.scale  # the constant column is m
+        at = {c: i for i, c in enumerate(cols)}
+        groups: dict[int, list[tuple[int, tuple[StudentType, ScoreSeq], int]]] = {}  # col -> (i, key, value)
+        chains: dict[int, int] = {}  # each reached free column off the spine -> the col its chain ends at
+        for key, c in self.var_index.items():
+            var, value = self.reach[key]
+            col = m if var is None else at[var] if var in at else chains.get(var)
+            if not value or col is None:  # no flow reaches the node, whatever y
+                continue
+            if c in at:
+                groups.setdefault(col, []).append((at[c], key, value))
+            else:
+                chains[c] = col
+                if col < m:
+                    groups.setdefault(col, [])
+        a_cc = [[*row, -b] for row, b in zip(a_ub, b_ub)]
+        b_cc = [0] * len(a_cc)
+        ends: dict[tuple[StudentType, ScoreSeq], tuple[Fraction, Fraction]] = {}
+        feasible = {m}  # s = 1 gives the system itself
+        for col, members in groups.items():
+            norm = [0] * (m + 1)
+            norm[col] = scale  # scale * y[col] = scale
+            # every min y[c], then every max: at k=6 this order takes fewer
+            # pivots than pairs per node or the maxima first
+            objectives = [[int(j == i) for j in range(m + 1)] for i, _, _ in members]
+            objectives += [[-v for v in obj] for obj in objectives]
+            results = _simplex.optimize(objectives or [[0] * (m + 1)], a_cc, b_cc, [norm], [scale], m + 1, scale=scale)
+            if results[0].status == _simplex.OPTIMAL:
+                feasible.add(col)
+            for (_, key, value), lo, hi in zip(members, results, results[len(members) :]):
+                if lo.status == _simplex.OPTIMAL:
+                    ends[key] = (1 + scale * hi.value / value, 1 - scale * lo.value / value)
+        for key, c in self.var_index.items():
+            if chains.get(c) in feasible:
+                ends[key] = (Fraction(0), Fraction(1))
+        return ends
 
     def stops_from_point(self, x: Sequence[Fraction]) -> dict[tuple[StudentType, ScoreSeq], Fraction]:
         """Stop probabilities at reachable nodes; canonical values elsewhere."""
@@ -821,23 +968,23 @@ def _classify(
     return SEPARATING if reporting is Reporting.MAX else NON_FIRST_SCORE
 
 
-def _admit(
-    params: ModelParams,
-    bits: int,
-    values: Mapping[tuple[StudentType, ScoreSeq], Fraction],
-) -> dict[Cohort, Fraction]:
-    """Admission probability per positive-mass cohort, from a policy's accept
-    ``bits`` at the first score and the Category 2 best-response ``values``
-    after each first score (the only ones read)."""
-    admit: dict[Cohort, Fraction] = {}
+def _admit_terms(params: ModelParams, first: Score, accepted: int, high: int, low: int) -> tuple[int, ...]:
+    """What first score ``first`` adds to the admission probability of each
+    positive-mass cohort, in ``COHORTS`` order, as a numerator over
+    den(alpha)^k: Category 1 is admitted on it when ``accepted``, Category 2
+    at the optimal values after it, High and Low numerators over
+    den(alpha)^(k-1) as in an induction entry. A cohort's admission
+    probability is the sum of its two first scores' terms."""
+    n, d = params.alpha.numerator, params.alpha.denominator
+    terms = []
     for cohort in (c for c in COHORTS if params.cohort_mass[c] > 0):
-        t = cohort.type_
+        high_type = cohort.type_ is StudentType.HIGH
+        emit = n if high_type is (first is Score.A) else d - n  # over d
         if cohort.category is Category.CAT1:
-            admitted = [params.emit(t, s) for s in Score if bits >> node((s,)) & 1]
+            terms.append(emit * d ** (params.k - 1) if accepted else 0)
         else:
-            admitted = [params.emit(t, s) * values[(t, (s,))] for s in Score]
-        admit[cohort] = sum(admitted, Fraction(0))
-    return admit
+            terms.append(emit * (high if high_type else low))
+    return tuple(terms)
 
 
 def _census(
@@ -846,34 +993,37 @@ def _census(
     considered: int,
     reporting: Reporting,
     mask: int,
-    blocks: Iterable[tuple[Sequence[int], Sequence[int], Mapping, Mapping]],
+    blocks: Iterable[tuple[Sequence[int], Sequence[int], tuple[int, ...], Sequence[Mapping]]],
 ) -> Enumeration:
     """The one place outcome classes are built. Each block (left, right,
-    values, stops) holds feasible policies, split at ``mask`` as in
-    :class:`PolicySet`, with one first-score acceptance and one set of
-    Category 2 ``values`` after each first score, hence one outcome; a new
-    outcome gets the verified witness of its block's first policy and stops.
+    terms, stops) holds feasible policies, split at ``mask`` as in
+    :class:`PolicySet`, with one outcome: the sums of the
+    :func:`_admit_terms` of its two first scores, which key its class. A new
+    outcome gets the verified witness of its block's first policy, whose
+    stops are the union of the ``stops`` maps.
     """
-    classes: dict[tuple, OutcomeClass] = {}
-    for left, right, values, stops in blocks:
-        bits = left[0] | right[0]
-        admit = _admit(params, bits, values)
-        key = admission_key(admit)
-        if key not in classes:
+    cohorts = [c for c in COHORTS if params.cohort_mass[c] > 0]
+    den = params.alpha.denominator ** params.k
+    classes: dict[tuple[int, ...], OutcomeClass] = {}
+    for left, right, terms, stops in blocks:
+        cls = classes.get(terms)
+        if cls is None:
+            admit = {c: Fraction(v, den) for c, v in zip(cohorts, terms)}
             label = _classify(params, admit, reporting)
-            witness = EquilibriumProfile(AdmissionPolicy(params.k, bits), StudentStrategy(stops), label, reporting)
+            strategy = StudentStrategy({key: stop for part in stops for key, stop in part.items()})
+            witness = EquilibriumProfile(AdmissionPolicy(params.k, left[0] | right[0]), strategy, label, reporting)
             policies = PolicySet(params.k, mask)
-            classes[key] = OutcomeClass(admit, label, witness, policies, verify_equilibrium(params, witness).ok)
-        classes[key].policies.blocks.append((left, right))
+            cls = classes[terms] = OutcomeClass(admit, label, witness, policies, verify_equilibrium(params, witness).ok)
+        cls.policies.blocks.append((left, right))
     classes_in_order = sorted(classes.values(), key=OutcomeClass.key)
     return Enumeration(params, scope, is_boundary(params), considered, classes_in_order)
 
 
-def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list, Mapping, dict]]:
+def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list, tuple[int, ...], dict]]:
     """The consistent accept patterns of one first-score subtree, grouped by
     integer admission odds (accepts the first score, values after it) in
-    order of first occurrence: (accept patterns, values, stops of the first
-    pattern). One flow system per best-response rule code, and one
+    order of first occurrence: (accept patterns, :func:`_admit_terms`, stops of the
+    first pattern). One flow system per best-response rule code, and one
     :meth:`_FlowSystem.feasible` per (code, signs), which fix the rows.
     """
     seqs = _subtree(first, params.k)
@@ -881,7 +1031,7 @@ def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list
     root = node((first,))
     systems: dict[int, _FlowSystem] = {}
     points: dict[tuple[int, int], Optional[list[Fraction]]] = {}  # (rule code, signs) -> point
-    groups: dict[tuple, tuple[list, Mapping, dict]] = {}
+    groups: dict[tuple, tuple[list, tuple[int, ...], dict]] = {}
     for bits, high, low, code in _subtree_induction(params.alpha, params.k, first):
         system = systems.get(code)
         if system is None:
@@ -895,19 +1045,19 @@ def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list
             continue
         odds = (bits >> root & 1, high, low)
         if odds not in groups:
-            groups[odds] = ([], _first_values(params, first, high, low), system.stops_from_point(x))
+            groups[odds] = ([], _admit_terms(params, first, *odds), system.stops_from_point(x))
         groups[odds][0].append(bits)
     return groups
 
 
 def _enumerate_report_all(params: ModelParams) -> Enumeration:
     """One block per (A-group, B-group) pair: the products of their patterns,
-    whose accept bits never share a node."""
+    whose accept bits never share a node, and the sums of their terms."""
     a_groups, b_groups = (_solve_subtrees(params, first).values() for first in Score)
     blocks = (
-        (a_bits, b_bits, {**a_values, **b_values}, {**a_stops, **b_stops})
-        for a_bits, a_values, a_stops in a_groups
-        for b_bits, b_values, b_stops in b_groups
+        (a_bits, b_bits, tuple(map(add, a_terms, b_terms)), (a_stops, b_stops))
+        for a_bits, a_terms, a_stops in a_groups
+        for b_bits, b_terms, b_stops in b_groups
     )
     considered = (1 << (2**params.k - 1)) ** 2
     mask = sum(1 << node(s) for s in _subtree(Score.A, params.k))
@@ -916,11 +1066,13 @@ def _enumerate_report_all(params: ModelParams) -> Enumeration:
 
 def _policy_system(
     params: ModelParams, policy: AdmissionPolicy, reporting: Reporting
-) -> tuple[BestResponseSet, _FlowSystem]:
-    """A policy's best response and the flow system of the whole game tree."""
+) -> tuple[list[tuple[Score, int, int, int]], _FlowSystem]:
+    """A policy's :func:`_subtree_responses` and the flow system of the whole
+    game tree under their rule codes."""
     _require_measurable(policy, reporting)
-    br = best_response(params, policy)
-    return br, _FlowSystem(params, br.code, all_sequences(params.k), reporting)
+    responses = _subtree_responses(params, policy)
+    code = reduce(or_, (sub for *_, sub in responses))
+    return responses, _FlowSystem(params, code, all_sequences(params.k), reporting)
 
 
 def _enumerate_policy_list(
@@ -930,10 +1082,12 @@ def _enumerate_policy_list(
 
     def blocks():
         for policy in policies:
-            br, system = _policy_system(params, policy, reporting)
+            responses, system = _policy_system(params, policy, reporting)
             x = system.feasible(policy.bits)
             if x is not None:
-                yield (policy.bits,), (0,), br.values, system.stops_from_point(x)
+                terms = [_admit_terms(params, first, policy.bits >> node((first,)) & 1, high, low)
+                         for first, high, low, _ in responses]
+                yield (policy.bits,), (0,), tuple(map(add, *terms)), (system.stops_from_point(x),)
 
     mask = (1 << len(all_sequences(params.k))) - 1  # every node: a block holds one policy
     return _census(params, scope, len(policies), reporting, mask, blocks())
@@ -986,40 +1140,28 @@ def free_stop_intervals(
 ) -> dict[tuple[StudentType, ScoreSeq], tuple[Fraction, Fraction]]:
     """Per free node, the exact stop-probability range supporting the policy.
 
-    At a free node c with reach term (var, value), the stop probability is
-    1 - scale x[c] / (value x[col]), where col is var, or the constant
-    column s = 1 when var is None. The policy's :meth:`_FlowSystem.rows`,
-    homogenised as ``a_ub y <= b_ub s``, are a cone, so fixing y[col] = 1
-    makes that ratio linear in y (Charnes-Cooper). The nodes that share a
-    col share that LP: phase 1 runs once, and each node adds the objectives
-    y[c] and -y[c], which its best-response row bounds. Nodes that no
-    supporting flow reaches are left out. A policy with no equilibrium
-    gives an empty result after :meth:`_FlowSystem.feasible` refuses it: with
-    s = 0 the best-response rows force y = 0, so no col's LP would be feasible.
-    Keys are in the order of ``var_index``.
+    Each range comes from the smallest exact LP that decides it, through
+    :meth:`_FlowSystem.stop_ranges`. Under report-all the rows are
+    block-diagonal by first score: the depth-one roots share no variable and
+    every label is one sequence. So each first-score subtree gets its own
+    system, on the census's cached layout and template, and any point of one
+    subtree's polytope goes with any point of the other's. Under report-max
+    the ranges of the all-B spine come from the spine columns alone, and
+    every other reached free node can stop with any probability. A policy
+    with no equilibrium, which :meth:`_FlowSystem.refutes` decides, gives an
+    empty result. Keys are in the order of the whole tree's ``var_index``:
+    node order, High first.
     """
-    _, system = _policy_system(params, policy, reporting)
-    if system.feasible(policy.bits) is None:
+    if reporting is Reporting.MAX:
+        _, system = _policy_system(params, policy, reporting)
+        systems = [system]
+    else:
+        systems = [_FlowSystem(params, code, _subtree(first, params.k), reporting)
+                   for first, _, _, code in _subtree_responses(params, policy)]
+    if any(system.refutes(policy.bits) for system in systems):
         return {}
-    a_ub, b_ub = system.rows(policy.bits)
-    n, scale = system.n, system.scale
-    a_cc = [[*row, -b] for row, b in zip(a_ub, b_ub)]
-    b_cc = [0] * len(a_cc)
-    groups: dict[int, list[tuple[int, int]]] = {}  # col -> (c, value) of its nodes
-    for key, c in system.var_index.items():
-        var, value = system.reach[key]
-        if value:  # else no flow reaches the node, whatever y
-            groups.setdefault(n if var is None else var, []).append((c, value))
-    ends: dict[int, tuple[Fraction, Fraction]] = {}
-    for col, members in groups.items():
-        norm = [0] * (n + 1)
-        norm[col] = scale  # scale * y[col] = scale
-        # every min y[c], then every max: at k=6 this order takes fewer
-        # pivots than pairs per node or the maxima first
-        objectives = [[int(j == c) for j in range(n + 1)] for c, _ in members]
-        objectives += [[-v for v in obj] for obj in objectives]
-        results = _simplex.optimize(objectives, a_cc, b_cc, [norm], [scale], n + 1, scale=scale)
-        for (c, value), lo, hi in zip(members, results, results[len(members) :]):
-            if lo.status == _simplex.OPTIMAL:
-                ends[c] = (1 + scale * hi.value / value, 1 - scale * lo.value / value)
-    return {key: ends[c] for key, c in system.var_index.items() if c in ends}
+    ends = {}
+    for system in systems:
+        ends.update(system.stop_ranges(policy.bits))
+    keys = ((t, h) for h in all_sequences(params.k - 1) for t in _TYPES)
+    return {key: ends[key] for key in keys if key in ends}

@@ -27,6 +27,7 @@ README_GRID = ["--alpha", "0.6:0.9:0.1", "--p", "0.05:0.95:0.05", "--phi", "0,0.
 CACHES = {
     "equilibria._threshold_record": _threshold_record,
     "equilibria._chase_run": _chase_run,
+    "equilibria._best_score_masks": equilibria._best_score_masks,
     "equilibria.AdmissionPolicy.first_score": AdmissionPolicy.first_score,
     "equilibria.AdmissionPolicy.best_score_a": AdmissionPolicy.best_score_a,
     "equilibria.AdmissionPolicy.accept_all": AdmissionPolicy.accept_all,

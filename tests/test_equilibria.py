@@ -21,6 +21,7 @@ from retesting import (
     StudentStrategy,
     UnsupportedK,
     all_sequences,
+    best_score,
     best_score_projection,
     closed_form_profiles,
     college_payoff,
@@ -79,6 +80,23 @@ class TestAdmissionPolicy:
     def test_bits_outside_the_tree_refused(self, bits):
         with pytest.raises(ValueError):
             AdmissionPolicy(2, bits)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_max_measurable_iff_acceptance_depends_on_the_best_score_alone(self, k):
+        """The two cached best-score masks against a set over every sequence:
+        every pattern at k <= 2, and at k = 3 the max-measurable patterns
+        with each of their bits flipped."""
+        nodes = all_sequences(k)
+
+        def by_set(bits):
+            return len({(best_score(s), bool(bits >> i & 1)) for i, s in enumerate(nodes)}) == 2
+
+        best_a = sum(1 << i for i, s in enumerate(nodes) if best_score(s) is Score.A)
+        measurable = [0, best_a, (1 << len(nodes)) - 1 - best_a, (1 << len(nodes)) - 1]
+        patterns = range(1 << len(nodes)) if k <= 2 else [m ^ (1 << i) for m in measurable for i in range(len(nodes))]
+        for bits in [*patterns, *measurable]:
+            assert AdmissionPolicy(k, bits).is_max_measurable() == by_set(bits), bits
+        assert sum(AdmissionPolicy(k, bits).is_max_measurable() for bits in patterns) == (4 if k <= 2 else 0)
 
 
 class TestThresholds:

@@ -253,7 +253,7 @@ class TestMaxScoreDistribution:
         dist = best_score_distribution(params)
         cohort = Cohort(Category.CAT2, StudentType.HIGH)
         assert params.cohort_mass[cohort] == Fraction(1, 2) * Fraction(3, 10)
-        assert dist.weighted(cohort, seq("A")) == Fraction(24, 25) * Fraction(3, 20)
+        assert dist.mass(cohort, seq("A")) * params.cohort_mass[cohort] == Fraction(24, 25) * Fraction(3, 20)
 
 
 def reference_masses(params: ModelParams, strategy: StudentStrategy, type_: StudentType) -> dict:
@@ -300,7 +300,7 @@ class TestOutcomeDistributionAgainstReference:
             assert dict(dist.conditional[Cohort(Category.CAT2, t)]) == reference_masses(params, strategy, t)
         for cohort in COHORTS:
             for s, m in dist.conditional[cohort].items():
-                assert dist.weighted(cohort, s) == m * params.cohort_mass[cohort]
+                assert dist.mass(cohort, s) * params.cohort_mass[cohort] == m * params.cohort_mass[cohort]
 
     @pytest.mark.parametrize("phi", [Fraction(0), Fraction(1, 2), Fraction(1)])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])

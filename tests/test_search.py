@@ -191,7 +191,8 @@ class ReferenceFlowSystem(_FlowSystem):
             self._label_rows.append((1 << lab, as_row(terms)))
         # what the templated system reads lazily, here from the dense rows
         self._pos, self._neg, self._signed, self._forced = label_masks(self._label_rows)
-        self._roots = ()  # no tree decision: the simplex decides every LP with a negative rhs
+        # no tree or spine decision: the simplex decides every LP with a negative rhs
+        self._roots, self._spine = (), None
 
     def stops_from_point(self, x):
         stops = {}
@@ -614,9 +615,10 @@ class TestOracleAgainstFormulas:
             assert (NON_FIRST_SCORE in labels) == non_first_region.contains(p)
 
 
-def reference_free_stop_intervals(params, policy, reporting=Reporting.ALL) -> dict:
+def reference_free_stop_intervals(params, policy, reporting=Reporting.ALL, keys=None) -> dict:
     """Two cold solves per free node: y[c] at both ends over the policy's
-    homogenised rows, with y normalised so that the node's reach is 1."""
+    homogenised rows of the whole tree, with y normalised so that the
+    node's reach is 1; only at the free nodes in ``keys``, when given."""
     _, system = search._policy_system(params, policy, reporting)
     a_ub, b_ub = system.rows(policy.bits)
     n, scale = system.n, system.scale
@@ -624,6 +626,8 @@ def reference_free_stop_intervals(params, policy, reporting=Reporting.ALL) -> di
     b_cc = [0] * len(a_cc)
     out = {}
     for key, c in system.var_index.items():
+        if keys is not None and key not in keys:
+            continue
         var, value = system.reach[key]
         reach = [0] * (n + 1)
         reach[n if var is None else var] = value
@@ -750,6 +754,135 @@ class TestFreeIntervals:
         params = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=3)
         with pytest.raises(MalformedProfile, match="a policy of k=2 does not fit k=3"):
             free_stop_intervals(params, AdmissionPolicy.first_score(2))
+
+
+class TestSmallerLPs:
+    """Each report-max LP is decided, and its spine's intervals optimised,
+    over the free columns of the all-B spine alone; each report-all policy's
+    intervals come from one first-score subtree at a time. Verdicts, points
+    and intervals must be those of the whole-tree LP, also at phi 0 and 1
+    and at alpha 1, where masses vanish."""
+
+    GRID = [(alpha, p, phi) for alpha in ("0.6", "0.8", "1") for p in ("0.2", "0.5", "0.7")
+            for phi in ("0", "0.5", "1")]
+    # where a whole-tree reference costs seconds: phi 0 and 1, alpha 1, and
+    # points whose report-max LPs reach the spine LP
+    DEEP = [("0.8", "0.5", "0.5"), ("1", "0.3", "0"), ("0.6", "0.7", "1"), ("0.7", "0.45", "0.1"),
+            ("0.9", "0.15", "0.5")]
+
+    @staticmethod
+    def full_lp(system, bits):
+        a_ub, b_ub = system.rows(bits)
+        return _simplex.solve([0] * system.n, a_ub, b_ub, [], [], system.n, scale=system.scale)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_report_max_verdicts_match_the_full_lp(self, k):
+        counts = {"spine refuted": 0, "spine feasible": 0}
+        for alpha, p, phi in self.GRID:
+            params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+            for policy in _family_policies(params, "report-max"):
+                _, system = search._policy_system(params, policy, Reporting.MAX)
+                spine = set(system._spine)
+                assert spine == {c for (_, s), c in system.var_index.items() if Score.A not in s}
+                # the columns off the spine net to 0 in both label rows
+                assert all(not v for _, (row, _) in system._label_rows
+                           for c, v in enumerate(row) if c not in spine)
+                want = self.full_lp(system, policy.bits)
+                x = system.feasible(policy.bits)
+                assert x == (want.x if want.status == _simplex.OPTIMAL else None)
+                assert system.refutes(policy.bits) == (want.status == _simplex.INFEASIBLE)
+                if not (system.refuses(policy.bits) or system._at_origin(policy.bits)):
+                    counts["spine refuted" if x is None else "spine feasible"] += 1
+        if k >= 3:
+            assert min(counts.values()) > 0, counts
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_report_max_intervals_match_the_reference(self, k):
+        """Every node's interval, over the grid at k <= 3 and at the deep
+        points from k = 4 on; from k = 5 on, where one whole-tree reference
+        takes up to seconds, only every spine node and every twentieth free
+        node (every sixtieth at k = 7)."""
+        compared = off_spine = 0
+        for alpha, p, phi in self.GRID if k <= 3 else self.DEEP:
+            params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+            for policy in _family_policies(params, "report-max"):
+                got = free_stop_intervals(params, policy, Reporting.MAX)
+                _, system = search._policy_system(params, policy, Reporting.MAX)
+                if k > 4 and self.full_lp(system, policy.bits).status == _simplex.INFEASIBLE:
+                    assert got == {}
+                    continue
+                keys = None
+                if k > 4:
+                    keys = {key for i, (key, c) in enumerate(system.var_index.items())
+                            if c in system._spine or i % (20 if k < 7 else 60) == 0}
+                want = reference_free_stop_intervals(params, policy, Reporting.MAX, keys)
+                if keys is not None:
+                    got = {key: v for key, v in got.items() if key in keys}
+                assert list(got.items()) == list(want.items()), (k, alpha, p, phi, policy.bits)
+                compared += len(got)
+                off_spine += sum(Score.A in s for _, s in got)
+        assert (compared > 0 and off_spine > 0) or k == 1  # no history is free at k=1
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_report_all_intervals_match_the_reference(self, monkeypatch, k):
+        """Every report-all census witness (k <= 3) and every report-all
+        family policy, solved one first-score subtree at a time on the
+        templates of the census."""
+        template, keys = search._template, []
+        monkeypatch.setattr(search, "_template", lambda *key: keys.append(key) or template(*key))
+        compared = 0
+        for alpha, p, phi in self.GRID if k <= 3 else self.DEEP[:3]:
+            params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+            policies = [policy for scope in SCOPES[2:] for policy in _family_policies(params, scope)]
+            if k <= EXHAUSTIVE_MAX_K:
+                keys.clear()
+                census = enumerate_outcomes(params, "report-all").classes
+                census_keys = set(keys)
+                keys.clear()
+                for cls in census:
+                    free_stop_intervals(params, cls.witness.policy)
+                assert keys and set(keys) <= census_keys
+                policies += [cls.witness.policy for cls in census]
+            for policy in policies:
+                got = free_stop_intervals(params, policy)
+                assert list(got.items()) == list(reference_free_stop_intervals(params, policy).items())
+                compared += len(got)
+        assert compared > 0 or k == 1
+
+    def test_k8_report_max_builds_dense_rows_for_feasible_lps_only(self, monkeypatch):
+        """The spine decides every report-max LP with a negative rhs at k=8, so
+        the dense rows of the whole tree are built only for a feasible LP's
+        vertex, and never for intervals."""
+        rows, refuted = _FlowSystem.rows, []
+
+        def checked(system, bits):
+            a_ub, b_ub = rows(system, bits)
+            solved = _simplex.solve([0] * system.n, a_ub, b_ub, [], [], system.n, scale=system.scale)
+            if solved.status == _simplex.INFEASIBLE:
+                raise AssertionError("dense rows were built for an infeasible LP")
+            return a_ub, b_ub
+
+        def refusing(system, bits):
+            raise AssertionError("dense rows were built for intervals")
+
+        refutes = _FlowSystem.refutes
+
+        def recording(system, bits):
+            verdict = refutes(system, bits)
+            if verdict and not (system.refuses(bits) or system._at_origin(bits)):
+                refuted.append(bits)
+            return verdict
+
+        monkeypatch.setattr(_FlowSystem, "refutes", recording)
+        for alpha, p, phi in [("0.8", "0.5", "0.5"), ("0.7", "0.45", "0.1"), ("1", "0.4", "0.5")]:
+            params = ModelParams(p=p, alpha=alpha, phi=phi, k=8)
+            monkeypatch.setattr(_FlowSystem, "rows", checked)
+            classes = enumerate_outcomes(params, "report-max").classes
+            assert classes and all(c.verified for c in classes)
+            monkeypatch.setattr(_FlowSystem, "rows", refusing)
+            for cls in classes:
+                assert free_stop_intervals(params, cls.witness.policy, Reporting.MAX)
+        assert refuted  # LPs with a negative rhs that the spine refuted
 
 
 class TestGroupedCensus:
@@ -1207,16 +1340,31 @@ class TestLazyRows:
         assert built == [] and kernel == []
 
 
+def reference_admit(params, policy):
+    """Admission probability per positive-mass cohort, in Fractions from the
+    policy's best-response values: Category 1 is admitted on its accepted
+    first scores, Category 2 at its optimal value after each first score."""
+    values = best_response(params, policy).values
+    admit = {}
+    for cohort in (c for c in (C1H, C1L, C2H, C2L) if params.cohort_mass[c] > 0):
+        t = cohort.type_
+        if cohort.category is Category.CAT1:
+            admit[cohort] = sum((params.emit(t, s) for s in Score if policy.accepts((s,))), Fraction(0))
+        else:
+            admit[cohort] = sum((params.emit(t, s) * values[(t, (s,))] for s in Score), Fraction(0))
+    return admit
+
+
 def reference_policy_lists(params):
     """Each report-all class's policies as one list, keyed by outcome: every
     product of an A-group and a B-group pattern, block after block, with
     one AdmissionPolicy per product."""
     a_groups, b_groups = (search._solve_subtrees(params, first).values() for first in Score)
     lists = {}
-    for a_bits, a_values, _ in a_groups:
-        for b_bits, b_values, _ in b_groups:
+    for a_bits, _, _ in a_groups:
+        for b_bits, _, _ in b_groups:
             policies = [AdmissionPolicy(params.k, a | b) for a in a_bits for b in b_bits]
-            admit = search._admit(params, policies[0].bits, {**a_values, **b_values})
+            admit = reference_admit(params, policies[0])
             lists.setdefault(admission_key(admit), []).extend(policies)
     return lists
 
