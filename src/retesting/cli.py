@@ -40,6 +40,7 @@ from .model import Category, ModelParams, StudentStrategy, all_sequences, seq_st
 from .search import (
     SCOPES,
     SCOPE_REPORT_ALL,
+    _reused_intervals,
     enumerate_outcomes,
     free_stop_intervals,
     verify_equilibrium,
@@ -61,8 +62,8 @@ MAX_SWEEP_POINTS = 20_000
 # Largest k accepted: the constructors and tables enumerate all 2^k histories.
 MAX_K = 10
 # Largest k of enumerate with free-stop intervals: one LP per reach column of
-# the free nodes, over all 2^k histories, took 4 s at k=6 on a family scope
-# (report-all:b-then-a-run, 2-vCPU host).
+# the free nodes, each first-score subtree solved once per command, took about
+# 1 s at k=6 on a family scope (report-all:b-then-a-run, 2-vCPU host).
 MAX_INTERVAL_K = 6
 # Most students simulate draws. Memory does not grow with n (students are drawn
 # in fixed-size blocks), so this bounds run time: about 0.5 s at k=3 on a
@@ -357,24 +358,25 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     params = ModelParams(p=args.p, alpha=args.alpha, phi=args.phi, k=args.k)
     enumeration = enumerate_outcomes(params, args.scope)
     classes_payload = []
-    for cls in enumeration.classes:
-        witness = cls.witness
-        entry = {
-            "label": cls.label,
-            "admit_prob": {str(c): float(v) for c, v in cls.admit_prob.items()},
-            "witness_accepts": sorted(seq_str(s) for s in all_sequences(args.k) if witness.policy.accepts(s)),
-            "supporting_policies": len(cls.policies),
-            "verified": cls.verified,
-        }
-        if args.intervals:
-            intervals = free_stop_intervals(params, witness.policy, witness.reporting)
-            entry["free_stop_intervals"] = {
-                f"{t.value} after {seq_str(h)}": [float(lo), float(hi)]
-                for (t, h), (lo, hi) in sorted(
-                    intervals.items(), key=lambda kv: (kv[0][0].value, seq_str(kv[0][1]))
-                )
+    with _reused_intervals():  # witnesses that share a subtree pattern share its ranges
+        for cls in enumeration.classes:
+            witness = cls.witness
+            entry = {
+                "label": cls.label,
+                "admit_prob": {str(c): float(v) for c, v in cls.admit_prob.items()},
+                "witness_accepts": sorted(seq_str(s) for s in all_sequences(args.k) if witness.policy.accepts(s)),
+                "supporting_policies": len(cls.policies),
+                "verified": cls.verified,
             }
-        classes_payload.append(entry)
+            if args.intervals:
+                intervals = free_stop_intervals(params, witness.policy, witness.reporting)
+                entry["free_stop_intervals"] = {
+                    f"{t.value} after {seq_str(h)}": [float(lo), float(hi)]
+                    for (t, h), (lo, hi) in sorted(
+                        intervals.items(), key=lambda kv: (kv[0][0].value, seq_str(kv[0][1]))
+                    )
+                }
+            classes_payload.append(entry)
 
     if args.format == "json":
         payload = {

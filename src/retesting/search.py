@@ -57,9 +57,16 @@ subtrees never share a bit and a whole-tree code is their bitwise or.
 The verifier orders each positive-mass report's posterior against 1/2 by
 its High and Low masses, and builds the posterior only to name a violation.
 
-The report-all census groups subtree policies by best-response rule code,
-one flow system each, and decides each rule code and label signs, which fix
-the rows, once: the simplex returns the same vertex for equal rows. Subtree
+The report-all census reads what depends on alpha alone from one cached plan
+per (alpha, k, first score) (:func:`_census_plan`): each accept pattern's
+rule code and admission odds, and each rule code's template with its label
+rows under int ids, from a code book per subtree that every alpha shares
+(:func:`_code_book`). Per point it does only the point's work:
+one layout, each row's sign once, four label masks and one flow system per
+rule code, and one decision per rule code and label signs, which fix the
+rows: the simplex returns the same vertex for equal rows. One policy's best
+response is cached per (alpha, k, first score, subtree accept pattern), for
+the report-max families, the verifier and the intervals. Subtree
 policies with equal integer admission odds form a group, whose witness stops
 come from its first policy; one class builder takes blocks of one-outcome
 policies from every scope, keyed by integer admission numerators that sum
@@ -75,6 +82,7 @@ decision only the system's own rows over the spine columns.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -141,7 +149,8 @@ def best_response(params: ModelParams, policy: AdmissionPolicy) -> BestResponseS
 
     Decisions after a first score never look at the other first score, so
     each first-score subtree runs :func:`_induction` for the policy's one
-    accept pattern; the two rule codes hold disjoint node bits, so the whole
+    accept pattern there, once per cached :func:`_subtree_response`; the
+    two rule codes hold disjoint node bits, so the whole
     tree's is their bitwise or. A policy of another k is refused.
     """
     code, values = 0, {}
@@ -153,15 +162,22 @@ def best_response(params: ModelParams, policy: AdmissionPolicy) -> BestResponseS
 
 def _subtree_responses(params: ModelParams, policy: AdmissionPolicy) -> list[tuple[Score, int, int, int]]:
     """(first score, High and Low value numerators, rule code) of each
-    first-score subtree under the policy's accept pattern, from the
-    :func:`_induction` entry at its root. A policy of another k is refused."""
+    first-score subtree under the policy's accept pattern, read from
+    :func:`_subtree_response` by the subtree's own accept bits, so that
+    policies which share a subtree pattern share its induction. A policy of
+    another k is refused."""
     if policy.k != params.k:
         raise MalformedProfile(f"a policy of k={policy.k} does not fit k={params.k}")
-    responses = []
-    for first in Score:
-        ((_, high, low, code),) = _induction(params.alpha, params.k, first, policy.bits)[0]
-        responses.append((first, high, low, code))
-    return responses
+    return [(first, *_subtree_response(params.alpha, params.k, first, policy.bits & _subtree_mask(first, params.k)))
+            for first in Score]
+
+
+@lru_cache(maxsize=256)  # a k=3 census point reads about 10; the report-max policies' 8 repeat per alpha
+def _subtree_response(alpha: Fraction, k: int, first: Score, bits: int) -> tuple[int, int, int]:
+    """(High and Low value numerators, rule code) of the first-score subtree
+    under its accept ``bits``, from the :func:`_induction` entry at its root."""
+    ((_, high, low, code),) = _induction(alpha, k, first, bits)[0]
+    return high, low, code
 
 
 def _first_values(params: ModelParams, first: Score, high: int, low: int) -> dict:
@@ -175,6 +191,12 @@ def _subtree(first: Score, k: int) -> tuple[ScoreSeq, ...]:
     """The sequences of length 1..k that start with ``first``, in node order:
     the j-th has children 2j+1 (A) and 2j+2 (B)."""
     return tuple(s for s in all_sequences(k) if s[0] is first)
+
+
+@lru_cache(maxsize=32)
+def _subtree_mask(first: Score, k: int) -> int:
+    """The node bits of :func:`_subtree`: a policy's accept bits there are its subtree pattern."""
+    return sum(1 << node(s) for s in _subtree(first, k))
 
 
 def _rule_of(code: int, type_: StudentType, history: ScoreSeq) -> int:
@@ -382,18 +404,19 @@ class _Layout(NamedTuple):
 def _layout(params: ModelParams, seqs: tuple[ScoreSeq, ...], reporting: Reporting) -> _Layout:
     """The :class:`_Layout` of the tree ``seqs`` at one point."""
     shape = _shape(seqs, reporting)
-    den, den_pphi = params.alpha.denominator ** params.k, params.p.denominator * params.phi.denominator
+    (n, d), (p, q), (f, g) = (x.as_integer_ratio() for x in (params.alpha, params.p, params.phi))
+    den, den_pphi = d ** params.k, q * g
     values = [den_pphi * den]
     cat1 = [0] * len(seqs)
     for t, sign in zip(_TYPES, (1, -1)):
-        share = params.p if t is StudentType.HIGH else params.p_bar
-        emit = {a: int(params.emit(t, a) * den) for a in Score}  # over den
+        share, hit = (p, n) if t is StudentType.HIGH else (q - p, d - n)  # over den(p), and P(A) over d
+        emit = {Score.A: hit * den // d, Score.B: (d - hit) * den // d}  # over den
         masses: list[tuple[int, ...]] = []
         for i, (s, j) in enumerate(zip(seqs, shape.parents)):
             e = emit[s[-1]]
-            if j < 0:
-                masses.append((int(params.phi_bar * share * den_pphi) * e,))
-                cat1[i] += sign * int(params.phi * share * den_pphi) * e
+            if j < 0:  # Category 2 and Category 1 mass over den_pphi, times the emission
+                masses.append(((g - f) * share * e,))
+                cat1[i] += sign * f * share * e
             else:  # one more emission on the path from every ancestor, and the parent's unit
                 masses.append((*(m * e // den for m in masses[j]), den_pphi * e))
             values += masses[-1]
@@ -466,6 +489,30 @@ def _template(seqs: tuple[ScoreSeq, ...], reporting: Reporting, k: int, code: in
     return _Template(histories, var_index, reach, tuple(label_rows), roots, spine)
 
 
+def _row_sign(values: tuple[int, ...], row: _Row) -> tuple[int, bool]:
+    """A label row's constant b at a layout's ``values``, and whether a
+    variable enters it: a column's indices sum to its entry."""
+    const, cols = row
+    return -sum(map(values.__getitem__, const)), any([sum(map(values.__getitem__, js)) for _, js in cols])
+
+
+def _label_masks(labels: Iterable[tuple[int, tuple[int, bool]]]) -> tuple[int, int, int, int]:
+    """The label accept bits with b > 0, with b < 0, of a row other than
+    0 <= 0, and with b nonzero and no variable (forced), from each label's
+    (mask, :func:`_row_sign`)."""
+    pos = neg = signed = forced = 0
+    for mask, (b, varies) in labels:
+        if b > 0:
+            pos |= mask
+        elif b < 0:
+            neg |= mask
+        if b or varies:  # a row other than 0 <= 0: its sign changes the LP
+            signed |= mask
+        if b and not varies:
+            forced |= mask
+    return pos, neg, signed, forced
+
+
 class _FlowSystem:
     """Linear feasibility system over free continue masses within a scope.
 
@@ -499,9 +546,14 @@ class _FlowSystem:
     """
 
     def __init__(self, params: ModelParams, code: int, sequences: Iterable[ScoreSeq], reporting: Reporting,
-                 layout: Optional[_Layout] = None):
+                 layout: Optional[_Layout] = None, template: Optional[_Template] = None,
+                 masks: Optional[tuple[int, int, int, int]] = None):
+        """The system of the tree ``sequences`` under the rule ``code``, on
+        the tree's ``layout`` and ``template`` (cached ones when not given)
+        and with its four label ``masks`` when a census plan has read them
+        (see :func:`_label_masks`)."""
         seqs = tuple(sequences)
-        self._template = template = _template(seqs, reporting, params.k, code)
+        self._template = template = template or _template(seqs, reporting, params.k, code)
         values, signs = layout or _layout(params, seqs, reporting)
         self._values = values
         self.code = code
@@ -509,25 +561,12 @@ class _FlowSystem:
         self.histories = template.histories
         self.var_index = template.var_index
         self.n = len(template.var_index)
-        get = values.__getitem__
-        pos = neg = signed = forced = 0
-        for mask, row in template.label_rows:
-            sign = signs.get(row)
-            if sign is None:  # a column's indices sum to its entry
-                const, cols = row
-                sign = signs[row] = (-sum(map(get, const)), any([sum(map(get, js)) for _, js in cols]))
-            b, varies = sign
-            if b > 0:
-                pos |= mask
-            elif b < 0:
-                neg |= mask
-            if b or varies:  # a row other than 0 <= 0: its sign changes the LP
-                signed |= mask
-            if b and not varies:
-                forced |= mask
-        self._pos, self._neg, self._signed, self._forced = pos, neg, signed, forced
+        if masks is None:
+            masks = _label_masks((mask, signs.get(row) or signs.setdefault(row, _row_sign(values, row)))
+                                 for mask, row in template.label_rows)
+        self._pos, self._neg, self._signed, self._forced = masks
         self._alpha, self._k = params.alpha, params.k
-        self._roots = tuple((lab, get(high), get(low), get(cat1)) for lab, high, low, cat1 in template.roots)
+        self._roots = tuple((lab, values[high], values[low], values[cat1]) for lab, high, low, cat1 in template.roots)
         self._spine = template.spine
 
     @cached_property
@@ -1019,23 +1058,92 @@ def _census(
     return Enumeration(params, scope, is_boundary(params), considered, classes_in_order)
 
 
+# A rule code's template, and per label (mask of the label's accept bit, id
+# of the label's row in its subtree's :func:`_code_book`).
+_Coded = tuple[_Template, tuple[tuple[int, int], ...]]
+
+
+class _CodeBook(NamedTuple):
+    """The rule codes of one first-score subtree met so far, at any alpha,
+    and the distinct label rows of their templates, whose ids count up in
+    insertion order."""
+
+    ids: dict[_Row, int]
+    codes: dict[int, _Coded]
+
+
+@lru_cache(maxsize=8)  # one per (k, first score) up to EXHAUSTIVE_MAX_K
+def _code_book(k: int, first: Score) -> _CodeBook:
+    """The :class:`_CodeBook` of one first-score subtree, filled by
+    :func:`_coded`. A template depends on no alpha, so a new alpha finds
+    most of its rule codes here; a k=3 subtree has at most 9^3 rule codes
+    (134 at the alphas j/100, 127 of them at alpha 1)."""
+    return _CodeBook({}, {})
+
+
+def _coded(k: int, first: Score, code: int) -> _Coded:
+    """The template of a subtree rule code with its label rows' ids, from
+    the subtree's code book, built into it once."""
+    ids, codes = _code_book(k, first)
+    if code not in codes:
+        template = _template(_subtree(first, k), Reporting.ALL, k, code)
+        codes[code] = (template, tuple((mask, ids.setdefault(row, len(ids))) for mask, row in template.label_rows))
+    return codes[code]
+
+
+class _CensusPlan(NamedTuple):
+    """What the census of one first-score subtree reads at every point of
+    one (alpha, k): each accept pattern's rule code and odds, each rule
+    code's template and label row ids, and those rows."""
+
+    rows: tuple[tuple[int, _Row], ...]  # (id, row) of each label row the codes read
+    codes: dict[int, _Coded]  # in order of first occurrence
+    # per accept pattern, in ascending bits: (bits, rule code, odds), the
+    # odds being (accepts the first score, High and Low values after it)
+    entries: tuple[tuple[int, int, tuple[int, int, int]], ...]
+
+
+@lru_cache(maxsize=32)  # two plans per (alpha, k): 16 alphas, as for the cones
+def _census_plan(alpha: Fraction, k: int, first: Score) -> _CensusPlan:
+    """The :class:`_CensusPlan` of one first-score subtree, from the
+    :func:`_subtree_induction` table, which refuses k above
+    ``EXHAUSTIVE_MAX_K``, and the subtree's :func:`_code_book`."""
+    root = node((first,))
+    codes: dict[int, _Coded] = {}
+    entries = []
+    for bits, high, low, code in _subtree_induction(alpha, k, first):
+        if code not in codes:
+            codes[code] = _coded(k, first, code)
+        entries.append((bits, code, (bits >> root & 1, high, low)))
+    rows = list(_code_book(k, first).ids)
+    used = sorted({row_id for _, labels in codes.values() for _, row_id in labels})
+    return _CensusPlan(tuple((row_id, rows[row_id]) for row_id in used), codes, tuple(entries))
+
+
 def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list, tuple[int, ...], dict]]:
     """The consistent accept patterns of one first-score subtree, grouped by
     integer admission odds (accepts the first score, values after it) in
     order of first occurrence: (accept patterns, :func:`_admit_terms`, stops of the
-    first pattern). One flow system per best-response rule code, and one
-    :meth:`_FlowSystem.feasible` per (code, signs), which fix the rows.
+    first pattern).
+
+    Everything that depends on alpha alone comes from the subtree's cached
+    :func:`_census_plan`. Per point: one layout, the sign of each of the
+    plan's label rows, four label masks and a flow system per rule code, and
+    one :meth:`_FlowSystem.feasible` per (code, signs), which fix the rows.
     """
     seqs = _subtree(first, params.k)
+    plan = _census_plan(params.alpha, params.k, first)
     layout = _layout(params, seqs, Reporting.ALL)
-    root = node((first,))
-    systems: dict[int, _FlowSystem] = {}
+    signs = {row_id: _row_sign(layout.values, row) for row_id, row in plan.rows}
+    systems = {
+        code: _FlowSystem(params, code, seqs, Reporting.ALL, layout, template,
+                          _label_masks((mask, signs[row]) for mask, row in labels))
+        for code, (template, labels) in plan.codes.items()
+    }
     points: dict[tuple[int, int], Optional[list[Fraction]]] = {}  # (rule code, signs) -> point
     groups: dict[tuple, tuple[list, tuple[int, ...], dict]] = {}
-    for bits, high, low, code in _subtree_induction(params.alpha, params.k, first):
-        system = systems.get(code)
-        if system is None:
-            system = systems[code] = _FlowSystem(params, code, seqs, Reporting.ALL, layout)
+    for bits, code, odds in plan.entries:
+        system = systems[code]
         # equal code and signs mean equal rows, hence the same vertex
         key = (code, system.signs(bits))
         if key not in points:
@@ -1043,7 +1151,6 @@ def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list
         x = points[key]
         if x is None:
             continue
-        odds = (bits >> root & 1, high, low)
         if odds not in groups:
             groups[odds] = ([], _admit_terms(params, first, *odds), system.stops_from_point(x))
         groups[odds][0].append(bits)
@@ -1060,7 +1167,7 @@ def _enumerate_report_all(params: ModelParams) -> Enumeration:
         for b_bits, b_terms, b_stops in b_groups
     )
     considered = (1 << (2**params.k - 1)) ** 2
-    mask = sum(1 << node(s) for s in _subtree(Score.A, params.k))
+    mask = _subtree_mask(Score.A, params.k)
     return _census(params, SCOPE_REPORT_ALL, considered, Reporting.ALL, mask, blocks)
 
 
@@ -1144,24 +1251,54 @@ def free_stop_intervals(
     :meth:`_FlowSystem.stop_ranges`. Under report-all the rows are
     block-diagonal by first score: the depth-one roots share no variable and
     every label is one sequence. So each first-score subtree gets its own
-    system, on the census's cached layout and template, and any point of one
-    subtree's polytope goes with any point of the other's. Under report-max
-    the ranges of the all-B spine come from the spine columns alone, and
-    every other reached free node can stop with any probability. A policy
-    with no equilibrium, which :meth:`_FlowSystem.refutes` decides, gives an
-    empty result. Keys are in the order of the whole tree's ``var_index``:
-    node order, High first.
+    system, on the census's cached layout and, up to ``EXHAUSTIVE_MAX_K``,
+    the template in its :func:`_code_book`; any point of one subtree's
+    polytope goes with any point of the other's. Inside
+    :func:`_reused_intervals` a subtree's ranges are solved once per
+    (first score, rule code, subtree accept bits). Under report-max the
+    ranges of the all-B spine come from the spine columns alone, and every
+    other reached free node can stop with any probability. A policy with no
+    equilibrium, which :meth:`_FlowSystem.refutes` decides, gives an empty
+    result. Keys are in the order of the whole tree's ``var_index``: node
+    order, High first.
     """
+    k = params.k
     if reporting is Reporting.MAX:
         _, system = _policy_system(params, policy, reporting)
-        systems = [system]
+        systems = {(params, reporting, system.code, policy.bits): system}
     else:
-        systems = [_FlowSystem(params, code, _subtree(first, params.k), reporting)
-                   for first, _, _, code in _subtree_responses(params, policy)]
-    if any(system.refutes(policy.bits) for system in systems):
+        systems = {}
+        for first, _, _, code in _subtree_responses(params, policy):
+            template = _coded(k, first, code)[0] if k <= EXHAUSTIVE_MAX_K else None
+            key = (params, first, code, policy.bits & _subtree_mask(first, k))
+            systems[key] = _FlowSystem(params, code, _subtree(first, k), reporting, template=template)
+    if any(system.refutes(policy.bits) for system in systems.values()):
         return {}
+    solved = {} if _solved is None else _solved
     ends = {}
-    for system in systems:
-        ends.update(system.stop_ranges(policy.bits))
-    keys = ((t, h) for h in all_sequences(params.k - 1) for t in _TYPES)
+    for key, system in systems.items():
+        if key not in solved:
+            solved[key] = system.stop_ranges(policy.bits)
+        ends.update(solved[key])
+    keys = ((t, h) for h in all_sequences(k - 1) for t in _TYPES)
     return {key: ends[key] for key in keys if key in ends}
+
+
+# The ranges solved inside :func:`_reused_intervals`, by (params, first
+# score or reporting, rule code, accept bits of the subtree or whole tree);
+# None outside it.
+_solved: Optional[dict[tuple, dict]] = None
+
+
+@contextmanager
+def _reused_intervals() -> Iterator[None]:
+    """Within the block, :func:`free_stop_intervals` solves each system's
+    ranges once: the witnesses of one enumeration often share a first-score
+    subtree's pattern. The reuse ends with the block, so the LPs that a call
+    makes never depend on the calls before it."""
+    global _solved
+    _solved = {}
+    try:
+        yield
+    finally:
+        _solved = None

@@ -38,7 +38,11 @@ CACHES = {
     "model.node_index": model.node_index,
     "metrics._error_rates": _error_rates,
     "search._subtree": search._subtree,
+    "search._subtree_mask": search._subtree_mask,
     "search._subtree_induction": search._subtree_induction,
+    "search._subtree_response": search._subtree_response,
+    "search._code_book": search._code_book,
+    "search._census_plan": search._census_plan,
     "search._shape": search._shape,
     "search._layout": search._layout,
     "search._template": search._template,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from retesting import (
     seq,
     verify_equilibrium,
 )
-from retesting import _simplex
+from retesting import _simplex, cli
 from retesting.cli import MAX_K
 from retesting.model import admission_key
 from retesting.equilibria import EquilibriumProfile
@@ -335,11 +336,14 @@ class TestEveryPatternInduction:
     def test_cold_census_builds_one_table_per_first_score(self):
         params = ModelParams(p=Fraction(9, 20), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
         _subtree_induction.cache_clear()
+        search._census_plan.cache_clear()
         enumerate_outcomes(params, "report-all")
         info = _subtree_induction.cache_info()
         assert (info.misses, info.currsize) == (2, 2)
         enumerate_outcomes(params, "report-all")
+        # the repeat reads the two cached plans, which hold the tables
         assert _subtree_induction.cache_info().misses == 2
+        assert search._census_plan.cache_info()[:2] == (2, 2)  # (hits, misses)
 
     @pytest.mark.parametrize("k", range(1, MAX_K + 1))
     def test_subtree_node_order(self, k):
@@ -707,6 +711,24 @@ class TestFreeIntervals:
                 assert len(sizes) > 1
         assert empty == 4
 
+    @pytest.mark.parametrize("k, scope", [(3, "report-all"), (4, "report-all:b-then-a-run")])
+    def test_one_enumerate_solves_each_subtree_once(self, monkeypatch, capsys, k, scope):
+        """Class witnesses that share a first-score subtree's pattern share
+        its ranges within one enumerate command, which prints what one
+        solve per witness prints; the reuse ends with the command."""
+        argv = ["enumerate", "--alpha", "0.8", "--p", "0.5", "--phi", "0.5", "--k", str(k),
+                "--scope", scope, "--intervals", "--format", "json"]
+        stop_ranges, calls = _FlowSystem.stop_ranges, []
+        monkeypatch.setattr(_FlowSystem, "stop_ranges", lambda system, bits: calls.append(bits) or stop_ranges(system, bits))
+        assert cli.main(argv) == 0
+        shared, solved = capsys.readouterr().out, len(calls)
+        assert search._solved is None
+        monkeypatch.setattr(cli, "_reused_intervals", contextlib.nullcontext)
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == shared
+        assert (solved, len(calls)) == (4, 6)  # 3 witnesses, 2 subtrees each, 4 distinct
+
     def test_reject_all_bounds_exact(self):
         params = ModelParams(p=0.25, alpha=0.8, phi=0.5, k=2)
         intervals = free_stop_intervals(
@@ -827,7 +849,8 @@ class TestSmallerLPs:
     def test_report_all_intervals_match_the_reference(self, monkeypatch, k):
         """Every report-all census witness (k <= 3) and every report-all
         family policy, solved one first-score subtree at a time on the
-        templates of the census."""
+        templates of the census, which its plans hold: the witnesses'
+        intervals read no template from the template cache."""
         template, keys = search._template, []
         monkeypatch.setattr(search, "_template", lambda *key: keys.append(key) or template(*key))
         compared = 0
@@ -835,13 +858,11 @@ class TestSmallerLPs:
             params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
             policies = [policy for scope in SCOPES[2:] for policy in _family_policies(params, scope)]
             if k <= EXHAUSTIVE_MAX_K:
-                keys.clear()
                 census = enumerate_outcomes(params, "report-all").classes
-                census_keys = set(keys)
                 keys.clear()
                 for cls in census:
                     free_stop_intervals(params, cls.witness.policy)
-                assert keys and set(keys) <= census_keys
+                assert keys == []
                 policies += [cls.witness.policy for cls in census]
             for policy in policies:
                 got = free_stop_intervals(params, policy)
@@ -975,6 +996,132 @@ class TestGroupedCensus:
         calls.clear()
         assert enumerate_outcomes(params, "report-all").classes
         assert len(calls) == groups
+
+
+def per_pattern_groups(params, first):
+    """The groups of :func:`search._solve_subtrees` with no plan: one flow
+    system from the cached template and one solve per accept pattern, in
+    ascending bits."""
+    seqs, root = _subtree(first, params.k), node((first,))
+    groups = {}
+    for bits, high, low, code in _subtree_induction(params.alpha, params.k, first):
+        system = _FlowSystem(params, code, seqs, Reporting.ALL)
+        x = system.feasible(bits)
+        if x is not None:
+            odds = (bits >> root & 1, high, low)
+            if odds not in groups:
+                groups[odds] = ([], search._admit_terms(params, first, *odds), system.stops_from_point(x))
+            groups[odds][0].append(bits)
+    return groups
+
+
+class TestCensusPlan:
+    """The census reads what depends on alpha alone from one cached plan per
+    (alpha, k, first score), and best responses from a cache per subtree
+    accept pattern; it must find what a census with one flow system and one
+    solve per pattern finds, also at phi 0 and 1 and at alpha 1."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", ["0.6", "0.8", "1"])
+    @pytest.mark.parametrize("phi", ["0", "0.5", "1"])
+    def test_matches_a_per_pattern_census(self, k, alpha, phi):
+        for p in ("0.2", "0.5", "0.7"):
+            params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+            groups = [per_pattern_groups(params, first) for first in Score]
+            for first, want in zip(Score, groups):
+                got = search._solve_subtrees(params, first)
+                assert list(got.items()) == list(want.items()), (first, p)
+            blocks = ((a_bits, b_bits, tuple(map(sum, zip(a_terms, b_terms))), (a_stops, b_stops))
+                      for a_bits, a_terms, a_stops in groups[0].values()
+                      for b_bits, b_terms, b_stops in groups[1].values())
+            want = search._census(params, "report-all", 4 ** (2**k - 1), Reporting.ALL,
+                                  search._subtree_mask(Score.A, k), blocks).classes
+            got = enumerate_outcomes(params, "report-all").classes
+            assert [(c.key(), c.label, c.verified) for c in got] == [(c.key(), c.label, c.verified) for c in want]
+            for mine, theirs in zip(got, want):
+                assert mine.witness == theirs.witness
+                assert list(mine.policies) == list(theirs.policies)
+
+    @pytest.mark.parametrize("alpha", [Fraction(3, 5), Fraction(4, 5), Fraction(1)])
+    def test_plan_holds_the_templates_and_rows_of_its_rule_codes(self, alpha):
+        for k in (1, 2, 3):
+            for first in Score:
+                seqs, plan = _subtree(first, k), search._census_plan(alpha, k, first)
+                table = _subtree_induction(alpha, k, first)
+                assert [(bits, code) for bits, code, _ in plan.entries] == [(bits, code) for bits, *_, code in table]
+                assert list(plan.codes) == list(dict.fromkeys(code for *_, code in table))
+                rows = dict(plan.rows)
+                assert len(set(rows.values())) == len(rows) == len(plan.rows)
+                assert set(rows) == {row for _, labels in plan.codes.values() for _, row in labels}
+                for code, (template, labels) in plan.codes.items():
+                    assert template == search._template.__wrapped__(seqs, Reporting.ALL, k, code)
+                    assert [(mask, rows[row]) for mask, row in labels] == list(template.label_rows)
+                    # one template per rule code, whatever the alpha
+                    assert search._coded(k, first, code)[0] is template
+
+    def test_code_book_is_shared_by_every_alpha(self):
+        """Templates depend on no alpha, so the plans of alphas below 1 find
+        their rule codes in the code book that the first one filled."""
+        search._code_book.cache_clear()
+        search._census_plan.cache_clear()
+        info = search._template.cache_info()
+        search._census_plan(Fraction(3, 5), 3, Score.A)
+        first_codes = search._template.cache_info().hits + search._template.cache_info().misses
+        first_codes -= info.hits + info.misses
+        book = search._code_book(3, Score.A)
+        assert first_codes == len(book.codes) > 0 and sorted(book.ids.values()) == list(range(len(book.ids)))
+        before = search._template.cache_info()
+        for alpha in (Fraction(13, 20), Fraction(7, 10), Fraction(4, 5)):
+            assert set(search._census_plan(alpha, 3, Score.A).codes) <= set(book.codes)
+        assert search._template.cache_info() == before
+
+    def test_responses_match_an_uncached_induction(self):
+        """Every family policy at k 1-10, and every subtree pattern of the
+        census at k <= 3, against :func:`search._induction` on the policy's
+        whole accept bits."""
+        search._subtree_response.cache_clear()
+        scopes = [scope for scope in SCOPES if scope != "report-all"]
+        compared = 0
+        for k in range(1, MAX_K + 1):
+            for alpha in (Fraction(3, 5), Fraction(4, 5), Fraction(1)):
+                params = ModelParams(p=Fraction(1, 2), alpha=alpha, phi=Fraction(1, 2), k=k)
+                policies = [policy for scope in scopes for policy in _family_policies(params, scope)]
+                for policy in policies:
+                    want = [(first, *search._induction(alpha, k, first, policy.bits)[0][0][1:]) for first in Score]
+                    assert search._subtree_responses(params, policy) == want
+                    assert search._subtree_responses(params, policy) == want  # read back from the cache
+                    compared += 1
+                if k <= EXHAUSTIVE_MAX_K:
+                    for first in Score:
+                        for bits, high, low, code in _subtree_induction(alpha, k, first):
+                            assert search._subtree_response(alpha, k, first, bits) == (high, low, code)
+        assert compared > 100
+        info = search._subtree_response.cache_info()
+        assert info.hits > 0 and info.currsize <= info.maxsize
+
+    def test_repeat_census_at_alpha_one_reads_no_template(self):
+        """At alpha 1 a k=3 subtree has 127 rule codes, which the template
+        cache cannot hold beside the other subtree's; the plans hold them,
+        so a repeated census and its witnesses' intervals read none from it."""
+        params = ModelParams(p="0.4", alpha="1", phi="0.5", k=3)
+        assert sum(len(search._census_plan(params.alpha, 3, first).codes) for first in Score) == 254
+        assert search._template.cache_info().maxsize < 254
+        enumerate_outcomes(params, "report-all")
+        before = search._template.cache_info()
+        classes = enumerate_outcomes(params, "report-all").classes
+        intervals = [free_stop_intervals(params, cls.witness.policy) for cls in classes]
+        assert search._template.cache_info() == before
+        assert any(intervals)
+
+    def test_plan_cache_holds_sixteen_alphas(self):
+        search._census_plan.cache_clear()
+        alphas = [Fraction(60 + j, 100) for j in range(17)]
+        for alpha in alphas:
+            enumerate_outcomes(ModelParams(p="0.5", alpha=alpha, phi="0.5", k=3), "report-all")
+        info = search._census_plan.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (34, 32, 32)
+        enumerate_outcomes(ModelParams(p="0.3", alpha=alphas[-1], phi="0", k=3), "report-all")
+        assert search._census_plan.cache_info().hits == info.hits + 2
 
 
 class TestForcedLabelScreen:
