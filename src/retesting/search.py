@@ -19,16 +19,37 @@ dense rows only for the simplex: a label row with no free continue mass
 fixes that label's accept bit, and with no negative rhs the origin is
 feasible, each one mask test on a policy's accept bits.
 
-Under report-all every sequence is its own label, so the rows follow the
-game tree, and an LP with a negative rhs is decided on the tree
-(:func:`_tree_refutes`). The parent states under which a subtree below depth
-one admits a flow are a convex cone in the (High, Low) quadrant that depends
-on the point only through alpha; each is built from its children's cones by
-Fourier-Motzkin over the node's own two continue masses, from at most nine
-rows whatever k, and cached per (alpha, k). At each depth-one node the same
-elimination, with the node's High reach, Low reach and Category 1 mass kept
-symbolic, leaves rows over those three, cached per (alpha, k) as well; the
-system is infeasible iff one is negative at the point's masses.
+Under report-all every sequence is its own label, and a system is feasible
+iff its origin is, the point where every indifferent node stops, so the
+mask test of the origin decides it and no report-all LP reaches the simplex.
+
+Lemma. Take a report-all system whose rule code comes from
+:func:`_induction`, with alpha in (1/2, 1]. If the origin violates a label
+row, the system is infeasible.
+
+Proof, from the flow rows and the induction's rules, with no closed form.
+(i) At an accepted node a type's rule is STOP, or ANY iff its continuation
+is worth the full scale; at a rejected node it is CONTINUE, or ANY iff its
+continuation is worth 0. A continuation is worth the emission-weighted
+values of the children, so every child that the mass enters is worth as
+much, and the mass stops there only if stopping is too: mass of a type that
+continues from one of its ANY nodes s stops only at labels in s's subtree
+that share s's accept bit.
+(ii) For alpha < 1 both emissions are positive, so "worth the full scale"
+and "worth 0" hold for both types alike, and each node has one rule for both
+types. At alpha = 1 each node is reached by one type only: High on all-A
+sequences, Low on all-B ones. (iii) Let the origin violate the row of label
+s: its origin value, the Category 1 mass plus the reach of each type that
+stops there at the origin, is nonzero and of the wrong sign. A type that does
+not reach s has no mass in s's subtree in any flow. A type that reaches s
+has no ANY ancestor: by (ii) every type that reaches s would have one, each
+origin reach there would be 0, and below depth one there is no Category 1
+mass, so the origin value would be 0. The reaches at s are therefore
+constants. If no type that reaches s is ANY there, the row of s reads its
+origin value in every flow. Otherwise, by (i), all mass that reaches s stops
+at labels in its subtree with its accept bit, which no other mass reaches,
+so in every flow their rows sum to cat1 + reach_H - reach_L, the origin
+value. That value has the wrong sign, so one of those rows is violated.
 
 Under report-max there are two labels, and a history that holds an A
 reports into label A whatever follows it, so all mass that enters it stops
@@ -64,7 +85,7 @@ rows under int ids, from a code book per subtree that every alpha shares
 (:func:`_code_book`). Per point it does only the point's work:
 one layout, each row's sign once, four label masks and one flow system per
 rule code, and one decision per rule code and label signs, which fix the
-rows: the simplex returns the same vertex for equal rows. One policy's best
+rows and so the verdict and the point. One policy's best
 response is cached per (alpha, k, first score, subtree accept pattern), for
 the report-max families, the verifier and the intervals. Subtree
 policies with equal integer admission odds form a group, whose witness stops
@@ -74,14 +95,13 @@ one term per group. A class keeps its policies as those blocks, a
 :class:`PolicySet`: a report-all block is the product of an A-group and a
 B-group of accept bits, and no policy is built until one is iterated. No
 closed form from :mod:`retesting.equilibria` is used to prune: the
-forced-label screen reads only the label rows, the tree decision only the
-system's rule code, accept bits, alpha and depth-one masses, and the spine
-decision only the system's own rows over the spine columns.
+forced-label screen and the origin's mask test read only the signs of the
+label rows, and the spine decision only the system's own rows over the spine
+columns.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -438,9 +458,6 @@ class _Template(NamedTuple):
     var_index: dict[tuple[StudentType, ScoreSeq], int]
     reach: dict[tuple[StudentType, ScoreSeq], _Term]  # (var, signed index)
     label_rows: tuple[tuple[int, _Row], ...]  # (mask of the label's accept bit, row)
-    # report-all only: each depth-one label as the indices of (node, High and
-    # Low reach, Category 1 High - Low mass), for the tree decision
-    roots: tuple[tuple[int, int, int, int], ...]
     # report-max only (None under report-all): the free columns on the all-B
     # spine B, BB, ..., in column order, for the spine decision
     spine: Optional[tuple[int, ...]]
@@ -480,13 +497,8 @@ def _template(seqs: tuple[ScoreSeq, ...], reporting: Reporting, k: int, code: in
                     cols.setdefault(var, []).append(sign * j)
         const = tuple(cols.pop(None))
         label_rows.append((1 << lab, (const, tuple([(var, tuple(js)) for var, js in cols.items()]))))
-    roots, spine = (), None
-    if reporting is Reporting.ALL:
-        roots = tuple((lab, shape.reach[0][i], shape.reach[1][i], shape.cat1 + l)
-                      for l, (lab, (i,)) in enumerate(shape.labels) if shape.parents[i] < 0)
-    else:
-        spine = tuple(c for (_, s), c in var_index.items() if Score.A not in s)
-    return _Template(histories, var_index, reach, tuple(label_rows), roots, spine)
+    spine = None if reporting is Reporting.ALL else tuple(c for (_, s), c in var_index.items() if Score.A not in s)
+    return _Template(histories, var_index, reach, tuple(label_rows), spine)
 
 
 def _row_sign(values: tuple[int, ...], row: _Row) -> tuple[int, bool]:
@@ -531,9 +543,10 @@ class _FlowSystem:
     the tree's :class:`_Layout` only each label row's constant b and whether
     a variable enters it, each summed once per layout, and keeps them as
     four masks of label accept bits: b > 0, b < 0, a row other than
-    0 <= 0 (signed), and b nonzero with no variable (forced). It also reads
-    the tree decision's depth-one masses, with no ``Fraction`` arithmetic;
-    dense rows wait until asked for.
+    0 <= 0 (signed), and b nonzero with no variable (forced), with no
+    ``Fraction`` arithmetic; dense rows wait until asked for. Under
+    report-all the masks decide the system: it is feasible iff its origin
+    is, by the lemma of this module's docstring.
 
     Under report-max only the free columns on the all-B spine enter a label
     row: a history that holds an A reports into label A whatever follows, so
@@ -565,8 +578,6 @@ class _FlowSystem:
             masks = _label_masks((mask, signs.get(row) or signs.setdefault(row, _row_sign(values, row)))
                                  for mask, row in template.label_rows)
         self._pos, self._neg, self._signed, self._forced = masks
-        self._alpha, self._k = params.alpha, params.k
-        self._roots = tuple((lab, values[high], values[low], values[cat1]) for lab, high, low, cat1 in template.roots)
         self._spine = template.spine
 
     @cached_property
@@ -650,31 +661,30 @@ class _FlowSystem:
 
     def refutes(self, bits: int) -> bool:
         """Whether the policy's polytope is empty, decided with no dense row
-        over every column: the forced-label screen, then the origin, then
-        :func:`_tree_refutes` under report-all or the simplex on the
-        :meth:`_spine_rows` under report-max. Each step is exact, so for
-        every system built from a template the answer is exact both ways."""
-        if self.refuses(bits):
-            return True
+        over every column: a system whose origin is a point is feasible.
+        Otherwise a report-all system is infeasible, by the lemma of this
+        module's docstring, and a report-max one is refused by the
+        forced-label screen or decided by the simplex on the
+        :meth:`_spine_rows`. For a rule code from the best-response
+        induction the answer is exact both ways; the lemma needs that
+        precondition, which every caller's code meets."""
         if self._at_origin(bits):
             return False
-        if self._roots:
-            return _tree_refutes(self._alpha, self._k, self.code, bits, self._roots)
-        if self._spine is not None:
-            a_ub, b_ub = self._sign_rows(*self._spine_rows, bits)
-            return _simplex.feasible_point(a_ub, b_ub, len(self._spine), scale=self.scale) is None
-        return False
+        if self._spine is None or self.refuses(bits):
+            return True
+        a_ub, b_ub = self._sign_rows(*self._spine_rows, bits)
+        return _simplex.feasible_point(a_ub, b_ub, len(self._spine), scale=self.scale) is None
 
     def feasible(self, bits: int) -> Optional[list[Fraction]]:
         """A point of the policy's polytope, or None.
 
         The one decision path: a policy that :meth:`refutes` is rejected
-        before any dense row over every column is built, whether the
-        forced-label screen, the tree (report-all) or the spine LP
-        (report-max) refutes it. With no negative rhs the origin is a point,
-        the one the simplex would return, and no row is built. Every other
-        point comes from the simplex on :meth:`rows`, since witness stops
-        come from that vertex.
+        before any dense row over every column is built, whether the origin's
+        signs (report-all), the forced-label screen or the spine LP
+        (report-max) refute it. With no negative rhs the origin is a point,
+        the one the simplex would return, and no row is built; under
+        report-all that is every point. Every other point comes from the
+        simplex on :meth:`rows`, since witness stops come from that vertex.
         """
         if self.refutes(bits):
             return None
@@ -757,155 +767,6 @@ class _FlowSystem:
                 else:  # forced, or a free node that no mass reaches
                     stops[(t, h)] = Fraction(0) if rule == CONTINUE else Fraction(1)
         return stops
-
-
-# ---------------------------------------------------------------------------
-# Tree decision of report-all flow systems
-# ---------------------------------------------------------------------------
-#
-# Under report-all every sequence is its own label, so a row couples a node
-# only with its parent: its reach is an emission times the parent's continue
-# mass, and its label row reads its own reach and continue mass. The parent
-# states (High, Low continue masses) under which a child's subtree admits a
-# flow are the projection of the subtree's rows. Below depth one every row
-# is homogeneous and reads the point only through alpha, so that projection
-# is a convex cone in the quadrant. At a depth-one node the point enters
-# only through the node's High and Low reach and Category 1 mass, and never
-# through a coefficient of the node's own continue masses, so its projection
-# is taken once with those three constants symbolic.
-
-# A cone of parent states as its two integer rays, the clockwise one first
-# (equal for a ray), or None for the origin alone.
-_Cone = Optional[tuple[tuple[int, int], tuple[int, int]]]
-
-# A row r over (p0, p1, p2, wH, wL), read as r . (p, w) >= 0: p is the
-# parent state (High, Low, 0) below depth one, or a root's (High reach, Low
-# reach, Category 1 mass); w holds the node's own free continue masses.
-_Vec = tuple[int, int, int, int, int]
-_ZERO: _Vec = (0, 0, 0, 0, 0)
-_FREE: tuple[_Vec, _Vec] = ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
-_ROOT: tuple[tuple[_Vec, _Vec], _Vec] = (((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)), (0, 0, 1, 0, 0))  # reach, Category 1
-
-
-def _lin(a: int, r: _Vec, b: int, s: _Vec) -> _Vec:
-    """a r + b s, divided by its gcd."""
-    out = (a * r[0] + b * s[0], a * r[1] + b * s[1], a * r[2] + b * s[2], a * r[3] + b * s[3], a * r[4] + b * s[4])
-    g = math.gcd(*out)
-    return out if g < 2 else (out[0] // g, out[1] // g, out[2] // g, out[3] // g, out[4] // g)
-
-
-def _project(reach: tuple[_Vec, _Vec], cat1: _Vec, rules: tuple[int, int], accepted: int,
-             kids: Sequence[_Cone]) -> set[_Vec]:
-    """The rows over p alone that one node's subtree admits: its High and
-    Low ``reach`` and Category 1 High - Low mass as rows over (p, w), its
-    ``rules``, its label's accept bit and its children's cones. Fourier-
-    Motzkin eliminates w exactly, so every row left has zeros there."""
-    rows = []
-    cont = []  # the continue mass of each type
-    for r, rule, w in zip(reach, rules, _FREE):
-        if rule == ANY:
-            rows += [w, _lin(1, r, -1, w)]  # 0 <= w <= reach
-        cont.append(w if rule == ANY else r if rule == CONTINUE else _ZERO)
-    z_high, z_low = cont
-    # High - Low stop mass, each type's reach less its continue mass
-    label = tuple(c + rh - zh - rl + zl for c, rh, zh, rl, zl in zip(cat1, reach[0], z_high, reach[1], z_low))
-    rows.append(label if accepted else tuple(-v for v in label))
-    for cone in kids:
-        if cone is None:  # no continue mass at all
-            rows += [tuple(-v for v in z_high), tuple(-v for v in z_low)]
-        else:  # counterclockwise of u and clockwise of v; w >= 0 keeps a ray's half-line
-            (u_high, u_low), (v_high, v_low) = cone
-            rows += [_lin(u_high, z_low, -u_low, z_high), _lin(v_low, z_high, -v_high, z_low)]
-    for col in (3, 4):
-        kept = {r for r in rows if not r[col]}
-        upper = [r for r in rows if r[col] < 0]
-        kept.update(_lin(-q[col], r, r[col], q) for r in rows if r[col] > 0 for q in upper)
-        kept.discard(_ZERO)
-        rows = kept
-    return rows
-
-
-def _clip(rows: Iterable[_Vec]) -> _Cone:
-    """The quadrant cut by every row a . p >= 0 in turn."""
-    (uh, ul), (vh, vl) = (1, 0), (0, 1)
-    for a, b, _, _, _ in rows:
-        fu, fv = a * uh + b * ul, a * vh + b * vl
-        if fu < 0 and fv < 0:
-            return None
-        if fu < 0:  # the new u is where the row's boundary meets the cone
-            uh, ul = fv * uh - fu * vh, fv * ul - fu * vl
-            g = math.gcd(uh, ul)
-            uh, ul = uh // g, ul // g
-        elif fv < 0:
-            vh, vl = fu * vh - fv * uh, fu * vl - fv * ul
-            g = math.gcd(vh, vl)
-            vh, vl = vh // g, vl // g
-    return (uh, ul), (vh, vl)
-
-
-@lru_cache(maxsize=16)  # one dict per (alpha, k): 16 alphas of one k
-def _cone_cache(alpha: Fraction, k: int) -> dict[tuple[int, ...], _Cone]:
-    """The cones built so far at one (alpha, k), each keyed by
-    :func:`_subtree_key`."""
-    return {}
-
-
-@lru_cache(maxsize=16)  # one dict per (alpha, k), as for the cones
-def _root_cache(alpha: Fraction, k: int) -> dict[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
-    """The rows built so far at one (alpha, k) over a depth-one node's High
-    reach, Low reach and Category 1 mass, each keyed by :func:`_subtree_key`."""
-    return {}
-
-
-def _subtree_key(k: int, code: int, bits: int, j: int) -> tuple[int, ...]:
-    """Node ``j`` with the accept and rule-code bits of its subtree, level by
-    level: the key of its cone or its root rows."""
-    out, lo, width = [j], j, 1
-    for _ in range((j + 2).bit_length() - 1, k + 1):  # the levels of j's subtree
-        out += [bits >> lo & (1 << width) - 1, code >> 4 * lo & (1 << 4 * width) - 1]
-        lo, width = 2 * lo + 2, 2 * width
-    return tuple(out)
-
-
-def _tree_refutes(alpha: Fraction, k: int, code: int, bits: int, roots: Iterable[tuple[int, int, int, int]]) -> bool:
-    """Whether a report-all flow system has no nonnegative solution, decided
-    exactly on its tree from the rule ``code``, the accept ``bits``, alpha
-    and each depth-one ``root`` (node, High and Low reach, Category 1 mass).
-
-    The cone of a node below depth one comes from its children's cones, and
-    is cached. The roots share no variable. At each, the box of its reach,
-    its affine label row and its children's cones over its continue masses
-    leave, once Fourier-Motzkin has eliminated them, rows (a_h, a_l, a_c)
-    over its three masses, cached with them symbolic: the system is
-    infeasible iff a_h high + a_l low + a_c cat1 < 0 for one of them. The
-    masses never enter a coefficient of w, so putting them in before the
-    elimination would change its rows only by positive scaling, merged
-    duplicates and dropped zero rows, none of which changes that verdict.
-    """
-    cones, rows = _cone_cache(alpha, k), _root_cache(alpha, k)
-    n, d = alpha.numerator, alpha.denominator
-
-    def project(j: int, reach: tuple[_Vec, _Vec], cat1: _Vec) -> set[_Vec]:
-        if (j + 2).bit_length() - 1 == k:  # a leaf: everyone stops
-            return _project(reach, cat1, (STOP, STOP), bits >> j & 1, ())
-        kids = [cone(c) for c in (2 * j + 2, 2 * j + 3)]
-        return _project(reach, cat1, (code >> 4 * j & 3, code >> 4 * j + 2 & 3), bits >> j & 1, kids)
-
-    def cone(j: int) -> _Cone:
-        at = _subtree_key(k, code, bits, j)
-        if at not in cones:
-            e_high, e_low = (n, d - n) if j % 2 == 0 else (d - n, n)  # even nodes end in A
-            cones[at] = _clip(project(j, ((e_high, 0, 0, 0, 0), (0, e_low, 0, 0, 0)), _ZERO))
-        return cones[at]
-
-    def root(j: int) -> tuple[tuple[int, int, int], ...]:
-        at = _subtree_key(k, code, bits, j)
-        if at not in rows:
-            rows[at] = tuple(r[:3] for r in project(j, *_ROOT))
-        return rows[at]
-
-    return any(a_h * high + a_l * low + a_c * cat1 < 0
-               for j, high, low, cat1 in roots for a_h, a_l, a_c in root(j))
 
 
 # ---------------------------------------------------------------------------
@@ -1103,7 +964,7 @@ class _CensusPlan(NamedTuple):
     entries: tuple[tuple[int, int, tuple[int, int, int]], ...]
 
 
-@lru_cache(maxsize=32)  # two plans per (alpha, k): 16 alphas, as for the cones
+@lru_cache(maxsize=32)  # two plans per (alpha, k): 16 alphas of one k
 def _census_plan(alpha: Fraction, k: int, first: Score) -> _CensusPlan:
     """The :class:`_CensusPlan` of one first-score subtree, from the
     :func:`_subtree_induction` table, which refuses k above
@@ -1258,8 +1119,8 @@ def free_stop_intervals(
     (first score, rule code, subtree accept bits). Under report-max the
     ranges of the all-B spine come from the spine columns alone, and every
     other reached free node can stop with any probability. A policy with no
-    equilibrium, which :meth:`_FlowSystem.refutes` decides, gives an empty
-    result. Keys are in the order of the whole tree's ``var_index``: node
+    equilibrium, which :meth:`_FlowSystem.refutes` decides (under report-all
+    by the origin's signs alone), gives an empty result. Keys are in the order of the whole tree's ``var_index``: node
     order, High first.
     """
     k = params.k

@@ -46,8 +46,6 @@ CACHES = {
     "search._shape": search._shape,
     "search._layout": search._layout,
     "search._template": search._template,
-    "search._cone_cache": search._cone_cache,
-    "search._root_cache": search._root_cache,
 }
 
 

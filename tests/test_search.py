@@ -192,8 +192,11 @@ class ReferenceFlowSystem(_FlowSystem):
             self._label_rows.append((1 << lab, as_row(terms)))
         # what the templated system reads lazily, here from the dense rows
         self._pos, self._neg, self._signed, self._forced = label_masks(self._label_rows)
-        # no tree or spine decision: the simplex decides every LP with a negative rhs
-        self._roots, self._spine = (), None
+
+    def refutes(self, bits):
+        """The forced-label screen alone: the simplex decides every other LP
+        with a negative rhs, under either reporting policy."""
+        return self.refuses(bits)
 
     def stops_from_point(self, x):
         stops = {}
@@ -946,10 +949,10 @@ class TestGroupedCensus:
 
     def test_k3_census_decides_each_distinct_lp_once_with_a_kernel_call_per_group_at_most(self, monkeypatch):
         """One :meth:`_FlowSystem.feasible` per (rule code, signs), which fix
-        the rows, decided by the screen, the origin and the tree with at most
-        one kernel call per outcome group."""
+        the rows, each decided by the origin's signs with no kernel call at
+        all, also at alpha 1."""
         kernel, verdicts, refuted = [], [], []
-        optimize, feasible, tree_refutes = _simplex.optimize, _FlowSystem.feasible, search._tree_refutes
+        optimize, feasible = _simplex.optimize, _FlowSystem.feasible
 
         def counting(objectives, *args, **kwargs):
             kernel.append(len(objectives))
@@ -957,29 +960,27 @@ class TestGroupedCensus:
 
         def deciding(system, bits):
             verdicts.append((system.code, system.signs(bits)))
-            return feasible(system, bits)
-
-        def refuting(*args):
-            refuted.append(tree_refutes(*args))
-            return refuted[-1]
+            x = feasible(system, bits)
+            refuted.append(x is None and not system.refuses(bits))
+            return x
 
         monkeypatch.setattr(_simplex, "optimize", counting)
         monkeypatch.setattr(_FlowSystem, "feasible", deciding)
-        monkeypatch.setattr(search, "_tree_refutes", refuting)
-        params = ModelParams(p=Fraction(9, 20), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
-        for first in Score:
-            kernel.clear()
-            verdicts.clear()
-            groups = search._solve_subtrees(params, first)
-            patterns = _subtree_induction(params.alpha, 3, first)
-            systems = {code: _FlowSystem(params, code, _subtree(first, 3), Reporting.ALL) for *_, code in patterns}
-            distinct = {(code, systems[code].signs(bits)) for bits, _, _, code in patterns}
-            assert len(verdicts) == len(set(verdicts)) == len(distinct)
-            assert set(verdicts) == distinct
-            # at least one LP per rule code, and fewer than one per two of the 128 patterns
-            assert len(systems) <= len(distinct) < 64
-            assert len(kernel) <= len(groups)
-        assert any(refuted)  # a negative rhs refuted on the tree, with no kernel call
+        for alpha in (Fraction(4, 5), Fraction(1)):
+            params = ModelParams(p=Fraction(9, 20), alpha=alpha, phi=Fraction(1, 2), k=3)
+            for first in Score:
+                verdicts.clear()
+                assert search._solve_subtrees(params, first)
+                patterns = _subtree_induction(params.alpha, 3, first)
+                systems = {code: _FlowSystem(params, code, _subtree(first, 3), Reporting.ALL) for *_, code in patterns}
+                distinct = {(code, systems[code].signs(bits)) for bits, _, _, code in patterns}
+                assert len(verdicts) == len(set(verdicts)) == len(distinct)
+                assert set(verdicts) == distinct
+                # at least one LP per rule code; below alpha 1 fewer than one
+                # per two of the 128 patterns, at alpha 1 nearly one code per pattern
+                assert len(systems) <= len(distinct) < (64 if alpha < 1 else 129)
+        assert kernel == []
+        assert any(refuted)  # a negative rhs that the screen passes, refuted with no kernel call
 
     def test_k3_census_computes_stops_once_per_subtree_group(self, monkeypatch):
         calls = []
@@ -1176,75 +1177,37 @@ class TestForcedLabelScreen:
 
 
 class TestTreeDecision:
-    """:func:`search._tree_refutes` decides a report-all flow system on its
-    game tree, from per-alpha cones below depth one. Its verdict must be the
-    simplex's on every LP, whatever the rhs signs, so it is called here on
-    LPs that :meth:`_FlowSystem.feasible` would send to the simplex too."""
+    """A report-all flow system whose rule code comes from the best-response
+    induction is feasible iff its origin is, by the lemma in the
+    :mod:`retesting.search` docstring, so :meth:`_FlowSystem.refutes`
+    decides it by the origin's signs alone. That verdict must be the dense
+    simplex's on every such LP, whatever the rhs signs."""
 
     POINTS = [(alpha, p, phi) for alpha, p in ((Fraction(4, 5), Fraction(9, 20)), (Fraction(3, 5), Fraction(3, 4)),
                                                (Fraction(9, 10), Fraction(1, 10)))
               for phi in (Fraction(0), Fraction(1, 2), Fraction(1))]
 
-    @classmethod
-    def check(cls, system, bits, counts):
+    @staticmethod
+    def check(system, bits, counts):
         a_ub, b_ub = system.rows(bits)
         solved = _simplex.solve([0] * system.n, a_ub, b_ub, [], [], system.n, scale=system.scale)
-        refuted = search._tree_refutes(system._alpha, system._k, system.code, bits, system._roots)
-        assert refuted == (solved.status == _simplex.INFEASIBLE), (system.code, bits)
-        assert refuted == any(cls.root_verdicts(system, bits)), (system.code, bits)
+        refuted = system.refutes(bits)
+        assert refuted == (not system._at_origin(bits)) == (solved.status == _simplex.INFEASIBLE), (system.code, bits)
         counts[refuted, min(b_ub, default=0) < 0] += 1
 
     @staticmethod
-    def root_verdicts(system, bits):
-        """Whether each depth-one node refutes the system, read from its
-        cached rows, which must agree with the numeric projection of the
-        node's own masses through the same children's cones. The tree
-        decision stops at the first refuting node, so this does too."""
-        k, code = system._k, system.code
-        cones, cached = search._cone_cache(system._alpha, k), search._root_cache(system._alpha, k)
-        verdicts = []
-        for j, high, low, cat1 in system._roots:
-            rows = cached[search._subtree_key(k, code, bits, j)]
-            assert all(len(row) == 3 for row in rows)
-            verdict = any(a_h * high + a_l * low + a_c * cat1 < 0 for a_h, a_l, a_c in rows)
-            if k == 1:  # the root is a leaf: no child cones
-                rules, kids = (search.STOP, search.STOP), ()
-            else:
-                rules = (code >> 4 * j & 3, code >> 4 * j + 2 & 3)
-                kids = [cones[search._subtree_key(k, code, bits, c)] for c in (2 * j + 2, 2 * j + 3)]
-            numeric = search._project(((high, 0, 0, 0, 0), (low, 0, 0, 0, 0)), (cat1, 0, 0, 0, 0),
-                                      rules, bits >> j & 1, kids)
-            assert all(r[1:] == (0, 0, 0, 0) for r in numeric)
-            assert verdict == any(r[0] < 0 for r in numeric), (code, bits, j)
-            verdicts.append(verdict)
-            if verdict:
-                break
-        return verdicts
-
-    @staticmethod
-    def clear_caches():
-        """Empty the cone and root-row caches together: a cached root row
-        skips the cones below it, so a cone test with only its own cache
-        cleared would find the cones of an earlier test missing."""
-        search._cone_cache.cache_clear()
-        search._root_cache.cache_clear()
-
-    @staticmethod
-    def cone_kinds(alpha, k):
-        cones = search._cone_cache(alpha, k).values()
-        return {"origin": sum(c is None for c in cones), "ray": sum(c is not None and c[0] == c[1] for c in cones),
-                "sector": sum(c is not None and c[0] != c[1] for c in cones)}
+    def new_counts():
+        return {(r, neg): 0 for r in (False, True) for neg in (False, True)}
 
     @pytest.mark.parametrize("alpha, p, phi", POINTS)
     def test_every_census_lp(self, alpha, p, phi):
-        self.clear_caches()
-        counts = {(r, neg): 0 for r in (False, True) for neg in (False, True)}
+        counts = self.new_counts()
         for k in (1, 2, 3):
             params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
             for first in Score:
                 for bits, _, _, code in _subtree_induction(alpha, k, first):
                     self.check(_FlowSystem(params, code, _subtree(first, k), Reporting.ALL), bits, counts)
-        assert counts[False, False] > 0  # b >= 0: the origin, which the tree must accept
+        assert counts[False, False] > 0  # b >= 0: the origin
         assert counts[True, True] > 0
         assert counts[True, False] == 0  # an infeasible LP has a negative rhs
 
@@ -1257,22 +1220,58 @@ class TestTreeDecision:
                              + [(6, *FAMILY_POINTS[0])])
     def test_every_family_lp(self, k, alpha, p, phi):
         params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
-        counts = {(r, neg): 0 for r in (False, True) for neg in (False, True)}
+        counts = self.new_counts()
         for scope in SCOPES[2:]:
             for policy in _family_policies(params, scope):
                 code = best_response(params, policy).code
                 self.check(_FlowSystem(params, code, all_sequences(k), Reporting.ALL), policy.bits, counts)
         assert sum(counts.values()) == 2 + 2 + k - 1 + 1
 
+    @pytest.mark.parametrize("p", [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)])
+    @pytest.mark.parametrize("phi", [Fraction(0), Fraction(1, 2), Fraction(1)])
+    def test_every_census_lp_at_alpha_one(self, p, phi):
+        """With a noiseless test every B reach and emission is 0, and with
+        phi 0 or 1 one category's masses are too."""
+        counts = self.new_counts()
+        for k in (1, 2, 3):
+            params = ModelParams(p=p, alpha=Fraction(1), phi=phi, k=k)
+            for first in Score:
+                for bits, _, _, code in _subtree_induction(params.alpha, k, first):
+                    self.check(_FlowSystem(params, code, _subtree(first, k), Reporting.ALL), bits, counts)
+        assert counts[False, False] > 0 and counts[True, True] > 0
+        assert counts[True, False] == 0
+
+    @pytest.mark.parametrize("k, draws", [(4, 40), (5, 20), (6, 10)])
+    def test_random_induction_patterns(self, k, draws):
+        """Seeded random accept patterns of deeper subtrees, each with the
+        rule code of its :func:`search._subtree_response`, at every family
+        point; each pattern's accept density is drawn first, so that both
+        verdicts occur."""
+        rng = random.Random(20260 + k)
+        counts = self.new_counts()
+        for alpha, p, phi in self.FAMILY_POINTS:
+            params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+            for first in Score:
+                seqs = _subtree(first, k)
+                for _ in range(draws):
+                    density = rng.random()
+                    bits = sum(1 << node(s) for s in seqs if rng.random() < density)
+                    code = search._subtree_response(alpha, k, first, bits)[2]
+                    self.check(_FlowSystem(params, code, seqs, Reporting.ALL), bits, counts)
+        assert counts[False, False] > 0 and counts[True, True] > 0
+        assert counts[True, False] == 0
+
     @pytest.mark.parametrize("k, codes", [(2, None), (3, 24)])
     def test_arbitrary_rule_codes(self, k, codes):
-        """Rule codes that no induction makes, each with every accept
-        pattern of its subtree: every cone kind and chains of forced
-        retakes occur."""
+        """Rule codes that no induction makes, chains of forced retakes
+        among them, each with every accept pattern of its subtree. They
+        break the lemma's precondition: the simplex finds LPs with a
+        negative rhs feasible there, which the origin's signs refute. The
+        reference system, which sends every LP with a negative rhs to the
+        simplex, finds the simplex's point on each."""
         rng = random.Random(20217 + k)
         params = ModelParams(p=Fraction(2, 5), alpha=Fraction(7, 10), phi=Fraction(1, 2), k=k)
-        self.clear_caches()
-        counts = {(r, neg): 0 for r in (False, True) for neg in (False, True)}
+        counts = self.new_counts()  # by (feasible, negative rhs)
         chains = 0  # codes where a forced retake follows a forced retake
         for first in Score:
             seqs = _subtree(first, k)
@@ -1283,61 +1282,19 @@ class TestTreeDecision:
                 rules = decoded_rules(code, seqs, k)
                 chains += any(rules[t, h] == rules[t, h[:-1]] == "continue" for t, h in rules if len(h) > 1)
                 system = _FlowSystem(params, code, seqs, Reporting.ALL)
+                ref = ReferenceFlowSystem(params, rules, seqs, Reporting.ALL)
                 for pattern in range(1 << len(seqs)):
                     bits = sum(1 << node(s) for i, s in enumerate(seqs) if pattern >> i & 1)
-                    self.check(system, bits, counts)
-        assert min(counts[True, True], counts[False, True], counts[False, False]) > 0
-        if k == 3:  # at k=2 every cone is a leaf's half-plane, a sector
-            assert min(self.cone_kinds(params.alpha, k).values()) > 0
+                    a_ub, b_ub = system.rows(bits)
+                    solved = _simplex.solve([0] * system.n, a_ub, b_ub, [], [], system.n, scale=system.scale)
+                    ok = solved.status == _simplex.OPTIMAL
+                    assert ref.feasible(bits) == (solved.x if ok else None)
+                    assert system.refutes(bits) == (not system._at_origin(bits))
+                    counts[ok, min(b_ub, default=0) < 0] += 1
+        assert counts.pop((False, False)) == 0  # an infeasible LP has a negative rhs
+        assert min(counts.values()) > 0  # (True, True): feasible, with a negative rhs
+        if k == 3:
             assert chains > 0
-
-    @pytest.mark.parametrize("p", [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)])
-    @pytest.mark.parametrize("phi", [Fraction(0), Fraction(1, 2), Fraction(1)])
-    def test_every_census_lp_at_alpha_one(self, p, phi):
-        """With a noiseless test every B reach and emission is 0, and with
-        phi 0 or 1 one category's masses are too."""
-        self.clear_caches()
-        counts = {(r, neg): 0 for r in (False, True) for neg in (False, True)}
-        for k in (1, 2, 3):
-            params = ModelParams(p=p, alpha=Fraction(1), phi=phi, k=k)
-            for first in Score:
-                for bits, _, _, code in _subtree_induction(params.alpha, k, first):
-                    self.check(_FlowSystem(params, code, _subtree(first, k), Reporting.ALL), bits, counts)
-        assert counts[False, False] > 0 and counts[True, True] > 0
-        assert counts[True, False] == 0
-
-    def test_root_cache_bounded_hit_and_apart_from_the_cones(self):
-        self.clear_caches()
-        for i in range(40):
-            params = ModelParams(p=Fraction(1, 2), alpha=Fraction(51 + i, 100), phi=Fraction(1, 2), k=3)
-            enumerate_outcomes(params, "report-all")
-        info = search._root_cache.cache_info()
-        assert info.misses == 40 and info.currsize == info.maxsize < 40
-        rows = search._root_cache(params.alpha, 3)
-        built = len(rows)
-        assert built > 0
-        # keys start with the node: depth-one nodes here, deeper ones for cones
-        assert {key[0] for key in rows} <= {0, 1}
-        assert min(key[0] for key in search._cone_cache(params.alpha, 3)) >= 2
-        hits = info.hits
-        enumerate_outcomes(params, "report-all")
-        assert search._root_cache.cache_info().hits > hits
-        assert len(rows) == built  # every root of the repeated census was cached
-
-    def test_cone_cache_bounded_and_hit(self):
-        self.clear_caches()
-        for i in range(40):
-            params = ModelParams(p=Fraction(1, 2), alpha=Fraction(51 + i, 100), phi=Fraction(1, 2), k=3)
-            enumerate_outcomes(params, "report-all")
-        info = search._cone_cache.cache_info()
-        assert info.misses == 40 and info.currsize == info.maxsize < 40
-        cones = search._cone_cache(params.alpha, 3)
-        built = len(cones)
-        assert built > 0
-        hits = search._cone_cache.cache_info().hits
-        enumerate_outcomes(params, "report-all")
-        assert search._cone_cache.cache_info().hits > hits
-        assert len(cones) == built  # every cone of the repeated census was cached
 
 
 class TestFlowTemplates:
@@ -1449,8 +1406,13 @@ class TestLazyRows:
 
     @pytest.mark.parametrize("k, codes", [(2, None), (3, 24)])
     def test_verdicts_match_the_simplex_on_arbitrary_rule_codes(self, k, codes):
-        """:meth:`_FlowSystem.feasible` against the simplex on every accept pattern of rule codes that no induction
-        makes, where LPs with a negative rhs are feasible too."""
+        """:meth:`_FlowSystem.feasible` against the simplex on every accept
+        pattern of rule codes that no induction makes. The signs it reads
+        lazily are the dense rows' signs, and with no negative rhs its point
+        is the simplex's. An LP with a negative rhs it refutes, which is the
+        simplex's verdict except where the lemma's precondition fails: such
+        feasible LPs exist on these codes, and the reference system in
+        :class:`TestTreeDecision` decides them."""
         rng = random.Random(20218 + k)
         params = ModelParams(p=Fraction(2, 5), alpha=Fraction(7, 10), phi=Fraction(1, 2), k=k)
         counts = {(ok, neg): 0 for ok in (False, True) for neg in (False, True)}
@@ -1465,15 +1427,16 @@ class TestLazyRows:
                     bits = sum(1 << node(s) for i, s in enumerate(seqs) if pattern >> i & 1)
                     a_ub, b_ub = system.rows(bits)
                     solved = _simplex.solve([0] * system.n, a_ub, b_ub, [], [], system.n, scale=system.scale)
-                    ok = solved.status == _simplex.OPTIMAL
-                    assert system.feasible(bits) == (solved.x if ok else None)
-                    counts[ok, min(b_ub, default=0) < 0] += 1
+                    ok, neg = solved.status == _simplex.OPTIMAL, min(b_ub, default=0) < 0
+                    assert system._at_origin(bits) == (not neg)
+                    assert system.feasible(bits) == (solved.x if ok and not neg else None)
+                    counts[ok, neg] += 1
         assert counts.pop((False, False)) == 0  # an infeasible LP has a negative rhs
         assert min(counts.values()) > 0
 
     def test_k10_family_scopes_build_no_row_and_call_no_kernel(self, monkeypatch):
-        """The tree decides every report-all family LP at k=10, and each
-        feasible one has the origin as its point."""
+        """The origin's signs decide every report-all family LP at k=10,
+        and each feasible one has the origin as its point."""
         built, kernel = [], []
         for name in ("_br_rows", "_label_rows"):
             func = getattr(_FlowSystem, name).func
