@@ -28,8 +28,7 @@ from .model import (
     ModelParams,
     StudentStrategy,
     admission_key,
-    node_index,
-    outcome_distribution,
+    cohort_rows,
 )
 from .search import EXHAUSTIVE_MAX_K, SCOPE_REPORT_ALL, enumerate_outcomes
 
@@ -73,18 +72,16 @@ def _error_rates(alpha: Fraction, k: int, bits: int, strategy: StudentStrategy) 
     """Admission map and error rates of the profile (accept ``bits``,
     ``strategy``) at (alpha, k), computed once and shared, read-only.
 
-    The within-cohort outcome distribution reads only alpha and k, so the
-    prior and the Category 1 share given to it are placeholders; the key holds
-    neither. A strategy hashes by its stop values, so a profile rebuilt with
-    equal stops hits.
+    A cohort's admission probability is the sum of its within-cohort masses
+    over the accepted sequences, read from the strategy's
+    :func:`retesting.model.cohort_rows`, the integer rows that the verifier
+    reads too; neither depends on p or phi, and the key holds neither. A
+    strategy hashes by its stop values, so a profile rebuilt with equal stops
+    hits.
     """
-    params = ModelParams(p=Fraction(1, 2), alpha=alpha, phi=Fraction(1, 2), k=k)
-    dist = outcome_distribution(params, strategy)
-    index = node_index(k)
-    admit = {
-        cohort: sum((m for s, m in dist.conditional[cohort].items() if m and bits >> index[s] & 1), Fraction(0))
-        for cohort in COHORTS
-    }
+    rows = cohort_rows(alpha, k, strategy)
+    accepted = [masses for i, masses in enumerate(rows.labels) if bits >> i & 1]
+    admit = {cohort: Fraction(sum(m[j] for m in accepted), rows.den) for j, cohort in enumerate(COHORTS)}
     high1, low1, high2, low2 = COHORTS
     fnr = {Category.CAT1: 1 - admit[high1], Category.CAT2: 1 - admit[high2]}
     fpr = {Category.CAT1: admit[low1], Category.CAT2: admit[low2]}
@@ -108,7 +105,7 @@ def fairness_report(params: ModelParams, profile: EquilibriumProfile) -> Fairnes
 
     The admission map, FNR, FPR and both gaps do not depend on p or phi. They
     come from one bounded cache per (alpha, k, accept bits, stop values),
-    filled from one pass over the profile's outcome distribution on first
+    filled from the strategy's cached integer within-cohort rows on first
     use; only PPV, NPV and the payoff are computed here, from the cohort
     masses.
     """

@@ -9,16 +9,25 @@ through their decimal representation, so ``alpha=0.8`` means exactly 4/5.
 :func:`all_sequences` numbers the game tree once for every module: node i is
 the i-th history in (length, string) order, with children 2i+2 (A) and 2i+3
 (B). ``ScoreSeq`` stays the type at every public edge.
+
+:func:`outcome_distribution` makes its one within-cohort pass in integers,
+over one denominator, and builds ``Fraction`` values only when they are read.
+The within-cohort masses depend on alpha, k and the strategy alone, so
+:func:`cohort_rows` keeps them, with the strategy's stops as bit masks, in
+one bounded cache per (alpha, k, strategy): the verifier and the error rates
+read it at every prior p and Category 1 share phi, which only weigh the
+cohorts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .errors import MissingStrategyEntry
 
@@ -310,10 +319,33 @@ class OutcomeDistribution:
     ``conditional[cohort][sequence]`` is the within-cohort probability that a
     student of that cohort ends up reporting the sequence. Category 1 mass
     sits on single scores only. Entries of each cohort sum to one exactly.
+
+    The masses are kept in integers: ``rows`` holds, per cohort in
+    ``COHORTS`` order, the numerator over ``den`` of each of ``sequences``,
+    or None where the cohort has no entry. ``den`` is the least one, so equal
+    distributions hold equal integers. ``conditional`` is built from them on
+    first use.
     """
 
     params: ModelParams
-    conditional: Mapping[Cohort, Mapping[ScoreSeq, Fraction]]
+    sequences: tuple[ScoreSeq, ...]
+    den: int
+    rows: tuple[tuple[Optional[int], ...], ...]
+
+    @cached_property
+    def conditional(self) -> Mapping[Cohort, Mapping[ScoreSeq, Fraction]]:
+        """Per cohort, High before Low and Category 1 first, each entry as a
+        ``Fraction``."""
+        return {
+            COHORTS[c]: {s: Fraction(m, self.den) for s, m in zip(self.sequences, self.rows[c]) if m is not None}
+            for c in (0, 2, 1, 3)
+        }
+
+    @property
+    def label_masses(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Per sequence, the numerators of the cohorts in ``COHORTS`` order,
+        0 where a cohort has no entry."""
+        return tuple(zip(*([m or 0 for m in row] for row in self.rows)))
 
     def mass(self, cohort: Cohort, s: ScoreSeq) -> Fraction:
         return self.conditional[cohort].get(s, _NO_MASS)
@@ -336,50 +368,113 @@ def outcome_distribution(params: ModelParams, strategy: StudentStrategy) -> Outc
     Every reached node has an entry, zero when its stop probability is 0;
     nodes that no Category 2 student of the type reaches have none, and their
     stop probabilities are never read, so only a missing entry at a reached
-    node raises :class:`MissingStrategyEntry`. Stop probabilities of 0 and 1,
-    the only ones in the closed-form profiles apart from the Low-after-B stop
-    of the k = 2 reject-all witness, cost no multiplication.
+    node raises :class:`MissingStrategyEntry`.
+
+    The pass runs in integers: each stop probability is a numerator over the
+    least common denominator ``unit`` of the strategy's stops (1 when every
+    stop is 0 or 1), and every mass a numerator over den(alpha)^k unit^(k-1),
+    reduced at the end by the common divisor of all of them.
     """
-    out: dict[Cohort, dict[ScoreSeq, Fraction]] = {}
-    for cat1, cat2 in zip(COHORTS[:2], COHORTS[2:]):  # High, then Low
-        out[cat1] = {(s,): params.emit(cat1.type_, s) for s in Score}
-        out[cat2] = _cat2_conditional(params, strategy, cat2.type_)
-    return OutcomeDistribution(params=params, conditional=out)
+    k, n, d = params.k, params.alpha.numerator, params.alpha.denominator
+    unit = math.lcm(*(f.denominator for f in strategy.stop.values()))
+    seqs = all_sequences(k)
+    single = (d * unit) ** (k - 1)  # a single test's mass, scaled to the common denominator
+    pad = (None,) * (len(seqs) - 2)
+    rows = (
+        (n * single, (d - n) * single, *pad),
+        ((d - n) * single, n * single, *pad),
+        _cat2_masses(strategy, StudentType.HIGH, k, n, d, unit),
+        _cat2_masses(strategy, StudentType.LOW, k, d - n, d, unit),
+    )
+    den = d**k * unit ** (k - 1)
+    common = math.gcd(den, *(m for row in rows for m in row if m))
+    if common > 1:
+        den //= common
+        rows = tuple(tuple(None if m is None else m // common for m in row) for row in rows)
+    return OutcomeDistribution(params, seqs, den, rows)
 
 
-def _cat2_conditional(
-    params: ModelParams, strategy: StudentStrategy, type_: StudentType
-) -> dict[ScoreSeq, Fraction]:
-    """One pass over the game tree's nodes, parents before children."""
-    masses: dict[ScoreSeq, Fraction] = {}
-    emit_a, emit_b = params.emit(type_, Score.A), params.emit(type_, Score.B)
-    nodes = all_sequences(params.k)
-    inner = len(nodes) - (1 << params.k)  # nodes 0..inner-1 are shorter than k
+def _cat2_masses(
+    strategy: StudentStrategy, type_: StudentType, k: int, emit_a: int, d: int, unit: int
+) -> tuple[Optional[int], ...]:
+    """One pass over the game tree's nodes, parents before children, for a
+    type that scores A w.p. ``emit_a`` / ``d``. A reach at depth j is a
+    numerator over d^j unit^(j-1), and a mass one over d^k unit^(k-1)."""
+    nodes = all_sequences(k)
+    emit_b = d - emit_a
+    masses: list[Optional[int]] = [None] * len(nodes)
     # reach[i]: probability of arriving at node i without having stopped
     reach = [emit_a, emit_b] + [0] * (len(nodes) - 2)
-    for i, h in enumerate(nodes):
-        r = reach[i]
-        if not r:
-            continue
-        f = 1 if i >= inner else strategy.stop_prob(type_, h, params.k)
-        if f == 1:
-            masses[h] = r
-            continue
-        if f:
-            masses[h] = stopped = r * f
-            r -= stopped  # r * (1 - f), exactly
-        else:
-            masses[h] = f  # a zero that marks the node as reached
-        reach[2 * i + 2], reach[2 * i + 3] = r * emit_a, r * emit_b
-    return masses
+    start = 0  # the first node of the depth, 2^depth - 2
+    for depth in range(1, k):
+        lift = d ** (k - depth) * unit ** (k - depth - 1)  # from a stop at this depth to the common denominator
+        end = 2 * start + 2
+        for i in range(start, end):
+            r = reach[i]
+            if not r:
+                continue
+            f = strategy.stop_prob(type_, nodes[i], k)
+            stop = f.numerator * (unit // f.denominator)  # f = stop / unit
+            masses[i] = r * stop * lift  # 0 marks the node as reached
+            r *= unit - stop
+            reach[2 * i + 2], reach[2 * i + 3] = r * emit_a, r * emit_b
+        start = end
+    for i in range(start, len(nodes)):  # depth k: every student stops
+        if reach[i]:
+            masses[i] = reach[i]
+    return tuple(masses)
 
 
 def best_score_projection(dist: OutcomeDistribution) -> OutcomeDistribution:
     """Collapse a sequence distribution onto best scores (A beats B)."""
-    out: dict[Cohort, dict[ScoreSeq, Fraction]] = {}
-    for cohort, row in dist.conditional.items():
-        proj: dict[ScoreSeq, Fraction] = {(Score.A,): Fraction(0), (Score.B,): Fraction(0)}
-        for s, m in row.items():
-            proj[(best_score(s),)] += m
-        out[cohort] = proj
-    return OutcomeDistribution(params=dist.params, conditional=out)
+    all_b = [(2 << length) - 3 for length in range(1, len(dist.sequences[-1]) + 1)]  # node of B^length
+    rows = []
+    for row in dist.rows:
+        b = sum(row[i] or 0 for i in all_b)
+        rows.append((sum(m for m in row if m) - b, b))
+    return OutcomeDistribution(dist.params, all_sequences(1), dist.den, tuple(rows))
+
+
+class CohortRows(NamedTuple):
+    """What a profile's checks read of its strategy at every prior p and
+    Category 1 share phi, in integers, for one (alpha, k).
+
+    ``labels`` holds, per sequence of ``all_sequences(k)``, and ``best``, per
+    best score (A, then B), the within-cohort masses of the cohorts in
+    ``COHORTS`` order as numerators over ``den``: p and phi only weigh them.
+    The stops sit on two bits per (type, history) shorter than k, the low one
+    at ``4 node(h)`` for High and ``4 node(h) + 2`` for Low, as in a
+    best-response rule code: ``slots`` holds every such low bit, ``ones`` those
+    whose stop probability is 1 and ``zeros`` those whose is 0. ``exact`` says
+    that the strategy has an entry at every slot and no other.
+    """
+
+    den: int
+    labels: tuple[tuple[int, int, int, int], ...]
+    best: tuple[tuple[int, int, int, int], ...]
+    slots: int
+    ones: int
+    zeros: int
+    exact: bool
+
+
+@lru_cache(maxsize=256)  # a 2560-point census-k3 cycle over 4 alphas reads 309-322 keys and misses 311-325 times
+def cohort_rows(alpha: Fraction, k: int, strategy: StudentStrategy) -> CohortRows:
+    """The :class:`CohortRows` of ``strategy`` at (alpha, k), filled from one
+    :func:`outcome_distribution`. That pass reads only alpha and k, so the
+    prior and the Category 1 share given to it are placeholders. A strategy
+    hashes by its stop values, so one rebuilt with equal stops hits. Raises
+    :class:`MissingStrategyEntry` as the pass does."""
+    dist = outcome_distribution(ModelParams(p=Fraction(1, 2), alpha=alpha, phi=Fraction(1, 2), k=k), strategy)
+    inner, index = (1 << k) - 2, node_index(k)  # nodes 0..inner-1 are shorter than k
+    slots = sum(5 << 4 * i for i in range(inner))  # the low bits of High's and Low's slots
+    given = ones = zeros = 0
+    for (type_, h), f in strategy.stop.items():
+        i = index.get(h, inner)
+        if i < inner and isinstance(type_, StudentType):
+            bit = 1 << 4 * i + 2 * (type_ is StudentType.LOW)
+            given |= bit
+            ones |= bit if f == 1 else 0
+            zeros |= bit if f == 0 else 0
+    exact = given == slots and len(strategy.stop) == 2 * inner
+    return CohortRows(dist.den, dist.label_masses, best_score_projection(dist).label_masses, slots, ones, zeros, exact)

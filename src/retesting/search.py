@@ -75,8 +75,12 @@ A best response is one int over node bits too, its rule code: the rule
 (continue, stop or indifferent) of each history h sits at bit ``4 node(h)``
 for High and ``4 node(h) + 2`` for Low, so the codes of the two first-score
 subtrees never share a bit and a whole-tree code is their bitwise or.
-The verifier orders each positive-mass report's posterior against 1/2 by
-its High and Low masses, and builds the posterior only to name a violation.
+The verifier reads the rule code and :func:`retesting.model.cohort_rows`,
+the integer within-cohort masses of the strategy cached per (alpha, k,
+strategy), never a census cache: it tests the stops against the rule code
+by bit masks, orders each positive-mass report's posterior against 1/2 by
+its High and Low masses, weighted in integers by the cohort shares, and
+builds ``Fraction``s only to word a violation.
 
 The report-all census reads what depends on alpha alone from one cached plan
 per (alpha, k, first score) (:func:`_census_plan`): each accept pattern's
@@ -137,6 +141,7 @@ from .model import (
     all_sequences,
     best_score,
     best_score_projection,
+    cohort_rows,
     node,
     outcome_distribution,
     seq_str,
@@ -144,7 +149,8 @@ from .model import (
 
 # Best-response rules: a forced retake, a forced stop, or indifference.
 CONTINUE, STOP, ANY = 0, 1, 2
-_ADMISSIBLE = ((Fraction(0),) * 2, (Fraction(1),) * 2, (Fraction(0), Fraction(1)))  # stop sets by rule
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_ADMISSIBLE = ((_ZERO, _ZERO), (_ONE, _ONE), (_ZERO, _ONE))  # stop sets by rule
 _TYPES = tuple(StudentType)  # High first, as in every rule code and row
 
 # The largest k whose report-all census enumerates every accept pattern.
@@ -320,15 +326,79 @@ def verify_equilibrium(params: ModelParams, profile: EquilibriumProfile) -> Verd
     acceptance rule, compared exactly: accepted reports carry posterior
     >= 1/2, rejected ones <= 1/2 (ties may go either way). Zero-mass reports
     are recorded, never failed: any supporting belief is allowed there.
-    A profile of another k is refused, since its deeper nodes would go unread.
+    A profile of another k is refused, since its deeper nodes would go unread,
+    and so is a strategy without a stop probability at some history shorter
+    than k.
+
+    The work at a point is in integers, on the strategy's
+    :func:`retesting.model.cohort_rows`, cached per (alpha, k, strategy):
+    (a) compares the rule code of :func:`best_response`, the or of its cached
+    first-score subtree codes, with the stops that are 1 and 0, since a STOP
+    rule admits only 1, a CONTINUE rule only 0 and an indifferent one
+    anything; (b) weighs each label's within-cohort masses by the cohort
+    shares p phi, (1 - p) phi, p (1 - phi) and (1 - p) (1 - phi) and compares
+    High mass with Low mass, which orders the posterior against 1/2. The
+    ``Fraction`` outcome distribution, posteriors and admissible bounds are
+    built only to word a violation.
     """
     _require_measurable(profile.policy, profile.reporting)
-    br = best_response(params, profile.policy)
+    # best_response's rule code, without its values; refuses a policy of another k
+    code = reduce(or_, (sub for *_, sub in _subtree_responses(params, profile.policy)))
+    strategy = profile.strategy
+    try:
+        rows = cohort_rows(params.alpha, params.k, strategy)
+    except MissingStrategyEntry:
+        _stop_violations(params, profile)  # refuses the strategy
+        raise
+    violations: list[Violation] = []
+    lo, hi = code & rows.slots, code >> 1 & rows.slots  # STOP and ANY rules
+    if not rows.exact or lo & ~rows.ones or rows.slots & ~(lo | hi | rows.zeros):
+        violations += _stop_violations(params, profile)
+
+    p, phi = params.p, params.phi
+    a, b, c, e = p.numerator, p.denominator, phi.numerator, phi.denominator
+    high1, low1, high2, low2 = a * c, (b - a) * c, a * (e - c), (b - a) * (e - c)  # COHORTS order, over b e
+    if profile.reporting is Reporting.MAX:  # best-score reports are the depth-one nodes
+        labels, masses = all_sequences(1), rows.best
+    else:
+        labels, masses = all_sequences(params.k), rows.labels
+    bits = profile.policy.bits
+    off_path: list[ScoreSeq] = []
+    wrong: list[ScoreSeq] = []
+    for i, (h1, l1, h2, l2) in enumerate(masses):
+        high, low = high1 * h1 + high2 * h2, low1 * l1 + low2 * l2
+        if not high and not low:
+            off_path.append(labels[i])
+        # with positive mass, the posterior high / (high + low) is below 1/2 iff high < low
+        elif (high < low) if bits >> i & 1 else (high > low):
+            wrong.append(labels[i])
+    if wrong:
+        dist = outcome_distribution(params, strategy)
+        if profile.reporting is Reporting.MAX:
+            dist = best_score_projection(dist)
+        for lab in wrong:
+            post = posterior_from_distribution(dist, lab)
+            want = ">= 1/2" if profile.policy.accepts(lab) else "<= 1/2"
+            violations.append(
+                Violation(
+                    kind="posterior_rule",
+                    where=seq_str(lab),
+                    detail=f"posterior {post} ({float(post):.6f}) must be {want}",
+                )
+            )
+    return Verdict(ok=not violations, violations=tuple(violations), off_path=tuple(off_path))
+
+
+def _stop_violations(params: ModelParams, profile: EquilibriumProfile) -> list[Violation]:
+    """Every stop probability outside its admissible :func:`best_response`
+    set, worded. A strategy with a stop probability after k or more tests,
+    or with none at some history shorter than k, is refused."""
     deep = [h for _, h in profile.strategy.stop if len(h) >= params.k]
     if deep:
         raise MalformedProfile(f"a stop probability after {seq_str(deep[0])} is beyond k={params.k}")
+    br = best_response(params, profile.policy)
+    violations = []
     try:
-        violations: list[Violation] = []
         for type_ in StudentType:
             for h in all_sequences(params.k - 1):
                 f = profile.strategy.stop_prob(type_, h, params.k)
@@ -341,33 +411,9 @@ def verify_equilibrium(params: ModelParams, profile: EquilibriumProfile) -> Verd
                             detail=f"stop={f} outside admissible [{lo}, {hi}]",
                         )
                     )
-        dist = outcome_distribution(params, profile.strategy)
     except MissingStrategyEntry as exc:
         raise MalformedProfile(str(exc)) from exc
-
-    labels = all_sequences(params.k)
-    if profile.reporting is Reporting.MAX:  # best-score reports are the depth-one nodes
-        dist, labels = best_score_projection(dist), all_sequences(1)
-    off_path: list[ScoreSeq] = []
-    for lab in labels:
-        high, low = dist.type_mass(StudentType.HIGH, lab), dist.type_mass(StudentType.LOW, lab)
-        if not high and not low:
-            off_path.append(lab)
-            continue
-        # with positive mass, the posterior high / (high + low) is below 1/2
-        # iff high < low; it is built only to name a violation
-        accepts = profile.policy.accepts(lab)
-        if (high < low) if accepts else (high > low):
-            post = posterior_from_distribution(dist, lab)
-            want = ">= 1/2" if accepts else "<= 1/2"
-            violations.append(
-                Violation(
-                    kind="posterior_rule",
-                    where=seq_str(lab),
-                    detail=f"posterior {post} ({float(post):.6f}) must be {want}",
-                )
-            )
-    return Verdict(ok=not violations, violations=tuple(violations), off_path=tuple(off_path))
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -764,8 +810,8 @@ class _FlowSystem:
                 rule = _rule_of(self.code, t, h)
                 if rule == ANY and r > 0:
                     stops[(t, h)] = 1 - Fraction(self.scale * x[self.var_index[(t, h)]]) / r
-                else:  # forced, or a free node that no mass reaches
-                    stops[(t, h)] = Fraction(0) if rule == CONTINUE else Fraction(1)
+                else:  # forced, or a free node that no mass reaches; shared objects, so equal stops compare by identity
+                    stops[(t, h)] = _ZERO if rule == CONTINUE else _ONE
         return stops
 
 

@@ -1,7 +1,8 @@
 """Caches of values that do not depend on the prior p: thresholds once per
-(alpha, phi, k), canonical policies and strategies once per k, and error
-rates once per (alpha, k, profile); and the caches of the exact search,
-whose layouts hold one point's masses."""
+(alpha, phi, k), canonical policies and strategies once per k, within-cohort
+rows once per (alpha, k, strategy) and error rates once per (alpha, k,
+profile); and the caches of the exact search, whose layouts hold one point's
+masses."""
 
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ CACHES = {
     "model.StudentStrategy.always_stop": StudentStrategy.always_stop,
     "model.StudentStrategy.stop_after_a": StudentStrategy.stop_after_a,
     "model.node_index": model.node_index,
+    "model.cohort_rows": model.cohort_rows,
     "metrics._error_rates": _error_rates,
     "search._subtree": search._subtree,
     "search._subtree_mask": search._subtree_mask,

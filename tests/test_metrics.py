@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import retesting.metrics
+import retesting.model
 from retesting import (
     Category,
     ModelParams,
@@ -30,14 +31,15 @@ PARAMS = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=2)
 
 class TestFairnessReport:
     def test_one_outcome_distribution_per_report(self, monkeypatch):
+        # the error rates read the strategy's cohort rows, filled by one pass
         calls = []
-        original = retesting.metrics.outcome_distribution
+        original = retesting.model.outcome_distribution
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(retesting.metrics, "outcome_distribution", counted)
+        monkeypatch.setattr(retesting.model, "outcome_distribution", counted)
         report = fairness_report(PARAMS, report_max_separating(PARAMS))
         assert len(calls) == 1
         assert report.fnr[Category.CAT2] == Fraction(1, 25)
@@ -177,17 +179,25 @@ class TestComparePolicies:
 
     def test_one_outcome_distribution_per_candidate(self, monkeypatch):
         # two constructed report-all profiles, one separating benchmark and
-        # three census witnesses: one distribution each
+        # three census witnesses: the verifier and the error rates share one
+        # distribution per distinct strategy among them, four in all
         calls = []
-        original = retesting.metrics.outcome_distribution
+        original = retesting.model.outcome_distribution
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(retesting.metrics, "outcome_distribution", counted)
-        compare_policies(ModelParams(p=0.6, alpha=0.8, phi=0.5, k=3))
-        assert len(calls) == 6
+        params = ModelParams(p=0.6, alpha=0.8, phi=0.5, k=3)
+        witnesses = [cls.witness for cls in enumerate_outcomes(params, SCOPE_REPORT_ALL).classes]
+        profiles = [*closed_form_profiles(params), *witnesses]
+        assert len(profiles) == 6
+        retesting.model.cohort_rows.cache_clear()
+        monkeypatch.setattr(retesting.model, "outcome_distribution", counted)
+        compare_policies(params)
+        strategies = {strategy for _, strategy in calls}
+        assert strategies == {profile.strategy for profile in profiles}
+        assert len(calls) == len(strategies) == 4
 
     def test_noiseless_all_deltas_zero(self):
         params = ModelParams(p=0.3, alpha=1, phi=0.5, k=2)

@@ -277,8 +277,8 @@ def reference_masses(params: ModelParams, strategy: StudentStrategy, type_: Stud
 
 
 class TestOutcomeDistributionAgainstReference:
-    """`outcome_distribution` skips the multiplications at stop probabilities
-    of 0 and 1; every entry must still equal the term-by-term product."""
+    """`outcome_distribution` runs in integers over one denominator; every
+    entry must still equal the term-by-term product."""
 
     ALPHAS = (Fraction(51, 100), Fraction(2, 3), Fraction(4, 5), Fraction(1))
 

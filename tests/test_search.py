@@ -15,6 +15,7 @@ from retesting import (
     Cohort,
     FIRST_SCORE,
     MalformedProfile,
+    MissingStrategyEntry,
     ModelParams,
     NON_FIRST_SCORE,
     REJECT_ALL,
@@ -27,19 +28,23 @@ from retesting import (
     all_sequences,
     best_response,
     best_score,
+    best_score_projection,
     construct_first_score_equilibrium,
     enumerate_outcomes,
     free_stop_intervals,
     node,
+    outcome_distribution,
+    posterior_from_distribution,
     report_all_regions,
     report_max_thresholds,
     seq,
+    seq_str,
     verify_equilibrium,
 )
-from retesting import _simplex, cli
+from retesting import _simplex, cli, model
 from retesting.cli import MAX_K
 from retesting.model import admission_key
-from retesting.equilibria import EquilibriumProfile
+from retesting.equilibria import EquilibriumProfile, _best_score_masks
 from retesting import search
 from retesting.search import (
     EXHAUSTIVE_MAX_K,
@@ -476,6 +481,203 @@ class TestVerify:
         strategy = construct_first_score_equilibrium(ModelParams(p=0.3, alpha=0.8, phi=0.5, k=3)).strategy
         with pytest.raises(MalformedProfile, match="beyond k=2"):
             verify_equilibrium(PARAMS, profile_from(AdmissionPolicy.first_score(2), strategy.stop))
+
+
+def reference_verify(params, profile) -> search.Verdict:
+    """The verifier on ``Fraction``s: every stop against the bounds of
+    ``best_response(...).admissible``, then High against Low mass per label
+    by ``type_mass`` on the outcome distribution, projected to best scores
+    under report-max."""
+    if profile.reporting is Reporting.MAX and not profile.policy.is_max_measurable():
+        raise MalformedProfile("best-score reporting requires a max-measurable policy")
+    br = best_response(params, profile.policy)
+    deep = [h for _, h in profile.strategy.stop if len(h) >= params.k]
+    if deep:
+        raise MalformedProfile(f"a stop probability after {seq_str(deep[0])} is beyond k={params.k}")
+    violations = []
+    try:
+        for type_ in StudentType:
+            for h in all_sequences(params.k - 1):
+                f = profile.strategy.stop_prob(type_, h, params.k)
+                lo, hi = br.admissible(type_, h)
+                if not lo <= f <= hi:
+                    detail = f"stop={f} outside admissible [{lo}, {hi}]"
+                    violations.append(search.Violation("best_response", f"{type_.value} after {seq_str(h)}", detail))
+        dist = outcome_distribution(params, profile.strategy)
+    except MissingStrategyEntry as exc:
+        raise MalformedProfile(str(exc)) from exc
+    labels = all_sequences(params.k)
+    if profile.reporting is Reporting.MAX:
+        dist, labels = best_score_projection(dist), all_sequences(1)
+    off_path = []
+    for lab in labels:
+        high, low = dist.type_mass(StudentType.HIGH, lab), dist.type_mass(StudentType.LOW, lab)
+        if not high and not low:
+            off_path.append(lab)
+            continue
+        accepts = profile.policy.accepts(lab)
+        if (high < low) if accepts else (high > low):
+            post = posterior_from_distribution(dist, lab)
+            want = ">= 1/2" if accepts else "<= 1/2"
+            detail = f"posterior {post} ({float(post):.6f}) must be {want}"
+            violations.append(search.Violation("posterior_rule", seq_str(lab), detail))
+    return search.Verdict(not violations, tuple(violations), tuple(off_path))
+
+
+VERIFY_GRID = [
+    ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+    for k in (1, 2, 3)
+    for alpha in (Fraction(3, 5), Fraction(4, 5), Fraction(1))
+    for p in (Fraction(1, 5), Fraction(1, 2), Fraction(9, 10))
+    for phi in (Fraction(0), Fraction(1, 2), Fraction(1))
+]
+
+
+def census_witnesses(params):
+    """The witness of every class of the report-all and report-max censuses."""
+    return [
+        cls.witness
+        for scope in (search.SCOPE_REPORT_ALL, search.SCOPE_REPORT_MAX)
+        for cls in enumerate_outcomes(params, scope).classes
+    ]
+
+
+def off_rule_stop(params, profile, rng):
+    """The profile with one stop that its best-response rule forces moved
+    off it, or None when every rule is free."""
+    code = best_response(params, profile.policy).code
+    forced = [
+        (t, h)
+        for t in StudentType
+        for h in all_sequences(params.k - 1)
+        if search._rule_of(code, t, h) != search.ANY
+    ]
+    if not forced:
+        return None
+    key = rng.choice(forced)
+    stops = dict(profile.strategy.stop)
+    stops[key] = rng.choice([Fraction(1, 2), 1 - stops[key]])
+    return EquilibriumProfile(profile.policy, StudentStrategy(stops), profile.label, profile.reporting)
+
+
+def flipped_accept_bit(params, profile, rng):
+    """The profile with one accept bit flipped, under report-max a whole
+    best-score class, so that the policy stays measurable."""
+    if profile.reporting is Reporting.MAX:
+        mask = rng.choice(_best_score_masks(params.k))
+    else:
+        mask = 1 << rng.randrange(len(all_sequences(params.k)))
+    policy = AdmissionPolicy(params.k, profile.policy.bits ^ mask)
+    return EquilibriumProfile(policy, profile.strategy, profile.label, profile.reporting)
+
+
+def assert_same_verdict(params, profile):
+    """The verifier and the reference agree on ok, violations and off_path,
+    or both refuse the profile with the same message."""
+    try:
+        want = reference_verify(params, profile)
+    except MalformedProfile as exc:
+        with pytest.raises(MalformedProfile) as got:
+            verify_equilibrium(params, profile)
+        assert str(got.value) == str(exc)
+        return None
+    got = verify_equilibrium(params, profile)
+    assert (got.ok, got.violations, got.off_path) == (want.ok, want.violations, want.off_path)
+    return got
+
+
+class TestVerifyAgainstReference:
+    """The integer verifier on cached cohort rows gives the ``Fraction``
+    verifier's verdict, word for word."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_census_witnesses(self, k):
+        verdicts = {True: 0, False: 0}
+        for params in (params for params in VERIFY_GRID if params.k == k):
+            for witness in census_witnesses(params):
+                verdicts[assert_same_verdict(params, witness).ok] += 1
+        assert verdicts[True] > 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_corrupted_census_witnesses(self, k):
+        rng = random.Random(f"corrupt:{k}")
+        seen = {"stop": 0, "bit": 0}
+        for params in (params for params in VERIFY_GRID if params.k == k):
+            for witness in census_witnesses(params):
+                moved = off_rule_stop(params, witness, rng)
+                if moved is not None:
+                    seen["stop"] += 1
+                    verdict = assert_same_verdict(params, moved)
+                    assert not verdict.ok
+                    assert any(v.kind == "best_response" for v in verdict.violations)
+                flipped = flipped_accept_bit(params, witness, rng)
+                seen["bit"] += assert_same_verdict(params, flipped) is not None
+        assert seen["bit"] > 0 and (seen["stop"] > 0 or k == 1)  # no stop at k = 1
+
+    @pytest.mark.parametrize("reporting", list(Reporting))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_random_strategies_with_fractional_stops(self, k, reporting):
+        rng = random.Random(f"verify:{k}:{reporting.value}")
+        values = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(3, 4), Fraction(2, 7))
+        outcomes = {True: 0, False: 0}
+        for _ in range(40):
+            params = ModelParams(
+                p=Fraction(rng.randint(1, 19), 20),
+                alpha=rng.choice((Fraction(51, 100), Fraction(2, 3), Fraction(4, 5), Fraction(1))),
+                phi=rng.choice((Fraction(0), Fraction(1, 3), Fraction(1))),
+                k=k,
+            )
+            stops = {(t, h): rng.choice(values) for t in StudentType for h in all_sequences(k - 1)}
+            if reporting is Reporting.MAX:
+                accepted = {score for score in Score if rng.random() < 0.5}
+                policy = AdmissionPolicy.from_predicate(k, lambda s: best_score(s) in accepted)
+            else:
+                policy = AdmissionPolicy(k, rng.getrandbits(len(all_sequences(k))))
+            verdict = assert_same_verdict(params, profile_from(policy, stops, reporting))
+            outcomes[verdict.ok] += 1
+            # the same stops, each forced to its best-response rule where forced
+            code, fitted = best_response(params, policy).code, {}
+            for (t, h), f in stops.items():
+                rule = search._rule_of(code, t, h)
+                fitted[(t, h)] = f if rule == search.ANY else search._ADMISSIBLE[rule][0]
+            outcomes[assert_same_verdict(params, profile_from(policy, fitted, reporting)).ok] += 1
+        assert outcomes[False] > 0
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_malformed_strategies_are_refused_alike(self, k):
+        rng = random.Random(f"malformed:{k}")
+        params = ModelParams(p=Fraction(1, 2), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=k)
+        witness = enumerate_outcomes(params, search.SCOPE_REPORT_ALL).classes[0].witness
+        full = dict(witness.strategy.stop)
+        for key in rng.sample(sorted(full, key=str), 4):
+            partial = {kv: f for kv, f in full.items() if kv != key}
+            assert assert_same_verdict(params, profile_from(witness.policy, partial)) is None
+        deep = {**full, (StudentType.LOW, (Score.B,) * k): Fraction(1)}
+        assert assert_same_verdict(params, profile_from(witness.policy, deep)) is None
+        # an entry at no history is read by neither
+        extra = {**full, (StudentType.HIGH, ()): Fraction(1, 2)}
+        verdict = assert_same_verdict(params, profile_from(witness.policy, extra))
+        assert verdict.ok == verify_equilibrium(params, witness).ok
+
+    def test_corrupted_census_caches_change_no_verdict(self, monkeypatch):
+        """The verifier reads the model and the best-response induction,
+        never the census's caches: with ``_layout``, ``_census_plan`` and
+        ``_code_book`` handing out wrong values, and the verifier's own
+        cache cold, every witness keeps its verdict, while a census that
+        reads them finds witnesses that fail."""
+        params_list = [params for params in VERIFY_GRID if params.k == 3 and params.phi == Fraction(1, 2)]
+        cases = [(params, witness) for params in params_list for witness in census_witnesses(params)]
+        want = [verify_equilibrium(params, witness) for params, witness in cases]
+        layout, plan = search._layout, search._census_plan
+        monkeypatch.setattr(search, "_layout", lambda *args: layout(*args)._replace(
+            values=tuple(-v for v in layout(*args).values)))
+        other = {Score.A: Score.B, Score.B: Score.A}
+        monkeypatch.setattr(search, "_census_plan", lambda alpha, k, first: plan(alpha, k, other[first]))
+        monkeypatch.setattr(search, "_code_book", lambda k, first: search._CodeBook({}, {}))
+        model.cohort_rows.cache_clear()
+        assert [verify_equilibrium(params, witness) for params, witness in cases] == want
+        params = ModelParams(p=Fraction(1, 2), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
+        assert not all(cls.verified for cls in enumerate_outcomes(params, search.SCOPE_REPORT_ALL).classes)
 
 
 class TestEnumerateReportAll:

@@ -299,7 +299,7 @@ def _census_lps(monkeypatch, params: ModelParams) -> tuple[list[tuple], list[tup
 @pytest.mark.parametrize("alpha, p", [(Fraction(4, 5), Fraction(9, 20)), (Fraction(3, 5), Fraction(3, 4))])
 def test_census_lps_match_reference(monkeypatch, alpha, p, phi):
     """Every census LP against the reference, in both directions: a refused
-    one (by the forced-label screen or the tree decision) must be
+    one (by the forced-label screen or the origin's signs) must be
     infeasible, and a point (the origin, or one from the simplex) must be
     the reference's vertex; every kernel call matches too."""
     _subtree_induction.cache_clear()
