@@ -19,10 +19,6 @@ dense rows only for the simplex: a label row with no free continue mass
 fixes that label's accept bit, and with no negative rhs the origin is
 feasible, each one mask test on a policy's accept bits.
 
-Under report-all every sequence is its own label, and a system is feasible
-iff its origin is, the point where every indifferent node stops, so the
-mask test of the origin decides it and no report-all LP reaches the simplex.
-
 Lemma. Take a report-all system whose rule code comes from
 :func:`_induction`, with alpha in (1/2, 1]. If the origin violates a label
 row, the system is infeasible.
@@ -50,6 +46,13 @@ origin value in every flow. Otherwise, by (i), all mass that reaches s stops
 at labels in its subtree with its accept bit, which no other mass reaches,
 so in every flow their rows sum to cat1 + reach_H - reach_L, the origin
 value. That value has the wrong sign, so one of those rows is violated.
+
+Corollary. Under report-all, where every sequence is its own label, a
+system is feasible iff its origin is, so the origin's mask test decides it
+and no report-all LP reaches the simplex. The origin is then the witness, and
+no free node continues mass there, so its stops are 0 at a CONTINUE node and
+1 at a STOP or ANY node whatever p, phi or the reach: a census class's
+witness strategy is read off its rule codes (:func:`_origin_strategy`).
 
 Under report-max there are two labels, and a history that holds an A
 reports into label A whatever follows it, so all mass that enters it stops
@@ -86,22 +89,24 @@ The report-all census reads what depends on alpha alone from one cached plan
 per (alpha, k, first score) (:func:`_census_plan`): each accept pattern's
 rule code and admission odds, and each rule code's template with its label
 rows under int ids, from a code book per subtree that every alpha shares
-(:func:`_code_book`). Per point it does only the point's work:
-one layout, each row's sign once, four label masks and one flow system per
-rule code, and one decision per rule code and label signs, which fix the
-rows and so the verdict and the point. One policy's best
-response is cached per (alpha, k, first score, subtree accept pattern), for
-the report-max families, the verifier and the intervals. Subtree
-policies with equal integer admission odds form a group, whose witness stops
-come from its first policy; one class builder takes blocks of one-outcome
-policies from every scope, keyed by integer admission numerators that sum
-one term per group. A class keeps its policies as those blocks, a
-:class:`PolicySet`: a report-all block is the product of an A-group and a
-B-group of accept bits, and no policy is built until one is iterated. No
-closed form from :mod:`retesting.equilibria` is used to prune: the
-forced-label screen and the origin's mask test read only the signs of the
-label rows, and the spine decision only the system's own rows over the spine
-columns.
+(:func:`_code_book`). Per point it does only the point's work, in integers
+and bit masks, with no flow system: one layout, each row's constant b once,
+the labels with b > 0 and with b < 0 per rule code, and per accept pattern
+the origin's mask test (:func:`_origin_holds`, which :class:`_FlowSystem`
+shares). One policy's best response is cached per (alpha, k, first score,
+subtree accept pattern), for the report-max families, the verifier and the
+intervals. Subtree policies with equal integer admission odds form a group,
+which carries the rule code of its first policy; one class builder takes
+blocks of one-outcome policies from every scope, keyed by integer admission
+numerators that sum one term per group, and builds a witness strategy only
+for a block that opens a class: under report-all from a cache keyed by (k,
+A code, B code), by the corollary, and otherwise from the flow system's
+point. A class keeps its policies as those blocks, a :class:`PolicySet`: a
+report-all block is the product of an A-group and a B-group of accept bits,
+and no policy is built until one is iterated. No closed form from
+:mod:`retesting.equilibria` is used to prune: the forced-label screen and
+the origin's mask test read only the signs of the label rows, and the spine
+decision only the system's own rows over the spine columns.
 """
 
 from __future__ import annotations
@@ -109,10 +114,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import accumulate
 from operator import add, or_
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import _simplex
 from .beliefs import posterior_from_distribution
@@ -547,11 +552,15 @@ def _template(seqs: tuple[ScoreSeq, ...], reporting: Reporting, k: int, code: in
     return _Template(histories, var_index, reach, tuple(label_rows), spine)
 
 
+def _row_const(values: tuple[int, ...], row: _Row) -> int:
+    """A label row's constant b at a layout's ``values``: its constant's
+    indices sum to -b."""
+    return -sum(map(values.__getitem__, row[0]))
+
+
 def _row_sign(values: tuple[int, ...], row: _Row) -> tuple[int, bool]:
-    """A label row's constant b at a layout's ``values``, and whether a
-    variable enters it: a column's indices sum to its entry."""
-    const, cols = row
-    return -sum(map(values.__getitem__, const)), any([sum(map(values.__getitem__, js)) for _, js in cols])
+    """A label row's :func:`_row_const` b, and whether a variable enters it."""
+    return _row_const(values, row), any([sum(map(values.__getitem__, js)) for _, js in row[1]])
 
 
 def _label_masks(labels: Iterable[tuple[int, tuple[int, bool]]]) -> tuple[int, int, int, int]:
@@ -571,6 +580,13 @@ def _label_masks(labels: Iterable[tuple[int, tuple[int, bool]]]) -> tuple[int, i
     return pos, neg, signed, forced
 
 
+def _origin_holds(bits: int, pos: int, neg: int) -> bool:
+    """Whether the origin is a point at the accept ``bits``, given the labels
+    with b > 0 (``pos``) and b < 0 (``neg``): a rejected label's rhs is b, an
+    accepted one's -b, and a best-response row's a reach mass."""
+    return not (bits & pos or ~bits & neg)
+
+
 class _FlowSystem:
     """Linear feasibility system over free continue masses within a scope.
 
@@ -586,13 +602,12 @@ class _FlowSystem:
     A policy enters only through the signs of the label rows, read from its
     accept bits (as in :class:`AdmissionPolicy`), so it has an equilibrium
     iff its :meth:`rows` admit a nonnegative solution. A system reads from
-    the tree's :class:`_Layout` only each label row's constant b and whether
-    a variable enters it, each summed once per layout, and keeps them as
-    four masks of label accept bits: b > 0, b < 0, a row other than
-    0 <= 0 (signed), and b nonzero with no variable (forced), with no
-    ``Fraction`` arithmetic; dense rows wait until asked for. Under
-    report-all the masks decide the system: it is feasible iff its origin
-    is, by the lemma of this module's docstring.
+    the tree's :class:`_Layout` each label row's constant b and whether a
+    variable enters it, summed once per layout, as four masks of label
+    accept bits: b > 0, b < 0, a row other than 0 <= 0 (signed), and b
+    nonzero with no variable (forced); dense rows wait until asked for.
+    Under report-all the masks decide the system, by the lemma of this
+    module's docstring.
 
     Under report-max only the free columns on the all-B spine enter a label
     row: a history that holds an A reports into label A whatever follows, so
@@ -605,25 +620,20 @@ class _FlowSystem:
     """
 
     def __init__(self, params: ModelParams, code: int, sequences: Iterable[ScoreSeq], reporting: Reporting,
-                 layout: Optional[_Layout] = None, template: Optional[_Template] = None,
-                 masks: Optional[tuple[int, int, int, int]] = None):
-        """The system of the tree ``sequences`` under the rule ``code``, on
-        the tree's ``layout`` and ``template`` (cached ones when not given)
-        and with its four label ``masks`` when a census plan has read them
-        (see :func:`_label_masks`)."""
+                 template: Optional[_Template] = None):
+        """The system of the tree ``sequences`` under the rule ``code``, on its
+        cached layout and on ``template`` (the cached one when not given)."""
         seqs = tuple(sequences)
         self._template = template = template or _template(seqs, reporting, params.k, code)
-        values, signs = layout or _layout(params, seqs, reporting)
+        values, signs = _layout(params, seqs, reporting)
         self._values = values
         self.code = code
         self.scale = values[1]
         self.histories = template.histories
         self.var_index = template.var_index
         self.n = len(template.var_index)
-        if masks is None:
-            masks = _label_masks((mask, signs.get(row) or signs.setdefault(row, _row_sign(values, row)))
-                                 for mask, row in template.label_rows)
-        self._pos, self._neg, self._signed, self._forced = masks
+        self._pos, self._neg, self._signed, self._forced = _label_masks(
+            (mask, signs.get(row) or signs.setdefault(row, _row_sign(values, row))) for mask, row in template.label_rows)
         self._spine = template.spine
 
     @cached_property
@@ -652,12 +662,12 @@ class _FlowSystem:
         label's accept bit, (coefficients, rhs))."""
         at = {c: i for i, c in enumerate(cols)}
         get, rows = self._values.__getitem__, []
-        for mask, (const, terms) in self._template.label_rows:
+        for mask, row in self._template.label_rows:
             coeffs = [0] * len(cols)
-            for col, js in terms:
+            for col, js in row[1]:
                 if col in at:
                     coeffs[at[col]] = sum(map(get, js))
-            rows.append((mask, (coeffs, -sum(map(get, const)))))
+            rows.append((mask, (coeffs, _row_const(self._values, row))))
         return rows
 
     @cached_property
@@ -700,10 +710,8 @@ class _FlowSystem:
         return self._sign_rows(self._br_rows, self._label_rows, bits)
 
     def _at_origin(self, bits: int) -> bool:
-        """Whether no rhs is negative, so that the origin is a point: a
-        best-response row's rhs is a reach mass, so only a label row's can
-        be, b when the label is rejected and -b when accepted."""
-        return not (bits & self._pos or ~bits & self._neg)
+        """Whether no rhs is negative, so that the origin is a point (:func:`_origin_holds`)."""
+        return _origin_holds(bits, self._pos, self._neg)
 
     def refutes(self, bits: int) -> bool:
         """Whether the policy's polytope is empty, decided with no dense row
@@ -939,25 +947,24 @@ def _census(
     considered: int,
     reporting: Reporting,
     mask: int,
-    blocks: Iterable[tuple[Sequence[int], Sequence[int], tuple[int, ...], Sequence[Mapping]]],
+    blocks: Iterable[tuple[Sequence[int], Sequence[int], tuple[int, ...], Callable[[], StudentStrategy]]],
 ) -> Enumeration:
     """The one place outcome classes are built. Each block (left, right,
-    terms, stops) holds feasible policies, split at ``mask`` as in
+    terms, strategy) holds feasible policies, split at ``mask`` as in
     :class:`PolicySet`, with one outcome: the sums of the
     :func:`_admit_terms` of its two first scores, which key its class. A new
-    outcome gets the verified witness of its block's first policy, whose
-    stops are the union of the ``stops`` maps.
+    outcome gets the verified witness of its block's first policy, with the
+    strategy of its ``strategy`` call, made for no other block.
     """
     cohorts = [c for c in COHORTS if params.cohort_mass[c] > 0]
     den = params.alpha.denominator ** params.k
     classes: dict[tuple[int, ...], OutcomeClass] = {}
-    for left, right, terms, stops in blocks:
+    for left, right, terms, strategy in blocks:
         cls = classes.get(terms)
         if cls is None:
             admit = {c: Fraction(v, den) for c, v in zip(cohorts, terms)}
             label = _classify(params, admit, reporting)
-            strategy = StudentStrategy({key: stop for part in stops for key, stop in part.items()})
-            witness = EquilibriumProfile(AdmissionPolicy(params.k, left[0] | right[0]), strategy, label, reporting)
+            witness = EquilibriumProfile(AdmissionPolicy(params.k, left[0] | right[0]), strategy(), label, reporting)
             policies = PolicySet(params.k, mask)
             cls = classes[terms] = OutcomeClass(admit, label, witness, policies, verify_equilibrium(params, witness).ok)
         cls.policies.blocks.append((left, right))
@@ -1027,51 +1034,52 @@ def _census_plan(alpha: Fraction, k: int, first: Score) -> _CensusPlan:
     return _CensusPlan(tuple((row_id, rows[row_id]) for row_id in used), codes, tuple(entries))
 
 
-def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list, tuple[int, ...], dict]]:
+def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list, tuple[int, ...], int]]:
     """The consistent accept patterns of one first-score subtree, grouped by
     integer admission odds (accepts the first score, values after it) in
-    order of first occurrence: (accept patterns, :func:`_admit_terms`, stops of the
-    first pattern).
+    order of first occurrence: (accept patterns, :func:`_admit_terms`, rule
+    code of the first pattern).
 
     Everything that depends on alpha alone comes from the subtree's cached
-    :func:`_census_plan`. Per point: one layout, the sign of each of the
-    plan's label rows, four label masks and a flow system per rule code, and
-    one :meth:`_FlowSystem.feasible` per (code, signs), which fix the rows.
+    :func:`_census_plan`. Per point: one layout, each plan row's constant b,
+    the labels with b > 0 and b < 0 per rule code, and one
+    :func:`_origin_holds` per accept pattern, exact by the lemma of this
+    module's docstring; no flow system is built.
     """
-    seqs = _subtree(first, params.k)
     plan = _census_plan(params.alpha, params.k, first)
-    layout = _layout(params, seqs, Reporting.ALL)
-    signs = {row_id: _row_sign(layout.values, row) for row_id, row in plan.rows}
-    systems = {
-        code: _FlowSystem(params, code, seqs, Reporting.ALL, layout, template,
-                          _label_masks((mask, signs[row]) for mask, row in labels))
-        for code, (template, labels) in plan.codes.items()
-    }
-    points: dict[tuple[int, int], Optional[list[Fraction]]] = {}  # (rule code, signs) -> point
-    groups: dict[tuple, tuple[list, tuple[int, ...], dict]] = {}
+    values = _layout(params, _subtree(first, params.k), Reporting.ALL).values
+    consts = {row_id: _row_const(values, row) for row_id, row in plan.rows}
+    masks = {code: (sum(mask for mask, row_id in labels if consts[row_id] > 0),
+                    sum(mask for mask, row_id in labels if consts[row_id] < 0))
+             for code, (_, labels) in plan.codes.items()}
+    groups: dict[tuple, tuple[list, tuple[int, ...], int]] = {}
     for bits, code, odds in plan.entries:
-        system = systems[code]
-        # equal code and signs mean equal rows, hence the same vertex
-        key = (code, system.signs(bits))
-        if key not in points:
-            points[key] = system.feasible(bits)
-        x = points[key]
-        if x is None:
-            continue
-        if odds not in groups:
-            groups[odds] = ([], _admit_terms(params, first, *odds), system.stops_from_point(x))
-        groups[odds][0].append(bits)
+        if _origin_holds(bits, *masks[code]):
+            if odds not in groups:
+                groups[odds] = ([], _admit_terms(params, first, *odds), code)
+            groups[odds][0].append(bits)
     return groups
+
+
+@lru_cache(maxsize=64)  # a census-k3 input cycle reads 13 pairs; k 1-3 at 50 alphas, 10 p and 3 phi read 19
+def _origin_strategy(k: int, a_code: int, b_code: int) -> StudentStrategy:
+    """The origin's stops under the subtree rule codes, the witness of a
+    report-all class by the corollary of this module's docstring: 0 where
+    the rule is CONTINUE, else 1, in :meth:`_FlowSystem.stops_from_point`
+    order, A subtree first."""
+    return StudentStrategy({(t, h): _ZERO if _rule_of(a_code | b_code, t, h) == CONTINUE else _ONE
+                            for first in Score for t in _TYPES for h in _subtree(first, k) if len(h) < k})
 
 
 def _enumerate_report_all(params: ModelParams) -> Enumeration:
     """One block per (A-group, B-group) pair: the products of their patterns,
-    whose accept bits never share a node, and the sums of their terms."""
+    whose accept bits never share a node, the sums of their terms, and the
+    witness strategy of their rule codes."""
     a_groups, b_groups = (_solve_subtrees(params, first).values() for first in Score)
     blocks = (
-        (a_bits, b_bits, tuple(map(add, a_terms, b_terms)), (a_stops, b_stops))
-        for a_bits, a_terms, a_stops in a_groups
-        for b_bits, b_terms, b_stops in b_groups
+        (a_bits, b_bits, tuple(map(add, a_terms, b_terms)), partial(_origin_strategy, params.k, a_code, b_code))
+        for a_bits, a_terms, a_code in a_groups
+        for b_bits, b_terms, b_code in b_groups
     )
     considered = (1 << (2**params.k - 1)) ** 2
     mask = _subtree_mask(Score.A, params.k)
@@ -1092,7 +1100,8 @@ def _policy_system(
 def _enumerate_policy_list(
     params: ModelParams, policies: list[AdmissionPolicy], reporting: Reporting, scope: str
 ) -> Enumeration:
-    """One block per feasible policy, one flow system and solve each."""
+    """One block per feasible policy, one flow system and solve each; the
+    stops of its point are read only for a policy that opens a class."""
 
     def blocks():
         for policy in policies:
@@ -1101,7 +1110,8 @@ def _enumerate_policy_list(
             if x is not None:
                 terms = [_admit_terms(params, first, policy.bits >> node((first,)) & 1, high, low)
                          for first, high, low, _ in responses]
-                yield (policy.bits,), (0,), tuple(map(add, *terms)), (system.stops_from_point(x),)
+                yield ((policy.bits,), (0,), tuple(map(add, *terms)),
+                       lambda system=system, x=x: StudentStrategy(system.stops_from_point(x)))
 
     mask = (1 << len(all_sequences(params.k))) - 1  # every node: a block holds one policy
     return _census(params, scope, len(policies), reporting, mask, blocks())

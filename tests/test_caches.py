@@ -45,6 +45,7 @@ CACHES = {
     "search._subtree_response": search._subtree_response,
     "search._code_book": search._code_book,
     "search._census_plan": search._census_plan,
+    "search._origin_strategy": search._origin_strategy,
     "search._shape": search._shape,
     "search._layout": search._layout,
     "search._template": search._template,

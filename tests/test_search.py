@@ -1149,56 +1149,128 @@ class TestGroupedCensus:
                 for node, stop in system.stops_from_point(x).items():
                     assert witness.strategy.stop[node] == stop
 
-    def test_k3_census_decides_each_distinct_lp_once_with_a_kernel_call_per_group_at_most(self, monkeypatch):
-        """One :meth:`_FlowSystem.feasible` per (rule code, signs), which fix
-        the rows, each decided by the origin's signs with no kernel call at
-        all, also at alpha 1."""
-        kernel, verdicts, refuted = [], [], []
-        optimize, feasible = _simplex.optimize, _FlowSystem.feasible
+    def test_k3_census_decides_every_pattern_by_one_mask_test_with_no_kernel_call(self, monkeypatch):
+        """One :func:`search._origin_holds` per accept pattern, on the label
+        masks of its rule code, and no flow system, no kernel call and no
+        :meth:`_FlowSystem.feasible` at all, also at alpha 1: each verdict
+        is the one :meth:`_FlowSystem.refutes` gives."""
+        kernel, verdicts, built = [], [], []
+        optimize, origin_holds, init = _simplex.optimize, search._origin_holds, _FlowSystem.__init__
 
         def counting(objectives, *args, **kwargs):
             kernel.append(len(objectives))
             return optimize(objectives, *args, **kwargs)
 
-        def deciding(system, bits):
-            verdicts.append((system.code, system.signs(bits)))
-            x = feasible(system, bits)
-            refuted.append(x is None and not system.refuses(bits))
-            return x
+        def deciding(bits, pos, neg):
+            verdicts.append((bits, origin_holds(bits, pos, neg)))
+            return verdicts[-1][1]
 
         monkeypatch.setattr(_simplex, "optimize", counting)
-        monkeypatch.setattr(_FlowSystem, "feasible", deciding)
+        monkeypatch.setattr(search, "_origin_holds", deciding)
+        monkeypatch.setattr(_FlowSystem, "__init__", lambda system, *args: built.append(args) or init(system, *args))
+        monkeypatch.setattr(_FlowSystem, "feasible", lambda system, bits: pytest.fail("a census LP was solved"))
+        refuted = 0
         for alpha in (Fraction(4, 5), Fraction(1)):
             params = ModelParams(p=Fraction(9, 20), alpha=alpha, phi=Fraction(1, 2), k=3)
             for first in Score:
                 verdicts.clear()
-                assert search._solve_subtrees(params, first)
+                groups = search._solve_subtrees(params, first)
+                assert groups and built == []
                 patterns = _subtree_induction(params.alpha, 3, first)
-                systems = {code: _FlowSystem(params, code, _subtree(first, 3), Reporting.ALL) for *_, code in patterns}
-                distinct = {(code, systems[code].signs(bits)) for bits, _, _, code in patterns}
-                assert len(verdicts) == len(set(verdicts)) == len(distinct)
-                assert set(verdicts) == distinct
-                # at least one LP per rule code; below alpha 1 fewer than one
-                # per two of the 128 patterns, at alpha 1 nearly one code per pattern
-                assert len(systems) <= len(distinct) < (64 if alpha < 1 else 129)
+                assert [bits for bits, _ in verdicts] == [bits for bits, *_ in patterns]
+                kept = {bits for group, *_ in groups.values() for bits in group}
+                assert kept == {bits for bits, holds in verdicts if holds}
+                for (bits, holds), (_, _, _, code) in zip(verdicts, patterns):
+                    system = _FlowSystem(params, code, _subtree(first, 3), Reporting.ALL)
+                    assert holds == (not system.refutes(bits))
+                    # a negative rhs that the forced-label screen passes, refuted with no kernel call
+                    refuted += not holds and not system.refuses(bits)
+                built.clear()
         assert kernel == []
-        assert any(refuted)  # a negative rhs that the screen passes, refuted with no kernel call
+        assert refuted > 0
 
-    def test_k3_census_computes_stops_once_per_subtree_group(self, monkeypatch):
-        calls = []
-        stops_from_point = _FlowSystem.stops_from_point
-
-        def counting(system, x):
-            calls.append(x)
-            return stops_from_point(system, x)
-
-        monkeypatch.setattr(_FlowSystem, "stops_from_point", counting)
+    def test_k3_census_reads_witness_stops_off_the_rule_codes(self, monkeypatch):
+        """Groups carry rule codes, not stops: the census calls no
+        :meth:`_FlowSystem.stops_from_point`, builds one witness strategy
+        per code pair it has not seen and, at a point whose pairs it has
+        seen, builds no flow system and no strategy."""
+        calls, built, strategies = [], [], []
+        init, strategy_init = _FlowSystem.__init__, StudentStrategy.__init__
+        monkeypatch.setattr(_FlowSystem, "stops_from_point", lambda system, x: calls.append(x))
+        monkeypatch.setattr(_FlowSystem, "__init__", lambda system, *args: built.append(args) or init(system, *args))
+        monkeypatch.setattr(StudentStrategy, "__init__",
+                            lambda strategy, stop: strategies.append(stop) or strategy_init(strategy, stop))
         params = ModelParams(p=Fraction(9, 20), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
-        groups = sum(len(search._solve_subtrees(params, first)) for first in Score)
-        assert len(calls) == groups == 3
-        calls.clear()
-        assert enumerate_outcomes(params, "report-all").classes
-        assert len(calls) == groups
+        groups = [search._solve_subtrees(params, first) for first in Score]
+        assert sum(map(len, groups)) == 3
+        classes = enumerate_outcomes(params, "report-all").classes
+        pairs = [tuple(sub for *_, sub in search._subtree_responses(params, cls.witness.policy)) for cls in classes]
+        assert len(strategies) == search._origin_strategy.cache_info().misses == len(set(pairs)) > 0
+        for cls, pair in zip(classes, pairs):
+            assert cls.witness.strategy is search._origin_strategy(3, *pair)
+        assert calls == built == []
+        strategies.clear()
+        other = ModelParams(p=Fraction(3, 10), alpha=params.alpha, phi=params.phi, k=3)
+        again = enumerate_outcomes(other, "report-all").classes
+        assert {tuple(sub for *_, sub in search._subtree_responses(other, c.witness.policy)) for c in again} <= set(pairs)
+        assert calls == built == strategies == []
+
+
+class TestPolicyListWitnesses:
+    """Report-max and family scopes solve one flow system per policy, but
+    read the stops of a point and build a strategy only for a policy that
+    opens a class."""
+
+    def test_stops_are_read_once_per_new_class(self, monkeypatch):
+        calls, strategies, points = [], [], []
+        stops_from_point, feasible, strategy_init = (_FlowSystem.stops_from_point, _FlowSystem.feasible,
+                                                     StudentStrategy.__init__)
+        monkeypatch.setattr(_FlowSystem, "stops_from_point", lambda system, x: calls.append(x) or stops_from_point(system, x))
+        monkeypatch.setattr(_FlowSystem, "feasible", lambda system, bits: points.append(feasible(system, bits)) or points[-1])
+        monkeypatch.setattr(StudentStrategy, "__init__",
+                            lambda strategy, stop: strategies.append(stop) or strategy_init(strategy, stop))
+        shared = 0
+        for alpha, p, phi in [("0.8", "0.5", "0.5"), ("0.6", "0.3", "0"), ("1", "0.4", "0.5"), ("0.7", "0.9", "1")]:
+            for k in (2, 3, 5):
+                for scope in SCOPES[:1] + SCOPES[2:]:
+                    for log in (calls, strategies, points):
+                        log.clear()
+                    classes = enumerate_outcomes(ModelParams(p=p, alpha=alpha, phi=phi, k=k), scope).classes
+                    assert len(calls) == len(strategies) == len(classes), (alpha, p, phi, k, scope)
+                    shared += sum(x is not None for x in points) > len(classes)
+        assert shared > 0  # some class is supported by more than one feasible policy
+
+
+class TestOriginWitness:
+    """The corollary of the lemma in the :mod:`retesting.search` docstring:
+    a feasible report-all system has the origin as a point, where the stops
+    are 0 at CONTINUE and 1 at STOP and ANY, so the census decides each
+    accept pattern by two label masks and reads its witness off the rule
+    code. Both must be what a flow system of the pattern gives."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", ["0.6", "0.8", "1"])
+    def test_mask_verdicts_and_stops_from_the_code(self, k, alpha):
+        feasible = 0
+        for p in ("0.2", "0.5", "0.9"):
+            for phi in ("0", "0.5", "1"):
+                params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+                for first in Score:
+                    groups = search._solve_subtrees(params, first)
+                    kept = {bits for group, *_ in groups.values() for bits in group}
+                    systems = {}
+                    for bits, _, _, code in _subtree_induction(params.alpha, k, first):
+                        if code not in systems:
+                            systems[code] = _FlowSystem(params, code, _subtree(first, k), Reporting.ALL)
+                        system = systems[code]
+                        assert (bits in kept) == (not system.refutes(bits)), (p, phi, first, bits)
+                        if bits in kept:
+                            codes = (code, 0) if first is Score.A else (0, code)
+                            stops = [(key, f) for key, f in search._origin_strategy(k, *codes).stop.items()
+                                     if key[1][0] is first]
+                            assert stops == list(system.stops_from_point([Fraction(0)] * system.n).items())
+                            feasible += 1
+        assert feasible > 0
 
 
 def per_pattern_groups(params, first):
@@ -1233,8 +1305,11 @@ class TestCensusPlan:
             groups = [per_pattern_groups(params, first) for first in Score]
             for first, want in zip(Score, groups):
                 got = search._solve_subtrees(params, first)
-                assert list(got.items()) == list(want.items()), (first, p)
-            blocks = ((a_bits, b_bits, tuple(map(sum, zip(a_terms, b_terms))), (a_stops, b_stops))
+                # the census's groups carry rule codes where these carry stops
+                assert [(odds, bits, terms) for odds, (bits, terms, _) in got.items()] == \
+                    [(odds, bits, terms) for odds, (bits, terms, _) in want.items()], (first, p)
+            blocks = ((a_bits, b_bits, tuple(map(sum, zip(a_terms, b_terms))),
+                       lambda a_stops=a_stops, b_stops=b_stops: StudentStrategy({**a_stops, **b_stops}))
                       for a_bits, a_terms, a_stops in groups[0].values()
                       for b_bits, b_terms, b_stops in groups[1].values())
             want = search._census(params, "report-all", 4 ** (2**k - 1), Reporting.ALL,

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from retesting import AdmissionPolicy, ModelParams, Reporting, all_sequences, best_response
-from retesting import _simplex
+from retesting import _simplex, search
 from retesting.search import _FlowSystem, _subtree_induction, enumerate_outcomes, free_stop_intervals
 
 
@@ -268,13 +268,19 @@ def test_small_cases(lp, status):
 
 
 def _census_lps(monkeypatch, params: ModelParams) -> tuple[list[tuple], list[tuple]]:
-    """Every LP that the census and its classes' intervals decide. Each
-    feasibility LP is recorded as :meth:`_FlowSystem.feasible` receives it,
-    before its screens, as (a_ub, b_ub, n, scale, point or None); every
-    kernel call as (objectives, other arguments, scale, results), where
-    :func:`_simplex.solve` is an ``optimize`` call of one objective."""
-    feasibility, lps = [], []
-    optimize, feasible = _simplex.optimize, _FlowSystem.feasible
+    """Every LP that the census and its classes' intervals decide, as
+    (a_ub, b_ub, n, scale, point or None). A report-max or family LP is
+    recorded as :meth:`_FlowSystem.feasible` receives it, before its
+    screens. The report-all census decides each accept pattern of a
+    first-score subtree by the origin's mask test and builds no system, so
+    each pattern that :func:`search._solve_subtrees` keeps gets the origin
+    as its point and each one it drops None, on the rows of the pattern's
+    rule code; an LP met again with the same verdict is recorded once.
+    Every kernel call is recorded as (objectives, other arguments, scale,
+    results), where :func:`_simplex.solve` is an ``optimize`` call of one
+    objective."""
+    feasibility, lps, seen = [], [], set()
+    optimize, feasible, solve_subtrees = _simplex.optimize, _FlowSystem.feasible, search._solve_subtrees
 
     def recording(objectives, *args, scale=None):
         results = optimize(objectives, *args, scale=scale)
@@ -286,8 +292,22 @@ def _census_lps(monkeypatch, params: ModelParams) -> tuple[list[tuple], list[tup
         feasibility.append((*system.rows(bits), system.n, system.scale, x))
         return x
 
+    def census(params, first):
+        groups = solve_subtrees(params, first)
+        kept = {bits for patterns, *_ in groups.values() for bits in patterns}
+        for bits, _, _, code in _subtree_induction(params.alpha, params.k, first):
+            system = _FlowSystem(params, code, search._subtree(first, params.k), Reporting.ALL)
+            a_ub, b_ub = system.rows(bits)
+            x = [Fraction(0)] * system.n if bits in kept else None
+            key = (tuple(map(tuple, a_ub)), tuple(b_ub), x is None)
+            if key not in seen:
+                seen.add(key)
+                feasibility.append((a_ub, b_ub, system.n, system.scale, x))
+        return groups
+
     monkeypatch.setattr(_simplex, "optimize", recording)
     monkeypatch.setattr(_FlowSystem, "feasible", deciding)
+    monkeypatch.setattr(search, "_solve_subtrees", census)
     for scope, reporting in (("report-all", Reporting.ALL), ("report-max", Reporting.MAX)):
         for cls in enumerate_outcomes(params, scope).classes:
             free_stop_intervals(params, cls.witness.policy, reporting)
