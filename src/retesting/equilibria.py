@@ -8,8 +8,9 @@ membership follows each result's closed/open endpoints as stated.
 Thresholds and regions do not depend on the prior p, and the policies and
 strategies of the canonical profiles depend on k alone. Both are computed
 once and shared: the thresholds in one bounded cache per (alpha, phi, k)
-(:func:`_threshold_record`), the policies and strategies per k (and run
-index n), so a sweep over p pays for them once per triple.
+(:func:`_threshold_record`), whose part that no phi enters is cached per
+(alpha, k) (:func:`_run_thresholds`), and the policies and strategies per k
+(and run index n), so a sweep over p pays for them once per triple.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import BadIndex, NoEquilibrium, UnsupportedK
 from .model import (
@@ -191,12 +192,46 @@ class _Thresholds:
     report_all: Optional[Region]  # the non-first-score region, k >= 2
 
 
+class _RunThresholds(NamedTuple):
+    """The thresholds and regions at one (alpha, k) that no phi enters."""
+
+    powers: tuple[Fraction, Fraction]  # alpha^k and (1 - alpha)^k
+    stars: tuple[tuple[str, Fraction], ...]  # p_star_n for n = 1..k+2 and p_double_star, k >= 2
+    runs: tuple[Region, ...]  # non_first_score_region for n = 2..k
+    report_all: Optional[Region]  # the non-first-score region, k >= 2
+
+
+@lru_cache(maxsize=64)  # a sweep or census visits a few alphas per k
+def _run_thresholds(alpha: Fraction, k: int) -> _RunThresholds:
+    """The part of :func:`_threshold_record` that depends on (alpha, k)
+    alone, computed once per pair."""
+    ab = 1 - alpha
+    stars: dict[str, Fraction] = {}
+    runs: tuple[Region, ...] = ()
+    report_all = None
+    if k >= 2:
+        p_stars = {n: p_star(n, alpha) if n >= 2 else alpha for n in range(1, k + 3)}
+        stars = {f"p_star_{n}": v for n, v in p_stars.items()}
+        if alpha != 1:
+            stars["p_double_star"] = p_double_star(k, alpha)
+        # a single A must itself be accepted, which pins each run's band
+        # inside [1-alpha, alpha]
+        runs = tuple(
+            Region([(max(p_stars[n], ab), min(alpha if n == 2 else p_stars[n - 1], alpha))])
+            for n in range(2, k + 1)
+        )
+        report_all = Region([(p_stars[k + 2], ab), (p_stars[k], alpha)])
+    return _RunThresholds((alpha**k, ab**k), tuple(stars.items()), runs, report_all)
+
+
 @lru_cache(maxsize=256)
 def _threshold_record(alpha: Fraction, phi: Fraction, k: int) -> _Thresholds:
     """The thresholds and regions of (alpha, phi, k), which do not depend on
-    p: computed once per triple and shared, immutable."""
+    p: computed once per triple and shared, immutable. Only the report-max
+    thresholds are computed here; the rest come from :func:`_run_thresholds`."""
     ab, phib = 1 - alpha, 1 - phi
-    ak, abk = alpha**k, ab**k
+    run = _run_thresholds(alpha, k)
+    ak, abk = run.powers
     lower = (phi * ab + phib * (1 - ak)) / (phi + phib * (2 - ak - abk))
     upper = (phi * alpha + phib * ak) / (phi + phib * (ak + abk))
     c = alpha * ab * phib
@@ -204,20 +239,7 @@ def _threshold_record(alpha: Fraction, phi: Fraction, k: int) -> _Thresholds:
     hat_hat = min(Fraction(1, 2), (c + ab) / (c + 1))
     if k == 2:
         bounds["p_hat_hat"] = hat_hat
-    runs: tuple[Region, ...] = ()
-    report_all = None
-    if k >= 2:
-        stars = {n: p_star(n, alpha) if n >= 2 else alpha for n in range(1, k + 3)}
-        bounds.update((f"p_star_{n}", v) for n, v in stars.items())
-        if alpha != 1:
-            bounds["p_double_star"] = p_double_star(k, alpha)
-        # a single A must itself be accepted, which pins each run's band
-        # inside [1-alpha, alpha]
-        runs = tuple(
-            Region([(max(stars[n], ab), min(alpha if n == 2 else stars[n - 1], alpha))])
-            for n in range(2, k + 1)
-        )
-        report_all = Region([(stars[k + 2], ab), (stars[k], alpha)])
+    bounds.update(run.stars)
     return _Thresholds(
         p_hat=lower,
         p_hat_prime=upper,
@@ -225,8 +247,8 @@ def _threshold_record(alpha: Fraction, phi: Fraction, k: int) -> _Thresholds:
         p_hat_hat=hat_hat,
         bounds=MappingProxyType(bounds),
         values=frozenset(bounds.values()),
-        runs=runs,
-        report_all=report_all,
+        runs=run.runs,
+        report_all=run.report_all,
     )
 
 

@@ -54,6 +54,24 @@ no free node continues mass there, so its stops are 0 at a CONTINUE node and
 1 at a STOP or ANY node whatever p, phi or the reach: a census class's
 witness strategy is read off its rule codes (:func:`_origin_strategy`).
 
+Second corollary. Two feasible report-all accept patterns of one
+first-score subtree with one rule code have one polytope, so they share
+their free-stop ranges (:func:`free_stop_intervals`). Let D be the labels
+where their bits differ. (iv) A label s of D has b = 0, since the origin
+holds for both, and if it is shorter than k each type's rule at s is ANY, as
+STOP fixes the bit to 1 and CONTINUE to 0. So s is worth its own bit in
+each pattern, and the two bits differ. (v) Take the shallowest label a of D
+on the path to s. No type reaches a through an ANY ancestor c: c is not in
+D, so its bit is the same in both, and by (i) every node that the type's
+continuing mass reaches below c is worth c's bit in both patterns, which a
+is not. So the reaches at a are constants, and their net with the Category 1
+mass is a's b, 0. (vi) If a is accepted, its continuation is worth the full
+scale, so by (i) and (ii) all mass stops in a's subtree at accepted labels
+only, and every other label there gets no stop mass and has row 0. In every
+flow the rows of a's subtree sum to a's b, 0, and none is negative, so all
+are 0; if a is rejected, the same holds with the signs reversed. So every
+label of D has row 0 on both polytopes, and each polytope lies in the other.
+
 Under report-max there are two labels, and a history that holds an A
 reports into label A whatever follows it, so all mass that enters it stops
 under label A: the free continue masses off the all-B spine B, BB, ... net
@@ -90,18 +108,27 @@ per (alpha, k, first score) (:func:`_census_plan`): each accept pattern's
 rule code and admission odds, and each rule code's template with its label
 rows under int ids, from a code book per subtree that every alpha shares
 (:func:`_code_book`). Per point it does only the point's work, in integers
-and bit masks, with no flow system: one layout, each row's constant b once,
-the labels with b > 0 and with b < 0 per rule code, and per accept pattern
-the origin's mask test (:func:`_origin_holds`, which :class:`_FlowSystem`
-shares). One policy's best response is cached per (alpha, k, first score,
-subtree accept pattern), for the report-max families, the verifier and the
-intervals. Subtree policies with equal integer admission odds form a group,
-which carries the rule code of its first policy; one class builder takes
-blocks of one-outcome policies from every scope, keyed by integer admission
-numerators that sum one term per group, and builds a witness strategy only
-for a block that opens a class: under report-all from a cache keyed by (k,
-A code, B code), by the corollary, and otherwise from the flow system's
-point. A class keeps its policies as those blocks, a :class:`PolicySet`: a
+and bit masks, with no flow system: one layout, each plan row's constant b
+once, folded into two bit sets over the row ids, those with b > 0 and those
+with b < 0. The kept patterns are a function of the plan and those two sets,
+so they are cached per (alpha, k, first score, b > 0 rows, b < 0 rows)
+(:func:`_kept_groups`); a new key runs, per rule code, the labels with b > 0
+and with b < 0 and, per accept pattern, the origin's mask test
+(:func:`_origin_holds`, which :class:`_FlowSystem` shares). One policy's
+best response is cached per (alpha, k, first score, subtree accept pattern),
+for the report-max families, the verifier and the intervals. Subtree
+policies with equal integer admission odds form a group, which carries the
+rule code of its first policy; one class builder takes blocks of
+one-outcome policies from every scope, keyed by integer admission numerators
+that sum one term per group, each term cached per (alpha, k, positive
+cohorts, first score, odds) (:func:`_admit_terms`), and reads a new class's
+label and admission probabilities from a cache keyed by those numerators
+(:func:`_class_label`). It builds a witness strategy only for a block that
+opens a class, and only from a cache keyed by rule codes where the point is
+the origin: under report-all keyed by (k, A code, B code), by the
+corollary, and for the policy lists keyed by (k, whole-tree code) when the
+flow system's origin holds; a vertex of the simplex gives its own stops. A
+class keeps its policies as those blocks, a :class:`PolicySet`: a
 report-all block is the product of an A-group and a B-group of accept bits,
 and no policy is built until one is iterated. No closed form from
 :mod:`retesting.equilibria` is used to prune: the forced-label screen and
@@ -471,7 +498,9 @@ class _Layout(NamedTuple):
     signs: dict[_Row, tuple[int, bool]]
 
 
-@lru_cache(maxsize=8)  # a census point uses up to four trees
+# a census point reads three trees: the two subtrees for the row signs of its
+# kept groups, and the whole tree under report-max
+@lru_cache(maxsize=8)
 def _layout(params: ModelParams, seqs: tuple[ScoreSeq, ...], reporting: Reporting) -> _Layout:
     """The :class:`_Layout` of the tree ``seqs`` at one point."""
     shape = _shape(seqs, reporting)
@@ -903,42 +932,53 @@ class Enumeration:
     classes: list[OutcomeClass]
 
 
-def _classify(
-    params: ModelParams,
-    admit: dict[Cohort, Fraction],
-    reporting: Reporting,
-) -> str:
-    probs = set(admit.values())
-    if probs == {Fraction(0)}:
-        return REJECT_ALL
-    if probs == {Fraction(1)}:
-        return ACCEPT_ALL
-    first = {
-        c: (params.alpha if c.type_ is StudentType.HIGH else params.alpha_bar)
-        for c in admit
-    }
-    if admit == first:
-        return FIRST_SCORE
-    return SEPARATING if reporting is Reporting.MAX else NON_FIRST_SCORE
+def _positive_cohorts(params: ModelParams) -> tuple[Cohort, ...]:
+    """The cohorts of positive mass, in ``COHORTS`` order: p lies in (0, 1),
+    so they are those of each category whose share, phi or 1 - phi, is
+    positive."""
+    return tuple(c for c in COHORTS if (params.phi if c.category is Category.CAT1 else params.phi_bar))
 
 
-def _admit_terms(params: ModelParams, first: Score, accepted: int, high: int, low: int) -> tuple[int, ...]:
+@lru_cache(maxsize=256)  # a census-k3 input cycle reads 191
+def _admit_terms(alpha: Fraction, k: int, cohorts: tuple[Cohort, ...], first: Score,
+                 accepted: int, high: int, low: int) -> tuple[int, ...]:
     """What first score ``first`` adds to the admission probability of each
-    positive-mass cohort, in ``COHORTS`` order, as a numerator over
-    den(alpha)^k: Category 1 is admitted on it when ``accepted``, Category 2
-    at the optimal values after it, High and Low numerators over
-    den(alpha)^(k-1) as in an induction entry. A cohort's admission
-    probability is the sum of its two first scores' terms."""
-    n, d = params.alpha.numerator, params.alpha.denominator
+    of the positive-mass ``cohorts``, as a numerator over den(alpha)^k:
+    Category 1 is admitted on it when ``accepted``, Category 2 at the optimal
+    values after it, High and Low numerators over den(alpha)^(k-1) as in an
+    induction entry. A cohort's admission probability is the sum of its two
+    first scores' terms."""
+    n, d = alpha.numerator, alpha.denominator
     terms = []
-    for cohort in (c for c in COHORTS if params.cohort_mass[c] > 0):
+    for cohort in cohorts:
         high_type = cohort.type_ is StudentType.HIGH
         emit = n if high_type is (first is Score.A) else d - n  # over d
         if cohort.category is Category.CAT1:
-            terms.append(emit * d ** (params.k - 1) if accepted else 0)
+            terms.append(emit * d ** (k - 1) if accepted else 0)
         else:
             terms.append(emit * (high if high_type else low))
     return tuple(terms)
+
+
+@lru_cache(maxsize=256)  # a census-k3 input cycle reads 135-137
+def _class_label(alpha: Fraction, k: int, cohorts: tuple[Cohort, ...], terms: tuple[int, ...],
+                 reporting: Reporting) -> tuple[str, tuple[Fraction, ...]]:
+    """The label of the outcome whose admission probabilities are the
+    numerators ``terms`` over den(alpha)^k, one per cohort of ``cohorts``,
+    and those probabilities as ``Fraction``s. The label is decided on the
+    integers: every cohort at 0, every cohort at 1, or each at its
+    first-score outcome, alpha for High and 1 - alpha for Low."""
+    n, d = alpha.numerator, alpha.denominator
+    den = d**k
+    if not any(terms):
+        label = REJECT_ALL
+    elif all(t == den for t in terms):
+        label = ACCEPT_ALL
+    elif terms == tuple((n if c.type_ is StudentType.HIGH else d - n) * d ** (k - 1) for c in cohorts):
+        label = FIRST_SCORE
+    else:
+        label = SEPARATING if reporting is Reporting.MAX else NON_FIRST_SCORE
+    return label, tuple(Fraction(t, den) for t in terms)
 
 
 def _census(
@@ -956,17 +996,16 @@ def _census(
     outcome gets the verified witness of its block's first policy, with the
     strategy of its ``strategy`` call, made for no other block.
     """
-    cohorts = [c for c in COHORTS if params.cohort_mass[c] > 0]
-    den = params.alpha.denominator ** params.k
+    cohorts = _positive_cohorts(params)
     classes: dict[tuple[int, ...], OutcomeClass] = {}
     for left, right, terms, strategy in blocks:
         cls = classes.get(terms)
         if cls is None:
-            admit = {c: Fraction(v, den) for c, v in zip(cohorts, terms)}
-            label = _classify(params, admit, reporting)
+            label, admit = _class_label(params.alpha, params.k, cohorts, terms, reporting)
             witness = EquilibriumProfile(AdmissionPolicy(params.k, left[0] | right[0]), strategy(), label, reporting)
             policies = PolicySet(params.k, mask)
-            cls = classes[terms] = OutcomeClass(admit, label, witness, policies, verify_equilibrium(params, witness).ok)
+            cls = classes[terms] = OutcomeClass(dict(zip(cohorts, admit)), label, witness, policies,
+                                                verify_equilibrium(params, witness).ok)
         cls.policies.blocks.append((left, right))
     classes_in_order = sorted(classes.values(), key=OutcomeClass.key)
     return Enumeration(params, scope, is_boundary(params), considered, classes_in_order)
@@ -1034,41 +1073,77 @@ def _census_plan(alpha: Fraction, k: int, first: Score) -> _CensusPlan:
     return _CensusPlan(tuple((row_id, rows[row_id]) for row_id in used), codes, tuple(entries))
 
 
-def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[list, tuple[int, ...], int]]:
+@lru_cache(maxsize=256)  # a census-k3 input cycle reads 138
+def _kept_groups(alpha: Fraction, k: int, first: Score, pos: int, neg: int) -> tuple[tuple, ...]:
     """The consistent accept patterns of one first-score subtree, grouped by
     integer admission odds (accepts the first score, values after it) in
-    order of first occurrence: (accept patterns, :func:`_admit_terms`, rule
-    code of the first pattern).
+    order of first occurrence, as (odds, accept patterns, rule code of the
+    first pattern), given the ids of the :func:`_census_plan` rows with
+    b > 0 (bit set ``pos``) and with b < 0 (``neg``).
+
+    The verdict of a pattern is :func:`_origin_holds` on its rule code's
+    label masks, exact by the lemma of this module's docstring, and those
+    masks are read off the two bit sets: the groups are a function of the
+    plan and the signs of its rows, so points with equal signs share them.
+    """
+    plan = _census_plan(alpha, k, first)
+    masks = {code: (sum(mask for mask, row_id in labels if pos >> row_id & 1),
+                    sum(mask for mask, row_id in labels if neg >> row_id & 1))
+             for code, (_, labels) in plan.codes.items()}
+    groups: dict[tuple[int, int, int], tuple[list[int], int]] = {}
+    for bits, code, odds in plan.entries:
+        if _origin_holds(bits, *masks[code]):
+            groups.setdefault(odds, ([], code))[0].append(bits)
+    return tuple((odds, tuple(patterns), code) for odds, (patterns, code) in groups.items())
+
+
+def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """The :func:`_kept_groups` of one first-score subtree at a point, by
+    odds: (accept patterns, :func:`_admit_terms`, rule code of the first
+    pattern).
 
     Everything that depends on alpha alone comes from the subtree's cached
     :func:`_census_plan`. Per point: one layout, each plan row's constant b,
-    the labels with b > 0 and b < 0 per rule code, and one
-    :func:`_origin_holds` per accept pattern, exact by the lemma of this
-    module's docstring; no flow system is built.
+    folded into the bit sets of the row ids with b > 0 and b < 0, and the
+    groups of those signs; no flow system is built.
     """
-    plan = _census_plan(params.alpha, params.k, first)
-    values = _layout(params, _subtree(first, params.k), Reporting.ALL).values
-    consts = {row_id: _row_const(values, row) for row_id, row in plan.rows}
-    masks = {code: (sum(mask for mask, row_id in labels if consts[row_id] > 0),
-                    sum(mask for mask, row_id in labels if consts[row_id] < 0))
-             for code, (_, labels) in plan.codes.items()}
-    groups: dict[tuple, tuple[list, tuple[int, ...], int]] = {}
-    for bits, code, odds in plan.entries:
-        if _origin_holds(bits, *masks[code]):
-            if odds not in groups:
-                groups[odds] = ([], _admit_terms(params, first, *odds), code)
-            groups[odds][0].append(bits)
-    return groups
+    alpha, k = params.alpha, params.k
+    plan = _census_plan(alpha, k, first)
+    values = _layout(params, _subtree(first, k), Reporting.ALL).values
+    pos = neg = 0
+    for row_id, row in plan.rows:
+        b = _row_const(values, row)
+        if b > 0:
+            pos |= 1 << row_id
+        elif b < 0:
+            neg |= 1 << row_id
+    cohorts = _positive_cohorts(params)
+    return {odds: (patterns, _admit_terms(alpha, k, cohorts, first, *odds), code)
+            for odds, patterns, code in _kept_groups(alpha, k, first, pos, neg)}
+
+
+def _origin_stops(code: int, keys: Iterable[tuple[StudentType, ScoreSeq]]) -> StudentStrategy:
+    """The stops of the origin under the rule ``code`` at ``keys``, in their
+    order: 0 where the rule is CONTINUE, else 1, as
+    :meth:`_FlowSystem.stops_from_point` gives at x = 0."""
+    return StudentStrategy({(t, h): _ZERO if _rule_of(code, t, h) == CONTINUE else _ONE for t, h in keys})
 
 
 @lru_cache(maxsize=64)  # a census-k3 input cycle reads 13 pairs; k 1-3 at 50 alphas, 10 p and 3 phi read 19
 def _origin_strategy(k: int, a_code: int, b_code: int) -> StudentStrategy:
     """The origin's stops under the subtree rule codes, the witness of a
-    report-all class by the corollary of this module's docstring: 0 where
-    the rule is CONTINUE, else 1, in :meth:`_FlowSystem.stops_from_point`
-    order, A subtree first."""
-    return StudentStrategy({(t, h): _ZERO if _rule_of(a_code | b_code, t, h) == CONTINUE else _ONE
-                            for first in Score for t in _TYPES for h in _subtree(first, k) if len(h) < k})
+    report-all class by the corollary of this module's docstring, in the
+    order of the two subtree systems, A subtree first."""
+    return _origin_stops(a_code | b_code, ((t, h) for first in Score for t in _TYPES
+                                           for h in _subtree(first, k) if len(h) < k))
+
+
+@lru_cache(maxsize=64)  # a census-k3 input cycle reads 2
+def _tree_origin_strategy(k: int, code: int) -> StudentStrategy:
+    """The origin's stops under a whole-tree rule code, the witness of a
+    policy-list class whose system has the origin as its point, in the
+    order of the whole tree's system: type-major over its histories."""
+    return _origin_stops(code, ((t, h) for t in _TYPES for h in all_sequences(k - 1)))
 
 
 def _enumerate_report_all(params: ModelParams) -> Enumeration:
@@ -1098,39 +1173,46 @@ def _policy_system(
 
 
 def _enumerate_policy_list(
-    params: ModelParams, policies: list[AdmissionPolicy], reporting: Reporting, scope: str
+    params: ModelParams, policies: Sequence[AdmissionPolicy], reporting: Reporting, scope: str
 ) -> Enumeration:
     """One block per feasible policy, one flow system and solve each; the
-    stops of its point are read only for a policy that opens a class."""
+    witness strategy is built only for a policy that opens a class, from the
+    rule code when the system's point is the origin and from the stops of
+    the simplex's vertex otherwise."""
+
+    cohorts = _positive_cohorts(params)
 
     def blocks():
         for policy in policies:
             responses, system = _policy_system(params, policy, reporting)
             x = system.feasible(policy.bits)
             if x is not None:
-                terms = [_admit_terms(params, first, policy.bits >> node((first,)) & 1, high, low)
-                         for first, high, low, _ in responses]
-                yield ((policy.bits,), (0,), tuple(map(add, *terms)),
-                       lambda system=system, x=x: StudentStrategy(system.stops_from_point(x)))
+                terms = [_admit_terms(params.alpha, params.k, cohorts, first, policy.bits >> node((first,)) & 1,
+                                      high, low) for first, high, low, _ in responses]
+                # at the origin, x = 0, the stops are the rule code's
+                strategy = (partial(_tree_origin_strategy, params.k, system.code) if system._at_origin(policy.bits)
+                            else lambda system=system, x=x: StudentStrategy(system.stops_from_point(x)))
+                yield (policy.bits,), (0,), tuple(map(add, *terms)), strategy
 
     mask = (1 << len(all_sequences(params.k))) - 1  # every node: a block holds one policy
     return _census(params, scope, len(policies), reporting, mask, blocks())
 
 
-def _family_policies(params: ModelParams, scope: str) -> list[AdmissionPolicy]:
-    k = params.k
+@lru_cache(maxsize=64)  # four scopes at k 1-10
+def _family_policies(k: int, scope: str) -> tuple[AdmissionPolicy, ...]:
+    """The policies of a named family scope at k, built once per (k, scope)."""
     if scope in (SCOPE_REPORT_MAX, SCOPE_FIRST_SCORE):
         # accept on a first score (best score under report-max) of A, of B; all; none
         score = best_score if scope == SCOPE_REPORT_MAX else (lambda s: s[0])
-        return [
+        return (
             *(AdmissionPolicy.from_predicate(k, lambda s, a=a: score(s) is a) for a in Score),
             AdmissionPolicy.accept_all(k),
             AdmissionPolicy.reject_all(k),
-        ]
+        )
     if scope == SCOPE_B_THEN_A:
-        return [AdmissionPolicy.b_then_a_run(k, n) for n in range(2, k + 1)]
+        return tuple(AdmissionPolicy.b_then_a_run(k, n) for n in range(2, k + 1))
     if scope == SCOPE_ALL_B_REJECT:
-        return [AdmissionPolicy.from_predicate(k, lambda s: Score.A in s)]
+        return (AdmissionPolicy.from_predicate(k, lambda s: Score.A in s),)
     raise ValueError(f"unknown scope {scope!r}")
 
 
@@ -1156,7 +1238,7 @@ def enumerate_outcomes(params: ModelParams, scope: str = SCOPE_REPORT_ALL) -> En
             )
         return _enumerate_report_all(params)
     reporting = Reporting.MAX if scope == SCOPE_REPORT_MAX else Reporting.ALL
-    return _enumerate_policy_list(params, _family_policies(params, scope), reporting, scope)
+    return _enumerate_policy_list(params, _family_policies(params.k, scope), reporting, scope)
 
 
 def free_stop_intervals(
@@ -1172,12 +1254,14 @@ def free_stop_intervals(
     the template in its :func:`_code_book`; any point of one subtree's
     polytope goes with any point of the other's. Inside
     :func:`_reused_intervals` a subtree's ranges are solved once per
-    (first score, rule code, subtree accept bits). Under report-max the
-    ranges of the all-B spine come from the spine columns alone, and every
-    other reached free node can stop with any probability. A policy with no
-    equilibrium, which :meth:`_FlowSystem.refutes` decides (under report-all
-    by the origin's signs alone), gives an empty result. Keys are in the order of the whole tree's ``var_index``: node
-    order, High first.
+    (first score, rule code): feasible patterns with one rule code have one
+    polytope, by the second corollary of this module's docstring. Under
+    report-max the ranges of the all-B spine come from the spine columns
+    alone, and every other reached free node can stop with any probability.
+    A policy with no equilibrium, which :meth:`_FlowSystem.refutes` decides
+    (under report-all by the origin's signs alone), gives an empty result.
+    Keys are in the order of the whole tree's ``var_index``: node order,
+    High first.
     """
     k = params.k
     if reporting is Reporting.MAX:
@@ -1187,7 +1271,7 @@ def free_stop_intervals(
         systems = {}
         for first, _, _, code in _subtree_responses(params, policy):
             template = _coded(k, first, code)[0] if k <= EXHAUSTIVE_MAX_K else None
-            key = (params, first, code, policy.bits & _subtree_mask(first, k))
+            key = (params, first, code)
             systems[key] = _FlowSystem(params, code, _subtree(first, k), reporting, template=template)
     if any(system.refutes(policy.bits) for system in systems.values()):
         return {}
@@ -1202,8 +1286,8 @@ def free_stop_intervals(
 
 
 # The ranges solved inside :func:`_reused_intervals`, by (params, first
-# score or reporting, rule code, accept bits of the subtree or whole tree);
-# None outside it.
+# score, rule code) under report-all and (params, reporting, rule code,
+# accept bits) under report-max; None outside it.
 _solved: Optional[dict[tuple, dict]] = None
 
 

@@ -1,13 +1,12 @@
 """Shared test settings: property tests draw the same examples on every run,
-and every test starts with cold error-rate, cohort-row and census witness
-caches."""
+and every test starts with cold error-rate, cohort-row and census caches."""
 
 import pytest
 from hypothesis import settings
 
 from retesting.metrics import _error_rates
 from retesting.model import cohort_rows
-from retesting.search import _origin_strategy
+from retesting import search
 
 # derandomized, so each property test sees a fixed example list; no deadline,
 # since exact k=3 censuses vary in time with the host and the induction cache
@@ -17,10 +16,13 @@ settings.load_profile("retesting")
 
 @pytest.fixture(autouse=True)
 def cold_error_rates():
-    """Each test starts with empty error-rate, cohort-row and census witness
-    caches, so that a test which counts outcome distributions per report or
-    strategies built per census sees the first-use path whatever ran before
-    it."""
+    """Each test starts with empty error-rate, cohort-row and census caches
+    (kept groups per row-sign key, admission terms, class labels, family
+    policies and witness strategies), so that a test which counts outcome
+    distributions per report, mask tests or strategies built per census sees
+    the first-use path whatever ran before it."""
     _error_rates.cache_clear()
     cohort_rows.cache_clear()
-    _origin_strategy.cache_clear()
+    for cached in (search._kept_groups, search._admit_terms, search._class_label, search._family_policies,
+                   search._origin_strategy, search._tree_origin_strategy):
+        cached.cache_clear()

@@ -1,8 +1,8 @@
 """Caches of values that do not depend on the prior p: thresholds once per
-(alpha, phi, k), canonical policies and strategies once per k, within-cohort
-rows once per (alpha, k, strategy) and error rates once per (alpha, k,
-profile); and the caches of the exact search, whose layouts hold one point's
-masses."""
+(alpha, phi, k), with their phi-free part once per (alpha, k), canonical
+policies and strategies once per k, within-cohort rows once per (alpha, k,
+strategy) and error rates once per (alpha, k, profile); and the caches of
+the exact search, whose layouts hold one point's masses."""
 
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ README_GRID = ["--alpha", "0.6:0.9:0.1", "--p", "0.05:0.95:0.05", "--phi", "0,0.
 # from the package
 CACHES = {
     "equilibria._threshold_record": _threshold_record,
+    "equilibria._run_thresholds": equilibria._run_thresholds,
     "equilibria._chase_run": _chase_run,
     "equilibria._best_score_masks": equilibria._best_score_masks,
     "equilibria.AdmissionPolicy.first_score": AdmissionPolicy.first_score,
@@ -45,7 +46,12 @@ CACHES = {
     "search._subtree_response": search._subtree_response,
     "search._code_book": search._code_book,
     "search._census_plan": search._census_plan,
+    "search._kept_groups": search._kept_groups,
+    "search._admit_terms": search._admit_terms,
+    "search._class_label": search._class_label,
+    "search._family_policies": search._family_policies,
     "search._origin_strategy": search._origin_strategy,
+    "search._tree_origin_strategy": search._tree_origin_strategy,
     "search._shape": search._shape,
     "search._layout": search._layout,
     "search._template": search._template,
@@ -105,6 +111,14 @@ def test_cached_thresholds_match_the_closed_forms(k):
         assert equilibria.report_max_thresholds(params) == (lower, upper)
         c = a * ab * phib
         assert equilibria.reject_all_threshold(params) == min(Fraction(1, 2), (c + ab) / (c + 1))
+        # every bound, in order, whether it enters per (alpha, phi) or per alpha
+        want = {"alpha_bar": ab, "alpha": a, "p_hat": lower, "p_hat_prime": upper}
+        if k == 2:
+            want["p_hat_hat"] = min(Fraction(1, 2), (c + ab) / (c + 1))
+        want.update((f"p_star_{n}", equilibria.p_star(n, a) if n >= 2 else a) for n in range(1, k + 3))
+        if a != 1:
+            want["p_double_star"] = equilibria.p_double_star(k, a)
+        assert list(boundary_thresholds(params).items()) == list(want.items())
         first, region = equilibria.report_all_regions(params)
         assert region == equilibria.Region(
             [(equilibria.p_star(k + 2, a), ab), (equilibria.p_star(k, a), a)]

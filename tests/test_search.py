@@ -273,7 +273,7 @@ class TestReferenceInduction:
     def test_k3_family_policies(self, alpha):
         params = ModelParams(p=Fraction(2, 5), alpha=alpha, phi=Fraction(1, 2), k=3)
         families = [s for s in SCOPES if s.startswith("report-all:")]
-        policies = [p for scope in families for p in _family_policies(params, scope)]
+        policies = [p for scope in families for p in _family_policies(params.k, scope)]
         policies.append(AdmissionPolicy.best_score_a(3))
         self.check(params, policies)
 
@@ -348,10 +348,12 @@ class TestEveryPatternInduction:
         enumerate_outcomes(params, "report-all")
         info = _subtree_induction.cache_info()
         assert (info.misses, info.currsize) == (2, 2)
+        plans = search._census_plan.cache_info()
+        assert plans.misses == 2
         enumerate_outcomes(params, "report-all")
         # the repeat reads the two cached plans, which hold the tables
         assert _subtree_induction.cache_info().misses == 2
-        assert search._census_plan.cache_info()[:2] == (2, 2)  # (hits, misses)
+        assert search._census_plan.cache_info()[:2] == (plans.hits + 2, 2)  # (hits, misses)
 
     @pytest.mark.parametrize("k", range(1, MAX_K + 1))
     def test_subtree_node_order(self, k):
@@ -661,19 +663,26 @@ class TestVerifyAgainstReference:
 
     def test_corrupted_census_caches_change_no_verdict(self, monkeypatch):
         """The verifier reads the model and the best-response induction,
-        never the census's caches: with ``_layout``, ``_census_plan`` and
-        ``_code_book`` handing out wrong values, and the verifier's own
-        cache cold, every witness keeps its verdict, while a census that
-        reads them finds witnesses that fail."""
+        never the census's caches: with ``_layout``, ``_census_plan``,
+        ``_code_book``, ``_kept_groups``, ``_admit_terms``, ``_class_label``
+        and both origin witness caches handing out wrong values, and the
+        verifier's own cache cold, every witness keeps its verdict, while a
+        census that reads them finds witnesses that fail."""
         params_list = [params for params in VERIFY_GRID if params.k == 3 and params.phi == Fraction(1, 2)]
         cases = [(params, witness) for params in params_list for witness in census_witnesses(params)]
         want = [verify_equilibrium(params, witness) for params, witness in cases]
-        layout, plan = search._layout, search._census_plan
+        layout, plan, kept, terms = search._layout, search._census_plan, search._kept_groups, search._admit_terms
+        label, origin, tree_origin = search._class_label, search._origin_strategy, search._tree_origin_strategy
         monkeypatch.setattr(search, "_layout", lambda *args: layout(*args)._replace(
             values=tuple(-v for v in layout(*args).values)))
         other = {Score.A: Score.B, Score.B: Score.A}
         monkeypatch.setattr(search, "_census_plan", lambda alpha, k, first: plan(alpha, k, other[first]))
         monkeypatch.setattr(search, "_code_book", lambda k, first: search._CodeBook({}, {}))
+        monkeypatch.setattr(search, "_kept_groups", lambda alpha, k, first, pos, neg: kept(alpha, k, first, 0, 0))
+        monkeypatch.setattr(search, "_admit_terms", lambda *args: terms(*args)[::-1])
+        monkeypatch.setattr(search, "_class_label", lambda *args: ("made up", label(*args)[1]))
+        monkeypatch.setattr(search, "_origin_strategy", lambda k, a_code, b_code: origin(k, b_code, a_code))
+        monkeypatch.setattr(search, "_tree_origin_strategy", lambda k, code: tree_origin(k, 0))
         model.cohort_rows.cache_clear()
         assert [verify_equilibrium(params, witness) for params, witness in cases] == want
         params = ModelParams(p=Fraction(1, 2), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
@@ -874,7 +883,7 @@ class TestFreeIntervals:
                                   ("0.7", "0.45", "0.25")]:
                 params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
                 for scope in SCOPES:
-                    policies = _family_policies(params, scope) if scope != "report-all" else ()
+                    policies = _family_policies(params.k, scope) if scope != "report-all" else ()
                     compared += self.assert_reference(params, scope, policies)
         assert compared > 200
 
@@ -894,8 +903,8 @@ class TestFreeIntervals:
         # and three that are not, which one solve rejects; all-b-reject's
         # policy refuses a forced label, with no solve at all
         params = ModelParams(p="0.5", alpha="0.8", phi="0.5", k=3)
-        policies = [*_family_policies(params, "report-all:first-score"),
-                    *_family_policies(params, "report-all:all-b-reject")]
+        policies = [*_family_policies(params.k, "report-all:first-score"),
+                    *_family_policies(params.k, "report-all:all-b-reject")]
         optimize, sizes = _simplex.optimize, []
 
         def counted(objectives, *args, **kwargs):
@@ -933,6 +942,53 @@ class TestFreeIntervals:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == shared
         assert (solved, len(calls)) == (4, 6)  # 3 witnesses, 2 subtrees each, 4 distinct
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_feasible_patterns_of_one_rule_code_share_their_ranges(self, k):
+        """The second corollary of the :mod:`retesting.search` docstring,
+        which lets :func:`search._reused_intervals` key a subtree's ranges
+        without its accept bits: also where the patterns' label rows differ,
+        every feasible pattern of a rule code has the same ranges."""
+        differ = 0
+        for alpha in ("0.6", "0.8", "1"):
+            for p in ("0.2", "0.5", "0.9"):
+                for phi in ("0", "0.5", "1"):
+                    params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+                    for first in Score:
+                        by_code = {}
+                        for bits, *_, code in _subtree_induction(params.alpha, k, first):
+                            by_code.setdefault(code, []).append(bits)
+                        for code, patterns in by_code.items():
+                            system = _FlowSystem(params, code, _subtree(first, k), Reporting.ALL)
+                            kept = [bits for bits in patterns if not system.refutes(bits)]
+                            want = system.stop_ranges(kept[0]) if kept else None
+                            for bits in kept[1:]:
+                                assert system.stop_ranges(bits) == want, (params, first, code, bits)
+                            differ += len({system.signs(bits) for bits in kept}) > 1
+        assert differ > 0 or k < 3  # rows that differ, with equal ranges
+
+    def test_reused_ranges_are_keyed_by_rule_code(self, monkeypatch):
+        """Two census witnesses whose A-subtree patterns differ but share a
+        rule code solve that subtree's ranges once inside
+        :func:`search._reused_intervals`, and get what a cold call gets."""
+        params = ModelParams(p="0.2", alpha="0.8", phi="1", k=3)
+        table = _subtree_induction(params.alpha, 3, Score.A)
+        system_of = {code: _FlowSystem(params, code, _subtree(Score.A, 3), Reporting.ALL) for *_, code in table}
+        pairs = {}
+        for bits, *_, code in table:
+            system = system_of[code]
+            if not system.refutes(bits):
+                pairs.setdefault(code, {}).setdefault(system.signs(bits), bits)
+        a_bits = next(list(signs.values())[:2] for signs in pairs.values() if len(signs) > 1)
+        b_bits = next(bits for bits, *_, code in _subtree_induction(params.alpha, 3, Score.B)
+                      if not _FlowSystem(params, code, _subtree(Score.B, 3), Reporting.ALL).refutes(bits))
+        policies = [AdmissionPolicy(3, bits | b_bits) for bits in a_bits]
+        want = [free_stop_intervals(params, policy) for policy in policies]
+        stop_ranges, calls = _FlowSystem.stop_ranges, []
+        monkeypatch.setattr(_FlowSystem, "stop_ranges", lambda system, bits: calls.append(bits) or stop_ranges(system, bits))
+        with search._reused_intervals():
+            assert [free_stop_intervals(params, policy) for policy in policies] == want
+        assert len(calls) == 2  # the A subtree once, the B subtree once
 
     def test_reject_all_bounds_exact(self):
         params = ModelParams(p=0.25, alpha=0.8, phi=0.5, k=2)
@@ -1007,7 +1063,7 @@ class TestSmallerLPs:
         counts = {"spine refuted": 0, "spine feasible": 0}
         for alpha, p, phi in self.GRID:
             params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
-            for policy in _family_policies(params, "report-max"):
+            for policy in _family_policies(params.k, "report-max"):
                 _, system = search._policy_system(params, policy, Reporting.MAX)
                 spine = set(system._spine)
                 assert spine == {c for (_, s), c in system.var_index.items() if Score.A not in s}
@@ -1032,7 +1088,7 @@ class TestSmallerLPs:
         compared = off_spine = 0
         for alpha, p, phi in self.GRID if k <= 3 else self.DEEP:
             params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
-            for policy in _family_policies(params, "report-max"):
+            for policy in _family_policies(params.k, "report-max"):
                 got = free_stop_intervals(params, policy, Reporting.MAX)
                 _, system = search._policy_system(params, policy, Reporting.MAX)
                 if k > 4 and self.full_lp(system, policy.bits).status == _simplex.INFEASIBLE:
@@ -1061,7 +1117,7 @@ class TestSmallerLPs:
         compared = 0
         for alpha, p, phi in self.GRID if k <= 3 else self.DEEP[:3]:
             params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
-            policies = [policy for scope in SCOPES[2:] for policy in _family_policies(params, scope)]
+            policies = [policy for scope in SCOPES[2:] for policy in _family_policies(params.k, scope)]
             if k <= EXHAUSTIVE_MAX_K:
                 census = enumerate_outcomes(params, "report-all").classes
                 keys.clear()
@@ -1151,7 +1207,8 @@ class TestGroupedCensus:
 
     def test_k3_census_decides_every_pattern_by_one_mask_test_with_no_kernel_call(self, monkeypatch):
         """One :func:`search._origin_holds` per accept pattern, on the label
-        masks of its rule code, and no flow system, no kernel call and no
+        masks of its rule code, when the point's row-sign key is new, none
+        when it is cached, and no flow system, no kernel call and no
         :meth:`_FlowSystem.feasible` at all, also at alpha 1: each verdict
         is the one :meth:`_FlowSystem.refutes` gives."""
         kernel, verdicts, built = [], [], []
@@ -1186,6 +1243,9 @@ class TestGroupedCensus:
                     # a negative rhs that the forced-label screen passes, refuted with no kernel call
                     refuted += not holds and not system.refuses(bits)
                 built.clear()
+                # the same point again reads its row-sign key's groups: no mask test
+                verdicts.clear()
+                assert search._solve_subtrees(params, first) == groups and verdicts == []
         assert kernel == []
         assert refuted > 0
 
@@ -1218,27 +1278,45 @@ class TestGroupedCensus:
 
 class TestPolicyListWitnesses:
     """Report-max and family scopes solve one flow system per policy, but
-    read the stops of a point and build a strategy only for a policy that
-    opens a class."""
+    build a witness strategy only for a policy that opens a class: off the
+    rule code when the system's point is the origin, from the stops of the
+    simplex's vertex otherwise."""
 
     def test_stops_are_read_once_per_new_class(self, monkeypatch):
         calls, strategies, points = [], [], []
         stops_from_point, feasible, strategy_init = (_FlowSystem.stops_from_point, _FlowSystem.feasible,
                                                      StudentStrategy.__init__)
         monkeypatch.setattr(_FlowSystem, "stops_from_point", lambda system, x: calls.append(x) or stops_from_point(system, x))
-        monkeypatch.setattr(_FlowSystem, "feasible", lambda system, bits: points.append(feasible(system, bits)) or points[-1])
+        monkeypatch.setattr(_FlowSystem, "feasible",
+                            lambda system, bits: points.append((bits, feasible(system, bits))) or points[-1][1])
         monkeypatch.setattr(StudentStrategy, "__init__",
                             lambda strategy, stop: strategies.append(stop) or strategy_init(strategy, stop))
-        shared = 0
-        for alpha, p, phi in [("0.8", "0.5", "0.5"), ("0.6", "0.3", "0"), ("1", "0.4", "0.5"), ("0.7", "0.9", "1")]:
+        shared, seen = 0, {True: 0, False: 0}
+        # the last point has report-max witnesses at a vertex of the simplex
+        grid = [("0.8", "0.5", "0.5"), ("0.6", "0.3", "0"), ("1", "0.4", "0.5"), ("0.7", "0.9", "1"),
+                ("0.6", "0.5", "0")]
+        for alpha, p, phi in grid:
             for k in (2, 3, 5):
                 for scope in SCOPES[:1] + SCOPES[2:]:
                     for log in (calls, strategies, points):
                         log.clear()
-                    classes = enumerate_outcomes(ModelParams(p=p, alpha=alpha, phi=phi, k=k), scope).classes
-                    assert len(calls) == len(strategies) == len(classes), (alpha, p, phi, k, scope)
-                    shared += sum(x is not None for x in points) > len(classes)
+                    params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+                    origins = search._tree_origin_strategy.cache_info().misses
+                    classes = enumerate_outcomes(params, scope).classes
+                    witness_points = [dict(points)[cls.witness.policy.bits] for cls in classes]
+                    vertices = [x for x in witness_points if any(x)]
+                    where = (alpha, p, phi, k, scope)
+                    assert calls == vertices, where
+                    origins = search._tree_origin_strategy.cache_info().misses - origins
+                    assert len(strategies) == len(vertices) + origins, where
+                    for cls, x in zip(classes, witness_points):
+                        seen[any(x)] += 1
+                        if not any(x):
+                            code = best_response(params, cls.witness.policy).code
+                            assert cls.witness.strategy is search._tree_origin_strategy(k, code), where
+                    shared += sum(x is not None for _, x in points) > len(classes)
         assert shared > 0  # some class is supported by more than one feasible policy
+        assert seen[True] > 0 and seen[False] > 0  # vertex and origin witnesses
 
 
 class TestOriginWitness:
@@ -1285,9 +1363,15 @@ def per_pattern_groups(params, first):
         if x is not None:
             odds = (bits >> root & 1, high, low)
             if odds not in groups:
-                groups[odds] = ([], search._admit_terms(params, first, *odds), system.stops_from_point(x))
+                groups[odds] = ([], search._admit_terms(params.alpha, params.k, positive_cohorts(params), first, *odds),
+                                system.stops_from_point(x))
             groups[odds][0].append(bits)
     return groups
+
+
+def positive_cohorts(params):
+    """The cohorts of positive mass, read off the ``Fraction`` cohort masses."""
+    return tuple(c for c in model.COHORTS if params.cohort_mass[c] > 0)
 
 
 class TestCensusPlan:
@@ -1305,9 +1389,10 @@ class TestCensusPlan:
             groups = [per_pattern_groups(params, first) for first in Score]
             for first, want in zip(Score, groups):
                 got = search._solve_subtrees(params, first)
-                # the census's groups carry rule codes where these carry stops
+                # the census's groups carry rule codes where these carry stops,
+                # and their patterns as the tuples of a shared cache entry
                 assert [(odds, bits, terms) for odds, (bits, terms, _) in got.items()] == \
-                    [(odds, bits, terms) for odds, (bits, terms, _) in want.items()], (first, p)
+                    [(odds, tuple(bits), terms) for odds, (bits, terms, _) in want.items()], (first, p)
             blocks = ((a_bits, b_bits, tuple(map(sum, zip(a_terms, b_terms))),
                        lambda a_stops=a_stops, b_stops=b_stops: StudentStrategy({**a_stops, **b_stops}))
                       for a_bits, a_terms, a_stops in groups[0].values()
@@ -1363,7 +1448,7 @@ class TestCensusPlan:
         for k in range(1, MAX_K + 1):
             for alpha in (Fraction(3, 5), Fraction(4, 5), Fraction(1)):
                 params = ModelParams(p=Fraction(1, 2), alpha=alpha, phi=Fraction(1, 2), k=k)
-                policies = [policy for scope in scopes for policy in _family_policies(params, scope)]
+                policies = [policy for scope in scopes for policy in _family_policies(params.k, scope)]
                 for policy in policies:
                     want = [(first, *search._induction(alpha, k, first, policy.bits)[0][0][1:]) for first in Score]
                     assert search._subtree_responses(params, policy) == want
@@ -1398,8 +1483,149 @@ class TestCensusPlan:
             enumerate_outcomes(ModelParams(p="0.5", alpha=alpha, phi="0.5", k=3), "report-all")
         info = search._census_plan.cache_info()
         assert (info.misses, info.currsize, info.maxsize) == (34, 32, 32)
+        kept = search._kept_groups.cache_info()
         enumerate_outcomes(ModelParams(p="0.3", alpha=alphas[-1], phi="0", k=3), "report-all")
-        assert search._census_plan.cache_info().hits == info.hits + 2
+        # one read per subtree, and one more per row-sign key the kept groups miss
+        misses = search._kept_groups.cache_info().misses - kept.misses
+        assert misses == 2
+        assert search._census_plan.cache_info()[:2] == (info.hits + 2 + misses, info.misses)
+
+
+def reference_kept_groups(params, first):
+    """The kept groups of one subtree at a point by the per-pattern loop the
+    census ran before its groups were cached per row-sign key: the label
+    masks of each rule code from the signs of the plan rows' constants, then
+    one mask test per accept pattern, as (odds, patterns, rule code)."""
+    plan = search._census_plan(params.alpha, params.k, first)
+    values = search._layout(params, _subtree(first, params.k), Reporting.ALL).values
+    consts = {row_id: search._row_const(values, row) for row_id, row in plan.rows}
+    masks = {code: (sum(mask for mask, row_id in labels if consts[row_id] > 0),
+                    sum(mask for mask, row_id in labels if consts[row_id] < 0))
+             for code, (_, labels) in plan.codes.items()}
+    groups = {}
+    for bits, code, odds in plan.entries:
+        if search._origin_holds(bits, *masks[code]):
+            groups.setdefault(odds, ([], code))[0].append(bits)
+    return [(odds, tuple(bits), code) for odds, (bits, code) in groups.items()]
+
+
+def reference_terms(params, first, accepted, high, low):
+    """What ``first`` adds to each positive-mass cohort's admission
+    probability, in ``Fraction``s from the emissions, times den(alpha)^k:
+    Category 1 admitted on it when ``accepted``, Category 2 at the values
+    ``high`` and ``low`` over den(alpha)^(k-1)."""
+    den, scale = params.alpha.denominator ** params.k, params.alpha.denominator ** (params.k - 1)
+    terms = []
+    for c in positive_cohorts(params):
+        after = Fraction(accepted) if c.category is Category.CAT1 else \
+            Fraction(high if c.type_ is StudentType.HIGH else low, scale)
+        term = params.emit(c.type_, first) * after * den
+        assert term.denominator == 1
+        terms.append(term.numerator)
+    return tuple(terms)
+
+
+def row_signs(params, first):
+    """The row-sign key of a subtree at a point: the ids of the plan rows
+    with b > 0 and with b < 0, as bit sets."""
+    plan = search._census_plan(params.alpha, params.k, first)
+    values = search._layout(params, _subtree(first, params.k), Reporting.ALL).values
+    consts = [(row_id, search._row_const(values, row)) for row_id, row in plan.rows]
+    return (sum(1 << row_id for row_id, b in consts if b > 0), sum(1 << row_id for row_id, b in consts if b < 0))
+
+
+def reference_classify(params, admit, reporting):
+    """The class label from the ``Fraction`` admission map, as the census
+    decided it before it read labels off the integer terms."""
+    probs = set(admit.values())
+    if probs == {Fraction(0)}:
+        return REJECT_ALL
+    if probs == {Fraction(1)}:
+        return ACCEPT_ALL
+    first = {c: (params.alpha if c.type_ is StudentType.HIGH else params.alpha_bar) for c in admit}
+    if admit == first:
+        return FIRST_SCORE
+    return SEPARATING if reporting is Reporting.MAX else NON_FIRST_SCORE
+
+
+SIGN_GRID = [ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+             for k in (1, 2, 3) for alpha in ("0.6", "0.8", "1") for phi in ("0", "0.5", "1") for p in ("0.2", "0.5", "0.9")]
+
+
+class TestSignKeyedCensus:
+    """Per point the census reads each subtree's kept groups from a cache
+    keyed by the signs of its plan rows, labels and admission maps from a
+    cache keyed by integer terms, and report-max and family witnesses at the
+    origin from a cache keyed by the whole-tree rule code: each must give
+    what the per-point computation gives."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_groups_match_the_per_pattern_loop(self, k):
+        for params in (params for params in SIGN_GRID if params.k == k):
+            for first in Score:
+                want = reference_kept_groups(params, first)
+                got = search._solve_subtrees(params, first)
+                assert [(odds, bits, code) for odds, (bits, _, code) in got.items()] == want, (params, first)
+                assert [terms for _, terms, _ in got.values()] == [reference_terms(params, first, *odds) for odds, *_ in want]
+
+    def test_points_with_equal_signs_share_one_entry(self):
+        alpha, phi = Fraction(4, 5), Fraction(1, 2)
+        points = [ModelParams(p=Fraction(j, 100), alpha=alpha, phi=phi, k=3) for j in range(5, 96, 5)]
+        keys = [row_signs(params, Score.B) for params in points]
+        pairs = [(a, b) for i, a in enumerate(points) for b, key in zip(points[i + 1:], keys[i + 1:])
+                 if key == keys[i]]
+        assert pairs and len(set(keys)) > 1
+        first, second = pairs[0]
+        search._kept_groups.cache_clear()
+        groups = search._solve_subtrees(first, Score.B)
+        again = search._solve_subtrees(second, Score.B)
+        info = search._kept_groups.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert list(again) == list(groups)
+        for (bits, terms, code), (bits2, terms2, code2) in zip(groups.values(), again.values()):
+            assert bits2 is bits and (terms2, code2) == (terms, code)
+        other = next(params for params, key in zip(points, keys) if key != row_signs(first, Score.B))
+        search._solve_subtrees(other, Score.B)
+        assert search._kept_groups.cache_info().misses == 2
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_origin_witnesses_are_the_origin_stops(self, k):
+        compared = 0
+        for alpha in ("0.6", "0.8", "1"):
+            for p, phi in (("0.2", "0"), ("0.5", "0.5"), ("0.9", "1"), ("0.5", "0")):
+                params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+                for scope in SCOPES[:1] + SCOPES[2:]:
+                    reporting = Reporting.MAX if scope == "report-max" else Reporting.ALL
+                    for policy in _family_policies(k, scope):
+                        _, system = search._policy_system(params, policy, reporting)
+                        if system.feasible(policy.bits) is None or not system._at_origin(policy.bits):
+                            continue
+                        want = system.stops_from_point([Fraction(0)] * system.n)
+                        got = search._tree_origin_strategy(k, system.code)
+                        assert list(got.stop.items()) == list(want.items()), (params, scope, policy)
+                        assert got == StudentStrategy(want)
+                        compared += 1
+        assert compared > 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_integer_labels_match_the_fraction_labels(self, k):
+        labels = set()
+        for params in (params for params in SIGN_GRID if params.k == k):
+            cohorts = positive_cohorts(params)
+            for scope in SCOPES:
+                reporting = Reporting.MAX if scope == "report-max" else Reporting.ALL
+                for cls in enumerate_outcomes(params, scope).classes:
+                    assert list(cls.admit_prob) == list(cohorts)
+                    assert cls.label == reference_classify(params, cls.admit_prob, reporting), (params, scope)
+                    labels.add(cls.label)
+        assert len(labels) >= 3
+
+    def test_admission_maps_are_fresh_per_class(self):
+        params = ModelParams(p="0.5", alpha="0.8", phi="0.5", k=3)
+        first = enumerate_outcomes(params, "report-all").classes
+        first[0].admit_prob.clear()
+        again = enumerate_outcomes(params, "report-all").classes
+        assert all(cls.admit_prob for cls in again)
 
 
 class TestForcedLabelScreen:
@@ -1499,7 +1725,7 @@ class TestTreeDecision:
         params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
         counts = self.new_counts()
         for scope in SCOPES[2:]:
-            for policy in _family_policies(params, scope):
+            for policy in _family_policies(params.k, scope):
                 code = best_response(params, policy).code
                 self.check(_FlowSystem(params, code, all_sequences(k), Reporting.ALL), policy.bits, counts)
         assert sum(counts.values()) == 2 + 2 + k - 1 + 1
@@ -1619,7 +1845,7 @@ class TestFlowTemplates:
         params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
         for scope in SCOPES[:1] + SCOPES[2:]:  # report-max and every named family
             reporting = Reporting.MAX if scope == "report-max" else Reporting.ALL
-            for policy in _family_policies(params, scope):
+            for policy in _family_policies(params.k, scope):
                 code = best_response(params, policy).code
                 self.check(params, code, all_sequences(k), reporting, [policy.bits])
 
@@ -1676,7 +1902,7 @@ class TestLazyRows:
             params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
             for scope in SCOPES[:1] + SCOPES[2:]:  # report-max and every named family
                 reporting = Reporting.MAX if scope == "report-max" else Reporting.ALL
-                for policy in _family_policies(params, scope):
+                for policy in _family_policies(params.k, scope):
                     code = best_response(params, policy).code
                     self.check(params, code, all_sequences(k), reporting, counts)
         assert min(counts.values()) > 0
@@ -1795,7 +2021,7 @@ class TestPolicySet:
 
     def test_family_scope_blocks_hold_one_policy(self):
         params = ModelParams(p=Fraction(1, 4), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
-        considered = _family_policies(params, "report-max")
+        considered = _family_policies(params.k, "report-max")
         for c in enumerate_outcomes(params, "report-max").classes:
             assert len(c.policies) == len(c.policies.blocks)
             assert list(c.policies) == [policy for policy in considered if policy in c.policies]
