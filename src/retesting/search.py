@@ -80,6 +80,25 @@ alone, at most 2(k-1) columns and 2k rows (:meth:`_FlowSystem.refutes`). A
 refuted LP never reaches the simplex on dense rows of the whole tree; every
 point other than the origin still comes from it.
 
+Every mass of a layout is linear in the four cohort weights W = (p phi,
+(1 - p) phi, p (1 - phi), (1 - p) (1 - phi)) over den(p) den(phi), with
+coefficients that are integers of alpha alone, its form (:func:`_masses`),
+read off one layout at weights that are powers of a large base
+(:func:`_digits`), and a free column's coefficient in a row is a multiple
+of the unit, the sum of W. So a spine LP over the unit has a matrix A of alpha alone, fixed per
+(alpha, k, rule code, accept bits), and only its rhs b, a form times W, moves
+with the point. An infeasible spine LP has a Farkas certificate y >= 0 with
+yA >= 0 and y b < 0, which refutes every LP with the same A whose rhs it
+makes negative (the reuse of exact LP certificates in Applegate, Cook, Dash
+and Espinoza, Oper. Res. Letters 35, 2007). Each spine LP that the simplex
+finds infeasible leaves the y of one Farkas LP (:func:`_farkas`) in a bounded
+pool keyed by (k, rule code, signed accept bits), shared by every alpha
+(:class:`_CertificatePool`), and each spine LP tries the pool before the
+simplex. A certificate is used only after an exact integer check against the
+LP's own rows (:func:`_certifies`): y >= 0 and yA >= 0 on its matrix, which
+depends on alpha, and y b < 0 at its rhs. So the pool changes which LPs the
+simplex solves, never a verdict.
+
 Free-stop intervals come from the same reduced systems: one Charnes-Cooper
 program per reach column over one first-score subtree at a time under
 report-all, whose rows are block-diagonal by first score, and over the
@@ -127,23 +146,39 @@ label and admission probabilities from a cache keyed by those numerators
 opens a class, and only from a cache keyed by rule codes where the point is
 the origin: under report-all keyed by (k, A code, B code), by the
 corollary, and for the policy lists keyed by (k, whole-tree code) when the
-flow system's origin holds; a vertex of the simplex gives its own stops. A
-class keeps its policies as those blocks, a :class:`PolicySet`: a
-report-all block is the product of an A-group and a B-group of accept bits,
-and no policy is built until one is iterated. No closed form from
-:mod:`retesting.equilibria` is used to prune: the forced-label screen and
-the origin's mask test read only the signs of the label rows, and the spine
-decision only the system's own rows over the spine columns.
+origin holds; a vertex of the simplex gives its own stops. A class keeps
+its policies as those blocks, a :class:`PolicySet`: a report-all block is
+the product of an A-group and a B-group of accept bits, and no policy is
+built until one is iterated.
+
+The policy lists, report-max and the named report-all families, read one
+cached plan per (alpha, k, reporting, policies) (:func:`_policy_plan`): per
+policy its subtree responses' whole-tree rule code and admission odds, the
+labels that a variable enters, each nonzero label constant as its form with
+the labels that share it, and under report-max the spine matrix over the
+unit with each rhs as a form. Per point (:func:`_kept_policies`) it computes
+W and each distinct form's constant once, then per policy the origin's mask
+test and, under report-max, the forced-label screen and the spine decision,
+a kept certificate first; it builds no layout, template or flow system, and
+a report-all family is decided by the origin's test alone, by the lemma. A
+policy whose origin fails but which the spine LP keeps gets, only if it
+opens a class, the stops of the simplex's vertex on its whole-tree system,
+built inside its strategy call (:func:`_vertex_strategy`). No closed form
+from :mod:`retesting.equilibria` is used to prune: the forced-label screen
+and the origin's mask test read only the signs of the label rows, and the
+spine decision only the policy's own rows over the spine columns.
 """
 
 from __future__ import annotations
 
+import math
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import accumulate
-from operator import add, or_
+from operator import add, mul, or_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import _simplex
@@ -230,7 +265,7 @@ def _subtree_responses(params: ModelParams, policy: AdmissionPolicy) -> list[tup
             for first in Score]
 
 
-@lru_cache(maxsize=256)  # a k=3 census point reads about 10; the report-max policies' 8 repeat per alpha
+@lru_cache(maxsize=256)  # a k=3 census point's verifier reads about 6; each policy-list plan reads its own once
 def _subtree_response(alpha: Fraction, k: int, first: Score, bits: int) -> tuple[int, int, int]:
     """(High and Low value numerators, rule code) of the first-score subtree
     under its accept ``bits``, from the :func:`_induction` entry at its root."""
@@ -387,9 +422,7 @@ def verify_equilibrium(params: ModelParams, profile: EquilibriumProfile) -> Verd
     if not rows.exact or lo & ~rows.ones or rows.slots & ~(lo | hi | rows.zeros):
         violations += _stop_violations(params, profile)
 
-    p, phi = params.p, params.phi
-    a, b, c, e = p.numerator, p.denominator, phi.numerator, phi.denominator
-    high1, low1, high2, low2 = a * c, (b - a) * c, a * (e - c), (b - a) * (e - c)  # COHORTS order, over b e
+    high1, low1, high2, low2 = _cohort_weights(params)
     if profile.reporting is Reporting.MAX:  # best-score reports are the depth-one nodes
         labels, masses = all_sequences(1), rows.best
     else:
@@ -498,30 +531,68 @@ class _Layout(NamedTuple):
     signs: dict[_Row, tuple[int, bool]]
 
 
-# a census point reads three trees: the two subtrees for the row signs of its
-# kept groups, and the whole tree under report-max
-@lru_cache(maxsize=8)
-def _layout(params: ModelParams, seqs: tuple[ScoreSeq, ...], reporting: Reporting) -> _Layout:
-    """The :class:`_Layout` of the tree ``seqs`` at one point."""
+def _cohort_weights(params: ModelParams) -> tuple[int, int, int, int]:
+    """The cohort shares p phi, (1 - p) phi, p (1 - phi) and (1 - p) (1 - phi),
+    in ``COHORTS`` order, as integers over den(p) den(phi), which they sum to."""
+    (p, q), (f, g) = params.p.as_integer_ratio(), params.phi.as_integer_ratio()
+    return f * p, f * (q - p), (g - f) * p, (g - f) * (q - p)
+
+
+def _masses(alpha: Fraction, k: int, seqs: tuple[ScoreSeq, ...], reporting: Reporting,
+            weights: tuple[int, int, int, int]) -> tuple[int, ...]:
+    """The :class:`_Layout` ``values`` of the tree ``seqs`` at the cohort
+    ``weights`` of :func:`_cohort_weights`, with their sum as the unit. Each
+    mass is an integer of alpha alone times one weight (a Category 2 mass of
+    an unbroken path), the unit (a mass per unit continuing) or, for a
+    label's Category 1 mass, the Category 1 High and Low weights, so the
+    values are linear in ``weights``."""
     shape = _shape(seqs, reporting)
-    (n, d), (p, q), (f, g) = (x.as_integer_ratio() for x in (params.alpha, params.p, params.phi))
-    den, den_pphi = d ** params.k, q * g
-    values = [den_pphi * den]
+    n, d = alpha.as_integer_ratio()
+    den, unit = d**k, sum(weights)
+    values = [unit * den]
     cat1 = [0] * len(seqs)
-    for t, sign in zip(_TYPES, (1, -1)):
-        share, hit = (p, n) if t is StudentType.HIGH else (q - p, d - n)  # over den(p), and P(A) over d
-        emit = {Score.A: hit * den // d, Score.B: (d - hit) * den // d}  # over den
+    for t, sign, cat1_weight, cat2_weight, hit in ((StudentType.HIGH, 1, weights[0], weights[2], n),
+                                                  (StudentType.LOW, -1, weights[1], weights[3], d - n)):
+        emit = {Score.A: hit * den // d, Score.B: (d - hit) * den // d}  # over den; hit is P(A) over d
         masses: list[tuple[int, ...]] = []
         for i, (s, j) in enumerate(zip(seqs, shape.parents)):
             e = emit[s[-1]]
-            if j < 0:  # Category 2 and Category 1 mass over den_pphi, times the emission
-                masses.append(((g - f) * share * e,))
-                cat1[i] += sign * f * share * e
+            if j < 0:  # Category 2 and Category 1 mass over the unit, times the emission
+                masses.append((cat2_weight * e,))
+                cat1[i] += sign * cat1_weight * e
             else:  # one more emission on the path from every ancestor, and the parent's unit
-                masses.append((*(m * e // den for m in masses[j]), den_pphi * e))
+                masses.append((*(m * e // den for m in masses[j]), unit * e))
             values += masses[-1]
     values += [sum(cat1[i] for i in members) for _, members in shape.labels]
-    return _Layout((0, *values, *(-v for v in reversed(values))), {})
+    return (0, *values, *(-v for v in reversed(values)))
+
+
+def _form_base(alpha: Fraction, k: int) -> int:
+    """A base above twice the magnitude of any coefficient of a mass, a sum
+    of masses or a label row's constant on the cohort weights: each is at
+    most (k + 1) den(alpha)^k, as a type's path masses at one depth sum to
+    at most its weight times den(alpha)^k."""
+    return 4 << ((k + 2) * alpha.denominator**k).bit_length()
+
+
+def _digits(value: int, base: int) -> tuple[int, int, int, int]:
+    """The form of a value of :func:`_masses` at the weights (1, base,
+    base^2, base^3): its four coefficients, each below base / 2 in
+    magnitude, read as the balanced digits of ``value``, lowest first."""
+    digits = []
+    for _ in range(3):
+        digit = (value + base // 2) % base - base // 2
+        digits.append(digit)
+        value = (value - digit) // base
+    return (*digits, value)
+
+
+# a census point reads the two subtrees, for the row signs of its kept
+# groups; a report-max witness at a vertex of the simplex reads the whole tree
+@lru_cache(maxsize=8)
+def _layout(params: ModelParams, seqs: tuple[ScoreSeq, ...], reporting: Reporting) -> _Layout:
+    """The :class:`_Layout` of the tree ``seqs`` at one point."""
+    return _Layout(_masses(params.alpha, params.k, seqs, reporting, _cohort_weights(params)), {})
 
 
 # A template's label row "High - Low <= 0" as signed indices into a layout's
@@ -616,6 +687,163 @@ def _origin_holds(bits: int, pos: int, neg: int) -> bool:
     return not (bits & pos or ~bits & neg)
 
 
+def _screen_refuses(bits: int, forced: int, neg: int) -> bool:
+    """Whether a label's forced accept bit differs from the policy's, so
+    that its row reads ``0 <= b`` with b negative, given the ``forced``
+    labels (b nonzero, no variable) and those with b < 0 (``neg``): a row
+    with no variable holds for one accept bit only, 0 <= b when rejected and
+    0 <= -b when accepted, so the forced labels with b < 0 must be accepted
+    and the others rejected."""
+    return bool((bits ^ (forced & neg)) & forced)
+
+
+class _CacheInfo(NamedTuple):
+    """What ``lru_cache``'s ``cache_info`` reports."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _CertificatePool:
+    """Farkas certificates of infeasible report-max spine LPs, a bounded
+    cache with the interface of an ``lru_cache``.
+
+    Certificates are kept per (k, whole-tree rule code, signed accept bits),
+    the key of :meth:`_FlowSystem.signs`, which fixes the rows of a spine LP
+    and which label rows are negated; its matrix depends on alpha too, and
+    its rhs on the point, so a certificate is only ever a candidate: each
+    use checks it exactly (:func:`_certifies`). A key holds at most
+    ``per_key`` certificates, the last to refute first, and the pool at most
+    ``maxsize`` keys, the least recently read dropped first. ``hits`` counts
+    LPs refuted by a kept certificate, ``misses`` certificates added, one
+    per LP that the simplex found infeasible."""
+
+    def __init__(self, maxsize: int, per_key: int):
+        self.maxsize, self.per_key = maxsize, per_key
+        self._keys: OrderedDict[tuple, list[tuple[int, ...]]] = OrderedDict()
+        self.hits = self.misses = 0
+
+    def get(self, key: tuple) -> list[tuple[int, ...]]:
+        """The certificates kept under ``key``, most recently useful first."""
+        certificates = self._keys.get(key)
+        if certificates is None:
+            return []
+        self._keys.move_to_end(key)
+        return certificates
+
+    def refuted(self, key: tuple, y: tuple[int, ...]) -> None:
+        """Record that ``y`` refuted an LP of ``key``: it is tried first from now on."""
+        self.hits += 1
+        certificates = self._keys[key]
+        certificates.remove(y)
+        certificates.insert(0, y)
+
+    def add(self, key: tuple, y: tuple[int, ...]) -> None:
+        """Keep ``y``, which the caller has checked at the LP that it refutes."""
+        self.misses += 1
+        certificates = self._keys.setdefault(key, [])
+        self._keys.move_to_end(key)
+        certificates.insert(0, y)
+        del certificates[self.per_key:]
+        if len(self._keys) > self.maxsize:
+            self._keys.popitem(last=False)
+
+    def fills(self) -> int:
+        """The certificates kept, over every key."""
+        return sum(map(len, self._keys.values()))
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._keys))
+
+    def cache_clear(self) -> None:
+        self._keys.clear()
+        self.hits = self.misses = 0
+
+
+# a census-k3 input cycle keeps 2 keys, and 41 k=3 alphas followed by
+# report-max at k=10 keep 4
+_certificates = _CertificatePool(maxsize=64, per_key=16)
+
+
+def _dual_holds(y: Sequence[int], a_ub: Sequence[Sequence[int]]) -> bool:
+    """Whether y, one entry per row of ``a_ub``, has y >= 0 and y a_ub >= 0,
+    so that y a_ub x >= 0 for every x >= 0. Exact, in integers."""
+    return (len(y) == len(a_ub) and all(v >= 0 for v in y)
+            and all(sum(map(mul, y, col)) >= 0 for col in zip(*a_ub)))
+
+
+def _certifies(y: Sequence[int], a_ub: Sequence[Sequence[int]], b_ub: Sequence[int]) -> bool:
+    """Whether ``y`` proves that ``a_ub x <= b_ub`` has no solution x >= 0
+    (Farkas): :func:`_dual_holds`, while y b_ub < 0."""
+    return _dual_holds(y, a_ub) and sum(map(mul, y, b_ub)) < 0
+
+
+def _farkas(a_ub: Sequence[Sequence[int]], b_ub: Sequence[int], n: int) -> Optional[tuple[int, ...]]:
+    """A Farkas certificate of an infeasible ``a_ub x <= b_ub`` over ``n``
+    columns, in integers: the point y of the LP y >= 0, -a_ub^T y <= 0,
+    b_ub y <= -1, which has one iff the system has no solution x >= 0."""
+    rows = [[-row[j] for row in a_ub] for j in range(n)] + [list(b_ub)]
+    y = _simplex.feasible_point(rows, [0] * n + [-1], len(b_ub), scale=1)
+    if y is None:
+        return None
+    den = math.lcm(*(v.denominator for v in y))
+    ints = [v.numerator * (den // v.denominator) for v in y]
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def _spine_infeasible(key: tuple, a_ub: list, b_ub: list, n: int, scale: int) -> bool:
+    """The simplex's verdict on a spine LP that no kept certificate refutes;
+    an infeasible one leaves the checked certificate of :func:`_farkas`
+    under ``key``."""
+    if _simplex.feasible_point(a_ub, b_ub, n, scale=scale) is not None:
+        return False
+    y = _farkas(a_ub, b_ub, n)
+    if y is not None and _certifies(y, a_ub, b_ub):
+        _certificates.add(key, y)
+    return True
+
+
+def _br_over(template: _Template, values: tuple[int, ...], cols: Sequence[int]) -> list[tuple[list[int], int]]:
+    """``c - reach <= 0`` at each free node c of ``cols``, over those columns
+    only, at a layout's ``values``: the reach of each is the constant or a
+    multiple of one of them."""
+    at = {c: i for i, c in enumerate(cols)}
+    keys, rows, scale = tuple(template.var_index), [], values[1]
+    for c in cols:
+        var, j = template.reach[keys[c]]
+        value = values[j]
+        coeffs = [0] * len(cols)
+        coeffs[at[c]] = scale
+        if var is not None:
+            coeffs[at[var]] = -value
+        rows.append((coeffs, value if var is None else 0))
+    return rows
+
+
+def _labels_over(template: _Template, values: tuple[int, ...],
+                 cols: Sequence[int]) -> list[tuple[int, tuple[list[int], int]]]:
+    """Each label row over the columns ``cols`` only, at a layout's
+    ``values``, as (mask of its label's accept bit, (coefficients, rhs))."""
+    at = {c: i for i, c in enumerate(cols)}
+    get, rows = values.__getitem__, []
+    for mask, row in template.label_rows:
+        coeffs = [0] * len(cols)
+        for col, js in row[1]:
+            if col in at:
+                coeffs[at[col]] = sum(map(get, js))
+        rows.append((mask, (coeffs, _row_const(values, row))))
+    return rows
+
+
+def _sign_rows(br_rows: list, label_rows: list, bits: int) -> tuple[list, list]:
+    """Rows (A_ub, b_ub): accepted labels need High - Low >= 0, rejected ones <= 0."""
+    rows = br_rows + [(([-v for v in row], -b) if bits & mask else (row, b)) for mask, (row, b) in label_rows]
+    return [row for row, _ in rows], [b for _, b in rows]
+
+
 class _FlowSystem:
     """Linear feasibility system over free continue masses within a scope.
 
@@ -657,6 +885,7 @@ class _FlowSystem:
         values, signs = _layout(params, seqs, reporting)
         self._values = values
         self.code = code
+        self._key = (params.k, code)  # with the signed accept bits, the key of a certificate
         self.scale = values[1]
         self.histories = template.histories
         self.var_index = template.var_index
@@ -670,73 +899,35 @@ class _FlowSystem:
         """The reach mass of every (type, sequence) as one term."""
         return {key: (var, self._values[j]) for key, (var, j) in self._template.reach.items()}
 
-    def _br_over(self, cols: Sequence[int]) -> list[tuple[list[int], int]]:
-        """``c - reach <= 0`` at each free node c of ``cols``, over those
-        columns only: the reach of each is the constant or a multiple of one
-        of them."""
-        at = {c: i for i, c in enumerate(cols)}
-        keys, rows = tuple(self.var_index), []
-        for c in cols:
-            var, j = self._template.reach[keys[c]]
-            value = self._values[j]
-            coeffs = [0] * len(cols)
-            coeffs[at[c]] = self.scale
-            if var is not None:
-                coeffs[at[var]] = -value
-            rows.append((coeffs, value if var is None else 0))
-        return rows
-
-    def _labels_over(self, cols: Sequence[int]) -> list[tuple[int, tuple[list[int], int]]]:
-        """Each label row over the columns ``cols`` only, as (mask of its
-        label's accept bit, (coefficients, rhs))."""
-        at = {c: i for i, c in enumerate(cols)}
-        get, rows = self._values.__getitem__, []
-        for mask, row in self._template.label_rows:
-            coeffs = [0] * len(cols)
-            for col, js in row[1]:
-                if col in at:
-                    coeffs[at[col]] = sum(map(get, js))
-            rows.append((mask, (coeffs, _row_const(self._values, row))))
-        return rows
-
     @cached_property
     def _br_rows(self) -> list[tuple[list[int], int]]:
         """``c - reach <= 0`` at every free node c, in ``var_index`` order."""
-        return self._br_over(range(self.n))
+        return _br_over(self._template, self._values, range(self.n))
 
     @cached_property
     def _label_rows(self) -> list[tuple[int, tuple[list[int], int]]]:
         """Each label row as (mask of its label's accept bit, (coefficients, rhs))."""
-        return self._labels_over(range(self.n))
+        return _labels_over(self._template, self._values, range(self.n))
 
     @cached_property
     def _spine_rows(self) -> tuple[list, list]:
         """The best-response rows of the spine columns and the label rows,
         over the spine columns only: at most 2(k-1) columns and 2k rows."""
-        return self._br_over(self._spine), self._labels_over(self._spine)
-
-    @staticmethod
-    def _sign_rows(br_rows: list, label_rows: list, bits: int) -> tuple[list, list]:
-        """Rows (A_ub, b_ub): accepted labels need High - Low >= 0, rejected ones <= 0."""
-        rows = br_rows + [(([-v for v in row], -b) if bits & mask else (row, b)) for mask, (row, b) in label_rows]
-        return [row for row, _ in rows], [b for _, b in rows]
+        template, values = self._template, self._values
+        return _br_over(template, values, self._spine), _labels_over(template, values, self._spine)
 
     def signs(self, bits: int) -> int:
         """The accept bits that change :meth:`rows`: equal signs, equal rows."""
         return bits & self._signed
 
     def refuses(self, bits: int) -> bool:
-        """Whether a label's forced accept bit differs from the policy's, so
-        that its row reads ``0 <= b`` with b negative: a row with no variable
-        holds for one accept bit only, 0 <= b when rejected and 0 <= -b when
-        accepted, so the forced labels with b < 0 must be accepted and the
-        others rejected."""
-        return bool((bits ^ (self._forced & self._neg)) & self._forced)
+        """The forced-label screen (:func:`_screen_refuses`) on this system's labels."""
+        return _screen_refuses(bits, self._forced, self._neg)
 
     def rows(self, bits: int) -> tuple[list, list]:
         """Dense rows (A_ub, b_ub) of one policy's equilibrium polytope over
         every column, times ``scale``."""
-        return self._sign_rows(self._br_rows, self._label_rows, bits)
+        return _sign_rows(self._br_rows, self._label_rows, bits)
 
     def _at_origin(self, bits: int) -> bool:
         """Whether no rhs is negative, so that the origin is a point (:func:`_origin_holds`)."""
@@ -747,16 +938,23 @@ class _FlowSystem:
         over every column: a system whose origin is a point is feasible.
         Otherwise a report-all system is infeasible, by the lemma of this
         module's docstring, and a report-max one is refused by the
-        forced-label screen or decided by the simplex on the
-        :meth:`_spine_rows`. For a rule code from the best-response
-        induction the answer is exact both ways; the lemma needs that
-        precondition, which every caller's code meets."""
+        forced-label screen, or else decided on the :meth:`_spine_rows`:
+        refuted by a kept Farkas certificate that :func:`_certifies` on
+        those rows, or decided by the simplex, which leaves a checked
+        certificate in the pool when it finds none. For a rule code from
+        the best-response induction the answer is exact both ways; the
+        lemma needs that precondition, which every caller's code meets."""
         if self._at_origin(bits):
             return False
         if self._spine is None or self.refuses(bits):
             return True
-        a_ub, b_ub = self._sign_rows(*self._spine_rows, bits)
-        return _simplex.feasible_point(a_ub, b_ub, len(self._spine), scale=self.scale) is None
+        a_ub, b_ub = _sign_rows(*self._spine_rows, bits)
+        key = (*self._key, self.signs(bits))
+        for y in _certificates.get(key):
+            if _certifies(y, a_ub, b_ub):
+                _certificates.refuted(key, y)
+                return True
+        return _spine_infeasible(key, a_ub, b_ub, len(self._spine), self.scale)
 
     def feasible(self, bits: int) -> Optional[list[Fraction]]:
         """A point of the policy's polytope, or None.
@@ -771,6 +969,12 @@ class _FlowSystem:
         """
         if self.refutes(bits):
             return None
+        return self.vertex(bits)
+
+    def vertex(self, bits: int) -> Optional[list[Fraction]]:
+        """The simplex's vertex on :meth:`rows`, or None: with no negative
+        rhs the origin, with no row built. The point of :meth:`feasible`,
+        without its decision, for a caller that has decided the policy."""
         if self._at_origin(bits):
             return [Fraction(0)] * self.n
         a_ub, b_ub = self.rows(bits)
@@ -799,7 +1003,7 @@ class _FlowSystem:
         """
         cols = range(self.n) if self._spine is None else self._spine
         rows = (self._br_rows, self._label_rows) if self._spine is None else self._spine_rows
-        a_ub, b_ub = self._sign_rows(*rows, bits)
+        a_ub, b_ub = _sign_rows(*rows, bits)
         m, scale = len(cols), self.scale  # the constant column is m
         at = {c: i for i, c in enumerate(cols)}
         groups: dict[int, list[tuple[int, tuple[StudentType, ScoreSeq], int]]] = {}  # col -> (i, key, value)
@@ -1172,29 +1376,163 @@ def _policy_system(
     return responses, _FlowSystem(params, code, all_sequences(params.k), reporting)
 
 
+class _Spine(NamedTuple):
+    """A report-max policy's spine LP at one alpha, the rows of
+    :meth:`_FlowSystem._spine_rows` signed by its accept bits: ``a_ub``
+    divided by the unit, which leaves integers of alpha alone, and each rhs
+    as its form over the cohort weights."""
+
+    a_ub: tuple[tuple[int, ...], ...]
+    b_ub: tuple[tuple[int, int, int, int], ...]
+    # per certificate tried: its y b_ub as a form, or None where y >= 0 and
+    # y a_ub >= 0 fail, so each is checked against the matrix once
+    checked: dict[tuple[int, ...], Optional[tuple[int, ...]]]
+
+
+class _PlanEntry(NamedTuple):
+    """What one policy of a policy list holds at one (alpha, k), whatever the point."""
+
+    bits: int
+    code: int  # the whole-tree rule code
+    odds: tuple[tuple[int, int, int], ...]  # per first score: (accepts it, High and Low values after it)
+    # (form id, mask of the labels whose constant b has that form) per
+    # nonzero form; labels whose b is 0 at every point are left out
+    labels: tuple[tuple[int, int], ...]
+    varies: int  # the labels that a variable enters
+    spine: Optional[_Spine]  # report-max only
+
+
+class _PolicyPlan(NamedTuple):
+    """What the census of a policy list reads at every point of one (alpha, k)."""
+
+    forms: tuple[tuple[int, int, int, int], ...]  # the distinct nonzero label constant forms
+    entries: tuple[_PlanEntry, ...]
+
+
+# the checked certificates an entry's spine remembers, before it forgets them all
+_CHECKED_MAX = 4 * _certificates.per_key
+
+
+@lru_cache(maxsize=32)  # four policy lists per (alpha, k): 8 alphas of one k
+def _policy_plan(alpha: Fraction, k: int, reporting: Reporting, policies: tuple[int, ...]) -> _PolicyPlan:
+    """The :class:`_PolicyPlan` of the accept ``policies`` of a policy list.
+
+    Each label constant b and spine rhs is read as its form, its
+    coefficients on the four cohort weights, from one :func:`_masses` of the
+    whole tree at the weights (1, B, B^2, B^3) for the :func:`_form_base` B:
+    masses are linear in the weights, so the form of a sum of them is the
+    :func:`_digits` of its value there. A free column's coefficient is a
+    multiple of the unit, 1 + B + B^2 + B^3, so the spine matrix is read
+    divided by it. A policy that is not max-measurable under report-max is
+    refused."""
+    seqs, base = all_sequences(k), _form_base(alpha, k)
+    weights = (1, base, base**2, base**3)
+    values, unit = _masses(alpha, k, seqs, reporting, weights), sum(weights)
+    forms: dict[tuple[int, ...], int] = {}
+    entries = []
+    for bits in policies:
+        _require_measurable(AdmissionPolicy(k, bits), reporting)
+        responses = [_subtree_response(alpha, k, first, bits & _subtree_mask(first, k)) for first in Score]
+        code = reduce(or_, (sub for *_, sub in responses))
+        template = _template(seqs, reporting, k, code)
+        labels: dict[int, int] = {}
+        varies = 0
+        for mask, row in template.label_rows:
+            b, row_varies = _row_sign(values, row)
+            if b:
+                form_id = forms.setdefault(_digits(b, base), len(forms))
+                labels[form_id] = labels.get(form_id, 0) | mask
+            if row_varies:
+                varies |= mask
+        spine = None
+        if template.spine is not None:
+            a_ub, b_ub = _sign_rows(_br_over(template, values, template.spine),
+                                    _labels_over(template, values, template.spine), bits)
+            spine = _Spine(tuple(tuple(v // unit for v in row) for row in a_ub),
+                           tuple(_digits(b, base) for b in b_ub), {})
+        odds = tuple((bits >> node((first,)) & 1, high, low) for first, (high, low, _) in zip(Score, responses))
+        entries.append(_PlanEntry(bits, code, odds, tuple(labels.items()), varies, spine))
+    return _PolicyPlan(tuple(forms), tuple(entries))
+
+
+def _spine_refutes(k: int, entry: _PlanEntry, weights: tuple[int, int, int, int], signed: int) -> bool:
+    """Whether the entry's spine LP is infeasible at the cohort ``weights``,
+    given its signed accept bits: refuted by a kept certificate y whose
+    y b_ub is negative, once y >= 0 and y a_ub >= 0 have been checked on the
+    entry's matrix, or else decided by the simplex."""
+    spine, key = entry.spine, (k, entry.code, signed)
+    w0, w1, w2, w3 = weights
+    for y in _certificates.get(key):
+        if y not in spine.checked:
+            if len(spine.checked) >= _CHECKED_MAX:
+                spine.checked.clear()
+            spine.checked[y] = (tuple(sum(map(mul, y, col)) for col in zip(*spine.b_ub))
+                                if _dual_holds(y, spine.a_ub) else None)
+        yb = spine.checked[y]
+        if yb is not None and yb[0] * w0 + yb[1] * w1 + yb[2] * w2 + yb[3] * w3 < 0:
+            _certificates.refuted(key, y)
+            return True
+    b_ub = [a * w0 + b * w1 + c * w2 + d * w3 for a, b, c, d in spine.b_ub]
+    return _spine_infeasible(key, spine.a_ub, b_ub, len(spine.a_ub[0]), 1)  # the label rows are never absent
+
+
+def _kept_policies(params: ModelParams, plan: _PolicyPlan) -> Iterator[tuple[_PlanEntry, bool]]:
+    """Each entry of the plan whose policy has an equilibrium at the point,
+    with whether the origin is its point, in plan order. The origin's mask
+    test and the forced-label screen read the signs of the plan's forms at
+    the point's cohort weights; a report-all entry whose origin fails is
+    refuted by the lemma, and a report-max one by the screen or
+    :func:`_spine_refutes`."""
+    weights = w0, w1, w2, w3 = _cohort_weights(params)
+    consts = [a * w0 + b * w1 + c * w2 + d * w3 for a, b, c, d in plan.forms]
+    for entry in plan.entries:
+        pos = neg = 0
+        for form_id, mask in entry.labels:
+            b = consts[form_id]
+            if b > 0:
+                pos |= mask
+            elif b < 0:
+                neg |= mask
+        bits = entry.bits
+        if _origin_holds(bits, pos, neg):
+            yield entry, True
+            continue
+        if entry.spine is None or _screen_refuses(bits, (pos | neg) & ~entry.varies, neg):
+            continue
+        if not _spine_refutes(params.k, entry, weights, bits & (entry.varies | pos | neg)):
+            yield entry, False
+
+
+def _vertex_strategy(params: ModelParams, policy: AdmissionPolicy, reporting: Reporting) -> StudentStrategy:
+    """The stops at the simplex's vertex of a feasible policy's whole-tree
+    system, the point of :meth:`_FlowSystem.feasible`, solved with no second
+    decision: the witness of a policy-list class whose origin is not a point."""
+    _, system = _policy_system(params, policy, reporting)
+    return StudentStrategy(system.stops_from_point(system.vertex(policy.bits)))
+
+
 def _enumerate_policy_list(
     params: ModelParams, policies: Sequence[AdmissionPolicy], reporting: Reporting, scope: str
 ) -> Enumeration:
-    """One block per feasible policy, one flow system and solve each; the
-    witness strategy is built only for a policy that opens a class, from the
-    rule code when the system's point is the origin and from the stops of
-    the simplex's vertex otherwise."""
-
+    """One block per policy that :func:`_kept_policies` keeps at the point,
+    from the cached :func:`_policy_plan` of the list, whose label constants
+    and spine rhs are forms over the cohort weights and whose spine LPs try
+    the pool's certificates, each checked exactly, before the simplex. The
+    witness strategy is built only for a policy that opens a class, off the
+    rule code when the origin is its point and from the stops of the
+    simplex's vertex otherwise."""
+    k = params.k
+    plan = _policy_plan(params.alpha, k, reporting, tuple(policy.bits for policy in policies))
     cohorts = _positive_cohorts(params)
 
     def blocks():
-        for policy in policies:
-            responses, system = _policy_system(params, policy, reporting)
-            x = system.feasible(policy.bits)
-            if x is not None:
-                terms = [_admit_terms(params.alpha, params.k, cohorts, first, policy.bits >> node((first,)) & 1,
-                                      high, low) for first, high, low, _ in responses]
-                # at the origin, x = 0, the stops are the rule code's
-                strategy = (partial(_tree_origin_strategy, params.k, system.code) if system._at_origin(policy.bits)
-                            else lambda system=system, x=x: StudentStrategy(system.stops_from_point(x)))
-                yield (policy.bits,), (0,), tuple(map(add, *terms)), strategy
+        for entry, origin in _kept_policies(params, plan):
+            terms = [_admit_terms(params.alpha, k, cohorts, first, *odds) for first, odds in zip(Score, entry.odds)]
+            strategy = (partial(_tree_origin_strategy, k, entry.code) if origin
+                        else partial(_vertex_strategy, params, AdmissionPolicy(k, entry.bits), reporting))
+            yield (entry.bits,), (0,), tuple(map(add, *terms)), strategy
 
-    mask = (1 << len(all_sequences(params.k))) - 1  # every node: a block holds one policy
+    mask = (1 << len(all_sequences(k))) - 1  # every node: a block holds one policy
     return _census(params, scope, len(policies), reporting, mask, blocks())
 
 
@@ -1223,9 +1561,14 @@ def enumerate_outcomes(params: ModelParams, scope: str = SCOPE_REPORT_ALL) -> En
     (64 at k=2, 16384 at k=3) and refuses k above ``EXHAUSTIVE_MAX_K``;
     named families remain available there. "report-max" covers the four best-score policies.
 
-    The report-all census decides each distinct LP of a best-response rule
-    code once, exactly, so it finds what one solve per policy finds. It
-    never prunes with the closed forms it is tested against.
+    The report-all census decides each accept pattern of a first-score
+    subtree by the origin's mask test on its rule code's label signs, exact
+    by the lemma of this module's docstring, so it finds what one solve per
+    policy finds. The other scopes decide each policy from the forms of
+    their cached plan, under report-max with the spine LP where the origin
+    and the forced-label screen leave it open, a checked Farkas certificate
+    before the simplex. It never prunes with the closed forms it is tested
+    against.
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; expected one of {SCOPES}")

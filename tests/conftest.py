@@ -1,5 +1,6 @@
 """Shared test settings: property tests draw the same examples on every run,
-and every test starts with cold error-rate, cohort-row and census caches."""
+and every test starts with cold error-rate, cohort-row and census caches and
+no kept certificate."""
 
 import pytest
 from hypothesis import settings
@@ -18,11 +19,13 @@ settings.load_profile("retesting")
 def cold_error_rates():
     """Each test starts with empty error-rate, cohort-row and census caches
     (kept groups per row-sign key, admission terms, class labels, family
-    policies and witness strategies), so that a test which counts outcome
-    distributions per report, mask tests or strategies built per census sees
-    the first-use path whatever ran before it."""
+    policies, policy-list plans and witness strategies) and an empty
+    certificate pool, so that a test which counts outcome distributions per
+    report, mask tests, strategies built per census or LPs refuted by a kept
+    certificate sees the first-use path whatever ran before it."""
     _error_rates.cache_clear()
     cohort_rows.cache_clear()
     for cached in (search._kept_groups, search._admit_terms, search._class_label, search._family_policies,
-                   search._origin_strategy, search._tree_origin_strategy):
+                   search._policy_plan, search._origin_strategy, search._tree_origin_strategy,
+                   search._certificates):
         cached.cache_clear()

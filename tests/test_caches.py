@@ -2,7 +2,8 @@
 (alpha, phi, k), with their phi-free part once per (alpha, k), canonical
 policies and strategies once per k, within-cohort rows once per (alpha, k,
 strategy) and error rates once per (alpha, k, profile); and the caches of
-the exact search, whose layouts hold one point's masses."""
+the exact search, whose layouts hold one point's masses, with its pool of
+Farkas certificates."""
 
 from __future__ import annotations
 
@@ -50,6 +51,8 @@ CACHES = {
     "search._admit_terms": search._admit_terms,
     "search._class_label": search._class_label,
     "search._family_policies": search._family_policies,
+    "search._policy_plan": search._policy_plan,
+    "search._certificates": search._certificates,
     "search._origin_strategy": search._origin_strategy,
     "search._tree_origin_strategy": search._tree_origin_strategy,
     "search._shape": search._shape,
@@ -62,6 +65,43 @@ def test_every_cache_is_bounded():
     for name, cached in CACHES.items():
         assert cached.cache_info().maxsize is not None, name
         assert cached.cache_info().maxsize <= 256, name
+
+
+def test_certificate_pool_and_plans_stay_within_their_caps():
+    """41 k=3 alphas, each with both censuses, then report-max at k=10: the
+    plans and the certificate pool stay within their caps, and certificates
+    kept at one alpha refute spine LPs at later ones."""
+    alphas = [Fraction(51 + j, 100) for j in range(40)] + [Fraction(1)]
+    for alpha in alphas:
+        for scope in ("report-all", "report-max"):
+            search.enumerate_outcomes(ModelParams(p="0.5", alpha=alpha, phi="0.5", k=3), scope)
+    pool = search._certificates
+    assert pool.cache_info().hits > 10 * pool.cache_info().misses > 0
+    search.enumerate_outcomes(ModelParams(p="0.5", alpha="0.8", phi="0.5", k=10), "report-max")
+    info = pool.cache_info()
+    assert 0 < info.currsize <= info.maxsize
+    assert all(0 < len(certificates) <= pool.per_key for certificates in pool._keys.values())
+    assert pool.fills() <= info.maxsize * pool.per_key
+    plans = search._policy_plan.cache_info()
+    assert plans.misses == len(alphas) + 1 and plans.currsize == plans.maxsize
+
+
+def test_certificate_pool_drops_the_least_recently_read():
+    """The pool keeps at most ``per_key`` certificates per key, the last to
+    refute first, and at most ``maxsize`` keys."""
+    pool = search._CertificatePool(maxsize=2, per_key=2)
+    for y in ((1,), (2,), (3,)):
+        pool.add("a", y)
+    assert pool.get("a") == [(3,), (2,)]
+    pool.refuted("a", (2,))
+    assert pool.get("a") == [(2,), (3,)]
+    pool.add("b", (4,))
+    pool.get("a")  # "b" is now the least recently read
+    pool.add("c", (5,))
+    assert pool.get("b") == [] and pool.get("a") == [(2,), (3,)]
+    assert pool.cache_info() == (1, 5, 2, 2) and pool.fills() == 3
+    pool.cache_clear()
+    assert pool.cache_info() == (0, 0, 2, 0)
 
 
 def test_readme_sweep_fills_one_threshold_record_per_triple(capsys):

@@ -1134,7 +1134,8 @@ class TestSmallerLPs:
     def test_k8_report_max_builds_dense_rows_for_feasible_lps_only(self, monkeypatch):
         """The spine decides every report-max LP with a negative rhs at k=8, so
         the dense rows of the whole tree are built only for a feasible LP's
-        vertex, and never for intervals."""
+        vertex, and never for intervals; the census's spine decision
+        (:func:`search._spine_refutes`) refutes some of them."""
         rows, refuted = _FlowSystem.rows, []
 
         def checked(system, bits):
@@ -1147,15 +1148,15 @@ class TestSmallerLPs:
         def refusing(system, bits):
             raise AssertionError("dense rows were built for intervals")
 
-        refutes = _FlowSystem.refutes
+        spine_refutes = search._spine_refutes
 
-        def recording(system, bits):
-            verdict = refutes(system, bits)
-            if verdict and not (system.refuses(bits) or system._at_origin(bits)):
-                refuted.append(bits)
+        def recording(k, entry, weights, signed):
+            verdict = spine_refutes(k, entry, weights, signed)
+            if verdict:
+                refuted.append(entry.bits)
             return verdict
 
-        monkeypatch.setattr(_FlowSystem, "refutes", recording)
+        monkeypatch.setattr(search, "_spine_refutes", recording)
         for alpha, p, phi in [("0.8", "0.5", "0.5"), ("0.7", "0.45", "0.1"), ("1", "0.4", "0.5")]:
             params = ModelParams(p=p, alpha=alpha, phi=phi, k=8)
             monkeypatch.setattr(_FlowSystem, "rows", checked)
@@ -1277,20 +1278,24 @@ class TestGroupedCensus:
 
 
 class TestPolicyListWitnesses:
-    """Report-max and family scopes solve one flow system per policy, but
+    """Report-max and family scopes decide every policy from their plan, but
     build a witness strategy only for a policy that opens a class: off the
-    rule code when the system's point is the origin, from the stops of the
-    simplex's vertex otherwise."""
+    rule code when the origin is its point, and otherwise from the stops of
+    the simplex's vertex, whose system is built and solved inside the
+    strategy call, for that policy alone. That vertex must be the point of
+    :meth:`_FlowSystem.feasible`."""
 
     def test_stops_are_read_once_per_new_class(self, monkeypatch):
-        calls, strategies, points = [], [], []
-        stops_from_point, feasible, strategy_init = (_FlowSystem.stops_from_point, _FlowSystem.feasible,
-                                                     StudentStrategy.__init__)
+        calls, strategies, points, kept = [], [], [], []
+        stops_from_point, vertex, feasible = _FlowSystem.stops_from_point, _FlowSystem.vertex, _FlowSystem.feasible
+        strategy_init, kept_policies = StudentStrategy.__init__, search._kept_policies
         monkeypatch.setattr(_FlowSystem, "stops_from_point", lambda system, x: calls.append(x) or stops_from_point(system, x))
-        monkeypatch.setattr(_FlowSystem, "feasible",
-                            lambda system, bits: points.append((bits, feasible(system, bits))) or points[-1][1])
+        monkeypatch.setattr(_FlowSystem, "vertex",
+                            lambda system, bits: points.append((bits, vertex(system, bits))) or points[-1][1])
         monkeypatch.setattr(StudentStrategy, "__init__",
                             lambda strategy, stop: strategies.append(stop) or strategy_init(strategy, stop))
+        monkeypatch.setattr(search, "_kept_policies",
+                            lambda params, plan: kept.extend(kept_policies(params, plan)) or iter(list(kept)))
         shared, seen = 0, {True: 0, False: 0}
         # the last point has report-max witnesses at a vertex of the simplex
         grid = [("0.8", "0.5", "0.5"), ("0.6", "0.3", "0"), ("1", "0.4", "0.5"), ("0.7", "0.9", "1"),
@@ -1298,25 +1303,200 @@ class TestPolicyListWitnesses:
         for alpha, p, phi in grid:
             for k in (2, 3, 5):
                 for scope in SCOPES[:1] + SCOPES[2:]:
-                    for log in (calls, strategies, points):
+                    for log in (calls, strategies, points, kept):
                         log.clear()
                     params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
                     origins = search._tree_origin_strategy.cache_info().misses
                     classes = enumerate_outcomes(params, scope).classes
-                    witness_points = [dict(points)[cls.witness.policy.bits] for cls in classes]
-                    vertices = [x for x in witness_points if any(x)]
                     where = (alpha, p, phi, k, scope)
+                    at_origin = {entry.bits: origin for entry, origin in kept}
+                    witnesses = [cls.witness.policy.bits for cls in classes]
+                    # the vertex is solved for the witnesses off the origin alone, once each,
+                    # in the order their classes open; the classes are then sorted
+                    assert sorted(bits for bits, _ in points) == sorted(b for b in witnesses if not at_origin[b]), where
+                    vertices = [x for _, x in points]
+                    assert all(x is not None and any(x) for x in vertices), where
+                    for bits, x in list(points):
+                        _, system = search._policy_system(params, AdmissionPolicy(k, bits), system_reporting(scope))
+                        assert feasible(system, bits) == x, where
                     assert calls == vertices, where
                     origins = search._tree_origin_strategy.cache_info().misses - origins
                     assert len(strategies) == len(vertices) + origins, where
-                    for cls, x in zip(classes, witness_points):
-                        seen[any(x)] += 1
-                        if not any(x):
+                    for cls, bits in zip(classes, witnesses):
+                        seen[at_origin[bits]] += 1
+                        if at_origin[bits]:
                             code = best_response(params, cls.witness.policy).code
                             assert cls.witness.strategy is search._tree_origin_strategy(k, code), where
-                    shared += sum(x is not None for _, x in points) > len(classes)
+                    shared += len(kept) > len(classes)
         assert shared > 0  # some class is supported by more than one feasible policy
         assert seen[True] > 0 and seen[False] > 0  # vertex and origin witnesses
+
+
+def system_reporting(scope):
+    return Reporting.MAX if scope == "report-max" else Reporting.ALL
+
+
+def plan_of(params, scope):
+    """The :func:`search._policy_plan` of a policy-list scope at a point, with its reporting."""
+    reporting = system_reporting(scope)
+    bits = tuple(policy.bits for policy in _family_policies(params.k, scope))
+    return search._policy_plan(params.alpha, params.k, reporting, bits), reporting
+
+
+def certifies(y, a_ub, b_ub):
+    """Farkas's proof that ``a_ub x <= b_ub`` has no x >= 0, checked with no
+    code of the package: y >= 0, every column of y a_ub >= 0, y b_ub < 0."""
+    if len(y) != len(a_ub) or any(v < 0 for v in y):
+        return False
+    columns = len(a_ub[0]) if a_ub else 0
+    if any(sum(y[i] * a_ub[i][j] for i in range(len(y))) < 0 for j in range(columns)):
+        return False
+    return sum(v * b for v, b in zip(y, b_ub)) < 0
+
+
+class TestPolicyListPlan:
+    """The policy lists are decided from one plan per (alpha, k, reporting,
+    policies): label constants and spine rhs as forms over the cohort
+    weights, the spine matrix of alpha alone, and Farkas certificates reused
+    across points and alphas once each is checked exactly. Verdicts must be
+    those of :meth:`_FlowSystem.refutes` with an empty certificate pool, and
+    the forms those of the layout."""
+
+    GRID = [(k, alpha, p, phi) for k in range(1, 6) for alpha in ("0.6", "0.8", "1")
+            for p in ("0.2", "0.5", "0.9") for phi in ("0", "0.5", "1")]
+    SCOPES = SCOPES[:1] + SCOPES[2:]
+    # k=10, and points whose alpha, p and phi have large denominators
+    DEEP = [(10, "0.8", "0.5", "0.5", scope) for scope in ("report-max", "report-all:b-then-a-run")]
+    DEEP += [(4, "0.613", "0.123456789", "0.3", scope) for scope in SCOPES]
+    DEEP += [(3, "0.999999", "0.000001", "0.999", "report-max"), (6, "0.5000001", "0.7", "0.0001", "report-max")]
+
+    @staticmethod
+    def cold_refutes(monkeypatch, system, bits):
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_certificates", search._CertificatePool(maxsize=64, per_key=16))
+            return system.refutes(bits)
+
+    def points(self):
+        yield from ((k, alpha, p, phi, scope) for k, alpha, p, phi in self.GRID for scope in self.SCOPES)
+        yield from self.DEEP
+
+    def test_verdicts_match_the_flow_system_with_no_certificate(self, monkeypatch):
+        """Every verdict, and whether the origin is the point, over the grid;
+        certificates kept at one point refute LPs at later ones, and every
+        certificate is re-checked from scratch on the system's own spine rows
+        at each point that it refutes."""
+        counts = {"origin": 0, "refuted": 0, "spine feasible": 0, "spine refuted": 0}
+        refuting, at = [], {}  # (y, params, bits) of each certificate kept or used; the current point
+        pool = search._certificates
+        add, refuted, spine_refutes = pool.add, pool.refuted, search._spine_refutes
+        monkeypatch.setattr(pool, "add", lambda key, y: refuting.append((y, *at["entry"])) or add(key, y))
+        monkeypatch.setattr(pool, "refuted", lambda key, y: refuting.append((y, *at["entry"])) or refuted(key, y))
+        monkeypatch.setattr(search, "_spine_refutes", lambda k, entry, weights, signed: at.update(
+            entry=(at["params"], entry.bits)) or spine_refutes(k, entry, weights, signed))
+        for k, alpha, p, phi, scope in self.points():
+            params = at["params"] = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+            plan, reporting = plan_of(params, scope)
+            kept = dict((entry.bits, origin) for entry, origin in search._kept_policies(params, plan))
+            for entry in plan.entries:
+                _, system = search._policy_system(params, AdmissionPolicy(k, entry.bits), reporting)
+                assert system.code == entry.code
+                refutes = self.cold_refutes(monkeypatch, system, entry.bits)
+                assert (entry.bits not in kept) == refutes, (k, alpha, p, phi, scope, entry.bits)
+                if not refutes:
+                    assert kept[entry.bits] == system._at_origin(entry.bits)
+                    counts["origin" if kept[entry.bits] else "spine feasible"] += 1
+                else:
+                    screened = reporting is Reporting.ALL or system.refuses(entry.bits)
+                    counts["refuted" if screened else "spine refuted"] += 1
+        assert min(counts.values()) > 0, counts
+        info = pool.cache_info()
+        assert info.hits > info.misses > 0  # most spine LPs are refuted by a kept certificate
+        assert len(refuting) == info.hits + info.misses
+        for y, params, bits in refuting:
+            _, system = search._policy_system(params, AdmissionPolicy(params.k, bits), Reporting.MAX)
+            a_ub, b_ub = search._sign_rows(*system._spine_rows, bits)
+            assert certifies(y, a_ub, b_ub), (params, bits, y)
+
+    def test_forms_match_the_layout(self):
+        """Each label constant's form, times the point's cohort weights, is
+        the ``_row_const`` of its row on the layout, and a label left out of
+        the plan has b = 0; a variable enters the labels of ``varies``; the
+        spine's rows are the system's, its matrix the unit times the plan's
+        and its rhs the forms times the weights."""
+        compared = {"labels": 0, "spine rows": 0}
+        for k, alpha, p, phi, scope in self.points():
+            params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+            plan, reporting = plan_of(params, scope)
+            seqs = all_sequences(k)
+            values = search._layout(params, seqs, reporting).values
+            weights = search._cohort_weights(params)
+            unit = sum(weights)
+            assert values[1] == unit * params.alpha.denominator**k  # the scale
+
+            def at_point(form):
+                return sum(c * w for c, w in zip(form, weights))
+
+            for entry in plan.entries:
+                template = search._template(seqs, reporting, k, entry.code)
+                forms = {}
+                for form_id, mask in entry.labels:
+                    for label_mask, _ in template.label_rows:
+                        if mask & label_mask:
+                            forms[label_mask] = plan.forms[form_id]
+                for mask, row in template.label_rows:
+                    b, varies = search._row_sign(values, row)
+                    assert b == (at_point(forms[mask]) if mask in forms else 0)
+                    assert bool(entry.varies & mask) == varies
+                    compared["labels"] += 1
+                _, system = search._policy_system(params, AdmissionPolicy(k, entry.bits), reporting)
+                if entry.spine is None:
+                    assert reporting is Reporting.ALL
+                    continue
+                a_ub, b_ub = search._sign_rows(*system._spine_rows, entry.bits)
+                assert a_ub == [[unit * v for v in row] for row in entry.spine.a_ub]
+                assert b_ub == [at_point(form) for form in entry.spine.b_ub]
+                compared["spine rows"] += len(b_ub)
+        assert min(compared.values()) > 0
+
+    @pytest.mark.parametrize("alpha, k", [("0.6", 1), ("0.613", 4), ("0.5000001", 10), ("1", 10)])
+    def test_digits_read_back_every_coefficient_in_bounds(self, alpha, k):
+        """A form evaluated at (1, B, B^2, B^3) reads back as its four
+        coefficients for every coefficient up to (k + 1) den(alpha)^k in
+        magnitude, the bound of :func:`search._form_base`."""
+        alpha = Fraction(alpha)
+        base, bound = search._form_base(alpha, k), (k + 1) * alpha.denominator**k
+        rng = random.Random(k)
+        corners = [(bound, -bound, bound, -bound), (-bound, bound, -bound, bound), (0, 0, 0, -bound), (0, 0, 0, 0)]
+        for form in corners + [tuple(rng.randint(-bound, bound) for _ in range(4)) for _ in range(200)]:
+            assert search._digits(sum(c * base**i for i, c in enumerate(form)), base) == form
+
+    def test_a_certificate_that_fails_its_check_changes_no_verdict(self):
+        """A y with y >= 0 and y b < 0 whose y a_ub has a negative entry
+        proves nothing. Seeded into the pool at each spine-feasible policy,
+        under its key, it must leave the policy kept by the census and
+        unrefuted by its system."""
+        seeded = 0
+        for alpha, p, phi in [("0.6", "0.5", "0"), ("0.8", "0.5", "0.5"), ("0.7", "0.45", "0.1"),
+                              ("0.9", "0.15", "0.5")]:
+            for k in (2, 3, 5, 8):
+                params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+                plan, _ = plan_of(params, "report-max")
+                for entry, origin in list(search._kept_policies(params, plan)):
+                    if origin:
+                        continue
+                    _, system = search._policy_system(params, AdmissionPolicy(k, entry.bits), Reporting.MAX)
+                    a_ub, b_ub = search._sign_rows(*system._spine_rows, entry.bits)
+                    i = min(range(len(b_ub)), key=b_ub.__getitem__)  # a row with b < 0: the origin fails
+                    y = tuple(int(j == i) for j in range(len(b_ub)))
+                    assert b_ub[i] < 0 and min(a_ub[i]) < 0  # y b < 0, but y a_ub >= 0 fails
+                    search._certificates.cache_clear()
+                    search._certificates.add((k, system.code, system.signs(entry.bits)), y)
+                    kept = [e.bits for e, _ in search._kept_policies(params, plan)]
+                    assert entry.bits in kept, (alpha, p, phi, k, entry.bits)
+                    assert not system.refutes(entry.bits)
+                    assert system.feasible(entry.bits) is not None
+                    seeded += 1
+        assert seeded > 0
 
 
 class TestOriginWitness:

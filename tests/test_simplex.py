@@ -269,28 +269,34 @@ def test_small_cases(lp, status):
 
 def _census_lps(monkeypatch, params: ModelParams) -> tuple[list[tuple], list[tuple]]:
     """Every LP that the census and its classes' intervals decide, as
-    (a_ub, b_ub, n, scale, point or None). A report-max or family LP is
-    recorded as :meth:`_FlowSystem.feasible` receives it, before its
-    screens. The report-all census decides each accept pattern of a
-    first-score subtree by the origin's mask test and builds no system, so
-    each pattern that :func:`search._solve_subtrees` keeps gets the origin
-    as its point and each one it drops None, on the rows of the pattern's
-    rule code; an LP met again with the same verdict is recorded once.
-    Every kernel call is recorded as (objectives, other arguments, scale,
-    results), where :func:`_simplex.solve` is an ``optimize`` call of one
-    objective."""
+    (a_ub, b_ub, n, scale, point or None). Neither census builds a flow
+    system for its verdicts, so each LP is recorded on the dense rows of its
+    policy's system, with the census's verdict. The report-all census
+    decides each accept pattern of a first-score subtree by the origin's
+    mask test, so each pattern that :func:`search._solve_subtrees` keeps
+    gets the origin as its point and each one it drops None, on the rows of
+    the pattern's rule code; an LP met again with the same verdict is
+    recorded once. Each report-max policy that :func:`search._kept_policies`
+    keeps gets the vertex of :meth:`_FlowSystem.feasible`, and each one it
+    drops None. Every kernel call is recorded as (objectives, other
+    arguments, scale, results), where :func:`_simplex.solve` is an
+    ``optimize`` call of one objective."""
     feasibility, lps, seen = [], [], set()
-    optimize, feasible, solve_subtrees = _simplex.optimize, _FlowSystem.feasible, search._solve_subtrees
+    optimize, kept_policies, solve_subtrees = _simplex.optimize, search._kept_policies, search._solve_subtrees
 
     def recording(objectives, *args, scale=None):
         results = optimize(objectives, *args, scale=scale)
         lps.append((objectives, args, scale, results))
         return results
 
-    def deciding(system, bits):
-        x = feasible(system, bits)
-        feasibility.append((*system.rows(bits), system.n, system.scale, x))
-        return x
+    def deciding(params, plan):
+        kept = list(kept_policies(params, plan))
+        feasible = {entry.bits for entry, _ in kept}
+        for entry in plan.entries:
+            _, system = search._policy_system(params, AdmissionPolicy(params.k, entry.bits), Reporting.MAX)
+            x = system.feasible(entry.bits) if entry.bits in feasible else None
+            feasibility.append((*system.rows(entry.bits), system.n, system.scale, x))
+        return iter(kept)
 
     def census(params, first):
         groups = solve_subtrees(params, first)
@@ -306,7 +312,7 @@ def _census_lps(monkeypatch, params: ModelParams) -> tuple[list[tuple], list[tup
         return groups
 
     monkeypatch.setattr(_simplex, "optimize", recording)
-    monkeypatch.setattr(_FlowSystem, "feasible", deciding)
+    monkeypatch.setattr(search, "_kept_policies", deciding)
     monkeypatch.setattr(search, "_solve_subtrees", census)
     for scope, reporting in (("report-all", Reporting.ALL), ("report-max", Reporting.MAX)):
         for cls in enumerate_outcomes(params, scope).classes:
