@@ -90,13 +90,14 @@ of the unit, the sum of W. So a spine LP over the unit has a matrix A of alpha a
 with the point. An infeasible spine LP has a Farkas certificate y >= 0 with
 yA >= 0 and y b < 0, which refutes every LP with the same A whose rhs it
 makes negative (the reuse of exact LP certificates in Applegate, Cook, Dash
-and Espinoza, Oper. Res. Letters 35, 2007). Each spine LP that the simplex
-finds infeasible leaves the y of one Farkas LP (:func:`_farkas`) in a bounded
-pool keyed by (k, rule code, signed accept bits), shared by every alpha
-(:class:`_CertificatePool`), and each spine LP tries the pool before the
-simplex. A certificate is used only after an exact integer check against the
-LP's own rows (:func:`_certifies`): y >= 0 and yA >= 0 on its matrix, which
-depends on alpha, and y b < 0 at its rhs. So the pool changes which LPs the
+and Espinoza, Oper. Res. Letters 35, 2007). The census tries the
+certificates kept for the LP's (k, rule code, signed accept bits), shared by
+every alpha (:func:`_certificate_list`), and solves the Farkas LP of one it
+cannot refute (:func:`_farkas`): that LP has a point iff the spine LP has
+none, so one solve decides the verdict and yields the certificate to keep.
+A certificate is used only after an exact integer check against the LP's own
+rows (:func:`_certifies`): y >= 0 and yA >= 0 on its matrix, which depends on
+alpha, and y b < 0 at its rhs. So the kept certificates change which LPs the
 simplex solves, never a verdict.
 
 Free-stop intervals come from the same reduced systems: one Charnes-Cooper
@@ -172,7 +173,6 @@ spine decision only the policy's own rows over the spine columns.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -697,74 +697,18 @@ def _screen_refuses(bits: int, forced: int, neg: int) -> bool:
     return bool((bits ^ (forced & neg)) & forced)
 
 
-class _CacheInfo(NamedTuple):
-    """What ``lru_cache``'s ``cache_info`` reports."""
-
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
-class _CertificatePool:
-    """Farkas certificates of infeasible report-max spine LPs, a bounded
-    cache with the interface of an ``lru_cache``.
-
-    Certificates are kept per (k, whole-tree rule code, signed accept bits),
-    the key of :meth:`_FlowSystem.signs`, which fixes the rows of a spine LP
-    and which label rows are negated; its matrix depends on alpha too, and
-    its rhs on the point, so a certificate is only ever a candidate: each
-    use checks it exactly (:func:`_certifies`). A key holds at most
-    ``per_key`` certificates, the last to refute first, and the pool at most
-    ``maxsize`` keys, the least recently read dropped first. ``hits`` counts
-    LPs refuted by a kept certificate, ``misses`` certificates added, one
-    per LP that the simplex found infeasible."""
-
-    def __init__(self, maxsize: int, per_key: int):
-        self.maxsize, self.per_key = maxsize, per_key
-        self._keys: OrderedDict[tuple, list[tuple[int, ...]]] = OrderedDict()
-        self.hits = self.misses = 0
-
-    def get(self, key: tuple) -> list[tuple[int, ...]]:
-        """The certificates kept under ``key``, most recently useful first."""
-        certificates = self._keys.get(key)
-        if certificates is None:
-            return []
-        self._keys.move_to_end(key)
-        return certificates
-
-    def refuted(self, key: tuple, y: tuple[int, ...]) -> None:
-        """Record that ``y`` refuted an LP of ``key``: it is tried first from now on."""
-        self.hits += 1
-        certificates = self._keys[key]
-        certificates.remove(y)
-        certificates.insert(0, y)
-
-    def add(self, key: tuple, y: tuple[int, ...]) -> None:
-        """Keep ``y``, which the caller has checked at the LP that it refutes."""
-        self.misses += 1
-        certificates = self._keys.setdefault(key, [])
-        self._keys.move_to_end(key)
-        certificates.insert(0, y)
-        del certificates[self.per_key:]
-        if len(self._keys) > self.maxsize:
-            self._keys.popitem(last=False)
-
-    def fills(self) -> int:
-        """The certificates kept, over every key."""
-        return sum(map(len, self._keys.values()))
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._keys))
-
-    def cache_clear(self) -> None:
-        self._keys.clear()
-        self.hits = self.misses = 0
+@lru_cache(maxsize=64)  # a census-k3 input cycle reads 2 keys, 41 k=3 alphas then report-max at k=10 read 4
+def _certificate_list(key: tuple) -> list[tuple[int, ...]]:
+    """The Farkas certificates kept for the spine LPs of one (k, whole-tree
+    rule code, signed accept bits), which fixes the rows of a spine LP and
+    which label rows are negated: at most ``_PER_KEY``, the last to refute
+    first. Its matrix depends on alpha too, and its rhs on the point, so a
+    certificate is only ever a candidate: each use checks it exactly
+    (:func:`_certifies`)."""
+    return []
 
 
-# a census-k3 input cycle keeps 2 keys, and 41 k=3 alphas followed by
-# report-max at k=10 keep 4
-_certificates = _CertificatePool(maxsize=64, per_key=16)
+_PER_KEY = 16
 
 
 def _dual_holds(y: Sequence[int], a_ub: Sequence[Sequence[int]]) -> bool:
@@ -792,18 +736,6 @@ def _farkas(a_ub: Sequence[Sequence[int]], b_ub: Sequence[int], n: int) -> Optio
     ints = [v.numerator * (den // v.denominator) for v in y]
     g = math.gcd(*ints)
     return tuple(v // g for v in ints)
-
-
-def _spine_infeasible(key: tuple, a_ub: list, b_ub: list, n: int, scale: int) -> bool:
-    """The simplex's verdict on a spine LP that no kept certificate refutes;
-    an infeasible one leaves the checked certificate of :func:`_farkas`
-    under ``key``."""
-    if _simplex.feasible_point(a_ub, b_ub, n, scale=scale) is not None:
-        return False
-    y = _farkas(a_ub, b_ub, n)
-    if y is not None and _certifies(y, a_ub, b_ub):
-        _certificates.add(key, y)
-    return True
 
 
 def _br_over(template: _Template, values: tuple[int, ...], cols: Sequence[int]) -> list[tuple[list[int], int]]:
@@ -885,7 +817,6 @@ class _FlowSystem:
         values, signs = _layout(params, seqs, reporting)
         self._values = values
         self.code = code
-        self._key = (params.k, code)  # with the signed accept bits, the key of a certificate
         self.scale = values[1]
         self.histories = template.histories
         self.var_index = template.var_index
@@ -938,23 +869,20 @@ class _FlowSystem:
         over every column: a system whose origin is a point is feasible.
         Otherwise a report-all system is infeasible, by the lemma of this
         module's docstring, and a report-max one is refused by the
-        forced-label screen, or else decided on the :meth:`_spine_rows`:
-        refuted by a kept Farkas certificate that :func:`_certifies` on
-        those rows, or decided by the simplex, which leaves a checked
-        certificate in the pool when it finds none. For a rule code from
-        the best-response induction the answer is exact both ways; the
-        lemma needs that precondition, which every caller's code meets."""
+        forced-label screen or decided by the simplex on the
+        :meth:`_spine_rows`. It reads no kept certificate: the CLI asks it
+        only about the witnesses of classes that the census found, which no
+        certificate can refute, and the census decides its own spine LPs
+        with them (:func:`_spine_refutes`).
+        For a rule code from the best-response induction the answer is exact
+        both ways; the lemma needs that precondition, which every caller's
+        code meets."""
         if self._at_origin(bits):
             return False
         if self._spine is None or self.refuses(bits):
             return True
         a_ub, b_ub = _sign_rows(*self._spine_rows, bits)
-        key = (*self._key, self.signs(bits))
-        for y in _certificates.get(key):
-            if _certifies(y, a_ub, b_ub):
-                _certificates.refuted(key, y)
-                return True
-        return _spine_infeasible(key, a_ub, b_ub, len(self._spine), self.scale)
+        return _simplex.feasible_point(a_ub, b_ub, len(self._spine), scale=self.scale) is None
 
     def feasible(self, bits: int) -> Optional[list[Fraction]]:
         """A point of the policy's polytope, or None.
@@ -1385,7 +1313,8 @@ class _Spine(NamedTuple):
     a_ub: tuple[tuple[int, ...], ...]
     b_ub: tuple[tuple[int, int, int, int], ...]
     # per certificate tried: its y b_ub as a form, or None where y >= 0 and
-    # y a_ub >= 0 fail, so each is checked against the matrix once
+    # y a_ub >= 0 fail, so each is checked against the matrix once; this
+    # saves about a tenth of a report-max census point at k=3
     checked: dict[tuple[int, ...], Optional[tuple[int, ...]]]
 
 
@@ -1407,10 +1336,6 @@ class _PolicyPlan(NamedTuple):
 
     forms: tuple[tuple[int, int, int, int], ...]  # the distinct nonzero label constant forms
     entries: tuple[_PlanEntry, ...]
-
-
-# the checked certificates an entry's spine remembers, before it forgets them all
-_CHECKED_MAX = 4 * _certificates.per_key
 
 
 @lru_cache(maxsize=32)  # four policy lists per (alpha, k): 8 alphas of one k
@@ -1455,14 +1380,21 @@ def _policy_plan(alpha: Fraction, k: int, reporting: Reporting, policies: tuple[
     return _PolicyPlan(tuple(forms), tuple(entries))
 
 
+# the checked certificates an entry's spine remembers, before it forgets them all
+_CHECKED_MAX = 4 * _PER_KEY
+
+
 def _spine_refutes(k: int, entry: _PlanEntry, weights: tuple[int, int, int, int], signed: int) -> bool:
     """Whether the entry's spine LP is infeasible at the cohort ``weights``,
     given its signed accept bits: refuted by a kept certificate y whose
     y b_ub is negative, once y >= 0 and y a_ub >= 0 have been checked on the
-    entry's matrix, or else decided by the simplex."""
-    spine, key = entry.spine, (k, entry.code, signed)
+    entry's matrix, or else decided by its Farkas LP (:func:`_farkas`),
+    which has a point iff the spine LP has none, and whose point is kept
+    once :func:`_certifies` holds. A point that failed that check would
+    leave the verdict to the simplex on the spine LP itself."""
+    spine, certificates = entry.spine, _certificate_list((k, entry.code, signed))
     w0, w1, w2, w3 = weights
-    for y in _certificates.get(key):
+    for i, y in enumerate(certificates):
         if y not in spine.checked:
             if len(spine.checked) >= _CHECKED_MAX:
                 spine.checked.clear()
@@ -1470,10 +1402,18 @@ def _spine_refutes(k: int, entry: _PlanEntry, weights: tuple[int, int, int, int]
                                 if _dual_holds(y, spine.a_ub) else None)
         yb = spine.checked[y]
         if yb is not None and yb[0] * w0 + yb[1] * w1 + yb[2] * w2 + yb[3] * w3 < 0:
-            _certificates.refuted(key, y)
+            certificates.insert(0, certificates.pop(i))
             return True
     b_ub = [a * w0 + b * w1 + c * w2 + d * w3 for a, b, c, d in spine.b_ub]
-    return _spine_infeasible(key, spine.a_ub, b_ub, len(spine.a_ub[0]), 1)  # the label rows are never absent
+    n = len(spine.a_ub[0])  # the label rows are never absent
+    y = _farkas(spine.a_ub, b_ub, n)
+    if y is None:
+        return False
+    if not _certifies(y, spine.a_ub, b_ub):
+        return _simplex.feasible_point(spine.a_ub, b_ub, n, scale=1) is None
+    certificates.insert(0, y)
+    del certificates[_PER_KEY:]
+    return True
 
 
 def _kept_policies(params: ModelParams, plan: _PolicyPlan) -> Iterator[tuple[_PlanEntry, bool]]:
@@ -1517,7 +1457,7 @@ def _enumerate_policy_list(
     """One block per policy that :func:`_kept_policies` keeps at the point,
     from the cached :func:`_policy_plan` of the list, whose label constants
     and spine rhs are forms over the cohort weights and whose spine LPs try
-    the pool's certificates, each checked exactly, before the simplex. The
+    the kept certificates, each checked exactly, before the simplex. The
     witness strategy is built only for a policy that opens a class, off the
     rule code when the origin is its point and from the stops of the
     simplex's vertex otherwise."""

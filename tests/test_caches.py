@@ -52,7 +52,7 @@ CACHES = {
     "search._class_label": search._class_label,
     "search._family_policies": search._family_policies,
     "search._policy_plan": search._policy_plan,
-    "search._certificates": search._certificates,
+    "search._certificate_list": search._certificate_list,
     "search._origin_strategy": search._origin_strategy,
     "search._tree_origin_strategy": search._tree_origin_strategy,
     "search._shape": search._shape,
@@ -67,41 +67,46 @@ def test_every_cache_is_bounded():
         assert cached.cache_info().maxsize <= 256, name
 
 
-def test_certificate_pool_and_plans_stay_within_their_caps():
+def test_certificate_lists_and_plans_stay_within_their_caps(monkeypatch):
     """41 k=3 alphas, each with both censuses, then report-max at k=10: the
-    plans and the certificate pool stay within their caps, and certificates
+    plans and the certificate lists stay within their caps, and certificates
     kept at one alpha refute spine LPs at later ones."""
+    certificate_list, lists = search._certificate_list, {}
+    monkeypatch.setattr(search, "_certificate_list", lambda key: lists.setdefault(key, certificate_list(key)))
+    farkas, spine_refutes, solved, refuted = search._farkas, search._spine_refutes, [], []
+    monkeypatch.setattr(search, "_farkas", lambda *args: solved.append(farkas(*args)) or solved[-1])
+    monkeypatch.setattr(search, "_spine_refutes", lambda *args: refuted.append(spine_refutes(*args)) or refuted[-1])
     alphas = [Fraction(51 + j, 100) for j in range(40)] + [Fraction(1)]
     for alpha in alphas:
         for scope in ("report-all", "report-max"):
             search.enumerate_outcomes(ModelParams(p="0.5", alpha=alpha, phi="0.5", k=3), scope)
-    pool = search._certificates
-    assert pool.cache_info().hits > 10 * pool.cache_info().misses > 0
+    found = sum(y is not None for y in solved)
+    assert sum(refuted) - found > 10 * found > 0  # refuted by a kept certificate, and by a new one
     search.enumerate_outcomes(ModelParams(p="0.5", alpha="0.8", phi="0.5", k=10), "report-max")
-    info = pool.cache_info()
-    assert 0 < info.currsize <= info.maxsize
-    assert all(0 < len(certificates) <= pool.per_key for certificates in pool._keys.values())
-    assert pool.fills() <= info.maxsize * pool.per_key
+    info = certificate_list.cache_info()
+    assert 0 < info.currsize <= info.maxsize and len(lists) == info.misses
+    assert all(len(certificates) <= search._PER_KEY for certificates in lists.values())
+    assert any(lists.values())
     plans = search._policy_plan.cache_info()
     assert plans.misses == len(alphas) + 1 and plans.currsize == plans.maxsize
 
 
-def test_certificate_pool_drops_the_least_recently_read():
-    """The pool keeps at most ``per_key`` certificates per key, the last to
-    refute first, and at most ``maxsize`` keys."""
-    pool = search._CertificatePool(maxsize=2, per_key=2)
-    for y in ((1,), (2,), (3,)):
-        pool.add("a", y)
-    assert pool.get("a") == [(3,), (2,)]
-    pool.refuted("a", (2,))
-    assert pool.get("a") == [(2,), (3,)]
-    pool.add("b", (4,))
-    pool.get("a")  # "b" is now the least recently read
-    pool.add("c", (5,))
-    assert pool.get("b") == [] and pool.get("a") == [(2,), (3,)]
-    assert pool.cache_info() == (1, 5, 2, 2) and pool.fills() == 3
-    pool.cache_clear()
-    assert pool.cache_info() == (0, 0, 2, 0)
+def test_certificate_list_keeps_the_last_to_refute_first(monkeypatch):
+    """A key keeps at most ``_PER_KEY`` certificates: one that refutes an LP
+    moves to the front, and a new one goes first and pushes the last out."""
+    certificate_list, lists = search._certificate_list, {}
+    monkeypatch.setattr(search, "_certificate_list", lambda key: lists.setdefault(key, certificate_list(key)))
+    params = ModelParams(p="0.5", alpha="0.8", phi="0.5", k=3)
+    search.enumerate_outcomes(params, "report-max")
+    certificates = next(certificates for certificates in lists.values() if certificates)
+    [y] = certificates
+    fillers = [(j,) * (len(y) + 1) for j in range(search._PER_KEY)]  # of the wrong length: they refute nothing
+    certificates[:] = fillers[1:] + [y]
+    search.enumerate_outcomes(params, "report-max")
+    assert certificates == [y] + fillers[1:]
+    certificates[:] = fillers
+    search.enumerate_outcomes(params, "report-max")
+    assert certificates == [y] + fillers[:-1]
 
 
 def test_readme_sweep_fills_one_threshold_record_per_triple(capsys):

@@ -1359,7 +1359,7 @@ class TestPolicyListPlan:
     policies): label constants and spine rhs as forms over the cohort
     weights, the spine matrix of alpha alone, and Farkas certificates reused
     across points and alphas once each is checked exactly. Verdicts must be
-    those of :meth:`_FlowSystem.refutes` with an empty certificate pool, and
+    those of :meth:`_FlowSystem.refutes`, which reads no certificate, and
     the forms those of the layout."""
 
     GRID = [(k, alpha, p, phi) for k in range(1, 6) for alpha in ("0.6", "0.8", "1")
@@ -1369,12 +1369,6 @@ class TestPolicyListPlan:
     DEEP = [(10, "0.8", "0.5", "0.5", scope) for scope in ("report-max", "report-all:b-then-a-run")]
     DEEP += [(4, "0.613", "0.123456789", "0.3", scope) for scope in SCOPES]
     DEEP += [(3, "0.999999", "0.000001", "0.999", "report-max"), (6, "0.5000001", "0.7", "0.0001", "report-max")]
-
-    @staticmethod
-    def cold_refutes(monkeypatch, system, bits):
-        with monkeypatch.context() as patch:
-            patch.setattr(search, "_certificates", search._CertificatePool(maxsize=64, per_key=16))
-            return system.refutes(bits)
 
     def points(self):
         yield from ((k, alpha, p, phi, scope) for k, alpha, p, phi in self.GRID for scope in self.SCOPES)
@@ -1386,13 +1380,17 @@ class TestPolicyListPlan:
         certificate is re-checked from scratch on the system's own spine rows
         at each point that it refutes."""
         counts = {"origin": 0, "refuted": 0, "spine feasible": 0, "spine refuted": 0}
-        refuting, at = [], {}  # (y, params, bits) of each certificate kept or used; the current point
-        pool = search._certificates
-        add, refuted, spine_refutes = pool.add, pool.refuted, search._spine_refutes
-        monkeypatch.setattr(pool, "add", lambda key, y: refuting.append((y, *at["entry"])) or add(key, y))
-        monkeypatch.setattr(pool, "refuted", lambda key, y: refuting.append((y, *at["entry"])) or refuted(key, y))
-        monkeypatch.setattr(search, "_spine_refutes", lambda k, entry, weights, signed: at.update(
-            entry=(at["params"], entry.bits)) or spine_refutes(k, entry, weights, signed))
+        refuting, at = [], {}  # (y, params, bits) of each spine LP refuted; the current point
+        farkas, spine_refutes, solved = search._farkas, search._spine_refutes, []
+
+        def recording(k, entry, weights, signed):
+            verdict = spine_refutes(k, entry, weights, signed)
+            if verdict:  # the certificate that refuted it, kept or read, is tried first from now on
+                refuting.append((search._certificate_list((k, entry.code, signed))[0], at["params"], entry.bits))
+            return verdict
+
+        monkeypatch.setattr(search, "_spine_refutes", recording)
+        monkeypatch.setattr(search, "_farkas", lambda *args: solved.append(args) or farkas(*args))
         for k, alpha, p, phi, scope in self.points():
             params = at["params"] = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
             plan, reporting = plan_of(params, scope)
@@ -1400,7 +1398,7 @@ class TestPolicyListPlan:
             for entry in plan.entries:
                 _, system = search._policy_system(params, AdmissionPolicy(k, entry.bits), reporting)
                 assert system.code == entry.code
-                refutes = self.cold_refutes(monkeypatch, system, entry.bits)
+                refutes = system.refutes(entry.bits)
                 assert (entry.bits not in kept) == refutes, (k, alpha, p, phi, scope, entry.bits)
                 if not refutes:
                     assert kept[entry.bits] == system._at_origin(entry.bits)
@@ -1409,9 +1407,11 @@ class TestPolicyListPlan:
                     screened = reporting is Reporting.ALL or system.refuses(entry.bits)
                     counts["refuted" if screened else "spine refuted"] += 1
         assert min(counts.values()) > 0, counts
-        info = pool.cache_info()
-        assert info.hits > info.misses > 0  # most spine LPs are refuted by a kept certificate
-        assert len(refuting) == info.hits + info.misses
+        # one Farkas LP per spine LP that no kept certificate refutes, found
+        # for an infeasible one only; most are refuted by a kept certificate
+        assert len(refuting) == counts["spine refuted"]
+        kept = len(refuting) - (len(solved) - counts["spine feasible"])
+        assert kept > len(refuting) - kept > 0
         for y, params, bits in refuting:
             _, system = search._policy_system(params, AdmissionPolicy(params.k, bits), Reporting.MAX)
             a_ub, b_ub = search._sign_rows(*system._spine_rows, bits)
@@ -1489,14 +1489,32 @@ class TestPolicyListPlan:
                     i = min(range(len(b_ub)), key=b_ub.__getitem__)  # a row with b < 0: the origin fails
                     y = tuple(int(j == i) for j in range(len(b_ub)))
                     assert b_ub[i] < 0 and min(a_ub[i]) < 0  # y b < 0, but y a_ub >= 0 fails
-                    search._certificates.cache_clear()
-                    search._certificates.add((k, system.code, system.signs(entry.bits)), y)
+                    search._certificate_list.cache_clear()
+                    search._certificate_list((k, system.code, system.signs(entry.bits))).append(y)
                     kept = [e.bits for e, _ in search._kept_policies(params, plan)]
                     assert entry.bits in kept, (alpha, p, phi, k, entry.bits)
                     assert not system.refutes(entry.bits)
                     assert system.feasible(entry.bits) is not None
                     seeded += 1
         assert seeded > 0
+
+    def test_a_farkas_point_that_fails_its_check_is_not_kept(self, monkeypatch):
+        """Were the Farkas LP to return a point that fails its check, here
+        y = 0 with y b = 0, the simplex on the spine LP itself would decide
+        the verdict, and the point would not be kept."""
+        monkeypatch.setattr(search, "_farkas", lambda a_ub, b_ub, n: (0,) * len(b_ub))
+        certificate_list, read = search._certificate_list, []
+        monkeypatch.setattr(search, "_certificate_list", lambda key: read.append(certificate_list(key)) or read[-1])
+        refuted = 0
+        for k, alpha, p, phi in [(3, "0.8", "0.5", "0.5"), (5, "0.7", "0.45", "0.1"), (8, "0.6", "0.5", "0")]:
+            params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
+            plan, _ = plan_of(params, "report-max")
+            kept = {entry.bits for entry, _ in search._kept_policies(params, plan)}
+            for entry in plan.entries:
+                _, system = search._policy_system(params, AdmissionPolicy(k, entry.bits), Reporting.MAX)
+                assert (entry.bits not in kept) == system.refutes(entry.bits), (k, entry.bits)
+                refuted += entry.bits not in kept and not system.refuses(entry.bits) and not system._at_origin(entry.bits)
+        assert refuted > 0 and read and not any(read)
 
 
 class TestOriginWitness:
