@@ -13,11 +13,9 @@ integers that the integer-row simplex decides exactly. Which mass goes where
 in the rows depends only on the tree, the reporting policy and the
 best-response rules, so a cached template per rule code holds them as
 signed indices into the layout. A system at a point reads only the sign of
-each label row's constant and whether a free continue mass enters it, each
-row summed once per layout, as four bit masks over its labels, and builds
-dense rows only for the simplex: a label row with no free continue mass
-fixes that label's accept bit, and with no negative rhs the origin is
-feasible, each one mask test on a policy's accept bits.
+each label row's constant, as two bit masks over its labels, and builds
+dense rows only for its free-stop ranges: with no negative rhs the origin
+is feasible, one mask test on a policy's accept bits.
 
 Lemma. Take a report-all system whose rule code comes from
 :func:`_induction`, with alpha in (1/2, 1]. If the origin violates a label
@@ -75,10 +73,43 @@ label of D has row 0 on both polytopes, and each polytope lies in the other.
 Under report-max there are two labels, and a history that holds an A
 reports into label A whatever follows it, so all mass that enters it stops
 under label A: the free continue masses off the all-B spine B, BB, ... net
-to 0 in both label rows. An LP with a negative rhs is decided on the spine
-alone, at most 2(k-1) columns and 2k rows (:meth:`_FlowSystem.refutes`). A
-refuted LP never reaches the simplex on dense rows of the whole tree; every
-point other than the origin still comes from it.
+to 0 in both label rows. The spine LP is the best-response rows of the
+spine's free columns and the two label rows, over the spine columns alone:
+at most 2(k-1) columns and 2k rows.
+
+Spine-vertex lemma. On a report-max system, the two-phase simplex of
+:mod:`retesting._simplex`, with Bland's rule (Bland, Math. Oper. Res. 2,
+1977), makes the pivots that it makes on the spine LP. So the system is
+feasible iff its spine LP is, and its vertex is the spine LP's vertex lifted
+by 0 off the spine.
+
+Proof, on the tableau, by induction over the pivots. A best-response row's
+rhs is a reach mass, never negative, so only label rows get artificials.
+(vii) The spine's best-response rows and the two label rows are 0 at every
+column off the spine and at the slack of every row off the spine, and so is
+any combination of them. Let every pivot so far have been in such a row.
+Then the objective rows of both phases, priced out by those rows, are 0
+there too, and none of those columns enters. (viii) A best-response row off
+the spine starts as ``scale x_c - r x_a <= b``, where x_a is its anchor's
+column, or none with a constant reach b. While x_a is nonbasic, the row's
+entry at a column that can enter is at most 0: -r at x_a, if x_a is on the
+spine. While x_a is basic in row i, eliminating x_a has made the row its
+own x_c + s_c plus r / scale times row i. At the entering column it then
+has row i's ratio, and row i's basic x_a is structural, with a lower index
+than the row's own slack s_c, so Bland's tie rule picks row i. So the next
+pivot row is one of (vii) too. (ix) The drive-out of a leftover artificial
+reads a label row, whose first nonzero entry is at a spine column or slack.
+So the columns off the spine stay nonbasic at 0, and the rest of the
+tableau is the spine LP's, in the same column order: at every pivot both
+take the same entering column, the lowest index with a negative reduced
+cost, and the same leaving row, up to positive row multiples.
+
+The census decides a spine LP from its policy's plan
+(:func:`_spine_refutes`). A policy whose origin fails and whose spine LP is
+feasible takes as its witness the spine LP's vertex, lifted by 0 off the
+spine by the lemma (:func:`_vertex_strategy`). Its spine nodes' stops are
+read off that point, and every other stop is the origin's. No row of the
+whole tree is built.
 
 Every mass of a layout is linear in the four cohort weights W = (p phi,
 (1 - p) phi, p (1 - phi), (1 - p) (1 - phi)) over den(p) den(phi), with
@@ -100,11 +131,12 @@ rows (:func:`_certifies`): y >= 0 and yA >= 0 on its matrix, which depends on
 alpha, and y b < 0 at its rhs. So the kept certificates change which LPs the
 simplex solves, never a verdict.
 
-Free-stop intervals come from the same reduced systems: one Charnes-Cooper
-program per reach column over one first-score subtree at a time under
-report-all, whose rows are block-diagonal by first score, and over the
-spine columns under report-max, where every reached node off the spine can
-stop with any probability (:func:`free_stop_intervals`).
+Free-stop intervals come from the same reduced LPs, one Charnes-Cooper
+program per reach column (:func:`_stop_ranges`): over one first-score
+subtree's system at a time under report-all, whose rows are block-diagonal
+by first score, and over the plan's spine LP under report-max, where every
+reached node off the spine can stop with any probability
+(:func:`free_stop_intervals`).
 
 Best responses come from one bottom-up induction per first-score subtree:
 each history combines the results of its two children with its own accept
@@ -163,8 +195,9 @@ test and, under report-max, the forced-label screen and the spine decision,
 a kept certificate first; it builds no layout, template or flow system, and
 a report-all family is decided by the origin's test alone, by the lemma. A
 policy whose origin fails but which the spine LP keeps gets, only if it
-opens a class, the stops of the simplex's vertex on its whole-tree system,
-built inside its strategy call (:func:`_vertex_strategy`). No closed form
+opens a class, the stops of its spine LP's vertex lifted by 0, solved
+inside its strategy call (:func:`_vertex_strategy`). The free-stop ranges
+of a report-max policy read the same plan entry. No closed form
 from :mod:`retesting.equilibria` is used to prune: the forced-label screen
 and the origin's mask test read only the signs of the label rows, and the
 spine decision only the policy's own rows over the spine columns.
@@ -518,19 +551,6 @@ def _shape(seqs: tuple[ScoreSeq, ...], reporting: Reporting) -> _Shape:
     return _Shape(parents, labels, (tuple(starts[: len(seqs)]), tuple(starts[len(seqs) : -1])), starts[-1])
 
 
-class _Layout(NamedTuple):
-    """What every flow system over one tree shares at one point, whatever
-    its best-response rules."""
-
-    # the masses, integers over the scale den(p) den(phi) den(alpha)^k, at
-    # the indices of the tree's :func:`_shape`; index 0 holds 0 and index -j
-    # the negation of index j, so a signed index reads a mass or its negation
-    values: tuple[int, ...]
-    # each template label row read so far: (its constant b, whether a
-    # variable enters it), so systems that share a row sum it once
-    signs: dict[_Row, tuple[int, bool]]
-
-
 def _cohort_weights(params: ModelParams) -> tuple[int, int, int, int]:
     """The cohort shares p phi, (1 - p) phi, p (1 - phi) and (1 - p) (1 - phi),
     in ``COHORTS`` order, as integers over den(p) den(phi), which they sum to."""
@@ -540,12 +560,15 @@ def _cohort_weights(params: ModelParams) -> tuple[int, int, int, int]:
 
 def _masses(alpha: Fraction, k: int, seqs: tuple[ScoreSeq, ...], reporting: Reporting,
             weights: tuple[int, int, int, int]) -> tuple[int, ...]:
-    """The :class:`_Layout` ``values`` of the tree ``seqs`` at the cohort
-    ``weights`` of :func:`_cohort_weights`, with their sum as the unit. Each
-    mass is an integer of alpha alone times one weight (a Category 2 mass of
-    an unbroken path), the unit (a mass per unit continuing) or, for a
-    label's Category 1 mass, the Category 1 High and Low weights, so the
-    values are linear in ``weights``."""
+    """The masses of the tree ``seqs`` at the cohort ``weights`` of
+    :func:`_cohort_weights`, with their sum as the unit, as integers over
+    the scale, the unit times den(alpha)^k, at the indices of the tree's
+    :func:`_shape`: index 0 holds 0 and index -j the negation of index j, so
+    a signed index reads a mass or its negation. Each mass is an integer of
+    alpha alone times one weight (a Category 2 mass of an unbroken path),
+    the unit (a mass per unit continuing) or, for a label's Category 1 mass,
+    the Category 1 High and Low weights, so the values are linear in
+    ``weights``."""
     shape = _shape(seqs, reporting)
     n, d = alpha.as_integer_ratio()
     den, unit = d**k, sum(weights)
@@ -588,11 +611,12 @@ def _digits(value: int, base: int) -> tuple[int, int, int, int]:
 
 
 # a census point reads the two subtrees, for the row signs of its kept
-# groups; a report-max witness at a vertex of the simplex reads the whole tree
+# groups, and the free-stop ranges of its report-all witnesses read them again
 @lru_cache(maxsize=8)
-def _layout(params: ModelParams, seqs: tuple[ScoreSeq, ...], reporting: Reporting) -> _Layout:
-    """The :class:`_Layout` of the tree ``seqs`` at one point."""
-    return _Layout(_masses(params.alpha, params.k, seqs, reporting, _cohort_weights(params)), {})
+def _layout(params: ModelParams, seqs: tuple[ScoreSeq, ...], reporting: Reporting) -> tuple[int, ...]:
+    """The :func:`_masses` of the tree ``seqs`` at one point, which every
+    flow system over the tree shares, whatever its best-response rules."""
+    return _masses(params.alpha, params.k, seqs, reporting, _cohort_weights(params))
 
 
 # A template's label row "High - Low <= 0" as signed indices into a layout's
@@ -605,7 +629,6 @@ class _Template(NamedTuple):
     best-response rules, whatever the point: its free nodes, and the anchor
     of every reach and every label row as signed indices into a layout."""
 
-    histories: tuple[ScoreSeq, ...]
     var_index: dict[tuple[StudentType, ScoreSeq], int]
     reach: dict[tuple[StudentType, ScoreSeq], _Term]  # (var, signed index)
     label_rows: tuple[tuple[int, _Row], ...]  # (mask of the label's accept bit, row)
@@ -619,7 +642,6 @@ def _template(seqs: tuple[ScoreSeq, ...], reporting: Reporting, k: int, code: in
     """The template of the tree ``seqs`` under the rules that the rule
     ``code`` holds for its histories."""
     shape = _shape(seqs, reporting)
-    histories = tuple(s for s in seqs if len(s) < k)
     var_index: dict[tuple[StudentType, ScoreSeq], int] = {}
     reach: dict[tuple[StudentType, ScoreSeq], _Term] = {}
     # per type and sequence: the (var, depth) its children's mass continues
@@ -649,7 +671,7 @@ def _template(seqs: tuple[ScoreSeq, ...], reporting: Reporting, k: int, code: in
         const = tuple(cols.pop(None))
         label_rows.append((1 << lab, (const, tuple([(var, tuple(js)) for var, js in cols.items()]))))
     spine = None if reporting is Reporting.ALL else tuple(c for (_, s), c in var_index.items() if Score.A not in s)
-    return _Template(histories, var_index, reach, tuple(label_rows), spine)
+    return _Template(var_index, reach, tuple(label_rows), spine)
 
 
 def _row_const(values: tuple[int, ...], row: _Row) -> int:
@@ -661,23 +683,6 @@ def _row_const(values: tuple[int, ...], row: _Row) -> int:
 def _row_sign(values: tuple[int, ...], row: _Row) -> tuple[int, bool]:
     """A label row's :func:`_row_const` b, and whether a variable enters it."""
     return _row_const(values, row), any([sum(map(values.__getitem__, js)) for _, js in row[1]])
-
-
-def _label_masks(labels: Iterable[tuple[int, tuple[int, bool]]]) -> tuple[int, int, int, int]:
-    """The label accept bits with b > 0, with b < 0, of a row other than
-    0 <= 0, and with b nonzero and no variable (forced), from each label's
-    (mask, :func:`_row_sign`)."""
-    pos = neg = signed = forced = 0
-    for mask, (b, varies) in labels:
-        if b > 0:
-            pos |= mask
-        elif b < 0:
-            neg |= mask
-        if b or varies:  # a row other than 0 <= 0: its sign changes the LP
-            signed |= mask
-        if b and not varies:
-            forced |= mask
-    return pos, neg, signed, forced
 
 
 def _origin_holds(bits: int, pos: int, neg: int) -> bool:
@@ -776,8 +781,72 @@ def _sign_rows(br_rows: list, label_rows: list, bits: int) -> tuple[list, list]:
     return [row for row, _ in rows], [b for _, b in rows]
 
 
+def _stop_ranges(a_ub: list, b_ub: list, scale: int, cols: Sequence[int],
+                 reach: Sequence[tuple[tuple[StudentType, ScoreSeq], Optional[int], int]],
+                 ) -> dict[tuple[StudentType, ScoreSeq], tuple[Fraction, Fraction]]:
+    """The stop-probability range of each free node that a supporting flow
+    reaches, on a polytope ``a_ub x <= b_ub`` that is not empty, over the
+    free columns ``cols``, with rows times ``scale``. ``reach`` holds each
+    free node's (key, var, value) in column order, as the reach term of
+    :meth:`_FlowSystem.reach`, over the same scale.
+
+    At a free node c of ``cols`` with reach term (var, value), the stop
+    probability is 1 - scale x[c] / (value x[col]), where col is var, or the
+    constant column s = 1 when var is None. The rows, homogenised as
+    ``a_ub y <= b_ub s``, are a cone, so fixing y[col] = 1 makes that ratio
+    linear in y (Charnes-Cooper). The nodes that share a col share that LP:
+    phase 1 runs once, and each node adds the objectives y[c] and -y[c],
+    which its best-response row bounds.
+
+    A free node outside ``cols`` (off the all-B spine under report-max) has
+    zero coefficients in every label row and bounds only itself and its
+    children, so it can stop with any probability: its range is exactly
+    (0, 1) when a flow reaches it, that is, when every link of its chain of
+    free ancestors carries a positive reach and the chain ends at the
+    constant column or at a column of ``cols`` whose LP is feasible. Nodes
+    that no supporting flow reaches are left out.
+    """
+    m = len(cols)  # the constant column is m
+    at = {c: i for i, c in enumerate(cols)}
+    groups: dict[int, list[tuple[int, tuple[StudentType, ScoreSeq], int]]] = {}  # col -> (i, key, value)
+    chains: dict[int, int] = {}  # each reached free column outside cols -> the col its chain ends at
+    for c, (key, var, value) in enumerate(reach):
+        col = m if var is None else at[var] if var in at else chains.get(var)
+        if not value or col is None:  # no flow reaches the node, whatever y
+            continue
+        if c in at:
+            groups.setdefault(col, []).append((at[c], key, value))
+        else:
+            chains[c] = col
+            if col < m:
+                groups.setdefault(col, [])
+    a_cc = [[*row, -b] for row, b in zip(a_ub, b_ub)]
+    b_cc = [0] * len(a_cc)
+    ends: dict[tuple[StudentType, ScoreSeq], tuple[Fraction, Fraction]] = {}
+    feasible = {m}  # s = 1 gives the system itself
+    for col, members in groups.items():
+        norm = [0] * (m + 1)
+        norm[col] = scale  # scale * y[col] = scale
+        # every min y[c], then every max: at k=6 this order takes fewer
+        # pivots than pairs per node or the maxima first
+        objectives = [[int(j == i) for j in range(m + 1)] for i, _, _ in members]
+        objectives += [[-v for v in obj] for obj in objectives]
+        results = _simplex.optimize(objectives or [[0] * (m + 1)], a_cc, b_cc, [norm], [scale], m + 1, scale=scale)
+        if results[0].status == _simplex.OPTIMAL:
+            feasible.add(col)
+        for (_, key, value), lo, hi in zip(members, results, results[len(members) :]):
+            if lo.status == _simplex.OPTIMAL:
+                ends[key] = (1 + scale * hi.value / value, 1 - scale * lo.value / value)
+    for c, (key, _, _) in enumerate(reach):
+        if chains.get(c) in feasible:
+            ends[key] = (Fraction(0), Fraction(1))
+    return ends
+
+
 class _FlowSystem:
-    """Linear feasibility system over free continue masses within a scope.
+    """Linear feasibility system over free continue masses within a scope:
+    the report-all system of one first-score subtree, whose free-stop ranges
+    :func:`free_stop_intervals` reads.
 
     Forced nodes (strict best responses) are substituted symbolically, so the
     only variables are the continue masses at indifferent nodes. Every reach
@@ -790,22 +859,11 @@ class _FlowSystem:
 
     A policy enters only through the signs of the label rows, read from its
     accept bits (as in :class:`AdmissionPolicy`), so it has an equilibrium
-    iff its :meth:`rows` admit a nonnegative solution. A system reads from
-    the tree's :class:`_Layout` each label row's constant b and whether a
-    variable enters it, summed once per layout, as four masks of label
-    accept bits: b > 0, b < 0, a row other than 0 <= 0 (signed), and b
-    nonzero with no variable (forced); dense rows wait until asked for.
-    Under report-all the masks decide the system, by the lemma of this
-    module's docstring.
-
-    Under report-max only the free columns on the all-B spine enter a label
-    row: a history that holds an A reports into label A whatever follows, so
-    every unit of mass that enters it stops under label A, and the columns
-    of its subtree net to 0 in both label rows. Setting them to 0 keeps
-    every best-response row, so the spine's own best-response rows and the
-    two label rows over the spine columns (:meth:`_spine_rows`) are feasible
-    iff :meth:`rows` are, and their Charnes-Cooper programs have the same
-    optima on the spine.
+    iff those rows and the best-response rows admit a nonnegative solution.
+    A system reads each label row's constant b from the tree's cached
+    :func:`_layout`, as two masks of label accept bits, b > 0 and b < 0,
+    which decide a report-all system by the lemma of this module's
+    docstring; dense rows wait until its ranges are asked for.
     """
 
     def __init__(self, params: ModelParams, code: int, sequences: Iterable[ScoreSeq], reporting: Reporting,
@@ -814,16 +872,13 @@ class _FlowSystem:
         cached layout and on ``template`` (the cached one when not given)."""
         seqs = tuple(sequences)
         self._template = template = template or _template(seqs, reporting, params.k, code)
-        values, signs = _layout(params, seqs, reporting)
-        self._values = values
-        self.code = code
+        self._values = values = _layout(params, seqs, reporting)
         self.scale = values[1]
-        self.histories = template.histories
         self.var_index = template.var_index
         self.n = len(template.var_index)
-        self._pos, self._neg, self._signed, self._forced = _label_masks(
-            (mask, signs.get(row) or signs.setdefault(row, _row_sign(values, row))) for mask, row in template.label_rows)
-        self._spine = template.spine
+        consts = [(mask, _row_const(values, row)) for mask, row in template.label_rows]
+        self._pos = sum(mask for mask, b in consts if b > 0)  # one bit per label: a sum is an or
+        self._neg = sum(mask for mask, b in consts if b < 0)
 
     @cached_property
     def reach(self) -> dict[tuple[StudentType, ScoreSeq], _Term]:
@@ -840,148 +895,21 @@ class _FlowSystem:
         """Each label row as (mask of its label's accept bit, (coefficients, rhs))."""
         return _labels_over(self._template, self._values, range(self.n))
 
-    @cached_property
-    def _spine_rows(self) -> tuple[list, list]:
-        """The best-response rows of the spine columns and the label rows,
-        over the spine columns only: at most 2(k-1) columns and 2k rows."""
-        template, values = self._template, self._values
-        return _br_over(template, values, self._spine), _labels_over(template, values, self._spine)
-
-    def signs(self, bits: int) -> int:
-        """The accept bits that change :meth:`rows`: equal signs, equal rows."""
-        return bits & self._signed
-
-    def refuses(self, bits: int) -> bool:
-        """The forced-label screen (:func:`_screen_refuses`) on this system's labels."""
-        return _screen_refuses(bits, self._forced, self._neg)
-
-    def rows(self, bits: int) -> tuple[list, list]:
-        """Dense rows (A_ub, b_ub) of one policy's equilibrium polytope over
-        every column, times ``scale``."""
-        return _sign_rows(self._br_rows, self._label_rows, bits)
-
-    def _at_origin(self, bits: int) -> bool:
-        """Whether no rhs is negative, so that the origin is a point (:func:`_origin_holds`)."""
-        return _origin_holds(bits, self._pos, self._neg)
-
     def refutes(self, bits: int) -> bool:
-        """Whether the policy's polytope is empty, decided with no dense row
-        over every column: a system whose origin is a point is feasible.
-        Otherwise a report-all system is infeasible, by the lemma of this
-        module's docstring, and a report-max one is refused by the
-        forced-label screen or decided by the simplex on the
-        :meth:`_spine_rows`. It reads no kept certificate: the CLI asks it
-        only about the witnesses of classes that the census found, which no
-        certificate can refute, and the census decides its own spine LPs
-        with them (:func:`_spine_refutes`).
+        """Whether the policy's polytope is empty, decided with no dense row:
+        a report-all system is feasible iff its origin is a point
+        (:func:`_origin_holds`), by the lemma of this module's docstring.
         For a rule code from the best-response induction the answer is exact
         both ways; the lemma needs that precondition, which every caller's
         code meets."""
-        if self._at_origin(bits):
-            return False
-        if self._spine is None or self.refuses(bits):
-            return True
-        a_ub, b_ub = _sign_rows(*self._spine_rows, bits)
-        return _simplex.feasible_point(a_ub, b_ub, len(self._spine), scale=self.scale) is None
-
-    def feasible(self, bits: int) -> Optional[list[Fraction]]:
-        """A point of the policy's polytope, or None.
-
-        The one decision path: a policy that :meth:`refutes` is rejected
-        before any dense row over every column is built, whether the origin's
-        signs (report-all), the forced-label screen or the spine LP
-        (report-max) refute it. With no negative rhs the origin is a point,
-        the one the simplex would return, and no row is built; under
-        report-all that is every point. Every other point comes from the
-        simplex on :meth:`rows`, since witness stops come from that vertex.
-        """
-        if self.refutes(bits):
-            return None
-        return self.vertex(bits)
-
-    def vertex(self, bits: int) -> Optional[list[Fraction]]:
-        """The simplex's vertex on :meth:`rows`, or None: with no negative
-        rhs the origin, with no row built. The point of :meth:`feasible`,
-        without its decision, for a caller that has decided the policy."""
-        if self._at_origin(bits):
-            return [Fraction(0)] * self.n
-        a_ub, b_ub = self.rows(bits)
-        return _simplex.feasible_point(a_ub, b_ub, self.n, scale=self.scale)
+        return not _origin_holds(bits, self._pos, self._neg)
 
     def stop_ranges(self, bits: int) -> dict[tuple[StudentType, ScoreSeq], tuple[Fraction, Fraction]]:
-        """The stop-probability range of each free node that a supporting flow
-        reaches, for a system whose polytope is not empty.
-
-        The LP columns are every free column, or the spine's under report-max.
-        At a free node c of them with reach term (var, value), the stop
-        probability is 1 - scale x[c] / (value x[col]), where col is var, or the
-        constant column s = 1 when var is None. The rows, homogenised as
-        ``a_ub y <= b_ub s``, are a cone, so fixing y[col] = 1 makes that ratio
-        linear in y (Charnes-Cooper). The nodes that share a col share that LP:
-        phase 1 runs once, and each node adds the objectives y[c] and -y[c],
-        which its best-response row bounds.
-
-        Under report-max a free node off the spine has zero coefficients in
-        both label rows and bounds only itself and its children, so it can
-        stop with any probability: its range is exactly (0, 1) when a flow
-        reaches it, that is, when every link of its chain of free ancestors
-        carries a positive reach and the chain ends at the constant column or
-        at a spine column whose LP is feasible. Nodes that no supporting flow
-        reaches are left out.
-        """
-        cols = range(self.n) if self._spine is None else self._spine
-        rows = (self._br_rows, self._label_rows) if self._spine is None else self._spine_rows
-        a_ub, b_ub = _sign_rows(*rows, bits)
-        m, scale = len(cols), self.scale  # the constant column is m
-        at = {c: i for i, c in enumerate(cols)}
-        groups: dict[int, list[tuple[int, tuple[StudentType, ScoreSeq], int]]] = {}  # col -> (i, key, value)
-        chains: dict[int, int] = {}  # each reached free column off the spine -> the col its chain ends at
-        for key, c in self.var_index.items():
-            var, value = self.reach[key]
-            col = m if var is None else at[var] if var in at else chains.get(var)
-            if not value or col is None:  # no flow reaches the node, whatever y
-                continue
-            if c in at:
-                groups.setdefault(col, []).append((at[c], key, value))
-            else:
-                chains[c] = col
-                if col < m:
-                    groups.setdefault(col, [])
-        a_cc = [[*row, -b] for row, b in zip(a_ub, b_ub)]
-        b_cc = [0] * len(a_cc)
-        ends: dict[tuple[StudentType, ScoreSeq], tuple[Fraction, Fraction]] = {}
-        feasible = {m}  # s = 1 gives the system itself
-        for col, members in groups.items():
-            norm = [0] * (m + 1)
-            norm[col] = scale  # scale * y[col] = scale
-            # every min y[c], then every max: at k=6 this order takes fewer
-            # pivots than pairs per node or the maxima first
-            objectives = [[int(j == i) for j in range(m + 1)] for i, _, _ in members]
-            objectives += [[-v for v in obj] for obj in objectives]
-            results = _simplex.optimize(objectives or [[0] * (m + 1)], a_cc, b_cc, [norm], [scale], m + 1, scale=scale)
-            if results[0].status == _simplex.OPTIMAL:
-                feasible.add(col)
-            for (_, key, value), lo, hi in zip(members, results, results[len(members) :]):
-                if lo.status == _simplex.OPTIMAL:
-                    ends[key] = (1 + scale * hi.value / value, 1 - scale * lo.value / value)
-        for key, c in self.var_index.items():
-            if chains.get(c) in feasible:
-                ends[key] = (Fraction(0), Fraction(1))
-        return ends
-
-    def stops_from_point(self, x: Sequence[Fraction]) -> dict[tuple[StudentType, ScoreSeq], Fraction]:
-        """Stop probabilities at reachable nodes; canonical values elsewhere."""
-        stops: dict[tuple[StudentType, ScoreSeq], Fraction] = {}
-        for t in _TYPES:
-            for h in self.histories:
-                var, value = self.reach[(t, h)]
-                r = value if var is None else value * x[var]
-                rule = _rule_of(self.code, t, h)
-                if rule == ANY and r > 0:
-                    stops[(t, h)] = 1 - Fraction(self.scale * x[self.var_index[(t, h)]]) / r
-                else:  # forced, or a free node that no mass reaches; shared objects, so equal stops compare by identity
-                    stops[(t, h)] = _ZERO if rule == CONTINUE else _ONE
-        return stops
+        """:func:`_stop_ranges` over every free column, for a system whose
+        polytope is not empty."""
+        a_ub, b_ub = _sign_rows(self._br_rows, self._label_rows, bits)
+        reach = [(key, *self.reach[key]) for key in self.var_index]
+        return _stop_ranges(a_ub, b_ub, self.scale, range(self.n), reach)
 
 
 # ---------------------------------------------------------------------------
@@ -1241,7 +1169,7 @@ def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[tupl
     """
     alpha, k = params.alpha, params.k
     plan = _census_plan(alpha, k, first)
-    values = _layout(params, _subtree(first, k), Reporting.ALL).values
+    values = _layout(params, _subtree(first, k), Reporting.ALL)
     pos = neg = 0
     for row_id, row in plan.rows:
         b = _row_const(values, row)
@@ -1254,11 +1182,11 @@ def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[tupl
             for odds, patterns, code in _kept_groups(alpha, k, first, pos, neg)}
 
 
-def _origin_stops(code: int, keys: Iterable[tuple[StudentType, ScoreSeq]]) -> StudentStrategy:
+def _origin_stops(code: int, keys: Iterable[tuple[StudentType, ScoreSeq]]) -> dict:
     """The stops of the origin under the rule ``code`` at ``keys``, in their
-    order: 0 where the rule is CONTINUE, else 1, as
-    :meth:`_FlowSystem.stops_from_point` gives at x = 0."""
-    return StudentStrategy({(t, h): _ZERO if _rule_of(code, t, h) == CONTINUE else _ONE for t, h in keys})
+    order: 0 where the rule is CONTINUE, else 1, since no free node
+    continues mass there."""
+    return {(t, h): _ZERO if _rule_of(code, t, h) == CONTINUE else _ONE for t, h in keys}
 
 
 @lru_cache(maxsize=64)  # a census-k3 input cycle reads 13 pairs; k 1-3 at 50 alphas, 10 p and 3 phi read 19
@@ -1266,8 +1194,8 @@ def _origin_strategy(k: int, a_code: int, b_code: int) -> StudentStrategy:
     """The origin's stops under the subtree rule codes, the witness of a
     report-all class by the corollary of this module's docstring, in the
     order of the two subtree systems, A subtree first."""
-    return _origin_stops(a_code | b_code, ((t, h) for first in Score for t in _TYPES
-                                           for h in _subtree(first, k) if len(h) < k))
+    return StudentStrategy(_origin_stops(a_code | b_code, ((t, h) for first in Score for t in _TYPES
+                                                           for h in _subtree(first, k) if len(h) < k)))
 
 
 @lru_cache(maxsize=64)  # a census-k3 input cycle reads 2
@@ -1275,7 +1203,7 @@ def _tree_origin_strategy(k: int, code: int) -> StudentStrategy:
     """The origin's stops under a whole-tree rule code, the witness of a
     policy-list class whose system has the origin as its point, in the
     order of the whole tree's system: type-major over its histories."""
-    return _origin_stops(code, ((t, h) for t in _TYPES for h in all_sequences(k - 1)))
+    return StudentStrategy(_origin_stops(code, ((t, h) for t in _TYPES for h in all_sequences(k - 1))))
 
 
 def _enumerate_report_all(params: ModelParams) -> Enumeration:
@@ -1293,25 +1221,19 @@ def _enumerate_report_all(params: ModelParams) -> Enumeration:
     return _census(params, SCOPE_REPORT_ALL, considered, Reporting.ALL, mask, blocks)
 
 
-def _policy_system(
-    params: ModelParams, policy: AdmissionPolicy, reporting: Reporting
-) -> tuple[list[tuple[Score, int, int, int]], _FlowSystem]:
-    """A policy's :func:`_subtree_responses` and the flow system of the whole
-    game tree under their rule codes."""
-    _require_measurable(policy, reporting)
-    responses = _subtree_responses(params, policy)
-    code = reduce(or_, (sub for *_, sub in responses))
-    return responses, _FlowSystem(params, code, all_sequences(params.k), reporting)
-
-
 class _Spine(NamedTuple):
-    """A report-max policy's spine LP at one alpha, the rows of
-    :meth:`_FlowSystem._spine_rows` signed by its accept bits: ``a_ub``
-    divided by the unit, which leaves integers of alpha alone, and each rhs
-    as its form over the cohort weights."""
+    """A report-max policy's spine LP at one alpha, signed by its accept
+    bits: ``a_ub`` divided by the unit, which leaves integers of alpha
+    alone, and each rhs as its form over the cohort weights; with the reach
+    of every free node of the whole tree, whose forms are of alpha alone
+    too."""
 
     a_ub: tuple[tuple[int, ...], ...]
     b_ub: tuple[tuple[int, int, int, int], ...]
+    cols: tuple[int, ...]  # the spine's free columns, in column order
+    # per free column of the whole tree, in column order: (its key, the
+    # column of its anchor or None, the form of its reach term's value)
+    reach: tuple[tuple[tuple[StudentType, ScoreSeq], Optional[int], tuple[int, int, int, int]], ...]
     # per certificate tried: its y b_ub as a form, or None where y >= 0 and
     # y a_ub >= 0 fail, so each is checked against the matrix once; this
     # saves about a tenth of a report-max census point at k=3
@@ -1338,11 +1260,13 @@ class _PolicyPlan(NamedTuple):
     entries: tuple[_PlanEntry, ...]
 
 
-@lru_cache(maxsize=32)  # four policy lists per (alpha, k): 8 alphas of one k
+# four policy lists per (alpha, k), whose report-max plan the free-stop
+# ranges of its witnesses read again: 8 alphas of one k
+@lru_cache(maxsize=32)
 def _policy_plan(alpha: Fraction, k: int, reporting: Reporting, policies: tuple[int, ...]) -> _PolicyPlan:
     """The :class:`_PolicyPlan` of the accept ``policies`` of a policy list.
 
-    Each label constant b and spine rhs is read as its form, its
+    Each label constant b, spine rhs and reach is read as its form, its
     coefficients on the four cohort weights, from one :func:`_masses` of the
     whole tree at the weights (1, B, B^2, B^3) for the :func:`_form_base` B:
     masses are linear in the weights, so the form of a sum of them is the
@@ -1373,8 +1297,10 @@ def _policy_plan(alpha: Fraction, k: int, reporting: Reporting, policies: tuple[
         if template.spine is not None:
             a_ub, b_ub = _sign_rows(_br_over(template, values, template.spine),
                                     _labels_over(template, values, template.spine), bits)
+            reach = tuple((key, var, _digits(values[j], base))
+                          for key, (var, j) in ((key, template.reach[key]) for key in template.var_index))
             spine = _Spine(tuple(tuple(v // unit for v in row) for row in a_ub),
-                           tuple(_digits(b, base) for b in b_ub), {})
+                           tuple(_digits(b, base) for b in b_ub), template.spine, reach, {})
         odds = tuple((bits >> node((first,)) & 1, high, low) for first, (high, low, _) in zip(Score, responses))
         entries.append(_PlanEntry(bits, code, odds, tuple(labels.items()), varies, spine))
     return _PolicyPlan(tuple(forms), tuple(entries))
@@ -1384,6 +1310,11 @@ def _policy_plan(alpha: Fraction, k: int, reporting: Reporting, policies: tuple[
 _CHECKED_MAX = 4 * _PER_KEY
 
 
+def _at(form: Sequence[int], weights: Sequence[int]) -> int:
+    """A form's value at the cohort ``weights``."""
+    return sum(map(mul, form, weights))
+
+
 def _spine_refutes(k: int, entry: _PlanEntry, weights: tuple[int, int, int, int], signed: int) -> bool:
     """Whether the entry's spine LP is infeasible at the cohort ``weights``,
     given its signed accept bits: refuted by a kept certificate y whose
@@ -1391,7 +1322,8 @@ def _spine_refutes(k: int, entry: _PlanEntry, weights: tuple[int, int, int, int]
     entry's matrix, or else decided by its Farkas LP (:func:`_farkas`),
     which has a point iff the spine LP has none, and whose point is kept
     once :func:`_certifies` holds. A point that failed that check would
-    leave the verdict to the simplex on the spine LP itself."""
+    leave the verdict to the simplex on the spine LP itself. The one place
+    where a spine LP is decided."""
     spine, certificates = entry.spine, _certificate_list((k, entry.code, signed))
     w0, w1, w2, w3 = weights
     for i, y in enumerate(certificates):
@@ -1405,7 +1337,7 @@ def _spine_refutes(k: int, entry: _PlanEntry, weights: tuple[int, int, int, int]
             certificates.insert(0, certificates.pop(i))
             return True
     b_ub = [a * w0 + b * w1 + c * w2 + d * w3 for a, b, c, d in spine.b_ub]
-    n = len(spine.a_ub[0])  # the label rows are never absent
+    n = len(spine.cols)
     y = _farkas(spine.a_ub, b_ub, n)
     if y is None:
         return False
@@ -1416,39 +1348,83 @@ def _spine_refutes(k: int, entry: _PlanEntry, weights: tuple[int, int, int, int]
     return True
 
 
+def _verdict(k: int, entry: _PlanEntry, consts: Sequence[int], weights: tuple[int, int, int, int]) -> Optional[bool]:
+    """Whether the entry's policy has an equilibrium at the point whose
+    cohort ``weights`` give the plan's forms the constants ``consts``: None
+    if not, else whether the origin is its point. The origin's mask test and
+    the forced-label screen read the signs of the entry's label constants; a
+    report-all entry whose origin fails is refuted by the lemma, and a
+    report-max one by the screen or :func:`_spine_refutes`."""
+    pos = neg = 0
+    for form_id, mask in entry.labels:
+        b = consts[form_id]
+        if b > 0:
+            pos |= mask
+        elif b < 0:
+            neg |= mask
+    bits = entry.bits
+    if _origin_holds(bits, pos, neg):
+        return True
+    if entry.spine is None or _screen_refuses(bits, (pos | neg) & ~entry.varies, neg):
+        return None
+    return None if _spine_refutes(k, entry, weights, bits & (entry.varies | pos | neg)) else False
+
+
 def _kept_policies(params: ModelParams, plan: _PolicyPlan) -> Iterator[tuple[_PlanEntry, bool]]:
     """Each entry of the plan whose policy has an equilibrium at the point,
-    with whether the origin is its point, in plan order. The origin's mask
-    test and the forced-label screen read the signs of the plan's forms at
-    the point's cohort weights; a report-all entry whose origin fails is
-    refuted by the lemma, and a report-max one by the screen or
-    :func:`_spine_refutes`."""
+    with whether the origin is its point, in plan order (:func:`_verdict`),
+    from each distinct form's constant at the point's cohort weights."""
     weights = w0, w1, w2, w3 = _cohort_weights(params)
     consts = [a * w0 + b * w1 + c * w2 + d * w3 for a, b, c, d in plan.forms]
     for entry in plan.entries:
-        pos = neg = 0
-        for form_id, mask in entry.labels:
-            b = consts[form_id]
-            if b > 0:
-                pos |= mask
-            elif b < 0:
-                neg |= mask
-        bits = entry.bits
-        if _origin_holds(bits, pos, neg):
-            yield entry, True
-            continue
-        if entry.spine is None or _screen_refuses(bits, (pos | neg) & ~entry.varies, neg):
-            continue
-        if not _spine_refutes(params.k, entry, weights, bits & (entry.varies | pos | neg)):
-            yield entry, False
+        origin = _verdict(params.k, entry, consts, weights)
+        if origin is not None:
+            yield entry, origin
 
 
-def _vertex_strategy(params: ModelParams, policy: AdmissionPolicy, reporting: Reporting) -> StudentStrategy:
-    """The stops at the simplex's vertex of a feasible policy's whole-tree
-    system, the point of :meth:`_FlowSystem.feasible`, solved with no second
-    decision: the witness of a policy-list class whose origin is not a point."""
-    _, system = _policy_system(params, policy, reporting)
-    return StudentStrategy(system.stops_from_point(system.vertex(policy.bits)))
+def _spine_point(spine: _Spine, weights: tuple[int, int, int, int]) -> list[Fraction]:
+    """The whole-tree vertex of a report-max policy whose origin fails and
+    whose spine LP is feasible at the cohort ``weights``, by the spine-vertex
+    lemma: the vertex of the spine LP with its rhs at ``weights``, divided by
+    the unit, since the plan's matrix is divided by it, and lifted by 0 off
+    the spine; indexed by the whole tree's free columns."""
+    b_ub = [_at(form, weights) for form in spine.b_ub]
+    point = _simplex.feasible_point(spine.a_ub, b_ub, len(spine.cols), scale=1)
+    unit = sum(weights)
+    x = [_ZERO] * len(spine.reach)
+    for c, v in zip(spine.cols, point):
+        x[c] = v / unit
+    return x
+
+
+def _vertex_strategy(params: ModelParams, entry: _PlanEntry) -> StudentStrategy:
+    """The witness of a report-max class whose policy's origin is not a
+    point: the stops at the :func:`_spine_point` of its plan entry, solved
+    with no second decision. A spine node's stop is 1 - scale x[c] / r for
+    its reach r, when a flow reaches it; every other stop is the origin's,
+    as x is 0 off the spine (:func:`_origin_stops`)."""
+    spine, weights = entry.spine, _cohort_weights(params)
+    x = _spine_point(spine, weights)
+    scale = sum(weights) * params.alpha.denominator**params.k
+    stops = _origin_stops(entry.code, ((t, h) for t in _TYPES for h in all_sequences(params.k - 1)))
+    for c in spine.cols:
+        key, var, form = spine.reach[c]
+        r = _at(form, weights) * (1 if var is None else x[var])
+        if r > 0:
+            stops[key] = 1 - Fraction(scale * x[c]) / r
+    return StudentStrategy(stops)
+
+
+def _spine_ranges(params: ModelParams, entry: _PlanEntry) -> dict[tuple[StudentType, ScoreSeq], tuple[Fraction, Fraction]]:
+    """The free-stop ranges of a feasible report-max policy: :func:`_stop_ranges`
+    over its spine LP at the point, whose rows are the unit times the plan's,
+    with every other free node chained off the spine."""
+    spine, weights = entry.spine, _cohort_weights(params)
+    unit = sum(weights)
+    a_ub = [[v * unit for v in row] for row in spine.a_ub]
+    b_ub = [_at(form, weights) for form in spine.b_ub]
+    reach = [(key, var, _at(form, weights)) for key, var, form in spine.reach]
+    return _stop_ranges(a_ub, b_ub, unit * params.alpha.denominator**params.k, spine.cols, reach)
 
 
 def _enumerate_policy_list(
@@ -1459,8 +1435,8 @@ def _enumerate_policy_list(
     and spine rhs are forms over the cohort weights and whose spine LPs try
     the kept certificates, each checked exactly, before the simplex. The
     witness strategy is built only for a policy that opens a class, off the
-    rule code when the origin is its point and from the stops of the
-    simplex's vertex otherwise."""
+    rule code when the origin is its point and from its spine LP's vertex
+    otherwise (:func:`_vertex_strategy`)."""
     k = params.k
     plan = _policy_plan(params.alpha, k, reporting, tuple(policy.bits for policy in policies))
     cohorts = _positive_cohorts(params)
@@ -1469,7 +1445,7 @@ def _enumerate_policy_list(
         for entry, origin in _kept_policies(params, plan):
             terms = [_admit_terms(params.alpha, k, cohorts, first, *odds) for first, odds in zip(Score, entry.odds)]
             strategy = (partial(_tree_origin_strategy, k, entry.code) if origin
-                        else partial(_vertex_strategy, params, AdmissionPolicy(k, entry.bits), reporting))
+                        else partial(_vertex_strategy, params, entry))
             yield (entry.bits,), (0,), tuple(map(add, *terms)), strategy
 
     mask = (1 << len(all_sequences(k))) - 1  # every node: a block holds one policy
@@ -1507,8 +1483,10 @@ def enumerate_outcomes(params: ModelParams, scope: str = SCOPE_REPORT_ALL) -> En
     policy finds. The other scopes decide each policy from the forms of
     their cached plan, under report-max with the spine LP where the origin
     and the forced-label screen leave it open, a checked Farkas certificate
-    before the simplex. It never prunes with the closed forms it is tested
-    against.
+    before the simplex. A report-max witness whose origin fails is its
+    spine LP's vertex lifted by 0, by the spine-vertex lemma, so no scope
+    builds a row of the whole tree. It never prunes with the closed forms
+    it is tested against.
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; expected one of {SCOPES}")
@@ -1530,39 +1508,48 @@ def free_stop_intervals(
     """Per free node, the exact stop-probability range supporting the policy.
 
     Each range comes from the smallest exact LP that decides it, through
-    :meth:`_FlowSystem.stop_ranges`. Under report-all the rows are
-    block-diagonal by first score: the depth-one roots share no variable and
-    every label is one sequence. So each first-score subtree gets its own
-    system, on the census's cached layout and, up to ``EXHAUSTIVE_MAX_K``,
-    the template in its :func:`_code_book`; any point of one subtree's
-    polytope goes with any point of the other's. Inside
-    :func:`_reused_intervals` a subtree's ranges are solved once per
-    (first score, rule code): feasible patterns with one rule code have one
+    :func:`_stop_ranges`. Under report-all the rows are block-diagonal by
+    first score: the depth-one roots share no variable and every label is
+    one sequence. So each first-score subtree gets its own
+    :class:`_FlowSystem`, on the census's cached layout and, up to
+    ``EXHAUSTIVE_MAX_K``, the template in its :func:`_code_book`; any point
+    of one subtree's polytope goes with any point of the other's. Inside
+    :func:`_reused_intervals` a subtree's ranges are solved once per (first
+    score, rule code): feasible patterns with one rule code have one
     polytope, by the second corollary of this module's docstring. Under
-    report-max the ranges of the all-B spine come from the spine columns
-    alone, and every other reached free node can stop with any probability.
-    A policy with no equilibrium, which :meth:`_FlowSystem.refutes` decides
-    (under report-all by the origin's signs alone), gives an empty result.
-    Keys are in the order of the whole tree's ``var_index``: node order,
-    High first.
+    report-max the policy's entry in the report-max census's plan, which the
+    census leaves cached for its witnesses (a plan of the policy alone for
+    a policy outside that family), decides it as the census does
+    (:func:`_verdict`), and the ranges of the all-B spine come from its
+    spine LP alone, while every other reached free node can stop with any
+    probability. A policy with no equilibrium (under report-all, by the
+    origin's signs alone) gives an empty result. Keys are in the order of
+    the whole tree's ``var_index``: node order, High first.
     """
     k = params.k
+    _require_measurable(policy, reporting)
+    responses = _subtree_responses(params, policy)  # refuses a policy of another k
     if reporting is Reporting.MAX:
-        _, system = _policy_system(params, policy, reporting)
-        systems = {(params, reporting, system.code, policy.bits): system}
+        family = tuple(p.bits for p in _family_policies(k, SCOPE_REPORT_MAX))
+        listed = family if policy.bits in family else (policy.bits,)
+        plan = _policy_plan(params.alpha, k, reporting, listed)
+        entry, weights = plan.entries[listed.index(policy.bits)], _cohort_weights(params)
+        if _verdict(k, entry, [_at(form, weights) for form in plan.forms], weights) is None:
+            return {}
+        ranges = {(params, reporting, entry.code, policy.bits): partial(_spine_ranges, params, entry)}
     else:
         systems = {}
-        for first, _, _, code in _subtree_responses(params, policy):
+        for first, _, _, code in responses:
             template = _coded(k, first, code)[0] if k <= EXHAUSTIVE_MAX_K else None
-            key = (params, first, code)
-            systems[key] = _FlowSystem(params, code, _subtree(first, k), reporting, template=template)
-    if any(system.refutes(policy.bits) for system in systems.values()):
-        return {}
+            systems[(params, first, code)] = _FlowSystem(params, code, _subtree(first, k), reporting, template=template)
+        if any(system.refutes(policy.bits) for system in systems.values()):
+            return {}
+        ranges = {key: partial(system.stop_ranges, policy.bits) for key, system in systems.items()}
     solved = {} if _solved is None else _solved
     ends = {}
-    for key, system in systems.items():
+    for key, solve in ranges.items():
         if key not in solved:
-            solved[key] = system.stop_ranges(policy.bits)
+            solved[key] = solve()
         ends.update(solved[key])
     keys = ((t, h) for h in all_sequences(k - 1) for t in _TYPES)
     return {key: ends[key] for key in keys if key in ends}

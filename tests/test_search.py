@@ -55,6 +55,8 @@ from retesting.search import (
     _subtree,
     _subtree_induction,
 )
+from dense_reference import (DenseFlowSystem, ReferenceFlowSystem, label_masks, policy_system, spine_vertex_counts,
+                             spine_vertex_grid)
 
 PARAMS = ModelParams(p=0.3, alpha=0.8, phi=0.5, k=2)
 
@@ -116,104 +118,6 @@ def reference_induction(params, policy):
         for s in Score:
             value(t, (s,))
     return rules, values
-
-
-def reference_layout(params, seqs, reporting):
-    """Path masses of the tree ``seqs`` as integers over den(p) den(phi)
-    den(alpha)^k: (scale, parents, reach[t][i][d], labels as (node,
-    members, Category 1 High - Low mass))."""
-    index = {s: i for i, s in enumerate(seqs)}
-    parents = tuple(index[s[:-1]] if len(s) > 1 else -1 for s in seqs)
-    den, den_pphi = params.alpha.denominator ** params.k, params.p.denominator * params.phi.denominator
-    reach = ([], [])
-    cat1 = [0] * len(seqs)
-    for masses, t, sign in zip(reach, StudentType, (1, -1)):
-        share = params.p if t is StudentType.HIGH else params.p_bar
-        emit = {a: int(params.emit(t, a) * den) for a in Score}
-        for i, (s, j) in enumerate(zip(seqs, parents)):
-            e = emit[s[-1]]
-            if j < 0:
-                masses.append((int(params.phi_bar * share * den_pphi) * e,))
-                cat1[i] += sign * int(params.phi * share * den_pphi) * e
-            else:
-                masses.append((*(m * e // den for m in masses[j]), den_pphi * e))
-    groups = {}
-    for i, s in enumerate(seqs):
-        groups.setdefault((best_score(s),) if reporting is Reporting.MAX else s, []).append(i)
-    labels = [(node(lab), members, sum(cat1[i] for i in members)) for lab, members in groups.items()]
-    return den_pphi * den, parents, reach, labels
-
-
-def label_masks(label_rows):
-    """The label masks of dense label rows (mask, (coefficients, b)): b > 0,
-    b < 0, a row other than 0 <= 0, and b nonzero with no variable."""
-    return (sum(mask for mask, (_, b) in label_rows if b > 0),
-            sum(mask for mask, (_, b) in label_rows if b < 0),
-            sum(mask for mask, (row, b) in label_rows if b or any(row)),
-            sum(mask for mask, (row, b) in label_rows if b and not any(row)))
-
-
-class ReferenceFlowSystem(_FlowSystem):
-    """A flow system built directly from the layout, one term at a time,
-    with no template: the rows every templated system must reproduce."""
-
-    def __init__(self, params, rules, sequences, reporting):
-        seqs = tuple(sequences)
-        self.scale, parents, layout_reach, labels = reference_layout(params, seqs, reporting)
-        scale = self.scale
-        self.rules = rules
-        self.histories = [s for s in seqs if len(s) < params.k]
-        self.var_index = {}
-        self.reach = {}
-        br = []  # c - reach <= 0 at every free node
-        below, stop = ([], []), ([], [])
-        for i, (s, j) in enumerate(zip(seqs, parents)):
-            for ti, t in enumerate(StudentType):
-                anchor = (None, 0) if j < 0 else below[ti][j]
-                r = (None, 0) if anchor is None else (anchor[0], layout_reach[ti][i][anchor[1]])
-                self.reach[(t, s)] = r
-                rule = rules[(t, s)] if len(s) < params.k else "stop"
-                if rule == "any":
-                    var = self.var_index[(t, s)] = len(self.var_index)
-                    br.append(((var, scale), (r[0], -r[1])))
-                    anchor = (var, len(s))
-                below[ti].append(None if rule == "stop" else anchor)
-                stop[ti].append(() if rule == "continue" else (r, (var, -scale)) if rule == "any" else (r,))
-        self.n = n = len(self.var_index)
-
-        def as_row(terms):
-            coeffs = [0] * (n + 1)  # the constant last
-            for var, value in terms:
-                coeffs[n if var is None else var] += value
-            return coeffs[:n], -coeffs[n]
-
-        self._br_rows = [as_row(terms) for terms in br]
-        self._label_rows = []
-        for lab, members, cat1 in labels:
-            terms = [(None, cat1)]
-            for i in members:
-                for ti, sign in ((0, 1), (1, -1)):
-                    terms += [(var, sign * value) for var, value in stop[ti][i]]
-            self._label_rows.append((1 << lab, as_row(terms)))
-        # what the templated system reads lazily, here from the dense rows
-        self._pos, self._neg, self._signed, self._forced = label_masks(self._label_rows)
-
-    def refutes(self, bits):
-        """The forced-label screen alone: the simplex decides every other LP
-        with a negative rhs, under either reporting policy."""
-        return self.refuses(bits)
-
-    def stops_from_point(self, x):
-        stops = {}
-        for t in StudentType:
-            for h in self.histories:
-                var, value = self.reach[(t, h)]
-                r = value if var is None else value * x[var]
-                if self.rules[(t, h)] == "any" and r > 0:
-                    stops[(t, h)] = 1 - Fraction(self.scale * x[self.var_index[(t, h)]]) / r
-                else:
-                    stops[(t, h)] = Fraction(self.rules[(t, h)] != "continue")
-        return stops
 
 
 class TestBestResponse:
@@ -673,8 +577,7 @@ class TestVerifyAgainstReference:
         want = [verify_equilibrium(params, witness) for params, witness in cases]
         layout, plan, kept, terms = search._layout, search._census_plan, search._kept_groups, search._admit_terms
         label, origin, tree_origin = search._class_label, search._origin_strategy, search._tree_origin_strategy
-        monkeypatch.setattr(search, "_layout", lambda *args: layout(*args)._replace(
-            values=tuple(-v for v in layout(*args).values)))
+        monkeypatch.setattr(search, "_layout", lambda *args: tuple(-v for v in layout(*args)))
         other = {Score.A: Score.B, Score.B: Score.A}
         monkeypatch.setattr(search, "_census_plan", lambda alpha, k, first: plan(alpha, k, other[first]))
         monkeypatch.setattr(search, "_code_book", lambda k, first: search._CodeBook({}, {}))
@@ -837,7 +740,7 @@ def reference_free_stop_intervals(params, policy, reporting=Reporting.ALL, keys=
     """Two cold solves per free node: y[c] at both ends over the policy's
     homogenised rows of the whole tree, with y normalised so that the
     node's reach is 1; only at the free nodes in ``keys``, when given."""
-    _, system = search._policy_system(params, policy, reporting)
+    system = policy_system(params, policy, reporting)
     a_ub, b_ub = system.rows(policy.bits)
     n, scale = system.n, system.scale
     a_cc = [[*row, -b] for row, b in zip(a_ub, b_ub)]
@@ -959,7 +862,7 @@ class TestFreeIntervals:
                         for bits, *_, code in _subtree_induction(params.alpha, k, first):
                             by_code.setdefault(code, []).append(bits)
                         for code, patterns in by_code.items():
-                            system = _FlowSystem(params, code, _subtree(first, k), Reporting.ALL)
+                            system = DenseFlowSystem(params, code, _subtree(first, k), Reporting.ALL)
                             kept = [bits for bits in patterns if not system.refutes(bits)]
                             want = system.stop_ranges(kept[0]) if kept else None
                             for bits in kept[1:]:
@@ -973,7 +876,7 @@ class TestFreeIntervals:
         :func:`search._reused_intervals`, and get what a cold call gets."""
         params = ModelParams(p="0.2", alpha="0.8", phi="1", k=3)
         table = _subtree_induction(params.alpha, 3, Score.A)
-        system_of = {code: _FlowSystem(params, code, _subtree(Score.A, 3), Reporting.ALL) for *_, code in table}
+        system_of = {code: DenseFlowSystem(params, code, _subtree(Score.A, 3), Reporting.ALL) for *_, code in table}
         pairs = {}
         for bits, *_, code in table:
             system = system_of[code]
@@ -1060,21 +963,31 @@ class TestSmallerLPs:
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_report_max_verdicts_match_the_full_lp(self, k):
+        """The census's verdict on each report-max policy, and its point: the
+        origin, or the spine LP's vertex lifted by 0 where the origin fails,
+        must be the simplex's on the whole tree's dense rows."""
         counts = {"spine refuted": 0, "spine feasible": 0}
         for alpha, p, phi in self.GRID:
             params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
-            for policy in _family_policies(params.k, "report-max"):
-                _, system = search._policy_system(params, policy, Reporting.MAX)
-                spine = set(system._spine)
-                assert spine == {c for (_, s), c in system.var_index.items() if Score.A not in s}
+            plan, _ = plan_of(params, "report-max")
+            kept = {entry.bits: origin for entry, origin in search._kept_policies(params, plan)}
+            for entry in plan.entries:
+                assert entry.code == best_response(params, AdmissionPolicy(k, entry.bits)).code
+                system = DenseFlowSystem(params, entry.code, all_sequences(k), Reporting.MAX)
+                spine = system.spine()
+                assert entry.spine.cols == tuple(spine)
                 # the columns off the spine net to 0 in both label rows
                 assert all(not v for _, (row, _) in system._label_rows
                            for c, v in enumerate(row) if c not in spine)
-                want = self.full_lp(system, policy.bits)
-                x = system.feasible(policy.bits)
+                want = self.full_lp(system, entry.bits)
+                if entry.bits not in kept:
+                    x = None
+                elif kept[entry.bits]:
+                    x = [Fraction(0)] * system.n
+                else:
+                    x = search._spine_point(entry.spine, search._cohort_weights(params))
                 assert x == (want.x if want.status == _simplex.OPTIMAL else None)
-                assert system.refutes(policy.bits) == (want.status == _simplex.INFEASIBLE)
-                if not (system.refuses(policy.bits) or system._at_origin(policy.bits)):
+                if not (system.refuses(entry.bits) or system._at_origin(entry.bits)):
                     counts["spine refuted" if x is None else "spine feasible"] += 1
         if k >= 3:
             assert min(counts.values()) > 0, counts
@@ -1090,14 +1003,14 @@ class TestSmallerLPs:
             params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
             for policy in _family_policies(params.k, "report-max"):
                 got = free_stop_intervals(params, policy, Reporting.MAX)
-                _, system = search._policy_system(params, policy, Reporting.MAX)
+                system = policy_system(params, policy, Reporting.MAX)
                 if k > 4 and self.full_lp(system, policy.bits).status == _simplex.INFEASIBLE:
                     assert got == {}
                     continue
                 keys = None
                 if k > 4:
                     keys = {key for i, (key, c) in enumerate(system.var_index.items())
-                            if c in system._spine or i % (20 if k < 7 else 60) == 0}
+                            if c in system.spine() or i % (20 if k < 7 else 60) == 0}
                 want = reference_free_stop_intervals(params, policy, Reporting.MAX, keys)
                 if keys is not None:
                     got = {key: v for key, v in got.items() if key in keys}
@@ -1131,24 +1044,40 @@ class TestSmallerLPs:
                 compared += len(got)
         assert compared > 0 or k == 1
 
+    @staticmethod
+    def refuse_whole_tree(monkeypatch, k):
+        """Fail the test on a flow system, a layout of the whole tree, or a
+        best-response or label row over more columns than the spine's;
+        return the list of the spine points solved for witnesses."""
+        def refused(*args, **kwargs):
+            raise AssertionError("a flow system was built")
+
+        monkeypatch.setattr(_FlowSystem, "__init__", refused)
+        layout = search._layout
+
+        def subtree_layout(params, seqs, reporting):
+            assert seqs != all_sequences(k), "a layout of the whole tree was built"
+            return layout(params, seqs, reporting)
+
+        monkeypatch.setattr(search, "_layout", subtree_layout)
+        for name in ("_br_over", "_labels_over"):
+            def spine_only(template, values, cols, over=getattr(search, name)):
+                assert tuple(cols) == template.spine, "a row over the whole tree was built"
+                return over(template, values, cols)
+
+            monkeypatch.setattr(search, name, spine_only)
+        points, spine_point = [], search._spine_point
+        monkeypatch.setattr(search, "_spine_point", lambda *args: points.append(spine_point(*args)) or points[-1])
+        return points
+
     def test_k8_report_max_builds_dense_rows_for_feasible_lps_only(self, monkeypatch):
-        """The spine decides every report-max LP with a negative rhs at k=8, so
-        the dense rows of the whole tree are built only for a feasible LP's
-        vertex, and never for intervals; the census's spine decision
-        (:func:`search._spine_refutes`) refutes some of them."""
-        rows, refuted = _FlowSystem.rows, []
-
-        def checked(system, bits):
-            a_ub, b_ub = rows(system, bits)
-            solved = _simplex.solve([0] * system.n, a_ub, b_ub, [], [], system.n, scale=system.scale)
-            if solved.status == _simplex.INFEASIBLE:
-                raise AssertionError("dense rows were built for an infeasible LP")
-            return a_ub, b_ub
-
-        def refusing(system, bits):
-            raise AssertionError("dense rows were built for intervals")
-
-        spine_refutes = search._spine_refutes
+        """The spine decides every report-max LP with a negative rhs at k=8,
+        and a feasible one's vertex is its spine LP's lifted by 0, so no
+        dense row of the whole tree is built, for a verdict, a witness or
+        intervals: none at all. The census's spine decision
+        (:func:`search._spine_refutes`) refutes some LPs, and some
+        witnesses come from a spine vertex."""
+        refuted, spine_refutes = [], search._spine_refutes
 
         def recording(k, entry, weights, signed):
             verdict = spine_refutes(k, entry, weights, signed)
@@ -1157,15 +1086,48 @@ class TestSmallerLPs:
             return verdict
 
         monkeypatch.setattr(search, "_spine_refutes", recording)
+        points = self.refuse_whole_tree(monkeypatch, 8)
         for alpha, p, phi in [("0.8", "0.5", "0.5"), ("0.7", "0.45", "0.1"), ("1", "0.4", "0.5")]:
             params = ModelParams(p=p, alpha=alpha, phi=phi, k=8)
-            monkeypatch.setattr(_FlowSystem, "rows", checked)
             classes = enumerate_outcomes(params, "report-max").classes
             assert classes and all(c.verified for c in classes)
-            monkeypatch.setattr(_FlowSystem, "rows", refusing)
             for cls in classes:
                 assert free_stop_intervals(params, cls.witness.policy, Reporting.MAX)
         assert refuted  # LPs with a negative rhs that the spine refuted
+        assert points  # witnesses at a spine vertex
+
+    def test_k10_report_max_census_and_intervals_build_no_whole_tree_row(self, monkeypatch):
+        """A k=10 report-max census, with the free-stop ranges of each class
+        witness, builds no flow system, no layout of the whole tree and no
+        row over its columns, also where a witness is a spine vertex."""
+        points = self.refuse_whole_tree(monkeypatch, 10)
+        intervals = 0
+        for alpha, p, phi in [("0.8", "0.5", "0.5"), ("0.7", "0.45", "0.1")]:
+            params = ModelParams(p=p, alpha=alpha, phi=phi, k=10)
+            classes = enumerate_outcomes(params, "report-max").classes
+            assert classes and all(c.verified for c in classes)
+            for cls in classes:
+                intervals += len(free_stop_intervals(params, cls.witness.policy, Reporting.MAX))
+        assert points and intervals > 0
+
+
+class TestSpineVertexLemma:
+    """The spine-vertex lemma of the :mod:`retesting.search` docstring on
+    every report-max family LP of a grid that takes in alpha 1 and phi 0
+    and 1 (:func:`dense_reference.spine_vertex_counts`): each column off the
+    spine is 0 in both label rows of the dense reference, and where the
+    origin fails and the LP is feasible, the reference's whole-tree vertex
+    is the witness's lifted point, with the witness's stops. CI runs the
+    same check at k 8-10."""
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_whole_tree_vertex_is_the_lifted_spine_vertex(self, k):
+        counts = {"vertex": 0, "infeasible": 0, "origin": 0}
+        for params in spine_vertex_grid(k):
+            for name, count in spine_vertex_counts(params).items():
+                counts[name] += count
+        assert counts["origin"] > 0
+        assert min(counts.values()) > 0 or k == 1, counts
 
 
 class TestGroupedCensus:
@@ -1200,7 +1162,7 @@ class TestGroupedCensus:
             witness = cls.witness
             code = best_response(params, witness.policy).code
             for first in Score:
-                system = _FlowSystem(params, code, _subtree(first, 3), Reporting.ALL)
+                system = DenseFlowSystem(params, code, _subtree(first, 3), Reporting.ALL)
                 x = system.feasible(witness.policy.bits)
                 assert x is not None
                 for node, stop in system.stops_from_point(x).items():
@@ -1209,9 +1171,9 @@ class TestGroupedCensus:
     def test_k3_census_decides_every_pattern_by_one_mask_test_with_no_kernel_call(self, monkeypatch):
         """One :func:`search._origin_holds` per accept pattern, on the label
         masks of its rule code, when the point's row-sign key is new, none
-        when it is cached, and no flow system, no kernel call and no
-        :meth:`_FlowSystem.feasible` at all, also at alpha 1: each verdict
-        is the one :meth:`_FlowSystem.refutes` gives."""
+        when it is cached, and no flow system and no kernel call at all,
+        also at alpha 1: each verdict is the one :meth:`_FlowSystem.refutes`
+        gives."""
         kernel, verdicts, built = [], [], []
         optimize, origin_holds, init = _simplex.optimize, search._origin_holds, _FlowSystem.__init__
 
@@ -1226,7 +1188,6 @@ class TestGroupedCensus:
         monkeypatch.setattr(_simplex, "optimize", counting)
         monkeypatch.setattr(search, "_origin_holds", deciding)
         monkeypatch.setattr(_FlowSystem, "__init__", lambda system, *args: built.append(args) or init(system, *args))
-        monkeypatch.setattr(_FlowSystem, "feasible", lambda system, bits: pytest.fail("a census LP was solved"))
         refuted = 0
         for alpha in (Fraction(4, 5), Fraction(1)):
             params = ModelParams(p=Fraction(9, 20), alpha=alpha, phi=Fraction(1, 2), k=3)
@@ -1239,7 +1200,7 @@ class TestGroupedCensus:
                 kept = {bits for group, *_ in groups.values() for bits in group}
                 assert kept == {bits for bits, holds in verdicts if holds}
                 for (bits, holds), (_, _, _, code) in zip(verdicts, patterns):
-                    system = _FlowSystem(params, code, _subtree(first, 3), Reporting.ALL)
+                    system = DenseFlowSystem(params, code, _subtree(first, 3), Reporting.ALL)
                     assert holds == (not system.refutes(bits))
                     # a negative rhs that the forced-label screen passes, refuted with no kernel call
                     refuted += not holds and not system.refuses(bits)
@@ -1251,13 +1212,13 @@ class TestGroupedCensus:
         assert refuted > 0
 
     def test_k3_census_reads_witness_stops_off_the_rule_codes(self, monkeypatch):
-        """Groups carry rule codes, not stops: the census calls no
-        :meth:`_FlowSystem.stops_from_point`, builds one witness strategy
-        per code pair it has not seen and, at a point whose pairs it has
-        seen, builds no flow system and no strategy."""
+        """Groups carry rule codes, not stops: the census reads no stops off
+        a point (:func:`search._vertex_strategy`), builds one witness
+        strategy per code pair it has not seen and, at a point whose pairs
+        it has seen, builds no flow system and no strategy."""
         calls, built, strategies = [], [], []
         init, strategy_init = _FlowSystem.__init__, StudentStrategy.__init__
-        monkeypatch.setattr(_FlowSystem, "stops_from_point", lambda system, x: calls.append(x))
+        monkeypatch.setattr(search, "_vertex_strategy", lambda *args: calls.append(args))
         monkeypatch.setattr(_FlowSystem, "__init__", lambda system, *args: built.append(args) or init(system, *args))
         monkeypatch.setattr(StudentStrategy, "__init__",
                             lambda strategy, stop: strategies.append(stop) or strategy_init(strategy, stop))
@@ -1280,24 +1241,26 @@ class TestGroupedCensus:
 class TestPolicyListWitnesses:
     """Report-max and family scopes decide every policy from their plan, but
     build a witness strategy only for a policy that opens a class: off the
-    rule code when the origin is its point, and otherwise from the stops of
-    the simplex's vertex, whose system is built and solved inside the
-    strategy call, for that policy alone. That vertex must be the point of
-    :meth:`_FlowSystem.feasible`."""
+    rule code when the origin is its point, and otherwise from the stops at
+    its spine LP's vertex lifted by 0 (:func:`search._spine_point`), solved
+    inside the strategy call, for that policy alone. That point must be the
+    vertex of the simplex on the whole tree's dense rows, and the stops
+    those of the dense reference there."""
 
     def test_stops_are_read_once_per_new_class(self, monkeypatch):
         calls, strategies, points, kept = [], [], [], []
-        stops_from_point, vertex, feasible = _FlowSystem.stops_from_point, _FlowSystem.vertex, _FlowSystem.feasible
+        vertex_strategy, spine_point = search._vertex_strategy, search._spine_point
         strategy_init, kept_policies = StudentStrategy.__init__, search._kept_policies
-        monkeypatch.setattr(_FlowSystem, "stops_from_point", lambda system, x: calls.append(x) or stops_from_point(system, x))
-        monkeypatch.setattr(_FlowSystem, "vertex",
-                            lambda system, bits: points.append((bits, vertex(system, bits))) or points[-1][1])
+        monkeypatch.setattr(search, "_vertex_strategy",
+                            lambda params, entry: calls.append(entry) or vertex_strategy(params, entry))
+        monkeypatch.setattr(search, "_spine_point",
+                            lambda spine, weights: points.append(spine_point(spine, weights)) or points[-1])
         monkeypatch.setattr(StudentStrategy, "__init__",
                             lambda strategy, stop: strategies.append(stop) or strategy_init(strategy, stop))
         monkeypatch.setattr(search, "_kept_policies",
                             lambda params, plan: kept.extend(kept_policies(params, plan)) or iter(list(kept)))
         shared, seen = 0, {True: 0, False: 0}
-        # the last point has report-max witnesses at a vertex of the simplex
+        # the last point has report-max witnesses at a spine vertex
         grid = [("0.8", "0.5", "0.5"), ("0.6", "0.3", "0"), ("1", "0.4", "0.5"), ("0.7", "0.9", "1"),
                 ("0.6", "0.5", "0")]
         for alpha, p, phi in grid:
@@ -1311,22 +1274,24 @@ class TestPolicyListWitnesses:
                     where = (alpha, p, phi, k, scope)
                     at_origin = {entry.bits: origin for entry, origin in kept}
                     witnesses = [cls.witness.policy.bits for cls in classes]
-                    # the vertex is solved for the witnesses off the origin alone, once each,
+                    # the point is solved for the witnesses off the origin alone, once each,
                     # in the order their classes open; the classes are then sorted
-                    assert sorted(bits for bits, _ in points) == sorted(b for b in witnesses if not at_origin[b]), where
-                    vertices = [x for _, x in points]
-                    assert all(x is not None and any(x) for x in vertices), where
-                    for bits, x in list(points):
-                        _, system = search._policy_system(params, AdmissionPolicy(k, bits), system_reporting(scope))
-                        assert feasible(system, bits) == x, where
-                    assert calls == vertices, where
+                    assert sorted(entry.bits for entry in calls) == sorted(b for b in witnesses if not at_origin[b]), where
+                    assert len(points) == len(calls) and all(any(x) for x in points), where
+                    stops = {}
+                    for entry, x in zip(calls, points):
+                        system = DenseFlowSystem(params, entry.code, all_sequences(k), system_reporting(scope))
+                        assert system.feasible(entry.bits) == x, where
+                        stops[entry.bits] = system.stops_from_point(x)
                     origins = search._tree_origin_strategy.cache_info().misses - origins
-                    assert len(strategies) == len(vertices) + origins, where
+                    assert len(strategies) == len(points) + origins, where
                     for cls, bits in zip(classes, witnesses):
                         seen[at_origin[bits]] += 1
                         if at_origin[bits]:
                             code = best_response(params, cls.witness.policy).code
                             assert cls.witness.strategy is search._tree_origin_strategy(k, code), where
+                        else:
+                            assert list(cls.witness.strategy.stop.items()) == list(stops[bits].items()), where
                     shared += len(kept) > len(classes)
         assert shared > 0  # some class is supported by more than one feasible policy
         assert seen[True] > 0 and seen[False] > 0  # vertex and origin witnesses
@@ -1359,8 +1324,9 @@ class TestPolicyListPlan:
     policies): label constants and spine rhs as forms over the cohort
     weights, the spine matrix of alpha alone, and Farkas certificates reused
     across points and alphas once each is checked exactly. Verdicts must be
-    those of :meth:`_FlowSystem.refutes`, which reads no certificate, and
-    the forms those of the layout."""
+    those of the dense reference, which reads no certificate: the origin's
+    signs under report-all and the simplex on the whole tree's rows under
+    report-max; and the forms those of the layout."""
 
     GRID = [(k, alpha, p, phi) for k in range(1, 6) for alpha in ("0.6", "0.8", "1")
             for p in ("0.2", "0.5", "0.9") for phi in ("0", "0.5", "1")]
@@ -1396,8 +1362,8 @@ class TestPolicyListPlan:
             plan, reporting = plan_of(params, scope)
             kept = dict((entry.bits, origin) for entry, origin in search._kept_policies(params, plan))
             for entry in plan.entries:
-                _, system = search._policy_system(params, AdmissionPolicy(k, entry.bits), reporting)
-                assert system.code == entry.code
+                assert entry.code == best_response(params, AdmissionPolicy(k, entry.bits)).code
+                system = DenseFlowSystem(params, entry.code, all_sequences(k), reporting)
                 refutes = system.refutes(entry.bits)
                 assert (entry.bits not in kept) == refutes, (k, alpha, p, phi, scope, entry.bits)
                 if not refutes:
@@ -1413,22 +1379,23 @@ class TestPolicyListPlan:
         kept = len(refuting) - (len(solved) - counts["spine feasible"])
         assert kept > len(refuting) - kept > 0
         for y, params, bits in refuting:
-            _, system = search._policy_system(params, AdmissionPolicy(params.k, bits), Reporting.MAX)
-            a_ub, b_ub = search._sign_rows(*system._spine_rows, bits)
+            a_ub, b_ub = policy_system(params, AdmissionPolicy(params.k, bits), Reporting.MAX).spine_rows(bits)
             assert certifies(y, a_ub, b_ub), (params, bits, y)
 
     def test_forms_match_the_layout(self):
         """Each label constant's form, times the point's cohort weights, is
         the ``_row_const`` of its row on the layout, and a label left out of
         the plan has b = 0; a variable enters the labels of ``varies``; the
-        spine's rows are the system's, its matrix the unit times the plan's
-        and its rhs the forms times the weights."""
-        compared = {"labels": 0, "spine rows": 0}
+        spine's rows are those of the dense reference on its columns, its
+        matrix the unit times the plan's and its rhs the forms times the
+        weights; and the reach of every free node is the reference's, its
+        anchor column and its form times the weights."""
+        compared = {"labels": 0, "spine rows": 0, "reach": 0}
         for k, alpha, p, phi, scope in self.points():
             params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
             plan, reporting = plan_of(params, scope)
             seqs = all_sequences(k)
-            values = search._layout(params, seqs, reporting).values
+            values = search._layout(params, seqs, reporting)
             weights = search._cohort_weights(params)
             unit = sum(weights)
             assert values[1] == unit * params.alpha.denominator**k  # the scale
@@ -1448,14 +1415,18 @@ class TestPolicyListPlan:
                     assert b == (at_point(forms[mask]) if mask in forms else 0)
                     assert bool(entry.varies & mask) == varies
                     compared["labels"] += 1
-                _, system = search._policy_system(params, AdmissionPolicy(k, entry.bits), reporting)
+                system = DenseFlowSystem(params, entry.code, seqs, reporting)
                 if entry.spine is None:
                     assert reporting is Reporting.ALL
                     continue
-                a_ub, b_ub = search._sign_rows(*system._spine_rows, entry.bits)
+                assert entry.spine.cols == tuple(system.spine())
+                a_ub, b_ub = system.spine_rows(entry.bits)
                 assert a_ub == [[unit * v for v in row] for row in entry.spine.a_ub]
                 assert b_ub == [at_point(form) for form in entry.spine.b_ub]
                 compared["spine rows"] += len(b_ub)
+                assert [(key, var, at_point(form)) for key, var, form in entry.spine.reach] == \
+                    [(key, *system.reach[key]) for key in system.var_index]
+                compared["reach"] += len(entry.spine.reach)
         assert min(compared.values()) > 0
 
     @pytest.mark.parametrize("alpha, k", [("0.6", 1), ("0.613", 4), ("0.5000001", 10), ("1", 10)])
@@ -1474,7 +1445,7 @@ class TestPolicyListPlan:
         """A y with y >= 0 and y b < 0 whose y a_ub has a negative entry
         proves nothing. Seeded into the pool at each spine-feasible policy,
         under its key, it must leave the policy kept by the census and
-        unrefuted by its system."""
+        unrefuted by the dense reference."""
         seeded = 0
         for alpha, p, phi in [("0.6", "0.5", "0"), ("0.8", "0.5", "0.5"), ("0.7", "0.45", "0.1"),
                               ("0.9", "0.15", "0.5")]:
@@ -1484,8 +1455,8 @@ class TestPolicyListPlan:
                 for entry, origin in list(search._kept_policies(params, plan)):
                     if origin:
                         continue
-                    _, system = search._policy_system(params, AdmissionPolicy(k, entry.bits), Reporting.MAX)
-                    a_ub, b_ub = search._sign_rows(*system._spine_rows, entry.bits)
+                    system = DenseFlowSystem(params, entry.code, all_sequences(k), Reporting.MAX)
+                    a_ub, b_ub = system.spine_rows(entry.bits)
                     i = min(range(len(b_ub)), key=b_ub.__getitem__)  # a row with b < 0: the origin fails
                     y = tuple(int(j == i) for j in range(len(b_ub)))
                     assert b_ub[i] < 0 and min(a_ub[i]) < 0  # y b < 0, but y a_ub >= 0 fails
@@ -1511,7 +1482,7 @@ class TestPolicyListPlan:
             plan, _ = plan_of(params, "report-max")
             kept = {entry.bits for entry, _ in search._kept_policies(params, plan)}
             for entry in plan.entries:
-                _, system = search._policy_system(params, AdmissionPolicy(k, entry.bits), Reporting.MAX)
+                system = DenseFlowSystem(params, entry.code, all_sequences(k), Reporting.MAX)
                 assert (entry.bits not in kept) == system.refutes(entry.bits), (k, entry.bits)
                 refuted += entry.bits not in kept and not system.refuses(entry.bits) and not system._at_origin(entry.bits)
         assert refuted > 0 and read and not any(read)
@@ -1537,7 +1508,7 @@ class TestOriginWitness:
                     systems = {}
                     for bits, _, _, code in _subtree_induction(params.alpha, k, first):
                         if code not in systems:
-                            systems[code] = _FlowSystem(params, code, _subtree(first, k), Reporting.ALL)
+                            systems[code] = DenseFlowSystem(params, code, _subtree(first, k), Reporting.ALL)
                         system = systems[code]
                         assert (bits in kept) == (not system.refutes(bits)), (p, phi, first, bits)
                         if bits in kept:
@@ -1556,7 +1527,7 @@ def per_pattern_groups(params, first):
     seqs, root = _subtree(first, params.k), node((first,))
     groups = {}
     for bits, high, low, code in _subtree_induction(params.alpha, params.k, first):
-        system = _FlowSystem(params, code, seqs, Reporting.ALL)
+        system = DenseFlowSystem(params, code, seqs, Reporting.ALL)
         x = system.feasible(bits)
         if x is not None:
             odds = (bits >> root & 1, high, low)
@@ -1695,7 +1666,7 @@ def reference_kept_groups(params, first):
     masks of each rule code from the signs of the plan rows' constants, then
     one mask test per accept pattern, as (odds, patterns, rule code)."""
     plan = search._census_plan(params.alpha, params.k, first)
-    values = search._layout(params, _subtree(first, params.k), Reporting.ALL).values
+    values = search._layout(params, _subtree(first, params.k), Reporting.ALL)
     consts = {row_id: search._row_const(values, row) for row_id, row in plan.rows}
     masks = {code: (sum(mask for mask, row_id in labels if consts[row_id] > 0),
                     sum(mask for mask, row_id in labels if consts[row_id] < 0))
@@ -1727,7 +1698,7 @@ def row_signs(params, first):
     """The row-sign key of a subtree at a point: the ids of the plan rows
     with b > 0 and with b < 0, as bit sets."""
     plan = search._census_plan(params.alpha, params.k, first)
-    values = search._layout(params, _subtree(first, params.k), Reporting.ALL).values
+    values = search._layout(params, _subtree(first, params.k), Reporting.ALL)
     consts = [(row_id, search._row_const(values, row)) for row_id, row in plan.rows]
     return (sum(1 << row_id for row_id, b in consts if b > 0), sum(1 << row_id for row_id, b in consts if b < 0))
 
@@ -1795,7 +1766,7 @@ class TestSignKeyedCensus:
                 for scope in SCOPES[:1] + SCOPES[2:]:
                     reporting = Reporting.MAX if scope == "report-max" else Reporting.ALL
                     for policy in _family_policies(k, scope):
-                        _, system = search._policy_system(params, policy, reporting)
+                        system = policy_system(params, policy, reporting)
                         if system.feasible(policy.bits) is None or not system._at_origin(policy.bits):
                             continue
                         want = system.stops_from_point([Fraction(0)] * system.n)
@@ -1828,9 +1799,10 @@ class TestSignKeyedCensus:
 
 class TestForcedLabelScreen:
     """A label row with no variable and a nonzero constant holds for one
-    accept bit only, so :meth:`_FlowSystem.refuses` rules out a pattern with
-    the other bit before any solve. The screen reads only the LP rows; every
-    pattern it refuses must be one the simplex finds infeasible."""
+    accept bit only, so the forced-label screen
+    (:func:`search._screen_refuses`) rules out a pattern with the other bit
+    before any solve. The screen reads only the LP rows; every pattern it
+    refuses must be one the simplex finds infeasible."""
 
     @staticmethod
     def check(system, bits, counts):
@@ -1847,7 +1819,7 @@ class TestForcedLabelScreen:
         builds them."""
         for first in Score:
             for bits, _, _, code in _subtree_induction(params.alpha, params.k, first):
-                system = _FlowSystem(params, code, _subtree(first, params.k), Reporting.ALL)
+                system = DenseFlowSystem(params, code, _subtree(first, params.k), Reporting.ALL)
                 self.check(system, bits, counts)
 
     @pytest.mark.parametrize("alpha", [Fraction(3, 5), Fraction(4, 5)])
@@ -1861,7 +1833,7 @@ class TestForcedLabelScreen:
             policy = AdmissionPolicy(2, bits)
             code = best_response(params, policy).code
             for reporting in Reporting:
-                system = _FlowSystem(params, code, all_sequences(2), reporting)
+                system = DenseFlowSystem(params, code, all_sequences(2), reporting)
                 self.check(system, policy.bits, counts)
         assert counts["patterns"] == 2 * 8 + 2 * 64
         assert counts["refused"] > 0
@@ -1907,7 +1879,7 @@ class TestTreeDecision:
             params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
             for first in Score:
                 for bits, _, _, code in _subtree_induction(alpha, k, first):
-                    self.check(_FlowSystem(params, code, _subtree(first, k), Reporting.ALL), bits, counts)
+                    self.check(DenseFlowSystem(params, code, _subtree(first, k), Reporting.ALL), bits, counts)
         assert counts[False, False] > 0  # b >= 0: the origin
         assert counts[True, True] > 0
         assert counts[True, False] == 0  # an infeasible LP has a negative rhs
@@ -1925,7 +1897,7 @@ class TestTreeDecision:
         for scope in SCOPES[2:]:
             for policy in _family_policies(params.k, scope):
                 code = best_response(params, policy).code
-                self.check(_FlowSystem(params, code, all_sequences(k), Reporting.ALL), policy.bits, counts)
+                self.check(DenseFlowSystem(params, code, all_sequences(k), Reporting.ALL), policy.bits, counts)
         assert sum(counts.values()) == 2 + 2 + k - 1 + 1
 
     @pytest.mark.parametrize("p", [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)])
@@ -1938,7 +1910,7 @@ class TestTreeDecision:
             params = ModelParams(p=p, alpha=Fraction(1), phi=phi, k=k)
             for first in Score:
                 for bits, _, _, code in _subtree_induction(params.alpha, k, first):
-                    self.check(_FlowSystem(params, code, _subtree(first, k), Reporting.ALL), bits, counts)
+                    self.check(DenseFlowSystem(params, code, _subtree(first, k), Reporting.ALL), bits, counts)
         assert counts[False, False] > 0 and counts[True, True] > 0
         assert counts[True, False] == 0
 
@@ -1958,7 +1930,7 @@ class TestTreeDecision:
                     density = rng.random()
                     bits = sum(1 << node(s) for s in seqs if rng.random() < density)
                     code = search._subtree_response(alpha, k, first, bits)[2]
-                    self.check(_FlowSystem(params, code, seqs, Reporting.ALL), bits, counts)
+                    self.check(DenseFlowSystem(params, code, seqs, Reporting.ALL), bits, counts)
         assert counts[False, False] > 0 and counts[True, True] > 0
         assert counts[True, False] == 0
 
@@ -1982,7 +1954,7 @@ class TestTreeDecision:
             for code in every if codes is None else rng.sample(every, codes):
                 rules = decoded_rules(code, seqs, k)
                 chains += any(rules[t, h] == rules[t, h[:-1]] == "continue" for t, h in rules if len(h) > 1)
-                system = _FlowSystem(params, code, seqs, Reporting.ALL)
+                system = DenseFlowSystem(params, code, seqs, Reporting.ALL)
                 ref = ReferenceFlowSystem(params, rules, seqs, Reporting.ALL)
                 for pattern in range(1 << len(seqs)):
                     bits = sum(1 << node(s) for i, s in enumerate(seqs) if pattern >> i & 1)
@@ -2013,7 +1985,7 @@ class TestFlowTemplates:
 
     @staticmethod
     def check(params, code, seqs, reporting, patterns):
-        system = _FlowSystem(params, code, seqs, reporting)
+        system = DenseFlowSystem(params, code, seqs, reporting)
         ref = ReferenceFlowSystem(params, decoded_rules(code, seqs, params.k), seqs, reporting)
         assert (system.n, system.scale, list(system.histories), system.var_index, system.reach) == (
             ref.n, ref.scale, ref.histories, ref.var_index, ref.reach
@@ -2061,9 +2033,10 @@ class TestFlowTemplates:
 
 
 class TestLazyRows:
-    """A system reads each label row's constant, and whether a variable
-    enters it, without building a row, and keeps them as label masks. What
-    it reads must be what its dense rows say, also at phi 0 and 1 and at
+    """A system reads each label row's constant without building a row, and
+    keeps its sign as two label masks; the plans read each constant, and
+    whether a variable enters the row, with :func:`search._row_sign`. What
+    they read must be what the dense rows say, also at phi 0 and 1 and at
     alpha 1, where masses vanish."""
 
     POINTS = [(alpha, p, phi) for alpha, p in (("0.8", "0.45"), ("0.6", "0.75"), ("1", "0.3"))
@@ -2074,13 +2047,15 @@ class TestLazyRows:
         system = _FlowSystem(params, code, seqs, reporting)
         assert not {"_br_rows", "_label_rows"} & set(vars(system))  # nothing dense yet
         labels = system._label_rows
-        assert (system._pos, system._neg, system._signed, system._forced) == label_masks(labels)
+        pos, neg, signed, forced = label_masks(labels)
+        assert (system._pos, system._neg) == (pos, neg)
         # each label row's constant and whether a variable enters it, as the
-        # layout keeps them for every system that shares the row
-        signs = search._layout(params, tuple(seqs), reporting).signs
-        assert [signs[row] for _, row in system._template.label_rows] == [(b, any(row)) for _, (row, b) in labels]
-        counts["forced"] += system._forced.bit_count()
-        counts["unsigned"] += sum(not system._signed & mask for mask, _ in labels)
+        # plans read them off the layout
+        values = search._layout(params, tuple(seqs), reporting)
+        assert [search._row_sign(values, row) for _, row in system._template.label_rows] == \
+            [(b, any(row)) for _, (row, b) in labels]
+        counts["forced"] += forced.bit_count()
+        counts["unsigned"] += sum(not signed & mask for mask, _ in labels)
         counts["varying"] += sum(any(row) for _, (row, _) in labels)
 
     @pytest.mark.parametrize("alpha, p, phi", POINTS)
@@ -2107,7 +2082,8 @@ class TestLazyRows:
 
     @pytest.mark.parametrize("k, codes", [(2, None), (3, 24)])
     def test_verdicts_match_the_simplex_on_arbitrary_rule_codes(self, k, codes):
-        """:meth:`_FlowSystem.feasible` against the simplex on every accept
+        """The dense reference's ``feasible``, which reads the verdict of
+        :meth:`_FlowSystem.refutes`, against the simplex on every accept
         pattern of rule codes that no induction makes. The signs it reads
         lazily are the dense rows' signs, and with no negative rhs its point
         is the simplex's. An LP with a negative rhs it refutes, which is the
@@ -2123,7 +2099,7 @@ class TestLazyRows:
             for h in (s for s in seqs if len(s) < k):
                 every = [c | rule << 4 * node(h) for c in every for rule in range(16) if rule & 3 < 3 and rule >> 2 < 3]
             for code in every if codes is None else rng.sample(every, codes):
-                system = _FlowSystem(params, code, seqs, Reporting.ALL)
+                system = DenseFlowSystem(params, code, seqs, Reporting.ALL)
                 for pattern in range(1 << len(seqs)):
                     bits = sum(1 << node(s) for i, s in enumerate(seqs) if pattern >> i & 1)
                     a_ub, b_ub = system.rows(bits)

@@ -14,7 +14,8 @@ import pytest
 
 from retesting import AdmissionPolicy, ModelParams, Reporting, all_sequences, best_response
 from retesting import _simplex, search
-from retesting.search import _FlowSystem, _subtree_induction, enumerate_outcomes, free_stop_intervals
+from retesting.search import _subtree_induction, enumerate_outcomes, free_stop_intervals
+from dense_reference import DenseFlowSystem
 
 
 def reference_solve(c, a_ub, b_ub, a_eq, b_eq, n) -> _simplex.LPResult:
@@ -277,8 +278,8 @@ def _census_lps(monkeypatch, params: ModelParams) -> tuple[list[tuple], list[tup
     gets the origin as its point and each one it drops None, on the rows of
     the pattern's rule code; an LP met again with the same verdict is
     recorded once. Each report-max policy that :func:`search._kept_policies`
-    keeps gets the vertex of :meth:`_FlowSystem.feasible`, and each one it
-    drops None. Every kernel call is recorded as (objectives, other
+    keeps gets the vertex of the dense reference's ``feasible``, and each one
+    it drops None. Every kernel call is recorded as (objectives, other
     arguments, scale, results), where :func:`_simplex.solve` is an
     ``optimize`` call of one objective."""
     feasibility, lps, seen = [], [], set()
@@ -293,7 +294,7 @@ def _census_lps(monkeypatch, params: ModelParams) -> tuple[list[tuple], list[tup
         kept = list(kept_policies(params, plan))
         feasible = {entry.bits for entry, _ in kept}
         for entry in plan.entries:
-            _, system = search._policy_system(params, AdmissionPolicy(params.k, entry.bits), Reporting.MAX)
+            system = DenseFlowSystem(params, entry.code, all_sequences(params.k), Reporting.MAX)
             x = system.feasible(entry.bits) if entry.bits in feasible else None
             feasibility.append((*system.rows(entry.bits), system.n, system.scale, x))
         return iter(kept)
@@ -302,7 +303,7 @@ def _census_lps(monkeypatch, params: ModelParams) -> tuple[list[tuple], list[tup
         groups = solve_subtrees(params, first)
         kept = {bits for patterns, *_ in groups.values() for bits in patterns}
         for bits, _, _, code in _subtree_induction(params.alpha, params.k, first):
-            system = _FlowSystem(params, code, search._subtree(first, params.k), Reporting.ALL)
+            system = DenseFlowSystem(params, code, search._subtree(first, params.k), Reporting.ALL)
             a_ub, b_ub = system.rows(bits)
             x = [Fraction(0)] * system.n if bits in kept else None
             key = (tuple(map(tuple, a_ub)), tuple(b_ub), x is None)
@@ -352,7 +353,7 @@ def test_flow_rows_by_hand():
     i-th (type, history) in (length, string, High first) order."""
     params = ModelParams(p=Fraction(1, 2), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
     policy = AdmissionPolicy.first_score(3)
-    system = _FlowSystem(params, best_response(params, policy).code, all_sequences(3), Reporting.ALL)
+    system = DenseFlowSystem(params, best_response(params, policy).code, all_sequences(3), Reporting.ALL)
     assert system.n == 12
     a_ub, b_ub = system.rows(policy.bits)
     assert len(a_ub) == 12 + 14
