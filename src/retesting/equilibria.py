@@ -10,7 +10,9 @@ strategies of the canonical profiles depend on k alone. Both are computed
 once and shared: the thresholds in one bounded cache per (alpha, phi, k)
 (:func:`_threshold_record`), whose part that no phi enters is cached per
 (alpha, k) (:func:`_run_thresholds`), and the policies and strategies per k
-(and run index n), so a sweep over p pays for them once per triple.
+(and run index n), so a sweep over p pays for them once per triple. The
+thresholds are computed in integers over the numerators and denominators of
+alpha and phi, with one ``Fraction`` per threshold.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from .model import (
     node,
     seq_str,
 )
+
+
+_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 
 class Reporting(Enum):
@@ -158,7 +163,7 @@ class Region:
         cleaned = []
         for lo, hi in intervals:
             lo, hi = as_fraction(lo), as_fraction(hi)
-            lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
+            lo, hi = max(lo, _ZERO), min(hi, _ONE)
             if lo <= hi:
                 cleaned.append((lo, hi))
         cleaned.sort()
@@ -195,7 +200,8 @@ class _Thresholds:
 class _RunThresholds(NamedTuple):
     """The thresholds and regions at one (alpha, k) that no phi enters."""
 
-    powers: tuple[Fraction, Fraction]  # alpha^k and (1 - alpha)^k
+    powers: tuple[int, int]  # num(alpha)^k and (den(alpha) - num(alpha))^k, over den(alpha)^k
+    alpha_bar: Fraction  # 1 - alpha
     stars: tuple[tuple[str, Fraction], ...]  # p_star_n for n = 1..k+2 and p_double_star, k >= 2
     runs: tuple[Region, ...]  # non_first_score_region for n = 2..k
     report_all: Optional[Region]  # the non-first-score region, k >= 2
@@ -204,39 +210,54 @@ class _RunThresholds(NamedTuple):
 @lru_cache(maxsize=64)  # a sweep or census visits a few alphas per k
 def _run_thresholds(alpha: Fraction, k: int) -> _RunThresholds:
     """The part of :func:`_threshold_record` that depends on (alpha, k)
-    alone, computed once per pair."""
-    ab = 1 - alpha
+    alone, computed once per pair: in integers over alpha = n / d, with
+    1 - alpha = m / d, and one ``Fraction`` per threshold. ``p_star_j``
+    times d^(j-2) over itself is m^(j-2) / (n^(j-2) + m^(j-2)), and
+    ``p_double_star`` times d^k over itself is
+    (n d^(k-1) - n^k) / (d^k - n^k - m^k)."""
+    n, d = alpha.numerator, alpha.denominator
+    m = d - n
+    ab = Fraction(m, d)
     stars: dict[str, Fraction] = {}
     runs: tuple[Region, ...] = ()
     report_all = None
     if k >= 2:
-        p_stars = {n: p_star(n, alpha) if n >= 2 else alpha for n in range(1, k + 3)}
-        stars = {f"p_star_{n}": v for n, v in p_stars.items()}
-        if alpha != 1:
-            stars["p_double_star"] = p_double_star(k, alpha)
+        p_stars = {j: Fraction(m ** (j - 2), n ** (j - 2) + m ** (j - 2)) if j >= 2 else alpha
+                   for j in range(1, k + 3)}
+        stars = {f"p_star_{j}": v for j, v in p_stars.items()}
+        if m:
+            stars["p_double_star"] = Fraction(n * d ** (k - 1) - n**k, d**k - n**k - m**k)
         # a single A must itself be accepted, which pins each run's band
         # inside [1-alpha, alpha]
         runs = tuple(
-            Region([(max(p_stars[n], ab), min(alpha if n == 2 else p_stars[n - 1], alpha))])
-            for n in range(2, k + 1)
+            Region([(max(p_stars[j], ab), min(alpha if j == 2 else p_stars[j - 1], alpha))])
+            for j in range(2, k + 1)
         )
         report_all = Region([(p_stars[k + 2], ab), (p_stars[k], alpha)])
-    return _RunThresholds((alpha**k, ab**k), tuple(stars.items()), runs, report_all)
+    return _RunThresholds((n**k, m**k), ab, tuple(stars.items()), runs, report_all)
 
 
 @lru_cache(maxsize=256)
 def _threshold_record(alpha: Fraction, phi: Fraction, k: int) -> _Thresholds:
     """The thresholds and regions of (alpha, phi, k), which do not depend on
     p: computed once per triple and shared, immutable. Only the report-max
-    thresholds are computed here; the rest come from :func:`_run_thresholds`."""
-    ab, phib = 1 - alpha, 1 - phi
+    thresholds are computed here, in integers over alpha = n / d,
+    1 - alpha = m / d and phi = f / g, 1 - phi = h / g, with one
+    ``Fraction`` each (their closed forms times g d^k, or g d^2, over
+    themselves); the rest come from :func:`_run_thresholds`."""
+    n, d = alpha.numerator, alpha.denominator
+    f, g = phi.numerator, phi.denominator
+    m, h = d - n, g - f
     run = _run_thresholds(alpha, k)
-    ak, abk = run.powers
-    lower = (phi * ab + phib * (1 - ak)) / (phi + phib * (2 - ak - abk))
-    upper = (phi * alpha + phib * ak) / (phi + phib * (ak + abk))
-    c = alpha * ab * phib
-    bounds = {"alpha_bar": ab, "alpha": alpha, "p_hat": lower, "p_hat_prime": upper}
-    hat_hat = min(Fraction(1, 2), (c + ab) / (c + 1))
+    nk, mk = run.powers
+    dk = d**k
+    lower = Fraction(f * m * d ** (k - 1) + h * (dk - nk), f * dk + h * (2 * dk - nk - mk))
+    upper = Fraction(f * n * d ** (k - 1) + h * nk, f * dk + h * (nk + mk))
+    c = Fraction(n * m * h, d * d * g)
+    # (c + 1 - alpha) / (c + 1), times g d^2 over itself
+    hat_num, hat_den = n * m * h + m * d * g, n * m * h + d * d * g
+    hat_hat = _HALF if 2 * hat_num >= hat_den else Fraction(hat_num, hat_den)
+    bounds = {"alpha_bar": run.alpha_bar, "alpha": alpha, "p_hat": lower, "p_hat_prime": upper}
     if k == 2:
         bounds["p_hat_hat"] = hat_hat
     bounds.update(run.stars)

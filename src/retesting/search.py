@@ -70,6 +70,28 @@ flow the rows of a's subtree sum to a's b, 0, and none is negative, so all
 are 0; if a is rejected, the same holds with the signs reversed. So every
 label of D has row 0 on both polytopes, and each polytope lies in the other.
 
+Table lemma. For alpha in (1/2, 1), the rule code of a first-score subtree
+under an accept pattern depends on the pattern alone, and so does each value
+numerator over den(alpha)^(k-1) at its root, as an integer homogeneous
+polynomial of degree k - 1 in x = num(alpha) and y = den(alpha) - num(alpha).
+
+Proof, from the induction alone, with no closed form. A node of length j
+holds its values over den(alpha)^(k-j), where its full scale is
+(x + y)^(k-j). Stopping is worth the full scale at an accepted node and 0 at
+a rejected one; continuing is worth x a + y b for High and y a + x b for Low,
+where a and b are the values of the A-child and the B-child. By induction
+from depth k, where a node is worth 1 or 0 by its bit, every value is a
+homogeneous polynomial whose coefficients lie between 0 and those of the
+full scale. For alpha in (1/2, 1) both emissions are positive, x > 0 and
+y > 0, so continuing is worth the full scale iff both children are, and 0
+iff both children are worth 0, for both types alike. Hence a node is worth
+the full scale iff it is accepted or both of its children are, and 0 iff it
+is rejected and both of its children are worth 0: facts of the accept bits
+alone. By (i) each rule reads only those facts, so the rule code is a
+function of the bits, and each value, the full scale or the continuation,
+is a polynomial fixed by the pattern. At alpha = 1, y = 0 and the codes
+differ (by (ii) one type reaches each node), so alpha 1 has its own table.
+
 Under report-max there are two labels, and a history that holds an A
 reports into label A whatever follows it, so all mass that enters it stops
 under label A: the free continue masses off the all-B spine B, BB, ... net
@@ -155,22 +177,29 @@ by bit masks, orders each positive-mass report's posterior against 1/2 by
 its High and Low masses, weighted in integers by the cohort shares, and
 builds ``Fraction``s only to word a violation.
 
-The report-all census reads what depends on alpha alone from one cached plan
-per (alpha, k, first score) (:func:`_census_plan`): each accept pattern's
-rule code and admission odds, and each rule code's template with its label
-rows under int ids, from a code book per subtree that every alpha shares
-(:func:`_code_book`). Per point it does only the point's work, in integers
-and bit masks, with no flow system: one layout, each plan row's constant b
-once, folded into two bit sets over the row ids, those with b > 0 and those
-with b < 0. The kept patterns are a function of the plan and those two sets,
-so they are cached per (alpha, k, first score, b > 0 rows, b < 0 rows)
-(:func:`_kept_groups`); a new key runs, per rule code, the labels with b > 0
-and with b < 0 and, per accept pattern, the origin's mask test
-(:func:`_origin_holds`, which :class:`_FlowSystem` shares). One policy's
-best response is cached per (alpha, k, first score, subtree accept pattern),
-for the report-max families, the verifier and the intervals. Subtree
-policies with equal integer admission odds form a group, which carries the
-rule code of its first policy; one class builder takes blocks of
+The report-all census reads what the table lemma makes alpha-free from one
+cached table per (k, first score, alpha is 1) (:func:`_subtree_induction`):
+each accept pattern's rule code and odds group, each group's root accept bit
+and value polynomials, and each rule code's template with its label rows
+under int ids, from a code book per subtree (:func:`_code_book`). Subtree
+policies with equal admission odds, (accepts the first score, High and Low
+values after it), form a group. Two groups of one root bit would merge at an
+alpha where their High polynomials meet and their Low ones too, but for
+k <= ``EXHAUSTIVE_MAX_K`` no two do at a rational alpha in (1/2, 1), which a
+test checks exactly, so the table's groups are the groups at every alpha;
+only their values are computed per alpha, from their polynomials
+(:func:`_group_odds`). Per point the census does only the
+point's work, in integers and bit masks, with no flow system: one layout,
+each table row's constant b once, folded into two bit sets over the row ids,
+those with b > 0 and those with b < 0. The kept groups are a function of the
+table and those two sets, so they are cached per (k, first score, alpha is
+1, b > 0 rows, b < 0 rows) (:func:`_kept_groups`), whatever the alpha; a new
+key runs, per rule code, the labels with b > 0 and with b < 0 and, per accept
+pattern, the origin's mask test (:func:`_origin_holds`, which
+:class:`_FlowSystem` shares). One policy's best response is cached per
+(alpha, k, first score, subtree accept pattern), for the report-max
+families, the verifier and the intervals. A group carries the rule code of
+its first kept policy; one class builder takes blocks of
 one-outcome policies from every scope, keyed by integer admission numerators
 that sum one term per group, each term cached per (alpha, k, positive
 cohorts, first score, odds) (:func:`_admit_terms`), and reads a new class's
@@ -376,20 +405,6 @@ def _induction(alpha: Fraction, k: int, first: Score, bits: Optional[int] = None
                     code = a_code | b_code | (_rule(u, high) | _rule(u, low) << 2) << 4 * at
                     table.append((a_bits | b_bits | bit, max(u, high), max(u, low), code))
     return tables
-
-
-@lru_cache(maxsize=32)  # two tables per (alpha, k): 16 alphas of one k
-def _subtree_induction(alpha: Fraction, k: int, first: Score) -> tuple[_Entry, ...]:
-    """Every accept pattern of one first-score subtree with its best
-    response, as the entries of one :func:`_induction` in ascending bit
-    order.
-
-    The table has 2^(2^k - 1) patterns, so k above ``EXHAUSTIVE_MAX_K`` is
-    refused before any work.
-    """
-    if k > EXHAUSTIVE_MAX_K:
-        raise ScopeTooLarge(f"every accept pattern at k={k} means 2^{2**k - 1} patterns per subtree")
-    return tuple(sorted(_induction(alpha, k, first)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -1088,9 +1103,9 @@ class _CodeBook(NamedTuple):
 @lru_cache(maxsize=8)  # one per (k, first score) up to EXHAUSTIVE_MAX_K
 def _code_book(k: int, first: Score) -> _CodeBook:
     """The :class:`_CodeBook` of one first-score subtree, filled by
-    :func:`_coded`. A template depends on no alpha, so a new alpha finds
-    most of its rule codes here; a k=3 subtree has at most 9^3 rule codes
-    (134 at the alphas j/100, 127 of them at alpha 1)."""
+    :func:`_coded`. A template depends on no alpha, so the subtree's two
+    :func:`_subtree_induction` tables and the free-stop ranges of any alpha
+    share it; a k=3 subtree has 26 rule codes below alpha 1 and 127 at 1."""
     return _CodeBook({}, {})
 
 
@@ -1104,57 +1119,92 @@ def _coded(k: int, first: Score, code: int) -> _Coded:
     return codes[code]
 
 
-class _CensusPlan(NamedTuple):
-    """What the census of one first-score subtree reads at every point of
-    one (alpha, k): each accept pattern's rule code and odds, each rule
-    code's template and label row ids, and those rows."""
+class _CensusTable(NamedTuple):
+    """What the census of one first-score subtree reads at every alpha on one
+    side of 1, by the table lemma of this module's docstring: each accept
+    pattern's rule code and odds group, each group's value polynomials, each
+    rule code's template and label row ids, and those rows."""
 
-    rows: tuple[tuple[int, _Row], ...]  # (id, row) of each label row the codes read
+    entries: tuple[tuple[int, int, int], ...]  # per accept pattern, in ascending bits: (bits, rule code, group id)
+    # per odds group, in order of first occurrence: (accepts the first score,
+    # High and Low value polynomials), a polynomial as its coefficients on
+    # num(alpha)^j (den(alpha) - num(alpha))^(k-1-j) for j = 0..k-1
+    groups: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
     codes: dict[int, _Coded]  # in order of first occurrence
-    # per accept pattern, in ascending bits: (bits, rule code, odds), the
-    # odds being (accepts the first score, High and Low values after it)
-    entries: tuple[tuple[int, int, tuple[int, int, int]], ...]
+    rows: tuple[tuple[int, _Row], ...]  # (id, row) of each label row the codes read
 
 
-@lru_cache(maxsize=32)  # two plans per (alpha, k): 16 alphas of one k
-def _census_plan(alpha: Fraction, k: int, first: Score) -> _CensusPlan:
-    """The :class:`_CensusPlan` of one first-score subtree, from the
-    :func:`_subtree_induction` table, which refuses k above
-    ``EXHAUSTIVE_MAX_K``, and the subtree's :func:`_code_book`."""
+@lru_cache(maxsize=16)  # one per (k, first score, alpha is 1) up to EXHAUSTIVE_MAX_K: 12
+def _subtree_induction(k: int, first: Score, at_one: bool) -> _CensusTable:
+    """The :class:`_CensusTable` of one first-score subtree for alpha 1
+    (``at_one``) or for every alpha in (1/2, 1), from one :func:`_induction`
+    over every accept pattern and the subtree's :func:`_code_book`.
+
+    Below 1 the induction runs at alpha = B / (B + 1), B = 2^k, so that
+    num(alpha) = B and den(alpha) - num(alpha) = 1: each value numerator is
+    its polynomial at (B, 1), whose coefficients, at most binomials of k - 1
+    by the lemma's proof, are its digits in base B. At alpha 1 each value is
+    0 or 1, the coefficient of num(alpha)^(k-1). The table has 2^(2^k - 1)
+    patterns, so k above ``EXHAUSTIVE_MAX_K`` is refused before any work.
+    """
+    if k > EXHAUSTIVE_MAX_K:
+        raise ScopeTooLarge(f"every accept pattern at k={k} means 2^{2**k - 1} patterns per subtree")
+    base = 2**k
+
+    def polynomial(value: int) -> tuple[int, ...]:
+        if at_one:
+            return (0,) * (k - 1) + (value,)
+        return tuple(value // base**j % base for j in range(k))
+
     root = node((first,))
     codes: dict[int, _Coded] = {}
+    groups: dict[tuple[int, tuple[int, ...], tuple[int, ...]], int] = {}
     entries = []
-    for bits, high, low, code in _subtree_induction(alpha, k, first):
+    for bits, high, low, code in sorted(_induction(Fraction(1) if at_one else Fraction(base, base + 1), k, first)[0]):
         if code not in codes:
             codes[code] = _coded(k, first, code)
-        entries.append((bits, code, (bits >> root & 1, high, low)))
+        odds = (bits >> root & 1, polynomial(high), polynomial(low))
+        entries.append((bits, code, groups.setdefault(odds, len(groups))))
     rows = list(_code_book(k, first).ids)
     used = sorted({row_id for _, labels in codes.values() for _, row_id in labels})
-    return _CensusPlan(tuple((row_id, rows[row_id]) for row_id in used), codes, tuple(entries))
+    return _CensusTable(tuple(entries), tuple(groups), codes, tuple((row_id, rows[row_id]) for row_id in used))
 
 
-@lru_cache(maxsize=256)  # a census-k3 input cycle reads 138
-def _kept_groups(alpha: Fraction, k: int, first: Score, pos: int, neg: int) -> tuple[tuple, ...]:
-    """The consistent accept patterns of one first-score subtree, grouped by
-    integer admission odds (accepts the first score, values after it) in
-    order of first occurrence, as (odds, accept patterns, rule code of the
-    first pattern), given the ids of the :func:`_census_plan` rows with
-    b > 0 (bit set ``pos``) and with b < 0 (``neg``).
+@lru_cache(maxsize=64)  # two per (alpha, k): 32 alphas of one k
+def _group_odds(alpha: Fraction, k: int, first: Score) -> tuple[tuple[int, int, int], ...]:
+    """The odds of each group of the subtree's :func:`_subtree_induction`
+    table at alpha, by group id: (accepts the first score, High and Low value
+    numerators over den(alpha)^(k-1)), from the group's polynomials."""
+    n, d = alpha.numerator, alpha.denominator
+    powers = [n**j * (d - n) ** (k - 1 - j) for j in range(k)]
+    return tuple((accepted, sum(map(mul, high, powers)), sum(map(mul, low, powers)))
+                 for accepted, high, low in _subtree_induction(k, first, alpha == 1).groups)
+
+
+@lru_cache(maxsize=256)  # a census-k3 input cycle reads 39
+def _kept_groups(k: int, first: Score, at_one: bool, pos: int,
+                 neg: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """The consistent accept patterns of one first-score subtree, by odds
+    group in order of first occurrence, as (group id, accept patterns, rule
+    code of the first pattern), given the ids of the
+    :func:`_subtree_induction` table's rows with b > 0 (bit set ``pos``) and
+    with b < 0 (``neg``).
 
     The verdict of a pattern is :func:`_origin_holds` on its rule code's
     label masks, exact by the lemma of this module's docstring, and those
     masks are read off the two bit sets: the groups are a function of the
-    plan and the signs of its rows, so points with equal signs share them.
+    table and the signs of its rows, so points with equal signs share them,
+    whatever their alpha on the same side of 1.
     """
-    plan = _census_plan(alpha, k, first)
+    table = _subtree_induction(k, first, at_one)
     masks = {code: (sum(mask for mask, row_id in labels if pos >> row_id & 1),
                     sum(mask for mask, row_id in labels if neg >> row_id & 1))
-             for code, (_, labels) in plan.codes.items()}
-    groups: dict[tuple[int, int, int], tuple[list[int], int]] = {}
-    for bits, code, odds in plan.entries:
+             for code, (_, labels) in table.codes.items()}
+    groups: dict[int, tuple[list[int], int]] = {}
+    for bits, code, group in table.entries:
         if _origin_holds(bits, *masks[code]):
-            groups.setdefault(odds, ([], code))[0].append(bits)
-    return tuple((odds, tuple(patterns), code) for odds, (patterns, code) in groups.items())
+            groups.setdefault(group, ([], code))[0].append(bits)
+    return tuple((group, tuple(patterns), code) for group, (patterns, code) in groups.items())
 
 
 def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[tuple[int, ...], tuple[int, ...], int]]:
@@ -1162,24 +1212,26 @@ def _solve_subtrees(params: ModelParams, first: Score) -> dict[tuple, tuple[tupl
     odds: (accept patterns, :func:`_admit_terms`, rule code of the first
     pattern).
 
-    Everything that depends on alpha alone comes from the subtree's cached
-    :func:`_census_plan`. Per point: one layout, each plan row's constant b,
+    Everything that depends on k alone comes from the subtree's cached
+    :func:`_subtree_induction` table, and the groups' odds at alpha from
+    :func:`_group_odds`. Per point: one layout, each table row's constant b,
     folded into the bit sets of the row ids with b > 0 and b < 0, and the
     groups of those signs; no flow system is built.
     """
     alpha, k = params.alpha, params.k
-    plan = _census_plan(alpha, k, first)
+    at_one = alpha == 1
+    table = _subtree_induction(k, first, at_one)
     values = _layout(params, _subtree(first, k), Reporting.ALL)
     pos = neg = 0
-    for row_id, row in plan.rows:
+    for row_id, row in table.rows:
         b = _row_const(values, row)
         if b > 0:
             pos |= 1 << row_id
         elif b < 0:
             neg |= 1 << row_id
-    cohorts = _positive_cohorts(params)
-    return {odds: (patterns, _admit_terms(alpha, k, cohorts, first, *odds), code)
-            for odds, patterns, code in _kept_groups(alpha, k, first, pos, neg)}
+    odds, cohorts = _group_odds(alpha, k, first), _positive_cohorts(params)
+    return {odds[group]: (patterns, _admit_terms(alpha, k, cohorts, first, *odds[group]), code)
+            for group, patterns, code in _kept_groups(k, first, at_one, pos, neg)}
 
 
 def _origin_stops(code: int, keys: Iterable[tuple[StudentType, ScoreSeq]]) -> dict:

@@ -18,14 +18,16 @@ settings.load_profile("retesting")
 @pytest.fixture(autouse=True)
 def cold_error_rates():
     """Each test starts with empty error-rate, cohort-row and census caches
-    (kept groups per row-sign key, admission terms, class labels, family
-    policies, policy-list plans and witness strategies) and an empty
-    certificate pool, so that a test which counts outcome distributions per
-    report, mask tests, strategies built per census or LPs refuted by a kept
-    certificate sees the first-use path whatever ran before it."""
+    (group odds per alpha, kept groups per row-sign key, admission terms,
+    class labels, family policies, policy-list plans and witness strategies)
+    and an empty certificate pool, so that a test which counts outcome
+    distributions per report, mask tests, strategies built per census or LPs
+    refuted by a kept certificate sees the first-use path whatever ran
+    before it. The census tables, one per (k, first score, alpha is 1),
+    stay: no test counts their fills without clearing them itself."""
     _error_rates.cache_clear()
     cohort_rows.cache_clear()
-    for cached in (search._kept_groups, search._admit_terms, search._class_label, search._family_policies,
-                   search._policy_plan, search._origin_strategy, search._tree_origin_strategy,
-                   search._certificate_list):
+    for cached in (search._group_odds, search._kept_groups, search._admit_terms, search._class_label,
+                   search._family_policies, search._policy_plan, search._origin_strategy,
+                   search._tree_origin_strategy, search._certificate_list):
         cached.cache_clear()

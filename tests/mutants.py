@@ -71,6 +71,14 @@ MUTANTS = (
     Mutant("the origin test with pos and neg swapped", SEARCH,
            "    return not (bits & pos or ~bits & neg)\n", "    return not (bits & neg or ~bits & pos)\n",
            ("tests/test_search.py::TestTreeDecision::test_every_census_lp",)),
+    Mutant("kept groups keyed without alpha 1, which reads the table below 1", SEARCH,
+           "            for group, patterns, code in _kept_groups(k, first, at_one, pos, neg)}\n",
+           "            for group, patterns, code in _kept_groups(k, first, False, pos, neg)}\n",
+           ("tests/test_search.py::TestSignKeyedCensus::test_groups_match_the_per_pattern_loop[2]",)),
+    Mutant("a value polynomial without its top coefficient", SEARCH,
+           "        return tuple(value // base**j % base for j in range(k))\n",
+           "        return tuple(value // base**j % base for j in range(k - 1))\n",
+           ("tests/test_search.py::TestCensusTable::test_table_matches_the_induction_at_every_alpha[2]",)),
     Mutant("ANY given a stop of 0 at the origin", SEARCH,
            "    return {(t, h): _ZERO if _rule_of(code, t, h) == CONTINUE else _ONE for t, h in keys}\n",
            "    return {(t, h): _ONE if _rule_of(code, t, h) == STOP else _ZERO for t, h in keys}\n",

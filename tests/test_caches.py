@@ -46,7 +46,7 @@ CACHES = {
     "search._subtree_induction": search._subtree_induction,
     "search._subtree_response": search._subtree_response,
     "search._code_book": search._code_book,
-    "search._census_plan": search._census_plan,
+    "search._group_odds": search._group_odds,
     "search._kept_groups": search._kept_groups,
     "search._admit_terms": search._admit_terms,
     "search._class_label": search._class_label,

@@ -23,6 +23,7 @@ from retesting import (
     all_sequences,
     best_score,
     best_score_projection,
+    boundary_thresholds,
     closed_form_profiles,
     college_payoff,
     construct_first_score_equilibrium,
@@ -114,6 +115,34 @@ class TestThresholds:
         lower, _ = report_max_thresholds(ModelParams(p=0.3, alpha=alpha, phi=phi, k=2))
         alt = (1 + alpha * (1 - phi)) / (Fraction(1) / (1 - alpha) + 2 * alpha * (1 - phi))
         assert lower == alt
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_integer_record_matches_the_fraction_closed_forms(self, k):
+        """The thresholds, computed in integers over num(alpha) and
+        den(alpha), against their closed forms in ``Fraction``s: the
+        docstring forms of the report-max band and the reject-all threshold,
+        and :func:`p_star` and :func:`p_double_star`, at 52 alphas, alpha 1
+        included, and phi 0, 1/2 and 1."""
+        alphas = [Fraction(51 + j, 100) for j in range(49)] + [Fraction(2, 3), Fraction(7, 9), Fraction(1)]
+        for alpha in alphas:
+            a, ab = alpha, 1 - alpha
+            for phi in (Fraction(0), Fraction(1, 2), Fraction(1)):
+                params = ModelParams(p=Fraction(3, 10), alpha=alpha, phi=phi, k=k)
+                phib, ak, abk = 1 - phi, a**k, ab**k
+                lower = (phi * ab + phib * (1 - ak)) / (phi + phib * (2 - ak - abk))
+                upper = (phi * a + phib * ak) / (phi + phib * (ak + abk))
+                assert report_max_thresholds(params) == (lower, upper)
+                c = a * ab * phib
+                hat_hat = min(Fraction(1, 2), (c + ab) / (c + 1))
+                assert reject_all_threshold(params) == hat_hat
+                want = {"alpha_bar": ab, "alpha": a, "p_hat": lower, "p_hat_prime": upper}
+                if k == 2:
+                    want["p_hat_hat"] = hat_hat
+                if k >= 2:
+                    want.update({f"p_star_{n}": p_star(n, a) if n >= 2 else a for n in range(1, k + 3)})
+                    if alpha < 1:
+                        want["p_double_star"] = p_double_star(k, a)
+                assert list(boundary_thresholds(params).items()) == list(want.items()), (alpha, phi)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_no_cat2_collapses_to_single_test(self, k):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import math
 import random
 from fractions import Fraction
 
@@ -52,6 +53,7 @@ from retesting.search import (
     _FlowSystem,
     _enumerate_policy_list,
     _family_policies,
+    _group_odds,
     _subtree,
     _subtree_induction,
 )
@@ -86,6 +88,13 @@ def induction_values(params, policy):
             values[(StudentType.HIGH, h)] = Fraction(high, scale)
             values[(StudentType.LOW, h)] = Fraction(low, scale)
     return values
+
+
+def induction_entries(alpha, k, first):
+    """Every accept pattern of one first-score subtree with its entry of an
+    uncached ``search._induction`` at alpha, (bits, High and Low value
+    numerators over den(alpha)^(k-1), rule code), in ascending bits."""
+    return sorted(search._induction(alpha, k, first)[0])
 
 
 def decoded_rules(code, seqs, k):
@@ -198,7 +207,8 @@ class TestOneRuleCode:
     def check(params, policies):
         k = params.k
         tables = {
-            first: {bits: code for bits, *_, code in _subtree_induction(params.alpha, k, first)} for first in Score
+            first: {bits: code for bits, code, _ in _subtree_induction(k, first, params.alpha == 1).entries}
+            for first in Score
         }
         for first, table in tables.items():
             own = sum(15 << 4 * node(s) for s in _subtree(first, k) if len(s) < k)
@@ -229,14 +239,16 @@ class TestEveryPatternInduction:
         params = ModelParams(p=Fraction(2, 5), alpha=alpha, phi=Fraction(1, 2), k=k)
         for first in Score:
             seqs = _subtree(first, k)
-            table = _subtree_induction(alpha, k, first)
+            table, odds = _subtree_induction(k, first, alpha == 1).entries, _group_odds(alpha, k, first)
             # the j-th pattern accepts the i-th subtree sequence iff bit i of
             # j is set; node is increasing on the subtree, so bits ascend
             nodes = [node(s) for s in seqs]
             every = [sum(1 << n for i, n in enumerate(nodes) if j >> i & 1) for j in range(1 << len(seqs))]
             assert [bits for bits, *_ in table] == every == sorted(every)
             scale = alpha.denominator ** (k - 1)
-            for bits, high, low, code in table:
+            for bits, code, group in table:
+                accepted, high, low = odds[group]
+                assert accepted == bits >> node((first,)) & 1
                 policy = AdmissionPolicy(k, bits)
                 rules, values = reference_induction(params, policy)
                 own = {key: rule for key, rule in rules.items() if key[1][0] is first}
@@ -248,16 +260,20 @@ class TestEveryPatternInduction:
     def test_cold_census_builds_one_table_per_first_score(self):
         params = ModelParams(p=Fraction(9, 20), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
         _subtree_induction.cache_clear()
-        search._census_plan.cache_clear()
+        _group_odds.cache_clear()
         enumerate_outcomes(params, "report-all")
         info = _subtree_induction.cache_info()
         assert (info.misses, info.currsize) == (2, 2)
-        plans = search._census_plan.cache_info()
-        assert plans.misses == 2
+        odds = _group_odds.cache_info()
+        assert odds.misses == 2
         enumerate_outcomes(params, "report-all")
-        # the repeat reads the two cached plans, which hold the tables
+        # the repeat reads the two cached tables and the groups' odds at alpha
         assert _subtree_induction.cache_info().misses == 2
-        assert search._census_plan.cache_info()[:2] == (plans.hits + 2, 2)  # (hits, misses)
+        assert _group_odds.cache_info()[:2] == (odds.hits + 2, 2)  # (hits, misses)
+        # another alpha below 1 builds no table, only the groups' odds there
+        enumerate_outcomes(ModelParams(p=Fraction(9, 20), alpha=Fraction(3, 5), phi=Fraction(1, 2), k=3), "report-all")
+        assert _subtree_induction.cache_info().misses == 2
+        assert _group_odds.cache_info().misses == 4
 
     @pytest.mark.parametrize("k", range(1, MAX_K + 1))
     def test_subtree_node_order(self, k):
@@ -276,7 +292,7 @@ class TestEveryPatternInduction:
 
         monkeypatch.setattr(search, "_induction", no_induction)
         with pytest.raises(ScopeTooLarge):
-            _subtree_induction(Fraction(4, 5), EXHAUSTIVE_MAX_K + 1, Score.A)
+            _subtree_induction(EXHAUSTIVE_MAX_K + 1, Score.A, False)
 
     def test_family_best_response_at_k10(self):
         params = ModelParams(p=Fraction(2, 5), alpha=Fraction(7, 10), phi=Fraction(1, 2), k=10)
@@ -567,21 +583,23 @@ class TestVerifyAgainstReference:
 
     def test_corrupted_census_caches_change_no_verdict(self, monkeypatch):
         """The verifier reads the model and the best-response induction,
-        never the census's caches: with ``_layout``, ``_census_plan``,
-        ``_code_book``, ``_kept_groups``, ``_admit_terms``, ``_class_label``
+        never the census's caches: with ``_layout``, ``_subtree_induction``,
+        ``_group_odds``, ``_code_book``, ``_kept_groups``, ``_admit_terms``, ``_class_label``
         and both origin witness caches handing out wrong values, and the
         verifier's own cache cold, every witness keeps its verdict, while a
         census that reads them finds witnesses that fail."""
         params_list = [params for params in VERIFY_GRID if params.k == 3 and params.phi == Fraction(1, 2)]
         cases = [(params, witness) for params in params_list for witness in census_witnesses(params)]
         want = [verify_equilibrium(params, witness) for params, witness in cases]
-        layout, plan, kept, terms = search._layout, search._census_plan, search._kept_groups, search._admit_terms
+        layout, table, kept, terms = search._layout, search._subtree_induction, search._kept_groups, search._admit_terms
         label, origin, tree_origin = search._class_label, search._origin_strategy, search._tree_origin_strategy
+        group_odds = search._group_odds
         monkeypatch.setattr(search, "_layout", lambda *args: tuple(-v for v in layout(*args)))
         other = {Score.A: Score.B, Score.B: Score.A}
-        monkeypatch.setattr(search, "_census_plan", lambda alpha, k, first: plan(alpha, k, other[first]))
+        monkeypatch.setattr(search, "_subtree_induction", lambda k, first, at_one: table(k, other[first], at_one))
+        monkeypatch.setattr(search, "_group_odds", lambda *args: group_odds(*args)[::-1])
         monkeypatch.setattr(search, "_code_book", lambda k, first: search._CodeBook({}, {}))
-        monkeypatch.setattr(search, "_kept_groups", lambda alpha, k, first, pos, neg: kept(alpha, k, first, 0, 0))
+        monkeypatch.setattr(search, "_kept_groups", lambda k, first, at_one, pos, neg: kept(k, first, at_one, 0, 0))
         monkeypatch.setattr(search, "_admit_terms", lambda *args: terms(*args)[::-1])
         monkeypatch.setattr(search, "_class_label", lambda *args: ("made up", label(*args)[1]))
         monkeypatch.setattr(search, "_origin_strategy", lambda k, a_code, b_code: origin(k, b_code, a_code))
@@ -859,7 +877,7 @@ class TestFreeIntervals:
                     params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
                     for first in Score:
                         by_code = {}
-                        for bits, *_, code in _subtree_induction(params.alpha, k, first):
+                        for bits, *_, code in induction_entries(params.alpha, k, first):
                             by_code.setdefault(code, []).append(bits)
                         for code, patterns in by_code.items():
                             system = DenseFlowSystem(params, code, _subtree(first, k), Reporting.ALL)
@@ -875,7 +893,7 @@ class TestFreeIntervals:
         rule code solve that subtree's ranges once inside
         :func:`search._reused_intervals`, and get what a cold call gets."""
         params = ModelParams(p="0.2", alpha="0.8", phi="1", k=3)
-        table = _subtree_induction(params.alpha, 3, Score.A)
+        table = induction_entries(params.alpha, 3, Score.A)
         system_of = {code: DenseFlowSystem(params, code, _subtree(Score.A, 3), Reporting.ALL) for *_, code in table}
         pairs = {}
         for bits, *_, code in table:
@@ -883,7 +901,7 @@ class TestFreeIntervals:
             if not system.refutes(bits):
                 pairs.setdefault(code, {}).setdefault(system.signs(bits), bits)
         a_bits = next(list(signs.values())[:2] for signs in pairs.values() if len(signs) > 1)
-        b_bits = next(bits for bits, *_, code in _subtree_induction(params.alpha, 3, Score.B)
+        b_bits = next(bits for bits, *_, code in induction_entries(params.alpha, 3, Score.B)
                       if not _FlowSystem(params, code, _subtree(Score.B, 3), Reporting.ALL).refutes(bits))
         policies = [AdmissionPolicy(3, bits | b_bits) for bits in a_bits]
         want = [free_stop_intervals(params, policy) for policy in policies]
@@ -1195,7 +1213,7 @@ class TestGroupedCensus:
                 verdicts.clear()
                 groups = search._solve_subtrees(params, first)
                 assert groups and built == []
-                patterns = _subtree_induction(params.alpha, 3, first)
+                patterns = induction_entries(params.alpha, 3, first)
                 assert [bits for bits, _ in verdicts] == [bits for bits, *_ in patterns]
                 kept = {bits for group, *_ in groups.values() for bits in group}
                 assert kept == {bits for bits, holds in verdicts if holds}
@@ -1506,7 +1524,7 @@ class TestOriginWitness:
                     groups = search._solve_subtrees(params, first)
                     kept = {bits for group, *_ in groups.values() for bits in group}
                     systems = {}
-                    for bits, _, _, code in _subtree_induction(params.alpha, k, first):
+                    for bits, _, _, code in induction_entries(params.alpha, k, first):
                         if code not in systems:
                             systems[code] = DenseFlowSystem(params, code, _subtree(first, k), Reporting.ALL)
                         system = systems[code]
@@ -1526,7 +1544,7 @@ def per_pattern_groups(params, first):
     ascending bits."""
     seqs, root = _subtree(first, params.k), node((first,))
     groups = {}
-    for bits, high, low, code in _subtree_induction(params.alpha, params.k, first):
+    for bits, high, low, code in induction_entries(params.alpha, params.k, first):
         system = DenseFlowSystem(params, code, seqs, Reporting.ALL)
         x = system.feasible(bits)
         if x is not None:
@@ -1544,10 +1562,11 @@ def positive_cohorts(params):
 
 
 class TestCensusPlan:
-    """The census reads what depends on alpha alone from one cached plan per
-    (alpha, k, first score), and best responses from a cache per subtree
-    accept pattern; it must find what a census with one flow system and one
-    solve per pattern finds, also at phi 0 and 1 and at alpha 1."""
+    """The census reads what depends on k alone from one cached table per
+    (k, first score, alpha is 1), the odds of its groups from a cache per
+    alpha, and best responses from a cache per subtree accept pattern; it
+    must find what a census with one flow system and one solve per pattern
+    finds, also at phi 0 and 1 and at alpha 1."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("alpha", ["0.6", "0.8", "1"])
@@ -1578,8 +1597,8 @@ class TestCensusPlan:
     def test_plan_holds_the_templates_and_rows_of_its_rule_codes(self, alpha):
         for k in (1, 2, 3):
             for first in Score:
-                seqs, plan = _subtree(first, k), search._census_plan(alpha, k, first)
-                table = _subtree_induction(alpha, k, first)
+                seqs, plan = _subtree(first, k), _subtree_induction(k, first, alpha == 1)
+                table = induction_entries(alpha, k, first)
                 assert [(bits, code) for bits, code, _ in plan.entries] == [(bits, code) for bits, *_, code in table]
                 assert list(plan.codes) == list(dict.fromkeys(code for *_, code in table))
                 rows = dict(plan.rows)
@@ -1592,20 +1611,24 @@ class TestCensusPlan:
                     assert search._coded(k, first, code)[0] is template
 
     def test_code_book_is_shared_by_every_alpha(self):
-        """Templates depend on no alpha, so the plans of alphas below 1 find
-        their rule codes in the code book that the first one filled."""
+        """Templates depend on no alpha, so the census at every alpha below
+        1 reads the one table that filled the code book, and the rule codes
+        of the induction at each of them are in it."""
         search._code_book.cache_clear()
-        search._census_plan.cache_clear()
+        _subtree_induction.cache_clear()
         info = search._template.cache_info()
-        search._census_plan(Fraction(3, 5), 3, Score.A)
+        table = _subtree_induction(3, Score.A, False)
         first_codes = search._template.cache_info().hits + search._template.cache_info().misses
         first_codes -= info.hits + info.misses
         book = search._code_book(3, Score.A)
-        assert first_codes == len(book.codes) > 0 and sorted(book.ids.values()) == list(range(len(book.ids)))
+        assert first_codes == len(book.codes) == len(table.codes) > 0
+        assert sorted(book.ids.values()) == list(range(len(book.ids)))
         before = search._template.cache_info()
         for alpha in (Fraction(13, 20), Fraction(7, 10), Fraction(4, 5)):
-            assert set(search._census_plan(alpha, 3, Score.A).codes) <= set(book.codes)
+            search._solve_subtrees(ModelParams(p=Fraction(1, 2), alpha=alpha, phi=Fraction(1, 2), k=3), Score.A)
+            assert {code for *_, code in induction_entries(alpha, 3, Score.A)} <= set(book.codes)
         assert search._template.cache_info() == before
+        assert _subtree_induction.cache_info().misses == 1
 
     def test_responses_match_an_uncached_induction(self):
         """Every family policy at k 1-10, and every subtree pattern of the
@@ -1625,18 +1648,19 @@ class TestCensusPlan:
                     compared += 1
                 if k <= EXHAUSTIVE_MAX_K:
                     for first in Score:
-                        for bits, high, low, code in _subtree_induction(alpha, k, first):
-                            assert search._subtree_response(alpha, k, first, bits) == (high, low, code)
+                        odds = _group_odds(alpha, k, first)
+                        for bits, code, group in _subtree_induction(k, first, alpha == 1).entries:
+                            assert search._subtree_response(alpha, k, first, bits) == (*odds[group][1:], code)
         assert compared > 100
         info = search._subtree_response.cache_info()
         assert info.hits > 0 and info.currsize <= info.maxsize
 
     def test_repeat_census_at_alpha_one_reads_no_template(self):
         """At alpha 1 a k=3 subtree has 127 rule codes, which the template
-        cache cannot hold beside the other subtree's; the plans hold them,
+        cache cannot hold beside the other subtree's; the tables hold them,
         so a repeated census and its witnesses' intervals read none from it."""
         params = ModelParams(p="0.4", alpha="1", phi="0.5", k=3)
-        assert sum(len(search._census_plan(params.alpha, 3, first).codes) for first in Score) == 254
+        assert sum(len(_subtree_induction(3, first, True).codes) for first in Score) == 254
         assert search._template.cache_info().maxsize < 254
         enumerate_outcomes(params, "report-all")
         before = search._template.cache_info()
@@ -1646,35 +1670,114 @@ class TestCensusPlan:
         assert any(intervals)
 
     def test_plan_cache_holds_sixteen_alphas(self):
-        search._census_plan.cache_clear()
+        """17 alphas below 1 build one table per first score, at most 4 with
+        alpha 1, and a new alpha whose row signs were seen before reads
+        every kept group from the cache."""
+        _subtree_induction.cache_clear()
         alphas = [Fraction(60 + j, 100) for j in range(17)]
+        seen = set()
         for alpha in alphas:
-            enumerate_outcomes(ModelParams(p="0.5", alpha=alpha, phi="0.5", k=3), "report-all")
-        info = search._census_plan.cache_info()
-        assert (info.misses, info.currsize, info.maxsize) == (34, 32, 32)
+            params = ModelParams(p="0.5", alpha=alpha, phi="0.5", k=3)
+            enumerate_outcomes(params, "report-all")
+            seen.update((first, row_signs(params, first)) for first in Score)
+        info = _subtree_induction.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        new = ModelParams(p="0.5", alpha="0.77", phi="0.5", k=3)
+        assert new.alpha not in alphas and all((first, row_signs(new, first)) in seen for first in Score)
         kept = search._kept_groups.cache_info()
+        enumerate_outcomes(new, "report-all")
+        assert search._kept_groups.cache_info().misses == kept.misses
+        # new row signs miss once per subtree, and still build no table
         enumerate_outcomes(ModelParams(p="0.3", alpha=alphas[-1], phi="0", k=3), "report-all")
-        # one read per subtree, and one more per row-sign key the kept groups miss
-        misses = search._kept_groups.cache_info().misses - kept.misses
-        assert misses == 2
-        assert search._census_plan.cache_info()[:2] == (info.hits + 2 + misses, info.misses)
+        assert search._kept_groups.cache_info().misses == kept.misses + 2
+        assert _subtree_induction.cache_info().misses == 2
+
+
+TABLE_ALPHAS = [Fraction(51 + 2 * j, 100) for j in range(25)] + [Fraction(2, 3), Fraction(3, 4), Fraction(5, 9),
+                                                                  Fraction(7, 9), Fraction(999, 1000)]
+
+
+def polynomial_in_alpha(coefficients, k):
+    """A value polynomial, its coefficients on num(alpha)^j
+    (den(alpha) - num(alpha))^(k-1-j), as integer coefficients of alpha^i
+    over den(alpha)^(k-1), lowest first."""
+    out = [0] * k
+    for j, c in enumerate(coefficients):
+        for i in range(k - j):  # (1 - alpha)^(k-1-j) by the binomial theorem
+            out[j + i] += c * math.comb(k - 1 - j, i) * (-1) ** i
+    return out
+
+
+def rational_roots(poly):
+    """The rational roots in (1/2, 1) of an integer polynomial, lowest
+    coefficient first, not identically 0: by the rational root theorem,
+    each is u / v with u dividing the lowest nonzero coefficient and v the
+    highest."""
+    while poly and poly[-1] == 0:
+        poly = poly[:-1]
+    low = next(c for c in poly if c)
+    divisors = lambda n: [j for j in range(1, abs(n) + 1) if n % j == 0]
+    return {Fraction(u, v) for u in divisors(low) for v in divisors(poly[-1])
+            if Fraction(1, 2) < Fraction(u, v) < 1 and not sum(c * Fraction(u, v) ** i for i, c in enumerate(poly))}
+
+
+class TestCensusTable:
+    """The table lemma of the :mod:`retesting.search` docstring: one table
+    per (k, first score, alpha is 1) holds what the induction gives at every
+    alpha on that side of 1, and its groups never merge at a point."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_table_matches_the_induction_at_every_alpha(self, k):
+        """Rule codes, group ids, group order and group values against an
+        uncached :func:`search._induction` at 30 alphas in (1/2, 1) and at 1."""
+        for alpha in TABLE_ALPHAS + [Fraction(1)]:
+            for first in Score:
+                table, root = _subtree_induction(k, first, alpha == 1), node((first,))
+                entries = induction_entries(alpha, k, first)
+                assert [(bits, code) for bits, code, _ in table.entries] == [(bits, code) for bits, *_, code in entries]
+                groups = {}
+                ids = [groups.setdefault((bits >> root & 1, high, low), len(groups)) for bits, high, low, _ in entries]
+                assert [group for *_, group in table.entries] == ids, (alpha, first)
+                assert _group_odds(alpha, k, first) == tuple(groups), (alpha, first)
+        assert [len(_subtree_induction(k, Score.A, False).groups) for k in (1, 2, 3)] == [2, 5, 13]
+
+    @pytest.mark.parametrize("k", range(1, EXHAUSTIVE_MAX_K + 1))
+    def test_no_two_groups_meet_at_a_rational_alpha(self, k):
+        """Two groups of one root bit whose High and Low polynomials both
+        meet at an alpha would share their odds there and merge; checked
+        exactly over every rational alpha in (1/2, 1)."""
+        pairs = 0
+        for first in Score:
+            groups = _subtree_induction(k, first, False).groups
+            for i, (accepted, high, low) in enumerate(groups):
+                for other_accepted, other_high, other_low in groups[i + 1:]:
+                    if accepted != other_accepted:
+                        continue
+                    pairs += 1
+                    diffs = [polynomial_in_alpha([a - b for a, b in zip(mine, theirs)], k)
+                             for mine, theirs in ((high, other_high), (low, other_low))]
+                    roots = rational_roots(next(diff for diff in diffs if any(diff)))
+                    assert not any(all(not sum(c * t**i for i, c in enumerate(diff)) for diff in diffs)
+                                   for t in roots), (first, high, low, other_high, other_low)
+        assert pairs > 0 or k == 1
 
 
 def reference_kept_groups(params, first):
-    """The kept groups of one subtree at a point by the per-pattern loop the
-    census ran before its groups were cached per row-sign key: the label
-    masks of each rule code from the signs of the plan rows' constants, then
-    one mask test per accept pattern, as (odds, patterns, rule code)."""
-    plan = search._census_plan(params.alpha, params.k, first)
-    values = search._layout(params, _subtree(first, params.k), Reporting.ALL)
-    consts = {row_id: search._row_const(values, row) for row_id, row in plan.rows}
-    masks = {code: (sum(mask for mask, row_id in labels if consts[row_id] > 0),
-                    sum(mask for mask, row_id in labels if consts[row_id] < 0))
-             for code, (_, labels) in plan.codes.items()}
-    groups = {}
-    for bits, code, odds in plan.entries:
+    """The kept groups of one subtree at a point by a per-pattern loop with
+    no census cache: each pattern's odds and rule code from an uncached
+    induction at the point's alpha, its rule code's label masks from the
+    signs of its template rows' constants, then one mask test per accept
+    pattern, as (odds, patterns, rule code)."""
+    k, root = params.k, node((first,))
+    values = search._layout(params, _subtree(first, k), Reporting.ALL)
+    groups, masks = {}, {}
+    for bits, high, low, code in induction_entries(params.alpha, k, first):
+        if code not in masks:
+            rows = search._template.__wrapped__(_subtree(first, k), Reporting.ALL, k, code).label_rows
+            consts = [(mask, search._row_const(values, row)) for mask, row in rows]
+            masks[code] = (sum(mask for mask, b in consts if b > 0), sum(mask for mask, b in consts if b < 0))
         if search._origin_holds(bits, *masks[code]):
-            groups.setdefault(odds, ([], code))[0].append(bits)
+            groups.setdefault((bits >> root & 1, high, low), ([], code))[0].append(bits)
     return [(odds, tuple(bits), code) for odds, (bits, code) in groups.items()]
 
 
@@ -1695,9 +1798,9 @@ def reference_terms(params, first, accepted, high, low):
 
 
 def row_signs(params, first):
-    """The row-sign key of a subtree at a point: the ids of the plan rows
+    """The row-sign key of a subtree at a point: the ids of the table rows
     with b > 0 and with b < 0, as bit sets."""
-    plan = search._census_plan(params.alpha, params.k, first)
+    plan = _subtree_induction(params.k, first, params.alpha == 1)
     values = search._layout(params, _subtree(first, params.k), Reporting.ALL)
     consts = [(row_id, search._row_const(values, row)) for row_id, row in plan.rows]
     return (sum(1 << row_id for row_id, b in consts if b > 0), sum(1 << row_id for row_id, b in consts if b < 0))
@@ -1723,7 +1826,7 @@ SIGN_GRID = [ModelParams(p=p, alpha=alpha, phi=phi, k=k)
 
 class TestSignKeyedCensus:
     """Per point the census reads each subtree's kept groups from a cache
-    keyed by the signs of its plan rows, labels and admission maps from a
+    keyed by the signs of its table rows, labels and admission maps from a
     cache keyed by integer terms, and report-max and family witnesses at the
     origin from a cache keyed by the whole-tree rule code: each must give
     what the per-point computation gives."""
@@ -1818,7 +1921,7 @@ class TestForcedLabelScreen:
         """Every accept pattern of both first-score subtrees, as the census
         builds them."""
         for first in Score:
-            for bits, _, _, code in _subtree_induction(params.alpha, params.k, first):
+            for bits, _, _, code in induction_entries(params.alpha, params.k, first):
                 system = DenseFlowSystem(params, code, _subtree(first, params.k), Reporting.ALL)
                 self.check(system, bits, counts)
 
@@ -1878,7 +1981,7 @@ class TestTreeDecision:
         for k in (1, 2, 3):
             params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
             for first in Score:
-                for bits, _, _, code in _subtree_induction(alpha, k, first):
+                for bits, _, _, code in induction_entries(alpha, k, first):
                     self.check(DenseFlowSystem(params, code, _subtree(first, k), Reporting.ALL), bits, counts)
         assert counts[False, False] > 0  # b >= 0: the origin
         assert counts[True, True] > 0
@@ -1909,7 +2012,7 @@ class TestTreeDecision:
         for k in (1, 2, 3):
             params = ModelParams(p=p, alpha=Fraction(1), phi=phi, k=k)
             for first in Score:
-                for bits, _, _, code in _subtree_induction(params.alpha, k, first):
+                for bits, _, _, code in induction_entries(params.alpha, k, first):
                     self.check(DenseFlowSystem(params, code, _subtree(first, k), Reporting.ALL), bits, counts)
         assert counts[False, False] > 0 and counts[True, True] > 0
         assert counts[True, False] == 0
@@ -2005,7 +2108,7 @@ class TestFlowTemplates:
         params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
         for first in Score:
             by_code = {}
-            for bits, _, _, code in _subtree_induction(alpha, k, first):
+            for bits, _, _, code in induction_entries(alpha, k, first):
                 by_code.setdefault(code, []).append(bits)
             for code, patterns in by_code.items():
                 self.check(params, code, _subtree(first, k), Reporting.ALL, patterns)
@@ -2064,7 +2167,7 @@ class TestLazyRows:
         for k in (1, 2, 3):
             params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
             for first in Score:
-                for code in {code for *_, code in _subtree_induction(params.alpha, k, first)}:
+                for code in {code for *_, code in induction_entries(params.alpha, k, first)}:
                     self.check(params, code, _subtree(first, k), Reporting.ALL, counts)
         assert min(counts.values()) > 0
 
@@ -2181,7 +2284,7 @@ class TestPolicySet:
         params = ModelParams(p=Fraction(9, 20), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=k)
         classes = enumerate_outcomes(params, "report-all").classes
         feasible_b = {b for bits, _, _ in search._solve_subtrees(params, Score.B).values() for b in bits}
-        infeasible_b = [bits for bits, *_ in _subtree_induction(params.alpha, k, Score.B) if bits not in feasible_b]
+        infeasible_b = [bits for bits, *_ in induction_entries(params.alpha, k, Score.B) if bits not in feasible_b]
         assert infeasible_b
         for c in classes:
             policy = next(iter(c.policies))

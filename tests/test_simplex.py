@@ -302,7 +302,7 @@ def _census_lps(monkeypatch, params: ModelParams) -> tuple[list[tuple], list[tup
     def census(params, first):
         groups = solve_subtrees(params, first)
         kept = {bits for patterns, *_ in groups.values() for bits in patterns}
-        for bits, _, _, code in _subtree_induction(params.alpha, params.k, first):
+        for bits, _, _, code in sorted(search._induction(params.alpha, params.k, first)[0]):
             system = DenseFlowSystem(params, code, search._subtree(first, params.k), Reporting.ALL)
             a_ub, b_ub = system.rows(bits)
             x = [Fraction(0)] * system.n if bits in kept else None
