@@ -155,10 +155,10 @@ simplex solves, never a verdict.
 
 Free-stop intervals come from the same reduced LPs, one Charnes-Cooper
 program per reach column (:func:`_stop_ranges`): over one first-score
-subtree's system at a time under report-all, whose rows are block-diagonal
-by first score, and over the plan's spine LP under report-max, where every
-reached node off the spine can stop with any probability
-(:func:`free_stop_intervals`).
+subtree's rows at a time under report-all, which are block-diagonal by
+first score (:func:`_subtree_ranges`), and over the plan's spine LP under
+report-max, where every reached node off the spine can stop with any
+probability (:func:`_spine_ranges`).
 
 Best responses come from one bottom-up induction per first-score subtree:
 each history combines the results of its two children with its own accept
@@ -181,7 +181,7 @@ The report-all census reads what the table lemma makes alpha-free from one
 cached table per (k, first score, alpha is 1) (:func:`_subtree_induction`):
 each accept pattern's rule code and odds group, each group's root accept bit
 and value polynomials, and each rule code's template with its label rows
-under int ids, from a code book per subtree (:func:`_code_book`). Subtree
+under int ids, numbered per table. Subtree
 policies with equal admission odds, (accepts the first score, High and Low
 values after it), form a group. Two groups of one root bit would merge at an
 alpha where their High polynomials meet and their Low ones too, but for
@@ -195,8 +195,8 @@ those with b > 0 and those with b < 0. The kept groups are a function of the
 table and those two sets, so they are cached per (k, first score, alpha is
 1, b > 0 rows, b < 0 rows) (:func:`_kept_groups`), whatever the alpha; a new
 key runs, per rule code, the labels with b > 0 and with b < 0 and, per accept
-pattern, the origin's mask test (:func:`_origin_holds`, which
-:class:`_FlowSystem` shares). One policy's best response is cached per
+pattern, the origin's mask test (:func:`_origin_holds`, which the
+free-stop ranges share). One policy's best response is cached per
 (alpha, k, first score, subtree accept pattern), for the report-max
 families, the verifier and the intervals. A group carries the rule code of
 its first kept policy; one class builder takes blocks of
@@ -205,13 +205,12 @@ that sum one term per group, each term cached per (alpha, k, positive
 cohorts, first score, odds) (:func:`_admit_terms`), and reads a new class's
 label and admission probabilities from a cache keyed by those numerators
 (:func:`_class_label`). It builds a witness strategy only for a block that
-opens a class, and only from a cache keyed by rule codes where the point is
-the origin: under report-all keyed by (k, A code, B code), by the
-corollary, and for the policy lists keyed by (k, whole-tree code) when the
-origin holds; a vertex of the simplex gives its own stops. A class keeps
-its policies as those blocks, a :class:`PolicySet`: a report-all block is
-the product of an A-group and a B-group of accept bits, and no policy is
-built until one is iterated.
+opens a class, and where the point is the origin only from one cache keyed
+by (k, whole-tree code) (:func:`_origin_strategy`), under report-all the or
+of the two subtree codes by the corollary; a vertex of the simplex gives
+its own stops. A class keeps its policies as those blocks, a
+:class:`PolicySet`: a report-all block is the product of an A-group and a
+B-group of accept bits, and no policy is built until one is iterated.
 
 The policy lists, report-max and the named report-all families, read one
 cached plan per (alpha, k, reporting, policies) (:func:`_policy_plan`): per
@@ -238,7 +237,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import accumulate
 from operator import add, mul, or_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -802,8 +801,8 @@ def _stop_ranges(a_ub: list, b_ub: list, scale: int, cols: Sequence[int],
     """The stop-probability range of each free node that a supporting flow
     reaches, on a polytope ``a_ub x <= b_ub`` that is not empty, over the
     free columns ``cols``, with rows times ``scale``. ``reach`` holds each
-    free node's (key, var, value) in column order, as the reach term of
-    :meth:`_FlowSystem.reach`, over the same scale.
+    free node's (key, var, value) in column order: its template's reach
+    term, with the value read at the point, over the same scale.
 
     At a free node c of ``cols`` with reach term (var, value), the stop
     probability is 1 - scale x[c] / (value x[col]), where col is var, or the
@@ -856,75 +855,6 @@ def _stop_ranges(a_ub: list, b_ub: list, scale: int, cols: Sequence[int],
         if chains.get(c) in feasible:
             ends[key] = (Fraction(0), Fraction(1))
     return ends
-
-
-class _FlowSystem:
-    """Linear feasibility system over free continue masses within a scope:
-    the report-all system of one first-score subtree, whose free-stop ranges
-    :func:`free_stop_intervals` reads.
-
-    Forced nodes (strict best responses) are substituted symbolically, so the
-    only variables are the continue masses at indifferent nodes. Every reach
-    and continue mass is then one term ``(var, value)``: the constant
-    ``value`` when ``var`` is None, else ``value * x[var]`` (a free node
-    continues ``x[var]``, a forced one 0 or its whole reach). Values and rows
-    are integers, ``scale`` times the rational ones. Which term goes where
-    depends only on the tree, the reporting policy and the rule code, so it
-    is built once per code as a cached :class:`_Template`.
-
-    A policy enters only through the signs of the label rows, read from its
-    accept bits (as in :class:`AdmissionPolicy`), so it has an equilibrium
-    iff those rows and the best-response rows admit a nonnegative solution.
-    A system reads each label row's constant b from the tree's cached
-    :func:`_layout`, as two masks of label accept bits, b > 0 and b < 0,
-    which decide a report-all system by the lemma of this module's
-    docstring; dense rows wait until its ranges are asked for.
-    """
-
-    def __init__(self, params: ModelParams, code: int, sequences: Iterable[ScoreSeq], reporting: Reporting,
-                 template: Optional[_Template] = None):
-        """The system of the tree ``sequences`` under the rule ``code``, on its
-        cached layout and on ``template`` (the cached one when not given)."""
-        seqs = tuple(sequences)
-        self._template = template = template or _template(seqs, reporting, params.k, code)
-        self._values = values = _layout(params, seqs, reporting)
-        self.scale = values[1]
-        self.var_index = template.var_index
-        self.n = len(template.var_index)
-        consts = [(mask, _row_const(values, row)) for mask, row in template.label_rows]
-        self._pos = sum(mask for mask, b in consts if b > 0)  # one bit per label: a sum is an or
-        self._neg = sum(mask for mask, b in consts if b < 0)
-
-    @cached_property
-    def reach(self) -> dict[tuple[StudentType, ScoreSeq], _Term]:
-        """The reach mass of every (type, sequence) as one term."""
-        return {key: (var, self._values[j]) for key, (var, j) in self._template.reach.items()}
-
-    @cached_property
-    def _br_rows(self) -> list[tuple[list[int], int]]:
-        """``c - reach <= 0`` at every free node c, in ``var_index`` order."""
-        return _br_over(self._template, self._values, range(self.n))
-
-    @cached_property
-    def _label_rows(self) -> list[tuple[int, tuple[list[int], int]]]:
-        """Each label row as (mask of its label's accept bit, (coefficients, rhs))."""
-        return _labels_over(self._template, self._values, range(self.n))
-
-    def refutes(self, bits: int) -> bool:
-        """Whether the policy's polytope is empty, decided with no dense row:
-        a report-all system is feasible iff its origin is a point
-        (:func:`_origin_holds`), by the lemma of this module's docstring.
-        For a rule code from the best-response induction the answer is exact
-        both ways; the lemma needs that precondition, which every caller's
-        code meets."""
-        return not _origin_holds(bits, self._pos, self._neg)
-
-    def stop_ranges(self, bits: int) -> dict[tuple[StudentType, ScoreSeq], tuple[Fraction, Fraction]]:
-        """:func:`_stop_ranges` over every free column, for a system whose
-        polytope is not empty."""
-        a_ub, b_ub = _sign_rows(self._br_rows, self._label_rows, bits)
-        reach = [(key, *self.reach[key]) for key in self.var_index]
-        return _stop_ranges(a_ub, b_ub, self.scale, range(self.n), reach)
 
 
 # ---------------------------------------------------------------------------
@@ -1087,36 +1017,8 @@ def _census(
 
 
 # A rule code's template, and per label (mask of the label's accept bit, id
-# of the label's row in its subtree's :func:`_code_book`).
+# of the label's row in its :class:`_CensusTable`).
 _Coded = tuple[_Template, tuple[tuple[int, int], ...]]
-
-
-class _CodeBook(NamedTuple):
-    """The rule codes of one first-score subtree met so far, at any alpha,
-    and the distinct label rows of their templates, whose ids count up in
-    insertion order."""
-
-    ids: dict[_Row, int]
-    codes: dict[int, _Coded]
-
-
-@lru_cache(maxsize=8)  # one per (k, first score) up to EXHAUSTIVE_MAX_K
-def _code_book(k: int, first: Score) -> _CodeBook:
-    """The :class:`_CodeBook` of one first-score subtree, filled by
-    :func:`_coded`. A template depends on no alpha, so the subtree's two
-    :func:`_subtree_induction` tables and the free-stop ranges of any alpha
-    share it; a k=3 subtree has 26 rule codes below alpha 1 and 127 at 1."""
-    return _CodeBook({}, {})
-
-
-def _coded(k: int, first: Score, code: int) -> _Coded:
-    """The template of a subtree rule code with its label rows' ids, from
-    the subtree's code book, built into it once."""
-    ids, codes = _code_book(k, first)
-    if code not in codes:
-        template = _template(_subtree(first, k), Reporting.ALL, k, code)
-        codes[code] = (template, tuple((mask, ids.setdefault(row, len(ids))) for mask, row in template.label_rows))
-    return codes[code]
 
 
 class _CensusTable(NamedTuple):
@@ -1138,7 +1040,8 @@ class _CensusTable(NamedTuple):
 def _subtree_induction(k: int, first: Score, at_one: bool) -> _CensusTable:
     """The :class:`_CensusTable` of one first-score subtree for alpha 1
     (``at_one``) or for every alpha in (1/2, 1), from one :func:`_induction`
-    over every accept pattern and the subtree's :func:`_code_book`.
+    over every accept pattern, with each rule code's :func:`_template` and
+    its label rows numbered in order of first occurrence.
 
     Below 1 the induction runs at alpha = B / (B + 1), B = 2^k, so that
     num(alpha) = B and den(alpha) - num(alpha) = 1: each value numerator is
@@ -1156,18 +1059,18 @@ def _subtree_induction(k: int, first: Score, at_one: bool) -> _CensusTable:
             return (0,) * (k - 1) + (value,)
         return tuple(value // base**j % base for j in range(k))
 
-    root = node((first,))
+    seqs, root = _subtree(first, k), node((first,))
+    ids: dict[_Row, int] = {}
     codes: dict[int, _Coded] = {}
     groups: dict[tuple[int, tuple[int, ...], tuple[int, ...]], int] = {}
     entries = []
     for bits, high, low, code in sorted(_induction(Fraction(1) if at_one else Fraction(base, base + 1), k, first)[0]):
         if code not in codes:
-            codes[code] = _coded(k, first, code)
+            template = _template(seqs, Reporting.ALL, k, code)
+            codes[code] = (template, tuple((mask, ids.setdefault(row, len(ids))) for mask, row in template.label_rows))
         odds = (bits >> root & 1, polynomial(high), polynomial(low))
         entries.append((bits, code, groups.setdefault(odds, len(groups))))
-    rows = list(_code_book(k, first).ids)
-    used = sorted({row_id for _, labels in codes.values() for _, row_id in labels})
-    return _CensusTable(tuple(entries), tuple(groups), codes, tuple((row_id, rows[row_id]) for row_id in used))
+    return _CensusTable(tuple(entries), tuple(groups), codes, tuple((row_id, row) for row, row_id in ids.items()))
 
 
 @lru_cache(maxsize=64)  # two per (alpha, k): 32 alphas of one k
@@ -1241,20 +1144,12 @@ def _origin_stops(code: int, keys: Iterable[tuple[StudentType, ScoreSeq]]) -> di
     return {(t, h): _ZERO if _rule_of(code, t, h) == CONTINUE else _ONE for t, h in keys}
 
 
-@lru_cache(maxsize=64)  # a census-k3 input cycle reads 13 pairs; k 1-3 at 50 alphas, 10 p and 3 phi read 19
-def _origin_strategy(k: int, a_code: int, b_code: int) -> StudentStrategy:
-    """The origin's stops under the subtree rule codes, the witness of a
-    report-all class by the corollary of this module's docstring, in the
-    order of the two subtree systems, A subtree first."""
-    return StudentStrategy(_origin_stops(a_code | b_code, ((t, h) for first in Score for t in _TYPES
-                                                           for h in _subtree(first, k) if len(h) < k)))
-
-
-@lru_cache(maxsize=64)  # a census-k3 input cycle reads 2
-def _tree_origin_strategy(k: int, code: int) -> StudentStrategy:
-    """The origin's stops under a whole-tree rule code, the witness of a
-    policy-list class whose system has the origin as its point, in the
-    order of the whole tree's system: type-major over its histories."""
+@lru_cache(maxsize=64)  # a census-k3 input cycle reads 14 keys
+def _origin_strategy(k: int, code: int) -> StudentStrategy:
+    """The origin's stops under a whole-tree rule ``code``, type-major over
+    the histories: the witness of a report-all class, whose code is the or
+    of its two subtree codes, by the corollary of this module's docstring,
+    and of a policy-list class whose policy has the origin as its point."""
     return StudentStrategy(_origin_stops(code, ((t, h) for t in _TYPES for h in all_sequences(k - 1))))
 
 
@@ -1264,7 +1159,7 @@ def _enumerate_report_all(params: ModelParams) -> Enumeration:
     witness strategy of their rule codes."""
     a_groups, b_groups = (_solve_subtrees(params, first).values() for first in Score)
     blocks = (
-        (a_bits, b_bits, tuple(map(add, a_terms, b_terms)), partial(_origin_strategy, params.k, a_code, b_code))
+        (a_bits, b_bits, tuple(map(add, a_terms, b_terms)), partial(_origin_strategy, params.k, a_code | b_code))
         for a_bits, a_terms, a_code in a_groups
         for b_bits, b_terms, b_code in b_groups
     )
@@ -1479,6 +1374,17 @@ def _spine_ranges(params: ModelParams, entry: _PlanEntry) -> dict[tuple[StudentT
     return _stop_ranges(a_ub, b_ub, unit * params.alpha.denominator**params.k, spine.cols, reach)
 
 
+def _subtree_ranges(template: _Template, values: tuple[int, ...],
+                    bits: int) -> dict[tuple[StudentType, ScoreSeq], tuple[Fraction, Fraction]]:
+    """The free-stop ranges of a feasible report-all first-score subtree at
+    its accept ``bits``: :func:`_stop_ranges` over every free column of its
+    ``template``, with the rows and reaches at a layout's ``values``."""
+    cols = range(len(template.var_index))
+    a_ub, b_ub = _sign_rows(_br_over(template, values, cols), _labels_over(template, values, cols), bits)
+    reach = [(key, template.reach[key][0], values[template.reach[key][1]]) for key in template.var_index]
+    return _stop_ranges(a_ub, b_ub, values[1], cols, reach)
+
+
 def _enumerate_policy_list(
     params: ModelParams, policies: Sequence[AdmissionPolicy], reporting: Reporting, scope: str
 ) -> Enumeration:
@@ -1496,7 +1402,7 @@ def _enumerate_policy_list(
     def blocks():
         for entry, origin in _kept_policies(params, plan):
             terms = [_admit_terms(params.alpha, k, cohorts, first, *odds) for first, odds in zip(Score, entry.odds)]
-            strategy = (partial(_tree_origin_strategy, k, entry.code) if origin
+            strategy = (partial(_origin_strategy, k, entry.code) if origin
                         else partial(_vertex_strategy, params, entry))
             yield (entry.bits,), (0,), tuple(map(add, *terms)), strategy
 
@@ -1562,12 +1468,14 @@ def free_stop_intervals(
     Each range comes from the smallest exact LP that decides it, through
     :func:`_stop_ranges`. Under report-all the rows are block-diagonal by
     first score: the depth-one roots share no variable and every label is
-    one sequence. So each first-score subtree gets its own
-    :class:`_FlowSystem`, on the census's cached layout and, up to
-    ``EXHAUSTIVE_MAX_K``, the template in its :func:`_code_book`; any point
-    of one subtree's polytope goes with any point of the other's. Inside
-    :func:`_reused_intervals` a subtree's ranges are solved once per (first
-    score, rule code): feasible patterns with one rule code have one
+    one sequence. So each first-score subtree is decided by the origin's
+    mask test on its label constants, by the lemma of this module's
+    docstring, and gets its :func:`_subtree_ranges` on the census's cached
+    layout and its rule code's template, up to ``EXHAUSTIVE_MAX_K`` from its
+    census table, which holds every subtree rule code by the table lemma.
+    Any point of one subtree's polytope goes with any point of the other's.
+    Inside :func:`_reused_intervals` a subtree's ranges are solved once per
+    (first score, rule code): feasible patterns with one rule code have one
     polytope, by the second corollary of this module's docstring. Under
     report-max the policy's entry in the report-max census's plan, which the
     census leaves cached for its witnesses (a plan of the policy alone for
@@ -1590,13 +1498,18 @@ def free_stop_intervals(
             return {}
         ranges = {(params, reporting, entry.code, policy.bits): partial(_spine_ranges, params, entry)}
     else:
-        systems = {}
+        ranges = {}
         for first, _, _, code in responses:
-            template = _coded(k, first, code)[0] if k <= EXHAUSTIVE_MAX_K else None
-            systems[(params, first, code)] = _FlowSystem(params, code, _subtree(first, k), reporting, template=template)
-        if any(system.refutes(policy.bits) for system in systems.values()):
-            return {}
-        ranges = {key: partial(system.stop_ranges, policy.bits) for key, system in systems.items()}
+            seqs = _subtree(first, k)
+            template = (_subtree_induction(k, first, params.alpha == 1).codes[code][0] if k <= EXHAUSTIVE_MAX_K
+                        else _template(seqs, reporting, k, code))
+            values = _layout(params, seqs, reporting)
+            consts = [(mask, _row_const(values, row)) for mask, row in template.label_rows]
+            pos = sum(mask for mask, b in consts if b > 0)  # one bit per label: a sum is an or
+            neg = sum(mask for mask, b in consts if b < 0)
+            if not _origin_holds(policy.bits, pos, neg):
+                return {}
+            ranges[(params, first, code)] = partial(_subtree_ranges, template, values, policy.bits)
     solved = {} if _solved is None else _solved
     ends = {}
     for key, solve in ranges.items():
@@ -1615,9 +1528,10 @@ _solved: Optional[dict[tuple, dict]] = None
 
 @contextmanager
 def _reused_intervals() -> Iterator[None]:
-    """Within the block, :func:`free_stop_intervals` solves each system's
-    ranges once: the witnesses of one enumeration often share a first-score
-    subtree's pattern. The reuse ends with the block, so the LPs that a call
+    """Within the block, :func:`free_stop_intervals` solves the ranges of
+    each first-score subtree's rule code, or report-max policy, once: the
+    witnesses of one enumeration often share a first-score subtree's
+    pattern. The reuse ends with the block, so the LPs that a call
     makes never depend on the calls before it."""
     global _solved
     _solved = {}

@@ -29,5 +29,5 @@ def cold_error_rates():
     cohort_rows.cache_clear()
     for cached in (search._group_odds, search._kept_groups, search._admit_terms, search._class_label,
                    search._family_policies, search._policy_plan, search._origin_strategy,
-                   search._tree_origin_strategy, search._certificate_list):
+                   search._certificate_list):
         cached.cache_clear()

@@ -5,9 +5,9 @@ origin's signs, report-max ones on the all-B spine, and it builds dense rows
 only for the free-stop ranges of a report-all subtree. The classes here
 build every row of a whole tree or a subtree, under either reporting
 policy, and decide it with the simplex, so that the reduced decisions,
-points and rows can be checked against them. Test modules and CI steps
-import this module with ``tests`` on ``sys.path``; pytest does not collect
-it.
+points and rows can be checked against them; they share no class with the
+package. Test modules and CI steps import this module with ``tests`` on
+``sys.path``; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from functools import cached_property
 
 from retesting import ModelParams, Reporting, Score, StudentType, _simplex, all_sequences, best_response, best_score, node
 from retesting import search
-from retesting.search import ANY, CONTINUE, _FlowSystem, _origin_holds, _rule_of, _screen_refuses, _sign_rows
+from retesting.search import (ANY, CONTINUE, _br_over, _labels_over, _origin_holds, _row_const, _rule_of,
+                              _screen_refuses, _sign_rows, _stop_ranges)
 
 
 def label_masks(label_rows):
@@ -29,18 +30,42 @@ def label_masks(label_rows):
             sum(mask for mask, (row, b) in label_rows if b and not any(row)))
 
 
-class DenseFlowSystem(_FlowSystem):
-    """A :class:`retesting.search._FlowSystem` of any tree under either
-    reporting policy, with its dense rows over every column: a report-max
-    system is decided by the simplex on those rows, a report-all one by the
-    package's origin test, which the lemma of the :mod:`retesting.search`
-    docstring makes exact and the tests check against the simplex."""
+class DenseFlowSystem:
+    """The flow system of any tree under either reporting policy and rule
+    code, over the continue masses of its indifferent nodes, with its dense
+    rows over every column, read off the package's cached template and
+    layout as integers times ``scale``: a report-max system is decided by
+    the simplex on those rows, a report-all one by the package's origin
+    test on two masks of its label constants' signs, which the lemma of the
+    :mod:`retesting.search` docstring makes exact and the tests check
+    against the simplex. Rows are built when first read."""
 
-    def __init__(self, params, code, sequences, reporting, template=None):
+    def __init__(self, params, code, sequences, reporting):
+        """The system of the tree ``sequences`` under the rule ``code``."""
         seqs = tuple(sequences)
-        super().__init__(params, code, seqs, reporting, template)
-        self.code, self.reporting = code, reporting
+        self._template = template = search._template(seqs, reporting, params.k, code)
+        self._values = values = search._layout(params, seqs, reporting)
+        self.code, self.reporting, self.scale = code, reporting, values[1]
+        self.var_index, self.n = template.var_index, len(template.var_index)
         self.histories = tuple(s for s in seqs if len(s) < params.k)
+        consts = [(mask, _row_const(values, row)) for mask, row in template.label_rows]
+        self._pos = sum(mask for mask, b in consts if b > 0)
+        self._neg = sum(mask for mask, b in consts if b < 0)
+
+    @cached_property
+    def reach(self):
+        """The reach mass of every (type, sequence) as one term."""
+        return {key: (var, self._values[j]) for key, (var, j) in self._template.reach.items()}
+
+    @cached_property
+    def _br_rows(self):
+        """``c - reach <= 0`` at every free node c, in ``var_index`` order."""
+        return _br_over(self._template, self._values, range(self.n))
+
+    @cached_property
+    def _label_rows(self):
+        """Each label row as (mask of its label's accept bit, (coefficients, rhs))."""
+        return _labels_over(self._template, self._values, range(self.n))
 
     @cached_property
     def _signed(self):
@@ -74,8 +99,15 @@ class DenseFlowSystem(_FlowSystem):
         """Whether the policy's polytope is empty: by the origin's signs under
         report-all, by the simplex on :meth:`rows` under report-max."""
         if self.reporting is Reporting.ALL:
-            return super().refutes(bits)
+            return not self._at_origin(bits)
         return self.vertex(bits) is None
+
+    def stop_ranges(self, bits):
+        """:func:`retesting.search._stop_ranges` over every column, for a
+        policy whose polytope is not empty."""
+        a_ub, b_ub = self.rows(bits)
+        reach = [(key, *self.reach[key]) for key in self.var_index]
+        return _stop_ranges(a_ub, b_ub, self.scale, range(self.n), reach)
 
     def feasible(self, bits):
         """A point of the policy's polytope, or None: :meth:`vertex` unless

@@ -79,6 +79,18 @@ MUTANTS = (
            "        return tuple(value // base**j % base for j in range(k))\n",
            "        return tuple(value // base**j % base for j in range(k - 1))\n",
            ("tests/test_search.py::TestCensusTable::test_table_matches_the_induction_at_every_alpha[2]",)),
+    Mutant("the report-all interval origin test with pos and neg swapped", SEARCH,
+           "            if not _origin_holds(policy.bits, pos, neg):\n",
+           "            if not _origin_holds(policy.bits, neg, pos):\n",
+           ("tests/test_search.py::TestFreeIntervals::test_no_equilibrium_needs_no_column_lp",)),
+    Mutant("the subtree ranges' reach list in template.reach order", SEARCH,
+           "values[template.reach[key][1]]) for key in template.var_index]\n",
+           "values[template.reach[key][1]]) for key in template.reach]\n",
+           ("tests/test_search.py::TestSmallerLPs::test_report_all_intervals_match_the_reference[2]",)),
+    Mutant("the interval table read below 1 at alpha 1", SEARCH,
+           "_subtree_induction(k, first, params.alpha == 1).codes[code][0]",
+           "_subtree_induction(k, first, False).codes[code][0]",
+           ("tests/test_search.py::TestCensusPlan::test_repeat_census_at_alpha_one_reads_no_template",)),
     Mutant("ANY given a stop of 0 at the origin", SEARCH,
            "    return {(t, h): _ZERO if _rule_of(code, t, h) == CONTINUE else _ONE for t, h in keys}\n",
            "    return {(t, h): _ONE if _rule_of(code, t, h) == STOP else _ZERO for t, h in keys}\n",

@@ -45,7 +45,6 @@ CACHES = {
     "search._subtree_mask": search._subtree_mask,
     "search._subtree_induction": search._subtree_induction,
     "search._subtree_response": search._subtree_response,
-    "search._code_book": search._code_book,
     "search._group_odds": search._group_odds,
     "search._kept_groups": search._kept_groups,
     "search._admit_terms": search._admit_terms,
@@ -54,7 +53,6 @@ CACHES = {
     "search._policy_plan": search._policy_plan,
     "search._certificate_list": search._certificate_list,
     "search._origin_strategy": search._origin_strategy,
-    "search._tree_origin_strategy": search._tree_origin_strategy,
     "search._shape": search._shape,
     "search._layout": search._layout,
     "search._template": search._template,

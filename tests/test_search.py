@@ -50,7 +50,6 @@ from retesting import search
 from retesting.search import (
     EXHAUSTIVE_MAX_K,
     SCOPES,
-    _FlowSystem,
     _enumerate_policy_list,
     _family_policies,
     _group_odds,
@@ -584,26 +583,24 @@ class TestVerifyAgainstReference:
     def test_corrupted_census_caches_change_no_verdict(self, monkeypatch):
         """The verifier reads the model and the best-response induction,
         never the census's caches: with ``_layout``, ``_subtree_induction``,
-        ``_group_odds``, ``_code_book``, ``_kept_groups``, ``_admit_terms``, ``_class_label``
-        and both origin witness caches handing out wrong values, and the
+        ``_group_odds``, ``_kept_groups``, ``_admit_terms``, ``_class_label``
+        and the origin witness cache handing out wrong values, and the
         verifier's own cache cold, every witness keeps its verdict, while a
         census that reads them finds witnesses that fail."""
         params_list = [params for params in VERIFY_GRID if params.k == 3 and params.phi == Fraction(1, 2)]
         cases = [(params, witness) for params in params_list for witness in census_witnesses(params)]
         want = [verify_equilibrium(params, witness) for params, witness in cases]
         layout, table, kept, terms = search._layout, search._subtree_induction, search._kept_groups, search._admit_terms
-        label, origin, tree_origin = search._class_label, search._origin_strategy, search._tree_origin_strategy
+        label, origin = search._class_label, search._origin_strategy
         group_odds = search._group_odds
         monkeypatch.setattr(search, "_layout", lambda *args: tuple(-v for v in layout(*args)))
         other = {Score.A: Score.B, Score.B: Score.A}
         monkeypatch.setattr(search, "_subtree_induction", lambda k, first, at_one: table(k, other[first], at_one))
         monkeypatch.setattr(search, "_group_odds", lambda *args: group_odds(*args)[::-1])
-        monkeypatch.setattr(search, "_code_book", lambda k, first: search._CodeBook({}, {}))
         monkeypatch.setattr(search, "_kept_groups", lambda k, first, at_one, pos, neg: kept(k, first, at_one, 0, 0))
         monkeypatch.setattr(search, "_admit_terms", lambda *args: terms(*args)[::-1])
         monkeypatch.setattr(search, "_class_label", lambda *args: ("made up", label(*args)[1]))
-        monkeypatch.setattr(search, "_origin_strategy", lambda k, a_code, b_code: origin(k, b_code, a_code))
-        monkeypatch.setattr(search, "_tree_origin_strategy", lambda k, code: tree_origin(k, 0))
+        monkeypatch.setattr(search, "_origin_strategy", lambda k, code: origin(k, 0))
         model.cohort_rows.cache_clear()
         assert [verify_equilibrium(params, witness) for params, witness in cases] == want
         params = ModelParams(p=Fraction(1, 2), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
@@ -853,8 +850,9 @@ class TestFreeIntervals:
         solve per witness prints; the reuse ends with the command."""
         argv = ["enumerate", "--alpha", "0.8", "--p", "0.5", "--phi", "0.5", "--k", str(k),
                 "--scope", scope, "--intervals", "--format", "json"]
-        stop_ranges, calls = _FlowSystem.stop_ranges, []
-        monkeypatch.setattr(_FlowSystem, "stop_ranges", lambda system, bits: calls.append(bits) or stop_ranges(system, bits))
+        subtree_ranges, calls = search._subtree_ranges, []
+        monkeypatch.setattr(search, "_subtree_ranges",
+                            lambda template, values, bits: calls.append(bits) or subtree_ranges(template, values, bits))
         assert cli.main(argv) == 0
         shared, solved = capsys.readouterr().out, len(calls)
         assert search._solved is None
@@ -902,11 +900,12 @@ class TestFreeIntervals:
                 pairs.setdefault(code, {}).setdefault(system.signs(bits), bits)
         a_bits = next(list(signs.values())[:2] for signs in pairs.values() if len(signs) > 1)
         b_bits = next(bits for bits, *_, code in induction_entries(params.alpha, 3, Score.B)
-                      if not _FlowSystem(params, code, _subtree(Score.B, 3), Reporting.ALL).refutes(bits))
+                      if not DenseFlowSystem(params, code, _subtree(Score.B, 3), Reporting.ALL).refutes(bits))
         policies = [AdmissionPolicy(3, bits | b_bits) for bits in a_bits]
         want = [free_stop_intervals(params, policy) for policy in policies]
-        stop_ranges, calls = _FlowSystem.stop_ranges, []
-        monkeypatch.setattr(_FlowSystem, "stop_ranges", lambda system, bits: calls.append(bits) or stop_ranges(system, bits))
+        subtree_ranges, calls = search._subtree_ranges, []
+        monkeypatch.setattr(search, "_subtree_ranges",
+                            lambda template, values, bits: calls.append(bits) or subtree_ranges(template, values, bits))
         with search._reused_intervals():
             assert [free_stop_intervals(params, policy) for policy in policies] == want
         assert len(calls) == 2  # the A subtree once, the B subtree once
@@ -944,9 +943,15 @@ class TestFreeIntervals:
                 for node, (lo, hi) in intervals.items():
                     assert lo <= witness.strategy.stop[node] <= hi, (scope, cls.label, node)
 
-    def test_infeasible_policy_has_no_intervals(self):
+    def test_infeasible_policy_has_no_intervals(self, monkeypatch):
+        """A policy that its origin refutes, by the lemma of the
+        :mod:`retesting.search` docstring, gets no dense row and no solve."""
+        built = []
+        monkeypatch.setattr(search, "_br_over", lambda *args: built.append("_br_over"))
+        monkeypatch.setattr(_simplex, "optimize", lambda *args, **kwargs: built.append("optimize"))
         params = ModelParams(p=0.1, alpha=0.8, phi=0.5, k=2)
         assert free_stop_intervals(params, AdmissionPolicy.first_score(2)) == {}
+        assert built == []
 
     def test_report_max_requires_measurable_policy(self):
         # the verifier refuses this profile, so its intervals are refused too
@@ -1064,13 +1069,14 @@ class TestSmallerLPs:
 
     @staticmethod
     def refuse_whole_tree(monkeypatch, k):
-        """Fail the test on a flow system, a layout of the whole tree, or a
-        best-response or label row over more columns than the spine's;
-        return the list of the spine points solved for witnesses."""
+        """Fail the test on a report-all subtree's ranges, a layout of the
+        whole tree, or a best-response or label row over more columns than
+        the spine's; return the list of the spine points solved for
+        witnesses."""
         def refused(*args, **kwargs):
-            raise AssertionError("a flow system was built")
+            raise AssertionError("the rows of a report-all subtree were built")
 
-        monkeypatch.setattr(_FlowSystem, "__init__", refused)
+        monkeypatch.setattr(search, "_subtree_ranges", refused)
         layout = search._layout
 
         def subtree_layout(params, seqs, reporting):
@@ -1116,8 +1122,9 @@ class TestSmallerLPs:
 
     def test_k10_report_max_census_and_intervals_build_no_whole_tree_row(self, monkeypatch):
         """A k=10 report-max census, with the free-stop ranges of each class
-        witness, builds no flow system, no layout of the whole tree and no
-        row over its columns, also where a witness is a spine vertex."""
+        witness, solves no report-all subtree, builds no layout of the whole
+        tree and no row over its columns, also where a witness is a spine
+        vertex."""
         points = self.refuse_whole_tree(monkeypatch, 10)
         intervals = 0
         for alpha, p, phi in [("0.8", "0.5", "0.5"), ("0.7", "0.45", "0.1")]:
@@ -1149,7 +1156,7 @@ class TestSpineVertexLemma:
 
 
 class TestGroupedCensus:
-    """The report-all census shares flow systems and solves between subtree
+    """The report-all census shares rule codes and verdicts between subtree
     policies; it must give what one solve per whole policy gives."""
 
     @pytest.mark.parametrize("alpha", [Fraction(3, 5), Fraction(4, 5)])
@@ -1189,11 +1196,11 @@ class TestGroupedCensus:
     def test_k3_census_decides_every_pattern_by_one_mask_test_with_no_kernel_call(self, monkeypatch):
         """One :func:`search._origin_holds` per accept pattern, on the label
         masks of its rule code, when the point's row-sign key is new, none
-        when it is cached, and no flow system and no kernel call at all,
-        also at alpha 1: each verdict is the one :meth:`_FlowSystem.refutes`
-        gives."""
+        when it is cached, and no dense row and no kernel call at all, also
+        at alpha 1: each verdict is the one the dense reference's origin
+        test gives."""
         kernel, verdicts, built = [], [], []
-        optimize, origin_holds, init = _simplex.optimize, search._origin_holds, _FlowSystem.__init__
+        optimize, origin_holds = _simplex.optimize, search._origin_holds
 
         def counting(objectives, *args, **kwargs):
             kernel.append(len(objectives))
@@ -1205,7 +1212,8 @@ class TestGroupedCensus:
 
         monkeypatch.setattr(_simplex, "optimize", counting)
         monkeypatch.setattr(search, "_origin_holds", deciding)
-        monkeypatch.setattr(_FlowSystem, "__init__", lambda system, *args: built.append(args) or init(system, *args))
+        for name in ("_br_over", "_labels_over"):
+            monkeypatch.setattr(search, name, lambda *args, over=getattr(search, name): built.append(args) or over(*args))
         refuted = 0
         for alpha in (Fraction(4, 5), Fraction(1)):
             params = ModelParams(p=Fraction(9, 20), alpha=alpha, phi=Fraction(1, 2), k=3)
@@ -1233,11 +1241,12 @@ class TestGroupedCensus:
         """Groups carry rule codes, not stops: the census reads no stops off
         a point (:func:`search._vertex_strategy`), builds one witness
         strategy per code pair it has not seen and, at a point whose pairs
-        it has seen, builds no flow system and no strategy."""
+        it has seen, builds no dense row and no strategy."""
         calls, built, strategies = [], [], []
-        init, strategy_init = _FlowSystem.__init__, StudentStrategy.__init__
+        strategy_init = StudentStrategy.__init__
         monkeypatch.setattr(search, "_vertex_strategy", lambda *args: calls.append(args))
-        monkeypatch.setattr(_FlowSystem, "__init__", lambda system, *args: built.append(args) or init(system, *args))
+        for name in ("_br_over", "_labels_over"):
+            monkeypatch.setattr(search, name, lambda *args, over=getattr(search, name): built.append(args) or over(*args))
         monkeypatch.setattr(StudentStrategy, "__init__",
                             lambda strategy, stop: strategies.append(stop) or strategy_init(strategy, stop))
         params = ModelParams(p=Fraction(9, 20), alpha=Fraction(4, 5), phi=Fraction(1, 2), k=3)
@@ -1247,7 +1256,7 @@ class TestGroupedCensus:
         pairs = [tuple(sub for *_, sub in search._subtree_responses(params, cls.witness.policy)) for cls in classes]
         assert len(strategies) == search._origin_strategy.cache_info().misses == len(set(pairs)) > 0
         for cls, pair in zip(classes, pairs):
-            assert cls.witness.strategy is search._origin_strategy(3, *pair)
+            assert cls.witness.strategy is search._origin_strategy(3, pair[0] | pair[1])
         assert calls == built == []
         strategies.clear()
         other = ModelParams(p=Fraction(3, 10), alpha=params.alpha, phi=params.phi, k=3)
@@ -1287,7 +1296,7 @@ class TestPolicyListWitnesses:
                     for log in (calls, strategies, points, kept):
                         log.clear()
                     params = ModelParams(p=p, alpha=alpha, phi=phi, k=k)
-                    origins = search._tree_origin_strategy.cache_info().misses
+                    origins = search._origin_strategy.cache_info().misses
                     classes = enumerate_outcomes(params, scope).classes
                     where = (alpha, p, phi, k, scope)
                     at_origin = {entry.bits: origin for entry, origin in kept}
@@ -1301,13 +1310,13 @@ class TestPolicyListWitnesses:
                         system = DenseFlowSystem(params, entry.code, all_sequences(k), system_reporting(scope))
                         assert system.feasible(entry.bits) == x, where
                         stops[entry.bits] = system.stops_from_point(x)
-                    origins = search._tree_origin_strategy.cache_info().misses - origins
+                    origins = search._origin_strategy.cache_info().misses - origins
                     assert len(strategies) == len(points) + origins, where
                     for cls, bits in zip(classes, witnesses):
                         seen[at_origin[bits]] += 1
                         if at_origin[bits]:
                             code = best_response(params, cls.witness.policy).code
-                            assert cls.witness.strategy is search._tree_origin_strategy(k, code), where
+                            assert cls.witness.strategy is search._origin_strategy(k, code), where
                         else:
                             assert list(cls.witness.strategy.stop.items()) == list(stops[bits].items()), where
                     shared += len(kept) > len(classes)
@@ -1511,7 +1520,7 @@ class TestOriginWitness:
     a feasible report-all system has the origin as a point, where the stops
     are 0 at CONTINUE and 1 at STOP and ANY, so the census decides each
     accept pattern by two label masks and reads its witness off the rule
-    code. Both must be what a flow system of the pattern gives."""
+    code. Both must be what the dense system of the pattern gives."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("alpha", ["0.6", "0.8", "1"])
@@ -1530,8 +1539,7 @@ class TestOriginWitness:
                         system = systems[code]
                         assert (bits in kept) == (not system.refutes(bits)), (p, phi, first, bits)
                         if bits in kept:
-                            codes = (code, 0) if first is Score.A else (0, code)
-                            stops = [(key, f) for key, f in search._origin_strategy(k, *codes).stop.items()
+                            stops = [(key, f) for key, f in search._origin_strategy(k, code).stop.items()
                                      if key[1][0] is first]
                             assert stops == list(system.stops_from_point([Fraction(0)] * system.n).items())
                             feasible += 1
@@ -1565,7 +1573,7 @@ class TestCensusPlan:
     """The census reads what depends on k alone from one cached table per
     (k, first score, alpha is 1), the odds of its groups from a cache per
     alpha, and best responses from a cache per subtree accept pattern; it
-    must find what a census with one flow system and one solve per pattern
+    must find what a census with one dense system and one solve per pattern
     finds, also at phi 0 and 1 and at alpha 1."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -1607,26 +1615,24 @@ class TestCensusPlan:
                 for code, (template, labels) in plan.codes.items():
                     assert template == search._template.__wrapped__(seqs, Reporting.ALL, k, code)
                     assert [(mask, rows[row]) for mask, row in labels] == list(template.label_rows)
-                    # one template per rule code, whatever the alpha
-                    assert search._coded(k, first, code)[0] is template
+                # the table numbers its own rows, in order of first occurrence
+                assert [row_id for row_id, _ in plan.rows] == list(range(len(plan.rows))) == \
+                    list(dict.fromkeys(row for _, labels in plan.codes.values() for _, row in labels))
 
-    def test_code_book_is_shared_by_every_alpha(self):
-        """Templates depend on no alpha, so the census at every alpha below
-        1 reads the one table that filled the code book, and the rule codes
-        of the induction at each of them are in it."""
-        search._code_book.cache_clear()
+    def test_one_table_holds_every_rule_code_below_one(self):
+        """Templates depend on no alpha, so the one table below 1 reads one
+        template per rule code when it is built, and holds every rule code of
+        the induction at three more alphas, whose censuses build no template
+        and no second table."""
         _subtree_induction.cache_clear()
         info = search._template.cache_info()
         table = _subtree_induction(3, Score.A, False)
-        first_codes = search._template.cache_info().hits + search._template.cache_info().misses
-        first_codes -= info.hits + info.misses
-        book = search._code_book(3, Score.A)
-        assert first_codes == len(book.codes) == len(table.codes) > 0
-        assert sorted(book.ids.values()) == list(range(len(book.ids)))
+        read = search._template.cache_info()
+        assert read.hits + read.misses - info.hits - info.misses == len(table.codes) > 0
         before = search._template.cache_info()
         for alpha in (Fraction(13, 20), Fraction(7, 10), Fraction(4, 5)):
             search._solve_subtrees(ModelParams(p=Fraction(1, 2), alpha=alpha, phi=Fraction(1, 2), k=3), Score.A)
-            assert {code for *_, code in induction_entries(alpha, 3, Score.A)} <= set(book.codes)
+            assert {code for *_, code in induction_entries(alpha, 3, Score.A)} <= set(table.codes)
         assert search._template.cache_info() == before
         assert _subtree_induction.cache_info().misses == 1
 
@@ -1873,7 +1879,7 @@ class TestSignKeyedCensus:
                         if system.feasible(policy.bits) is None or not system._at_origin(policy.bits):
                             continue
                         want = system.stops_from_point([Fraction(0)] * system.n)
-                        got = search._tree_origin_strategy(k, system.code)
+                        got = search._origin_strategy(k, system.code)
                         assert list(got.stop.items()) == list(want.items()), (params, scope, policy)
                         assert got == StudentStrategy(want)
                         compared += 1
@@ -1955,7 +1961,7 @@ class TestForcedLabelScreen:
 class TestTreeDecision:
     """A report-all flow system whose rule code comes from the best-response
     induction is feasible iff its origin is, by the lemma in the
-    :mod:`retesting.search` docstring, so :meth:`_FlowSystem.refutes`
+    :mod:`retesting.search` docstring, so :func:`search._origin_holds`
     decides it by the origin's signs alone. That verdict must be the dense
     simplex's on every such LP, whatever the rhs signs."""
 
@@ -2136,8 +2142,9 @@ class TestFlowTemplates:
 
 
 class TestLazyRows:
-    """A system reads each label row's constant without building a row, and
-    keeps its sign as two label masks; the plans read each constant, and
+    """The census, the report-all free-stop ranges and the dense reference
+    read each label row's constant without building a row, and keep its
+    sign as two label masks; the plans read each constant, and
     whether a variable enters the row, with :func:`search._row_sign`. What
     they read must be what the dense rows say, also at phi 0 and 1 and at
     alpha 1, where masses vanish."""
@@ -2147,8 +2154,9 @@ class TestLazyRows:
 
     @staticmethod
     def check(params, code, seqs, reporting, counts):
-        system = _FlowSystem(params, code, seqs, reporting)
-        assert not {"_br_rows", "_label_rows"} & set(vars(system))  # nothing dense yet
+        system = DenseFlowSystem(params, code, seqs, reporting)
+        # nothing dense yet: the masks come from the constants, not the rows
+        assert not {"_br_rows", "_label_rows"} & set(vars(system))
         labels = system._label_rows
         pos, neg, signed, forced = label_masks(labels)
         assert (system._pos, system._neg) == (pos, neg)
@@ -2185,9 +2193,9 @@ class TestLazyRows:
 
     @pytest.mark.parametrize("k, codes", [(2, None), (3, 24)])
     def test_verdicts_match_the_simplex_on_arbitrary_rule_codes(self, k, codes):
-        """The dense reference's ``feasible``, which reads the verdict of
-        :meth:`_FlowSystem.refutes`, against the simplex on every accept
-        pattern of rule codes that no induction makes. The signs it reads
+        """The dense reference's ``feasible``, which reads the verdict of the
+        origin test, against the simplex on every accept pattern of rule
+        codes that no induction makes. The signs it reads
         lazily are the dense rows' signs, and with no negative rhs its point
         is the simplex's. An LP with a negative rhs it refutes, which is the
         simplex's verdict except where the lemma's precondition fails: such
@@ -2218,9 +2226,8 @@ class TestLazyRows:
         """The origin's signs decide every report-all family LP at k=10,
         and each feasible one has the origin as its point."""
         built, kernel = [], []
-        for name in ("_br_rows", "_label_rows"):
-            func = getattr(_FlowSystem, name).func
-            monkeypatch.setattr(_FlowSystem, name, property(lambda system, f=func: built.append(f) or f(system)))
+        for name in ("_br_over", "_labels_over"):
+            monkeypatch.setattr(search, name, lambda *args, over=getattr(search, name): built.append(args) or over(*args))
         optimize = _simplex.optimize
         monkeypatch.setattr(_simplex, "optimize", lambda *args, **kwargs: kernel.append(1) or optimize(*args, **kwargs))
         params = ModelParams(p="0.5", alpha="0.8", phi="0.5", k=10)
